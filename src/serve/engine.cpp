@@ -2,109 +2,30 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <limits>
-#include <numeric>
-
-#include "common/error.hpp"
-#include "common/strings.hpp"
 
 namespace cstf::serve {
 
 namespace {
 
-/// topKBetter (engine.hpp) is the candidate order brute force sorts by,
-/// so pruned and unpruned runs return identical results.
-const auto better = topKBetter;
-
-/// Raise `floor` to at least `v` (atomic max; relaxed is enough — the
-/// floor is a monotone lower bound used only to skip provably losing rows).
-void raiseFloor(std::atomic<double>& floor, double v) {
-  double cur = floor.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !floor.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
+/// Rows of the visit order per parallel work unit of a top-k scan.
+constexpr std::size_t kBlockRows = 512;
 
 }  // namespace
 
 Engine::Engine(CpModel model, std::size_t threads)
     : rank_(model.rank),
-      dims_(std::move(model.dims)),
-      lambda_(std::move(model.lambda)),
+      dims_(model.dims),
+      lambda_(model.lambda),
       finalFit_(model.finalFit),
-      folded_(std::move(model.factors)),
-      pool_(threads) {
-  CSTF_CHECK(dims_.size() >= 2, "serving needs a model of order >= 2");
-  CSTF_CHECK(folded_.size() == dims_.size(),
-             "model needs one factor per mode");
-  CSTF_CHECK(lambda_.size() == rank_ && rank_ >= 1,
-             "model lambda must have one finite weight per rank component");
-  for (const double l : lambda_) {
-    CSTF_CHECK(std::isfinite(l), "model lambda must be finite for serving");
-  }
-  for (ModeId m = 0; m < order(); ++m) {
-    CSTF_CHECK(folded_[m].rows() == dims_[m] && folded_[m].cols() == rank_,
-               "model factor shape does not match dims/rank");
-  }
-
-  // Fold lambda into mode 0: predictions become a plain product of factor
-  // rows, and mode-0 top-k candidates carry their true magnitude.
-  la::Matrix& f0 = folded_[0];
-  for (std::size_t i = 0; i < f0.rows(); ++i) {
-    double* row = f0.row(i);
-    for (std::size_t r = 0; r < rank_; ++r) row[r] = lambda_[r] * row[r];
-  }
-
-  rowNorm_.resize(order());
-  normOrder_.resize(order());
-  for (ModeId m = 0; m < order(); ++m) {
-    const la::Matrix& f = folded_[m];
-    auto& norms = rowNorm_[m];
-    norms.resize(f.rows());
-    for (std::size_t i = 0; i < f.rows(); ++i) {
-      const double* row = f.row(i);
-      double sq = 0.0;
-      for (std::size_t r = 0; r < rank_; ++r) sq += row[r] * row[r];
-      norms[i] = std::sqrt(sq);
-    }
-    auto& visit = normOrder_[m];
-    visit.resize(f.rows());
-    std::iota(visit.begin(), visit.end(), Index{0});
-    std::sort(visit.begin(), visit.end(), [&norms](Index a, Index b) {
-      return norms[a] > norms[b] || (norms[a] == norms[b] && a < b);
-    });
-  }
-}
-
-void Engine::validateQuery(const std::vector<Index>& indices) const {
-  CSTF_CHECK(indices.size() == dims_.size(),
-             "query needs one index per mode");
-  for (ModeId m = 0; m < order(); ++m) {
-    CSTF_CHECK(indices[m] < dims_[m],
-               strprintf("query index out of range for mode %d", int(m) + 1));
-  }
-}
-
-double Engine::predictOne(const Index* idx) const {
-  const ModeId n = order();
-  const double* rows[kMaxOrder];
-  for (ModeId m = 0; m < n; ++m) rows[m] = folded_[m].row(idx[m]);
-  // Same accumulation order as tensor::denseReconstruction (lambda and the
-  // mode-0 entry are pre-multiplied in folded_), so results match bit for
-  // bit.
-  double cell = 0.0;
-  for (std::size_t r = 0; r < rank_; ++r) {
-    double prod = rows[0][r];
-    for (ModeId m = 1; m < n; ++m) prod *= rows[m][r];
-    cell += prod;
-  }
-  return cell;
-}
+      scans_(std::move(buildShardScans(std::move(model), 1).front())),
+      pool_(threads) {}
 
 double Engine::predict(const std::vector<Index>& indices) const {
-  validateQuery(indices);
-  return predictOne(indices.data());
+  validateQuery(dims_, indices, dims_.size());
+  const double* rows[kMaxOrder];
+  for (ModeId m = 0; m < order(); ++m) rows[m] = scans_[m].row(indices[m]);
+  return cellValue(rows, order(), rank_);
 }
 
 std::vector<double> Engine::predictBatch(
@@ -115,8 +36,7 @@ std::vector<double> Engine::predictBatch(
     const std::size_t begin = b * kBlock;
     const std::size_t end = std::min(queries.size(), begin + kBlock);
     for (std::size_t q = begin; q < end; ++q) {
-      validateQuery(queries[q]);
-      out[q] = predictOne(queries[q].data());
+      out[q] = Engine::predict(queries[q]);
     }
   };
   const std::size_t nBlocks = (queries.size() + kBlock - 1) / kBlock;
@@ -130,107 +50,24 @@ std::vector<double> Engine::predictBatch(
 
 TopKResult Engine::topK(ModeId mode, const std::vector<Index>& fixed,
                         std::size_t k, const TopKOptions& opts) const {
-  CSTF_CHECK(mode < order(), "top-k mode out of range");
-  CSTF_CHECK(fixed.size() == dims_.size(),
-             "top-k needs one fixed index per mode (free mode ignored)");
-  CSTF_CHECK(k >= 1, "top-k needs k >= 1");
+  validateTopKQuery(dims_, mode, fixed, k);
+  const double* rows[kMaxOrder];
   for (ModeId m = 0; m < order(); ++m) {
-    if (m == mode) continue;
-    CSTF_CHECK(fixed[m] < dims_[m],
-               strprintf("fixed index out of range for mode %d", int(m) + 1));
+    if (m != mode) rows[m] = scans_[m].row(fixed[m]);
   }
+  const QueryVector q = queryVector(rows, order(), mode, rank_);
 
-  // Query vector: Hadamard product of the fixed modes' rows (lambda rides
-  // in exactly once, via folded mode 0 — either as a candidate matrix or
-  // as part of w).
-  std::vector<double> w(rank_);
-  bool first = true;
-  for (ModeId m = 0; m < order(); ++m) {
-    if (m == mode) continue;
-    const double* row = folded_[m].row(fixed[m]);
-    if (first) {
-      std::copy(row, row + rank_, w.begin());
-      first = false;
-    } else {
-      for (std::size_t r = 0; r < rank_; ++r) w[r] *= row[r];
-    }
-  }
-  double wNormSq = 0.0;
-  for (const double v : w) wNormSq += v * v;
-  const double wNorm = std::sqrt(wNormSq);
-
-  const la::Matrix& cand = folded_[mode];
-  const std::vector<double>& norms = rowNorm_[mode];
-  const std::vector<Index>& visit = normOrder_[mode];
-  const std::size_t rows = cand.rows();
-  const std::size_t kk = std::min(k, rows);
-
-  struct Local {
-    std::vector<TopKEntry> heap;  // top of the heap = worst kept entry
-    std::uint64_t scanned = 0;
-    std::uint64_t pruned = 0;
-  };
-  const std::size_t block = std::max<std::size_t>(1, opts.blockRows);
-  const std::size_t nBlocks = (rows + block - 1) / block;
-  std::vector<Local> locals(nBlocks);
-  // Lower bound on the global k-th best score: the max over blocks of any
-  // full local heap's worst entry. A row whose Cauchy-Schwarz bound falls
-  // strictly below it cannot enter the global top-k (equality may still
-  // tie in, so the comparison stays strict).
+  const ShardScan& scan = scans_[mode];
+  const std::size_t n = scan.rows();
+  const std::size_t kk = std::min(k, n);
+  std::vector<ScanResult> parts((n + kBlockRows - 1) / kBlockRows);
   std::atomic<double> sharedFloor{-std::numeric_limits<double>::infinity()};
-
-  pool_.parallelFor(nBlocks, [&](std::size_t b) {
-    Local& loc = locals[b];
-    loc.heap.reserve(kk);
-    double floor = sharedFloor.load(std::memory_order_relaxed);
-    const std::size_t begin = b * block;
-    const std::size_t end = std::min(rows, begin + block);
-    for (std::size_t p = begin; p < end; ++p) {
-      const Index i = visit[p];
-      if (opts.prune) {
-        if ((loc.scanned & 15u) == 0) {
-          floor = std::max(floor,
-                           sharedFloor.load(std::memory_order_relaxed));
-        }
-        // Rows are visited in norm-descending order, so once one row's
-        // bound drops below the floor the rest of the block follows.
-        if (norms[i] * wNorm < floor) {
-          loc.pruned += end - p;
-          break;
-        }
-      }
-      ++loc.scanned;
-      const double* row = cand.row(i);
-      double s = 0.0;
-      for (std::size_t r = 0; r < rank_; ++r) s += w[r] * row[r];
-      const TopKEntry e{i, s};
-      if (loc.heap.size() < kk) {
-        loc.heap.push_back(e);
-        std::push_heap(loc.heap.begin(), loc.heap.end(), better);
-      } else if (better(e, loc.heap.front())) {
-        std::pop_heap(loc.heap.begin(), loc.heap.end(), better);
-        loc.heap.back() = e;
-        std::push_heap(loc.heap.begin(), loc.heap.end(), better);
-      } else {
-        continue;  // heap unchanged; floor cannot have risen
-      }
-      if (loc.heap.size() == kk) {
-        const double worst = loc.heap.front().score;
-        floor = std::max(floor, worst);
-        raiseFloor(sharedFloor, worst);
-      }
-    }
+  pool_.parallelFor(parts.size(), [&](std::size_t b) {
+    const std::size_t begin = b * kBlockRows;
+    parts[b] = scan.scan(begin, std::min(n, begin + kBlockRows), q, kk,
+                         opts.prune, sharedFloor);
   });
-
-  TopKResult res;
-  for (const Local& loc : locals) {
-    res.entries.insert(res.entries.end(), loc.heap.begin(), loc.heap.end());
-    res.stats.rowsScanned += loc.scanned;
-    res.stats.rowsPruned += loc.pruned;
-  }
-  std::sort(res.entries.begin(), res.entries.end(), better);
-  if (res.entries.size() > kk) res.entries.resize(kk);
-  return res;
+  return gatherTopK(parts, kk);
 }
 
 }  // namespace cstf::serve

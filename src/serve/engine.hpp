@@ -6,19 +6,12 @@
 //  * point reconstruction  x(i_1..i_N) = sum_r lambda_r prod_m A_m(i_m, r)
 //  * top-k completion      fix every mode but one, rank that mode's rows
 //
-// At construction the engine folds lambda into the mode-0 factor (one
-// multiply per entry, so predictions stay bit-identical to
-// tensor::denseReconstruction's evaluation order) and precomputes per-row
-// L2 norms plus a norm-descending visit order per mode. Top-k then scores
-// rows against the query vector w (the Hadamard product of the fixed
-// modes' rows) with Cauchy-Schwarz pruning: score(i) = <A_mode(i,:), w> is
-// bounded by ||A_mode(i,:)|| * ||w||, so once the candidate heap holds k
-// entries every row whose bound falls below the current k-th best score —
-// and, rows being visited in norm order, every row after it — is skipped
-// without touching its data. Blocks of the visit order run in parallel on
-// common/thread_pool, sharing the pruning floor through an atomic; the
-// merged result is exact (ties broken by ascending index), independent of
-// thread count and of whether pruning is enabled.
+// The engine is one ShardScan per mode (serve/shard_scan.hpp: lambda folded
+// into mode 0, per-row norms, norm-descending visit order, the pruned heap
+// scan). Top-k splits the mode's visit order into 512-row ranges that run
+// in parallel on common/thread_pool, sharing the pruning floor; the merged
+// result is exact (ties broken by ascending index), independent of thread
+// count and of whether pruning is enabled.
 #pragma once
 
 #include <cstddef>
@@ -27,46 +20,15 @@
 
 #include "common/thread_pool.hpp"
 #include "common/types.hpp"
-#include "la/matrix.hpp"
 #include "serve/model.hpp"
+#include "serve/shard_scan.hpp"
 
 namespace cstf::serve {
-
-struct TopKEntry {
-  Index index = 0;
-  double score = 0.0;
-
-  friend bool operator==(const TopKEntry& a, const TopKEntry& b) {
-    return a.index == b.index && a.score == b.score;
-  }
-};
 
 struct TopKOptions {
   /// Norm-bound pruning; off gives the brute-force scan (same results).
   bool prune = true;
-  /// Rows per parallel work unit.
-  std::size_t blockRows = 512;
 };
-
-struct TopKStats {
-  /// Rows whose dot product was actually computed.
-  std::uint64_t rowsScanned = 0;
-  /// Rows skipped by the norm bound.
-  std::uint64_t rowsPruned = 0;
-};
-
-struct TopKResult {
-  /// Best first: (score descending, index ascending).
-  std::vector<TopKEntry> entries;
-  TopKStats stats;
-};
-
-/// Total order on top-k candidates: higher score wins, ties go to the
-/// lower index. Both the single engine and the sharded scatter/gather
-/// merge sort by it, which is what makes their results bit-identical.
-inline bool topKBetter(const TopKEntry& a, const TopKEntry& b) {
-  return a.score > b.score || (a.score == b.score && a.index < b.index);
-}
 
 /// What the Batcher dispatches against: one Engine process or a
 /// ShardedEngine fanning out over replicated shards. Implementations must
@@ -118,19 +80,14 @@ class Engine : public TopKProvider {
                   std::size_t k, const TopKOptions& opts = {}) const override;
 
  private:
-  double predictOne(const Index* idx) const;
-  void validateQuery(const std::vector<Index>& indices) const;
-
   std::size_t rank_ = 0;
   std::vector<Index> dims_;
   std::vector<double> lambda_;
   double finalFit_ = 0.0;
-  /// Factor matrices with lambda folded into mode 0.
-  std::vector<la::Matrix> folded_;
-  /// Per mode: L2 norm of each (folded) factor row.
-  std::vector<std::vector<double>> rowNorm_;
-  /// Per mode: row ids sorted by norm descending (index ascending on ties).
-  std::vector<std::vector<Index>> normOrder_;
+  /// One scan per mode holding every row (S = 1). Declared after the
+  /// metadata above, which the constructor copies before moving the model
+  /// into the scan builder.
+  std::vector<ShardScan> scans_;
   mutable ThreadPool pool_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <limits>
 #include <numeric>
 #include <thread>
@@ -12,19 +11,6 @@
 #include "cstf/skew.hpp"
 
 namespace cstf::serve {
-
-namespace {
-
-/// Raise `floor` to at least `v` (atomic max, relaxed — the floor is a
-/// monotone lower bound used only to skip provably losing rows).
-void raiseFloor(std::atomic<double>& floor, double v) {
-  double cur = floor.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !floor.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
 
 LoadHints servingLoadHints(const cstf_core::SkewPlan& plan) {
   LoadHints hints(plan.modes.size());
@@ -36,27 +22,15 @@ LoadHints servingLoadHints(const cstf_core::SkewPlan& plan) {
 
 ShardedEngine::ShardedEngine(CpModel model, ShardedEngineOptions opts)
     : rank_(model.rank),
-      dims_(std::move(model.dims)),
+      dims_(model.dims),
       backoffMicros_(opts.backoffMicros),
       maxFailoverRounds_(std::max(1, opts.maxFailoverRounds)),
       faults_(std::move(opts.faults)),
       pool_(opts.threads) {
-  CSTF_CHECK(dims_.size() >= 2, "serving needs a model of order >= 2");
-  CSTF_CHECK(model.factors.size() == dims_.size(),
-             "model needs one factor per mode");
-  CSTF_CHECK(model.lambda.size() == rank_ && rank_ >= 1,
-             "model lambda must have one finite weight per rank component");
-  for (const double l : model.lambda) {
-    CSTF_CHECK(std::isfinite(l), "model lambda must be finite for serving");
-  }
-  for (ModeId m = 0; m < order(); ++m) {
-    CSTF_CHECK(model.factors[m].rows() == dims_[m] &&
-                   model.factors[m].cols() == rank_,
-               "model factor shape does not match dims/rank");
-  }
-  CSTF_CHECK(opts.numShards >= 1, "sharded serving needs >= 1 shard");
-
   numShards_ = opts.numShards;
+  // Shard s owns global rows {s, s+S, s+2S, ...} of every mode, built by
+  // the same code as Engine's rows, so shard scores are bit-identical.
+  shards_ = buildShardScans(std::move(model), numShards_);
   numNodes_ = opts.numNodes == 0 ? numShards_ : opts.numNodes;
   const std::size_t baseReplicas =
       std::min(std::max<std::size_t>(1, opts.numReplicas), numNodes_);
@@ -90,44 +64,6 @@ ShardedEngine::ShardedEngine(CpModel model, ShardedEngineOptions opts)
   nodeDead_ = std::make_unique<std::atomic<bool>[]>(numNodes_);
   for (std::size_t n = 0; n < numNodes_; ++n) {
     nodeDead_[n].store(false, std::memory_order_relaxed);
-  }
-
-  // Distribute rows: shard s owns global rows {s, s+S, s+2S, ...} of every
-  // mode, with lambda folded into mode 0 exactly as Engine does, so scores
-  // computed from shard rows are bit-identical to the single engine's.
-  shards_.resize(numShards_);
-  for (std::size_t s = 0; s < numShards_; ++s) {
-    shards_[s].modes.resize(order());
-    for (ModeId m = 0; m < order(); ++m) {
-      const la::Matrix& src = model.factors[m];
-      const std::size_t dim = dims_[m];
-      const std::size_t localRows =
-          dim > s ? (dim - s - 1) / numShards_ + 1 : 0;
-      ShardMode& sm = shards_[s].modes[m];
-      sm.rows = la::Matrix(localRows, rank_);
-      sm.norm.resize(localRows);
-      for (std::size_t local = 0; local < localRows; ++local) {
-        const std::size_t global = local * numShards_ + s;
-        const double* in = src.row(global);
-        double* out = sm.rows.row(local);
-        double sq = 0.0;
-        for (std::size_t r = 0; r < rank_; ++r) {
-          const double v = m == 0 ? model.lambda[r] * in[r] : in[r];
-          out[r] = v;
-          sq += v * v;
-        }
-        sm.norm[local] = std::sqrt(sq);
-      }
-      sm.visit.resize(localRows);
-      std::iota(sm.visit.begin(), sm.visit.end(), Index{0});
-      // Norm descending, global index (monotone in local) ascending on
-      // ties — the same visit discipline as the single engine.
-      std::sort(sm.visit.begin(), sm.visit.end(),
-                [&sm](Index a, Index b) {
-                  return sm.norm[a] > sm.norm[b] ||
-                         (sm.norm[a] == sm.norm[b] && a < b);
-                });
-    }
   }
 
   bindLiveInstruments(opts.liveMetrics);
@@ -205,7 +141,7 @@ const double* ShardedEngine::fetchRow(ModeId mode, Index i) const {
   // availability, so a fetch just needs one alive replica.
   for (std::size_t c = 0; c < replicas_[s]; ++c) {
     if (!nodeDead_[nodeOfCopy(s, c)].load(std::memory_order_relaxed)) {
-      return shards_[s].modes[mode].rows.row(i / numShards_);
+      return shards_[s][mode].row(i / numShards_);
     }
   }
   shedUnavailable_.fetch_add(1, std::memory_order_relaxed);
@@ -215,88 +151,20 @@ const double* ShardedEngine::fetchRow(ModeId mode, Index i) const {
       static_cast<unsigned long long>(i)));
 }
 
-void ShardedEngine::validateQuery(const std::vector<Index>& indices) const {
-  CSTF_CHECK(indices.size() == dims_.size(),
-             "query needs one index per mode");
-  for (ModeId m = 0; m < order(); ++m) {
-    CSTF_CHECK(indices[m] < dims_[m],
-               strprintf("query index out of range for mode %d", int(m) + 1));
-  }
-}
-
 double ShardedEngine::predict(const std::vector<Index>& indices) const {
-  validateQuery(indices);
-  const ModeId n = order();
+  validateQuery(dims_, indices, dims_.size());
   const double* rows[kMaxOrder];
-  for (ModeId m = 0; m < n; ++m) rows[m] = fetchRow(m, indices[m]);
-  // Same accumulation order as Engine::predictOne (lambda and the mode-0
-  // entry are pre-multiplied in the shard rows), so results match bit for
-  // bit.
-  double cell = 0.0;
-  for (std::size_t r = 0; r < rank_; ++r) {
-    double prod = rows[0][r];
-    for (ModeId m = 1; m < n; ++m) prod *= rows[m][r];
-    cell += prod;
-  }
-  return cell;
+  for (ModeId m = 0; m < order(); ++m) rows[m] = fetchRow(m, indices[m]);
+  return cellValue(rows, order(), rank_);
 }
 
-std::optional<std::vector<TopKEntry>> ShardedEngine::scanCopy(
-    std::size_t s, int node, ModeId mode, const std::vector<double>& w,
-    double wNorm, std::size_t k, const TopKOptions& opts,
-    std::atomic<double>& sharedFloor, TopKStats& st) const {
-  const ShardMode& sm = shards_[s].modes[mode];
-  const std::size_t localRows = sm.rows.rows();
-  // A shard holding fewer than k rows may contribute all of them to the
-  // global top-k, so its heap keeps everything and never raises the shared
-  // floor; only a heap of k globally-valid candidates bounds the k-th best.
-  const std::size_t cap = std::min(k, localRows);
-  std::vector<TopKEntry> heap;
-  heap.reserve(cap);
-  double floor = sharedFloor.load(std::memory_order_relaxed);
-  for (std::size_t p = 0; p < localRows; ++p) {
-    if ((p & 15u) == 0) {
-      // Poll the serving node: a mid-scan death aborts this sub-query and
-      // the caller retries on another replica (partial stats stay counted
-      // — the work really happened).
-      if (nodeDead_[node].load(std::memory_order_relaxed)) return std::nullopt;
-      floor = std::max(floor, sharedFloor.load(std::memory_order_relaxed));
-    }
-    const Index local = sm.visit[p];
-    if (opts.prune && sm.norm[local] * wNorm < floor) {
-      // Norm-descending visit order: every later row is bounded lower too.
-      st.rowsPruned += localRows - p;
-      break;
-    }
-    ++st.rowsScanned;
-    const double* row = sm.rows.row(local);
-    double score = 0.0;
-    for (std::size_t r = 0; r < rank_; ++r) score += w[r] * row[r];
-    const TopKEntry e{static_cast<Index>(local * numShards_ + s), score};
-    if (heap.size() < cap) {
-      heap.push_back(e);
-      std::push_heap(heap.begin(), heap.end(), topKBetter);
-    } else if (topKBetter(e, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), topKBetter);
-      heap.back() = e;
-      std::push_heap(heap.begin(), heap.end(), topKBetter);
-    } else {
-      continue;  // heap unchanged; floor cannot have risen
-    }
-    if (heap.size() == k) {
-      const double worst = heap.front().score;
-      floor = std::max(floor, worst);
-      raiseFloor(sharedFloor, worst);
-    }
-  }
-  return heap;
-}
-
-std::vector<TopKEntry> ShardedEngine::shardTopK(
-    std::size_t s, ModeId mode, const std::vector<double>& w, double wNorm,
-    std::size_t k, const TopKOptions& opts, std::atomic<double>& sharedFloor,
-    TopKStats& st) const {
-  if (shards_[s].modes[mode].rows.rows() == 0) return {};
+ScanResult ShardedEngine::shardTopK(std::size_t s, ModeId mode,
+                                    const QueryVector& q, std::size_t kk,
+                                    bool prune,
+                                    std::atomic<double>& sharedFloor) const {
+  const ShardScan& scan = shards_[s][mode];
+  if (scan.rows() == 0) return {};
+  TopKStats spent;  // aborted attempts' work stays counted — it happened
   bool deviated = false;
   int attempt = 0;
   for (int round = 0; round < maxFailoverRounds_; ++round) {
@@ -316,14 +184,19 @@ std::vector<TopKEntry> ShardedEngine::shardTopK(
         }
       }
       ++attempt;
-      auto out = scanCopy(s, node, mode, w, wNorm, k, opts, sharedFloor, st);
-      if (out.has_value()) {
+      // A mid-scan death of the serving node aborts the scan; the caller
+      // retries on the next replica.
+      ScanResult out = scan.scan(0, scan.rows(), q, kk, prune, sharedFloor,
+                                 &nodeDead_[node]);
+      spent += out.stats;
+      if (!out.aborted) {
         shardQueries_.fetch_add(1, std::memory_order_relaxed);
         if (live_.shardQueriesTotal.size() > s &&
             live_.shardQueriesTotal[s] != nullptr) {
           live_.shardQueriesTotal[s]->add();
         }
-        return std::move(*out);
+        out.stats = spent;
+        return out;
       }
       deviated = true;
     }
@@ -335,59 +208,25 @@ std::vector<TopKEntry> ShardedEngine::shardTopK(
 
 TopKResult ShardedEngine::topK(ModeId mode, const std::vector<Index>& fixed,
                                std::size_t k, const TopKOptions& opts) const {
-  CSTF_CHECK(mode < order(), "top-k mode out of range");
-  CSTF_CHECK(fixed.size() == dims_.size(),
-             "top-k needs one fixed index per mode (free mode ignored)");
-  CSTF_CHECK(k >= 1, "top-k needs k >= 1");
+  validateTopKQuery(dims_, mode, fixed, k);
+  const double* rows[kMaxOrder];
   for (ModeId m = 0; m < order(); ++m) {
-    if (m == mode) continue;
-    CSTF_CHECK(fixed[m] < dims_[m],
-               strprintf("fixed index out of range for mode %d", int(m) + 1));
+    if (m != mode) rows[m] = fetchRow(m, fixed[m]);
   }
-
-  // Query vector: Hadamard of the fixed modes' rows in ascending mode
-  // order, first copy then multiply — Engine::topK's exact recipe, over
-  // the exact same row data, so w (and every score below) matches bit for
-  // bit.
-  std::vector<double> w(rank_);
-  bool first = true;
-  for (ModeId m = 0; m < order(); ++m) {
-    if (m == mode) continue;
-    const double* row = fetchRow(m, fixed[m]);
-    if (first) {
-      std::copy(row, row + rank_, w.begin());
-      first = false;
-    } else {
-      for (std::size_t r = 0; r < rank_; ++r) w[r] *= row[r];
-    }
-  }
-  double wNormSq = 0.0;
-  for (const double v : w) wNormSq += v * v;
-  const double wNorm = std::sqrt(wNormSq);
+  const QueryVector q = queryVector(rows, order(), mode, rank_);
 
   const std::size_t kk = std::min<std::size_t>(k, dims_[mode]);
   std::atomic<double> sharedFloor{-std::numeric_limits<double>::infinity()};
-  std::vector<std::vector<TopKEntry>> kept(numShards_);
-  std::vector<TopKStats> stats(numShards_);
+  std::vector<ScanResult> parts(numShards_);
   // Scatter: one sub-query per shard; the pool rethrows the first ShedError
   // after all shards finish, so a lost shard fails the query loudly rather
   // than returning a silently incomplete merge.
   pool_.parallelFor(numShards_, [&](std::size_t s) {
-    kept[s] = shardTopK(s, mode, w, wNorm, k, opts, sharedFloor, stats[s]);
+    parts[s] = shardTopK(s, mode, q, kk, opts.prune, sharedFloor);
   });
-
-  // Gather: each shard's kept set contains every shard member of the global
-  // top-k, so merging with the engine's comparator and truncating to
-  // min(k, rows) reproduces Engine::topK exactly.
-  TopKResult res;
-  for (std::size_t s = 0; s < numShards_; ++s) {
-    res.entries.insert(res.entries.end(), kept[s].begin(), kept[s].end());
-    res.stats.rowsScanned += stats[s].rowsScanned;
-    res.stats.rowsPruned += stats[s].rowsPruned;
-  }
-  std::sort(res.entries.begin(), res.entries.end(), topKBetter);
-  if (res.entries.size() > kk) res.entries.resize(kk);
-  return res;
+  // Gather: each shard's kept set contains every shard member of the
+  // global top-k, so the merge reproduces Engine::topK exactly.
+  return gatherTopK(parts, kk);
 }
 
 ShardedStats ShardedEngine::stats() const {

@@ -11,13 +11,12 @@
 // own the hot rows just as skewed tensors hammer the partitions that own
 // the hot keys.
 //
-// A top-k query scatters one sub-query per shard (norm-descending scan
-// with Cauchy-Schwarz pruning against a floor shared across shards — a
-// shard only raises the floor once it holds k candidates, so pruning stays
-// exact) and gathers by merging with the same (score desc, index asc)
-// comparator the Engine sorts by. Scores are dot products over the same
-// row data in the same accumulation order, so the gathered entries are
-// bit-identical to Engine::topK on the unsharded model.
+// Each shard holds one ShardScan per mode (serve/shard_scan.hpp), so a
+// top-k query scatters one sub-query per shard — the same pruned scan the
+// single Engine runs, against a floor shared across shards — and gathers
+// with the same merge. Scores are dot products over the same row data in
+// the same accumulation order, so the gathered entries are bit-identical
+// to Engine::topK on the unsharded model.
 //
 // Failure model: killNode() (or a sparkle::FaultPlan applied at batch
 // boundaries via noteBatchBoundary) marks a node dead. Sub-queries poll
@@ -33,16 +32,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "common/metrics_registry.hpp"
 #include "common/thread_pool.hpp"
 #include "common/types.hpp"
-#include "la/matrix.hpp"
 #include "serve/engine.hpp"
 #include "serve/model.hpp"
+#include "serve/shard_scan.hpp"
 #include "sparkle/cluster.hpp"
 
 namespace cstf::cstf_core {
@@ -143,29 +141,10 @@ class ShardedEngine : public TopKProvider {
   ShardedStats stats() const;
 
  private:
-  /// One mode's slice of one shard: the owned rows (lambda folded into
-  /// mode 0, same as Engine), their norms, and a norm-descending visit
-  /// order over local positions (global index = local * S + shard).
-  struct ShardMode {
-    la::Matrix rows;
-    std::vector<double> norm;
-    std::vector<Index> visit;
-  };
-  struct Shard {
-    std::vector<ShardMode> modes;
-  };
-
   const double* fetchRow(ModeId mode, Index i) const;
-  std::vector<TopKEntry> shardTopK(std::size_t s, ModeId mode,
-                                   const std::vector<double>& w, double wNorm,
-                                   std::size_t k, const TopKOptions& opts,
-                                   std::atomic<double>& sharedFloor,
-                                   TopKStats& st) const;
-  std::optional<std::vector<TopKEntry>> scanCopy(
-      std::size_t s, int node, ModeId mode, const std::vector<double>& w,
-      double wNorm, std::size_t k, const TopKOptions& opts,
-      std::atomic<double>& sharedFloor, TopKStats& st) const;
-  void validateQuery(const std::vector<Index>& indices) const;
+  ScanResult shardTopK(std::size_t s, ModeId mode, const QueryVector& q,
+                       std::size_t kk, bool prune,
+                       std::atomic<double>& sharedFloor) const;
   void bindLiveInstruments(metrics::Registry* reg);
 
   std::size_t rank_ = 0;
@@ -177,7 +156,8 @@ class ShardedEngine : public TopKProvider {
   std::uint64_t backoffMicros_ = 0;
   int maxFailoverRounds_ = 1;
   sparkle::FaultPlan faults_;
-  std::vector<Shard> shards_;
+  /// shards_[s][m]: shard s's rows of mode m.
+  std::vector<std::vector<ShardScan>> shards_;
   /// Liveness per node; mutable because fault injection happens on the
   /// (const) query path.
   std::unique_ptr<std::atomic<bool>[]> nodeDead_;

@@ -1,15 +1,19 @@
 // Query engine: point predictions bit-identical to the dense
 // reconstruction oracle, batched == point, and top-k exact against brute
-// force — with pruning on or off, at any thread count.
+// force — with pruning on or off, at any thread count. Query and model
+// validation runs on both providers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "serve/engine.hpp"
+#include "serve/sharded_engine.hpp"
 #include "tensor/reference_ops.hpp"
 
 namespace cstf::serve {
@@ -141,15 +145,14 @@ TEST(Engine, TopKMatchesBruteForceOnEveryMode) {
 }
 
 TEST(Engine, PruningNeverChangesTheAnswer) {
-  const CpModel model = randomModel({512, 40, 24}, 6, 71);
+  // 1100 rows: two full scan blocks plus a partial one.
+  const CpModel model = randomModel({1100, 40, 24}, 6, 71);
   const Engine engine(model, 4);
   Pcg32 rng(8);
   TopKOptions pruned;
   pruned.prune = true;
-  pruned.blockRows = 64;
   TopKOptions brute;
   brute.prune = false;
-  brute.blockRows = 64;
   for (int trial = 0; trial < 20; ++trial) {
     const std::vector<Index> fixed = {0, rng.nextBounded(40),
                                       rng.nextBounded(24)};
@@ -157,9 +160,9 @@ TEST(Engine, PruningNeverChangesTheAnswer) {
     const TopKResult b = engine.topK(0, fixed, 10, brute);
     EXPECT_EQ(a.entries, b.entries) << "trial " << trial;
     // Brute force touches every row; pruning must never scan more.
-    EXPECT_EQ(b.stats.rowsScanned, 512u);
+    EXPECT_EQ(b.stats.rowsScanned, 1100u);
     EXPECT_EQ(b.stats.rowsPruned, 0u);
-    EXPECT_EQ(a.stats.rowsScanned + a.stats.rowsPruned, 512u);
+    EXPECT_EQ(a.stats.rowsScanned + a.stats.rowsPruned, 1100u);
     EXPECT_LE(a.stats.rowsScanned, b.stats.rowsScanned);
   }
 }
@@ -173,9 +176,7 @@ TEST(Engine, PruningActuallyPrunesOnSkewedModels) {
     for (std::size_t r = 0; r < 4; ++r) model.factors[0](i, r) *= scale;
   }
   const Engine engine(model, 4);
-  TopKOptions opts;
-  opts.blockRows = 128;
-  const TopKResult r = engine.topK(0, {0, 5, 9}, 10, opts);
+  const TopKResult r = engine.topK(0, {0, 5, 9}, 10);
   EXPECT_EQ(r.entries.size(), 10u);
   EXPECT_GT(r.stats.rowsPruned, 1000u)
       << "scanned " << r.stats.rowsScanned;
@@ -187,14 +188,13 @@ TEST(Engine, PruningActuallyPrunesOnSkewedModels) {
 }
 
 TEST(Engine, ResultIndependentOfThreadCount) {
-  const CpModel model = randomModel({300, 25, 25}, 4, 13);
+  // Mode 0 spans three scan blocks.
+  const CpModel model = randomModel({1100, 25, 25}, 4, 13);
   const Engine one(model, 1);
   const Engine many(model, 8);
-  TopKOptions opts;
-  opts.blockRows = 32;
   for (ModeId mode = 0; mode < 3; ++mode) {
-    const TopKResult a = one.topK(mode, {1, 2, 3}, 12, opts);
-    const TopKResult b = many.topK(mode, {1, 2, 3}, 12, opts);
+    const TopKResult a = one.topK(mode, {1, 2, 3}, 12);
+    const TopKResult b = many.topK(mode, {1, 2, 3}, 12);
     EXPECT_EQ(a.entries, b.entries) << "mode " << int(mode);
   }
 }
@@ -209,21 +209,62 @@ TEST(Engine, KLargerThanTheModeReturnsEveryRowSorted) {
   }
 }
 
-TEST(Engine, ValidatesQueriesAndModels) {
+/// Query and model validation every provider must enforce; `make` builds
+/// the provider under test from a model.
+template <typename Make>
+void expectValidation(Make make) {
   const CpModel model = randomModel({6, 5, 4}, 2, 1);
-  const Engine engine(model, 1);
-  EXPECT_THROW(engine.predict({0, 0}), Error);        // wrong arity
-  EXPECT_THROW(engine.predict({6, 0, 0}), Error);     // out of range
-  EXPECT_THROW(engine.topK(3, {0, 0, 0}, 5), Error);  // bad mode
-  EXPECT_THROW(engine.topK(0, {0, 5, 0}, 5), Error);  // fixed out of range
-  EXPECT_THROW(engine.topK(0, {0, 0, 0}, 0), Error);  // k == 0
+  const auto provider = make(model);
+  EXPECT_THROW(provider->predict({0, 0}), Error);        // wrong arity
+  EXPECT_THROW(provider->predict({6, 0, 0}), Error);     // out of range
+  EXPECT_THROW(provider->topK(3, {0, 0, 0}, 5), Error);  // bad mode
+  EXPECT_THROW(provider->topK(0, {0, 5, 0}, 5), Error);  // fixed out of range
+  EXPECT_THROW(provider->topK(0, {0, 0}, 5), Error);     // wrong arity
+  EXPECT_THROW(provider->topK(0, {0, 0, 0}, 0), Error);  // k == 0
 
-  CpModel bad = randomModel({6, 5, 4}, 2, 1);
+  CpModel bad = model;
   bad.lambda[0] = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(Engine(bad, 1), Error);
-  CpModel shortLambda = randomModel({6, 5, 4}, 2, 1);
+  EXPECT_THROW(make(bad), Error);
+  CpModel shortLambda = model;
   shortLambda.lambda.pop_back();
-  EXPECT_THROW(Engine(shortLambda, 1), Error);
+  EXPECT_THROW(make(shortLambda), Error);
+
+  // Non-finite factor entries are refused up front, naming mode and row.
+  struct Poison {
+    std::size_t mode, row;
+    double value;
+    const char* where;
+  };
+  for (const Poison& p :
+       {Poison{1, 3, std::numeric_limits<double>::quiet_NaN(), "mode 2, row 3"},
+        Poison{0, 5, std::numeric_limits<double>::infinity(), "mode 1, row 5"},
+        Poison{2, 2, -std::numeric_limits<double>::infinity(),
+               "mode 3, row 2"}}) {
+    CpModel poisoned = model;
+    poisoned.factors[p.mode](p.row, 1) = p.value;
+    try {
+      make(poisoned);
+      ADD_FAILURE() << "accepted a non-finite entry at " << p.where;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(p.where), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Engine, ValidatesQueriesAndModels) {
+  expectValidation(
+      [](const CpModel& m) { return std::make_unique<Engine>(m, 1); });
+}
+
+TEST(ShardedEngine, ValidatesQueriesAndModels) {
+  expectValidation([](const CpModel& m) {
+    ShardedEngineOptions o;
+    o.numShards = 3;
+    o.threads = 1;
+    o.liveMetrics = nullptr;
+    return std::make_unique<ShardedEngine>(m, o);
+  });
 }
 
 TEST(Engine, ExposesModelMetadata) {

@@ -2,7 +2,8 @@
 // Engine across shard counts and replication levels, chained-declustering
 // placement, census-driven hot-shard replication, replica failover after
 // node loss, typed shedding when a shard has no replica left, and
-// FaultPlan-driven deterministic kills at batch boundaries.
+// FaultPlan-driven deterministic kills at batch boundaries. Query and model
+// validation for both providers lives in test_engine.cpp.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -71,14 +72,23 @@ void expectParity(const Engine& single, const ShardedEngine& sharded,
 }
 
 TEST(ShardedEngine, ScatterGatherMatchesSingleEngineBitForBit) {
-  const CpModel model = randomModel({50, 20, 20}, 3, 42);
-  const Engine single(CpModel(model), 2);
-  for (const std::size_t shards : {1, 2, 3, 7}) {
-    for (const std::size_t replicas : {1, 2}) {
-      const ShardedEngine sharded(CpModel(model),
-                                  shardOpts(shards, replicas));
-      EXPECT_EQ(sharded.numShards(), shards);
-      expectParity(single, sharded, 100 + shards * 10 + replicas);
+  // Second input: every row repeats one of the first five, so scores and
+  // norms tie across shards and the merge must order ties by global index.
+  CpModel tied = randomModel({50, 20, 20}, 3, 42);
+  for (la::Matrix& f : tied.factors) {
+    for (std::size_t i = 5; i < f.rows(); ++i) {
+      for (std::size_t r = 0; r < tied.rank; ++r) f(i, r) = f(i % 5, r);
+    }
+  }
+  for (const CpModel& model : {randomModel({50, 20, 20}, 3, 42), tied}) {
+    const Engine single(CpModel(model), 2);
+    for (const std::size_t shards : {1, 2, 3, 7}) {
+      for (const std::size_t replicas : {1, 2}) {
+        const ShardedEngine sharded(CpModel(model),
+                                    shardOpts(shards, replicas));
+        EXPECT_EQ(sharded.numShards(), shards);
+        expectParity(single, sharded, 100 + shards * 10 + replicas);
+      }
     }
   }
 }
