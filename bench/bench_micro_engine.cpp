@@ -107,8 +107,8 @@ std::vector<std::pair<Index, cstf_core::QRecord>> makeQRecordData(
   for (std::uint32_t i = 0; i < n; ++i) {
     cstf_core::QRecord q;
     q.nz = tensor::makeNonzero3(i % 997, i % 877, i % 769, double(i));
-    q.queue.push_back(la::Row{1.0, 2.0});
-    q.queue.push_back(la::Row{3.0, 4.0});
+    q.enqueue(la::Row{1.0, 2.0});
+    q.enqueue(la::Row{3.0, 4.0});
     v.emplace_back(i % 997, std::move(q));
   }
   return v;

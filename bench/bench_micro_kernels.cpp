@@ -38,7 +38,7 @@ void BM_SerdeQRecordRoundTrip(benchmark::State& state) {
   for (int q = 0; q < 2; ++q) {
     la::Row row;
     for (std::size_t r = 0; r < rank; ++r) row.push_back(0.5 * r);
-    rec.queue.push_back(row);
+    rec.enqueue(row);
   }
   std::vector<std::uint8_t> buf;
   for (auto _ : state) {

@@ -115,7 +115,7 @@ class SmallVec {
     --size_;
   }
 
-  /// Remove the first element (the "dequeue" used by QCOO records).
+  /// Remove the first element, shifting the rest down.
   void pop_front() {
     CSTF_ASSERT(size_ > 0, "pop_front on empty SmallVec");
     T* p = data();

@@ -54,8 +54,9 @@ struct StragglerOptions {
   /// median, so a stage whose task times drift re-baselines.
   std::size_t windowTasks = 64;
   /// Ignore tasks faster than this outright (micro-task stages produce
-  /// meaningless multiples of a ~0 median).
-  double minTaskSec = 1e-4;
+  /// meaningless multiples of a ~0 median: a 2 ms task is "11x" a 0.2 ms
+  /// median on every busy stage, which is scheduling noise, not a problem).
+  double minTaskSec = 1e-2;
 };
 
 /// Tracks per-stage task start/finish times and flags partitions whose task

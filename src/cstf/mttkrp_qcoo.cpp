@@ -32,7 +32,9 @@ QcooEngine::QcooEngine(sparkle::Context& ctx,
   // enqueueing its row and re-keying to the next mode to join. The final
   // key is mode N-1 — the join mode of the first MTTKRP.
   auto q = X.map([](const tensor::Nonzero& nz) {
-    return std::pair<Index, QRecord>(nz.idx[0], QRecord{nz, {}});
+    std::pair<Index, QRecord> kv(nz.idx[0], QRecord{});
+    kv.second.nz = nz;
+    return kv;
   });
   for (ModeId m = 0; m + 1 < order_; ++m) {
     auto factorRdd =
@@ -49,7 +51,7 @@ QcooEngine::QcooEngine(sparkle::Context& ctx,
     q = joined.map(
         [nextKey](const std::pair<Index, std::pair<QRecord, la::Row>>& kv) {
           QRecord rec = kv.second.first;
-          rec.queue.push_back(kv.second.second);
+          rec.enqueue(kv.second.second);
           return std::pair<Index, QRecord>(rec.nz.idx[nextKey],
                                            std::move(rec));
         });
@@ -92,8 +94,8 @@ la::Matrix QcooEngine::mttkrpNext(const std::vector<la::Matrix>& factors) {
   auto advanced = joined.map(
       [n](const std::pair<Index, std::pair<QRecord, la::Row>>& kv) {
         QRecord rec = kv.second.first;
-        rec.queue.push_back(kv.second.second);
-        rec.queue.pop_front();
+        rec.enqueue(kv.second.second);
+        rec.dequeue();
         return std::pair<Index, QRecord>(rec.nz.idx[n], std::move(rec));
       });
   advanced.cache();  // feeds both the reduce below and the next join
@@ -103,10 +105,14 @@ la::Matrix QcooEngine::mttkrpNext(const std::vector<la::Matrix>& factors) {
   const double r = static_cast<double>(rank_);
   auto contrib = advanced.mapValues(
       [](const QRecord& rec) {
-        CSTF_ASSERT(!rec.queue.empty(), "QCOO queue must not be empty");
-        la::Row out = la::rowScale(rec.queue[0], rec.nz.val);
-        for (std::size_t i = 1; i < rec.queue.size(); ++i) {
-          la::rowHadamardInPlace(out, rec.queue[i]);
+        CSTF_ASSERT(rec.queueSize() != 0, "QCOO queue must not be empty");
+        const std::uint32_t len = rec.rank();
+        const double* q0 = rec.row(0);
+        la::Row out(len);
+        for (std::uint32_t k = 0; k < len; ++k) out[k] = q0[k] * rec.nz.val;
+        for (std::size_t i = 1; i < rec.queueSize(); ++i) {
+          const double* qi = rec.row(i);
+          for (std::uint32_t k = 0; k < len; ++k) out[k] *= qi[k];
         }
         return out;
       },

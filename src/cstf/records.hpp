@@ -2,6 +2,12 @@
 // the RDD element shapes of Table 3 in the paper.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <utility>
+
 #include "common/serde.hpp"
 #include "common/small_vector.hpp"
 #include "la/row.hpp"
@@ -35,30 +41,99 @@ struct Carry {
 };
 
 /// CSTF-QCOO record ("Xq" of Table 3): a nonzero plus the queue of the
-/// N-1 factor rows needed by the *next* MTTKRP. Front of the queue is the
-/// stalest row (the next to be dequeued).
+/// N-1 factor rows needed by the *next* MTTKRP. The queued rows sit back to
+/// back in one flat buffer, stalest row (the next to be dequeued) first, and
+/// share one length R (0 while the queue is empty). Every QCOO stage copies
+/// whole records, so the record stays small (see the static_assert below);
+/// eight inline doubles hold orders <= 5 at R = 2 and order 3 at R <= 4
+/// without a heap allocation.
+///
+/// Wire format: the nonzero, a u32 row count, then per row a u32 R followed
+/// by R doubles (tests/cstf/test_qrecord.cpp pins the bytes).
 struct QRecord {
   tensor::Nonzero nz;
-  cstf::SmallVec<la::Row, 4> queue;
+
+  std::size_t queueSize() const {
+    return rank_ == 0 ? 0 : rows_.size() / rank_;
+  }
+  std::uint32_t rank() const { return rank_; }
+  const double* row(std::size_t i) const {
+    CSTF_ASSERT(i < queueSize(), "QRecord row index out of range");
+    return rows_.data() + i * rank_;
+  }
+
+  /// Append `r` at the back of the queue. Throws cstf::Error when its
+  /// length differs from the rows already queued.
+  void enqueue(const la::Row& r) {
+    std::copy(r.begin(), r.end(),
+              appendRow(static_cast<std::uint32_t>(r.size())));
+  }
+
+  /// Drop the stalest row.
+  void dequeue() {
+    CSTF_ASSERT(rank_ != 0, "dequeue on an empty QRecord queue");
+    std::copy(rows_.begin() + rank_, rows_.end(), rows_.begin());
+    for (std::uint32_t k = 0; k < rank_; ++k) rows_.pop_back();
+    if (rows_.empty()) rank_ = 0;
+  }
 
   void serialize(Writer& w) const {
     nz.serialize(w);
-    Serde<decltype(queue)>::write(w, queue);
+    const std::size_t n = queueSize();
+    w.writeRaw(static_cast<std::uint32_t>(n));
+    for (std::size_t i = 0; i < n; ++i) {
+      w.writeRaw(rank_);
+      w.writeBytes(row(i), rank_ * sizeof(double));
+    }
   }
   static QRecord deserialize(Reader& r) {
     QRecord q;
     q.nz = tensor::Nonzero::deserialize(r);
-    q.queue = Serde<decltype(queue)>::read(r);
+    const auto n = r.readRaw<std::uint32_t>();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const auto len = r.readRaw<std::uint32_t>();
+      if (std::size_t{len} * sizeof(double) > r.remaining()) {
+        throw Error("truncated QRecord: row of R=" + std::to_string(len) +
+                    " overruns the stream");
+      }
+      r.readBytes(q.appendRow(len), len * sizeof(double));
+    }
     return q;
   }
   std::size_t serializedSize() const {
-    return nz.serializedSize() + Serde<decltype(queue)>::byteSize(queue);
+    return nz.serializedSize() + sizeof(std::uint32_t) +
+           queueSize() * (sizeof(std::uint32_t) + rank_ * sizeof(double));
   }
 
   friend bool operator==(const QRecord& a, const QRecord& b) {
-    return a.nz == b.nz && a.queue == b.queue;
+    return a.nz == b.nz && a.rank_ == b.rank_ && a.rows_ == b.rows_;
   }
+
+ private:
+  friend struct cstf::FixedWidthSerde<QRecord>;
+
+  /// Grow the buffer by one row of length `len` and return where it goes.
+  /// Every queued row shares one length; a row of another length (or of
+  /// none) throws cstf::Error naming both.
+  double* appendRow(std::uint32_t len) {
+    if (len == 0 || (rank_ != 0 && len != rank_)) {
+      throw Error("QRecord queue row length mismatch: expected R" +
+                  (rank_ == 0 ? std::string(">0")
+                              : "=" + std::to_string(rank_)) +
+                  ", got R=" + std::to_string(len));
+    }
+    rank_ = len;
+    const std::size_t at = rows_.size();
+    rows_.resize(at + len);
+    return rows_.data() + at;
+  }
+
+  std::uint32_t rank_ = 0;  // shared row length R; 0 while the queue is empty
+  SmallVec<double, 8> rows_;
 };
+
+static_assert(sizeof(std::pair<Index, QRecord>) <= 160,
+              "a QRecord must stay flat: one row buffer, no per-row headers");
 
 }  // namespace cstf::cstf_core
 
@@ -86,24 +161,44 @@ struct FixedWidthSerde<cstf_core::Carry> {
   }
 };
 
-/// Shuffle fast path for the QCOO record: Nonzero + queue of Rows.
+/// Shuffle fast path for the QCOO record: the same bytes as
+/// QRecord::serialize, written from and read into the flat row buffer.
 template <>
 struct FixedWidthSerde<cstf_core::QRecord> {
   static constexpr bool value = true;
   static constexpr std::size_t kStaticWidth = 0;
-  using QueueSerde = FixedWidthSerde<SmallVec<la::Row, 4>>;
   static std::size_t width(const cstf_core::QRecord& v) {
-    return FixedWidthSerde<tensor::Nonzero>::width(v.nz) +
-           QueueSerde::width(v.queue);
+    return v.serializedSize();
   }
   static std::uint8_t* encode(std::uint8_t* dst, const cstf_core::QRecord& v) {
     dst = FixedWidthSerde<tensor::Nonzero>::encode(dst, v.nz);
-    return QueueSerde::encode(dst, v.queue);
+    const auto n = static_cast<std::uint32_t>(v.queueSize());
+    std::memcpy(dst, &n, sizeof(n));
+    dst += sizeof(n);
+    const std::size_t rowBytes = v.rank_ * sizeof(double);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      std::memcpy(dst, &v.rank_, sizeof(v.rank_));
+      std::memcpy(dst + sizeof(v.rank_), v.row(i), rowBytes);
+      dst += sizeof(v.rank_) + rowBytes;
+    }
+    return dst;
   }
   static const std::uint8_t* decode(const std::uint8_t* src,
                                     cstf_core::QRecord& out) {
     src = FixedWidthSerde<tensor::Nonzero>::decode(src, out.nz);
-    return QueueSerde::decode(src, out.queue);
+    std::uint32_t n;
+    std::memcpy(&n, src, sizeof(n));
+    src += sizeof(n);
+    out.rank_ = 0;
+    out.rows_.clear();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      std::uint32_t len;
+      std::memcpy(&len, src, sizeof(len));
+      src += sizeof(len);
+      std::memcpy(out.appendRow(len), src, len * sizeof(double));
+      src += len * sizeof(double);
+    }
+    return src;
   }
 };
 

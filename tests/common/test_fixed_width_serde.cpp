@@ -132,8 +132,8 @@ TEST(FixedWidthSerde, CarryRecord) {
 TEST(FixedWidthSerde, QRecordWithQueue) {
   cstf_core::QRecord q;
   q.nz = tensor::makeNonzero3(3, 2, 1, -1.0);
-  q.queue.push_back(la::Row{1.0, 2.0});
-  q.queue.push_back(la::Row{3.0, 4.0});
+  q.enqueue(la::Row{1.0, 2.0});
+  q.enqueue(la::Row{3.0, 4.0});
   expectFastMatchesSlow(q);
 
   cstf_core::QRecord fresh;

@@ -101,6 +101,24 @@ TEST(StragglerWatchdog, MicroTasksAreIgnored) {
   EXPECT_EQ(w.flagged(), 0u);
 }
 
+TEST(StragglerWatchdog, DefaultFloorIgnoresMillisecondTasks) {
+  StragglerWatchdog w;  // default options, as every engine run uses
+  double clock = 0.0;
+  completeTasks(w, 1, 8, 0.001, clock, 0);
+  w.taskStarted(1, 40, clock);
+  clock += 0.004;  // 4x the 1 ms median: scheduling noise
+  w.taskFinished(1, 40, clock);
+  w.taskStarted(1, 39, clock);
+  clock += 0.009;  // 9x the median, still under the 10 ms floor
+  w.taskFinished(1, 39, clock);
+  EXPECT_EQ(w.flagged(), 0u);
+
+  w.taskStarted(1, 41, clock);
+  clock += 0.05;  // 50 ms: past the floor and 50x the median
+  w.taskFinished(1, 41, clock);
+  EXPECT_EQ(w.flagged(), 1u);
+}
+
 TEST(StragglerWatchdog, RollingWindowRebaselines) {
   StragglerOptions o = fastStragglerOpts();
   o.windowTasks = 8;

@@ -128,8 +128,8 @@ TEST(QcooEngine, RankChangeMidRunThrows) {
 TEST(QcooEngine, QRecordSerdeRoundTrip) {
   QRecord rec;
   rec.nz = tensor::makeNonzero3(1, 2, 3, 4.0);
-  rec.queue.push_back(la::Row{1.0, 2.0});
-  rec.queue.push_back(la::Row{3.0, 4.0});
+  rec.enqueue(la::Row{1.0, 2.0});
+  rec.enqueue(la::Row{3.0, 4.0});
   std::vector<std::uint8_t> buf;
   serdeWrite(buf, rec);
   EXPECT_EQ(buf.size(), serdeSize(rec));

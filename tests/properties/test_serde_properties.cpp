@@ -88,7 +88,7 @@ TEST_P(SerdeRoundTrip, QRecordStream) {
     rec.nz = randomNonzero(rng, c.order);
     const std::size_t qlen = 1 + rng.nextBounded(4);
     for (std::size_t q = 0; q < qlen; ++q) {
-      rec.queue.push_back(randomRow(rng, c.rank));
+      rec.enqueue(randomRow(rng, c.rank));
     }
     predicted += serdeSize(rec);
     serdeWrite(buf, rec);

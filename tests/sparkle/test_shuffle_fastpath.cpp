@@ -134,8 +134,8 @@ std::vector<std::pair<Index, cstf_core::QRecord>> makeQRecordData(
   for (std::uint32_t i = 0; i < n; ++i) {
     cstf_core::QRecord q;
     q.nz = tensor::makeNonzero3(i % 97, i % 89, i % 83, -0.25 * i);
-    q.queue.push_back(la::Row{1.0 * i, 2.0});
-    q.queue.push_back(la::Row{3.0, 4.0 * i});
+    q.enqueue(la::Row{1.0 * i, 2.0});
+    q.enqueue(la::Row{3.0, 4.0 * i});
     v.emplace_back(i % 89, std::move(q));
   }
   return v;
