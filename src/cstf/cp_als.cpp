@@ -12,11 +12,11 @@
 #include "cstf/checkpoint.hpp"
 #include "cstf/dim_tree.hpp"
 #include "cstf/factors.hpp"
-#include "cstf/kernels/local_kernel.hpp"
 #include "cstf/mttkrp_bigtensor.hpp"
 #include "cstf/mttkrp_coo.hpp"
 #include "cstf/mttkrp_local.hpp"
 #include "cstf/mttkrp_qcoo.hpp"
+#include "cstf/plan.hpp"
 #include "cstf/sketch.hpp"
 #include "cstf/skew.hpp"
 #include "la/normalize.hpp"
@@ -49,7 +49,9 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
   CSTF_CHECK(order >= 2, "CP-ALS needs order >= 2");
   CSTF_CHECK(opts.rank >= 1, "rank must be >= 1");
   CSTF_CHECK(opts.maxIterations >= 1, "need at least one iteration");
-  if (opts.backend == Backend::kBigtensor) {
+  const MttkrpPlan plan = resolvePlan(opts, ctx.config());
+  using Path = MttkrpPlan::Path;
+  if (plan.backend == Backend::kBigtensor) {
     CSTF_CHECK(order == 3, "BIGtensor CP supports 3rd-order tensors only");
   }
 
@@ -58,26 +60,11 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
   result.factors = randomFactors(dims, opts.rank, opts.seed);
   result.lambda.assign(opts.rank, 1.0);
 
-  // Sketched solver: leverage-score–sampled MTTKRPs over the distributed
-  // backends; exact fits only on the exact-fit-cadence iterations. The
-  // sequential oracles (reference/dimtree) have no sampled formulation.
-  const bool sketchedSolver = opts.solver == Solver::kSketched;
-  if (sketchedSolver) {
-    CSTF_CHECK(opts.backend == Backend::kCoo ||
-                   opts.backend == Backend::kQcoo ||
-                   opts.backend == Backend::kBigtensor,
-               "sketched solver requires a distributed backend "
-               "(coo/qcoo/bigtensor)");
-    CSTF_CHECK(opts.sketch.samples >= 1, "sketch samples must be >= 1");
-    CSTF_CHECK(opts.sketch.exactFitEvery >= 1,
-               "sketch exact-fit cadence must be >= 1");
-  }
   SketchTelemetry sketchTel;
   double lastEpsilon = std::numeric_limits<double>::quiet_NaN();
 
-  result.report.backend = backendName(opts.backend);
-  result.report.solver = solverName(opts.solver);
-  if (sketchedSolver) {
+  plan.fillReport(result.report);
+  if (plan.path == Path::kSampled) {
     result.report.sketchSamples = opts.sketch.samples;
     result.report.sketchSeed = opts.sketch.seed;
     result.report.sketchExactFitEvery = opts.sketch.exactFitEvery;
@@ -106,12 +93,12 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
       startIter = ck->iteration + 1;
       result.report.resumedFromIteration = ck->iteration;
       CSTF_LOG_INFO("cp-als[%s] resumed from '%s' after iteration %d",
-                    backendName(opts.backend), opts.checkpointDir.c_str(),
+                    result.report.plan.c_str(), opts.checkpointDir.c_str(),
                     ck->iteration);
     } else {
       CSTF_LOG_INFO("cp-als[%s] resume: no checkpoint in '%s', starting "
                     "fresh",
-                    backendName(opts.backend), opts.checkpointDir.c_str());
+                    result.report.plan.c_str(), opts.checkpointDir.c_str());
     }
   }
 
@@ -138,49 +125,24 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
     Xrdd.cache(opts.tensorStorage);
   }
 
-  // Skew mitigation: when a non-hash policy is active for a distributed
-  // backend, run the key-frequency census exactly once — before iteration
-  // 1 — and cache the plan in the options every MTTKRP call receives.
+  // Per-path setup, before iteration 1: broadcast-local builds the CSF
+  // layouts every mode update reuses; a join chain under a non-hash skew
+  // policy runs the key-frequency census once and caches it in the options
+  // every MTTKRP call receives; QCOO seeds its queues.
   MttkrpOptions mttkrpOpts = opts.mttkrp;
-  const sparkle::SkewPolicy skewPolicy = effectiveSkewPolicy(ctx, mttkrpOpts);
-  result.report.skewPolicy = sparkle::skewPolicyName(skewPolicy);
-
-  // Local-kernel selection: the CSF kernel swaps the distributed backends'
-  // join chains for the broadcast + partition-local formulation
-  // (mttkrp_local.hpp); the default COO kernel keeps every historical
-  // path byte-for-byte. Sequential backends have no map-side tasks.
-  const sparkle::LocalKernel localKernel =
-      effectiveLocalKernel(ctx, mttkrpOpts);
-  result.report.localKernel = sparkle::localKernelName(localKernel);
-  // The sketched solver has its own dispatch (sampled stages plus
-  // mttkrpLocal for the exact-fit iterations, which ensures CSF layouts
-  // lazily on first use), so the upfront layout build and the engine
-  // constructions below are exact-solver concerns.
-  const bool useLocalPath =
-      !sketchedSolver && localKernel == sparkle::LocalKernel::kCsf &&
-      (opts.backend == Backend::kCoo || opts.backend == Backend::kQcoo ||
-       opts.backend == Backend::kBigtensor);
   LocalMttkrpTelemetry localTel;
-  if (useLocalPath) {
-    // Build the per-partition CSF layouts once, before iteration 1; every
-    // mode update of every iteration reuses them from the artifact store.
+  std::optional<QcooEngine> qcoo;
+  if (plan.path == Path::kBroadcastLocal) {
     sparkle::ScopedStage scope(ctx.metrics(), "CsfLayout");
     ensureCsfLayouts(ctx, Xrdd, order, &localTel);
-  }
-
-  // The local path replaces the key-based joins, so the skew census would
-  // be dead weight there; its reduceByKey skew handling is the hash
-  // partitioner's job either way.
-  if (!useLocalPath && !sketchedSolver &&
-      skewPolicy != sparkle::SkewPolicy::kHash &&
-      mttkrpOpts.skewPlan == nullptr &&
-      (opts.backend == Backend::kCoo || opts.backend == Backend::kQcoo)) {
-    mttkrpOpts.skewPlan = buildSkewPlan(ctx, Xrdd, order, mttkrpOpts);
-  }
-
-  std::optional<QcooEngine> qcoo;
-  if (opts.backend == Backend::kQcoo && !useLocalPath && !sketchedSolver) {
-    qcoo.emplace(ctx, Xrdd, dims, result.factors, mttkrpOpts);
+  } else if (plan.path == Path::kJoinChain) {
+    if (plan.skewPolicy != sparkle::SkewPolicy::kHash &&
+        mttkrpOpts.skewPlan == nullptr) {
+      mttkrpOpts.skewPlan = buildSkewPlan(ctx, Xrdd, order, mttkrpOpts);
+    }
+    if (plan.backend == Backend::kQcoo) {
+      qcoo.emplace(ctx, Xrdd, dims, result.factors, mttkrpOpts);
+    }
   }
 
   const double xNormSq = X.normSq();
@@ -212,7 +174,8 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
     // fit) only every exactFitEvery-th iteration plus the final one.
     const bool fitThisIter =
         opts.computeFit &&
-        (!sketchedSolver || iter % opts.sketch.exactFitEvery == 0 ||
+        (plan.path != Path::kSampled ||
+         iter % opts.sketch.exactFitEvery == 0 ||
          iter == opts.maxIterations);
     const std::uint64_t iterSketchBase = sketchTel.sampledNnz;
     double iterEpsilon = std::numeric_limits<double>::quiet_NaN();
@@ -278,7 +241,7 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
       if (n + 1 == order) lastMttkrp = std::move(m);
     };
 
-    if (opts.backend == Backend::kDimTree) {
+    if (plan.backend == Backend::kDimTree) {
       // One tree sweep produces all N MTTKRPs with shared partials; tree
       // work between callbacks is attributed to the mode it feeds.
       dimTreeSweep(X, result.factors,
@@ -295,16 +258,33 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
           {
             sparkle::ScopedStage scope(ctx.metrics(),
                                        strprintf("MTTKRP-%d", int(n) + 1));
-            if (sketchedSolver) {
-              // One deterministic draw id per sketched call of the run, so
-              // iterations resample independently and a resumed run draws
-              // exactly what the uninterrupted one would have.
-              const std::uint64_t drawId =
-                  std::uint64_t(iter) * order + n;
-              if (fitThisIter && n + 1 == order) {
+            switch (plan.path) {
+              case Path::kJoinChain:
+                if (qcoo) {
+                  CSTF_ASSERT(qcoo->nextMode() == n,
+                              "QCOO mode schedule broken");
+                  m = qcoo->mttkrpNext(result.factors);
+                } else if (plan.backend == Backend::kBigtensor) {
+                  m = mttkrpBigtensor(ctx, Xrdd, dims, result.factors, n,
+                                      mttkrpOpts);
+                } else {
+                  m = mttkrpCoo(ctx, Xrdd, dims, result.factors, n,
+                                mttkrpOpts);
+                }
+                break;
+              case Path::kSampled: {
+                // One deterministic draw id per sampled call of the run, so
+                // iterations resample independently and a resumed run
+                // draws exactly what the uninterrupted one would have.
+                const std::uint64_t drawId = std::uint64_t(iter) * order + n;
+                if (!fitThisIter || n + 1 != order) {
+                  m = mttkrpSketched(ctx, Xrdd, dims, result.factors, grams,
+                                     n, mttkrpOpts, opts.sketch, drawId,
+                                     &sketchTel);
+                  break;
+                }
                 // The SPLATT fit trick needs the exact last-mode MTTKRP;
-                // run it through the broadcast + local-kernel path (no
-                // join chain or engine needed).
+                // run it through the broadcast + local-kernel path.
                 m = mttkrpLocal(ctx, Xrdd, dims, result.factors, n,
                                 mttkrpOpts, &localTel);
                 if (opts.sketch.measureEpsilon) {
@@ -328,36 +308,15 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
                                           double>::quiet_NaN();
                   lastEpsilon = iterEpsilon;
                 }
-              } else {
-                m = mttkrpSketched(ctx, Xrdd, dims, result.factors, grams,
-                                   n, mttkrpOpts, opts.sketch, drawId,
-                                   &sketchTel);
+                break;
               }
-            } else if (useLocalPath) {
-              m = mttkrpLocal(ctx, Xrdd, dims, result.factors, n,
-                              mttkrpOpts, &localTel);
-            } else {
-              switch (opts.backend) {
-                case Backend::kCoo:
-                  m = mttkrpCoo(ctx, Xrdd, dims, result.factors, n,
-                                mttkrpOpts);
-                  break;
-                case Backend::kQcoo:
-                  CSTF_ASSERT(qcoo->nextMode() == n,
-                              "QCOO mode schedule broken");
-                  m = qcoo->mttkrpNext(result.factors);
-                  break;
-                case Backend::kBigtensor:
-                  m = mttkrpBigtensor(ctx, Xrdd, dims, result.factors, n,
-                                      mttkrpOpts);
-                  break;
-                case Backend::kReference:
-                  m = tensor::referenceMttkrp(X, result.factors, n);
-                  break;
-                case Backend::kDimTree:
-                  CSTF_ASSERT(false, "handled above");
-                  break;
-              }
+              case Path::kBroadcastLocal:
+                m = mttkrpLocal(ctx, Xrdd, dims, result.factors, n,
+                                mttkrpOpts, &localTel);
+                break;
+              case Path::kSequential:
+                m = tensor::referenceMttkrp(X, result.factors, n);
+                break;
             }
           }
           applyUpdate(n, std::move(m));
@@ -385,7 +344,7 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
           xNormSq > 0.0 ? 1.0 - std::sqrt(residSq) / std::sqrt(xNormSq) : 0.0;
       stats.fitDelta = stats.fit - prevFit;
       CSTF_LOG_DEBUG("cp-als[%s] iter %d fit=%.6f (delta %.2e) sim=%.3fs",
-                     backendName(opts.backend), iter, stats.fit,
+                     result.report.plan.c_str(), iter, stats.fit,
                      stats.fitDelta, stats.simTimeSec);
     } else if (opts.computeFit) {
       // Sketched iteration between exact-fit checkpoints: the last-mode

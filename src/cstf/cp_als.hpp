@@ -41,10 +41,9 @@ struct CpAlsOptions {
   std::uint64_t seed = 7;
   MttkrpOptions mttkrp;
   bool computeFit = true;
-  /// kExact keeps the historical full-MTTKRP path byte-for-byte; kSketched
-  /// runs leverage-score–sampled MTTKRPs (cstf/sketch.hpp) over the
-  /// distributed backends (coo/qcoo/bigtensor), with exact fits only every
-  /// sketch.exactFitEvery iterations (other iterations report fit = NaN).
+  /// kSketched selects the sampled plan (cstf/plan.hpp, cstf/sketch.hpp):
+  /// exact fits only every sketch.exactFitEvery iterations (other
+  /// iterations report fit = NaN).
   Solver solver = Solver::kExact;
   SketchOptions sketch;
   /// How the distributed tensor RDD is persisted across MTTKRPs and

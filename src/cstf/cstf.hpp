@@ -17,5 +17,6 @@
 #include "cstf/mttkrp_local.hpp"   // IWYU pragma: export
 #include "cstf/mttkrp_qcoo.hpp"    // IWYU pragma: export
 #include "cstf/options.hpp"        // IWYU pragma: export
+#include "cstf/plan.hpp"           // IWYU pragma: export
 #include "cstf/records.hpp"        // IWYU pragma: export
 #include "cstf/run_report.hpp"     // IWYU pragma: export

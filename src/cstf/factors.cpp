@@ -24,6 +24,16 @@ la::Matrix rowsToMatrix(const std::vector<std::pair<Index, la::Row>>& rows,
   return m;
 }
 
+std::size_t mttkrpRank(const std::vector<Index>& dims,
+                       const std::vector<la::Matrix>& factors, ModeId mode) {
+  CSTF_CHECK(dims.size() >= 2, "MTTKRP needs order >= 2");
+  CSTF_CHECK(mode < dims.size(), "mode out of range");
+  CSTF_CHECK(factors.size() == dims.size(), "need one factor per mode");
+  const std::size_t rank = factors[mode == 0 ? 1 : 0].cols();
+  CSTF_CHECK(rank > 0, "rank must be positive");
+  return rank;
+}
+
 std::vector<la::Matrix> randomFactors(const std::vector<Index>& dims,
                                       std::size_t rank, std::uint64_t seed) {
   Pcg32 rng(seed);

@@ -27,6 +27,11 @@ FactorRdd factorToRdd(sparkle::Context& ctx, const la::Matrix& m,
 la::Matrix rowsToMatrix(const std::vector<std::pair<Index, la::Row>>& rows,
                         std::size_t numRows, std::size_t rank);
 
+/// Check one MTTKRP call's shape (order >= 2, mode in range, one factor
+/// per mode) and return the rank the non-target factors carry.
+std::size_t mttkrpRank(const std::vector<Index>& dims,
+                       const std::vector<la::Matrix>& factors, ModeId mode);
+
 /// Random CP-ALS initialization: one (dim_m x rank) matrix per mode.
 std::vector<la::Matrix> randomFactors(const std::vector<Index>& dims,
                                       std::size_t rank, std::uint64_t seed);

@@ -15,9 +15,4 @@ const LocalMttkrpKernel& localKernelFor(sparkle::LocalKernel kind) {
   return cooLocalKernel();
 }
 
-sparkle::LocalKernel effectiveLocalKernel(const sparkle::Context& ctx,
-                                          const MttkrpOptions& opts) {
-  return opts.localKernel.value_or(ctx.config().localKernel);
-}
-
 }  // namespace cstf::cstf_core

@@ -23,10 +23,8 @@
 #include <utility>
 #include <vector>
 
-#include "cstf/options.hpp"
 #include "la/matrix.hpp"
 #include "la/row.hpp"
-#include "sparkle/context.hpp"
 #include "sparkle/local_kernel.hpp"
 #include "tensor/csf.hpp"
 
@@ -63,10 +61,5 @@ class LocalMttkrpKernel {
 /// The process-wide immutable kernel instance for `kind` (kernels are
 /// stateless, so one instance serves every thread).
 const LocalMttkrpKernel& localKernelFor(sparkle::LocalKernel kind);
-
-/// The local kernel this MTTKRP run should use: the per-op override when
-/// set, else the cluster-wide ClusterConfig::localKernel.
-sparkle::LocalKernel effectiveLocalKernel(const sparkle::Context& ctx,
-                                          const MttkrpOptions& opts);
 
 }  // namespace cstf::cstf_core

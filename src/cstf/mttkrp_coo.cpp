@@ -19,26 +19,15 @@ la::Matrix mttkrpCoo(sparkle::Context& ctx,
                      const std::vector<la::Matrix>& factors, ModeId mode,
                      const MttkrpOptions& opts) {
   const ModeId order = static_cast<ModeId>(dims.size());
-  CSTF_CHECK(order >= 2, "MTTKRP needs order >= 2");
-  CSTF_CHECK(mode < order, "mode out of range");
-  CSTF_CHECK(factors.size() == order, "need one factor per mode");
-
-  std::size_t rank = 0;
-  for (ModeId m = 0; m < order; ++m) {
-    if (m != mode) {
-      rank = factors[m].cols();
-      break;
-    }
-  }
-  CSTF_CHECK(rank > 0, "rank must be positive");
+  const std::size_t rank = mttkrpRank(dims, factors, mode);
 
   const std::vector<ModeId> fixed = cooJoinOrder(order, mode);
   const double r = static_cast<double>(rank);
 
-  // Skew mitigation: resolve the policy and (when mitigating) make sure a
-  // census exists — the CP-ALS driver builds and caches one before
-  // iteration 1, standalone callers get their own here.
-  const sparkle::SkewPolicy policy = effectiveSkewPolicy(ctx, opts);
+  // Skew mitigation: when mitigating, make sure a census exists — the
+  // CP-ALS driver builds and caches one before iteration 1, standalone
+  // callers get their own here.
+  const sparkle::SkewPolicy policy = ctx.config().skewPolicy;
   std::shared_ptr<const SkewPlan> plan = opts.skewPlan;
   if (policy != sparkle::SkewPolicy::kHash && plan == nullptr) {
     plan = buildSkewPlan(ctx, X, order, opts);
@@ -46,26 +35,15 @@ la::Matrix mttkrpCoo(sparkle::Context& ctx,
   // Replicate-path inputs are consumed twice (hot + cold filters); they
   // are cached for the duration of this MTTKRP and unpersisted at the end.
   std::vector<sparkle::Rdd<std::pair<Index, Carry>>> cachedInputs;
-
-  // One join stage, under the active skew policy, keyed by `joinMode`.
   auto joinFactor = [&](sparkle::Rdd<std::pair<Index, Carry>>& in,
-                        const sparkle::Rdd<std::pair<Index, la::Row>>& fac,
-                        ModeId joinMode) {
-    if (policy == sparkle::SkewPolicy::kFrequency) {
-      return in.join(fac,
-                     skewAwarePartitioner(ctx, plan.get(), joinMode,
-                                          opts.numPartitions),
-                     "coo-join");
+                        const FactorRdd& fac, ModeId joinMode) {
+    if (policy == sparkle::SkewPolicy::kReplicate &&
+        hotKeySet(plan.get(), joinMode) != nullptr) {
+      in.cache();
+      cachedInputs.push_back(in);
     }
-    if (policy == sparkle::SkewPolicy::kReplicate) {
-      auto hot = hotKeySet(plan.get(), joinMode);
-      if (hot) {
-        in.cache();
-        cachedInputs.push_back(in);
-      }
-      return in.skewJoin(fac, std::move(hot), nullptr, "coo-join");
-    }
-    return in.join(fac, nullptr, "coo-join");
+    return skewPolicyJoin(ctx, in, fac, plan.get(), joinMode,
+                          opts.numPartitions, "coo-join");
   };
 
   // STAGE 0: key nonzeros by the first join mode.

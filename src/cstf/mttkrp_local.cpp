@@ -79,20 +79,9 @@ la::Matrix mttkrpLocal(sparkle::Context& ctx,
                        const MttkrpOptions& opts,
                        LocalMttkrpTelemetry* telemetry) {
   const ModeId order = static_cast<ModeId>(dims.size());
-  CSTF_CHECK(order >= 2, "MTTKRP needs order >= 2");
-  CSTF_CHECK(mode < order, "mode out of range");
-  CSTF_CHECK(factors.size() == order, "need one factor per mode");
+  const std::size_t rank = mttkrpRank(dims, factors, mode);
 
-  std::size_t rank = 0;
-  for (ModeId m = 0; m < order; ++m) {
-    if (m != mode) {
-      rank = factors[m].cols();
-      break;
-    }
-  }
-  CSTF_CHECK(rank > 0, "rank must be positive");
-
-  const sparkle::LocalKernel kind = effectiveLocalKernel(ctx, opts);
+  const sparkle::LocalKernel kind = ctx.config().localKernel;
   const LocalMttkrpKernel& kernel = localKernelFor(kind);
   if (kind == sparkle::LocalKernel::kCsf) {
     ensureCsfLayouts(ctx, X, order, telemetry);

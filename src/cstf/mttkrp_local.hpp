@@ -82,8 +82,8 @@ void ensureCsfLayouts(sparkle::Context& ctx,
                       const sparkle::Rdd<tensor::Nonzero>& X, ModeId order,
                       LocalMttkrpTelemetry* telemetry = nullptr);
 
-/// MTTKRP for `mode` via broadcast factors + the effective local kernel
-/// (opts.localKernel, else ClusterConfig::localKernel) + one reduceByKey.
+/// MTTKRP for `mode` via broadcast factors + the ClusterConfig::localKernel
+/// kernel + one reduceByKey.
 la::Matrix mttkrpLocal(sparkle::Context& ctx,
                        const sparkle::Rdd<tensor::Nonzero>& X,
                        const std::vector<Index>& dims,

@@ -18,11 +18,11 @@ QcooEngine::QcooEngine(sparkle::Context& ctx,
     CSTF_CHECK(f.cols() == rank_, "factors must share rank");
   }
 
-  // Resolve the skew policy once; build (or reuse) the census before the
-  // init chain so its joins are skew-aware too.
-  policy_ = effectiveSkewPolicy(ctx_, opts_);
+  // Build (or reuse) the census before the init chain so its joins are
+  // skew-aware too.
+  const sparkle::SkewPolicy policy = ctx_.config().skewPolicy;
   plan_ = opts_.skewPlan;
-  if (policy_ != sparkle::SkewPolicy::kHash && plan_ == nullptr) {
+  if (policy != sparkle::SkewPolicy::kHash && plan_ == nullptr) {
     plan_ = buildSkewPlan(ctx_, X, order_, opts_);
   }
 
@@ -39,13 +39,14 @@ QcooEngine::QcooEngine(sparkle::Context& ctx,
   for (ModeId m = 0; m + 1 < order_; ++m) {
     auto factorRdd =
         factorToRdd(ctx_, initialFactors[m], opts_.numPartitions);
-    if (policy_ == sparkle::SkewPolicy::kReplicate && !q.isCached()) {
+    if (policy == sparkle::SkewPolicy::kReplicate && !q.isCached()) {
       // skewJoin consumes its left side twice; cache the chain link and
       // retire it once the first MTTKRP has materialized everything.
       q.cache();
       initCached_.push_back(q);
     }
-    auto joined = joinFactor(q, factorRdd, m, "qcoo-init-join");
+    auto joined = skewPolicyJoin(ctx_, q, factorRdd, plan_.get(), m,
+                                 opts_.numPartitions, "qcoo-init-join");
     const ModeId nextKey = static_cast<ModeId>(
         m + 2 < order_ ? m + 1 : order_ - 1);
     q = joined.map(
@@ -60,23 +61,6 @@ QcooEngine::QcooEngine(sparkle::Context& ctx,
   q_ = std::move(q);
 }
 
-sparkle::Rdd<std::pair<Index, std::pair<QRecord, la::Row>>>
-QcooEngine::joinFactor(sparkle::Rdd<std::pair<Index, QRecord>>& in,
-                       const sparkle::Rdd<std::pair<Index, la::Row>>& fac,
-                       ModeId jm, const std::string& label) {
-  if (policy_ == sparkle::SkewPolicy::kFrequency) {
-    return in.join(
-        fac, skewAwarePartitioner(ctx_, plan_.get(), jm, opts_.numPartitions),
-        label);
-  }
-  if (policy_ == sparkle::SkewPolicy::kReplicate) {
-    // The left side is either cached (init chain, first MTTKRP) or a
-    // materialized snapshot, so skewJoin's double consumption is safe.
-    return in.skewJoin(fac, hotKeySet(plan_.get(), jm), nullptr, label);
-  }
-  return in.join(fac, nullptr, label);
-}
-
 la::Matrix QcooEngine::mttkrpNext(const std::vector<la::Matrix>& factors) {
   const ModeId n = nextMode_;
   const ModeId jm = joinMode();
@@ -86,7 +70,10 @@ la::Matrix QcooEngine::mttkrpNext(const std::vector<la::Matrix>& factors) {
   // STAGE 1: single join with the freshest factor (mode n-1, updated by
   // the previous MTTKRP — or mode N-1's initial value on the first call).
   auto factorRdd = factorToRdd(ctx_, factors[jm], opts_.numPartitions);
-  auto joined = joinFactor(*q_, factorRdd, jm, "qcoo-join");
+  // The left side is either cached (init chain, first MTTKRP) or a
+  // materialized snapshot, so a replicate skewJoin may read it twice.
+  auto joined = skewPolicyJoin(ctx_, *q_, factorRdd, plan_.get(), jm,
+                               opts_.numPartitions, "qcoo-join");
 
   // STAGE 2: enqueue the joined row, dequeue the stalest (the row of the
   // mode being updated now), and re-key to mode n — which is both this
@@ -118,7 +105,7 @@ la::Matrix QcooEngine::mttkrpNext(const std::vector<la::Matrix>& factors) {
       },
       r * static_cast<double>(order_ - 1));
   auto reducePart =
-      policy_ == sparkle::SkewPolicy::kHash
+      ctx_.config().skewPolicy == sparkle::SkewPolicy::kHash
           ? ctx_.hashPartitioner(opts_.numPartitions)
           : skewAwarePartitioner(ctx_, plan_.get(), n, opts_.numPartitions);
   auto reduced = contrib.reduceByKey(

@@ -54,18 +54,11 @@ class QcooEngine {
   std::size_t rank() const { return rank_; }
 
  private:
-  /// One join under the active skew policy, keyed by mode `jm`.
-  sparkle::Rdd<std::pair<Index, std::pair<QRecord, la::Row>>> joinFactor(
-      sparkle::Rdd<std::pair<Index, QRecord>>& in,
-      const sparkle::Rdd<std::pair<Index, la::Row>>& fac, ModeId jm,
-      const std::string& label);
-
   sparkle::Context& ctx_;
   std::vector<Index> dims_;
   ModeId order_;
   std::size_t rank_;
   MttkrpOptions opts_;
-  sparkle::SkewPolicy policy_ = sparkle::SkewPolicy::kHash;
   std::shared_ptr<const SkewPlan> plan_;
   /// Replicate-path inputs cached during the init chain; unpersisted once
   /// the first MTTKRP has materialized them.

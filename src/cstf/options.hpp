@@ -4,12 +4,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "common/error.hpp"
-#include "sparkle/local_kernel.hpp"
-#include "sparkle/partitioner.hpp"
 
 namespace cstf::cstf_core {
 
@@ -43,7 +40,9 @@ inline Backend backendFromName(const std::string& s) {
   if (s == "bigtensor" || s == "BIGtensor") return Backend::kBigtensor;
   if (s == "reference") return Backend::kReference;
   if (s == "dimtree" || s == "dimension-tree") return Backend::kDimTree;
-  throw Error("unknown backend: " + s);
+  throw Error("invalid value '" + s +
+              "' for --backend (expected "
+              "coo|qcoo|bigtensor|reference|dimtree)");
 }
 
 /// How each mode's least-squares system is formed.
@@ -65,7 +64,8 @@ inline const char* solverName(Solver s) {
 inline Solver solverFromName(const std::string& s) {
   if (s == "exact") return Solver::kExact;
   if (s == "sketched") return Solver::kSketched;
-  throw Error("unknown solver: " + s);
+  throw Error("invalid value '" + s +
+              "' for --solver (expected exact|sketched)");
 }
 
 /// Knobs of the sketched solver (ignored under Solver::kExact).
@@ -97,34 +97,14 @@ struct MttkrpOptions {
   std::size_t numPartitions = 0;
   /// Spark-style map-side combining in the final reduceByKey.
   bool mapSideCombine = true;
-
-  /// Heavy-hitter key handling for the MTTKRP shuffles. Unset falls back
-  /// to ClusterConfig::skewPolicy (whose default, kHash, is the exact
-  /// historical behaviour).
-  std::optional<sparkle::SkewPolicy> skewPolicy;
   /// Fraction of nonzeros the key-frequency census samples (1.0 = exact
-  /// counts). The census runs once, before iteration 1.
+  /// counts). The census runs once, before iteration 1, and only when
+  /// ClusterConfig::skewPolicy is not kHash.
   double censusSampleFraction = 0.25;
-  /// A key is heavy when its estimated record count reaches
-  /// heavyKeyFactor * (nnz / numPartitions) — i.e. this fraction of a
-  /// perfectly balanced partition's fair share.
-  double heavyKeyFactor = 0.25;
-  /// Cap on pinned/replicated keys per mode (bounds partitioner state and
-  /// broadcast volume on extremely heavy-tailed modes).
-  std::size_t maxHeavyKeysPerMode = 256;
-  /// Seed of the census sampling pass.
-  std::uint64_t censusSeed = 17;
   /// Precomputed census (one ModeCensus per tensor mode). The CP-ALS
   /// driver builds and caches this before iteration 1; backends called
   /// standalone with a skew policy and no plan build their own.
   std::shared_ptr<const SkewPlan> skewPlan;
-
-  /// Per-partition compute kernel for the map-side MTTKRP work. Unset
-  /// falls back to ClusterConfig::localKernel (whose default, kCoo, keeps
-  /// every backend's historical join/shuffle path byte-for-byte). kCsf
-  /// switches the distributed backends to the broadcast + partition-local
-  /// kernel formulation over the cache-time CSF layout.
-  std::optional<sparkle::LocalKernel> localKernel;
 };
 
 }  // namespace cstf::cstf_core

@@ -1,0 +1,41 @@
+// The MTTKRP execution plan: which formulation a CP-ALS run takes — one
+// of the paper's join chains (COO §4.1, QCOO §4.2, BIGtensor §4.3), the
+// DFacTo-style broadcast + CSF local kernel, CP-ARLS-LEV leverage-score
+// sampling, or a sequential oracle. resolvePlan derives it once from
+// CpAlsOptions (backend, solver) and sparkle::ClusterConfig (local kernel,
+// skew policy) and is the only code that reads the four together; a
+// combination whose extra flag would change nothing is refused with a
+// cstf::Error naming both flags (DESIGN.md §17).
+#pragma once
+
+#include <string>
+
+#include "cstf/cp_als.hpp"
+#include "sparkle/cluster.hpp"
+
+namespace cstf::cstf_core {
+
+struct MttkrpPlan {
+  enum class Path { kJoinChain, kBroadcastLocal, kSampled, kSequential };
+
+  Path path = Path::kJoinChain;
+  /// The join chain or sequential oracle that runs (kJoinChain and
+  /// kSequential only; the other paths run no backend of their own).
+  Backend backend = Backend::kCoo;
+  sparkle::LocalKernel kernel = sparkle::LocalKernel::kCoo;
+  /// Only a join chain rebalances keyed joins; every other path is kHash.
+  sparkle::SkewPolicy skewPolicy = sparkle::SkewPolicy::kHash;
+
+  /// E.g. "join-chain CSTF-QCOO, skew policy hash" or
+  /// "broadcast-local, csf kernel".
+  std::string describe() const;
+  /// Stamp backend, solver, localKernel, skewPolicy and plan onto `report`.
+  void fillReport(RunReport& report) const;
+};
+
+/// Resolve the path a cpAls(opts) run on a `cluster` context takes, or
+/// throw cstf::Error naming the two flags of an incoherent combination.
+MttkrpPlan resolvePlan(const CpAlsOptions& opts,
+                       const sparkle::ClusterConfig& cluster);
+
+}  // namespace cstf::cstf_core

@@ -96,6 +96,7 @@ std::string RunReport::toJson() const {
   JsonWriter w;
   w.beginObject();
   w.kv("schema", "cstf-run-report-v1");
+  w.kv("plan", plan);
   w.kv("backend", backend);
   w.kv("solver", solver);
   w.kv("sketchSamples", std::uint64_t{sketchSamples});

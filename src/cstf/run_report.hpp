@@ -105,6 +105,9 @@ struct FailureSummary {
 };
 
 struct RunReport {
+  /// The resolved MTTKRP plan (MttkrpPlan::describe()); the backend,
+  /// solver, skewPolicy and localKernel fields below are stamped from it.
+  std::string plan;
   std::string backend;
   /// Active solver ("exact", "sketched").
   std::string solver;

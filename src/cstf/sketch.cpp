@@ -91,23 +91,11 @@ la::Matrix mttkrpSketched(sparkle::Context& ctx,
                           const SketchOptions& sketch, std::uint64_t drawId,
                           SketchTelemetry* telemetry) {
   const ModeId order = static_cast<ModeId>(dims.size());
-  CSTF_CHECK(order >= 2, "MTTKRP needs order >= 2");
-  CSTF_CHECK(mode < order, "mode out of range");
-  CSTF_CHECK(factors.size() == order, "need one factor per mode");
+  const std::size_t rank = mttkrpRank(dims, factors, mode);
   CSTF_CHECK(grams.size() == order, "need one gram per mode");
   CSTF_CHECK(sketch.samples > 0, "sketch.samples must be positive");
 
-  std::size_t rank = 0;
-  for (ModeId m = 0; m < order; ++m) {
-    if (m != mode) {
-      rank = factors[m].cols();
-      break;
-    }
-  }
-  CSTF_CHECK(rank > 0, "rank must be positive");
-
-  const sparkle::LocalKernel kind = effectiveLocalKernel(ctx, opts);
-  const LocalMttkrpKernel& kernel = localKernelFor(kind);
+  const LocalMttkrpKernel& kernel = localKernelFor(ctx.config().localKernel);
 
   // Driver-side scoring: N-1 leverage tables from the cached Grams. The
   // pinv is R x R — the per-iteration cost lives in the row loop, which is

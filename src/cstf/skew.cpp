@@ -8,10 +8,16 @@
 
 namespace cstf::cstf_core {
 
-sparkle::SkewPolicy effectiveSkewPolicy(const sparkle::Context& ctx,
-                                        const MttkrpOptions& opts) {
-  return opts.skewPolicy.value_or(ctx.config().skewPolicy);
-}
+namespace {
+/// A key is heavy when its estimated record count reaches this fraction of
+/// a perfectly balanced partition's fair share (nnz / numPartitions).
+constexpr double kHeavyKeyFactor = 0.25;
+/// Cap on pinned/replicated keys per mode (bounds partitioner state and
+/// broadcast volume on extremely heavy-tailed modes).
+constexpr std::size_t kMaxHeavyKeysPerMode = 256;
+/// Seed of the census sampling pass.
+constexpr std::uint64_t kCensusSeed = 17;
+}  // namespace
 
 std::shared_ptr<const SkewPlan> buildSkewPlan(
     sparkle::Context& ctx, const sparkle::Rdd<tensor::Nonzero>& X,
@@ -27,7 +33,7 @@ std::shared_ptr<const SkewPlan> buildSkewPlan(
 
   // One shuffle counts every mode: key each (sampled) nonzero by
   // (mode, index) composite keys and countByKey with map-side combining.
-  auto sampled = fraction < 1.0 ? X.sample(fraction, opts.censusSeed) : X;
+  auto sampled = fraction < 1.0 ? X.sample(fraction, kCensusSeed) : X;
   auto keyed = sampled.flatMap([order](const tensor::Nonzero& nz) {
     std::vector<std::pair<std::pair<std::uint32_t, Index>, std::uint8_t>> out;
     out.reserve(order);
@@ -53,17 +59,16 @@ std::shared_ptr<const SkewPlan> buildSkewPlan(
                                 ? opts.numPartitions
                                 : ctx.defaultParallelism();
   auto plan = std::make_shared<SkewPlan>();
-  plan->sampleFraction = fraction;
   plan->modes.resize(order);
   for (ModeId m = 0; m < order; ++m) {
     ModeCensus& census = plan->modes[m];
     census.totalRecords = static_cast<std::uint64_t>(
         std::llround(double(sampledTotal[m]) / fraction));
-    // Heavy threshold, in *sampled* counts: heavyKeyFactor of the fair
+    // Heavy threshold, in *sampled* counts: kHeavyKeyFactor of the fair
     // per-partition share. Keys seen fewer than twice in a true sample are
     // noise, never heavy.
-    double threshold = opts.heavyKeyFactor *
-                       double(sampledTotal[m]) / double(parts);
+    double threshold =
+        kHeavyKeyFactor * double(sampledTotal[m]) / double(parts);
     if (fraction < 1.0) threshold = std::max(threshold, 2.0);
     auto& heavy = census.heavyKeys;
     for (const auto& [idx, count] : byMode[m]) {
@@ -76,8 +81,8 @@ std::shared_ptr<const SkewPlan> buildSkewPlan(
     std::sort(heavy.begin(), heavy.end(), [](const auto& a, const auto& b) {
       return a.second != b.second ? a.second > b.second : a.first < b.first;
     });
-    if (heavy.size() > opts.maxHeavyKeysPerMode) {
-      heavy.resize(opts.maxHeavyKeysPerMode);
+    if (heavy.size() > kMaxHeavyKeysPerMode) {
+      heavy.resize(kMaxHeavyKeysPerMode);
     }
     for (const auto& [idx, est] : heavy) census.heavyRecords += est;
 

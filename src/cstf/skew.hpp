@@ -10,19 +10,21 @@
 //   * a hot-key set (SkewPolicy::kReplicate) for Rdd::skewJoin, which
 //     broadcasts the heavy factor rows and joins them map-side.
 // The census runs once, before iteration 1, and is cached in MttkrpOptions
-// by the CP-ALS driver; its stages are recorded under the "SkewCensus"
-// metrics scope so A/B comparisons can separate census cost from iteration
-// cost.
+// by the CP-ALS driver (join-chain plans with a non-hash policy only); its
+// stages are recorded under the "SkewCensus" metrics scope so A/B
+// comparisons can separate census cost from iteration cost.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/types.hpp"
 #include "cstf/options.hpp"
+#include "la/row.hpp"
 #include "sparkle/context.hpp"
 #include "sparkle/rdd.hpp"
 #include "tensor/coo_tensor.hpp"
@@ -32,7 +34,7 @@ namespace cstf::cstf_core {
 /// Census result for one tensor mode.
 struct ModeCensus {
   /// (mode index, estimated record count), heaviest first, capped at
-  /// MttkrpOptions::maxHeavyKeysPerMode.
+  /// 256 keys per mode.
   std::vector<std::pair<Index, std::uint64_t>> heavyKeys;
   /// Estimated records carried by heavyKeys (sum of their counts).
   std::uint64_t heavyRecords = 0;
@@ -42,17 +44,11 @@ struct ModeCensus {
 
 struct SkewPlan {
   std::vector<ModeCensus> modes;
-  double sampleFraction = 1.0;
 };
 
-/// The skew policy this MTTKRP run should use: the per-op override when
-/// set, else the cluster-wide ClusterConfig::skewPolicy.
-sparkle::SkewPolicy effectiveSkewPolicy(const sparkle::Context& ctx,
-                                        const MttkrpOptions& opts);
-
 /// One sampled countByKey pass over `X`, counting all `order` modes in a
-/// single shuffle. A key is heavy when its estimated count reaches
-/// opts.heavyKeyFactor times the fair per-partition share.
+/// single shuffle. A key is heavy when its estimated count reaches a
+/// quarter of the fair per-partition share.
 std::shared_ptr<const SkewPlan> buildSkewPlan(
     sparkle::Context& ctx, const sparkle::Rdd<tensor::Nonzero>& X,
     ModeId order, const MttkrpOptions& opts);
@@ -68,5 +64,29 @@ std::shared_ptr<sparkle::Partitioner> skewAwarePartitioner(
 /// plan has none (skewJoin then degrades to a plain join).
 std::shared_ptr<const std::unordered_set<Index, sparkle::StdKeyHash<Index>>>
 hotKeySet(const SkewPlan* plan, ModeId mode);
+
+/// One join of `in` with factor rows, keyed by `mode`'s indices, under
+/// ClusterConfig::skewPolicy: a hash join (kHash), a join through the
+/// census partitioner (kFrequency), or a skewJoin that broadcasts the
+/// census's hot rows (kReplicate; it reads `in` twice, so callers keep
+/// `in` cached or materialized).
+template <typename V>
+auto skewPolicyJoin(sparkle::Context& ctx,
+                    const sparkle::Rdd<std::pair<Index, V>>& in,
+                    const sparkle::Rdd<std::pair<Index, la::Row>>& factor,
+                    const SkewPlan* plan, ModeId mode,
+                    std::size_t numPartitions, const std::string& label) {
+  switch (ctx.config().skewPolicy) {
+    case sparkle::SkewPolicy::kFrequency:
+      return in.join(factor,
+                     skewAwarePartitioner(ctx, plan, mode, numPartitions),
+                     label);
+    case sparkle::SkewPolicy::kReplicate:
+      return in.skewJoin(factor, hotKeySet(plan, mode), nullptr, label);
+    case sparkle::SkewPolicy::kHash:
+      break;
+  }
+  return in.join(factor, nullptr, label);
+}
 
 }  // namespace cstf::cstf_core

@@ -174,14 +174,12 @@ struct ClusterConfig {
   /// Correlated node-loss injection (see FaultPlan). Off by default.
   FaultPlan faults;
 
-  /// Cluster-wide default for heavy-hitter key handling in skew-aware
-  /// operations (see SkewPolicy). kHash preserves the engine's historical
-  /// behaviour exactly; callers (e.g. MttkrpOptions) may override per-op.
+  /// Heavy-hitter key handling in skew-aware operations (see SkewPolicy).
+  /// kHash preserves the engine's historical behaviour exactly.
   SkewPolicy skewPolicy = SkewPolicy::kHash;
 
-  /// Cluster-wide default for the per-partition MTTKRP compute kernel
-  /// (see LocalKernel). kCoo preserves the historical row-at-a-time path
-  /// byte-for-byte; callers (e.g. MttkrpOptions) may override per-op.
+  /// The per-partition MTTKRP compute kernel (see LocalKernel). kCoo keeps
+  /// the join chains; kCsf selects the broadcast-local path (cstf/plan.hpp).
   LocalKernel localKernel = LocalKernel::kCoo;
 
   ExecutionMode mode = ExecutionMode::kSpark;

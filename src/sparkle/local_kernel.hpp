@@ -1,7 +1,6 @@
 // Selector for the per-partition (map-side) compute kernel a task runs.
 //
-// Mirrors SkewPolicy: an engine-level enum that callers wire through
-// ClusterConfig (cluster-wide default) and per-op options (override). The
+// Mirrors SkewPolicy: an engine-level enum set on ClusterConfig. The
 // kernels themselves live in cstf/kernels/ — sparkle only names them, so
 // the engine layer stays tensor-agnostic.
 #pragma once
@@ -31,7 +30,8 @@ inline const char* localKernelName(LocalKernel k) {
 inline LocalKernel localKernelFromName(const std::string& s) {
   if (s == "coo") return LocalKernel::kCoo;
   if (s == "csf") return LocalKernel::kCsf;
-  throw Error("unknown local kernel: " + s + " (coo|csf)");
+  throw Error("invalid value '" + s +
+              "' for --local-kernel (expected coo|csf)");
 }
 
 }  // namespace cstf::sparkle

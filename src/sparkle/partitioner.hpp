@@ -98,7 +98,8 @@ inline SkewPolicy skewPolicyFromName(const std::string& s) {
   if (s == "hash") return SkewPolicy::kHash;
   if (s == "frequency") return SkewPolicy::kFrequency;
   if (s == "replicate") return SkewPolicy::kReplicate;
-  throw Error("unknown skew policy: " + s + " (hash|frequency|replicate)");
+  throw Error("invalid value '" + s +
+              "' for --skew-policy (expected hash|frequency|replicate)");
 }
 
 /// Greedy bin-packing of known heavy keys, hash for the tail.

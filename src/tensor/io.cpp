@@ -4,21 +4,71 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <limits>
+#include <optional>
 #include <ostream>
 
+#include "common/parse.hpp"
 #include "common/strings.hpp"
 
 namespace cstf::tensor {
 
+namespace {
+
+constexpr char kDimsHeader[] = "# dims:";
+
+/// A 1-based .tns index or a header dim: a whole decimal token in
+/// [minValue, max Index]; anything else (junk, sign, overflow) throws.
+std::uint64_t parseTnsIndex(const std::string& field, std::size_t lineNo,
+                            std::uint64_t minValue) {
+  const std::optional<std::uint64_t> v = parseUint64(field);
+  if (!v || *v < minValue) {
+    throw Error(strprintf("line %zu: bad index '%s' (must be >= %llu)",
+                          lineNo, field.c_str(),
+                          static_cast<unsigned long long>(minValue)));
+  }
+  if (*v > std::numeric_limits<Index>::max()) {
+    throw Error(strprintf("line %zu: index '%s' exceeds the %u-bit index "
+                          "range",
+                          lineNo, field.c_str(),
+                          unsigned(8 * sizeof(Index))));
+  }
+  return *v;
+}
+
+}  // namespace
+
 CooTensor readTns(std::istream& in, ModeId expectedOrder) {
   std::vector<Nonzero> nzs;
   std::vector<Index> dims;
+  // Set by a "# dims: d1 d2 ..." header: dims are then fixed, not inferred.
+  bool dimsDeclared = false;
   ModeId order = expectedOrder;
   std::string line;
   std::size_t lineNo = 0;
 
   while (std::getline(in, line)) {
     ++lineNo;
+    if (line.rfind(kDimsHeader, 0) == 0) {
+      CSTF_CHECK(!dimsDeclared && nzs.empty(),
+                 strprintf("line %zu: a dims header must come once, before "
+                           "the first nonzero",
+                           lineNo));
+      const std::vector<std::string> fields =
+          splitFields(line.substr(sizeof(kDimsHeader) - 1), " \t\r");
+      CSTF_CHECK(!fields.empty() && fields.size() <= kMaxOrder &&
+                     (order == 0 || fields.size() == order),
+                 strprintf("line %zu: dims header has %zu modes, expected "
+                           "%d",
+                           lineNo, fields.size(), int(order)));
+      order = static_cast<ModeId>(fields.size());
+      dims.clear();
+      for (const std::string& f : fields) {
+        dims.push_back(static_cast<Index>(parseTnsIndex(f, lineNo, 0)));
+      }
+      dimsDeclared = true;
+      continue;
+    }
     // Strip comments and blank lines.
     const std::size_t hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
@@ -40,14 +90,17 @@ CooTensor readTns(std::istream& in, ModeId expectedOrder) {
     Nonzero nz;
     nz.order = order;
     for (ModeId m = 0; m < order; ++m) {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(fields[m].c_str(), &end, 10);
-      if (end == fields[m].c_str() || *end != '\0' || v == 0) {
-        throw Error(strprintf("line %zu: bad index '%s' (must be >= 1)",
-                              lineNo, fields[m].c_str()));
+      // .tns is 1-based.
+      nz.idx[m] = static_cast<Index>(parseTnsIndex(fields[m], lineNo, 1) - 1);
+      if (dimsDeclared) {
+        CSTF_CHECK(nz.idx[m] < dims[m],
+                   strprintf("line %zu: index '%s' exceeds the declared "
+                             "mode-%d dim %u",
+                             lineNo, fields[m].c_str(), int(m) + 1,
+                             unsigned(dims[m])));
+      } else {
+        dims[m] = std::max(dims[m], nz.idx[m] + 1);
       }
-      nz.idx[m] = static_cast<Index>(v - 1);  // .tns is 1-based
-      dims[m] = std::max(dims[m], nz.idx[m] + 1);
     }
     char* end = nullptr;
     nz.val = std::strtod(fields[order].c_str(), &end);
@@ -76,6 +129,11 @@ CooTensor readTnsFile(const std::string& path, ModeId expectedOrder) {
 }
 
 void writeTns(std::ostream& out, const CooTensor& t) {
+  // Declared dims survive the round trip even when trailing slices are
+  // empty (inference from the max index would shrink them).
+  out << kDimsHeader;
+  for (const Index d : t.dims()) out << ' ' << d;
+  out << '\n';
   for (const Nonzero& nz : t.nonzeros()) {
     for (ModeId m = 0; m < nz.order; ++m) {
       out << (nz.idx[m] + 1) << ' ';

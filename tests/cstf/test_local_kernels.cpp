@@ -12,10 +12,12 @@
 namespace cstf::cstf_core {
 namespace {
 
-sparkle::ClusterConfig testCluster(int nodes = 4) {
+sparkle::ClusterConfig testCluster(
+    sparkle::LocalKernel kernel = sparkle::LocalKernel::kCoo) {
   sparkle::ClusterConfig cfg;
-  cfg.numNodes = nodes;
+  cfg.numNodes = 4;
   cfg.coresPerNode = 2;
+  cfg.localKernel = kernel;
   return cfg;
 }
 
@@ -132,12 +134,11 @@ TEST(LocalKernels, StatsAreReported) {
 TEST(MttkrpLocal, MatchesReferenceBothKernels) {
   for (auto kind :
        {sparkle::LocalKernel::kCoo, sparkle::LocalKernel::kCsf}) {
-    sparkle::Context ctx(testCluster(), 2);
+    sparkle::Context ctx(testCluster(kind), 2);
     auto t = tensor::generateRandom({{30, 40, 20}, 500, {}, 42});
     auto fs = randomFactors(t.dims(), 2, 1);
     auto X = tensorToRdd(ctx, t).cache();
     MttkrpOptions opts;
-    opts.localKernel = kind;
     for (ModeId mode = 0; mode < 3; ++mode) {
       la::Matrix got = mttkrpLocal(ctx, X, t.dims(), fs, mode, opts);
       la::Matrix ref = tensor::referenceMttkrp(t, fs, mode);
@@ -148,12 +149,11 @@ TEST(MttkrpLocal, MatchesReferenceBothKernels) {
 }
 
 TEST(MttkrpLocal, MatchesMttkrpCoo4Order) {
-  sparkle::Context ctx(testCluster(), 2);
+  sparkle::Context ctx(testCluster(sparkle::LocalKernel::kCsf), 2);
   auto t = tensor::generateRandom({{15, 12, 18, 6}, 400, {}, 43});
   auto fs = randomFactors(t.dims(), 3, 2);
   auto X = tensorToRdd(ctx, t).cache();
   MttkrpOptions opts;
-  opts.localKernel = sparkle::LocalKernel::kCsf;
   for (ModeId mode = 0; mode < 4; ++mode) {
     la::Matrix local = mttkrpLocal(ctx, X, t.dims(), fs, mode, opts);
     la::Matrix chain = mttkrpCoo(ctx, X, t.dims(), fs, mode, {});
@@ -162,12 +162,11 @@ TEST(MttkrpLocal, MatchesMttkrpCoo4Order) {
 }
 
 TEST(MttkrpLocal, SingleShuffleAndBroadcast) {
-  sparkle::Context ctx(testCluster(), 2);
+  sparkle::Context ctx(testCluster(sparkle::LocalKernel::kCsf), 2);
   auto t = tensor::generateRandom({{20, 20, 20}, 300, {}, 44});
   auto fs = randomFactors(t.dims(), 2, 3);
   auto X = tensorToRdd(ctx, t).cache();
   MttkrpOptions opts;
-  opts.localKernel = sparkle::LocalKernel::kCsf;
   mttkrpLocal(ctx, X, t.dims(), fs, 0, opts);
   // One reduceByKey is the only wide op (vs N for the COO join chain).
   EXPECT_EQ(ctx.metrics().totals().shuffleOps, 1u);
@@ -175,7 +174,7 @@ TEST(MttkrpLocal, SingleShuffleAndBroadcast) {
 }
 
 TEST(MttkrpLocal, LayoutBuiltOnceAndReused) {
-  sparkle::Context ctx(testCluster(), 2);
+  sparkle::Context ctx(testCluster(sparkle::LocalKernel::kCsf), 2);
   auto t = tensor::generateRandom({{25, 25, 25}, 400, {}, 45});
   auto fs = randomFactors(t.dims(), 2, 4);
   auto X = tensorToRdd(ctx, t).cache();
@@ -195,7 +194,6 @@ TEST(MttkrpLocal, LayoutBuiltOnceAndReused) {
   const auto before = ctx.getPartitionArtifact(X.datasetId(), 0);
   ASSERT_NE(before, nullptr);
   MttkrpOptions opts;
-  opts.localKernel = sparkle::LocalKernel::kCsf;
   for (ModeId mode = 0; mode < 3; ++mode) {
     mttkrpLocal(ctx, X, t.dims(), fs, mode, opts, &tel);
   }
@@ -252,14 +250,13 @@ TEST(CpAls, CsfTrajectoryMatchesCooKernel) {
     int i = 0;
     for (auto kernel :
          {sparkle::LocalKernel::kCoo, sparkle::LocalKernel::kCsf}) {
-      sparkle::Context ctx(testCluster(), 2);
+      sparkle::Context ctx(testCluster(kernel), 2);
       CpAlsOptions opts;
       opts.rank = 2;
       opts.maxIterations = 3;
       opts.tolerance = 0.0;
       opts.seed = 9;
       opts.backend = backend;
-      opts.mttkrp.localKernel = kernel;
       results[i++] = cpAls(ctx, t, opts);
     }
     for (ModeId m = 0; m < t.order(); ++m) {
@@ -276,29 +273,19 @@ TEST(CpAls, CsfTrajectoryMatchesCooKernel) {
   }
 }
 
-TEST(CpAls, CsfTrajectoryMatchesBigtensorBackend) {
+TEST(CpAls, CsfKernelRefusedWithBigtensorBackend) {
+  // BIGtensor is its own join chain: a CSF kernel would silently replace
+  // it with the broadcast-local path, so the combination is refused.
   auto t = tensor::generateZipf({15, 15, 15}, 200, 1.0, 22);
-  CpAlsResult results[2];
-  int i = 0;
-  for (auto kernel :
-       {sparkle::LocalKernel::kCoo, sparkle::LocalKernel::kCsf}) {
-    sparkle::ClusterConfig cfg = testCluster();
-    cfg.mode = sparkle::ExecutionMode::kHadoop;
-    sparkle::Context ctx(cfg, 2);
-    CpAlsOptions opts;
-    opts.rank = 2;
-    opts.maxIterations = 2;
-    opts.tolerance = 0.0;
-    opts.seed = 10;
-    opts.backend = Backend::kBigtensor;
-    opts.mttkrp.localKernel = kernel;
-    results[i++] = cpAls(ctx, t, opts);
-  }
-  for (ModeId m = 0; m < t.order(); ++m) {
-    EXPECT_LT(results[0].factors[m].maxAbsDiff(results[1].factors[m]),
-              1e-12)
-        << "mode " << int(m);
-  }
+  sparkle::ClusterConfig cfg = testCluster(sparkle::LocalKernel::kCsf);
+  cfg.mode = sparkle::ExecutionMode::kHadoop;
+  sparkle::Context ctx(cfg, 2);
+  CpAlsOptions opts;
+  opts.rank = 2;
+  opts.maxIterations = 2;
+  opts.backend = Backend::kBigtensor;
+  EXPECT_THROW(cpAls(ctx, t, opts), Error);
+  EXPECT_EQ(ctx.metrics().stageCount(), 0u) << "refused before any work";
 }
 
 TEST(CpAls, DefaultKernelKeepsJoinChainPath) {

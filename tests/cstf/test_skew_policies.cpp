@@ -156,17 +156,6 @@ TEST(SkewPolicies, CpAlsTrajectoriesMatchHashWithFaultInjection) {
   }
 }
 
-TEST(SkewPolicies, OptionsOverrideClusterDefault) {
-  auto t = tensor::generateZipf({80, 70, 60}, 1200, 1.0, 13);
-  // Cluster says replicate; per-call options force hash → no census runs.
-  sparkle::Context ctx(cluster(sparkle::SkewPolicy::kReplicate), 2);
-  auto o = alsOpts(Backend::kCoo, 1);
-  o.mttkrp.skewPolicy = sparkle::SkewPolicy::kHash;
-  auto res = cpAls(ctx, t, o);
-  EXPECT_EQ(res.report.skewPolicy, "hash");
-  EXPECT_EQ(ctx.metrics().totalsForScope("SkewCensus").stages, 0u);
-}
-
 TEST(SkewPolicies, HashPolicyRunsNoCensusAndMatchesDefault) {
   // skewPolicy=hash must leave the stage stream exactly as it is today:
   // same stage count, same shuffle volumes, same simulated time as a run

@@ -80,17 +80,17 @@ TEST_P(KernelAgreement, PartitionKernelsMatchOracleEveryMode) {
 // counts that leave some partitions empty.
 TEST_P(KernelAgreement, MttkrpLocalMatchesOracleEveryMode) {
   const auto& c = GetParam();
-  sparkle::ClusterConfig cfg;
-  cfg.numNodes = 4;
-  sparkle::Context ctx(cfg, 2, c.partitions);
   auto t = makeTensor();
   auto fs = randomFactors(t.dims(), c.rank, c.seed + 2);
-  auto X = tensorToRdd(ctx, t).cache();
   for (auto kind :
        {sparkle::LocalKernel::kCoo, sparkle::LocalKernel::kCsf}) {
+    sparkle::ClusterConfig cfg;
+    cfg.numNodes = 4;
+    cfg.localKernel = kind;
+    sparkle::Context ctx(cfg, 2, c.partitions);
+    auto X = tensorToRdd(ctx, t).cache();
     MttkrpOptions opts;
     opts.numPartitions = c.partitions;
-    opts.localKernel = kind;
     for (ModeId mode = 0; mode < t.order(); ++mode) {
       la::Matrix got = mttkrpLocal(ctx, X, t.dims(), fs, mode, opts);
       ASSERT_LT(got.maxAbsDiff(tensor::referenceMttkrp(t, fs, mode)), 1e-9)

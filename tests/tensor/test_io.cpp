@@ -4,6 +4,8 @@
 
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "tensor/generator.hpp"
 
@@ -87,6 +89,45 @@ TEST(TnsIo, FileRoundTrip) {
   CooTensor back = readTnsFile(path);
   EXPECT_EQ(back.nnz(), 1u);
   EXPECT_EQ(back.nonzeros()[0], t.nonzeros()[0]);
+  // Trailing empty slices survive: dims come from the header, not from
+  // the largest index seen.
+  EXPECT_EQ(back.dims(), t.dims());
+}
+
+TEST(TnsIo, DimsHeaderFixesDims) {
+  std::istringstream in("# dims: 5 4 3\n1 1 1 1.0\n");
+  CooTensor t = readTns(in);
+  EXPECT_EQ(t.dims(), (std::vector<Index>{5, 4, 3}));
+  std::istringstream empty("# dims: 2 7\n");
+  EXPECT_EQ(readTns(empty).dims(), (std::vector<Index>{2, 7}));
+}
+
+TEST(TnsIo, RejectsIndexBeyondDeclaredDims) {
+  std::istringstream in("# dims: 2 2 2\n1 3 1 1.0\n");
+  EXPECT_THROW(readTns(in), Error);
+}
+
+TEST(TnsIo, RejectsDimsHeaderOrderMismatch) {
+  std::istringstream data("# dims: 2 2\n1 1 1 1.0\n");
+  EXPECT_THROW(readTns(data), Error);
+  std::istringstream expected("# dims: 2 2 2\n");
+  EXPECT_THROW(readTns(expected, 4), Error);
+  std::istringstream late("1 1 1 1.0\n# dims: 2 2 2\n");
+  EXPECT_THROW(readTns(late), Error);
+}
+
+TEST(TnsIo, RejectsIndexBeyondIndexRange) {
+  // 5000000001 would truncate to 705032705 in a 32-bit Index.
+  std::istringstream in("5000000001 1 1 1.0\n");
+  try {
+    readTns(in);
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 1"), std::string::npos)
+        << e.what();
+  }
+  std::istringstream negative("-1 1 1 1.0\n");
+  EXPECT_THROW(readTns(negative), Error);
 }
 
 TEST(TnsIo, MissingFileThrows) {

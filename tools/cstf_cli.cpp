@@ -15,7 +15,8 @@
 //   --rank R        CP rank (default 2)
 //   --iters N       max iterations (default 20)
 //   --tol T         fit-improvement stopping tolerance (default 1e-6)
-//   --backend B     coo | qcoo | bigtensor | reference (default qcoo)
+//   --backend B     coo | qcoo | bigtensor | reference | dimtree (default
+//                   qcoo); mixes that change nothing exit 2 (see usage)
 //   --solver S      exact | sketched (default exact; sketched runs
 //                   leverage-score-sampled MTTKRPs with exact fits only
 //                   every --sketch-fit-every iterations)
@@ -119,6 +120,7 @@
 //                   final probe)
 //   --model-out P   export the updated model (CSTFMDL1)
 //   --report-out P  write a cstf-stream-report-v1 JSON document
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -126,6 +128,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <future>
 #include <limits>
 #include <memory>
@@ -164,7 +167,8 @@ int usage() {
                "                   [--delta-batches N --delta-dir D]\n"
                "                   [--delta-fraction F] [--delta-interval-ms M]\n"
                "       cstf factor <tensor> [--rank R] [--iters N] [--tol T]\n"
-               "                   [--backend coo|qcoo|bigtensor|reference]\n"
+               "                   [--backend "
+               "coo|qcoo|bigtensor|reference|dimtree]\n"
                "                   [--solver exact|sketched]\n"
                "                   [--sketch-samples N] [--sketch-seed S]\n"
                "                   [--sketch-fit-every K]\n"
@@ -178,6 +182,12 @@ int usage() {
                "                   [--task-failure-rate R] [--fault-seed S]\n"
                "                   [--max-stage-attempts N] [--model-out P]\n"
                "                   [--metrics-out P] [--metrics-interval-ms N]\n"
+               "         plans: coo|qcoo = join chain (any --skew-policy);\n"
+               "         coo|qcoo + --local-kernel csf = broadcast-local;\n"
+               "         coo|qcoo + --solver sketched = sampled (either\n"
+               "         kernel); bigtensor = its join chain;\n"
+               "         reference|dimtree = sequential. Any other mix is\n"
+               "         refused (exit 2).\n"
                "       cstf query --model P --indices i1,_,i3 [--top-k K]\n"
                "                   [--brute-force]\n"
                "       cstf serve-bench --model P [--mode M] [--top-k K]\n"
@@ -290,6 +300,17 @@ bool parseArgs(int argc, char** argv, Args& a) {
   constexpr int kIntMax = std::numeric_limits<int>::max();
   constexpr std::size_t kSizeMax = std::numeric_limits<std::size_t>::max();
   constexpr double kDoubleMax = std::numeric_limits<double>::max();
+  // String flags, kept as given; names are validated where they are used.
+  const std::pair<const char*, std::string*> stringFlags[] = {
+      {"--backend", &a.backend},        {"--solver", &a.solver},
+      {"--skew-policy", &a.skewPolicy}, {"--local-kernel", &a.localKernel},
+      {"--output", &a.output},          {"--trace-out", &a.traceOut},
+      {"--report-out", &a.reportOut},   {"--metrics-csv", &a.metricsCsv},
+      {"--model-out", &a.modelOut},     {"--model", &a.model},
+      {"--indices", &a.indicesSpec},    {"--metrics-out", &a.metricsOut},
+      {"--delta-dir", &a.deltaDir},     {"--deltas", &a.deltas},
+      {"--follow", &a.follow},          {"--base", &a.base},
+      {"--checkpoint-dir", &a.checkpointDir}};
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&](const char* name) -> const char* {
@@ -299,7 +320,14 @@ bool parseArgs(int argc, char** argv, Args& a) {
       }
       return argv[++i];
     };
-    if (arg == "--rank") {
+    const auto* str = std::find_if(
+        std::begin(stringFlags), std::end(stringFlags),
+        [&](const auto& f) { return arg == f.first; });
+    if (str != std::end(stringFlags)) {
+      const char* v = next(str->first);
+      if (!v) return false;
+      *str->second = v;
+    } else if (arg == "--rank") {
       if (!parseFlag("--rank", next("--rank"), a.rank, 1, kSizeMax)) {
         return false;
       }
@@ -311,21 +339,6 @@ bool parseArgs(int argc, char** argv, Args& a) {
       if (!parseFlag("--tol", next("--tol"), a.tol, 0.0, kDoubleMax)) {
         return false;
       }
-    } else if (arg == "--backend") {
-      const char* v = next("--backend");
-      if (!v) return false;
-      a.backend = v;
-    } else if (arg == "--solver") {
-      const char* v = next("--solver");
-      if (!v) return false;
-      if (std::string(v) != "exact" && std::string(v) != "sketched") {
-        std::fprintf(stderr,
-                     "invalid value '%s' for --solver (expected exact or "
-                     "sketched)\n",
-                     v);
-        return false;
-      }
-      a.solver = v;
     } else if (arg == "--sketch-samples") {
       if (!parseFlag("--sketch-samples", next("--sketch-samples"),
                      a.sketchSamples, 1, kSizeMax)) {
@@ -340,14 +353,6 @@ bool parseArgs(int argc, char** argv, Args& a) {
                      a.sketchFitEvery, 1, kIntMax)) {
         return false;
       }
-    } else if (arg == "--skew-policy") {
-      const char* v = next("--skew-policy");
-      if (!v) return false;
-      a.skewPolicy = v;
-    } else if (arg == "--local-kernel") {
-      const char* v = next("--local-kernel");
-      if (!v) return false;
-      a.localKernel = v;
     } else if (arg == "--nodes") {
       if (!parseFlag("--nodes", next("--nodes"), a.nodes, 1, kIntMax)) {
         return false;
@@ -358,26 +363,6 @@ bool parseArgs(int argc, char** argv, Args& a) {
       if (!parseFlag("--scale", next("--scale"), a.scale, 1e-9, 1e9)) {
         return false;
       }
-    } else if (arg == "--output") {
-      const char* v = next("--output");
-      if (!v) return false;
-      a.output = v;
-    } else if (arg == "--trace-out") {
-      const char* v = next("--trace-out");
-      if (!v) return false;
-      a.traceOut = v;
-    } else if (arg == "--report-out") {
-      const char* v = next("--report-out");
-      if (!v) return false;
-      a.reportOut = v;
-    } else if (arg == "--metrics-csv") {
-      const char* v = next("--metrics-csv");
-      if (!v) return false;
-      a.metricsCsv = v;
-    } else if (arg == "--checkpoint-dir") {
-      const char* v = next("--checkpoint-dir");
-      if (!v) return false;
-      a.checkpointDir = v;
     } else if (arg == "--checkpoint-every") {
       if (!parseFlag("--checkpoint-every", next("--checkpoint-every"),
                      a.checkpointEvery, 0, kIntMax)) {
@@ -407,18 +392,6 @@ bool parseArgs(int argc, char** argv, Args& a) {
                      a.maxStageAttempts, 1, kIntMax)) {
         return false;
       }
-    } else if (arg == "--model-out") {
-      const char* v = next("--model-out");
-      if (!v) return false;
-      a.modelOut = v;
-    } else if (arg == "--model") {
-      const char* v = next("--model");
-      if (!v) return false;
-      a.model = v;
-    } else if (arg == "--indices") {
-      const char* v = next("--indices");
-      if (!v) return false;
-      a.indicesSpec = v;
     } else if (arg == "--top-k") {
       if (!parseFlag("--top-k", next("--top-k"), a.topK, 1, kSizeMax)) {
         return false;
@@ -495,10 +468,6 @@ bool parseArgs(int argc, char** argv, Args& a) {
       if (!parseFlag("--kill-after", next("--kill-after"), a.killAfter)) {
         return false;
       }
-    } else if (arg == "--metrics-out") {
-      const char* v = next("--metrics-out");
-      if (!v) return false;
-      a.metricsOut = v;
     } else if (arg == "--metrics-interval-ms") {
       if (!parseFlag("--metrics-interval-ms", next("--metrics-interval-ms"),
                      a.metricsIntervalMs, 1, kIntMax)) {
@@ -514,10 +483,6 @@ bool parseArgs(int argc, char** argv, Args& a) {
                      a.deltaBatches, 1, kSizeMax)) {
         return false;
       }
-    } else if (arg == "--delta-dir") {
-      const char* v = next("--delta-dir");
-      if (!v) return false;
-      a.deltaDir = v;
     } else if (arg == "--delta-fraction") {
       if (!parseFlag("--delta-fraction", next("--delta-fraction"),
                      a.deltaFraction, 1e-9, 1.0 - 1e-9)) {
@@ -528,18 +493,6 @@ bool parseArgs(int argc, char** argv, Args& a) {
                      a.deltaIntervalMs, 0, kIntMax)) {
         return false;
       }
-    } else if (arg == "--deltas") {
-      const char* v = next("--deltas");
-      if (!v) return false;
-      a.deltas = v;
-    } else if (arg == "--follow") {
-      const char* v = next("--follow");
-      if (!v) return false;
-      a.follow = v;
-    } else if (arg == "--base") {
-      const char* v = next("--base");
-      if (!v) return false;
-      a.base = v;
     } else if (arg == "--online-solver") {
       const char* v = next("--online-solver");
       if (!v) return false;
@@ -675,21 +628,42 @@ tensor::CooTensor loadBase(const Args& a, const std::vector<Index>& dims) {
 }
 
 int cmdFactor(const Args& a, const std::string& spec) {
-  const tensor::CooTensor t = loadTensor(spec, a.scale);
-  std::printf("%s", tensor::formatStats(t, tensor::analyzeTensor(t)).c_str());
-
   sparkle::ClusterConfig cluster;
   cluster.numNodes = a.nodes;
-  cluster.skewPolicy = sparkle::skewPolicyFromName(a.skewPolicy);
-  cluster.localKernel = sparkle::localKernelFromName(a.localKernel);
   cluster.taskFailureRate = a.taskFailureRate;
   cluster.faults.nodeLossRate = a.nodeLossRate;
   cluster.faults.seed = a.faultSeed;
   cluster.faults.maxStageAttempts = a.maxStageAttempts;
-  const cstf_core::Backend backend = cstf_core::backendFromName(a.backend);
-  if (backend == cstf_core::Backend::kBigtensor) {
+  cstf_core::CpAlsOptions opts;
+  opts.rank = a.rank;
+  opts.maxIterations = a.iters;
+  opts.tolerance = a.tol;
+  opts.seed = a.seed;
+  opts.sketch.samples = a.sketchSamples;
+  opts.sketch.seed = a.sketchSeed;
+  opts.sketch.exactFitEvery = a.sketchFitEvery;
+  opts.checkpointDir = a.checkpointDir;
+  opts.checkpointEvery = a.checkpointEvery;
+  opts.resume = a.resume;
+  // Refuse an unknown name or an incoherent flag combination before any
+  // work starts: exit 2, like every other flag error.
+  cstf_core::MttkrpPlan plan;
+  try {
+    cluster.skewPolicy = sparkle::skewPolicyFromName(a.skewPolicy);
+    cluster.localKernel = sparkle::localKernelFromName(a.localKernel);
+    opts.backend = cstf_core::backendFromName(a.backend);
+    opts.solver = cstf_core::solverFromName(a.solver);
+    plan = cstf_core::resolvePlan(opts, cluster);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
+  if (opts.backend == cstf_core::Backend::kBigtensor) {
     cluster.mode = sparkle::ExecutionMode::kHadoop;
   }
+
+  const tensor::CooTensor t = loadTensor(spec, a.scale);
+  std::printf("%s", tensor::formatStats(t, tensor::analyzeTensor(t)).c_str());
   sparkle::Context ctx(cluster);
   if (!a.traceOut.empty()) ctx.trace().setEnabled(true);
 
@@ -721,24 +695,8 @@ int cmdFactor(const Args& a, const std::string& spec) {
     heartbeat->start();
   }
 
-  cstf_core::CpAlsOptions opts;
-  opts.rank = a.rank;
-  opts.maxIterations = a.iters;
-  opts.tolerance = a.tol;
-  opts.backend = backend;
-  opts.seed = a.seed;
-  opts.solver = cstf_core::solverFromName(a.solver);
-  opts.sketch.samples = a.sketchSamples;
-  opts.sketch.seed = a.sketchSeed;
-  opts.sketch.exactFitEvery = a.sketchFitEvery;
-  opts.checkpointDir = a.checkpointDir;
-  opts.checkpointEvery = a.checkpointEvery;
-  opts.resume = a.resume;
-
-  std::printf("\nCP-ALS: rank %zu, backend %s, solver %s, skew policy %s, "
-              "local kernel %s, %d simulated nodes\n",
-              a.rank, cstf_core::backendName(backend), a.solver.c_str(),
-              a.skewPolicy.c_str(), a.localKernel.c_str(), a.nodes);
+  std::printf("\nCP-ALS: rank %zu, plan %s, %d simulated nodes\n", a.rank,
+              plan.describe().c_str(), a.nodes);
   cstf_core::CpAlsResult result;
   try {
     result = cstf_core::cpAls(ctx, t, opts);
@@ -748,9 +706,7 @@ int cmdFactor(const Args& a, const std::string& spec) {
     // abort), the stage CSV, and a final live-metrics snapshot — exactly
     // the artifacts a post-mortem needs.
     cstf_core::RunReport report;
-    report.backend = cstf_core::backendName(backend);
-    report.skewPolicy = a.skewPolicy;
-    report.localKernel = a.localKernel;
+    plan.fillReport(report);
     report.rank = a.rank;
     report.dims = t.dims();
     report.nnz = t.nnz();
