@@ -9,6 +9,7 @@
 #include "common/parse.hpp"
 #include "common/strings.hpp"
 #include "common/trace.hpp"
+#include "tensor/generator.hpp"
 
 namespace cstf::bench {
 
@@ -125,12 +126,20 @@ void RunArtifacts::write(const cstf_core::RunReport* report) {
 }
 
 double benchScale() {
-  if (const char* s = std::getenv("CSTF_BENCH_SCALE")) {
-    double v = 0.0;
-    if (!parseFlag("CSTF_BENCH_SCALE", s, v) || v <= 0.0) std::exit(2);
-    return v;
+  const char* s = std::getenv("CSTF_BENCH_SCALE");
+  if (s == nullptr) return 0.2;
+  double v = 0.0;
+  if (!parseFlag("CSTF_BENCH_SCALE", s, v)) std::exit(2);
+  // Refuse a scale any analog would refuse, before a bench builds anything.
+  try {
+    for (const std::string& name : tensor::paperAnalogNames()) {
+      tensor::paperAnalogOptions(name, v);
+    }
+  } catch (const Error& e) {
+    std::fprintf(stderr, "CSTF_BENCH_SCALE: %s\n", e.what());
+    std::exit(2);
   }
-  return 0.2;
+  return v;
 }
 
 int benchIterations() {

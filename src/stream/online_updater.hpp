@@ -12,7 +12,7 @@
 // the accumulated tensor. The Gram matrices are cached across batches and
 // maintained by rank-one corrections as rows change
 // (G_n += a_i' a_i'^T - a_i a_i^T), so a batch costs O(touched slices)
-// instead of O(nnz) — the ≥5x-vs-retrain bar bench_streaming gates.
+// instead of O(nnz) — the ≥5x-vs-retrain bar bench_claims gates.
 //
 // A stochastic-gradient fallback (`OnlineSolver::kSgd`, after the CPTF
 // mini-batch exemplar) updates rows by per-entry gradient steps with a

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <unordered_set>
 
 #include "common/rng.hpp"
@@ -81,11 +82,18 @@ CooTensor generateRandom(const GeneratorOptions& opts) {
   return t;
 }
 
-namespace {
-
-GeneratorOptions presetOptions(const std::string& name, double scale) {
+GeneratorOptions paperAnalogOptions(const std::string& name, double scale) {
+  // Checked before the cast: converting a double past Index's range is UB.
   auto dim = [&](double d) {
-    return static_cast<Index>(std::max(2.0, d * scale));
+    const double rows = std::max(2.0, d * scale);
+    if (!(std::isfinite(scale) && scale > 0.0) ||
+        rows > double(std::numeric_limits<Index>::max())) {
+      throw Error(strprintf(
+          "paper analog %s: scale %g must be finite, > 0 and keep every "
+          "mode within %u rows",
+          name.c_str(), scale, std::numeric_limits<Index>::max()));
+    }
+    return static_cast<Index>(rows);
   };
   auto count = [&](double n) {
     return static_cast<std::size_t>(std::max(16.0, n * scale));
@@ -129,10 +137,8 @@ GeneratorOptions presetOptions(const std::string& name, double scale) {
   return o;
 }
 
-}  // namespace
-
 CooTensor paperAnalog(const std::string& name, double scale) {
-  return generateRandom(presetOptions(name, scale));
+  return generateRandom(paperAnalogOptions(name, scale));
 }
 
 std::vector<std::string> paperAnalogNames() {

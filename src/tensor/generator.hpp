@@ -38,8 +38,13 @@ CooTensor generateRandom(const GeneratorOptions& opts);
 ///   "flickr-s"       4-order, skewed, max mode 28K, ~112K nnz
 ///   "delicious4d-s"  4-order, skewed, max mode 17.3K, ~140K nnz
 /// `scale` multiplies both the dimensions and the nonzero count (use < 1
-/// for faster test runs). Throws cstf::Error for unknown names.
+/// for faster test runs). Throws cstf::Error for unknown names, and for a
+/// scale that is not finite, not > 0, or pushes a mode past Index's range.
 CooTensor paperAnalog(const std::string& name, double scale = 1.0);
+
+/// The generator options paperAnalog(name, scale) draws from; validates
+/// the same way without generating anything.
+GeneratorOptions paperAnalogOptions(const std::string& name, double scale);
 
 /// All preset names in Table 5 order.
 std::vector<std::string> paperAnalogNames();

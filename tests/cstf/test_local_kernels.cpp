@@ -243,10 +243,12 @@ TEST(MttkrpLocal, ArtifactStoreFirstWriteWinsUnderContention) {
 TEST(CpAls, CsfTrajectoryMatchesCooKernel) {
   // Acceptance: --local-kernel csf reproduces the coo-kernel factor
   // trajectory within 1e-15 of the factor magnitudes on both distributed
-  // backends (the kernels differ only in accumulation order).
+  // backends (the kernels differ only in accumulation order), and runs one
+  // wide stage per mode update where the COO join chain runs N.
   for (auto backend : {Backend::kCoo, Backend::kQcoo}) {
     auto t = tensor::generateZipf({20, 18, 16}, 300, 1.1, 21);
     CpAlsResult results[2];
+    std::uint64_t shuffleOps[2];
     int i = 0;
     for (auto kernel :
          {sparkle::LocalKernel::kCoo, sparkle::LocalKernel::kCsf}) {
@@ -257,7 +259,13 @@ TEST(CpAls, CsfTrajectoryMatchesCooKernel) {
       opts.tolerance = 0.0;
       opts.seed = 9;
       opts.backend = backend;
-      results[i++] = cpAls(ctx, t, opts);
+      results[i] = cpAls(ctx, t, opts);
+      shuffleOps[i++] = ctx.metrics().totals().shuffleOps;
+    }
+    const std::uint64_t modeUpdates = 3 * t.order();
+    EXPECT_EQ(shuffleOps[1], modeUpdates) << backendName(backend);
+    if (backend == Backend::kCoo) {
+      EXPECT_EQ(shuffleOps[0], modeUpdates * t.order());
     }
     for (ModeId m = 0; m < t.order(); ++m) {
       EXPECT_LT(results[0].factors[m].maxAbsDiff(results[1].factors[m]),

@@ -279,62 +279,105 @@ TEST(Batcher, ShardLossMidStreamNeverLosesOrCorruptsAQuery) {
   // Chaos: clients hammer a sharded, replicated provider while a node
   // dies mid-stream. Every in-flight query must either complete with the
   // exact single-engine answer (failover) or shed with a typed, counted
-  // error — never hang, never return a wrong result.
-  const CpModel model = randomModel({50, 20, 20}, 3, 30);
-  const Engine reference(CpModel(model), 2);
-  ShardedEngineOptions so;
-  so.numShards = 3;
-  so.numReplicas = 2;
-  so.backoffMicros = 0;
-  so.threads = 2;
-  so.liveMetrics = nullptr;
-  auto sharded = std::make_shared<const ShardedEngine>(CpModel(model), so);
+  // error — never hang, never return a wrong result. Two inputs:
+  //  - closed loop, node killed from outside after 3 ms: nothing sheds;
+  //  - open-loop overload against an 8-deep admission queue, node killed
+  //    by the fault plan after batch 1: the overflow sheds at the door,
+  //    nothing fails, and the batches after the kill fail over.
+  constexpr int kClients = 3;
+  constexpr int kPerClient = 150;
+  constexpr int kTotal = kClients * kPerClient;
+  for (const bool overload : {false, true}) {
+    SCOPED_TRACE(overload ? "open-loop overload, scheduled kill"
+                          : "closed loop, external kill");
+    const CpModel model = randomModel({50, 20, 20}, 3, 30);
+    const Engine reference(CpModel(model), 2);
+    ShardedEngineOptions so;
+    so.numShards = 3;
+    so.numReplicas = 2;
+    so.backoffMicros = 0;
+    so.threads = 2;
+    so.liveMetrics = nullptr;
+    if (overload) so.faults.schedule = {{1, 1}};
+    auto sharded = std::make_shared<const ShardedEngine>(CpModel(model), so);
 
-  BatcherOptions opts;
-  opts.maxBatch = 8;
-  opts.maxDelayMicros = 100;
-  opts.cacheCapacity = 0;  // every query exercises the fabric
-  opts.liveMetrics = nullptr;
-  Batcher b(sharded, opts);
-
-  std::atomic<std::uint64_t> ok{0};
-  std::atomic<std::uint64_t> shed{0};
-  std::vector<std::thread> clients;
-  for (int t = 0; t < 3; ++t) {
-    clients.emplace_back([&, t] {
-      Pcg32 rng(3000 + t);
-      for (int i = 0; i < 150; ++i) {
-        TopKRequest r = req(rng.nextBounded(20), rng.nextBounded(20));
-        try {
-          const auto res = b.submit(std::move(r)).get();
-          ASSERT_NE(res, nullptr);
-          ok.fetch_add(1);
-        } catch (const ShedError&) {
-          shed.fetch_add(1);
+    std::atomic<int> attempted{0};
+    BatcherOptions opts;
+    opts.maxBatch = overload ? 4 : 8;
+    opts.maxDelayMicros = 100;
+    opts.cacheCapacity = 0;  // every query exercises the fabric
+    opts.liveMetrics = nullptr;
+    if (overload) {
+      opts.queueLimit = 8;
+      // Hold the first batch until every client has submitted: the queue
+      // sits at its limit meanwhile, so the overflow sheds deterministically.
+      opts.dispatcherFaultHook = [&attempted](std::uint64_t batch) {
+        while (batch == 1 && attempted.load() < kTotal) {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
         }
-      }
-    });
-  }
-  std::thread killer([&sharded] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(3));
-    sharded->killNode(1);
-  });
-  for (auto& c : clients) c.join();
-  killer.join();
+      };
+    }
+    Batcher b(sharded, opts);
 
-  const ServeStats s = b.stats();
-  EXPECT_EQ(ok.load() + shed.load(), 3u * 150u);
-  EXPECT_EQ(s.submitted, 3u * 150u);
-  EXPECT_EQ(s.failed, 0u);
-  // Replication factor 2 with a single node loss: nothing sheds.
-  EXPECT_EQ(shed.load(), 0u);
-  EXPECT_EQ(s.shedUnavailable, 0u);
-  // Spot-check correctness after the loss: sharded answers (via failover)
-  // still match the reference engine bit for bit.
-  for (Index j = 0; j < 10; ++j) {
-    const TopKRequest r = req(j, j);
-    EXPECT_EQ(b.submit(r).get()->entries,
-              reference.topK(r.mode, r.fixed, r.k).entries);
+    std::atomic<std::uint64_t> ok{0};
+    std::atomic<std::uint64_t> shed{0};
+    auto settle = [&](std::future<Batcher::ResultPtr> f) {
+      try {
+        if (f.get() != nullptr) ok.fetch_add(1);
+      } catch (const ShedError&) {
+        shed.fetch_add(1);
+      }
+    };
+    std::vector<std::thread> clients;
+    for (int t = 0; t < kClients; ++t) {
+      clients.emplace_back([&, t] {
+        Pcg32 rng(3000 + t);
+        std::vector<std::future<Batcher::ResultPtr>> inflight;
+        for (int i = 0; i < kPerClient; ++i) {
+          TopKRequest r = req(rng.nextBounded(20), rng.nextBounded(20));
+          auto f = b.submit(std::move(r));
+          attempted.fetch_add(1);
+          if (overload) {
+            inflight.push_back(std::move(f));
+          } else {
+            settle(std::move(f));
+          }
+        }
+        for (auto& f : inflight) settle(std::move(f));
+      });
+    }
+    std::thread killer;
+    if (!overload) {
+      killer = std::thread([&sharded] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(3));
+        sharded->killNode(1);
+      });
+    }
+    for (auto& c : clients) c.join();
+    if (killer.joinable()) killer.join();
+
+    const ServeStats s = b.stats();
+    EXPECT_EQ(ok.load() + shed.load(), std::uint64_t(kTotal));
+    EXPECT_EQ(s.submitted, std::uint64_t(kTotal));
+    EXPECT_EQ(s.failed, 0u);
+    // Replication factor 2 with a single node loss: no shard goes dark.
+    EXPECT_EQ(s.shedUnavailable, 0u);
+    if (overload) {
+      EXPECT_GT(shed.load(), 0u);
+      EXPECT_EQ(s.shedQueueFull, shed.load());
+      EXPECT_EQ(sharded->stats().nodesKilled, 1u);
+      EXPECT_GE(sharded->stats().failovers, 1u)
+          << "batches after the scheduled kill must fail over";
+    } else {
+      EXPECT_EQ(shed.load(), 0u);
+    }
+    // Spot-check correctness after the loss: sharded answers (via
+    // failover) still match the reference engine bit for bit.
+    for (Index j = 0; j < 10; ++j) {
+      const TopKRequest r = req(j, j);
+      EXPECT_EQ(b.submit(r).get()->entries,
+                reference.topK(r.mode, r.fixed, r.k).entries);
+    }
   }
 }
 

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <map>
 #include <set>
+#include <string>
 
 namespace cstf::tensor {
 namespace {
@@ -114,6 +116,21 @@ TEST(Generator, PaperAnalogNamesCoverTable5) {
 
 TEST(Generator, UnknownAnalogThrows) {
   EXPECT_THROW(paperAnalog("no-such-tensor"), Error);
+}
+
+TEST(Generator, AnalogRefusesScalesNoModeCanHold) {
+  // Each refusal happens before any allocation and names preset and scale.
+  for (const double scale : {0.0, -1.0, std::nan(""), HUGE_VAL, 1e9}) {
+    try {
+      paperAnalogOptions("flickr-s", scale);
+      FAIL() << "scale " << scale << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("flickr-s"), std::string::npos);
+      EXPECT_NE(std::string(e.what()).find("scale"), std::string::npos);
+    }
+  }
+  // Just under the limit is still a valid preset: 28000 x 1.5e5 rows.
+  EXPECT_EQ(paperAnalogOptions("flickr-s", 1.5e5).dims[1], 4200000000u);
 }
 
 TEST(Generator, LowRankMaskedModeSamplesDistinctCells) {

@@ -132,6 +132,7 @@
 #include <future>
 #include <limits>
 #include <memory>
+#include <new>
 #include <optional>
 #include <string>
 #include <thread>
@@ -1193,6 +1194,10 @@ int main(int argc, char** argv) {
     return 3;
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  } catch (const std::bad_alloc&) {
+    std::fprintf(stderr,
+                 "error: out of memory (a smaller --scale or input may fit)\n");
     return 1;
   }
   return usage();
