@@ -4,12 +4,13 @@
 // quantile is answered with bounded relative error (~3%) from a ~9 KB
 // bucket array — no sample retention, O(1) record, mergeable. min/max/sum
 // are tracked exactly, and quantiles are clamped into [min, max] so p0/p100
-// are exact. The serving layer records request latencies and batch sizes
+// are exact. The serving layer reports request latencies and batch sizes
 // through this; anything that needs p50/p95/p99/max over an unbounded
 // stream can reuse it.
 //
-// Not thread-safe: callers serialize access (the batcher guards its
-// histograms with its stats mutex) or keep one per thread and merge().
+// Not thread-safe: callers serialize access or keep one per thread and
+// merge(); concurrent recorders use metrics::AtomicHistogram and snapshot
+// into this type.
 #pragma once
 
 #include <algorithm>

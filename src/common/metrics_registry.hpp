@@ -8,6 +8,11 @@
 // file. Watchdogs (common/watchdog) read the same instruments to flag
 // stragglers and SLO breaches while the run is still going.
 //
+// A component counts each fact once, through an Owned<T> instrument: one
+// add()/set()/record() lands in the component's own instrument (what its
+// stats() reads) and, when the component was given a registry, in that
+// registry's series (what the heartbeat exports).
+//
 // Concurrency contract:
 //  - Instrument lookup (counter()/gauge()/histogram()) takes a mutex and is
 //    meant for setup paths; callers on hot paths resolve once and keep the
@@ -29,6 +34,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -41,6 +47,9 @@ namespace cstf::metrics {
 /// Label set of an instrument, e.g. {{"mode", "2"}}. Order is preserved and
 /// significant for identity: register with a canonical order.
 using Labels = std::vector<std::pair<std::string, std::string>>;
+
+template <typename T>
+class Owned;
 
 /// Monotonic counter with cache-line-padded shards indexed by thread, so
 /// concurrent hot-path increments never contend on one line.
@@ -60,6 +69,12 @@ class Counter {
   }
 
  private:
+  // Only a component's own count rewinds; registry series stay monotone.
+  friend class Owned<Counter>;
+  void reset() {
+    for (Cell& c : cells_) c.v.store(0, std::memory_order_relaxed);
+  }
+
   struct alignas(64) Cell {
     std::atomic<std::uint64_t> v{0};
   };
@@ -234,5 +249,57 @@ class Registry {
 /// serving instrumentation. Tests wanting isolation construct private
 /// Registry instances and point the layer at them.
 Registry& globalRegistry();
+
+/// One fact a component counts: its own instrument plus, when bound, the
+/// registry series of the same name. Per-instance values stay right when
+/// several instances share a registry, and the series, which the registry
+/// owns, stays monotone after the instance is gone.
+template <typename T>
+class Owned {
+ public:
+  /// `reg` nullptr counts locally and exports nothing.
+  Owned(Registry* reg, const std::string& name, const Labels& labels = {})
+      : series_(reg == nullptr ? nullptr : &find(*reg, name, labels)) {}
+
+  Owned(const Owned&) = delete;
+  Owned& operator=(const Owned&) = delete;
+
+  void add(std::uint64_t n = 1) {
+    own_.add(n);
+    if (series_ != nullptr) series_->add(n);
+  }
+  void set(double v) {
+    own_.set(v);
+    if (series_ != nullptr) series_->set(v);
+  }
+  void record(double v) {
+    own_.record(v);
+    if (series_ != nullptr) series_->record(v);
+  }
+
+  auto value() const { return own_.value(); }
+  Histogram snapshot() const { return own_.snapshot(); }
+  /// Rewind the own count only; the series keeps what it exported.
+  void reset() { own_.reset(); }
+
+ private:
+  static T& find(Registry& reg, const std::string& name,
+                 const Labels& labels) {
+    if constexpr (std::is_same_v<T, Counter>) {
+      return reg.counter(name, labels);
+    } else if constexpr (std::is_same_v<T, Gauge>) {
+      return reg.gauge(name, labels);
+    } else {
+      return reg.histogram(name, labels);
+    }
+  }
+
+  T own_;
+  T* series_;
+};
+
+using OwnedCounter = Owned<Counter>;
+using OwnedGauge = Owned<Gauge>;
+using OwnedHistogram = Owned<AtomicHistogram>;
 
 }  // namespace cstf::metrics

@@ -1,6 +1,5 @@
 #include "cstf/mttkrp_local.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <memory>
@@ -94,9 +93,7 @@ la::Matrix mttkrpLocal(sparkle::Context& ctx,
   pack.factors[mode] = la::Matrix();
   auto bc = sparkle::broadcast(ctx, std::move(pack), "mttkrp-factors");
 
-  auto wallNanos = std::make_shared<std::atomic<std::uint64_t>>(0);
-  auto flopsTotal = std::make_shared<std::atomic<std::uint64_t>>(0);
-  auto invocations = std::make_shared<std::atomic<std::uint64_t>>(0);
+  auto tally = std::make_shared<KernelTally>(X.numPartitions());
   const std::uint64_t dsId = X.datasetId();
   sparkle::Context* ctxp = &ctx;
   const LocalMttkrpKernel* kernelp = &kernel;
@@ -113,9 +110,7 @@ la::Matrix mttkrpLocal(sparkle::Context& ctx,
         const auto t0 = Clock::now();
         auto rows =
             kernelp->compute(part, layout, bc.value().factors, mode, stats);
-        wallNanos->fetch_add(nanosSince(t0), std::memory_order_relaxed);
-        flopsTotal->fetch_add(stats.flops, std::memory_order_relaxed);
-        invocations->fetch_add(1, std::memory_order_relaxed);
+        tally->commit(p, {nanosSince(t0), stats.flops, part.size()});
         tc.flops += stats.flops;
         tc.recordsEmitted += stats.outputRows;
         return rows;
@@ -129,20 +124,17 @@ la::Matrix mttkrpLocal(sparkle::Context& ctx,
   la::Matrix result = rowsToMatrix(reduced.collect("local-mttkrp-result"),
                                    dims[mode], rank);
 
-  const double kernelSec =
-      static_cast<double>(wallNanos->load(std::memory_order_relaxed)) * 1e-9;
+  const KernelTally::Work work = tally->sum();
+  const double kernelSec = static_cast<double>(work.wallNanos) * 1e-9;
   if (telemetry != nullptr) {
     telemetry->kernelWallSec += kernelSec;
-    telemetry->kernelInvocations +=
-        invocations->load(std::memory_order_relaxed);
-    telemetry->kernelFlops += flopsTotal->load(std::memory_order_relaxed);
+    telemetry->kernelInvocations += work.tasks;
+    telemetry->kernelFlops += work.flops;
   }
   metrics::Registry& live = metrics::globalRegistry();
   const metrics::Labels labels = {{"kernel", kernel.name()}};
-  live.counter("cstf_local_kernel_invocations_total", labels)
-      .add(invocations->load(std::memory_order_relaxed));
-  live.counter("cstf_local_kernel_flops_total", labels)
-      .add(flopsTotal->load(std::memory_order_relaxed));
+  live.counter("cstf_local_kernel_invocations_total", labels).add(work.tasks);
+  live.counter("cstf_local_kernel_flops_total", labels).add(work.flops);
   live.histogram("cstf_local_kernel_sec", labels).record(kernelSec);
   return result;
 }

@@ -73,6 +73,44 @@ struct LocalMttkrpTelemetry {
   std::uint64_t layoutBytes = 0;
 };
 
+/// Kernel work of one stage, kept in per-partition slots. A task body
+/// writes only its own partition's slot, so a retried or recomputed attempt
+/// replaces the discarded one instead of adding to it (the contract of
+/// sparkle::runTaskWithRetries); the caller sums the slots once the stage
+/// has committed.
+class KernelTally {
+ public:
+  struct Work {
+    std::uint64_t wallNanos = 0;
+    std::uint64_t flops = 0;
+    /// Input records the kernel consumed.
+    std::uint64_t records = 0;
+    /// Committed tasks (1 per written slot).
+    std::uint64_t tasks = 0;
+  };
+
+  explicit KernelTally(std::size_t partitions) : slots_(partitions) {}
+
+  void commit(std::size_t partition, Work w) {
+    w.tasks = 1;
+    slots_[partition] = w;
+  }
+
+  Work sum() const {
+    Work total;
+    for (const Work& w : slots_) {
+      total.wallNanos += w.wallNanos;
+      total.flops += w.flops;
+      total.records += w.records;
+      total.tasks += w.tasks;
+    }
+    return total;
+  }
+
+ private:
+  std::vector<Work> slots_;
+};
+
 /// Build (once) the per-partition CSF layouts for `X` and park them in the
 /// context's partition-artifact store, keyed by X's dataset id. Idempotent:
 /// when every partition already has a layout this returns without running

@@ -1,6 +1,5 @@
 #include "cstf/sketch.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <memory>
 #include <utility>
@@ -131,11 +130,10 @@ la::Matrix mttkrpSketched(sparkle::Context& ctx,
   // Kernel over the sampled subset. The CSF kernel builds a transient
   // layout per call when handed no cached one — the sample changes every
   // draw, so cache-time layouts do not apply here.
-  auto wallNanos = std::make_shared<std::atomic<std::uint64_t>>(0);
-  auto sampleCount = std::make_shared<std::atomic<std::uint64_t>>(0);
+  auto tally = std::make_shared<KernelTally>(sampled.numPartitions());
   const LocalMttkrpKernel* kernelp = &kernel;
   auto partials = sampled.mapPartitionsWithCounters(
-      [=](std::size_t,
+      [=](std::size_t p,
           const std::vector<std::pair<tensor::Nonzero, double>>& part,
           TaskCounters& tc) {
         std::vector<tensor::Nonzero> scaled;
@@ -148,8 +146,7 @@ la::Matrix mttkrpSketched(sparkle::Context& ctx,
         const auto t0 = Clock::now();
         auto rows = kernelp->compute(scaled, /*layout=*/nullptr,
                                      bc.value().factors.factors, mode, stats);
-        wallNanos->fetch_add(nanosSince(t0), std::memory_order_relaxed);
-        sampleCount->fetch_add(part.size(), std::memory_order_relaxed);
+        tally->commit(p, {nanosSince(t0), stats.flops, part.size()});
         tc.flops += stats.flops + part.size();
         tc.recordsEmitted += stats.outputRows;
         return rows;
@@ -163,19 +160,17 @@ la::Matrix mttkrpSketched(sparkle::Context& ctx,
   la::Matrix result = rowsToMatrix(reduced.collect("sketch-mttkrp-result"),
                                    dims[mode], rank);
 
-  const std::uint64_t drawn = sampleCount->load(std::memory_order_relaxed);
+  const KernelTally::Work work = tally->sum();
   if (telemetry != nullptr) {
     telemetry->sketchedMttkrps += 1;
-    telemetry->sampledNnz += drawn;
+    telemetry->sampledNnz += work.records;
   }
   metrics::Registry& live = metrics::globalRegistry();
   const metrics::Labels labels = {{"kernel", kernel.name()}};
   live.counter("cstf_sketch_mttkrps_total").add(1);
-  live.counter("cstf_sketch_sampled_nnz_total").add(drawn);
+  live.counter("cstf_sketch_sampled_nnz_total").add(work.records);
   live.histogram("cstf_sketch_kernel_sec", labels)
-      .record(static_cast<double>(
-                  wallNanos->load(std::memory_order_relaxed)) *
-              1e-9);
+      .record(static_cast<double>(work.wallNanos) * 1e-9);
   return result;
 }
 

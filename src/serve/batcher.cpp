@@ -136,44 +136,6 @@ Batcher::Batcher(std::shared_ptr<const TopKProvider> engine,
       engine_(std::move(engine)) {
   CSTF_CHECK(engine_ != nullptr, "batcher needs an engine");
   CSTF_CHECK(opts_.maxBatch >= 1, "maxBatch must be >= 1");
-  bindLiveInstruments();
-  dispatcher_ = std::thread([this] { dispatchLoop(); });
-}
-
-void Batcher::bindLiveInstruments() {
-  metrics::Registry* reg = opts_.liveMetrics;
-  if (reg == nullptr) return;
-  live_.submitted = &reg->counter("serve_requests_submitted_total");
-  live_.completed = &reg->counter("serve_requests_completed_total");
-  live_.batches = &reg->counter("serve_batches_total");
-  live_.flushFull =
-      &reg->counter("serve_batch_flushes_total", {{"reason", "full"}});
-  live_.flushDeadline =
-      &reg->counter("serve_batch_flushes_total", {{"reason", "deadline"}});
-  live_.shedQueueFull =
-      &reg->counter("serve_shed_total", {{"reason", "queue_full"}});
-  live_.shedDeadline =
-      &reg->counter("serve_shed_total", {{"reason", "deadline"}});
-  live_.shedUnavailable =
-      &reg->counter("serve_shed_total", {{"reason", "unavailable"}});
-  live_.shedDispatcherDead =
-      &reg->counter("serve_shed_total", {{"reason", "dispatcher_dead"}});
-  live_.failedTotal = &reg->counter("serve_failed_total");
-  live_.cacheHits = &reg->counter("serve_cache_hits_total");
-  live_.cacheMisses = &reg->counter("serve_cache_misses_total");
-  live_.coalesced = &reg->counter("serve_coalesced_total");
-  live_.reloads = &reg->counter("serve_reloads_total");
-  live_.sloBreaches = &reg->counter("serve_slo_breaches_total");
-  live_.sloRecoveries = &reg->counter("serve_slo_recoveries_total");
-  live_.queueDepth = &reg->gauge("serve_queue_depth");
-  live_.engineVersion = &reg->gauge("serve_engine_version");
-  live_.modelSeq = &reg->gauge("serve_model_seq");
-  live_.cacheHitRatio = &reg->gauge("serve_cache_hit_ratio");
-  live_.sloInBreach = &reg->gauge("serve_slo_in_breach");
-  live_.sloWindowP99 = &reg->gauge("serve_slo_window_p99_micros");
-  live_.dispatcherDead = &reg->gauge("serve_dispatcher_dead");
-  live_.latencyMicros = &reg->histogram("serve_latency_micros");
-  live_.batchSize = &reg->histogram("serve_batch_size");
   slo_.setCallback([this](const SloEvent& ev) {
     CSTF_LOG_WARN("serve SLO %s: window p99 %.0fus vs target %.0fus "
                   "(%llu samples)",
@@ -186,21 +148,16 @@ void Batcher::bindLiveInstruments() {
            {"targetMicros", strprintf("%.1f", ev.target)},
            {"windowCount", std::to_string(ev.windowCount)}});
     }
-    if (ev.breach) {
-      live_.sloBreaches->add();
-    } else {
-      live_.sloRecoveries->add();
-    }
-    live_.sloInBreach->set(ev.breach ? 1.0 : 0.0);
+    (ev.breach ? sloBreaches_ : sloRecoveries_).add();
+    sloInBreach_.set(ev.breach ? 1.0 : 0.0);
   });
+  dispatcher_ = std::thread([this] { dispatchLoop(); });
 }
 
 bool Batcher::checkSlo() {
   if (!slo_.enabled()) return false;
   const bool breached = slo_.checkNow();
-  if (live_.sloWindowP99 != nullptr) {
-    live_.sloWindowP99->set(slo_.windowP99());
-  }
+  sloWindowP99_.set(slo_.windowP99());
   return breached;
 }
 
@@ -240,20 +197,11 @@ std::future<Batcher::ResultPtr> Batcher::submit(TopKRequest req,
       depth = queue_.size();
     }
   }
-  if (live_.submitted != nullptr) live_.submitted->add();
-  {
-    std::lock_guard<std::mutex> lock(statsMutex_);
-    ++stats_.submitted;
-    if (shedFull) ++stats_.shedQueueFull;
-    if (shedDead) ++stats_.shedDispatcherDead;
-  }
+  submitted_.add();
   if (shedFull || shedDead) {
     // Admission control / dead front door: refuse at the door with a typed
     // error instead of queueing work nobody will serve in time.
-    if (shedFull && live_.shedQueueFull != nullptr) live_.shedQueueFull->add();
-    if (shedDead && live_.shedDispatcherDead != nullptr) {
-      live_.shedDispatcherDead->add();
-    }
+    (shedDead ? shedDispatcherDead_ : shedQueueFull_).add();
     const char* why = shedDead ? "dispatcher thread died; request refused"
                                : "admission queue full; request shed";
     failPromise(p.promise, std::make_exception_ptr(ShedError(
@@ -262,7 +210,7 @@ std::future<Batcher::ResultPtr> Batcher::submit(TopKRequest req,
     return fut;
   }
   cv_.notify_all();
-  if (live_.queueDepth != nullptr) live_.queueDepth->set(double(depth));
+  queueDepth_.set(double(depth));
   return fut;
 }
 
@@ -283,20 +231,13 @@ void Batcher::reload(std::shared_ptr<const TopKProvider> engine,
     engine_ = std::move(engine);
     ++version_;
     modelSeq_ = modelSeq;
+    versionGauge_.set(double(version_));
+    seqGauge_.set(double(modelSeq_));
   }
   // In-flight batches hold the old engine snapshot; the version bump keeps
   // their results out of the cache, so clearing here is race-free.
   cache_.clear();
-  if (live_.reloads != nullptr) {
-    live_.reloads->add();
-    std::lock_guard<std::mutex> lock(mutex_);
-    live_.engineVersion->set(double(version_));
-    live_.modelSeq->set(double(modelSeq_));
-  }
-  {
-    std::lock_guard<std::mutex> lock(statsMutex_);
-    ++stats_.reloads;
-  }
+  reloads_.add();
 }
 
 std::shared_ptr<const TopKProvider> Batcher::engine() const {
@@ -307,22 +248,35 @@ std::shared_ptr<const TopKProvider> Batcher::engine() const {
 ServeStats Batcher::stats() const {
   ServeStats s;
   {
-    std::lock_guard<std::mutex> lock(statsMutex_);
-    s = stats_;
-  }
-  {
     std::lock_guard<std::mutex> lock(mutex_);
     s.modelVersion = version_;
     s.modelSeq = modelSeq_;
+    s.dispatcherDead = dispatcherDead_;
   }
+  s.submitted = submitted_.value();
+  s.completed = completed_.value();
+  s.shedQueueFull = shedQueueFull_.value();
+  s.shedDeadline = shedDeadline_.value();
+  s.shedUnavailable = shedUnavailable_.value();
+  s.shedDispatcherDead = shedDispatcherDead_.value();
+  s.failed = failed_.value();
+  s.cacheHits = cacheHits_.value();
+  s.cacheMisses = cacheMisses_.value();
+  s.coalesced = coalesced_.value();
+  s.batches = batches_.value();
+  s.flushFull = flushFull_.value();
+  s.flushDeadline = flushDeadline_.value();
+  s.reloads = reloads_.value();
+  s.latencyMicros = latencyMicros_.snapshot();
+  s.batchSizes = batchSizes_.snapshot();
   s.elapsedSec = std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - start_)
                      .count();
   s.qps = s.elapsedSec > 0.0 ? double(s.completed) / s.elapsedSec : 0.0;
   if (slo_.enabled()) {
     s.sloP99TargetMicros = opts_.sloP99Micros;
-    s.sloBreaches = slo_.breaches();
-    s.sloRecoveries = slo_.recoveries();
+    s.sloBreaches = sloBreaches_.value();
+    s.sloRecoveries = sloRecoveries_.value();
     s.sloInBreach = slo_.inBreach();
   }
   return s;
@@ -332,11 +286,7 @@ void Batcher::shedExpired(std::vector<Pending>& expired) {
   if (expired.empty()) return;
   // Commit the accounting before delivering any error: the moment a waiter
   // observes its DeadlineExceededError, stats() must already show the shed.
-  {
-    std::lock_guard<std::mutex> lock(statsMutex_);
-    stats_.shedDeadline += expired.size();
-  }
-  if (live_.shedDeadline != nullptr) live_.shedDeadline->add(expired.size());
+  shedDeadline_.add(expired.size());
   for (Pending& p : expired) {
     const double waited =
         std::chrono::duration<double, std::micro>(
@@ -384,9 +334,7 @@ void Batcher::dispatchLoop() {
         batch.push_back(std::move(p));
       }
     }
-    if (live_.queueDepth != nullptr) {
-      live_.queueDepth->set(double(queue_.size()));
-    }
+    queueDepth_.set(double(queue_.size()));
     const std::shared_ptr<const TopKProvider> engine = engine_;
     const std::uint64_t version = version_;
     const std::uint64_t batchIndex = ++batchesDispatched_;
@@ -416,13 +364,8 @@ void Batcher::dispatchLoop() {
         drained.swap(queue_);
       }
       const std::uint64_t failedNow = batch.size() + drained.size();
-      {
-        std::lock_guard<std::mutex> slock(statsMutex_);
-        stats_.failed += failedNow;
-        stats_.dispatcherDead = true;
-      }
-      if (live_.failedTotal != nullptr) live_.failedTotal->add(failedNow);
-      if (live_.dispatcherDead != nullptr) live_.dispatcherDead->set(1.0);
+      failed_.add(failedNow);
+      deadGauge_.set(1.0);
       for (Pending& p : batch) {
         failPromise(p.promise,
                     std::make_exception_ptr(DeadlineExceededError(
@@ -525,53 +468,25 @@ void Batcher::processBatch(std::vector<Pending>& batch,
   // client has its answer, stats() is guaranteed to have seen the batch
   // (submitted == completed after clients drain).
   const auto now = std::chrono::steady_clock::now();
-  if (live_.completed != nullptr) {
-    live_.batches->add();
-    (full ? live_.flushFull : live_.flushDeadline)->add();
-    live_.completed->add(batch.size());
-    if (hits) live_.cacheHits->add(hits);
-    if (misses) live_.cacheMisses->add(misses);
-    if (shedUnavail) live_.shedUnavailable->add(shedUnavail);
-    if (failedReqs) live_.failedTotal->add(failedReqs);
-    if (batch.size() > groups.size()) {
-      live_.coalesced->add(batch.size() - groups.size());
-    }
-    live_.batchSize->record(double(batch.size()));
-    const std::uint64_t totalHits = live_.cacheHits->value();
-    const std::uint64_t lookups = totalHits + live_.cacheMisses->value();
-    live_.cacheHitRatio->set(
-        lookups ? double(totalHits) / double(lookups) : 0.0);
-  }
+  batches_.add();
+  (full ? flushFull_ : flushDeadline_).add();
+  completed_.add(batch.size());
+  cacheHits_.add(hits);
+  cacheMisses_.add(misses);
+  shedUnavailable_.add(shedUnavail);
+  failed_.add(failedReqs);
+  coalesced_.add(batch.size() - groups.size());
+  batchSizes_.record(double(batch.size()));
+  const std::uint64_t totalHits = cacheHits_.value();
+  const std::uint64_t lookups = totalHits + cacheMisses_.value();
+  cacheHitRatio_.set(lookups ? double(totalHits) / double(lookups) : 0.0);
   for (const Pending& p : batch) {
     const double micros =
         std::chrono::duration<double, std::micro>(now - p.enqueued).count();
-    // Lock-free per-request record; the mutexed stats_ copy below is
-    // per-batch bookkeeping, not the per-record path.
-    if (live_.latencyMicros != nullptr) live_.latencyMicros->record(micros);
+    latencyMicros_.record(micros);
     slo_.record(micros);
   }
   checkSlo();
-  {
-    std::lock_guard<std::mutex> lock(statsMutex_);
-    ++stats_.batches;
-    if (full) {
-      ++stats_.flushFull;
-    } else {
-      ++stats_.flushDeadline;
-    }
-    stats_.batchSizes.record(double(batch.size()));
-    stats_.completed += batch.size();
-    stats_.cacheHits += hits;
-    stats_.cacheMisses += misses;
-    stats_.shedUnavailable += shedUnavail;
-    stats_.failed += failedReqs;
-    stats_.coalesced += batch.size() - groups.size();
-    for (const Pending& p : batch) {
-      stats_.latencyMicros.record(
-          std::chrono::duration<double, std::micro>(now - p.enqueued)
-              .count());
-    }
-  }
 
   for (Answer& ans : answers) {
     for (const std::size_t i : *ans.members) {

@@ -22,8 +22,10 @@
 // a silent broken_promise, and later submits are refused at the door.
 // Every shed is counted (serve_shed_total by reason), never lost.
 //
-// Every request's admission-to-completion latency and every batch's size
-// land in common/histogram; stats() snapshots them, and serveReportJson()
+// Every counter, the per-request admission-to-completion latency and the
+// per-batch size are counted once, in lock-free metrics::Owned instruments
+// that also feed the `serve_*` series; stats() reads them back, and
+// serveReportJson()
 // renders the whole picture (qps, p50/p95/p99/max, batch-size
 // distribution, cache hit rate, shed/failed accounting, optional sharding
 // fabric state) as a cstf-serve-report-v1 JSON document. When tracing is
@@ -239,39 +241,55 @@ class Batcher {
                     const std::shared_ptr<const TopKProvider>& engine,
                     std::uint64_t version, bool full);
   void shedExpired(std::vector<Pending>& expired);
-  void bindLiveInstruments();
-
-  /// Live (lock-free) instruments; all-null when liveMetrics is nullptr.
-  struct LiveInstruments {
-    metrics::Counter* submitted = nullptr;
-    metrics::Counter* completed = nullptr;
-    metrics::Counter* batches = nullptr;
-    metrics::Counter* flushFull = nullptr;
-    metrics::Counter* flushDeadline = nullptr;
-    metrics::Counter* shedQueueFull = nullptr;
-    metrics::Counter* shedDeadline = nullptr;
-    metrics::Counter* shedUnavailable = nullptr;
-    metrics::Counter* shedDispatcherDead = nullptr;
-    metrics::Counter* failedTotal = nullptr;
-    metrics::Counter* cacheHits = nullptr;
-    metrics::Counter* cacheMisses = nullptr;
-    metrics::Counter* coalesced = nullptr;
-    metrics::Counter* reloads = nullptr;
-    metrics::Counter* sloBreaches = nullptr;
-    metrics::Counter* sloRecoveries = nullptr;
-    metrics::Gauge* queueDepth = nullptr;
-    metrics::Gauge* engineVersion = nullptr;
-    metrics::Gauge* modelSeq = nullptr;
-    metrics::Gauge* cacheHitRatio = nullptr;
-    metrics::Gauge* sloInBreach = nullptr;
-    metrics::Gauge* sloWindowP99 = nullptr;
-    metrics::Gauge* dispatcherDead = nullptr;
-    metrics::AtomicHistogram* latencyMicros = nullptr;
-    metrics::AtomicHistogram* batchSize = nullptr;
-  };
 
   const BatcherOptions opts_;
-  LiveInstruments live_;
+  // Each fact stats() reports is counted once, by one of these; each also
+  // feeds its `serve_*` series when opts_.liveMetrics is set.
+  metrics::OwnedCounter submitted_{opts_.liveMetrics,
+                                   "serve_requests_submitted_total"};
+  metrics::OwnedCounter completed_{opts_.liveMetrics,
+                                   "serve_requests_completed_total"};
+  metrics::OwnedCounter batches_{opts_.liveMetrics, "serve_batches_total"};
+  metrics::OwnedCounter flushFull_{opts_.liveMetrics,
+                                   "serve_batch_flushes_total",
+                                   {{"reason", "full"}}};
+  metrics::OwnedCounter flushDeadline_{opts_.liveMetrics,
+                                       "serve_batch_flushes_total",
+                                       {{"reason", "deadline"}}};
+  metrics::OwnedCounter shedQueueFull_{
+      opts_.liveMetrics, "serve_shed_total", {{"reason", "queue_full"}}};
+  metrics::OwnedCounter shedDeadline_{
+      opts_.liveMetrics, "serve_shed_total", {{"reason", "deadline"}}};
+  metrics::OwnedCounter shedUnavailable_{
+      opts_.liveMetrics, "serve_shed_total", {{"reason", "unavailable"}}};
+  metrics::OwnedCounter shedDispatcherDead_{
+      opts_.liveMetrics, "serve_shed_total", {{"reason", "dispatcher_dead"}}};
+  metrics::OwnedCounter failed_{opts_.liveMetrics, "serve_failed_total"};
+  metrics::OwnedCounter cacheHits_{opts_.liveMetrics,
+                                   "serve_cache_hits_total"};
+  metrics::OwnedCounter cacheMisses_{opts_.liveMetrics,
+                                     "serve_cache_misses_total"};
+  metrics::OwnedCounter coalesced_{opts_.liveMetrics,
+                                   "serve_coalesced_total"};
+  metrics::OwnedCounter reloads_{opts_.liveMetrics, "serve_reloads_total"};
+  metrics::OwnedCounter sloBreaches_{opts_.liveMetrics,
+                                     "serve_slo_breaches_total"};
+  metrics::OwnedCounter sloRecoveries_{opts_.liveMetrics,
+                                       "serve_slo_recoveries_total"};
+  metrics::OwnedHistogram latencyMicros_{opts_.liveMetrics,
+                                         "serve_latency_micros"};
+  metrics::OwnedHistogram batchSizes_{opts_.liveMetrics, "serve_batch_size"};
+  metrics::OwnedGauge queueDepth_{opts_.liveMetrics, "serve_queue_depth"};
+  metrics::OwnedGauge versionGauge_{opts_.liveMetrics,
+                                    "serve_engine_version"};
+  metrics::OwnedGauge seqGauge_{opts_.liveMetrics, "serve_model_seq"};
+  metrics::OwnedGauge cacheHitRatio_{opts_.liveMetrics,
+                                     "serve_cache_hit_ratio"};
+  metrics::OwnedGauge sloInBreach_{opts_.liveMetrics, "serve_slo_in_breach"};
+  metrics::OwnedGauge sloWindowP99_{opts_.liveMetrics,
+                                    "serve_slo_window_p99_micros"};
+  metrics::OwnedGauge deadGauge_{opts_.liveMetrics, "serve_dispatcher_dead"};
+
   SloWatchdog slo_;
   TraceRecorder& trace_;
   ShardedLruCache<TopKRequest, TopKResult, TopKRequestHash> cache_;
@@ -286,9 +304,6 @@ class Batcher {
   std::uint64_t batchesDispatched_ = 0;
   bool stop_ = false;
   bool dispatcherDead_ = false;
-
-  mutable std::mutex statsMutex_;
-  ServeStats stats_;
 
   std::thread dispatcher_;
 };

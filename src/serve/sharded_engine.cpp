@@ -26,7 +26,12 @@ ShardedEngine::ShardedEngine(CpModel model, ShardedEngineOptions opts)
       backoffMicros_(opts.backoffMicros),
       maxFailoverRounds_(std::max(1, opts.maxFailoverRounds)),
       faults_(std::move(opts.faults)),
-      pool_(opts.threads) {
+      pool_(opts.threads),
+      failovers_(opts.liveMetrics, "serve_failover_total"),
+      shardLost_(opts.liveMetrics, "serve_shard_lost_total"),
+      nodesDeadGauge_(opts.liveMetrics, "serve_nodes_dead"),
+      shardsGauge_(opts.liveMetrics, "serve_shards"),
+      replicasGauge_(opts.liveMetrics, "serve_replicas_total") {
   numShards_ = opts.numShards;
   // Shard s owns global rows {s, s+S, s+2S, ...} of every mode, built by
   // the same code as Engine's rows, so shard scores are bit-identical.
@@ -66,26 +71,15 @@ ShardedEngine::ShardedEngine(CpModel model, ShardedEngineOptions opts)
     nodeDead_[n].store(false, std::memory_order_relaxed);
   }
 
-  bindLiveInstruments(opts.liveMetrics);
-}
-
-void ShardedEngine::bindLiveInstruments(metrics::Registry* reg) {
-  if (reg == nullptr) return;
-  live_.shards = &reg->gauge("serve_shards");
-  live_.replicasTotal = &reg->gauge("serve_replicas_total");
-  live_.nodesDead = &reg->gauge("serve_nodes_dead");
-  live_.failoverTotal = &reg->counter("serve_failover_total");
-  live_.shardLostTotal = &reg->counter("serve_shard_lost_total");
-  live_.shardQueriesTotal.resize(numShards_);
   std::size_t totalReplicas = 0;
   for (std::size_t s = 0; s < numShards_; ++s) {
     totalReplicas += replicas_[s];
-    live_.shardQueriesTotal[s] = &reg->counter(
-        "serve_shard_queries_total", {{"shard", std::to_string(s)}});
+    shardQueries_.emplace_back(opts.liveMetrics, "serve_shard_queries_total",
+                               metrics::Labels{{"shard", std::to_string(s)}});
   }
-  live_.shards->set(static_cast<double>(numShards_));
-  live_.replicasTotal->set(static_cast<double>(totalReplicas));
-  live_.nodesDead->set(0.0);
+  shardsGauge_.set(static_cast<double>(numShards_));
+  replicasGauge_.set(static_cast<double>(totalReplicas));
+  nodesDeadGauge_.set(0.0);
 }
 
 bool ShardedEngine::nodeAlive(int node) const {
@@ -109,23 +103,19 @@ void ShardedEngine::killNode(int node) const {
   for (std::size_t n = 0; n < numNodes_; ++n) {
     if (nodeDead_[n].load(std::memory_order_relaxed)) ++deadNodes;
   }
-  if (live_.shardLostTotal != nullptr) live_.shardLostTotal->add(copiesLost);
-  if (live_.nodesDead != nullptr) {
-    live_.nodesDead->set(static_cast<double>(deadNodes));
-  }
+  shardLost_.add(copiesLost);
+  nodesDeadGauge_.set(static_cast<double>(deadNodes));
 }
 
 void ShardedEngine::reviveNode(int node) const {
   CSTF_CHECK(node >= 0 && static_cast<std::size_t>(node) < numNodes_,
              "node id out of range");
   nodeDead_[node].store(false, std::memory_order_relaxed);
-  if (live_.nodesDead != nullptr) {
-    std::size_t deadNodes = 0;
-    for (std::size_t n = 0; n < numNodes_; ++n) {
-      if (nodeDead_[n].load(std::memory_order_relaxed)) ++deadNodes;
-    }
-    live_.nodesDead->set(static_cast<double>(deadNodes));
+  std::size_t deadNodes = 0;
+  for (std::size_t n = 0; n < numNodes_; ++n) {
+    if (nodeDead_[n].load(std::memory_order_relaxed)) ++deadNodes;
   }
+  nodesDeadGauge_.set(static_cast<double>(deadNodes));
 }
 
 void ShardedEngine::noteBatchBoundary(std::uint64_t batchesDispatched) const {
@@ -175,8 +165,7 @@ ScanResult ShardedEngine::shardTopK(std::size_t s, ModeId mode,
         continue;
       }
       if (deviated) {
-        failovers_.fetch_add(1, std::memory_order_relaxed);
-        if (live_.failoverTotal != nullptr) live_.failoverTotal->add();
+        failovers_.add();
         if (backoffMicros_ > 0 && attempt > 0) {
           const std::uint64_t shift = std::min(attempt - 1, 3);
           std::this_thread::sleep_for(
@@ -190,11 +179,7 @@ ScanResult ShardedEngine::shardTopK(std::size_t s, ModeId mode,
                                  &nodeDead_[node]);
       spent += out.stats;
       if (!out.aborted) {
-        shardQueries_.fetch_add(1, std::memory_order_relaxed);
-        if (live_.shardQueriesTotal.size() > s &&
-            live_.shardQueriesTotal[s] != nullptr) {
-          live_.shardQueriesTotal[s]->add();
-        }
+        shardQueries_[s].add();
         out.stats = spent;
         return out;
       }
@@ -239,8 +224,10 @@ ShardedStats ShardedEngine::stats() const {
   for (std::size_t n = 0; n < numNodes_; ++n) {
     if (nodeDead_[n].load(std::memory_order_relaxed)) ++st.deadNodes;
   }
-  st.shardQueries = shardQueries_.load(std::memory_order_relaxed);
-  st.failovers = failovers_.load(std::memory_order_relaxed);
+  for (const metrics::OwnedCounter& q : shardQueries_) {
+    st.shardQueries += q.value();
+  }
+  st.failovers = failovers_.value();
   st.shedUnavailable = shedUnavailable_.load(std::memory_order_relaxed);
   st.nodesKilled = nodesKilled_.load(std::memory_order_relaxed);
   return st;

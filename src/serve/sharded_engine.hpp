@@ -31,6 +31,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -145,7 +146,6 @@ class ShardedEngine : public TopKProvider {
   ScanResult shardTopK(std::size_t s, ModeId mode, const QueryVector& q,
                        std::size_t kk, bool prune,
                        std::atomic<double>& sharedFloor) const;
-  void bindLiveInstruments(metrics::Registry* reg);
 
   std::size_t rank_ = 0;
   std::vector<Index> dims_;
@@ -161,21 +161,18 @@ class ShardedEngine : public TopKProvider {
   /// Liveness per node; mutable because fault injection happens on the
   /// (const) query path.
   std::unique_ptr<std::atomic<bool>[]> nodeDead_;
-  mutable std::atomic<std::uint64_t> shardQueries_{0};
-  mutable std::atomic<std::uint64_t> failovers_{0};
   mutable std::atomic<std::uint64_t> shedUnavailable_{0};
   mutable std::atomic<std::uint64_t> nodesKilled_{0};
   mutable ThreadPool pool_;
 
-  struct LiveInstruments {
-    metrics::Gauge* shards = nullptr;
-    metrics::Gauge* replicasTotal = nullptr;
-    metrics::Gauge* nodesDead = nullptr;
-    metrics::Counter* failoverTotal = nullptr;
-    metrics::Counter* shardLostTotal = nullptr;
-    std::vector<metrics::Counter*> shardQueriesTotal;
-  };
-  LiveInstruments live_;
+  // Counted once each; the `serve_*` series are fed when liveMetrics is set.
+  /// Completed sub-queries per shard; stats() reports their sum.
+  mutable std::deque<metrics::OwnedCounter> shardQueries_;
+  mutable metrics::OwnedCounter failovers_;
+  mutable metrics::OwnedCounter shardLost_;
+  mutable metrics::OwnedGauge nodesDeadGauge_;
+  metrics::OwnedGauge shardsGauge_;
+  metrics::OwnedGauge replicasGauge_;
 };
 
 }  // namespace cstf::serve

@@ -42,7 +42,25 @@ class Context {
                                               config.numNodes))) {
     config_.validate();
     applyChaosFromEnv(config_);
-    bindLiveInstruments(&metrics::globalRegistry());
+    straggler_.setCallback([this](const StragglerEvent& ev) {
+      CSTF_LOG_WARN(
+          "straggler: stage %llu partition %u %s %.3fs vs stage median "
+          "%.3fs (%.1fx)",
+          static_cast<unsigned long long>(ev.stageId), ev.partition,
+          ev.stillRunning ? "running for" : "took", ev.taskSec, ev.medianSec,
+          ev.ratio);
+      if (trace_->enabled()) {
+        trace_->recordInstant(
+            "straggler", "watchdog",
+            {{"stage", std::to_string(ev.stageId)},
+             {"partition", std::to_string(ev.partition)},
+             {"taskSec", strprintf("%.6f", ev.taskSec)},
+             {"medianSec", strprintf("%.6f", ev.medianSec)},
+             {"ratio", strprintf("%.2f", ev.ratio)},
+             {"stillRunning", ev.stillRunning ? "true" : "false"}});
+      }
+      liveStragglers_.add();
+    });
   }
 
   Context(const Context&) = delete;
@@ -136,58 +154,17 @@ class Context {
   /// catch tasks still running.
   StragglerWatchdog& straggler() { return straggler_; }
 
-  /// Re-point live instrumentation (task counters, straggler counter, and
-  /// the stage mirror in metrics()) at `live`; nullptr disables. Call
-  /// before any stage runs.
-  void bindLiveInstruments(metrics::Registry* live) {
-    metrics_.bindLive(live);
-    if (live != nullptr) {
-      liveTasksStarted_ = &live->counter("sparkle_tasks_started_total");
-      liveTasksFinished_ = &live->counter("sparkle_tasks_finished_total");
-      liveTasksInflight_ = &live->gauge("sparkle_tasks_inflight");
-      liveStragglers_ = &live->counter("sparkle_straggler_tasks_total");
-    } else {
-      liveTasksStarted_ = nullptr;
-      liveTasksFinished_ = nullptr;
-      liveTasksInflight_ = nullptr;
-      liveStragglers_ = nullptr;
-    }
-    straggler_.setCallback([this](const StragglerEvent& ev) {
-      CSTF_LOG_WARN(
-          "straggler: stage %llu partition %u %s %.3fs vs stage median "
-          "%.3fs (%.1fx)",
-          static_cast<unsigned long long>(ev.stageId), ev.partition,
-          ev.stillRunning ? "running for" : "took", ev.taskSec, ev.medianSec,
-          ev.ratio);
-      if (trace_->enabled()) {
-        trace_->recordInstant(
-            "straggler", "watchdog",
-            {{"stage", std::to_string(ev.stageId)},
-             {"partition", std::to_string(ev.partition)},
-             {"taskSec", strprintf("%.6f", ev.taskSec)},
-             {"medianSec", strprintf("%.6f", ev.medianSec)},
-             {"ratio", strprintf("%.2f", ev.ratio)},
-             {"stillRunning", ev.stillRunning ? "true" : "false"}});
-      }
-      if (liveStragglers_) liveStragglers_->add();
-    });
-  }
-
   /// Per-task live hooks for stage executors: count the task, mark it with
   /// the straggler watchdog, and keep the in-flight gauge fresh.
   void noteTaskStarted(std::uint64_t stageId, std::uint32_t partition) {
-    if (liveTasksStarted_) liveTasksStarted_->add();
+    liveTasksStarted_.add();
     straggler_.taskStarted(stageId, partition);
-    if (liveTasksInflight_) {
-      liveTasksInflight_->set(static_cast<double>(straggler_.running()));
-    }
+    liveTasksInflight_.set(static_cast<double>(straggler_.running()));
   }
   void noteTaskFinished(std::uint64_t stageId, std::uint32_t partition) {
     straggler_.taskFinished(stageId, partition);
-    if (liveTasksFinished_) liveTasksFinished_->add();
-    if (liveTasksInflight_) {
-      liveTasksInflight_->set(static_cast<double>(straggler_.running()));
-    }
+    liveTasksFinished_.add();
+    liveTasksInflight_.set(static_cast<double>(straggler_.running()));
   }
 
  private:
@@ -198,10 +175,15 @@ class Context {
   std::size_t defaultParallelism_;
   TraceRecorder* trace_ = &globalTrace();
   StragglerWatchdog straggler_;
-  metrics::Counter* liveTasksStarted_ = nullptr;
-  metrics::Counter* liveTasksFinished_ = nullptr;
-  metrics::Gauge* liveTasksInflight_ = nullptr;
-  metrics::Counter* liveStragglers_ = nullptr;
+  // Live task series in metrics::globalRegistry().
+  metrics::Counter& liveTasksStarted_ =
+      metrics::globalRegistry().counter("sparkle_tasks_started_total");
+  metrics::Counter& liveTasksFinished_ =
+      metrics::globalRegistry().counter("sparkle_tasks_finished_total");
+  metrics::Gauge& liveTasksInflight_ =
+      metrics::globalRegistry().gauge("sparkle_tasks_inflight");
+  metrics::Counter& liveStragglers_ =
+      metrics::globalRegistry().counter("sparkle_straggler_tasks_total");
   std::atomic<std::uint64_t> nextDatasetId_{1};
   mutable std::mutex datasetsMutex_;
   std::unordered_set<DatasetBase*> datasets_;

@@ -90,32 +90,6 @@ RecordSkewStats computeRecordSkew(const std::vector<std::uint64_t>& records) {
   return s;
 }
 
-void MetricsRegistry::bindLive(metrics::Registry* live) {
-  LiveInstruments li;
-  if (live != nullptr) {
-    li.stagesShuffle = &live->counter("sparkle_stages_total",
-                                      {{"kind", "shuffle"}});
-    li.stagesResult = &live->counter("sparkle_stages_total",
-                                     {{"kind", "result"}});
-    li.stagesBroadcast = &live->counter("sparkle_stages_total",
-                                        {{"kind", "broadcast"}});
-    li.shuffleRecords = &live->counter("sparkle_shuffle_records_total");
-    li.shuffleBytesRemote =
-        &live->counter("sparkle_shuffle_bytes_remote_total");
-    li.shuffleBytesLocal = &live->counter("sparkle_shuffle_bytes_local_total");
-    li.broadcastBytes = &live->counter("sparkle_broadcast_bytes_total");
-    li.taskRetries = &live->counter("sparkle_task_retries_total");
-    li.lostNodes = &live->counter("sparkle_lost_nodes_total");
-    li.recomputedMapTasks =
-        &live->counter("sparkle_recomputed_map_tasks_total");
-    li.evictedCacheBlocks =
-        &live->counter("sparkle_evicted_cache_blocks_total");
-    li.simTimeSec = &live->gauge("sparkle_sim_time_sec");
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  live_ = li;
-}
-
 void MetricsRegistry::pushScope(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   scopeStack_.push_back(name);
@@ -148,8 +122,7 @@ std::uint64_t MetricsRegistry::nextShuffleOpId() {
 }
 
 void MetricsRegistry::noteTaskRetry(std::uint64_t stageId) {
-  taskRetries_.fetch_add(1, std::memory_order_relaxed);
-  if (live_.taskRetries) live_.taskRetries->add();
+  taskRetries_.add();
   std::lock_guard<std::mutex> lock(mutex_);
   ++retriesByStage_[stageId];
 }
@@ -202,21 +175,16 @@ double MetricsRegistry::record(StageMetrics m, const StageCost& cost) {
   m.simTimeSec = compute + network + disk + overhead;
   m.nodeBytesInRemote = cost.nodeShuffleBytesInRemote;
 
-  // Mirror the finalized stage into the live instrument panel so heartbeat
+  // Derive the live series from the finalized stage, so heartbeat
   // snapshots show progress mid-run, not only at report time.
-  if (live_.stagesShuffle) {
-    switch (m.kind) {
-      case StageKind::kShuffle: live_.stagesShuffle->add(); break;
-      case StageKind::kResult: live_.stagesResult->add(); break;
-      case StageKind::kBroadcast: live_.stagesBroadcast->add(); break;
-    }
-    if (m.shuffleRecords) live_.shuffleRecords->add(m.shuffleRecords);
-    if (m.shuffleBytesRemote) {
-      live_.shuffleBytesRemote->add(m.shuffleBytesRemote);
-    }
-    if (m.shuffleBytesLocal) live_.shuffleBytesLocal->add(m.shuffleBytesLocal);
-    if (m.broadcastBytes) live_.broadcastBytes->add(m.broadcastBytes);
-  }
+  metrics::Registry& live = metrics::globalRegistry();
+  live.counter("sparkle_stages_total", {{"kind", stageKindName(m.kind)}})
+      .add();
+  live.counter("sparkle_shuffle_records_total").add(m.shuffleRecords);
+  live.counter("sparkle_shuffle_bytes_remote_total")
+      .add(m.shuffleBytesRemote);
+  live.counter("sparkle_shuffle_bytes_local_total").add(m.shuffleBytesLocal);
+  live.counter("sparkle_broadcast_bytes_total").add(m.broadcastBytes);
 
   std::lock_guard<std::mutex> lock(mutex_);
   if (m.stageId == 0) m.stageId = nextStageId_++;
@@ -232,7 +200,7 @@ double MetricsRegistry::record(StageMetrics m, const StageCost& cost) {
   }
   stages_.push_back(std::move(m));
   liveSimTimeSec_ += stages_.back().simTimeSec;
-  if (live_.simTimeSec) live_.simTimeSec->set(liveSimTimeSec_);
+  live.gauge("sparkle_sim_time_sec").set(liveSimTimeSec_);
   return stages_.back().simTimeSec;
 }
 
@@ -389,10 +357,10 @@ void MetricsRegistry::reset() {
   stages_.clear();
   retriesByStage_.clear();
   liveSimTimeSec_ = 0.0;
-  taskRetries_.store(0, std::memory_order_relaxed);
-  lostNodes_.store(0, std::memory_order_relaxed);
-  recomputedMapTasks_.store(0, std::memory_order_relaxed);
-  evictedCacheBlocks_.store(0, std::memory_order_relaxed);
+  taskRetries_.reset();
+  lostNodes_.reset();
+  recomputedMapTasks_.reset();
+  evictedCacheBlocks_.reset();
 }
 
 }  // namespace cstf::sparkle

@@ -104,18 +104,6 @@ OnlineUpdater::OnlineUpdater(serve::CpModel model, tensor::CooTensor base,
   for (ModeId m = 0; m < dims_.size(); ++m) rowIndex_[m].resize(dims_[m]);
   coords_->map.reserve(accum_.nnz() * 2);
   for (std::size_t p = 0; p < accum_.nnz(); ++p) indexEntry(p);
-  bindLiveInstruments();
-}
-
-void OnlineUpdater::bindLiveInstruments() {
-  metrics::Registry* reg = opts_.liveMetrics;
-  if (reg == nullptr) return;
-  live_.deltasApplied = &reg->counter("stream_deltas_applied_total");
-  live_.entriesApplied = &reg->counter("stream_entries_applied_total");
-  live_.rowsRecomputed = &reg->counter("stream_rows_recomputed_total");
-  live_.newestSeq = &reg->gauge("stream_newest_seq");
-  live_.onlineFit = &reg->gauge("cstf_online_fit");
-  live_.lastBatchSec = &reg->gauge("stream_last_batch_sec");
 }
 
 void OnlineUpdater::indexEntry(std::size_t pos) {
@@ -157,14 +145,17 @@ double OnlineUpdater::predict(const tensor::Nonzero& nz) const {
   return v;
 }
 
-void OnlineUpdater::applyAls(const std::vector<std::vector<Index>>& touched) {
+std::uint64_t OnlineUpdater::applyAls(
+    const std::vector<std::vector<Index>>& touched) {
   const ModeId order = static_cast<ModeId>(dims_.size());
   const std::vector<tensor::Nonzero>& nzs = accum_.nonzeros();
   std::vector<double> mrow(rank_);
   std::vector<double> newRow(rank_);
+  std::uint64_t rows = 0;
   for (int sweep = 0; sweep < opts_.alsSweeps; ++sweep) {
     for (ModeId n = 0; n < order; ++n) {
       if (touched[n].empty()) continue;
+      rows += touched[n].size();
       // Same normal equations as the full ALS step, restricted to the
       // touched rows: V from the cached Grams of the *other* modes.
       la::Matrix v;
@@ -202,14 +193,14 @@ void OnlineUpdater::applyAls(const std::vector<std::vector<Index>>& touched) {
           }
         }
         for (std::size_t r = 0; r < rank_; ++r) row[r] = newRow[r];
-        ++stats_.rowsRecomputed;
       }
       grams_[n] += gramCorrection;
     }
   }
+  return rows;
 }
 
-void OnlineUpdater::applySgd(const tensor::Delta& d) {
+std::uint64_t OnlineUpdater::applySgd(const tensor::Delta& d) {
   const ModeId order = static_cast<ModeId>(dims_.size());
   // Rank-one Gram corrections need each row's value *before* the batch;
   // SGD may step a row many times, so capture it on first touch.
@@ -227,6 +218,7 @@ void OnlineUpdater::applySgd(const tensor::Delta& d) {
   }
   Pcg32 rng(mix64(opts_.seed ^ d.seq));
   std::vector<double> step(rank_);
+  std::uint64_t rows = 0;
   for (int epoch = 0; epoch < opts_.sgdEpochs; ++epoch) {
     // Fisher-Yates with the deterministic PCG stream.
     for (std::size_t i = perm.size(); i > 1; --i) {
@@ -252,7 +244,7 @@ void OnlineUpdater::applySgd(const tensor::Delta& d) {
           row[r] -= lr * (opts_.sgdRegularization * row[r] +
                           err * step[r]);
         }
-        ++stats_.rowsRecomputed;
+        ++rows;
       }
     }
   }
@@ -267,6 +259,7 @@ void OnlineUpdater::applySgd(const tensor::Delta& d) {
       }
     }
   }
+  return rows;
 }
 
 void OnlineUpdater::apply(const tensor::Delta& d) {
@@ -274,42 +267,38 @@ void OnlineUpdater::apply(const tensor::Delta& d) {
   CSTF_CHECK(d.dims == dims_,
              strprintf("delta seq %llu dims do not match the model",
                        static_cast<unsigned long long>(d.seq)));
-  CSTF_CHECK(d.seq > stats_.newestSeq,
+  CSTF_CHECK(d.seq > state_.newestSeq,
              strprintf("delta seq %llu out of order (newest applied %llu)",
                        static_cast<unsigned long long>(d.seq),
-                       static_cast<unsigned long long>(stats_.newestSeq)));
+                       static_cast<unsigned long long>(state_.newestSeq)));
   const auto t0 = std::chrono::steady_clock::now();
-  const std::uint64_t rowsBefore = stats_.rowsRecomputed;
   std::vector<std::vector<Index>> touched(dims_.size());
   upsertEntries(d, touched);
-  if (opts_.solver == OnlineSolver::kAls) {
-    applyAls(touched);
-  } else {
-    applySgd(d);
-  }
-  stats_.newestSeq = d.seq;
-  stats_.newestCreatedUnixMicros =
-      std::max(stats_.newestCreatedUnixMicros, d.createdUnixMicros);
-  ++stats_.batchesApplied;
-  stats_.entriesApplied += d.entries.size();
-  stats_.lastBatchSec =
+  rows_.add(opts_.solver == OnlineSolver::kAls ? applyAls(touched)
+                                                : applySgd(d));
+  state_.newestSeq = d.seq;
+  state_.newestCreatedUnixMicros =
+      std::max(state_.newestCreatedUnixMicros, d.createdUnixMicros);
+  batches_.add();
+  entries_.add(d.entries.size());
+  state_.lastBatchSec =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  stats_.totalApplySec += stats_.lastBatchSec;
-  if (live_.deltasApplied != nullptr) {
-    live_.deltasApplied->add();
-    live_.entriesApplied->add(d.entries.size());
-    live_.newestSeq->set(double(stats_.newestSeq));
-    live_.lastBatchSec->set(stats_.lastBatchSec);
-  }
-  if (live_.rowsRecomputed != nullptr &&
-      stats_.rowsRecomputed > rowsBefore) {
-    live_.rowsRecomputed->add(stats_.rowsRecomputed - rowsBefore);
-  }
+  state_.totalApplySec += state_.lastBatchSec;
+  seqGauge_.set(double(state_.newestSeq));
+  batchSecGauge_.set(state_.lastBatchSec);
   if (opts_.fitProbeEvery > 0 &&
-      stats_.batchesApplied % std::uint64_t(opts_.fitProbeEvery) == 0) {
+      batches_.value() % std::uint64_t(opts_.fitProbeEvery) == 0) {
     exactFit();
   }
+}
+
+OnlineUpdateStats OnlineUpdater::stats() const {
+  OnlineUpdateStats s = state_;
+  s.batchesApplied = batches_.value();
+  s.entriesApplied = entries_.value();
+  s.rowsRecomputed = rows_.value();
+  return s;
 }
 
 void OnlineUpdater::rebuildGrams() {
@@ -321,9 +310,9 @@ void OnlineUpdater::rebuildGrams() {
 double OnlineUpdater::exactFit() {
   rebuildGrams();  // re-anchor: rank-one corrections drift in fp
   const double fit = tensor::cpFit(accum_, factors_, lambda_);
-  stats_.lastFitProbe = fit;
-  ++stats_.fitProbes;
-  if (live_.onlineFit != nullptr) live_.onlineFit->set(fit);
+  state_.lastFitProbe = fit;
+  ++state_.fitProbes;
+  fitGauge_.set(fit);
   return fit;
 }
 
@@ -337,7 +326,7 @@ serve::CpModel OnlineUpdater::snapshotModel() const {
     const std::vector<double> norms = la::normalizeColumns(f);
     for (std::size_t r = 0; r < rank_; ++r) m.lambda[r] *= norms[r];
   }
-  m.finalFit = stats_.lastFitProbe;
+  m.finalFit = state_.lastFitProbe;
   return m;
 }
 

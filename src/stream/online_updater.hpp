@@ -102,7 +102,7 @@ class OnlineUpdater {
   /// lambda); finalFit is the last probe result (NaN if none ran).
   serve::CpModel snapshotModel() const;
 
-  const OnlineUpdateStats& stats() const { return stats_; }
+  OnlineUpdateStats stats() const;
   const std::vector<Index>& dims() const { return dims_; }
   std::size_t rank() const { return rank_; }
   /// Accumulated base+deltas view (unsorted; value updates in place).
@@ -117,11 +117,11 @@ class OnlineUpdater {
   void indexEntry(std::size_t pos);
   void upsertEntries(const tensor::Delta& d,
                      std::vector<std::vector<Index>>& touched);
-  void applyAls(const std::vector<std::vector<Index>>& touched);
-  void applySgd(const tensor::Delta& d);
+  /// Both return the factor rows they re-solved or stepped.
+  std::uint64_t applyAls(const std::vector<std::vector<Index>>& touched);
+  std::uint64_t applySgd(const tensor::Delta& d);
   void rebuildGrams();
   double predict(const tensor::Nonzero& nz) const;
-  void bindLiveInstruments();
 
   OnlineUpdaterOptions opts_;
   std::vector<Index> dims_;
@@ -139,17 +139,19 @@ class OnlineUpdater {
   std::vector<std::vector<std::vector<std::uint32_t>>> rowIndex_;
 
   std::uint64_t sgdStep_ = 0;
-  OnlineUpdateStats stats_;
-
-  struct LiveInstruments {
-    metrics::Counter* deltasApplied = nullptr;
-    metrics::Counter* entriesApplied = nullptr;
-    metrics::Counter* rowsRecomputed = nullptr;
-    metrics::Gauge* newestSeq = nullptr;
-    metrics::Gauge* onlineFit = nullptr;
-    metrics::Gauge* lastBatchSec = nullptr;
-  };
-  LiveInstruments live_;
+  /// Everything stats() reports except the three counts below.
+  OnlineUpdateStats state_;
+  // Counted once each; the `stream_*` series are fed when liveMetrics is set.
+  metrics::OwnedCounter batches_{opts_.liveMetrics,
+                                 "stream_deltas_applied_total"};
+  metrics::OwnedCounter entries_{opts_.liveMetrics,
+                                 "stream_entries_applied_total"};
+  metrics::OwnedCounter rows_{opts_.liveMetrics,
+                              "stream_rows_recomputed_total"};
+  metrics::OwnedGauge seqGauge_{opts_.liveMetrics, "stream_newest_seq"};
+  metrics::OwnedGauge fitGauge_{opts_.liveMetrics, "cstf_online_fit"};
+  metrics::OwnedGauge batchSecGauge_{opts_.liveMetrics,
+                                     "stream_last_batch_sec"};
 };
 
 }  // namespace cstf::stream

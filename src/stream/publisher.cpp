@@ -22,18 +22,11 @@ std::uint64_t nowUnixMicros() {
 }  // namespace
 
 ModelPublisher::ModelPublisher(serve::Batcher* batcher, PublisherOptions opts)
-    : batcher_(batcher), opts_(std::move(opts)) {
-  if (opts_.liveMetrics != nullptr) {
-    publishesCounter_ =
-        &opts_.liveMetrics->counter("serve_model_reloads_total");
-    stalenessGauge_ = &opts_.liveMetrics->gauge("cstf_staleness_sec");
-    publishedSeqGauge_ = &opts_.liveMetrics->gauge("serve_published_seq");
-  }
-}
+    : batcher_(batcher), opts_(std::move(opts)) {}
 
 std::uint64_t ModelPublisher::publish(const OnlineUpdater& updater) {
   serve::CpModel model = updater.snapshotModel();
-  const OnlineUpdateStats& us = updater.stats();
+  const OnlineUpdateStats us = updater.stats();
   // Persist before swapping: if the process dies between the two, the disk
   // is *ahead* of the live engine, never behind it.
   if (!opts_.modelPath.empty()) {
@@ -46,16 +39,13 @@ std::uint64_t ModelPublisher::publish(const OnlineUpdater& updater) {
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    ++fresh_.publishes;
+    publishes_.add();
     fresh_.newestSeq = us.newestSeq;
     fresh_.deltasApplied = us.batchesApplied;
     fresh_.lastFitProbe = us.lastFitProbe;
     publishedCreatedUnixMicros_ = us.newestCreatedUnixMicros;
   }
-  if (publishesCounter_ != nullptr) {
-    publishesCounter_->add();
-    publishedSeqGauge_->set(double(us.newestSeq));
-  }
+  seqGauge_.set(double(us.newestSeq));
   refreshStaleness();
   return us.newestSeq;
 }
@@ -69,22 +59,22 @@ double ModelPublisher::refreshStaleness() {
       staleness = now > publishedCreatedUnixMicros_
                       ? double(now - publishedCreatedUnixMicros_) * 1e-6
                       : 0.0;
-    } else if (fresh_.publishes > 0) {
+    } else if (publishes_.value() > 0) {
       // Deltas without timestamps: the best truthful answer after a
       // publish is "fresh as of the publish itself".
       staleness = 0.0;
     }
     fresh_.stalenessSec = staleness;
   }
-  if (stalenessGauge_ != nullptr && !std::isnan(staleness)) {
-    stalenessGauge_->set(staleness);
-  }
+  if (!std::isnan(staleness)) stalenessGauge_.set(staleness);
   return staleness;
 }
 
 serve::FreshnessStats ModelPublisher::freshness() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return fresh_;
+  serve::FreshnessStats f = fresh_;
+  f.publishes = publishes_.value();
+  return f;
 }
 
 }  // namespace cstf::stream

@@ -55,11 +55,14 @@ class ModelPublisher {
  private:
   serve::Batcher* batcher_;
   const PublisherOptions opts_;
-  metrics::Counter* publishesCounter_ = nullptr;
-  metrics::Gauge* stalenessGauge_ = nullptr;
-  metrics::Gauge* publishedSeqGauge_ = nullptr;
+  metrics::OwnedCounter publishes_{opts_.liveMetrics,
+                                   "serve_model_reloads_total"};
+  metrics::OwnedGauge stalenessGauge_{opts_.liveMetrics,
+                                      "cstf_staleness_sec"};
+  metrics::OwnedGauge seqGauge_{opts_.liveMetrics, "serve_published_seq"};
 
   mutable std::mutex mutex_;
+  /// Everything freshness() reports except publishes.
   serve::FreshnessStats fresh_;
   /// createdUnixMicros of the newest delta in the live model; 0 unknown.
   std::uint64_t publishedCreatedUnixMicros_ = 0;

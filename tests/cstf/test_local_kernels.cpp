@@ -174,32 +174,47 @@ TEST(MttkrpLocal, SingleShuffleAndBroadcast) {
 }
 
 TEST(MttkrpLocal, LayoutBuiltOnceAndReused) {
-  sparkle::Context ctx(testCluster(sparkle::LocalKernel::kCsf), 2);
-  auto t = tensor::generateRandom({{25, 25, 25}, 400, {}, 45});
-  auto fs = randomFactors(t.dims(), 2, 4);
-  auto X = tensorToRdd(ctx, t).cache();
+  // Two inputs: fault-free, and half of all task attempts failing. Retried
+  // attempts are discarded work, so the kernel telemetry of the second run
+  // (one invocation per committed task) must equal the first's.
+  std::uint64_t faultFreeFlops = 0;
+  for (const double failureRate : {0.0, 0.5}) {
+    SCOPED_TRACE(failureRate > 0 ? "taskFailureRate 0.5" : "fault-free");
+    sparkle::ClusterConfig cfg = testCluster(sparkle::LocalKernel::kCsf);
+    cfg.taskFailureRate = failureRate;
+    sparkle::Context ctx(cfg, 2);
+    auto t = tensor::generateRandom({{25, 25, 25}, 400, {}, 45});
+    auto fs = randomFactors(t.dims(), 2, 4);
+    auto X = tensorToRdd(ctx, t).cache();
 
-  LocalMttkrpTelemetry tel;
-  ensureCsfLayouts(ctx, X, t.order(), &tel);
-  EXPECT_EQ(tel.layoutBuildPartitions, X.numPartitions());
-  EXPECT_GT(tel.layoutBytes, 0u);
-  const std::size_t stagesAfterBuild = ctx.metrics().stageCount();
+    LocalMttkrpTelemetry tel;
+    ensureCsfLayouts(ctx, X, t.order(), &tel);
+    EXPECT_EQ(tel.layoutBuildPartitions, X.numPartitions());
+    EXPECT_GT(tel.layoutBytes, 0u);
+    const std::size_t stagesAfterBuild = ctx.metrics().stageCount();
 
-  // Second call is a no-op: every partition already has its artifact.
-  ensureCsfLayouts(ctx, X, t.order(), &tel);
-  EXPECT_EQ(ctx.metrics().stageCount(), stagesAfterBuild);
-  EXPECT_EQ(tel.layoutBuildPartitions, X.numPartitions());
+    // Second call is a no-op: every partition already has its artifact.
+    ensureCsfLayouts(ctx, X, t.order(), &tel);
+    EXPECT_EQ(ctx.metrics().stageCount(), stagesAfterBuild);
+    EXPECT_EQ(tel.layoutBuildPartitions, X.numPartitions());
 
-  // All three mode updates reuse the same resident layouts.
-  const auto before = ctx.getPartitionArtifact(X.datasetId(), 0);
-  ASSERT_NE(before, nullptr);
-  MttkrpOptions opts;
-  for (ModeId mode = 0; mode < 3; ++mode) {
-    mttkrpLocal(ctx, X, t.dims(), fs, mode, opts, &tel);
+    // All three mode updates reuse the same resident layouts.
+    const auto before = ctx.getPartitionArtifact(X.datasetId(), 0);
+    ASSERT_NE(before, nullptr);
+    MttkrpOptions opts;
+    for (ModeId mode = 0; mode < 3; ++mode) {
+      mttkrpLocal(ctx, X, t.dims(), fs, mode, opts, &tel);
+    }
+    EXPECT_EQ(ctx.getPartitionArtifact(X.datasetId(), 0).get(), before.get());
+    EXPECT_EQ(tel.kernelInvocations, 3 * X.numPartitions());
+    EXPECT_GT(tel.kernelFlops, 0u);
+    if (failureRate == 0.0) {
+      faultFreeFlops = tel.kernelFlops;
+    } else {
+      EXPECT_GT(ctx.metrics().taskRetries(), 0u);
+      EXPECT_EQ(tel.kernelFlops, faultFreeFlops);
+    }
   }
-  EXPECT_EQ(ctx.getPartitionArtifact(X.datasetId(), 0).get(), before.get());
-  EXPECT_EQ(tel.kernelInvocations, 3 * X.numPartitions());
-  EXPECT_GT(tel.kernelFlops, 0u);
 }
 
 TEST(MttkrpLocal, ArtifactsDroppedWithDataset) {

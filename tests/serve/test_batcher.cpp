@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
+#include "common/metrics_registry.hpp"
 #include "common/rng.hpp"
 #include "serve/batcher.hpp"
 #include "serve/sharded_engine.hpp"
@@ -48,6 +51,83 @@ TopKRequest req(Index j, Index k, std::size_t topk = 5) {
   r.fixed = {0, j, k};
   r.k = topk;
   return r;
+}
+
+/// One ServeStats count and the live series that exports it.
+struct SeriesCount {
+  std::string name;
+  metrics::Labels labels;
+  std::uint64_t value;
+  bool histogram = false;
+};
+
+std::vector<SeriesCount> seriesOf(const ServeStats& s) {
+  return {
+      {"serve_requests_submitted_total", {}, s.submitted},
+      {"serve_requests_completed_total", {}, s.completed},
+      {"serve_batches_total", {}, s.batches},
+      {"serve_batch_flushes_total", {{"reason", "full"}}, s.flushFull},
+      {"serve_batch_flushes_total", {{"reason", "deadline"}},
+       s.flushDeadline},
+      {"serve_shed_total", {{"reason", "queue_full"}}, s.shedQueueFull},
+      {"serve_shed_total", {{"reason", "deadline"}}, s.shedDeadline},
+      {"serve_shed_total", {{"reason", "unavailable"}}, s.shedUnavailable},
+      {"serve_shed_total", {{"reason", "dispatcher_dead"}},
+       s.shedDispatcherDead},
+      {"serve_failed_total", {}, s.failed},
+      {"serve_cache_hits_total", {}, s.cacheHits},
+      {"serve_cache_misses_total", {}, s.cacheMisses},
+      {"serve_coalesced_total", {}, s.coalesced},
+      {"serve_reloads_total", {}, s.reloads},
+      {"serve_slo_breaches_total", {}, s.sloBreaches},
+      {"serve_slo_recoveries_total", {}, s.sloRecoveries},
+      {"serve_latency_micros", {}, s.latencyMicros.count(), true},
+      {"serve_batch_size", {}, s.batchSizes.count(), true},
+  };
+}
+
+std::uint64_t seriesValue(metrics::Registry& reg, const SeriesCount& c) {
+  return c.histogram ? reg.histogram(c.name, c.labels).count()
+                     : reg.counter(c.name, c.labels).value();
+}
+
+/// Every count in `expected` equals its series in `reg` exactly.
+void expectSeriesEqual(metrics::Registry& reg,
+                       const std::vector<SeriesCount>& expected) {
+  for (const SeriesCount& c : expected) {
+    const std::string label =
+        c.labels.empty() ? "" : c.labels[0].first + "=" + c.labels[0].second;
+    EXPECT_EQ(seriesValue(reg, c), c.value) << c.name << " " << label;
+  }
+}
+
+/// Four clients drive `b` through every accounting path: cache hits and
+/// misses, coalesced duplicates, invalid requests, per-request deadline
+/// sheds, admission-queue sheds and a reload.
+void driveFourClients(Batcher& b) {
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 4; ++t) {
+    clients.emplace_back([&b, t] {
+      Pcg32 rng(500 + t);
+      for (int round = 0; round < 25; ++round) {
+        std::vector<std::future<Batcher::ResultPtr>> burst;
+        for (int i = 0; i < 8; ++i) {
+          const Index j = (i == 7) ? 1000 : rng.nextBounded(8);
+          const std::uint64_t deadline = (i == 3) ? 1 : 0;
+          burst.push_back(b.submit(req(j, rng.nextBounded(4)), deadline));
+        }
+        for (auto& f : burst) {
+          try {
+            f.get();
+          } catch (const Error&) {
+            // Shed or invalid: counted by the batcher, checked below.
+          }
+        }
+      }
+    });
+  }
+  b.reload(makeEngine(42));
+  for (auto& c : clients) c.join();
 }
 
 TEST(Batcher, FullBatchFlushesWithoutWaitingForTheDeadline) {
@@ -450,6 +530,60 @@ TEST(Batcher, ConcurrentClientsAndReloadsStayCoherent) {
   EXPECT_EQ(s.completed, 4u * 200u);
   EXPECT_EQ(s.reloads, 5u);
   EXPECT_EQ(s.latencyMicros.count(), 4u * 200u);
+}
+
+TEST(Batcher, StatsAgreeExactlyWithTheLiveSeries) {
+  metrics::Registry reg;
+  BatcherOptions opts;
+  opts.maxBatch = 8;
+  opts.maxDelayMicros = 100;
+  opts.queueLimit = 16;
+  opts.cacheCapacity = 16;
+  opts.sloP99Micros = 1.0;  // unattainable: breaches under load
+  opts.sloWindowMs = 20.0;
+  opts.liveMetrics = &reg;
+  Batcher b(makeEngine(40), opts);
+  driveFourClients(b);
+  // Drain the SLO window so the recovery transition fires too.
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  b.checkSlo();
+
+  const ServeStats s = b.stats();
+  EXPECT_EQ(s.submitted, 4u * 25u * 8u);
+  EXPECT_EQ(s.submitted, s.completed + s.shedQueueFull + s.shedDeadline);
+  EXPECT_GT(s.failed, 0u);
+  EXPECT_GT(s.cacheHits, 0u);
+  EXPECT_EQ(s.reloads, 1u);
+  expectSeriesEqual(reg, seriesOf(s));
+}
+
+TEST(Batcher, SharedRegistryKeepsPerInstanceStatsAndSumsTheSeries) {
+  metrics::Registry reg;
+  BatcherOptions opts;
+  opts.maxBatch = 4;
+  opts.maxDelayMicros = 100;
+  opts.liveMetrics = &reg;
+  Batcher keep(makeEngine(41), opts);
+  std::vector<SeriesCount> sum;
+  {
+    Batcher gone(makeEngine(42), opts);
+    driveFourClients(gone);
+    for (Index i = 0; i < 5; ++i) ASSERT_NE(keep.submit(req(i, i)).get(), nullptr);
+
+    const ServeStats a = gone.stats();
+    const ServeStats k = keep.stats();
+    EXPECT_EQ(a.submitted, 4u * 25u * 8u);
+    EXPECT_EQ(k.submitted, 5u);
+    EXPECT_EQ(k.completed, 5u);
+    EXPECT_EQ(k.reloads, 0u);
+    sum = seriesOf(a);
+    const std::vector<SeriesCount> mine = seriesOf(k);
+    for (std::size_t i = 0; i < sum.size(); ++i) sum[i].value += mine[i].value;
+    expectSeriesEqual(reg, sum);
+  }
+  // The series belong to the registry: destroying a batcher lowers none.
+  expectSeriesEqual(reg, sum);
+  EXPECT_EQ(keep.stats().submitted, 5u);
 }
 
 }  // namespace
