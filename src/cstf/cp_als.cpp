@@ -18,7 +18,6 @@
 #include "cstf/mttkrp_qcoo.hpp"
 #include "cstf/plan.hpp"
 #include "cstf/sketch.hpp"
-#include "cstf/skew.hpp"
 #include "la/normalize.hpp"
 #include "la/solve.hpp"
 #include "tensor/reference_ops.hpp"
@@ -76,7 +75,7 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
 
   // Driver restart: restore the newest checkpoint and continue its
   // trajectory. Only the ALS state (factors, lambda, previous fit)
-  // persists; the tensor RDD, skew plan, and engines below are rebuilt
+  // persists; the tensor RDD and engines below are rebuilt
   // from lineage exactly as a fresh run would build them.
   int startIter = 1;
   double restoredPrevFit = std::numeric_limits<double>::quiet_NaN();
@@ -126,23 +125,15 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
   }
 
   // Per-path setup, before iteration 1: broadcast-local builds the CSF
-  // layouts every mode update reuses; a join chain under a non-hash skew
-  // policy runs the key-frequency census once and caches it in the options
-  // every MTTKRP call receives; QCOO seeds its queues.
-  MttkrpOptions mttkrpOpts = opts.mttkrp;
+  // layouts every mode update reuses; QCOO seeds its queues.
+  const MttkrpOptions& mttkrpOpts = opts.mttkrp;
   LocalMttkrpTelemetry localTel;
   std::optional<QcooEngine> qcoo;
   if (plan.path == Path::kBroadcastLocal) {
     sparkle::ScopedStage scope(ctx.metrics(), "CsfLayout");
     ensureCsfLayouts(ctx, Xrdd, order, &localTel);
-  } else if (plan.path == Path::kJoinChain) {
-    if (plan.skewPolicy != sparkle::SkewPolicy::kHash &&
-        mttkrpOpts.skewPlan == nullptr) {
-      mttkrpOpts.skewPlan = buildSkewPlan(ctx, Xrdd, order, mttkrpOpts);
-    }
-    if (plan.backend == Backend::kQcoo) {
-      qcoo.emplace(ctx, Xrdd, dims, result.factors, mttkrpOpts);
-    }
+  } else if (plan.path == Path::kJoinChain && plan.backend == Backend::kQcoo) {
+    qcoo.emplace(ctx, Xrdd, dims, result.factors, mttkrpOpts);
   }
 
   const double xNormSq = X.normSq();
@@ -208,8 +199,8 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
       mt.cacheBytesDeserialized =
           after.cacheBytesDeserialized - modeBase.cacheBytesDeserialized;
       mt.taskRetries = after.taskRetries - modeBase.taskRetries;
-      // Reduce-task record skew of this mode's shuffles — the metric the
-      // skew policies (hash/frequency/replicate) exist to improve.
+      // Reduce-task record skew of this mode's shuffles: how unevenly the
+      // hash partitioner spreads hot tensor-mode keys.
       mt.reduceSkew = ctx.metrics().reduceSkewForStagesFrom(modeStageBase);
       live.histogram("cstf_mode_sim_sec", {{"mode", std::to_string(mt.mode)}})
           .record(mt.simTimeSec);

@@ -1,7 +1,6 @@
 #include "cstf/mttkrp_coo.hpp"
 
 #include "cstf/records.hpp"
-#include "cstf/skew.hpp"
 
 namespace cstf::cstf_core {
 
@@ -24,28 +23,6 @@ la::Matrix mttkrpCoo(sparkle::Context& ctx,
   const std::vector<ModeId> fixed = cooJoinOrder(order, mode);
   const double r = static_cast<double>(rank);
 
-  // Skew mitigation: when mitigating, make sure a census exists — the
-  // CP-ALS driver builds and caches one before iteration 1, standalone
-  // callers get their own here.
-  const sparkle::SkewPolicy policy = ctx.config().skewPolicy;
-  std::shared_ptr<const SkewPlan> plan = opts.skewPlan;
-  if (policy != sparkle::SkewPolicy::kHash && plan == nullptr) {
-    plan = buildSkewPlan(ctx, X, order, opts);
-  }
-  // Replicate-path inputs are consumed twice (hot + cold filters); they
-  // are cached for the duration of this MTTKRP and unpersisted at the end.
-  std::vector<sparkle::Rdd<std::pair<Index, Carry>>> cachedInputs;
-  auto joinFactor = [&](sparkle::Rdd<std::pair<Index, Carry>>& in,
-                        const FactorRdd& fac, ModeId joinMode) {
-    if (policy == sparkle::SkewPolicy::kReplicate &&
-        hotKeySet(plan.get(), joinMode) != nullptr) {
-      in.cache();
-      cachedInputs.push_back(in);
-    }
-    return skewPolicyJoin(ctx, in, fac, plan.get(), joinMode,
-                          opts.numPartitions, "coo-join");
-  };
-
   // STAGE 0: key nonzeros by the first join mode.
   auto keyed = X.map([d0 = fixed[0]](const tensor::Nonzero& nz) {
     return std::pair<Index, Carry>(nz.idx[d0], Carry{nz, {}});
@@ -55,7 +32,7 @@ la::Matrix mttkrpCoo(sparkle::Context& ctx,
   // into the carried partial product and re-key by the next join mode.
   for (std::size_t s = 0; s + 1 < fixed.size(); ++s) {
     auto factorRdd = factorToRdd(ctx, factors[fixed[s]], opts.numPartitions);
-    auto joined = joinFactor(keyed, factorRdd, fixed[s]);
+    auto joined = keyed.join(factorRdd, nullptr, "coo-join");
     const ModeId nextKey = fixed[s + 1];
     keyed = joined.mapWithFlops(
         [nextKey](const std::pair<Index, std::pair<Carry, la::Row>>& kv) {
@@ -75,7 +52,7 @@ la::Matrix mttkrpCoo(sparkle::Context& ctx,
   // Last join: finish the Hadamard product and emit (mode index, row).
   auto lastFactor =
       factorToRdd(ctx, factors[fixed.back()], opts.numPartitions);
-  auto lastJoined = joinFactor(keyed, lastFactor, fixed.back());
+  auto lastJoined = keyed.join(lastFactor, nullptr, "coo-join");
   auto rows = lastJoined.mapWithFlops(
       [mode](const std::pair<Index, std::pair<Carry, la::Row>>& kv) {
         const Carry& c = kv.second.first;
@@ -86,20 +63,14 @@ la::Matrix mttkrpCoo(sparkle::Context& ctx,
       },
       r);
 
-  // STAGE 3: sum rows with equal output index. Under skew mitigation, the
-  // output mode's heavy rows are spread by the frequency partitioner too.
-  auto reducePart =
-      policy == sparkle::SkewPolicy::kHash
-          ? ctx.hashPartitioner(opts.numPartitions)
-          : skewAwarePartitioner(ctx, plan.get(), mode, opts.numPartitions);
+  // STAGE 3: sum rows with equal output index.
   auto reduced = rows.reduceByKey(
       [](const la::Row& a, const la::Row& b) { return la::rowAdd(a, b); },
-      std::move(reducePart), opts.mapSideCombine, r, "coo-reduceByKey");
+      ctx.hashPartitioner(opts.numPartitions), opts.mapSideCombine, r,
+      "coo-reduceByKey");
 
-  la::Matrix result =
-      rowsToMatrix(reduced.collect("coo-mttkrp-result"), dims[mode], rank);
-  for (auto& cached : cachedInputs) cached.unpersist();
-  return result;
+  return rowsToMatrix(reduced.collect("coo-mttkrp-result"), dims[mode],
+                      rank);
 }
 
 }  // namespace cstf::cstf_core

@@ -18,14 +18,6 @@ QcooEngine::QcooEngine(sparkle::Context& ctx,
     CSTF_CHECK(f.cols() == rank_, "factors must share rank");
   }
 
-  // Build (or reuse) the census before the init chain so its joins are
-  // skew-aware too.
-  const sparkle::SkewPolicy policy = ctx_.config().skewPolicy;
-  plan_ = opts_.skewPlan;
-  if (policy != sparkle::SkewPolicy::kHash && plan_ == nullptr) {
-    plan_ = buildSkewPlan(ctx_, X, order_, opts_);
-  }
-
   sparkle::ScopedStage scope(ctx_.metrics(), "QCOO-init");
 
   // Key every nonzero by mode 0, then join modes 0..N-2 in turn, each join
@@ -39,14 +31,7 @@ QcooEngine::QcooEngine(sparkle::Context& ctx,
   for (ModeId m = 0; m + 1 < order_; ++m) {
     auto factorRdd =
         factorToRdd(ctx_, initialFactors[m], opts_.numPartitions);
-    if (policy == sparkle::SkewPolicy::kReplicate && !q.isCached()) {
-      // skewJoin consumes its left side twice; cache the chain link and
-      // retire it once the first MTTKRP has materialized everything.
-      q.cache();
-      initCached_.push_back(q);
-    }
-    auto joined = skewPolicyJoin(ctx_, q, factorRdd, plan_.get(), m,
-                                 opts_.numPartitions, "qcoo-init-join");
+    auto joined = q.join(factorRdd, nullptr, "qcoo-init-join");
     const ModeId nextKey = static_cast<ModeId>(
         m + 2 < order_ ? m + 1 : order_ - 1);
     q = joined.map(
@@ -70,10 +55,7 @@ la::Matrix QcooEngine::mttkrpNext(const std::vector<la::Matrix>& factors) {
   // STAGE 1: single join with the freshest factor (mode n-1, updated by
   // the previous MTTKRP — or mode N-1's initial value on the first call).
   auto factorRdd = factorToRdd(ctx_, factors[jm], opts_.numPartitions);
-  // The left side is either cached (init chain, first MTTKRP) or a
-  // materialized snapshot, so a replicate skewJoin may read it twice.
-  auto joined = skewPolicyJoin(ctx_, *q_, factorRdd, plan_.get(), jm,
-                               opts_.numPartitions, "qcoo-join");
+  auto joined = q_->join(factorRdd, nullptr, "qcoo-join");
 
   // STAGE 2: enqueue the joined row, dequeue the stalest (the row of the
   // mode being updated now), and re-key to mode n — which is both this
@@ -104,21 +86,13 @@ la::Matrix QcooEngine::mttkrpNext(const std::vector<la::Matrix>& factors) {
         return out;
       },
       r * static_cast<double>(order_ - 1));
-  auto reducePart =
-      ctx_.config().skewPolicy == sparkle::SkewPolicy::kHash
-          ? ctx_.hashPartitioner(opts_.numPartitions)
-          : skewAwarePartitioner(ctx_, plan_.get(), n, opts_.numPartitions);
   auto reduced = contrib.reduceByKey(
       [](const la::Row& a, const la::Row& b) { return la::rowAdd(a, b); },
-      std::move(reducePart), opts_.mapSideCombine, r, "qcoo-reduceByKey");
+      ctx_.hashPartitioner(opts_.numPartitions), opts_.mapSideCombine, r,
+      "qcoo-reduceByKey");
 
   la::Matrix result =
       rowsToMatrix(reduced.collect("qcoo-mttkrp-result"), dims_[n], rank_);
-
-  // Everything up to here is materialized now; the replicate-path cache of
-  // the init chain has served its purpose.
-  for (auto& cached : initCached_) cached.unpersist();
-  initCached_.clear();
 
   // Retire the previous queue RDD (paper: unpersist the old RDD) and
   // detach the new one from its lineage so past iterations' shuffle blocks

@@ -20,7 +20,6 @@
 #include "cstf/factors.hpp"
 #include "cstf/options.hpp"
 #include "cstf/records.hpp"
-#include "cstf/skew.hpp"
 #include "la/matrix.hpp"
 #include "sparkle/rdd.hpp"
 #include "tensor/coo_tensor.hpp"
@@ -59,10 +58,6 @@ class QcooEngine {
   ModeId order_;
   std::size_t rank_;
   MttkrpOptions opts_;
-  std::shared_ptr<const SkewPlan> plan_;
-  /// Replicate-path inputs cached during the init chain; unpersisted once
-  /// the first MTTKRP has materialized them.
-  std::vector<sparkle::Rdd<std::pair<Index, QRecord>>> initCached_;
   ModeId nextMode_ = 0;
   std::optional<sparkle::Rdd<std::pair<Index, QRecord>>> q_;
 };

@@ -3,14 +3,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "common/error.hpp"
 
 namespace cstf::cstf_core {
-
-struct SkewPlan;  // cstf/skew.hpp
 
 /// Which MTTKRP/CP-ALS implementation runs.
 ///   kCoo       — CSTF-COO (paper §4.1)
@@ -97,14 +94,6 @@ struct MttkrpOptions {
   std::size_t numPartitions = 0;
   /// Spark-style map-side combining in the final reduceByKey.
   bool mapSideCombine = true;
-  /// Fraction of nonzeros the key-frequency census samples (1.0 = exact
-  /// counts). The census runs once, before iteration 1, and only when
-  /// ClusterConfig::skewPolicy is not kHash.
-  double censusSampleFraction = 0.25;
-  /// Precomputed census (one ModeCensus per tensor mode). The CP-ALS
-  /// driver builds and caches this before iteration 1; backends called
-  /// standalone with a skew policy and no plan build their own.
-  std::shared_ptr<const SkewPlan> skewPlan;
 };
 
 }  // namespace cstf::cstf_core

@@ -24,13 +24,11 @@ std::string MttkrpPlan::describe() const {
   std::string s = pathName(path);
   switch (path) {
     case Path::kJoinChain:
-      return s + " " + backendName(backend) + ", skew policy " +
-             sparkle::skewPolicyName(skewPolicy);
+    case Path::kSequential:
+      return s + " " + backendName(backend);
     case Path::kBroadcastLocal:
     case Path::kSampled:
       return s + ", " + sparkle::localKernelName(kernel) + " kernel";
-    case Path::kSequential:
-      return s + " " + backendName(backend);
   }
   return s;
 }
@@ -42,7 +40,6 @@ void MttkrpPlan::fillReport(RunReport& report) const {
   report.solver = solverName(path == Path::kSampled ? Solver::kSketched
                                                     : Solver::kExact);
   report.localKernel = sparkle::localKernelName(kernel);
-  report.skewPolicy = sparkle::skewPolicyName(skewPolicy);
   report.plan = describe();
 }
 
@@ -55,21 +52,15 @@ MttkrpPlan resolvePlan(const CpAlsOptions& opts,
   const bool fixed = sequential || opts.backend == Backend::kBigtensor;
   const bool sketched = opts.solver == Solver::kSketched;
   const bool csf = cluster.localKernel == sparkle::LocalKernel::kCsf;
-  const bool rebalanced = cluster.skewPolicy != sparkle::SkewPolicy::kHash;
   const std::string backend =
       std::string("--backend ") + backendName(opts.backend);
   const std::string solver = "--solver sketched";
   const std::string kernel = std::string("--local-kernel ") +
                              sparkle::localKernelName(cluster.localKernel);
-  const std::string skew = std::string("--skew-policy ") +
-                           sparkle::skewPolicyName(cluster.skewPolicy);
   const char* why = sequential ? "a sequential oracle has no distributed path"
                                : "BIGtensor is its own join chain";
   refuseIf(fixed && sketched, backend, solver, why);
   refuseIf(fixed && csf, backend, kernel, why);
-  refuseIf(fixed && rebalanced, backend, skew, why);
-  refuseIf(csf && rebalanced, kernel, skew, "no keyed join to rebalance");
-  refuseIf(sketched && rebalanced, solver, skew, "no keyed join to rebalance");
 
   MttkrpPlan plan;
   plan.kernel = cluster.localKernel;
@@ -86,7 +77,6 @@ MttkrpPlan resolvePlan(const CpAlsOptions& opts,
   } else {
     plan.path = Path::kJoinChain;
     plan.backend = opts.backend;
-    plan.skewPolicy = cluster.skewPolicy;
   }
   return plan;
 }

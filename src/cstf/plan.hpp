@@ -2,8 +2,8 @@
 // of the paper's join chains (COO §4.1, QCOO §4.2, BIGtensor §4.3), the
 // DFacTo-style broadcast + CSF local kernel, CP-ARLS-LEV leverage-score
 // sampling, or a sequential oracle. resolvePlan derives it once from
-// CpAlsOptions (backend, solver) and sparkle::ClusterConfig (local kernel,
-// skew policy) and is the only code that reads the four together; a
+// CpAlsOptions (backend, solver) and sparkle::ClusterConfig (local kernel)
+// and is the only code that reads the three together; a
 // combination whose extra flag would change nothing is refused with a
 // cstf::Error naming both flags (DESIGN.md §17).
 #pragma once
@@ -23,13 +23,11 @@ struct MttkrpPlan {
   /// kSequential only; the other paths run no backend of their own).
   Backend backend = Backend::kCoo;
   sparkle::LocalKernel kernel = sparkle::LocalKernel::kCoo;
-  /// Only a join chain rebalances keyed joins; every other path is kHash.
-  sparkle::SkewPolicy skewPolicy = sparkle::SkewPolicy::kHash;
 
-  /// E.g. "join-chain CSTF-QCOO, skew policy hash" or
+  /// E.g. "join-chain CSTF-QCOO" or
   /// "broadcast-local, csf kernel".
   std::string describe() const;
-  /// Stamp backend, solver, localKernel, skewPolicy and plan onto `report`.
+  /// Stamp backend, solver, localKernel and plan onto `report`.
   void fillReport(RunReport& report) const;
 };
 

@@ -105,7 +105,6 @@ std::string RunReport::toJson() const {
   w.kv("sketchedMttkrps", std::uint64_t{sketchedMttkrps});
   w.kv("sketchSampledNnz", std::uint64_t{sketchSampledNnz});
   w.kv("sketchEpsilon", sketchEpsilon);
-  w.kv("skewPolicy", skewPolicy);
   w.kv("localKernel", localKernel);
   w.kv("localKernelWallSec", localKernelWallSec);
   w.kv("localKernelInvocations", std::uint64_t{localKernelInvocations});

@@ -36,8 +36,7 @@ struct ModeTelemetry {
   std::uint64_t cacheBytesDeserialized = 0;
   /// Task attempts retried during this mode update (fault injection).
   std::uint64_t taskRetries = 0;
-  /// Reduce-task record skew pooled over this mode update's shuffles — the
-  /// headline number of the skew-mitigation ablation.
+  /// Reduce-task record skew pooled over this mode update's shuffles.
   sparkle::RecordSkewStats reduceSkew;
 };
 
@@ -106,7 +105,7 @@ struct FailureSummary {
 
 struct RunReport {
   /// The resolved MTTKRP plan (MttkrpPlan::describe()); the backend,
-  /// solver, skewPolicy and localKernel fields below are stamped from it.
+  /// solver and localKernel fields below are stamped from it.
   std::string plan;
   std::string backend;
   /// Active solver ("exact", "sketched").
@@ -119,8 +118,6 @@ struct RunReport {
   std::uint64_t sketchSampledNnz = 0;
   /// Last measured estimator error (NaN when never measured).
   double sketchEpsilon = std::numeric_limits<double>::quiet_NaN();
-  /// Active MTTKRP shuffle skew policy ("hash", "frequency", "replicate").
-  std::string skewPolicy;
   /// Active per-partition compute kernel ("coo", "csf").
   std::string localKernel;
   /// Host wall seconds spent inside local-kernel compute() calls, and how

@@ -8,17 +8,8 @@
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
-#include "cstf/skew.hpp"
 
 namespace cstf::serve {
-
-LoadHints servingLoadHints(const cstf_core::SkewPlan& plan) {
-  LoadHints hints(plan.modes.size());
-  for (std::size_t m = 0; m < plan.modes.size(); ++m) {
-    hints[m] = plan.modes[m].heavyKeys;
-  }
-  return hints;
-}
 
 ShardedEngine::ShardedEngine(CpModel model, ShardedEngineOptions opts)
     : rank_(model.rank),

@@ -6,8 +6,8 @@
 // i div S), and copy c of shard s lives on node (s + c) mod N — chained
 // declustering, so no two shards share a full replica set and one node
 // death costs at most one copy of any shard. Hot shards — those owning a
-// disproportionate share of the PR-3 frequency census's heavy rows — get
-// one extra replica, because skewed request streams hammer the shards that
+// disproportionate share of the hinted heavy rows (LoadHints) — get one
+// extra replica, because skewed request streams hammer the shards that
 // own the hot rows just as skewed tensors hammer the partitions that own
 // the hot keys.
 //
@@ -44,20 +44,11 @@
 #include "serve/shard_scan.hpp"
 #include "sparkle/cluster.hpp"
 
-namespace cstf::cstf_core {
-struct SkewPlan;
-}
-
 namespace cstf::serve {
 
 /// Per-mode (row, estimated request weight) heavy hitters driving
 /// hot-shard replication; outer index is the mode.
 using LoadHints = std::vector<std::vector<std::pair<Index, std::uint64_t>>>;
-
-/// Flatten a PR-3 skew census into serving load hints: each mode's heavy
-/// keys become that mode's heavy rows (a row requested often is exactly a
-/// key that appears often).
-LoadHints servingLoadHints(const cstf_core::SkewPlan& plan);
 
 struct ShardedEngineOptions {
   /// Row-wise shards (row i of every mode lives on shard i mod numShards).
@@ -69,7 +60,7 @@ struct ShardedEngineOptions {
   /// A shard whose hinted load reaches hotShardFactor times the mean shard
   /// load gets one extra replica; <= 0 disables promotion.
   double hotShardFactor = 2.0;
-  /// Heavy-row weights (see servingLoadHints); empty = no promotion.
+  /// Heavy-row weights; empty = no promotion.
   LoadHints loadHints;
   /// Deterministic node loss applied at batch boundaries: stage =
   /// dispatched batch index (the serving-tier reuse of the shuffle

@@ -20,7 +20,6 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "sparkle/local_kernel.hpp"
-#include "sparkle/partitioner.hpp"
 
 namespace cstf::sparkle {
 
@@ -173,10 +172,6 @@ struct ClusterConfig {
 
   /// Correlated node-loss injection (see FaultPlan). Off by default.
   FaultPlan faults;
-
-  /// Heavy-hitter key handling in skew-aware operations (see SkewPolicy).
-  /// kHash preserves the engine's historical behaviour exactly.
-  SkewPolicy skewPolicy = SkewPolicy::kHash;
 
   /// The per-partition MTTKRP compute kernel (see LocalKernel). kCoo keeps
   /// the join chains; kCsf selects the broadcast-local path (cstf/plan.hpp).

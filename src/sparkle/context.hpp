@@ -43,12 +43,15 @@ class Context {
     config_.validate();
     applyChaosFromEnv(config_);
     straggler_.setCallback([this](const StragglerEvent& ev) {
-      CSTF_LOG_WARN(
-          "straggler: stage %llu partition %u %s %.3fs vs stage median "
-          "%.3fs (%.1fx)",
-          static_cast<unsigned long long>(ev.stageId), ev.partition,
-          ev.stillRunning ? "running for" : "took", ev.taskSec, ev.medianSec,
-          ev.ratio);
+      if (stragglerEvents_.fetch_add(1, std::memory_order_relaxed) <
+          kStragglerWarnings) {
+        CSTF_LOG_WARN(
+            "straggler: stage %llu partition %u %s %.3fs vs stage median "
+            "%.3fs (%.1fx)",
+            static_cast<unsigned long long>(ev.stageId), ev.partition,
+            ev.stillRunning ? "running for" : "took", ev.taskSec,
+            ev.medianSec, ev.ratio);
+      }
       if (trace_->enabled()) {
         trace_->recordInstant(
             "straggler", "watchdog",
@@ -61,6 +64,17 @@ class Context {
       }
       liveStragglers_.add();
     });
+  }
+
+  ~Context() {
+    const std::uint64_t events = stragglerEvents_.load();
+    if (events > kStragglerWarnings) {
+      CSTF_LOG_WARN("straggler: %llu more flagged tasks not logged (%llu "
+                    "in total)",
+                    static_cast<unsigned long long>(events -
+                                                    kStragglerWarnings),
+                    static_cast<unsigned long long>(events));
+    }
   }
 
   Context(const Context&) = delete;
@@ -148,8 +162,10 @@ class Context {
     return n;
   }
 
-  /// Straggler watchdog fed by every task this context runs. Flags fire a
-  /// live log warning, a trace instant, and `sparkle_straggler_tasks_total`.
+  /// Straggler watchdog fed by every task this context runs. Every flag
+  /// records a trace instant and bumps `sparkle_straggler_tasks_total`; the
+  /// first kStragglerWarnings also log a warning, and the destructor logs
+  /// one summary line for the rest.
   /// The heartbeat's check callback should call straggler().checkNow() to
   /// catch tasks still running.
   StragglerWatchdog& straggler() { return straggler_; }
@@ -168,6 +184,8 @@ class Context {
   }
 
  private:
+  static constexpr std::uint64_t kStragglerWarnings = 3;
+
   ClusterConfig config_;
   MetricsRegistry metrics_;
   cstf::ThreadPool pool_;
@@ -184,6 +202,7 @@ class Context {
       metrics::globalRegistry().gauge("sparkle_tasks_inflight");
   metrics::Counter& liveStragglers_ =
       metrics::globalRegistry().counter("sparkle_straggler_tasks_total");
+  std::atomic<std::uint64_t> stragglerEvents_{0};
   std::atomic<std::uint64_t> nextDatasetId_{1};
   mutable std::mutex datasetsMutex_;
   std::unordered_set<DatasetBase*> datasets_;

@@ -1,8 +1,8 @@
 // Selector for the per-partition (map-side) compute kernel a task runs.
 //
-// Mirrors SkewPolicy: an engine-level enum set on ClusterConfig. The
-// kernels themselves live in cstf/kernels/ — sparkle only names them, so
-// the engine layer stays tensor-agnostic.
+// An engine-level enum set on ClusterConfig. The kernels themselves live
+// in cstf/kernels/ — sparkle only names them, so the engine layer stays
+// tensor-agnostic.
 #pragma once
 
 #include <string>

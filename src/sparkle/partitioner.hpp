@@ -1,15 +1,11 @@
 // Key hashing and partition assignment.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -72,87 +68,6 @@ class HashPartitioner : public Partitioner {
   std::size_t partitionOf(std::uint64_t keyHash) const override {
     return keyHash % n_;
   }
-};
-
-/// How a shuffle deals with heavy-hitter keys (power-law tensor modes).
-///   kHash      — plain hash partitioning (Spark's default; the behaviour
-///                every existing code path had before skew mitigation).
-///   kFrequency — a key-frequency census drives a FrequencyAwarePartitioner
-///                that bin-packs the heavy keys onto least-loaded
-///                partitions; the tail still hashes.
-///   kReplicate — heavy factor rows are broadcast and joined map-side
-///                (skew-join), bypassing the shuffle for those keys; the
-///                tail takes the normal join path.
-enum class SkewPolicy { kHash, kFrequency, kReplicate };
-
-inline const char* skewPolicyName(SkewPolicy p) {
-  switch (p) {
-    case SkewPolicy::kHash: return "hash";
-    case SkewPolicy::kFrequency: return "frequency";
-    case SkewPolicy::kReplicate: return "replicate";
-  }
-  return "?";
-}
-
-inline SkewPolicy skewPolicyFromName(const std::string& s) {
-  if (s == "hash") return SkewPolicy::kHash;
-  if (s == "frequency") return SkewPolicy::kFrequency;
-  if (s == "replicate") return SkewPolicy::kReplicate;
-  throw Error("invalid value '" + s +
-              "' for --skew-policy (expected hash|frequency|replicate)");
-}
-
-/// Greedy bin-packing of known heavy keys, hash for the tail.
-///
-/// Built from a census of (key hash, estimated record count) heavy hitters:
-/// every partition's load is seeded with its hash-assigned share of the
-/// tail, then the heavy keys — heaviest first — are pinned one by one onto
-/// the currently least-loaded partition (LPT scheduling, the classic 4/3
-/// max-load bound). Keys are identified by their KeyHash value, the same
-/// 64-bit hash partitionOf receives, so the partitioner stays key-type
-/// agnostic. Lookup is one hash-map probe; misses fall back to `hash % n`,
-/// which makes the empty-census partitioner behave exactly like
-/// HashPartitioner.
-class FrequencyAwarePartitioner : public Partitioner {
- public:
-  /// `heavyKeys` maps key hash -> estimated record count (need not be
-  /// sorted; duplicates keep the larger weight). `tailWeight` is the
-  /// estimated record count NOT covered by heavyKeys, spread uniformly as
-  /// the seed load.
-  FrequencyAwarePartitioner(
-      std::size_t numPartitions,
-      std::vector<std::pair<std::uint64_t, std::uint64_t>> heavyKeys,
-      std::uint64_t tailWeight = 0)
-      : Partitioner(numPartitions) {
-    // Deterministic order: weight descending, hash ascending as tie-break.
-    std::sort(heavyKeys.begin(), heavyKeys.end(),
-              [](const auto& a, const auto& b) {
-                return a.second != b.second ? a.second > b.second
-                                            : a.first < b.first;
-              });
-    std::vector<double> load(n_, static_cast<double>(tailWeight) /
-                                     static_cast<double>(n_));
-    assigned_.reserve(heavyKeys.size());
-    for (const auto& [hash, weight] : heavyKeys) {
-      if (!assigned_.emplace(hash, 0).second) continue;  // duplicate hash
-      std::size_t best = 0;
-      for (std::size_t p = 1; p < n_; ++p) {
-        if (load[p] < load[best]) best = p;
-      }
-      assigned_[hash] = best;
-      load[best] += static_cast<double>(weight);
-    }
-  }
-
-  std::size_t partitionOf(std::uint64_t keyHash) const override {
-    const auto it = assigned_.find(keyHash);
-    return it != assigned_.end() ? it->second : keyHash % n_;
-  }
-
-  std::size_t numPinnedKeys() const { return assigned_.size(); }
-
- private:
-  std::unordered_map<std::uint64_t, std::size_t> assigned_;
 };
 
 /// Co-partitioning test: two datasets produced with the *same partitioner

@@ -22,7 +22,6 @@
 #include <string>
 #include <type_traits>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -30,12 +29,6 @@
 #include "sparkle/shuffle.hpp"
 
 namespace cstf::sparkle {
-
-template <typename T>
-class Broadcast;
-template <typename T>
-Broadcast<T> broadcast(Context& ctx, T value,
-                       const std::string& label = "broadcast");
 
 namespace detail {
 
@@ -363,70 +356,6 @@ class Rdd {
     auto ds = std::make_shared<JoinDataset<K, V, W>>(ctx_, std::move(lhs),
                                                      std::move(rhs), part);
     return Rdd<std::pair<K, std::pair<V, W>>>(ctx_, std::move(ds));
-  }
-
-  /// Broadcast-hash skew join (hot-key replication). Right-side rows whose
-  /// key is in `hotKeys` are collected and broadcast; hot left records then
-  /// join map-side inside their current partitions, bypassing the shuffle
-  /// for exactly the keys that would overload one reduce partition. Cold
-  /// keys take the normal shuffled join. Emits the same (key, (V, W))
-  /// multiset as join(), in a different order. The left side is consumed
-  /// twice (hot and cold filters) — cache it first unless it is already
-  /// materialized, or the narrow chain recomputes per consumer.
-  template <typename W, typename TT = T,
-            typename = std::enable_if_t<detail::PairTraits<TT>::isPair>,
-            typename K = typename detail::PairTraits<TT>::Key,
-            typename V = typename detail::PairTraits<TT>::Value>
-  Rdd<std::pair<K, std::pair<V, W>>> skewJoin(
-      const Rdd<std::pair<K, W>>& other,
-      // type_identity blocks deduction so callers may pass nullptr or a
-      // shared_ptr to a non-const set.
-      std::type_identity_t<
-          std::shared_ptr<const std::unordered_set<K, StdKeyHash<K>>>>
-          hotKeys,
-      std::shared_ptr<Partitioner> part = nullptr,
-      const std::string& label = "skewJoin") const {
-    using Out = std::pair<K, std::pair<V, W>>;
-    if (!hotKeys || hotKeys->empty()) {
-      return join(other, std::move(part), label);
-    }
-
-    // Hot path: ship the (few, heavy-keyed) right rows to every node.
-    using HotMap = std::unordered_map<K, std::vector<W>, StdKeyHash<K>>;
-    HotMap hotMap;
-    for (auto& kv : other
-                        .filter([hotKeys](const std::pair<K, W>& kv) {
-                          return hotKeys->count(kv.first) > 0;
-                        })
-                        .collect(label + "-hot-rows")) {
-      hotMap[kv.first].push_back(std::move(kv.second));
-    }
-    Broadcast<HotMap> bc = cstf::sparkle::broadcast(
-        *ctx_, std::move(hotMap), label + "-hot-bcast");
-    auto hotOut =
-        filter([hotKeys](const std::pair<K, V>& kv) {
-          return hotKeys->count(kv.first) > 0;
-        }).flatMap([bc](const std::pair<K, V>& kv) {
-          std::vector<Out> out;
-          const auto it = bc.value().find(kv.first);
-          if (it != bc.value().end()) {
-            out.reserve(it->second.size());
-            for (const W& w : it->second) {
-              out.emplace_back(kv.first, std::pair<V, W>(kv.second, w));
-            }
-          }
-          return out;
-        });
-
-    // Cold path: the tail joins normally, minus the replicated keys.
-    auto coldLeft = filter([hotKeys](const std::pair<K, V>& kv) {
-      return hotKeys->count(kv.first) == 0;
-    });
-    auto coldRight = other.filter([hotKeys](const std::pair<K, W>& kv) {
-      return hotKeys->count(kv.first) == 0;
-    });
-    return coldLeft.join(coldRight, std::move(part), label)
-        .unionWith(hotOut);
   }
 
   /// cogroup: for every key, collect ALL values from both sides. One
@@ -896,7 +825,8 @@ class Broadcast {
 };
 
 template <typename T>
-Broadcast<T> broadcast(Context& ctx, T value, const std::string& label) {
+Broadcast<T> broadcast(Context& ctx, T value,
+                       const std::string& label = "broadcast") {
   const std::uint64_t bytes = serdeSize(value);
   const ClusterConfig& cfg = ctx.config();
   StageMetrics m;

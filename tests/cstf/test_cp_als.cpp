@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "sparkle/sparkle.hpp"
 #include "tensor/generator.hpp"
 #include "tensor/reference_ops.hpp"
@@ -168,6 +171,37 @@ TEST(CpAls, RejectsBadOptions) {
   o = baseOpts(Backend::kCoo);
   o.maxIterations = 0;
   EXPECT_THROW(cpAls(ctx, t, o), Error);
+}
+
+TEST(FitDelta, FirstIterationDeltaIsUndefined) {
+  auto t = tensor::generateZipf({40, 35, 30}, 800, 0.8, 3);
+  sparkle::Context ctx(testCluster(), 2);
+  auto o = baseOpts(Backend::kCoo, 3);
+  o.tolerance = 0.0;
+  auto res = cpAls(ctx, t, o);
+  ASSERT_GE(res.iterations.size(), 2u);
+  EXPECT_TRUE(std::isnan(res.iterations[0].fitDelta))
+      << "iteration 1 has no previous fit; its delta must be undefined";
+  EXPECT_TRUE(std::isfinite(res.iterations[1].fitDelta));
+  ASSERT_GE(res.report.iterations.size(), 2u);
+  EXPECT_TRUE(std::isnan(res.report.iterations[0].fitDelta));
+
+  // JSON: NaN is not representable and degrades to null, exactly once here.
+  const std::string json = res.report.toJson();
+  EXPECT_NE(json.find("\"fitDelta\":null"), std::string::npos);
+}
+
+TEST(FitDelta, ConvergenceCheckUnaffectedByUndefinedFirstDelta) {
+  // With an absurdly loose tolerance the run must still execute TWO
+  // iterations: iteration 1 can never satisfy the convergence check
+  // because it has no previous fit to compare against.
+  auto t = tensor::generateZipf({40, 35, 30}, 800, 0.8, 3);
+  sparkle::Context ctx(testCluster(), 2);
+  auto o = baseOpts(Backend::kCoo, 10);
+  o.tolerance = 1e9;
+  auto res = cpAls(ctx, t, o);
+  EXPECT_EQ(res.iterations.size(), 2u);
+  EXPECT_TRUE(res.converged);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// The MTTKRP plan: every backend x solver x kernel x skew-policy
-// combination either resolves to one path that does what its name says, or
-// is refused up front.
+// The MTTKRP plan: every backend x solver x kernel combination either
+// resolves to one path that does what its name says, or is refused up
+// front.
 #include "cstf/plan.hpp"
 
 #include <gtest/gtest.h>
@@ -17,13 +17,11 @@ namespace {
 
 using Path = MttkrpPlan::Path;
 
-sparkle::ClusterConfig cluster(sparkle::LocalKernel kernel,
-                               sparkle::SkewPolicy policy) {
+sparkle::ClusterConfig cluster(sparkle::LocalKernel kernel) {
   sparkle::ClusterConfig cfg;
   cfg.numNodes = 4;
   cfg.coresPerNode = 2;
   cfg.localKernel = kernel;
-  cfg.skewPolicy = policy;
   return cfg;
 }
 
@@ -42,19 +40,15 @@ CpAlsOptions alsOpts(Backend backend, Solver solver) {
 
 /// The path a combination must take, written out independently of
 /// resolvePlan; nullopt = refused.
-std::optional<Path> expectedPath(Backend b, Solver s, sparkle::LocalKernel k,
-                                 sparkle::SkewPolicy p) {
+std::optional<Path> expectedPath(Backend b, Solver s,
+                                 sparkle::LocalKernel k) {
   const bool open = b == Backend::kCoo || b == Backend::kQcoo;
   const bool csf = k == sparkle::LocalKernel::kCsf;
-  const bool hash = p == sparkle::SkewPolicy::kHash;
   if (s == Solver::kSketched) {
-    return open && hash ? std::optional<Path>(Path::kSampled) : std::nullopt;
+    return open ? std::optional<Path>(Path::kSampled) : std::nullopt;
   }
-  if (open) {
-    if (!csf) return Path::kJoinChain;
-    return hash ? std::optional<Path>(Path::kBroadcastLocal) : std::nullopt;
-  }
-  if (csf || !hash) return std::nullopt;
+  if (open) return csf ? Path::kBroadcastLocal : Path::kJoinChain;
+  if (csf) return std::nullopt;
   return b == Backend::kBigtensor ? Path::kJoinChain : Path::kSequential;
 }
 
@@ -77,15 +71,13 @@ const char* pathPrefix(Path p) {
 
 TEST(MttkrpPlan, DescribesTheResolvedPath) {
   CpAlsOptions o = alsOpts(Backend::kQcoo, Solver::kExact);
-  auto plan = resolvePlan(
-      o, cluster(sparkle::LocalKernel::kCoo, sparkle::SkewPolicy::kReplicate));
+  auto plan = resolvePlan(o, cluster(sparkle::LocalKernel::kCoo));
   EXPECT_EQ(plan.path, Path::kJoinChain);
-  EXPECT_EQ(plan.describe(), "join-chain CSTF-QCOO, skew policy replicate");
+  EXPECT_EQ(plan.describe(), "join-chain CSTF-QCOO");
 
   // QCOO with the CSF kernel never builds a queue: the plan must not
   // claim the QCOO backend.
-  plan = resolvePlan(
-      o, cluster(sparkle::LocalKernel::kCsf, sparkle::SkewPolicy::kHash));
+  plan = resolvePlan(o, cluster(sparkle::LocalKernel::kCsf));
   EXPECT_EQ(plan.path, Path::kBroadcastLocal);
   EXPECT_EQ(plan.describe(), "broadcast-local, csf kernel");
   RunReport report;
@@ -93,20 +85,17 @@ TEST(MttkrpPlan, DescribesTheResolvedPath) {
   EXPECT_EQ(report.plan, "broadcast-local, csf kernel");
   EXPECT_EQ(report.backend, "broadcast-local");
   EXPECT_EQ(report.localKernel, "csf");
-  EXPECT_EQ(report.skewPolicy, "hash");
   EXPECT_EQ(report.solver, "exact");
 
   o = alsOpts(Backend::kDimTree, Solver::kExact);
-  plan = resolvePlan(
-      o, cluster(sparkle::LocalKernel::kCoo, sparkle::SkewPolicy::kHash));
+  plan = resolvePlan(o, cluster(sparkle::LocalKernel::kCoo));
   EXPECT_EQ(plan.describe(), "sequential dimension-tree");
 }
 
 TEST(MttkrpPlan, RefusalNamesBothFlags) {
   const CpAlsOptions o = alsOpts(Backend::kBigtensor, Solver::kExact);
   try {
-    resolvePlan(o, cluster(sparkle::LocalKernel::kCsf,
-                           sparkle::SkewPolicy::kHash));
+    resolvePlan(o, cluster(sparkle::LocalKernel::kCsf));
     FAIL() << "expected Error";
   } catch (const Error& e) {
     const std::string what = e.what();
@@ -119,8 +108,7 @@ TEST(MttkrpPlan, EveryCombinationIsRefusedOrDoesWhatItSays) {
   auto t = tensor::generateZipf({20, 18, 16}, 300, 1.1, 21);
   CpAlsResult ref;
   {
-    sparkle::Context ctx(
-        cluster(sparkle::LocalKernel::kCoo, sparkle::SkewPolicy::kHash), 2);
+    sparkle::Context ctx(cluster(sparkle::LocalKernel::kCoo), 2);
     ref = cpAls(ctx, t, alsOpts(Backend::kReference, Solver::kExact));
   }
 
@@ -130,66 +118,57 @@ TEST(MttkrpPlan, EveryCombinationIsRefusedOrDoesWhatItSays) {
                     Backend::kReference, Backend::kDimTree}) {
     for (Solver s : {Solver::kExact, Solver::kSketched}) {
       for (auto k : {sparkle::LocalKernel::kCoo, sparkle::LocalKernel::kCsf}) {
-        for (auto p :
-             {sparkle::SkewPolicy::kHash, sparkle::SkewPolicy::kFrequency,
-              sparkle::SkewPolicy::kReplicate}) {
-          const std::string what =
-              std::string(backendName(b)) + "/" + solverName(s) + "/" +
-              sparkle::localKernelName(k) + "/" + sparkle::skewPolicyName(p);
-          const std::optional<Path> path = expectedPath(b, s, k, p);
-          sparkle::Context ctx(cluster(k, p), 2);
-          if (!path) {
-            EXPECT_THROW(cpAls(ctx, t, alsOpts(b, s)), Error) << what;
-            EXPECT_EQ(ctx.metrics().stageCount(), 0u) << what;
-            ++refused;
-            continue;
-          }
-          ++ran;
-          const CpAlsResult res = cpAls(ctx, t, alsOpts(b, s));
-          const RunReport& rep = res.report;
-          EXPECT_EQ(rep.plan.rfind(pathPrefix(*path), 0), 0u)
-              << what << " ran as '" << rep.plan << "'";
+        const std::string what = std::string(backendName(b)) + "/" +
+                                 solverName(s) + "/" +
+                                 sparkle::localKernelName(k);
+        const std::optional<Path> path = expectedPath(b, s, k);
+        sparkle::Context ctx(cluster(k), 2);
+        if (!path) {
+          EXPECT_THROW(cpAls(ctx, t, alsOpts(b, s)), Error) << what;
+          EXPECT_EQ(ctx.metrics().stageCount(), 0u) << what;
+          ++refused;
+          continue;
+        }
+        ++ran;
+        const CpAlsResult res = cpAls(ctx, t, alsOpts(b, s));
+        const RunReport& rep = res.report;
+        EXPECT_EQ(rep.plan.rfind(pathPrefix(*path), 0), 0u)
+            << what << " ran as '" << rep.plan << "'";
 
-          // The report's counters tell which path really ran.
-          const bool kernelPath =
-              *path == Path::kBroadcastLocal || *path == Path::kSampled;
-          EXPECT_EQ(rep.localKernelInvocations > 0, kernelPath) << what;
-          EXPECT_EQ(rep.sketchedMttkrps > 0, *path == Path::kSampled)
-              << what;
-          EXPECT_EQ(ctx.metrics().totalsForScope("SkewCensus").stages > 0,
-                    *path == Path::kJoinChain &&
-                        p != sparkle::SkewPolicy::kHash)
-              << what;
-          EXPECT_EQ(ranStage(ctx, "qcoo-"),
-                    *path == Path::kJoinChain && b == Backend::kQcoo)
-              << what;
-          EXPECT_EQ(ctx.metrics().totals().shuffleOps == 0,
-                    *path == Path::kSequential)
-              << what;
+        // The report's counters tell which path really ran.
+        const bool kernelPath =
+            *path == Path::kBroadcastLocal || *path == Path::kSampled;
+        EXPECT_EQ(rep.localKernelInvocations > 0, kernelPath) << what;
+        EXPECT_EQ(rep.sketchedMttkrps > 0, *path == Path::kSampled) << what;
+        EXPECT_EQ(ranStage(ctx, "qcoo-"),
+                  *path == Path::kJoinChain && b == Backend::kQcoo)
+            << what;
+        EXPECT_EQ(ctx.metrics().totals().shuffleOps == 0,
+                  *path == Path::kSequential)
+            << what;
 
-          if (*path == Path::kSampled) {
-            // Iterations 2 and 3 (cadence 2, plus the last) are exact.
-            ASSERT_EQ(rep.iterations.size(), 3u) << what;
-            EXPECT_FALSE(rep.iterations[0].fitExact) << what;
-            for (std::size_t i = 1; i < 3; ++i) {
-              EXPECT_TRUE(rep.iterations[i].fitExact) << what;
-              EXPECT_TRUE(std::isfinite(rep.iterations[i].fit)) << what;
-            }
-            continue;
+        if (*path == Path::kSampled) {
+          // Iterations 2 and 3 (cadence 2, plus the last) are exact.
+          ASSERT_EQ(rep.iterations.size(), 3u) << what;
+          EXPECT_FALSE(rep.iterations[0].fitExact) << what;
+          for (std::size_t i = 1; i < 3; ++i) {
+            EXPECT_TRUE(rep.iterations[i].fitExact) << what;
+            EXPECT_TRUE(std::isfinite(rep.iterations[i].fit)) << what;
           }
-          for (std::size_t m = 0; m < t.order(); ++m) {
-            EXPECT_LT(res.factors[m].maxAbsDiff(ref.factors[m]), 1e-12)
-                << what << " mode " << m;
-          }
-          for (std::size_t r = 0; r < ref.lambda.size(); ++r) {
-            EXPECT_NEAR(res.lambda[r], ref.lambda[r], 1e-12) << what;
-          }
+          continue;
+        }
+        for (std::size_t m = 0; m < t.order(); ++m) {
+          EXPECT_LT(res.factors[m].maxAbsDiff(ref.factors[m]), 1e-12)
+              << what << " mode " << m;
+        }
+        for (std::size_t r = 0; r < ref.lambda.size(); ++r) {
+          EXPECT_NEAR(res.lambda[r], ref.lambda[r], 1e-12) << what;
         }
       }
     }
   }
-  EXPECT_EQ(ran, 15);
-  EXPECT_EQ(refused, 45);
+  EXPECT_EQ(ran, 11);
+  EXPECT_EQ(refused, 9);
 }
 
 }  // namespace

@@ -142,5 +142,20 @@ TEST(RunReport, EmptyReportSerializesToValidJson) {
   EXPECT_TRUE(testsupport::isValidJson(r.toJson()));
 }
 
+TEST(SkewPolicies, ReportExposesReduceSkewTelemetry) {
+  auto t = tensor::generateZipf({300, 300, 300}, 4000, 1.1, 5);
+  sparkle::Context ctx(testCluster(), 2);
+  auto res = cpAls(ctx, t, reportOpts(Backend::kCoo, 1));
+  ASSERT_FALSE(res.report.iterations.empty());
+  ASSERT_FALSE(res.report.iterations[0].modes.empty());
+  bool sawReduceRecords = false;
+  for (const auto& mt : res.report.iterations[0].modes) {
+    if (mt.reduceSkew.partitions > 0) sawReduceRecords = true;
+  }
+  EXPECT_TRUE(sawReduceRecords);
+  const std::string json = res.report.toJson();
+  EXPECT_NE(json.find("\"reduceSkew\""), std::string::npos);
+}
+
 }  // namespace
 }  // namespace cstf::cstf_core

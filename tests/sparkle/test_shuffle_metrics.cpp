@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <vector>
 
 #include "common/serde.hpp"
@@ -163,6 +164,117 @@ TEST(ShuffleMetrics, ResetClears) {
   ctx.metrics().reset();
   EXPECT_EQ(ctx.metrics().stages().size(), 0u);
   EXPECT_DOUBLE_EQ(ctx.metrics().simTimeSec(), 0.0);
+}
+
+TEST(BroadcastMetering, SourceNodePaysNoInboundBytes) {
+  // Regression: broadcast() used to charge the serialized payload as
+  // inbound network bytes on ALL nodes, source included. The source node
+  // (node 0) already holds the value and must pay nothing.
+  Context ctx(cfgNodes(8), 2);
+  std::vector<double> payload(100, 1.5);
+  const std::uint64_t bytes = serdeSize(payload);
+  auto bc = broadcast(ctx, payload, "test-bcast");
+  EXPECT_EQ(bc.value().size(), 100u);
+
+  const auto stages = ctx.metrics().stages();
+  ASSERT_EQ(stages.size(), 1u);
+  const StageMetrics& s = stages[0];
+  EXPECT_EQ(s.kind, StageKind::kBroadcast);
+  EXPECT_EQ(s.broadcastBytes, bytes * 7);
+  ASSERT_EQ(s.nodeBytesInRemote.size(), 8u);
+  EXPECT_EQ(s.nodeBytesInRemote[0], 0u) << "source must not pay inbound";
+  std::uint64_t inbound = 0;
+  for (std::uint64_t b : s.nodeBytesInRemote) inbound += b;
+  EXPECT_EQ(inbound, bytes * 7)
+      << "total inbound must equal the metered broadcast volume";
+  for (std::size_t nIdx = 1; nIdx < 8; ++nIdx) {
+    EXPECT_EQ(s.nodeBytesInRemote[nIdx], bytes) << "node " << nIdx;
+  }
+}
+
+TEST(BroadcastMetering, SingleNodeClusterPaysNothing) {
+  Context ctx(cfgNodes(1), 2);
+  broadcast(ctx, std::vector<double>(50, 2.0), "solo-bcast");
+  const auto stages = ctx.metrics().stages();
+  ASSERT_EQ(stages.size(), 1u);
+  EXPECT_EQ(stages[0].broadcastBytes, 0u);
+  ASSERT_EQ(stages[0].nodeBytesInRemote.size(), 1u);
+  EXPECT_EQ(stages[0].nodeBytesInRemote[0], 0u);
+  // With no receivers the stage costs only the fixed scheduling overhead —
+  // no network phase.
+  EXPECT_DOUBLE_EQ(stages[0].simTimeSec, ctx.config().stageOverheadSec);
+}
+
+TEST(TakeAction, StopsAfterGatheringEnoughRecords) {
+  Context ctx(cfgNodes(4), 2);
+  std::vector<int> data(100);
+  std::iota(data.begin(), data.end(), 0);
+  auto rdd = parallelize(ctx, data, 10);  // 10 records per partition
+
+  auto head = rdd.take(25);
+  ASSERT_EQ(head.size(), 25u);
+  for (int i = 0; i < 25; ++i) EXPECT_EQ(head[size_t(i)], i);
+
+  // Only 3 of the 10 partitions may be computed (25 records need
+  // partitions 0, 1, and 2; the truncated third partition still runs).
+  const auto stages = ctx.metrics().stages();
+  ASSERT_EQ(stages.size(), 1u);
+  EXPECT_EQ(stages[0].kind, StageKind::kResult);
+  EXPECT_EQ(stages[0].tasks.size(), 3u);
+  EXPECT_EQ(stages[0].work.recordsProcessed, 30u)
+      << "take must not process partitions it never visited";
+}
+
+TEST(TakeAction, FirstComputesOnePartitionOnly) {
+  Context ctx(cfgNodes(4), 2);
+  std::vector<int> data(100);
+  std::iota(data.begin(), data.end(), 0);
+  EXPECT_EQ(parallelize(ctx, data, 10).first(), 0);
+  const auto stages = ctx.metrics().stages();
+  ASSERT_EQ(stages.size(), 1u);
+  EXPECT_EQ(stages[0].tasks.size(), 1u);
+}
+
+TEST(TakeAction, TakeMoreThanSizeReturnsEverything) {
+  Context ctx(cfgNodes(4), 2);
+  std::vector<int> data = {5, 6, 7};
+  auto out = parallelize(ctx, data, 2).take(50);
+  EXPECT_EQ(out, data);
+}
+
+TEST(TakeAction, TakeZeroRecordsNothing) {
+  Context ctx(cfgNodes(4), 2);
+  auto out = parallelize(ctx, std::vector<int>{1, 2, 3}, 2).take(0);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(ctx.metrics().stages().size(), 0u);
+}
+
+TEST(TakeAction, MetersVisitedWorkIntoSimTime) {
+  Context ctx(cfgNodes(4), 2);
+  std::vector<int> data(1000);
+  std::iota(data.begin(), data.end(), 0);
+  auto mapped = parallelize(ctx, data, 10).map([](int x) { return x * 2; });
+  EXPECT_EQ(mapped.take(5), (std::vector<int>{0, 2, 4, 6, 8}));
+  const auto stages = ctx.metrics().stages();
+  ASSERT_EQ(stages.size(), 1u);
+  // One partition holds 100 source records; only that partition's work
+  // (source read + map) may be metered — not the other 900 records'.
+  EXPECT_EQ(stages[0].tasks.size(), 1u);
+  EXPECT_GE(stages[0].work.recordsProcessed, 100u);
+  EXPECT_LT(stages[0].work.recordsProcessed, 500u);
+}
+
+TEST(TakeAction, WorksThroughShuffleDependency) {
+  // Shuffle deps materialize fully (as in Spark), then take truncates the
+  // post-shuffle scan.
+  Context ctx(cfgNodes(4), 2);
+  std::vector<KV> data;
+  for (std::uint32_t i = 0; i < 60; ++i) data.push_back({i % 6, 1.0});
+  auto reduced = parallelize(ctx, data, 4).reduceByKey(
+      [](double a, double b) { return a + b; });
+  auto head = reduced.take(2);
+  ASSERT_EQ(head.size(), 2u);
+  for (const auto& kv : head) EXPECT_DOUBLE_EQ(kv.second, 10.0);
 }
 
 }  // namespace

@@ -1,9 +1,13 @@
-// Per-partition task records, skew statistics, and the metrics CSV.
+// Per-partition task records, skew statistics, the metrics CSV, and the
+// straggler log.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/log.hpp"
+#include "common/metrics_registry.hpp"
 #include "sparkle/sparkle.hpp"
 
 namespace cstf::sparkle {
@@ -185,6 +189,39 @@ TEST(MetricsCsv, EscapesScopesAndIncludesRetries) {
   EXPECT_NE(csv.find("task_imbalance"), std::string::npos);
   // RFC-4180: the field is quoted and inner quotes doubled.
   EXPECT_NE(csv.find("\"we,ird \"\"scope\"\"\""), std::string::npos) << csv;
+}
+
+TEST(StragglerLog, WarnsForTheFirstThreeThenSummarizesOnce) {
+  const LogLevel savedLevel = logLevel();
+  setLogLevel(LogLevel::kWarn);
+  const metrics::Counter& flaggedTotal =
+      metrics::globalRegistry().counter("sparkle_straggler_tasks_total");
+  const std::uint64_t before = flaggedTotal.value();
+  ::testing::internal::CaptureStderr();
+  {
+    Context ctx(cfgNodes(4), 2);
+    StragglerWatchdog& w = ctx.straggler();
+    // Thirty 0.1 s tasks fix stage 1's median; ten 1 s tasks then flag.
+    for (std::uint32_t p = 0; p < 40; ++p) {
+      w.taskStarted(1, p, 0.0);
+      w.taskFinished(1, p, p < 30 ? 0.1 : 1.0);
+    }
+    EXPECT_EQ(w.flagged(), 10u);
+  }
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  setLogLevel(savedLevel);
+
+  std::istringstream lines(err);
+  int warnings = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("[WARN]") != std::string::npos &&
+        line.find("straggler") != std::string::npos) {
+      ++warnings;
+    }
+  }
+  EXPECT_EQ(warnings, 4) << err;  // three events plus one summary
+  EXPECT_NE(err.find("7 more flagged tasks"), std::string::npos) << err;
+  EXPECT_EQ(flaggedTotal.value() - before, 10u);
 }
 
 }  // namespace

@@ -23,8 +23,6 @@
 //   --sketch-samples N  nonzeros sampled per sketched MTTKRP (default 16384)
 //   --sketch-seed S     sampling seed for the sketched solver (default 0x5eed)
 //   --sketch-fit-every K exact-fit cadence for the sketched solver (default 5)
-//   --skew-policy P hash | frequency | replicate MTTKRP shuffle skew
-//                   mitigation (default hash)
 //   --local-kernel K coo | csf per-partition MTTKRP compute kernel
 //                   (default coo; csf uses the cache-time compressed-fiber
 //                   layout and the broadcast + local-kernel formulation)
@@ -77,7 +75,8 @@
 //   --shards S      serve through a ShardedEngine with S row-wise shards
 //                   (0 = single-process engine, the default)
 //   --replicas R    copies per shard, placed by chained declustering;
-//                   hot shards (Zipf-census heavy rows) get one extra
+//                   hot shards (heavy rows of the request Zipf law) get
+//                   one extra
 //   --kill-node N   fault injection: kill serving node N...
 //   --kill-after B  ...after dispatched batch B (default 1); replicated
 //                   shards fail over, unreplicated ones shed
@@ -173,7 +172,6 @@ int usage() {
                "                   [--solver exact|sketched]\n"
                "                   [--sketch-samples N] [--sketch-seed S]\n"
                "                   [--sketch-fit-every K]\n"
-               "                   [--skew-policy hash|frequency|replicate]\n"
                "                   [--local-kernel coo|csf]\n"
                "                   [--nodes N] [--seed S] [--scale X]\n"
                "                   [--output PREFIX] [--trace-out P]\n"
@@ -183,7 +181,7 @@ int usage() {
                "                   [--task-failure-rate R] [--fault-seed S]\n"
                "                   [--max-stage-attempts N] [--model-out P]\n"
                "                   [--metrics-out P] [--metrics-interval-ms N]\n"
-               "         plans: coo|qcoo = join chain (any --skew-policy);\n"
+               "         plans: coo|qcoo = join chain;\n"
                "         coo|qcoo + --local-kernel csf = broadcast-local;\n"
                "         coo|qcoo + --solver sketched = sampled (either\n"
                "         kernel); bigtensor = its join chain;\n"
@@ -235,7 +233,6 @@ struct Args {
   std::size_t sketchSamples = 16384;
   std::uint64_t sketchSeed = 0x5eed;
   int sketchFitEvery = 5;
-  std::string skewPolicy = "hash";
   std::string localKernel = "coo";
   int nodes = 8;
   std::uint64_t seed = 7;
@@ -303,14 +300,14 @@ bool parseArgs(int argc, char** argv, Args& a) {
   constexpr double kDoubleMax = std::numeric_limits<double>::max();
   // String flags, kept as given; names are validated where they are used.
   const std::pair<const char*, std::string*> stringFlags[] = {
-      {"--backend", &a.backend},        {"--solver", &a.solver},
-      {"--skew-policy", &a.skewPolicy}, {"--local-kernel", &a.localKernel},
-      {"--output", &a.output},          {"--trace-out", &a.traceOut},
-      {"--report-out", &a.reportOut},   {"--metrics-csv", &a.metricsCsv},
-      {"--model-out", &a.modelOut},     {"--model", &a.model},
-      {"--indices", &a.indicesSpec},    {"--metrics-out", &a.metricsOut},
-      {"--delta-dir", &a.deltaDir},     {"--deltas", &a.deltas},
-      {"--follow", &a.follow},          {"--base", &a.base},
+      {"--backend", &a.backend},          {"--solver", &a.solver},
+      {"--local-kernel", &a.localKernel}, {"--output", &a.output},
+      {"--trace-out", &a.traceOut},       {"--report-out", &a.reportOut},
+      {"--metrics-csv", &a.metricsCsv},   {"--model-out", &a.modelOut},
+      {"--model", &a.model},              {"--indices", &a.indicesSpec},
+      {"--metrics-out", &a.metricsOut},   {"--delta-dir", &a.deltaDir},
+      {"--deltas", &a.deltas},            {"--follow", &a.follow},
+      {"--base", &a.base},
       {"--checkpoint-dir", &a.checkpointDir}};
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -650,7 +647,6 @@ int cmdFactor(const Args& a, const std::string& spec) {
   // work starts: exit 2, like every other flag error.
   cstf_core::MttkrpPlan plan;
   try {
-    cluster.skewPolicy = sparkle::skewPolicyFromName(a.skewPolicy);
     cluster.localKernel = sparkle::localKernelFromName(a.localKernel);
     opts.backend = cstf_core::backendFromName(a.backend);
     opts.solver = cstf_core::solverFromName(a.solver);
@@ -954,9 +950,9 @@ int cmdServeBench(const Args& a) {
   const ZipfSampler zipf(static_cast<std::uint32_t>(a.distinct), a.zipf);
 
   // With --shards the model serves through a ShardedEngine; otherwise the
-  // single-process Engine. The Zipf law over the request universe doubles
-  // as the frequency census: each tuple's fixed rows carry its expected
-  // hit weight, so the shards owning the hot rows earn an extra replica.
+  // single-process Engine. The Zipf law over the request universe gives
+  // the load hints: each tuple's fixed rows carry its expected hit weight,
+  // so the shards owning the hot rows earn an extra replica.
   std::shared_ptr<const serve::TopKProvider> provider;
   std::shared_ptr<const serve::ShardedEngine> sharded;
   if (a.shards > 0) {
