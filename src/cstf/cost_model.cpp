@@ -33,12 +33,6 @@ MttkrpCost analyticMttkrpCost(Backend backend, ModeId order,
       c.intermediateData = 0.0;
       c.shuffles = 0;
       break;
-    case Backend::kDimTree:
-      // Amortized per-MTTKRP share of the tree sweep (see dim_tree.hpp).
-      c.flops = 0.0;  // meaningful only per iteration; see analyticDimTreeCost
-      c.intermediateData = 0.0;
-      c.shuffles = 0;
-      break;
   }
   return c;
 }
@@ -64,7 +58,6 @@ CpIterationCost analyticCpIterationCost(Backend backend, ModeId order) {
       c.joinCommUnits = n * (n - 1.0);  // §5: N * (N-1) * nnz * R
       break;
     case Backend::kReference:
-    case Backend::kDimTree:
       break;
   }
   return c;

@@ -10,14 +10,12 @@
 #include "common/metrics_registry.hpp"
 #include "common/strings.hpp"
 #include "cstf/checkpoint.hpp"
-#include "cstf/dim_tree.hpp"
 #include "cstf/factors.hpp"
 #include "cstf/mttkrp_bigtensor.hpp"
 #include "cstf/mttkrp_coo.hpp"
 #include "cstf/mttkrp_local.hpp"
 #include "cstf/mttkrp_qcoo.hpp"
 #include "cstf/plan.hpp"
-#include "cstf/sketch.hpp"
 #include "la/normalize.hpp"
 #include "la/solve.hpp"
 #include "tensor/reference_ops.hpp"
@@ -59,15 +57,7 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
   result.factors = randomFactors(dims, opts.rank, opts.seed);
   result.lambda.assign(opts.rank, 1.0);
 
-  SketchTelemetry sketchTel;
-  double lastEpsilon = std::numeric_limits<double>::quiet_NaN();
-
   plan.fillReport(result.report);
-  if (plan.path == Path::kSampled) {
-    result.report.sketchSamples = opts.sketch.samples;
-    result.report.sketchSeed = opts.sketch.seed;
-    result.report.sketchExactFitEvery = opts.sketch.exactFitEvery;
-  }
   result.report.rank = opts.rank;
   result.report.dims = dims;
   result.report.nnz = X.nnz();
@@ -152,7 +142,6 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
   metrics::Counter& liveIterations = live.counter("cstf_iterations_total");
   metrics::AtomicHistogram& liveIterSim =
       live.histogram("cstf_iteration_sim_sec");
-  metrics::Gauge& liveSketchEpsilon = live.gauge("cstf_sketch_epsilon");
 
   for (int iter = startIter; iter <= opts.maxIterations; ++iter) {
     const double simBefore = ctx.metrics().simTimeSec();
@@ -160,16 +149,6 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
     TraceSpan iterSpan(ctx.trace(), strprintf("iteration-%d", iter),
                        "cp-als");
     la::Matrix lastMttkrp;
-    // Exact-fit cadence: on the exact solver every fit iteration is exact;
-    // the sketched solver runs the full last-mode MTTKRP (and so a true
-    // fit) only every exactFitEvery-th iteration plus the final one.
-    const bool fitThisIter =
-        opts.computeFit &&
-        (plan.path != Path::kSampled ||
-         iter % opts.sketch.exactFitEvery == 0 ||
-         iter == opts.maxIterations);
-    const std::uint64_t iterSketchBase = sketchTel.sampledNnz;
-    double iterEpsilon = std::numeric_limits<double>::quiet_NaN();
 
     // Per-mode telemetry: registry-totals deltas between mode boundaries,
     // so the entries decompose the engine work of the iteration exactly.
@@ -210,110 +189,58 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
       modeWall = now;
     };
 
-    // ALS step for one mode: solve the normal equations against the
-    // Hadamard product of the other modes' gram matrices, normalize, and
-    // refresh this mode's gram.
-    auto applyUpdate = [&](ModeId n, la::Matrix m) {
-      sparkle::ScopedStage scope(ctx.metrics(), "Other");
-      la::Matrix v(opts.rank, opts.rank, 1.0);
-      for (ModeId d = 0; d < order; ++d) {
-        if (d != n) v = la::hadamard(v, grams[d]);
-      }
-      la::Matrix updated = la::matmul(m, la::pinvSym(v));
-      result.lambda = la::normalizeColumns(updated);
-      result.factors[n] = std::move(updated);
-      if (opts.distributedGrams) {
-        grams[n] = distributedGram(
-            factorToRdd(ctx, result.factors[n], opts.mttkrp.numPartitions),
-            opts.rank);
-      } else {
-        grams[n] = la::gram(result.factors[n]);
-      }
-      if (n + 1 == order) lastMttkrp = std::move(m);
-    };
-
-    if (plan.backend == Backend::kDimTree) {
-      // One tree sweep produces all N MTTKRPs with shared partials; tree
-      // work between callbacks is attributed to the mode it feeds.
-      dimTreeSweep(X, result.factors,
-                   [&](ModeId n, la::Matrix m) {
-                     applyUpdate(n, std::move(m));
-                     emitModeTelemetry(n);
-                   });
-    } else {
-      for (ModeId n = 0; n < order; ++n) {
-        la::Matrix m;
+    for (ModeId n = 0; n < order; ++n) {
+      la::Matrix m;
+      {
+        TraceSpan modeSpan(ctx.trace(), strprintf("MTTKRP-%d", int(n) + 1),
+                           "mode");
         {
-          TraceSpan modeSpan(ctx.trace(), strprintf("MTTKRP-%d", int(n) + 1),
-                             "mode");
-          {
-            sparkle::ScopedStage scope(ctx.metrics(),
-                                       strprintf("MTTKRP-%d", int(n) + 1));
-            switch (plan.path) {
-              case Path::kJoinChain:
-                if (qcoo) {
-                  CSTF_ASSERT(qcoo->nextMode() == n,
-                              "QCOO mode schedule broken");
-                  m = qcoo->mttkrpNext(result.factors);
-                } else if (plan.backend == Backend::kBigtensor) {
-                  m = mttkrpBigtensor(ctx, Xrdd, dims, result.factors, n,
-                                      mttkrpOpts);
-                } else {
-                  m = mttkrpCoo(ctx, Xrdd, dims, result.factors, n,
-                                mttkrpOpts);
-                }
-                break;
-              case Path::kSampled: {
-                // One deterministic draw id per sampled call of the run, so
-                // iterations resample independently and a resumed run
-                // draws exactly what the uninterrupted one would have.
-                const std::uint64_t drawId = std::uint64_t(iter) * order + n;
-                if (!fitThisIter || n + 1 != order) {
-                  m = mttkrpSketched(ctx, Xrdd, dims, result.factors, grams,
-                                     n, mttkrpOpts, opts.sketch, drawId,
-                                     &sketchTel);
-                  break;
-                }
-                // The SPLATT fit trick needs the exact last-mode MTTKRP;
-                // run it through the broadcast + local-kernel path.
-                m = mttkrpLocal(ctx, Xrdd, dims, result.factors, n,
-                                mttkrpOpts, &localTel);
-                if (opts.sketch.measureEpsilon) {
-                  // Estimator-quality probe: what the sketch would have
-                  // produced for this same update, against ground truth.
-                  const la::Matrix sk = mttkrpSketched(
-                      ctx, Xrdd, dims, result.factors, grams, n, mttkrpOpts,
-                      opts.sketch, drawId, &sketchTel);
-                  double num = 0.0;
-                  double den = 0.0;
-                  for (std::size_t i = 0; i < m.rows(); ++i) {
-                    for (std::size_t r = 0; r < m.cols(); ++r) {
-                      const double d = sk(i, r) - m(i, r);
-                      num += d * d;
-                      den += m(i, r) * m(i, r);
-                    }
-                  }
-                  iterEpsilon = den > 0.0
-                                    ? std::sqrt(num / den)
-                                    : std::numeric_limits<
-                                          double>::quiet_NaN();
-                  lastEpsilon = iterEpsilon;
-                }
-                break;
+          sparkle::ScopedStage scope(ctx.metrics(),
+                                     strprintf("MTTKRP-%d", int(n) + 1));
+          switch (plan.path) {
+            case Path::kJoinChain:
+              if (qcoo) {
+                CSTF_ASSERT(qcoo->nextMode() == n,
+                            "QCOO mode schedule broken");
+                m = qcoo->mttkrpNext(result.factors);
+              } else if (plan.backend == Backend::kBigtensor) {
+                m = mttkrpBigtensor(ctx, Xrdd, dims, result.factors, n,
+                                    mttkrpOpts);
+              } else {
+                m = mttkrpCoo(ctx, Xrdd, dims, result.factors, n,
+                              mttkrpOpts);
               }
-              case Path::kBroadcastLocal:
-                m = mttkrpLocal(ctx, Xrdd, dims, result.factors, n,
-                                mttkrpOpts, &localTel);
-                break;
-              case Path::kSequential:
-                m = tensor::referenceMttkrp(X, result.factors, n);
-                break;
-            }
+              break;
+            case Path::kBroadcastLocal:
+              m = mttkrpLocal(ctx, Xrdd, dims, result.factors, n,
+                              mttkrpOpts, &localTel);
+              break;
+            case Path::kSequential:
+              m = tensor::referenceMttkrp(X, result.factors, n);
+              break;
           }
-          applyUpdate(n, std::move(m));
         }
-        emitModeTelemetry(n);
+        // ALS step: solve the normal equations against the Hadamard
+        // product of the other modes' gram matrices, normalize, and
+        // refresh this mode's gram.
+        sparkle::ScopedStage scope(ctx.metrics(), "Other");
+        la::Matrix v(opts.rank, opts.rank, 1.0);
+        for (ModeId d = 0; d < order; ++d) {
+          if (d != n) v = la::hadamard(v, grams[d]);
+        }
+        la::Matrix updated = la::matmul(m, la::pinvSym(v));
+        result.lambda = la::normalizeColumns(updated);
+        result.factors[n] = std::move(updated);
+        if (opts.distributedGrams) {
+          grams[n] = distributedGram(
+              factorToRdd(ctx, result.factors[n], opts.mttkrp.numPartitions),
+              opts.rank);
+        } else {
+          grams[n] = la::gram(result.factors[n]);
+        }
+        if (n + 1 == order) lastMttkrp = std::move(m);
       }
+      emitModeTelemetry(n);
     }
 
     CpAlsIterationStats stats;
@@ -324,7 +251,7 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
                                       wallBefore)
             .count();
 
-    if (fitThisIter) {
+    if (opts.computeFit) {
       const double inner =
           innerProductFromMttkrp(lastMttkrp, result.factors[order - 1],
                                  result.lambda);
@@ -337,18 +264,9 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
       CSTF_LOG_DEBUG("cp-als[%s] iter %d fit=%.6f (delta %.2e) sim=%.3fs",
                      result.report.plan.c_str(), iter, stats.fit,
                      stats.fitDelta, stats.simTimeSec);
-    } else if (opts.computeFit) {
-      // Sketched iteration between exact-fit checkpoints: the last-mode
-      // MTTKRP is an estimate, so no honest fit exists. NaN serializes as
-      // null, and NaN comparisons keep the convergence check inert.
-      stats.fit = std::numeric_limits<double>::quiet_NaN();
-      stats.fitDelta = std::numeric_limits<double>::quiet_NaN();
     }
     iterTel.fit = stats.fit;
     iterTel.fitDelta = stats.fitDelta;
-    iterTel.fitExact = fitThisIter;
-    iterTel.sketchSampledNnz = sketchTel.sampledNnz - iterSketchBase;
-    iterTel.sketchEpsilon = iterEpsilon;
     iterTel.simTimeSec = stats.simTimeSec;
     iterTel.wallTimeSec = stats.wallTimeSec;
     double l2 = 0.0;
@@ -371,7 +289,6 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
     if (std::isfinite(stats.fit)) liveFit.set(stats.fit);
     // Iteration 1's delta is NaN by design; the gauge keeps its last value.
     if (std::isfinite(stats.fitDelta)) liveFitDelta.set(stats.fitDelta);
-    if (std::isfinite(iterEpsilon)) liveSketchEpsilon.set(iterEpsilon);
     if (opts.onIteration) opts.onIteration(stats);
 
     if (!opts.checkpointDir.empty() && opts.checkpointEvery > 0 &&
@@ -379,12 +296,9 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
       CpAlsCheckpoint ck;
       ck.seed = opts.seed;
       ck.iteration = iter;
-      // The prevFit the next iteration compares against: stats.fit after
-      // an exact fit, else the running value (a sketched iteration's NaN
-      // must not clobber the last exact fit) — a resume restores exactly
-      // that comparison state.
-      ck.prevFit =
-          (fitThisIter || !opts.computeFit) ? stats.fit : prevFit;
+      // The fit the next iteration compares against, so a resume restores
+      // exactly that comparison state.
+      ck.prevFit = stats.fit;
       ck.rank = opts.rank;
       ck.dims = dims;
       ck.lambda = result.lambda;
@@ -399,14 +313,13 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
 
     // Iteration 1 can never converge: prevFit is NaN there, and NaN
     // comparisons are false.
-    if (opts.computeFit && std::abs(stats.fit - prevFit) < opts.tolerance) {
+    const bool converged =
+        opts.computeFit && std::abs(stats.fit - prevFit) < opts.tolerance;
+    prevFit = stats.fit;
+    if (converged) {
       result.converged = true;
-      prevFit = stats.fit;
       break;
     }
-    // Only exact fits advance the convergence state; sketched iterations
-    // carry NaN and must leave the last exact fit in place.
-    if (fitThisIter || !opts.computeFit) prevFit = stats.fit;
   }
 
   result.finalFit = prevFit;
@@ -417,9 +330,6 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
   result.report.layoutBuildWallSec = localTel.layoutBuildWallSec;
   result.report.layoutBuildPartitions = localTel.layoutBuildPartitions;
   result.report.layoutBytes = localTel.layoutBytes;
-  result.report.sketchedMttkrps = sketchTel.sketchedMttkrps;
-  result.report.sketchSampledNnz = sketchTel.sampledNnz;
-  result.report.sketchEpsilon = lastEpsilon;
   finalizeRunReport(ctx.metrics(), result.report);
   return result;
 }

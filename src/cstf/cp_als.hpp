@@ -41,11 +41,6 @@ struct CpAlsOptions {
   std::uint64_t seed = 7;
   MttkrpOptions mttkrp;
   bool computeFit = true;
-  /// kSketched selects the sampled plan (cstf/plan.hpp, cstf/sketch.hpp):
-  /// exact fits only every sketch.exactFitEvery iterations (other
-  /// iterations report fit = NaN).
-  Solver solver = Solver::kExact;
-  SketchOptions sketch;
   /// How the distributed tensor RDD is persisted across MTTKRPs and
   /// iterations. kRaw is the paper's choice (§4.1); kSerialized trades
   /// read-back CPU for memory; kNone disables caching, so every stage

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/metrics_registry.hpp"
+#include "common/serde.hpp"
 #include "cstf/factors.hpp"
 
 namespace cstf::cstf_core {
@@ -19,6 +20,82 @@ std::uint64_t nanosSince(Clock::time_point t0) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
           .count());
 }
+
+/// The factor matrices as one broadcastable (serde-capable) value;
+/// la::Matrix itself has no serde. The driver empties the target mode's
+/// matrix before broadcasting (the kernel never reads it), so the metered
+/// broadcast volume is exactly the bytes a real cluster would ship.
+struct FactorPack {
+  std::vector<la::Matrix> factors;
+
+  void serialize(Writer& w) const {
+    w.writeRaw(static_cast<std::uint32_t>(factors.size()));
+    for (const la::Matrix& m : factors) {
+      w.writeRaw(static_cast<std::uint32_t>(m.rows()));
+      w.writeRaw(static_cast<std::uint32_t>(m.cols()));
+      w.writeBytes(m.data(), m.rows() * m.cols() * sizeof(double));
+    }
+  }
+  static FactorPack deserialize(Reader& r) {
+    FactorPack p;
+    const auto n = r.readRaw<std::uint32_t>();
+    p.factors.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const auto rows = r.readRaw<std::uint32_t>();
+      const auto cols = r.readRaw<std::uint32_t>();
+      la::Matrix m(rows, cols);
+      r.readBytes(m.data(), static_cast<std::size_t>(rows) * cols *
+                                sizeof(double));
+      p.factors.push_back(std::move(m));
+    }
+    return p;
+  }
+  std::size_t serializedSize() const {
+    std::size_t n = sizeof(std::uint32_t);
+    for (const la::Matrix& m : factors) {
+      n += 2 * sizeof(std::uint32_t) + m.rows() * m.cols() * sizeof(double);
+    }
+    return n;
+  }
+};
+
+/// Kernel work of one stage, kept in per-partition slots. A task body
+/// writes only its own partition's slot, so a retried or recomputed attempt
+/// replaces the discarded one instead of adding to it (the contract of
+/// sparkle::runTaskWithRetries); the caller sums the slots once the stage
+/// has committed.
+class KernelTally {
+ public:
+  struct Work {
+    std::uint64_t wallNanos = 0;
+    std::uint64_t flops = 0;
+    /// Input records the kernel consumed.
+    std::uint64_t records = 0;
+    /// Committed tasks (1 per written slot).
+    std::uint64_t tasks = 0;
+  };
+
+  explicit KernelTally(std::size_t partitions) : slots_(partitions) {}
+
+  void commit(std::size_t partition, Work w) {
+    w.tasks = 1;
+    slots_[partition] = w;
+  }
+
+  Work sum() const {
+    Work total;
+    for (const Work& w : slots_) {
+      total.wallNanos += w.wallNanos;
+      total.flops += w.flops;
+      total.records += w.records;
+      total.tasks += w.tasks;
+    }
+    return total;
+  }
+
+ private:
+  std::vector<Work> slots_;
+};
 
 }  // namespace
 

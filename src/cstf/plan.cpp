@@ -6,16 +6,8 @@ namespace {
 
 const char* pathName(MttkrpPlan::Path p) {
   static const char* const kNames[] = {"join-chain", "broadcast-local",
-                                       "sampled", "sequential"};
+                                       "sequential"};
   return kNames[static_cast<int>(p)];
-}
-
-void refuseIf(bool incoherent, const std::string& flag,
-              const std::string& other, const char* why) {
-  if (incoherent) {
-    throw Error(flag + " cannot be combined with " + other + " (" + why +
-                ")");
-  }
 }
 
 }  // namespace
@@ -27,7 +19,6 @@ std::string MttkrpPlan::describe() const {
     case Path::kSequential:
       return s + " " + backendName(backend);
     case Path::kBroadcastLocal:
-    case Path::kSampled:
       return s + ", " + sparkle::localKernelName(kernel) + " kernel";
   }
   return s;
@@ -37,8 +28,6 @@ void MttkrpPlan::fillReport(RunReport& report) const {
   const bool runsBackend =
       path == Path::kJoinChain || path == Path::kSequential;
   report.backend = runsBackend ? backendName(backend) : pathName(path);
-  report.solver = solverName(path == Path::kSampled ? Solver::kSketched
-                                                    : Solver::kExact);
   report.localKernel = sparkle::localKernelName(kernel);
   report.plan = describe();
 }
@@ -46,32 +35,23 @@ void MttkrpPlan::fillReport(RunReport& report) const {
 MttkrpPlan resolvePlan(const CpAlsOptions& opts,
                        const sparkle::ClusterConfig& cluster) {
   using Path = MttkrpPlan::Path;
-  const bool sequential = opts.backend == Backend::kReference ||
-                          opts.backend == Backend::kDimTree;
+  const bool sequential = opts.backend == Backend::kReference;
   // Only coo and qcoo leave the MTTKRP formulation open.
   const bool fixed = sequential || opts.backend == Backend::kBigtensor;
-  const bool sketched = opts.solver == Solver::kSketched;
   const bool csf = cluster.localKernel == sparkle::LocalKernel::kCsf;
-  const std::string backend =
-      std::string("--backend ") + backendName(opts.backend);
-  const std::string solver = "--solver sketched";
-  const std::string kernel = std::string("--local-kernel ") +
-                             sparkle::localKernelName(cluster.localKernel);
-  const char* why = sequential ? "a sequential oracle has no distributed path"
-                               : "BIGtensor is its own join chain";
-  refuseIf(fixed && sketched, backend, solver, why);
-  refuseIf(fixed && csf, backend, kernel, why);
+  if (fixed && csf) {
+    throw Error(std::string("--backend ") + backendName(opts.backend) +
+                " cannot be combined with --local-kernel csf (" +
+                (sequential ? "a sequential oracle has no distributed path"
+                            : "BIGtensor is its own join chain") +
+                ")");
+  }
 
   MttkrpPlan plan;
   plan.kernel = cluster.localKernel;
   if (sequential) {
     plan.path = Path::kSequential;
     plan.backend = opts.backend;
-  } else if (sketched) {
-    CSTF_CHECK(opts.sketch.samples >= 1, "sketch samples must be >= 1");
-    CSTF_CHECK(opts.sketch.exactFitEvery >= 1,
-               "sketch exact-fit cadence must be >= 1");
-    plan.path = Path::kSampled;
   } else if (csf) {
     plan.path = Path::kBroadcastLocal;
   } else {

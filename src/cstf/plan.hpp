@@ -1,11 +1,10 @@
 // The MTTKRP execution plan: which formulation a CP-ALS run takes — one
 // of the paper's join chains (COO §4.1, QCOO §4.2, BIGtensor §4.3), the
-// DFacTo-style broadcast + CSF local kernel, CP-ARLS-LEV leverage-score
-// sampling, or a sequential oracle. resolvePlan derives it once from
-// CpAlsOptions (backend, solver) and sparkle::ClusterConfig (local kernel)
-// and is the only code that reads the three together; a
-// combination whose extra flag would change nothing is refused with a
-// cstf::Error naming both flags (DESIGN.md §17).
+// DFacTo-style broadcast + CSF local kernel, or the sequential oracle.
+// resolvePlan derives it once from CpAlsOptions::backend and
+// sparkle::ClusterConfig::localKernel and is the only code that reads the
+// two together; a combination whose extra flag would change nothing is
+// refused with a cstf::Error naming both flags (DESIGN.md §17).
 #pragma once
 
 #include <string>
@@ -16,18 +15,18 @@
 namespace cstf::cstf_core {
 
 struct MttkrpPlan {
-  enum class Path { kJoinChain, kBroadcastLocal, kSampled, kSequential };
+  enum class Path { kJoinChain, kBroadcastLocal, kSequential };
 
   Path path = Path::kJoinChain;
   /// The join chain or sequential oracle that runs (kJoinChain and
-  /// kSequential only; the other paths run no backend of their own).
+  /// kSequential only; broadcast-local runs no backend of its own).
   Backend backend = Backend::kCoo;
   sparkle::LocalKernel kernel = sparkle::LocalKernel::kCoo;
 
   /// E.g. "join-chain CSTF-QCOO" or
   /// "broadcast-local, csf kernel".
   std::string describe() const;
-  /// Stamp backend, solver, localKernel and plan onto `report`.
+  /// Stamp backend, localKernel and plan onto `report`.
   void fillReport(RunReport& report) const;
 };
 

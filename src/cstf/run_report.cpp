@@ -98,13 +98,6 @@ std::string RunReport::toJson() const {
   w.kv("schema", "cstf-run-report-v1");
   w.kv("plan", plan);
   w.kv("backend", backend);
-  w.kv("solver", solver);
-  w.kv("sketchSamples", std::uint64_t{sketchSamples});
-  w.kv("sketchSeed", std::uint64_t{sketchSeed});
-  w.kv("sketchExactFitEvery", sketchExactFitEvery);
-  w.kv("sketchedMttkrps", std::uint64_t{sketchedMttkrps});
-  w.kv("sketchSampledNnz", std::uint64_t{sketchSampledNnz});
-  w.kv("sketchEpsilon", sketchEpsilon);
   w.kv("localKernel", localKernel);
   w.kv("localKernelWallSec", localKernelWallSec);
   w.kv("localKernelInvocations", std::uint64_t{localKernelInvocations});
@@ -129,9 +122,6 @@ std::string RunReport::toJson() const {
     w.kv("iteration", it.iteration);
     w.kv("fit", it.fit);
     w.kv("fitDelta", it.fitDelta);
-    w.kv("fitExact", it.fitExact);
-    w.kv("sketchSampledNnz", std::uint64_t{it.sketchSampledNnz});
-    w.kv("sketchEpsilon", it.sketchEpsilon);
     w.kv("lambdaL2", it.lambdaL2);
     w.kv("lambdaMin", it.lambdaMin);
     w.kv("lambdaMax", it.lambdaMax);

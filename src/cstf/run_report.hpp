@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -45,17 +44,6 @@ struct IterationTelemetry {
   double fit = 0.0;
   /// NaN for iteration 1 (no previous fit exists); serialized as null.
   double fitDelta = 0.0;
-  /// Whether `fit` came from a full MTTKRP. Always true on the exact
-  /// solver (when fit is computed at all); on the sketched solver only the
-  /// exact-fit-cadence iterations qualify — the rest carry fit = NaN.
-  bool fitExact = false;
-  /// Sampled nonzeros this iteration's sketched MTTKRPs drew (0 on the
-  /// exact solver).
-  std::uint64_t sketchSampledNnz = 0;
-  /// ||M_sketch - M_exact||_F / ||M_exact||_F measured on this iteration's
-  /// last mode (exact-fit iterations with measureEpsilon only; else NaN,
-  /// serialized as null).
-  double sketchEpsilon = std::numeric_limits<double>::quiet_NaN();
   /// Norms of the column-weight vector after the iteration's last update.
   double lambdaL2 = 0.0;
   double lambdaMin = 0.0;
@@ -104,20 +92,10 @@ struct FailureSummary {
 };
 
 struct RunReport {
-  /// The resolved MTTKRP plan (MttkrpPlan::describe()); the backend,
-  /// solver and localKernel fields below are stamped from it.
+  /// The resolved MTTKRP plan (MttkrpPlan::describe()); the backend and
+  /// localKernel fields below are stamped from it.
   std::string plan;
   std::string backend;
-  /// Active solver ("exact", "sketched").
-  std::string solver;
-  /// Sketched-solver configuration and telemetry (defaults on exact runs).
-  std::size_t sketchSamples = 0;
-  std::uint64_t sketchSeed = 0;
-  int sketchExactFitEvery = 0;
-  std::uint64_t sketchedMttkrps = 0;
-  std::uint64_t sketchSampledNnz = 0;
-  /// Last measured estimator error (NaN when never measured).
-  double sketchEpsilon = std::numeric_limits<double>::quiet_NaN();
   /// Active per-partition compute kernel ("coo", "csf").
   std::string localKernel;
   /// Host wall seconds spent inside local-kernel compute() calls, and how

@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <functional>
 #include <memory>
 #include <numeric>
@@ -154,95 +153,6 @@ class Rdd {
     auto ds = std::make_shared<MapPartitionsWithCountersDataset<T, Out, F>>(
         ctx_, ds_, std::move(f), preservesPartitioning);
     return Rdd<Out>(ctx_, std::move(ds));
-  }
-
-  /// Bernoulli sample without replacement; deterministic in (seed,
-  /// partition), so repeated evaluations of the lineage agree.
-  Rdd<T> sample(double fraction, std::uint64_t seed = 17) const {
-    CSTF_CHECK(fraction >= 0.0 && fraction <= 1.0,
-               "sample fraction must be in [0, 1]");
-    return mapPartitionsWithIndex(
-        [fraction, seed](std::size_t p, const std::vector<T>& part) {
-          Pcg32 rng(mix64(seed ^ (p * 0x9e3779b97f4a7c15ULL)));
-          std::vector<T> out;
-          for (const T& x : part) {
-            if (rng.uniform01() < fraction) out.push_back(x);
-          }
-          return out;
-        });
-  }
-
-  /// Importance sampling with replacement: draw ~`samples` elements (split
-  /// evenly across partitions) from the per-partition distribution
-  ///   q(x) = (1 - uniformMix) * w(x) / W_p + uniformMix / n_p,
-  /// where w = weightFn(x) (negative/non-finite weights count as 0) and
-  /// W_p is the partition's weight total. Each draw is emitted as
-  /// (element, scale) with scale = 1 / (s_p * q(x)), so for any function f
-  /// that is linear in the records, sum_draws scale * f(x) is an unbiased
-  /// estimator of sum_part f(x) — per partition and therefore globally,
-  /// with no global weight-aggregation stage. A narrow transformation:
-  /// deterministic in (seed, partition), so repeated evaluations of the
-  /// lineage and retried tasks agree bit-for-bit. uniformMix > 0 keeps
-  /// every element reachable, bounding the importance weights when w
-  /// underflows; a partition whose weights are all 0 falls back to uniform.
-  /// `flopsPerWeight` meters the weight pass per input record; the draws
-  /// additionally meter one binary search each.
-  template <typename F>
-  Rdd<std::pair<T, double>> weightedSampleWithReplacement(
-      F weightFn, std::size_t samples, std::uint64_t seed,
-      double uniformMix = 0.0, double flopsPerWeight = 0.0) const {
-    CSTF_CHECK(samples > 0, "weightedSampleWithReplacement needs samples > 0");
-    CSTF_CHECK(uniformMix >= 0.0 && uniformMix <= 1.0,
-               "uniformMix must be in [0, 1]");
-    const std::size_t nParts = numPartitions();
-    return mapPartitionsWithCounters(
-        [weightFn, samples, seed, uniformMix, flopsPerWeight, nParts](
-            std::size_t p, const std::vector<T>& part, TaskCounters& tc) {
-          std::vector<std::pair<T, double>> out;
-          const std::size_t budget =
-              samples / nParts + (p < samples % nParts ? 1 : 0);
-          if (part.empty() || budget == 0) return out;
-          const std::size_t n = part.size();
-          // Per-element sampling mass (mixture of normalized weights and
-          // uniform), accumulated into a CDF for binary-search draws.
-          std::vector<double> mass(n);
-          double total = 0.0;
-          for (std::size_t i = 0; i < n; ++i) {
-            const double w = static_cast<double>(weightFn(part[i]));
-            mass[i] = (std::isfinite(w) && w > 0.0) ? w : 0.0;
-            total += mass[i];
-          }
-          const double uni = 1.0 / static_cast<double>(n);
-          std::vector<double> cdf(n);
-          double acc = 0.0;
-          for (std::size_t i = 0; i < n; ++i) {
-            mass[i] = total > 0.0
-                          ? (1.0 - uniformMix) * mass[i] / total +
-                                uniformMix * uni
-                          : uni;
-            acc += mass[i];
-            cdf[i] = acc;
-          }
-          // acc == 1 up to rounding; draws use acc so the last element is
-          // always reachable.
-          Pcg32 rng(mix64(seed ^ mix64(0x57ed5a3b1e000000ULL + p)));
-          out.reserve(budget);
-          const double sInv = 1.0 / static_cast<double>(budget);
-          for (std::size_t d = 0; d < budget; ++d) {
-            const double u = rng.uniform01() * acc;
-            const std::size_t i = static_cast<std::size_t>(
-                std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
-            const std::size_t j = i < n ? i : n - 1;
-            out.emplace_back(part[j], sInv / mass[j]);
-          }
-          tc.flops += static_cast<std::uint64_t>(
-              static_cast<double>(n) * (flopsPerWeight + 2.0) +
-              static_cast<double>(budget) *
-                  (n > 1 ? std::log2(static_cast<double>(n)) : 1.0));
-          tc.recordsEmitted += out.size();
-          return out;
-        },
-        /*preservesPartitioning=*/false);
   }
 
   /// Distinct elements (one shuffle). Requires KeyHash<T> and Serde<T>.

@@ -19,10 +19,10 @@
 // 1/sqrt(t) learning-rate schedule — cheaper per entry, noisier per batch.
 //
 // Both paths drift from the exactly refit model over time, so the updater
-// runs a periodic *exact-fit probe* (like the sketch ε probe): every
-// `fitProbeEvery` batches it recomputes the grams from scratch and measures
-// the true CP fit against the accumulated tensor, which both reports the
-// drift and re-anchors the cached Grams.
+// runs a periodic *exact-fit probe*: every `fitProbeEvery` batches it
+// recomputes the grams from scratch and measures the true CP fit against
+// the accumulated tensor, which both reports the drift and re-anchors the
+// cached Grams.
 #pragma once
 
 #include <cstdint>

@@ -104,6 +104,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 struct RecoveryCase {
   Backend backend;
+  sparkle::LocalKernel kernel;
   std::size_t rank;
   std::uint64_t seed;
 };
@@ -115,6 +116,7 @@ TEST_P(LowRankRecovery, AlsRecoversPlantedFactors) {
   const auto& c = GetParam();
   sparkle::ClusterConfig cfg;
   cfg.numNodes = 4;
+  cfg.localKernel = c.kernel;
   sparkle::Context ctx(cfg, 2);
   // Fully observed grid (nnz = cells): exactly rank `c.rank`.
   auto t = tensor::generateLowRank({12, 10, 8}, c.rank, 12 * 10 * 8, c.seed);
@@ -133,11 +135,16 @@ TEST_P(LowRankRecovery, AlsRecoversPlantedFactors) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, LowRankRecovery,
-    testing::Values(RecoveryCase{Backend::kReference, 1, 300},
-                    RecoveryCase{Backend::kReference, 2, 301},
-                    RecoveryCase{Backend::kReference, 3, 302},
-                    RecoveryCase{Backend::kCoo, 2, 303},
-                    RecoveryCase{Backend::kQcoo, 2, 304}),
+    testing::Values(
+        RecoveryCase{Backend::kReference, sparkle::LocalKernel::kCoo, 1, 300},
+        RecoveryCase{Backend::kReference, sparkle::LocalKernel::kCoo, 2, 301},
+        RecoveryCase{Backend::kReference, sparkle::LocalKernel::kCoo, 3, 302},
+        RecoveryCase{Backend::kCoo, sparkle::LocalKernel::kCoo, 2, 303},
+        RecoveryCase{Backend::kQcoo, sparkle::LocalKernel::kCoo, 2, 304},
+        RecoveryCase{Backend::kCoo, sparkle::LocalKernel::kCsf, 2, 305},
+        RecoveryCase{Backend::kQcoo, sparkle::LocalKernel::kCsf, 3, 306},
+        RecoveryCase{Backend::kBigtensor, sparkle::LocalKernel::kCoo, 2,
+                     308}),
     [](const testing::TestParamInfo<RecoveryCase>& info) {
       return "rank" + std::to_string(info.param.rank) + "_s" +
              std::to_string(info.param.seed);

@@ -1,4 +1,4 @@
-// cogroup / leftOuterJoin / combineByKey / distinct / sample / zipWithIndex.
+// cogroup / leftOuterJoin / combineByKey / distinct / zipWithIndex.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -132,30 +132,6 @@ TEST(Distinct, RemovesDuplicates) {
   auto out = parallelize(ctx, data, 3).distinct().collect();
   std::sort(out.begin(), out.end());
   EXPECT_EQ(out, (std::vector<std::uint32_t>{1, 2, 3, 4}));
-}
-
-TEST(Sample, FractionZeroAndOne) {
-  auto ctx = makeCtx();
-  std::vector<std::uint32_t> data(100, 1);
-  EXPECT_EQ(parallelize(ctx, data, 4).sample(0.0).count(), 0u);
-  EXPECT_EQ(parallelize(ctx, data, 4).sample(1.0).count(), 100u);
-}
-
-TEST(Sample, ApproximatesFractionDeterministically) {
-  auto ctx = makeCtx();
-  std::vector<std::uint32_t> data(10000);
-  for (std::uint32_t i = 0; i < 10000; ++i) data[i] = i;
-  auto rdd = parallelize(ctx, data, 8);
-  const auto n1 = rdd.sample(0.3, 5).count();
-  const auto n2 = rdd.sample(0.3, 5).count();
-  EXPECT_EQ(n1, n2);
-  EXPECT_NEAR(double(n1) / 10000.0, 0.3, 0.03);
-}
-
-TEST(Sample, RejectsBadFraction) {
-  auto ctx = makeCtx();
-  auto rdd = parallelize(ctx, std::vector<int>{1}, 1);
-  EXPECT_THROW(rdd.sample(1.5), Error);
 }
 
 TEST(ZipWithIndex, AssignsDenseUniqueIds) {

@@ -57,7 +57,8 @@ TEST(Generator, ValuesPositiveAndBounded) {
   o.dims = {20, 20, 20};
   o.nnz = 500;
   o.valueMax = 5.0;
-  for (const Nonzero& nz : generateRandom(o).nonzeros()) {
+  const CooTensor t = generateRandom(o);
+  for (const Nonzero& nz : t.nonzeros()) {
     EXPECT_GT(nz.val, 0.0);
     EXPECT_LE(nz.val, 5.0);
   }

@@ -15,14 +15,8 @@
 //   --rank R        CP rank (default 2)
 //   --iters N       max iterations (default 20)
 //   --tol T         fit-improvement stopping tolerance (default 1e-6)
-//   --backend B     coo | qcoo | bigtensor | reference | dimtree (default
-//                   qcoo); mixes that change nothing exit 2 (see usage)
-//   --solver S      exact | sketched (default exact; sketched runs
-//                   leverage-score-sampled MTTKRPs with exact fits only
-//                   every --sketch-fit-every iterations)
-//   --sketch-samples N  nonzeros sampled per sketched MTTKRP (default 16384)
-//   --sketch-seed S     sampling seed for the sketched solver (default 0x5eed)
-//   --sketch-fit-every K exact-fit cadence for the sketched solver (default 5)
+//   --backend B     coo | qcoo | bigtensor | reference (default qcoo);
+//                   mixes that change nothing exit 2 (see usage)
 //   --local-kernel K coo | csf per-partition MTTKRP compute kernel
 //                   (default coo; csf uses the cache-time compressed-fiber
 //                   layout and the broadcast + local-kernel formulation)
@@ -167,11 +161,7 @@ int usage() {
                "                   [--delta-batches N --delta-dir D]\n"
                "                   [--delta-fraction F] [--delta-interval-ms M]\n"
                "       cstf factor <tensor> [--rank R] [--iters N] [--tol T]\n"
-               "                   [--backend "
-               "coo|qcoo|bigtensor|reference|dimtree]\n"
-               "                   [--solver exact|sketched]\n"
-               "                   [--sketch-samples N] [--sketch-seed S]\n"
-               "                   [--sketch-fit-every K]\n"
+               "                   [--backend coo|qcoo|bigtensor|reference]\n"
                "                   [--local-kernel coo|csf]\n"
                "                   [--nodes N] [--seed S] [--scale X]\n"
                "                   [--output PREFIX] [--trace-out P]\n"
@@ -183,10 +173,8 @@ int usage() {
                "                   [--metrics-out P] [--metrics-interval-ms N]\n"
                "         plans: coo|qcoo = join chain;\n"
                "         coo|qcoo + --local-kernel csf = broadcast-local;\n"
-               "         coo|qcoo + --solver sketched = sampled (either\n"
-               "         kernel); bigtensor = its join chain;\n"
-               "         reference|dimtree = sequential. Any other mix is\n"
-               "         refused (exit 2).\n"
+               "         bigtensor = its join chain; reference = sequential.\n"
+               "         Any other mix is refused (exit 2).\n"
                "       cstf query --model P --indices i1,_,i3 [--top-k K]\n"
                "                   [--brute-force]\n"
                "       cstf serve-bench --model P [--mode M] [--top-k K]\n"
@@ -229,10 +217,6 @@ struct Args {
   int iters = 20;
   double tol = 1e-6;
   std::string backend = "qcoo";
-  std::string solver = "exact";
-  std::size_t sketchSamples = 16384;
-  std::uint64_t sketchSeed = 0x5eed;
-  int sketchFitEvery = 5;
   std::string localKernel = "coo";
   int nodes = 8;
   std::uint64_t seed = 7;
@@ -300,14 +284,13 @@ bool parseArgs(int argc, char** argv, Args& a) {
   constexpr double kDoubleMax = std::numeric_limits<double>::max();
   // String flags, kept as given; names are validated where they are used.
   const std::pair<const char*, std::string*> stringFlags[] = {
-      {"--backend", &a.backend},          {"--solver", &a.solver},
-      {"--local-kernel", &a.localKernel}, {"--output", &a.output},
-      {"--trace-out", &a.traceOut},       {"--report-out", &a.reportOut},
-      {"--metrics-csv", &a.metricsCsv},   {"--model-out", &a.modelOut},
-      {"--model", &a.model},              {"--indices", &a.indicesSpec},
-      {"--metrics-out", &a.metricsOut},   {"--delta-dir", &a.deltaDir},
-      {"--deltas", &a.deltas},            {"--follow", &a.follow},
-      {"--base", &a.base},
+      {"--backend", &a.backend},          {"--local-kernel", &a.localKernel},
+      {"--output", &a.output},            {"--trace-out", &a.traceOut},
+      {"--report-out", &a.reportOut},     {"--metrics-csv", &a.metricsCsv},
+      {"--model-out", &a.modelOut},       {"--model", &a.model},
+      {"--indices", &a.indicesSpec},      {"--metrics-out", &a.metricsOut},
+      {"--delta-dir", &a.deltaDir},       {"--deltas", &a.deltas},
+      {"--follow", &a.follow},            {"--base", &a.base},
       {"--checkpoint-dir", &a.checkpointDir}};
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -335,20 +318,6 @@ bool parseArgs(int argc, char** argv, Args& a) {
       }
     } else if (arg == "--tol") {
       if (!parseFlag("--tol", next("--tol"), a.tol, 0.0, kDoubleMax)) {
-        return false;
-      }
-    } else if (arg == "--sketch-samples") {
-      if (!parseFlag("--sketch-samples", next("--sketch-samples"),
-                     a.sketchSamples, 1, kSizeMax)) {
-        return false;
-      }
-    } else if (arg == "--sketch-seed") {
-      if (!parseFlag("--sketch-seed", next("--sketch-seed"), a.sketchSeed)) {
-        return false;
-      }
-    } else if (arg == "--sketch-fit-every") {
-      if (!parseFlag("--sketch-fit-every", next("--sketch-fit-every"),
-                     a.sketchFitEvery, 1, kIntMax)) {
         return false;
       }
     } else if (arg == "--nodes") {
@@ -637,9 +606,6 @@ int cmdFactor(const Args& a, const std::string& spec) {
   opts.maxIterations = a.iters;
   opts.tolerance = a.tol;
   opts.seed = a.seed;
-  opts.sketch.samples = a.sketchSamples;
-  opts.sketch.seed = a.sketchSeed;
-  opts.sketch.exactFitEvery = a.sketchFitEvery;
   opts.checkpointDir = a.checkpointDir;
   opts.checkpointEvery = a.checkpointEvery;
   opts.resume = a.resume;
@@ -649,7 +615,6 @@ int cmdFactor(const Args& a, const std::string& spec) {
   try {
     cluster.localKernel = sparkle::localKernelFromName(a.localKernel);
     opts.backend = cstf_core::backendFromName(a.backend);
-    opts.solver = cstf_core::solverFromName(a.solver);
     plan = cstf_core::resolvePlan(opts, cluster);
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
@@ -718,12 +683,8 @@ int cmdFactor(const Args& a, const std::string& spec) {
                 result.report.resumedFromIteration);
   }
   for (const auto& it : result.iterations) {
-    // Iteration 1 has no previous fit, so its delta is undefined; sketched
-    // iterations off the exact-fit cadence have no fit at all.
-    if (!std::isfinite(it.fit)) {
-      std::printf("  iter %3d  fit    --     (  --   )  cluster %s\n",
-                  it.iteration, humanSeconds(it.simTimeSec).c_str());
-    } else if (std::isfinite(it.fitDelta)) {
+    // Iteration 1 has no previous fit, so its delta is undefined.
+    if (std::isfinite(it.fitDelta)) {
       std::printf("  iter %3d  fit %.6f  (+%.2e)  cluster %s\n", it.iteration,
                   it.fit, it.fitDelta, humanSeconds(it.simTimeSec).c_str());
     } else {
