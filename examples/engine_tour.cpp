@@ -4,6 +4,7 @@
 // curves on a single machine.
 #include <cstdio>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/strings.hpp"
@@ -22,12 +23,23 @@ int main() {
       "mttkrp dominates cp decomposition time",
       "shuffles dominate mttkrp time on clusters"};
 
-  auto words = parallelize(ctx, lines, 4).flatMap([](const std::string& l) {
-    return splitFields(l, " ");
-  });
-  auto counts = words
-                    .map([](const std::string& w) {
-                      return std::pair<std::string, std::uint32_t>(w, 1);
+  // Words are interned before parallelize, so the shuffle moves
+  // fixed-width (word id, count) records — the only kind a sparkle
+  // shuffle ships.
+  std::vector<std::string> vocab;
+  std::unordered_map<std::string, std::uint32_t> ids;
+  std::vector<std::uint32_t> wordIds;
+  for (const std::string& l : lines) {
+    for (const std::string& w : splitFields(l, " ")) {
+      const auto [it, fresh] =
+          ids.try_emplace(w, static_cast<std::uint32_t>(vocab.size()));
+      if (fresh) vocab.push_back(w);
+      wordIds.push_back(it->second);
+    }
+  }
+  auto counts = parallelize(ctx, wordIds, 4)
+                    .map([](const std::uint32_t& id) {
+                      return std::pair<std::uint32_t, std::uint32_t>(id, 1);
                     })
                     .reduceByKey([](const std::uint32_t& a,
                                     const std::uint32_t& b) { return a + b; });
@@ -35,7 +47,7 @@ int main() {
   std::printf("word counts (via one shuffle):\n");
   auto result = counts.collect();
   for (const auto& [w, n] : result) {
-    if (n > 1) std::printf("  %-14s %u\n", w.c_str(), n);
+    if (n > 1) std::printf("  %-14s %u\n", vocab[w].c_str(), n);
   }
 
   const auto t = ctx.metrics().totals();

@@ -265,21 +265,22 @@ struct Serde<std::string> {
 };
 
 // ---------------------------------------------------------------------------
-// FixedWidthSerde: the shuffle/cache fast path.
+// FixedWidthSerde: the shuffle codec (and the serialized cache's codec for
+// the types that have one).
 //
-// A type is *fast-path eligible* when its serde encoding can be produced by
-// flat pointer stores into a pre-sized buffer — no Writer, no per-field
-// vector growth — and its encoded width is computable from the value alone
+// A type is *fixed-width* when its serde encoding can be produced by flat
+// pointer stores into a pre-sized buffer — no Writer, no per-field vector
+// growth — and its encoded width is computable from the value alone
 // (width(v) == Serde<T>::byteSize(v), enforced by tests). Widths may vary
-// per value (a SmallVec encodes its length), so bulk users first sum widths
-// to pre-size the destination, then encode with a moving cursor. When every
-// record in a batch shares one width the batch is *fixed-width* and bucket
-// sizes become records * width — the invariant the shuffle fast path checks
-// before committing to it.
+// per value (a SmallVec encodes its length, a Nonzero its order), so bulk
+// users first sum widths to pre-size the destination, then encode with a
+// moving cursor. When kStaticWidth != 0 every value shares that width and
+// a buffer of n records is exactly n * kStaticWidth bytes.
 //
 // encode() MUST emit byte-for-byte the same stream Serde<T>::write would,
-// so fast-encoded and slow-encoded buffers are interchangeable and byte
-// metrics derived from buffer sizes are identical on both paths.
+// so byte metrics derived from buffer sizes equal the serde size rules.
+// Every record a shuffle ships must be fixed-width (ShuffledDataset
+// static_asserts it).
 // ---------------------------------------------------------------------------
 
 template <typename T, typename = void>
@@ -444,53 +445,36 @@ struct FixedWidthSerde<SmallVec<T, N>,
   }
 };
 
-/// Append the serde encoding of `recs` to `buf` through the fast path.
-/// Returns false (buf untouched) when T is not fast-path eligible; the
-/// caller falls back to per-record serdeWrite. The buffer grows exactly
-/// once regardless of record count.
+/// Append the serde encoding of `recs` to `buf` by bulk stores. The buffer
+/// grows exactly once regardless of record count.
 template <typename T>
-bool fixedWidthEncodeAppend(std::vector<std::uint8_t>& buf,
+void fixedWidthEncodeAppend(std::vector<std::uint8_t>& buf,
                             const std::vector<T>& recs) {
-  if constexpr (!FixedWidthSerde<T>::value) {
-    (void)buf;
-    (void)recs;
-    return false;
-  } else {
-    std::size_t total = 0;
-    for (const T& rec : recs) total += FixedWidthSerde<T>::width(rec);
-    const std::size_t base = buf.size();
-    buf.resize(base + total);
-    std::uint8_t* dst = buf.data() + base;
-    for (const T& rec : recs) dst = FixedWidthSerde<T>::encode(dst, rec);
-    CSTF_ASSERT(dst == buf.data() + buf.size(), "fast encode width drift");
-    return true;
-  }
+  static_assert(FixedWidthSerde<T>::value, "T must be FixedWidthSerde");
+  std::size_t total = 0;
+  for (const T& rec : recs) total += FixedWidthSerde<T>::width(rec);
+  const std::size_t base = buf.size();
+  buf.resize(base + total);
+  std::uint8_t* dst = buf.data() + base;
+  for (const T& rec : recs) dst = FixedWidthSerde<T>::encode(dst, rec);
+  CSTF_ASSERT(dst == buf.data() + buf.size(), "fixed-width encode drift");
 }
 
-/// Decode a whole serde stream of T records through the fast path into
-/// `out` (appending). Returns false (out untouched) when T is not eligible;
-/// the caller falls back to a Reader loop.
+/// Decode a whole serde stream of T records into `out` (appending).
 template <typename T>
-bool fixedWidthDecodeStream(const std::uint8_t* data, std::size_t size,
+void fixedWidthDecodeStream(const std::uint8_t* data, std::size_t size,
                             std::vector<T>& out) {
-  if constexpr (!FixedWidthSerde<T>::value) {
-    (void)data;
-    (void)size;
-    (void)out;
-    return false;
-  } else {
-    if constexpr (FixedWidthSerde<T>::kStaticWidth != 0) {
-      out.reserve(out.size() + size / FixedWidthSerde<T>::kStaticWidth);
-    }
-    const std::uint8_t* src = data;
-    const std::uint8_t* end = data + size;
-    while (src < end) {
-      T rec;
-      src = FixedWidthSerde<T>::decode(src, rec);
-      CSTF_ASSERT(src <= end, "fast decode overran buffer");
-      out.push_back(std::move(rec));
-    }
-    return true;
+  static_assert(FixedWidthSerde<T>::value, "T must be FixedWidthSerde");
+  if constexpr (FixedWidthSerde<T>::kStaticWidth != 0) {
+    out.reserve(out.size() + size / FixedWidthSerde<T>::kStaticWidth);
+  }
+  const std::uint8_t* src = data;
+  const std::uint8_t* end = data + size;
+  while (src < end) {
+    T rec;
+    src = FixedWidthSerde<T>::decode(src, rec);
+    CSTF_ASSERT(src <= end, "fixed-width decode overran buffer");
+    out.push_back(std::move(rec));
   }
 }
 

@@ -139,9 +139,8 @@ static_assert(sizeof(std::pair<Index, QRecord>) <= 160,
 
 namespace cstf {
 
-/// Shuffle fast path for the in-flight COO record: Nonzero + Row, both
-/// flat-encodable. Width is constant across a dataset (fixed order, fixed
-/// rank), which the shuffle verifies per map task before bulk-encoding.
+/// Shuffle codec for the in-flight COO record: Nonzero + Row, both
+/// flat-encodable. Width follows the record's order and rank.
 template <>
 struct FixedWidthSerde<cstf_core::Carry> {
   static constexpr bool value = true;
@@ -161,7 +160,7 @@ struct FixedWidthSerde<cstf_core::Carry> {
   }
 };
 
-/// Shuffle fast path for the QCOO record: the same bytes as
+/// Shuffle codec for the QCOO record: the same bytes as
 /// QRecord::serialize, written from and read into the flat row buffer.
 template <>
 struct FixedWidthSerde<cstf_core::QRecord> {

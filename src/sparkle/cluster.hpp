@@ -100,6 +100,10 @@ struct FaultPlan {
 ///          slowdown.
 enum class ExecutionMode { kSpark, kHadoop };
 
+/// Attempts per task before the job is failed (the default of Spark's
+/// spark.task.maxFailures).
+inline constexpr int kMaxTaskAttempts = 4;
+
 struct ClusterConfig {
   /// Worker nodes (the paper sweeps 4, 8, 16, 32).
   int numNodes = 8;
@@ -152,14 +156,6 @@ struct ClusterConfig {
   /// analysis of its Table 4 predicts ~33% from stream counts alone.
   std::size_t recordEnvelopeBytes = 48;
 
-  /// Shuffle map tasks whose records are fast-path eligible
-  /// (FixedWidthSerde) encode by bulk stores into pooled, pre-sized buffers
-  /// and reduce tasks bulk-decode with one reserve. Byte metrics are
-  /// identical on both paths (the encodings are byte-for-byte the same);
-  /// this switch exists so tests and A/B benchmarks can force the
-  /// per-record Writer/Reader slow path.
-  bool enableShuffleFastPath = true;
-
   /// Probability that any task attempt fails after doing its work (the
   /// "executor lost" case). Failed attempts are retried, recomputing from
   /// lineage exactly as Spark/Hadoop do — the fault-tolerance property
@@ -167,8 +163,6 @@ struct ClusterConfig {
   /// factorization (paper §1, §3). Injection is deterministic in
   /// (stage, partition, attempt), so runs remain reproducible.
   double taskFailureRate = 0.0;
-  /// Attempts per task before the job is failed (Spark's spark.task.maxFailures).
-  int maxTaskAttempts = 4;
 
   /// Correlated node-loss injection (see FaultPlan). Off by default.
   FaultPlan faults;

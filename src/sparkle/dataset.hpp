@@ -1,7 +1,7 @@
 // Dataset DAG nodes: the lazy, lineage-tracked backbone of the engine.
 //
 // Mirrors Spark's RDD execution model:
-//  * narrow transformations (map/filter/mapValues/...) pipeline — a task
+//  * narrow transformations (map/mapValues/mapPartitions) pipeline — a task
 //    computing partition p of a mapped dataset recursively computes
 //    partition p of its parent inside the same task;
 //  * `cache()` memoizes computed partitions, truncating lineage exactly the
@@ -70,9 +70,9 @@ inline int injectNodeLoss(const ClusterConfig& cfg, std::uint64_t stageId,
 ///
 /// For injection rates below 1 the final attempt is exempt from injection,
 /// so a fault-injected run always completes (deterministic injection would
-/// otherwise doom some task to maxTaskAttempts correlated failures). A
+/// otherwise doom some task to kMaxTaskAttempts correlated failures). A
 /// rate >= 1 models a hard fault: the job aborts with TaskFailedError
-/// after maxTaskAttempts attempts, as Spark does. `opLabel` names the
+/// after kMaxTaskAttempts attempts, as Spark does. `opLabel` names the
 /// operation (e.g. the shuffle label) so the abort message identifies
 /// which op on which node died, not just numeric coordinates.
 template <typename Body>
@@ -80,12 +80,11 @@ void runTaskWithRetries(Context* ctx, std::uint64_t stageId,
                         std::size_t partition, const std::string& opLabel,
                         TaskContext& out, Body&& body) {
   const ClusterConfig& cfg = ctx->config();
-  const int maxAttempts = std::max(1, cfg.maxTaskAttempts);
-  for (int attempt = 0; attempt < maxAttempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxTaskAttempts; ++attempt) {
     TaskContext tc;
     tc.partitionId = partition;
     body(tc);
-    const bool lastAttempt = attempt + 1 >= maxAttempts;
+    const bool lastAttempt = attempt + 1 >= kMaxTaskAttempts;
     const bool mayFail = !lastAttempt || cfg.taskFailureRate >= 1.0;
     if (!mayFail || !injectTaskFailure(cfg, stageId, partition, attempt)) {
       out = tc;
@@ -95,7 +94,7 @@ void runTaskWithRetries(Context* ctx, std::uint64_t stageId,
   }
   throw TaskFailedError(
       "task '" + opLabel + "' permanently failed after " +
-      std::to_string(maxAttempts) + " attempts (stage " +
+      std::to_string(kMaxTaskAttempts) + " attempts (stage " +
       std::to_string(stageId) + ", partition " + std::to_string(partition) +
       ", node " + std::to_string(cfg.nodeOfPartition(partition)) + ")");
 }
@@ -127,9 +126,6 @@ class DatasetBase {
   std::size_t numPartitions() const { return numPartitions_; }
   std::uint64_t id() const { return id_; }
   Context* context() const { return ctx_; }
-  virtual std::string opName() const = 0;
-  /// Direct lineage parents (for explain()/debug output).
-  virtual std::vector<const DatasetBase*> parents() const { return {}; }
 
   /// Materialize every shuffle dependency beneath this node (post-order),
   /// so that subsequent partition() calls only run narrow chains.
@@ -199,10 +195,12 @@ class Dataset : public DatasetBase {
         }
         if (bytes) {
           // Every hit decodes the whole partition (Spark MEMORY_ONLY_SER).
-          // Fast-path-eligible element types bulk-decode without a Reader;
-          // the byte stream is identical either way.
+          // Fixed-width element types bulk-decode without a Reader; the
+          // byte stream is identical either way.
           std::vector<T> recs;
-          if (!fixedWidthDecodeStream(bytes->data(), bytes->size(), recs)) {
+          if constexpr (FixedWidthSerde<T>::value) {
+            fixedWidthDecodeStream(bytes->data(), bytes->size(), recs);
+          } else {
             Reader r(bytes->data(), bytes->size());
             while (!r.exhausted()) recs.push_back(serdeRead<T>(r));
           }
@@ -211,7 +209,9 @@ class Dataset : public DatasetBase {
         }
         Block<T> block = computePartition(p, tc);
         auto buf = std::make_shared<std::vector<std::uint8_t>>();
-        if (!fixedWidthEncodeAppend(*buf, *block)) {
+        if constexpr (FixedWidthSerde<T>::value) {
+          fixedWidthEncodeAppend(*buf, *block);
+        } else {
           for (const T& rec : *block) serdeWrite(*buf, rec);
         }
         std::lock_guard<std::mutex> lock(cacheMutex_);
@@ -351,7 +351,6 @@ class ParallelizeDataset final : public Dataset<T> {
     }
   }
 
-  std::string opName() const override { return "parallelize"; }
   void ensureReady() override {}
 
  protected:
@@ -379,7 +378,6 @@ class GeneratorDataset final : public Dataset<T> {
         bytes_(numPartitions, 0),
         bytesKnown_(numPartitions, false) {}
 
-  std::string opName() const override { return "generate"; }
   void ensureReady() override {}
 
  protected:
@@ -425,7 +423,6 @@ class BlocksDataset final : public Dataset<T> {
     this->setOutputPartitioning(std::move(partitioning));
   }
 
-  std::string opName() const override { return "blocks"; }
   void ensureReady() override {}
 
  protected:
@@ -446,20 +443,16 @@ template <typename In, typename Out, typename F>
 class MapDataset final : public Dataset<Out> {
  public:
   MapDataset(Context* ctx, std::shared_ptr<Dataset<In>> parent, F f,
-             double flopsPerRecord, bool preservesPartitioning,
-             std::string name)
+             double flopsPerRecord, bool preservesPartitioning)
       : Dataset<Out>(ctx, parent->numPartitions()),
         parent_(std::move(parent)),
         f_(std::move(f)),
-        flopsPerRecord_(flopsPerRecord),
-        name_(std::move(name)) {
+        flopsPerRecord_(flopsPerRecord) {
     if (preservesPartitioning) {
       this->setOutputPartitioning(parent_->outputPartitioning());
     }
   }
 
-  std::string opName() const override { return name_; }
-  std::vector<const DatasetBase*> parents() const override { return {parent_.get()}; }
   void ensureReady() override { parent_->ensureReady(); }
 
  protected:
@@ -478,66 +471,6 @@ class MapDataset final : public Dataset<Out> {
   std::shared_ptr<Dataset<In>> parent_;
   F f_;
   double flopsPerRecord_;
-  std::string name_;
-};
-
-template <typename T, typename F>
-class FilterDataset final : public Dataset<T> {
- public:
-  FilterDataset(Context* ctx, std::shared_ptr<Dataset<T>> parent, F f)
-      : Dataset<T>(ctx, parent->numPartitions()),
-        parent_(std::move(parent)),
-        f_(std::move(f)) {
-    this->setOutputPartitioning(parent_->outputPartitioning());
-  }
-
-  std::string opName() const override { return "filter"; }
-  std::vector<const DatasetBase*> parents() const override { return {parent_.get()}; }
-  void ensureReady() override { parent_->ensureReady(); }
-
- protected:
-  Block<T> computePartition(std::size_t p, TaskContext& tc) override {
-    Block<T> in = parent_->partition(p, tc);
-    std::vector<T> out;
-    for (const T& x : *in) {
-      if (f_(x)) out.push_back(x);
-    }
-    tc.counters.recordsProcessed += in->size();
-    return makeBlock(std::move(out));
-  }
-
- private:
-  std::shared_ptr<Dataset<T>> parent_;
-  F f_;
-};
-
-/// flatMap: f(x) returns a container of Out.
-template <typename In, typename Out, typename F>
-class FlatMapDataset final : public Dataset<Out> {
- public:
-  FlatMapDataset(Context* ctx, std::shared_ptr<Dataset<In>> parent, F f)
-      : Dataset<Out>(ctx, parent->numPartitions()),
-        parent_(std::move(parent)),
-        f_(std::move(f)) {}
-
-  std::string opName() const override { return "flatMap"; }
-  std::vector<const DatasetBase*> parents() const override { return {parent_.get()}; }
-  void ensureReady() override { parent_->ensureReady(); }
-
- protected:
-  Block<Out> computePartition(std::size_t p, TaskContext& tc) override {
-    Block<In> in = parent_->partition(p, tc);
-    std::vector<Out> out;
-    for (const In& x : *in) {
-      for (auto& y : f_(x)) out.push_back(std::move(y));
-    }
-    tc.counters.recordsProcessed += in->size();
-    return makeBlock(std::move(out));
-  }
-
- private:
-  std::shared_ptr<Dataset<In>> parent_;
-  F f_;
 };
 
 /// mapPartitions: f(const std::vector<In>&) -> std::vector<Out>. Used for
@@ -555,8 +488,6 @@ class MapPartitionsDataset final : public Dataset<Out> {
     }
   }
 
-  std::string opName() const override { return "mapPartitions"; }
-  std::vector<const DatasetBase*> parents() const override { return {parent_.get()}; }
   void ensureReady() override { parent_->ensureReady(); }
 
  protected:
@@ -572,45 +503,12 @@ class MapPartitionsDataset final : public Dataset<Out> {
   F f_;
 };
 
-/// mapPartitionsWithIndex: f(partitionIndex, const std::vector<In>&) ->
-/// std::vector<Out>. The index parameter enables deterministic
-/// per-partition seeding (sampling) and offset assignment (zipWithIndex).
-template <typename In, typename Out, typename F>
-class MapPartitionsWithIndexDataset final : public Dataset<Out> {
- public:
-  MapPartitionsWithIndexDataset(Context* ctx,
-                                std::shared_ptr<Dataset<In>> parent, F f,
-                                bool preservesPartitioning)
-      : Dataset<Out>(ctx, parent->numPartitions()),
-        parent_(std::move(parent)),
-        f_(std::move(f)) {
-    if (preservesPartitioning) {
-      this->setOutputPartitioning(parent_->outputPartitioning());
-    }
-  }
-
-  std::string opName() const override { return "mapPartitionsWithIndex"; }
-  std::vector<const DatasetBase*> parents() const override { return {parent_.get()}; }
-  void ensureReady() override { parent_->ensureReady(); }
-
- protected:
-  Block<Out> computePartition(std::size_t p, TaskContext& tc) override {
-    Block<In> in = parent_->partition(p, tc);
-    std::vector<Out> out = f_(p, *in);
-    tc.counters.recordsProcessed += in->size();
-    return makeBlock(std::move(out));
-  }
-
- private:
-  std::shared_ptr<Dataset<In>> parent_;
-  F f_;
-};
-
 /// mapPartitionsWithCounters: f(partitionIndex, const std::vector<In>&,
-/// TaskCounters&) -> std::vector<Out>. Like mapPartitionsWithIndex, but the
-/// body also charges work (flops, emitted records) directly to the task's
-/// counters — for partition-local kernels whose cost is not a simple
-/// function of input size. recordsProcessed is still metered here.
+/// TaskCounters&) -> std::vector<Out>. Like mapPartitions, but the body
+/// also sees its partition index and charges work (flops, emitted records)
+/// directly to the task's counters — for partition-local kernels whose
+/// cost is not a simple function of input size. recordsProcessed is still
+/// metered here.
 template <typename In, typename Out, typename F>
 class MapPartitionsWithCountersDataset final : public Dataset<Out> {
  public:
@@ -625,8 +523,6 @@ class MapPartitionsWithCountersDataset final : public Dataset<Out> {
     }
   }
 
-  std::string opName() const override { return "mapPartitionsWithCounters"; }
-  std::vector<const DatasetBase*> parents() const override { return {parent_.get()}; }
   void ensureReady() override { parent_->ensureReady(); }
 
  protected:
@@ -640,35 +536,6 @@ class MapPartitionsWithCountersDataset final : public Dataset<Out> {
  private:
   std::shared_ptr<Dataset<In>> parent_;
   F f_;
-};
-
-/// union of two datasets with identical element type; partitions are
-/// concatenated (narrow, like Spark's union).
-template <typename T>
-class UnionDataset final : public Dataset<T> {
- public:
-  UnionDataset(Context* ctx, std::shared_ptr<Dataset<T>> a,
-               std::shared_ptr<Dataset<T>> b)
-      : Dataset<T>(ctx, a->numPartitions() + b->numPartitions()),
-        a_(std::move(a)),
-        b_(std::move(b)) {}
-
-  std::string opName() const override { return "union"; }
-  std::vector<const DatasetBase*> parents() const override { return {a_.get(), b_.get()}; }
-  void ensureReady() override {
-    a_->ensureReady();
-    b_->ensureReady();
-  }
-
- protected:
-  Block<T> computePartition(std::size_t p, TaskContext& tc) override {
-    if (p < a_->numPartitions()) return a_->partition(p, tc);
-    return b_->partition(p - a_->numPartitions(), tc);
-  }
-
- private:
-  std::shared_ptr<Dataset<T>> a_;
-  std::shared_ptr<Dataset<T>> b_;
 };
 
 // Defined here rather than in context.hpp: walking the registry needs the

@@ -4,9 +4,9 @@
 // materialization it
 //   1. runs one map task per parent partition (optionally applying a
 //      map-side combiner, as Spark's reduceByKey does),
-//   2. serializes every record through common/serde into per-destination
-//      buckets — so the byte metrics reflect true encoded sizes plus the
-//      configured per-record envelope,
+//   2. encodes every record through its FixedWidthSerde codec into
+//      exact-size per-destination buckets — so the byte metrics reflect
+//      true serde sizes plus the configured per-record envelope,
 //   3. "fetches" buckets into destination partitions, classifying bytes as
 //      remote or local by the round-robin node placement of source and
 //      destination partitions,
@@ -36,6 +36,8 @@ class ShuffledDataset final : public Dataset<std::pair<K, V>> {
  public:
   using Rec = std::pair<K, V>;
   using Combiner = std::function<V(const V&, const V&)>;
+  static_assert(FixedWidthSerde<Rec>::value,
+                "shuffled records must have a FixedWidthSerde codec");
 
   /// `combiner`, when set, merges values with equal keys *within each map
   /// task before serialization* (Spark map-side combine); the reduce side
@@ -54,9 +56,6 @@ class ShuffledDataset final : public Dataset<std::pair<K, V>> {
     this->setOutputPartitioning(partitioner_);
   }
 
-  std::string opName() const override { return "shuffle:" + label_; }
-  std::vector<const DatasetBase*> parents() const override { return {parent_.get()}; }
-
   void ensureReady() override {
     std::call_once(once_, [this] {
       parent_->ensureReady();
@@ -73,8 +72,8 @@ class ShuffledDataset final : public Dataset<std::pair<K, V>> {
  private:
   struct MapOutput {
     // One serialized bucket per destination partition. Buckets hold exact
-    // serde bytes on both encode paths, and return to the context's
-    // BufferPool once the reduce side has consumed them.
+    // serde bytes and return to the context's BufferPool once the reduce
+    // side has consumed them.
     std::vector<std::vector<std::uint8_t>> buckets;
     std::vector<std::uint32_t> bucketRecords;
     TaskCounters counters;
@@ -83,71 +82,43 @@ class ShuffledDataset final : public Dataset<std::pair<K, V>> {
     bool lost = false;
   };
 
-  /// Fast path: pre-count records per destination, acquire exact-size
-  /// pooled buckets, and encode by bulk stores. Requires every record to
-  /// share one serde width (checked; the common case for COO/QCOO batches
-  /// of fixed order and rank). Returns false — leaving `out` untouched —
-  /// when widths diverge; the caller falls back to serdeWrite.
-  bool fastBucket(const std::vector<Rec>& recs, std::size_t pOut,
-                  MapOutput& out) {
-    if constexpr (!FixedWidthSerde<Rec>::value) {
-      (void)recs;
-      (void)pOut;
-      (void)out;
-      return false;
-    } else {
-      Context* ctx = this->context();
-      if (recs.empty()) return true;
-      const std::size_t w = FixedWidthSerde<Rec>::width(recs.front());
-      // Destination scratch lives in pooled bytes so steady-state
-      // iterations reuse it instead of reallocating per task.
-      std::vector<std::uint8_t> dstScratch =
-          ctx->bufferPool().acquire(recs.size() * sizeof(std::uint32_t));
-      dstScratch.resize(recs.size() * sizeof(std::uint32_t));
-      auto* dst = reinterpret_cast<std::uint32_t*>(dstScratch.data());
-      std::vector<std::uint32_t> counts(pOut, 0);
-      for (std::size_t i = 0; i < recs.size(); ++i) {
-        if constexpr (FixedWidthSerde<Rec>::kStaticWidth == 0) {
-          if (FixedWidthSerde<Rec>::width(recs[i]) != w) {
-            ctx->bufferPool().release(std::move(dstScratch));
-            return false;
-          }
-        }
-        const auto d = static_cast<std::uint32_t>(
-            partitioner_->partitionOf(KeyHash<K>{}(recs[i].first)));
-        dst[i] = d;
-        ++counts[d];
-      }
-      std::vector<std::uint8_t*> cursor(pOut, nullptr);
-      for (std::size_t q = 0; q < pOut; ++q) {
-        out.bucketRecords[q] = counts[q];
-        if (counts[q] == 0) continue;
-        out.buckets[q] = ctx->bufferPool().acquire(counts[q] * w);
-        out.buckets[q].resize(counts[q] * w);
-        cursor[q] = out.buckets[q].data();
-      }
-      for (std::size_t i = 0; i < recs.size(); ++i) {
-        cursor[dst[i]] = FixedWidthSerde<Rec>::encode(cursor[dst[i]], recs[i]);
-      }
-      ctx->bufferPool().release(std::move(dstScratch));
-      return true;
-    }
-  }
-
-  void slowBucket(const std::vector<Rec>& recs, MapOutput& out) {
-    for (const Rec& rec : recs) {
-      const std::size_t d = partitioner_->partitionOf(KeyHash<K>{}(rec.first));
-      serdeWrite(out.buckets[d], rec);
-      ++out.bucketRecords[d];
-    }
-  }
-
-  void bucketRecords(const std::vector<Rec>& recs, std::size_t pOut,
+  /// Bucket `recs` by destination in two passes: pass 1 hashes each key
+  /// and sums encoded widths per destination, pass 2 encodes by bulk stores
+  /// into exact-size pooled buckets. Records of one batch may differ in
+  /// width (order-3 and order-4 nonzeros, say); the sums absorb that.
+  void encodeBuckets(const std::vector<Rec>& recs, std::size_t pOut,
                      MapOutput& out) {
-    if (!this->context()->config().enableShuffleFastPath ||
-        !fastBucket(recs, pOut, out)) {
-      slowBucket(recs, out);
+    using Codec = FixedWidthSerde<Rec>;
+    if (recs.empty()) return;
+    Context* ctx = this->context();
+    // Destination scratch lives in pooled bytes so steady-state
+    // iterations reuse it instead of reallocating per task.
+    std::vector<std::uint8_t> dstScratch =
+        ctx->bufferPool().acquire(recs.size() * sizeof(std::uint32_t));
+    dstScratch.resize(recs.size() * sizeof(std::uint32_t));
+    auto* dst = reinterpret_cast<std::uint32_t*>(dstScratch.data());
+    std::vector<std::size_t> bytes(pOut, 0);
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+      const auto d = static_cast<std::uint32_t>(
+          partitioner_->partitionOf(KeyHash<K>{}(recs[i].first)));
+      dst[i] = d;
+      ++out.bucketRecords[d];
+      if constexpr (Codec::kStaticWidth == 0) bytes[d] += Codec::width(recs[i]);
     }
+    std::vector<std::uint8_t*> cursor(pOut, nullptr);
+    for (std::size_t q = 0; q < pOut; ++q) {
+      if constexpr (Codec::kStaticWidth != 0) {
+        bytes[q] = out.bucketRecords[q] * Codec::kStaticWidth;
+      }
+      if (bytes[q] == 0) continue;
+      out.buckets[q] = ctx->bufferPool().acquire(bytes[q]);
+      out.buckets[q].resize(bytes[q]);
+      cursor[q] = out.buckets[q].data();
+    }
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+      cursor[dst[i]] = Codec::encode(cursor[dst[i]], recs[i]);
+    }
+    ctx->bufferPool().release(std::move(dstScratch));
   }
 
   void materialize() {
@@ -194,10 +165,10 @@ class ShuffledDataset final : public Dataset<std::pair<K, V>> {
         std::vector<Rec> shipped;
         shipped.reserve(combined.size());
         for (auto& kv : combined) shipped.emplace_back(std::move(kv));
-        bucketRecords(shipped, pOut, out);
+        encodeBuckets(shipped, pOut, out);
         tc.counters.recordsEmitted += shipped.size();
       } else {
-        bucketRecords(*in, pOut, out);
+        encodeBuckets(*in, pOut, out);
         tc.counters.recordsProcessed += in->size();
         tc.counters.recordsEmitted += in->size();
       }
@@ -330,8 +301,8 @@ class ShuffledDataset final : public Dataset<std::pair<K, V>> {
         auto& bucket = mapOut[p].buckets[q];
         const std::uint64_t records = mapOut[p].bucketRecords[q];
         // Metered bytes come from the serde size rules (bucket bytes are
-        // exact serde bytes on either encode path), never from how the
-        // transfer was physically performed.
+        // exact serde bytes), never from how the transfer was physically
+        // performed.
         const std::uint64_t bytes =
             bucket.size() + records * cfg.recordEnvelopeBytes +
             (records > 0 ? cfg.shuffleBlockOverheadBytes : 0);
@@ -340,11 +311,7 @@ class ShuffledDataset final : public Dataset<std::pair<K, V>> {
         } else {
           remote += bytes;
         }
-        if (!cfg.enableShuffleFastPath ||
-            !fixedWidthDecodeStream(bucket.data(), bucket.size(), recs)) {
-          Reader r(bucket.data(), bucket.size());
-          while (!r.exhausted()) recs.push_back(serdeRead<Rec>(r));
-        }
+        fixedWidthDecodeStream(bucket.data(), bucket.size(), recs);
         // The bucket is consumed exactly once (by this task): recycle it.
         ctx->bufferPool().release(std::move(bucket));
       }
@@ -446,8 +413,6 @@ class JoinDataset final
     this->setOutputPartitioning(std::move(partitioner));
   }
 
-  std::string opName() const override { return "join"; }
-  std::vector<const DatasetBase*> parents() const override { return {left_.get(), right_.get()}; }
   void ensureReady() override {
     left_->ensureReady();
     right_->ensureReady();
@@ -479,59 +444,6 @@ class JoinDataset final
   std::shared_ptr<Dataset<std::pair<K, W>>> right_;
 };
 
-/// cogroup of two co-partitioned datasets: partition p of the result pairs
-/// every key with ALL its values from both sides — the primitive beneath
-/// outer joins.
-template <typename K, typename V, typename W>
-class CoGroupDataset final
-    : public Dataset<std::pair<K, std::pair<std::vector<V>, std::vector<W>>>> {
- public:
-  using Out = std::pair<K, std::pair<std::vector<V>, std::vector<W>>>;
-
-  CoGroupDataset(Context* ctx, std::shared_ptr<Dataset<std::pair<K, V>>> left,
-                 std::shared_ptr<Dataset<std::pair<K, W>>> right,
-                 std::shared_ptr<Partitioner> partitioner)
-      : Dataset<Out>(ctx, partitioner->numPartitions()),
-        left_(std::move(left)),
-        right_(std::move(right)) {
-    CSTF_CHECK(left_->numPartitions() == partitioner->numPartitions() &&
-                   right_->numPartitions() == partitioner->numPartitions(),
-               "cogroup inputs must be co-partitioned");
-    this->setOutputPartitioning(std::move(partitioner));
-  }
-
-  std::string opName() const override { return "cogroup"; }
-  std::vector<const DatasetBase*> parents() const override { return {left_.get(), right_.get()}; }
-  void ensureReady() override {
-    left_->ensureReady();
-    right_->ensureReady();
-  }
-
- protected:
-  Block<Out> computePartition(std::size_t p, TaskContext& tc) override {
-    Block<std::pair<K, V>> lhs = left_->partition(p, tc);
-    Block<std::pair<K, W>> rhs = right_->partition(p, tc);
-
-    std::unordered_map<K, std::pair<std::vector<V>, std::vector<W>>,
-                       StdKeyHash<K>>
-        groups;
-    groups.reserve(lhs->size() + rhs->size());
-    for (const auto& [k, v] : *lhs) groups[k].first.push_back(v);
-    for (const auto& [k, w] : *rhs) groups[k].second.push_back(w);
-
-    std::vector<Out> out;
-    out.reserve(groups.size());
-    for (auto& kv : groups) out.push_back(std::move(kv));
-    tc.counters.recordsProcessed += lhs->size() + rhs->size();
-    tc.counters.recordsEmitted += out.size();
-    return makeBlock(std::move(out));
-  }
-
- private:
-  std::shared_ptr<Dataset<std::pair<K, V>>> left_;
-  std::shared_ptr<Dataset<std::pair<K, W>>> right_;
-};
-
 /// Final merge after a combined shuffle (reduce side of reduceByKey).
 template <typename K, typename V>
 class ReduceByKeyMergeDataset final : public Dataset<std::pair<K, V>> {
@@ -548,8 +460,6 @@ class ReduceByKeyMergeDataset final : public Dataset<std::pair<K, V>> {
     this->setOutputPartitioning(parent_->outputPartitioning());
   }
 
-  std::string opName() const override { return "reduceByKeyMerge"; }
-  std::vector<const DatasetBase*> parents() const override { return {parent_.get()}; }
   void ensureReady() override { parent_->ensureReady(); }
 
  protected:

@@ -106,10 +106,9 @@ class CooTensor {
 
 namespace cstf {
 
-/// Shuffle fast path: a Nonzero's encoding is flat (order, indices, value),
-/// so it can be encoded by pointer stores. Width varies with `order` per
-/// value, but every nonzero of one tensor shares it — which is what makes
-/// COO/QCOO shuffle batches fixed-width in practice.
+/// Shuffle codec: a Nonzero's encoding is flat (order, indices, value), so
+/// it can be encoded by pointer stores. Width varies with `order` per
+/// value; the shuffle sums widths per destination to size its buckets.
 template <>
 struct FixedWidthSerde<tensor::Nonzero> {
   static constexpr bool value = true;

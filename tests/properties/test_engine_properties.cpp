@@ -8,9 +8,12 @@
 #include <map>
 
 #include "sparkle/sparkle.hpp"
+#include "support/shuffle_all.hpp"
 
 namespace cstf::sparkle {
 namespace {
+
+using testsupport::shuffleAll;
 
 using KV = std::pair<std::uint32_t, double>;
 
@@ -49,11 +52,17 @@ class EngineInvariants : public testing::TestWithParam<EngineCase> {
 };
 
 TEST_P(EngineInvariants, ShufflePreservesRecordMultiset) {
+  // A join against one row per key hands back every shuffled record once.
   auto ctx = makeContext();
   const auto data = makeData();
-  auto out = parallelize(ctx, data, GetParam().inputPartitions)
-                 .partitionBy(ctx.hashPartitioner(GetParam().shufflePartitions))
-                 .collect();
+  std::vector<std::pair<std::uint32_t, int>> keys;
+  for (std::uint32_t k = 0; k < 97; ++k) keys.push_back({k, 0});
+  auto joined = parallelize(ctx, data, GetParam().inputPartitions)
+                    .join(parallelize(ctx, keys, 3),
+                          ctx.hashPartitioner(GetParam().shufflePartitions))
+                    .collect();
+  std::vector<KV> out;
+  for (const auto& [k, vw] : joined) out.push_back({k, vw.first});
   ASSERT_EQ(out.size(), data.size());
   auto sorted = data;
   std::sort(sorted.begin(), sorted.end());
@@ -63,8 +72,9 @@ TEST_P(EngineInvariants, ShufflePreservesRecordMultiset) {
 
 TEST_P(EngineInvariants, ShuffleGroupsKeysCompletely) {
   auto ctx = makeContext();
-  auto rdd = parallelize(ctx, makeData(), GetParam().inputPartitions)
-                 .partitionBy(ctx.hashPartitioner(GetParam().shufflePartitions));
+  auto rdd =
+      shuffleAll(parallelize(ctx, makeData(), GetParam().inputPartitions),
+                 ctx.hashPartitioner(GetParam().shufflePartitions));
   // Each key appears in exactly one partition.
   auto keysPerPartition = rdd.mapPartitions(
       [](const std::vector<KV>& part) {
@@ -84,8 +94,8 @@ TEST_P(EngineInvariants, ShuffleGroupsKeysCompletely) {
 
 TEST_P(EngineInvariants, ByteAccountingDecomposesExactly) {
   auto ctx = makeContext();
-  parallelize(ctx, makeData(), GetParam().inputPartitions)
-      .partitionBy(ctx.hashPartitioner(GetParam().shufflePartitions))
+  shuffleAll(parallelize(ctx, makeData(), GetParam().inputPartitions),
+             ctx.hashPartitioner(GetParam().shufflePartitions))
       .materialize();
   std::uint64_t remote = 0;
   std::uint64_t local = 0;

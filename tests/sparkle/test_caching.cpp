@@ -4,9 +4,12 @@
 #include <vector>
 
 #include "sparkle/sparkle.hpp"
+#include "support/shuffle_all.hpp"
 
 namespace cstf::sparkle {
 namespace {
+
+using testsupport::shuffleAll;
 
 ClusterConfig sparkCfg() {
   ClusterConfig cfg;
@@ -76,7 +79,7 @@ TEST(Caching, CacheTruncatesLineageForDownstream) {
   mapped.count();
   // Two different downstream pipelines over the cached dataset:
   mapped.map([](const int& x) { return x + 1; }).count();
-  mapped.filter([](const int& x) { return x > 10; }).count();
+  mapped.map([](const int& x) { return x - 1; }).count();
   EXPECT_EQ(counter->load(), 100);  // the source ran once
 }
 
@@ -120,8 +123,7 @@ TEST(Caching, HadoopModeIgnoresCache) {
 TEST(Caching, ShuffleOutputIsImplicitlyReused) {
   Context ctx(sparkCfg(), 2);
   std::vector<std::pair<std::uint32_t, int>> data{{1, 1}, {2, 2}, {3, 3}};
-  auto shuffled = parallelize(ctx, data, 2)
-                      .partitionBy(ctx.hashPartitioner(4));
+  auto shuffled = shuffleAll(parallelize(ctx, data, 2), ctx.hashPartitioner(4));
   shuffled.count();
   shuffled.count();
   // Spark keeps shuffle blocks; re-reading them is not a second shuffle.

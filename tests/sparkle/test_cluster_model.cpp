@@ -3,9 +3,12 @@
 #include <vector>
 
 #include "sparkle/sparkle.hpp"
+#include "support/shuffle_all.hpp"
 
 namespace cstf::sparkle {
 namespace {
+
+using testsupport::shuffleAll;
 
 using KV = std::pair<std::uint32_t, double>;
 
@@ -100,8 +103,7 @@ TEST(ClusterModel, WallTimeRecorded) {
   ClusterConfig cfg;
   cfg.numNodes = 2;
   Context ctx(cfg, 2);
-  parallelize(ctx, makeData(1000), 4)
-      .partitionBy(ctx.hashPartitioner(4))
+  shuffleAll(parallelize(ctx, makeData(1000), 4), ctx.hashPartitioner(4))
       .materialize();
   const auto t = ctx.metrics().totals();
   EXPECT_GT(t.wallTimeSec, 0.0);

@@ -133,10 +133,11 @@ TEST(PairOps, JoinCountsOneShuffleOpTwoStages) {
 
 TEST(PairOps, JoinSkipsShuffleForCoPartitionedSide) {
   auto ctx = makeCtx();
+  auto sum = [](const double& a, const double& b) { return a + b; };
   std::vector<KV> left{{1, 1.0}, {2, 2.0}, {3, 3.0}};
   std::vector<KV> right{{1, 9.0}, {3, 9.0}};
   auto part = ctx.hashPartitioner(8);
-  auto leftPart = parallelize(ctx, left, 2).partitionBy(part);
+  auto leftPart = parallelize(ctx, left, 2).reduceByKey(sum, part);
   leftPart.materialize();
   ctx.metrics().reset();
 
@@ -148,28 +149,6 @@ TEST(PairOps, JoinSkipsShuffleForCoPartitionedSide) {
   EXPECT_EQ(shuffleStages, 1u);  // only the right side moved
 }
 
-TEST(PairOps, PartitionByGroupsKeys) {
-  auto ctx = makeCtx();
-  std::vector<KV> data;
-  for (std::uint32_t k = 0; k < 64; ++k) data.push_back({k, double(k)});
-  auto part = ctx.hashPartitioner(8);
-  auto rdd = parallelize(ctx, data, 4).partitionBy(part);
-  // All records with one key land in the partition the partitioner names.
-  auto perPartition = rdd.mapPartitions(
-      [](const std::vector<KV>& p) { return std::vector<std::size_t>{p.size()}; });
-  EXPECT_EQ(rdd.count(), 64u);
-  EXPECT_EQ(perPartition.collect().size(), 8u);
-}
-
-TEST(PairOps, PartitionByTwiceIsOneShuffle) {
-  auto ctx = makeCtx();
-  std::vector<KV> data{{1, 1.0}, {2, 2.0}};
-  auto part = ctx.hashPartitioner(4);
-  auto rdd = parallelize(ctx, data, 2).partitionBy(part).partitionBy(part);
-  rdd.materialize();
-  EXPECT_EQ(ctx.metrics().totals().shuffleOps, 1u);
-}
-
 TEST(PairOps, ReduceByKeyAfterPartitionByIsNarrow) {
   auto ctx = makeCtx();
   std::vector<KV> data;
@@ -177,14 +156,24 @@ TEST(PairOps, ReduceByKeyAfterPartitionByIsNarrow) {
     data.push_back({k, 1.0});
     data.push_back({k, 2.0});
   }
+  std::vector<std::pair<std::uint32_t, int>> keys;
+  for (std::uint32_t k = 0; k < 8; ++k) keys.push_back({k, 0});
   auto part = ctx.hashPartitioner(4);
-  auto pre = parallelize(ctx, data, 4).partitionBy(part);
+  // The join leaves both values of every key in the partition `part` names.
+  auto pre = parallelize(ctx, data, 4)
+                 .join(parallelize(ctx, keys, 2), part)
+                 .mapValues([](const std::pair<double, int>& vw) {
+                   return vw.first;
+                 });
   pre.materialize();
   ctx.metrics().reset();
 
   auto out = pre.reduceByKey(
-      [](const double& a, const double& b) { return a + b; }, part);
-  EXPECT_EQ(out.collect().size(), 8u);
+                    [](const double& a, const double& b) { return a + b; },
+                    part)
+                 .collect();
+  ASSERT_EQ(out.size(), 8u);
+  for (const auto& [k, v] : out) EXPECT_DOUBLE_EQ(v, 3.0) << k;
   // Spark semantics: already co-partitioned, no second shuffle.
   EXPECT_EQ(ctx.metrics().totals().shuffleOps, 0u);
 }
@@ -193,7 +182,8 @@ TEST(PairOps, MapValuesPreservesPartitioningMapDoesNot) {
   auto ctx = makeCtx();
   std::vector<KV> data{{1, 1.0}, {2, 2.0}};
   auto part = ctx.hashPartitioner(4);
-  auto rdd = parallelize(ctx, data, 2).partitionBy(part);
+  auto rdd = parallelize(ctx, data, 2).reduceByKey(
+      [](const double& a, const double& b) { return a + b; }, part);
   auto mv = rdd.mapValues([](const double& v) { return v + 1.0; });
   EXPECT_EQ(mv.partitioning(), part);
   auto plain = rdd.map([](const KV& kv) { return kv; });

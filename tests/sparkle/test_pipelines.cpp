@@ -1,12 +1,11 @@
-// End-to-end engine pipelines: multi-shuffle DAGs, diamond lineage, unions
-// across shuffles, and re-use of one shuffled dataset by several consumers
-// — the shapes the CSTF algorithms actually build.
+// End-to-end engine pipelines: multi-shuffle DAGs, diamond lineage, and
+// re-use of one shuffled dataset by several consumers — the shapes the
+// CSTF algorithms actually build.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 
-#include "common/strings.hpp"
 #include "sparkle/sparkle.hpp"
 
 namespace cstf::sparkle {
@@ -65,7 +64,9 @@ TEST(Pipelines, DiamondLineageComputesSharedParentOnce) {
   for (std::uint32_t i = 0; i < 200; ++i) data.push_back({i % 20, 1.0});
 
   auto shared = parallelize(ctx, data, 8)
-                    .partitionBy(ctx.hashPartitioner(8));
+                    .reduceByKey(
+                        [](const double& a, const double& b) { return a + b; },
+                        ctx.hashPartitioner(8));
   shared.cache();
   auto left = shared.mapValues([](const double& v) { return v * 2; })
                   .reduceByKey(
@@ -82,40 +83,34 @@ TEST(Pipelines, DiamondLineageComputesSharedParentOnce) {
     EXPECT_DOUBLE_EQ(l[k], 20.0);
     EXPECT_DOUBLE_EQ(r[k], 30.0);
   }
-  // One shuffle for `shared`; the reduceByKey after partitionBy+mapValues
-  // is narrow (co-partitioned), so only the initial partitionBy shuffled.
+  // One shuffle for `shared`; each reduceByKey after mapValues is narrow
+  // (co-partitioned), so only the first reduceByKey shuffled.
   EXPECT_EQ(ctx.metrics().totals().shuffleOps, 1u);
 }
 
-TEST(Pipelines, UnionOfShuffledAndPlain) {
-  auto ctx = makeCtx();
-  std::vector<KV> a{{1, 1.0}, {2, 2.0}};
-  std::vector<KV> b{{3, 3.0}};
-  auto left = parallelize(ctx, a, 2).partitionBy(ctx.hashPartitioner(4));
-  auto right = parallelize(ctx, b, 2);
-  auto u = left.unionWith(right);
-  EXPECT_EQ(u.count(), 3u);
-  EXPECT_EQ(u.numPartitions(), 6u);
-}
-
 TEST(Pipelines, WordCountComposition) {
+  // Lines of word ids: mapPartitions splits them into (word, 1) pairs.
   auto ctx = makeCtx();
-  std::vector<std::string> lines{"a b a", "b c", "a"};
+  using Line = std::vector<std::uint32_t>;
+  std::vector<Line> lines{{0, 1, 0}, {1, 2}, {0}};
   auto counts =
       parallelize(ctx, lines, 2)
-          .flatMap([](const std::string& l) { return splitFields(l, " "); })
-          .map([](const std::string& w) {
-            return std::pair<std::string, std::uint32_t>(w, 1);
+          .mapPartitions([](const std::vector<Line>& part) {
+            std::vector<std::pair<std::uint32_t, std::uint32_t>> out;
+            for (const Line& l : part) {
+              for (std::uint32_t w : l) out.emplace_back(w, 1);
+            }
+            return out;
           })
           .reduceByKey(
               [](const std::uint32_t& x, const std::uint32_t& y) {
                 return x + y;
               })
           .collect();
-  std::map<std::string, std::uint32_t> m(counts.begin(), counts.end());
-  EXPECT_EQ(m["a"], 3u);
-  EXPECT_EQ(m["b"], 2u);
-  EXPECT_EQ(m["c"], 1u);
+  std::map<std::uint32_t, std::uint32_t> m(counts.begin(), counts.end());
+  EXPECT_EQ(m[0], 3u);
+  EXPECT_EQ(m[1], 2u);
+  EXPECT_EQ(m[2], 1u);
 }
 
 TEST(Pipelines, JoinAfterReduceByKeyReusesPartitioning) {

@@ -67,33 +67,6 @@ TEST(RddBasic, MapChangesType) {
   EXPECT_EQ(out[3], "3");
 }
 
-TEST(RddBasic, FilterKeepsMatching) {
-  Context ctx(smallCluster(), 2);
-  auto out = parallelize(ctx, iota(100), 8)
-                 .filter([](const int& x) { return x % 3 == 0; })
-                 .collect();
-  EXPECT_EQ(out.size(), 34u);
-  for (int x : out) EXPECT_EQ(x % 3, 0);
-}
-
-TEST(RddBasic, FlatMapExpands) {
-  Context ctx(smallCluster(), 2);
-  auto out = parallelize(ctx, iota(10), 3)
-                 .flatMap([](const int& x) {
-                   return std::vector<int>{x, x + 100};
-                 })
-                 .collect();
-  EXPECT_EQ(out.size(), 20u);
-}
-
-TEST(RddBasic, FlatMapCanDropAll) {
-  Context ctx(smallCluster(), 2);
-  auto out = parallelize(ctx, iota(10), 3)
-                 .flatMap([](const int&) { return std::vector<int>{}; })
-                 .collect();
-  EXPECT_TRUE(out.empty());
-}
-
 TEST(RddBasic, MapPartitionsSeesWholePartition) {
   Context ctx(smallCluster(), 2);
   auto out = parallelize(ctx, iota(100), 4)
@@ -103,15 +76,6 @@ TEST(RddBasic, MapPartitionsSeesWholePartition) {
                  .collect();
   EXPECT_EQ(out.size(), 4u);
   EXPECT_EQ(std::accumulate(out.begin(), out.end(), std::size_t{0}), 100u);
-}
-
-TEST(RddBasic, KeyByBuildsPairs) {
-  Context ctx(smallCluster(), 2);
-  auto out = parallelize(ctx, iota(10), 2)
-                 .keyBy([](const int& x) { return x % 2; })
-                 .collect();
-  EXPECT_EQ(out.size(), 10u);
-  for (const auto& [k, v] : out) EXPECT_EQ(k, v % 2);
 }
 
 TEST(RddBasic, ReduceSums) {
@@ -140,21 +104,15 @@ TEST(RddBasic, GenerateProducesOnDemand) {
   EXPECT_EQ(out[31], 31 * 31);
 }
 
-TEST(RddBasic, UnionConcatenates) {
-  Context ctx(smallCluster(), 2);
-  auto a = parallelize(ctx, iota(10), 2);
-  auto b = parallelize(ctx, iota(5), 2);
-  EXPECT_EQ(a.unionWith(b).count(), 15u);
-}
-
 TEST(RddBasic, ChainedTransformsPipeline) {
   Context ctx(smallCluster(), 2);
   auto out = parallelize(ctx, iota(1000), 8)
                  .map([](const int& x) { return x + 1; })
-                 .filter([](const int& x) { return x % 2 == 0; })
+                 .map([](const int& x) { return x * 3; })
                  .map([](const int& x) { return x / 2; })
                  .collect();
-  EXPECT_EQ(out.size(), 500u);
+  ASSERT_EQ(out.size(), 1000u);
+  EXPECT_EQ(out[999], 1500);
   // No shuffle anywhere in this chain.
   EXPECT_EQ(ctx.metrics().totals().shuffleOps, 0u);
 }

@@ -1,14 +1,15 @@
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <vector>
 
 #include "common/serde.hpp"
 #include "sparkle/sparkle.hpp"
+#include "support/shuffle_all.hpp"
 
 namespace cstf::sparkle {
 namespace {
 
+using testsupport::shuffleAll;
 using KV = std::pair<std::uint32_t, double>;
 
 ClusterConfig cfgNodes(int nodes) {
@@ -31,7 +32,7 @@ TEST(ShuffleMetrics, TotalBytesMatchSerializedSizePlusEnvelope) {
   std::uint64_t payload = 0;
   for (const auto& kv : data) payload += serdeSize(kv);
 
-  parallelize(ctx, data, 8).partitionBy(ctx.hashPartitioner(8)).materialize();
+  shuffleAll(parallelize(ctx, data, 8), ctx.hashPartitioner(8)).materialize();
   const auto t = ctx.metrics().totals();
   EXPECT_EQ(t.shuffleRecords, 500u);
   EXPECT_EQ(t.shuffleBytesRemote + t.shuffleBytesLocal,
@@ -40,8 +41,7 @@ TEST(ShuffleMetrics, TotalBytesMatchSerializedSizePlusEnvelope) {
 
 TEST(ShuffleMetrics, SingleNodeClusterHasNoRemoteBytes) {
   Context ctx(cfgNodes(1), 2);
-  parallelize(ctx, makeData(200), 4)
-      .partitionBy(ctx.hashPartitioner(4))
+  shuffleAll(parallelize(ctx, makeData(200), 4), ctx.hashPartitioner(4))
       .materialize();
   const auto t = ctx.metrics().totals();
   EXPECT_EQ(t.shuffleBytesRemote, 0u);
@@ -55,8 +55,7 @@ TEST(ShuffleMetrics, RemoteFractionGrowsWithNodes) {
   double prevFraction = 0.0;
   for (int nodes : {2, 4, 8, 16}) {
     Context ctx(cfgNodes(nodes), 2);
-    parallelize(ctx, makeData(2000), 32)
-        .partitionBy(ctx.hashPartitioner(32))
+    shuffleAll(parallelize(ctx, makeData(2000), 32), ctx.hashPartitioner(32))
         .materialize();
     const auto t = ctx.metrics().totals();
     const double fraction =
@@ -72,12 +71,10 @@ TEST(ShuffleMetrics, ScopeTagsStages) {
   Context ctx(cfgNodes(4), 2);
   {
     ScopedStage scope(ctx.metrics(), "MTTKRP-1");
-    parallelize(ctx, makeData(100), 4)
-        .partitionBy(ctx.hashPartitioner(4))
+    shuffleAll(parallelize(ctx, makeData(100), 4), ctx.hashPartitioner(4))
         .materialize();
   }
-  parallelize(ctx, makeData(100), 4)
-      .partitionBy(ctx.hashPartitioner(4))
+  shuffleAll(parallelize(ctx, makeData(100), 4), ctx.hashPartitioner(4))
       .materialize();
 
   const auto scoped = ctx.metrics().totalsForScope("MTTKRP-1");
@@ -100,9 +97,9 @@ TEST(ShuffleMetrics, NestedScopesJoinWithSlash) {
 
 TEST(ShuffleMetrics, LazinessNoStagesBeforeAction) {
   Context ctx(cfgNodes(4), 2);
-  auto rdd = parallelize(ctx, makeData(100), 4)
-                 .partitionBy(ctx.hashPartitioner(4))
-                 .mapValues([](const double& v) { return v + 1; });
+  auto rdd =
+      shuffleAll(parallelize(ctx, makeData(100), 4), ctx.hashPartitioner(4))
+          .mapValues([](const double& v) { return v + 1; });
   EXPECT_EQ(ctx.metrics().stages().size(), 0u);
   rdd.materialize();
   EXPECT_GT(ctx.metrics().stages().size(), 0u);
@@ -110,8 +107,8 @@ TEST(ShuffleMetrics, LazinessNoStagesBeforeAction) {
 
 TEST(ShuffleMetrics, ShuffleMaterializesOnce) {
   Context ctx(cfgNodes(4), 2);
-  auto rdd = parallelize(ctx, makeData(100), 4)
-                 .partitionBy(ctx.hashPartitioner(4));
+  auto rdd =
+      shuffleAll(parallelize(ctx, makeData(100), 4), ctx.hashPartitioner(4));
   rdd.materialize();
   const auto before = ctx.metrics().totals().shuffleOps;
   rdd.count();
@@ -138,16 +135,14 @@ TEST(ShuffleMetrics, EnvelopeBytesConfigurable) {
   std::uint64_t bytesB = 0;
   {
     Context ctx(a, 2);
-    parallelize(ctx, makeData(100), 4)
-        .partitionBy(ctx.hashPartitioner(4))
+    shuffleAll(parallelize(ctx, makeData(100), 4), ctx.hashPartitioner(4))
         .materialize();
     const auto t = ctx.metrics().totals();
     bytesA = t.shuffleBytesRemote + t.shuffleBytesLocal;
   }
   {
     Context ctx(b, 2);
-    parallelize(ctx, makeData(100), 4)
-        .partitionBy(ctx.hashPartitioner(4))
+    shuffleAll(parallelize(ctx, makeData(100), 4), ctx.hashPartitioner(4))
         .materialize();
     const auto t = ctx.metrics().totals();
     bytesB = t.shuffleBytesRemote + t.shuffleBytesLocal;
@@ -157,8 +152,7 @@ TEST(ShuffleMetrics, EnvelopeBytesConfigurable) {
 
 TEST(ShuffleMetrics, ResetClears) {
   Context ctx(cfgNodes(4), 2);
-  parallelize(ctx, makeData(10), 2)
-      .partitionBy(ctx.hashPartitioner(2))
+  shuffleAll(parallelize(ctx, makeData(10), 2), ctx.hashPartitioner(2))
       .materialize();
   EXPECT_GT(ctx.metrics().stages().size(), 0u);
   ctx.metrics().reset();
@@ -203,78 +197,6 @@ TEST(BroadcastMetering, SingleNodeClusterPaysNothing) {
   // With no receivers the stage costs only the fixed scheduling overhead —
   // no network phase.
   EXPECT_DOUBLE_EQ(stages[0].simTimeSec, ctx.config().stageOverheadSec);
-}
-
-TEST(TakeAction, StopsAfterGatheringEnoughRecords) {
-  Context ctx(cfgNodes(4), 2);
-  std::vector<int> data(100);
-  std::iota(data.begin(), data.end(), 0);
-  auto rdd = parallelize(ctx, data, 10);  // 10 records per partition
-
-  auto head = rdd.take(25);
-  ASSERT_EQ(head.size(), 25u);
-  for (int i = 0; i < 25; ++i) EXPECT_EQ(head[size_t(i)], i);
-
-  // Only 3 of the 10 partitions may be computed (25 records need
-  // partitions 0, 1, and 2; the truncated third partition still runs).
-  const auto stages = ctx.metrics().stages();
-  ASSERT_EQ(stages.size(), 1u);
-  EXPECT_EQ(stages[0].kind, StageKind::kResult);
-  EXPECT_EQ(stages[0].tasks.size(), 3u);
-  EXPECT_EQ(stages[0].work.recordsProcessed, 30u)
-      << "take must not process partitions it never visited";
-}
-
-TEST(TakeAction, FirstComputesOnePartitionOnly) {
-  Context ctx(cfgNodes(4), 2);
-  std::vector<int> data(100);
-  std::iota(data.begin(), data.end(), 0);
-  EXPECT_EQ(parallelize(ctx, data, 10).first(), 0);
-  const auto stages = ctx.metrics().stages();
-  ASSERT_EQ(stages.size(), 1u);
-  EXPECT_EQ(stages[0].tasks.size(), 1u);
-}
-
-TEST(TakeAction, TakeMoreThanSizeReturnsEverything) {
-  Context ctx(cfgNodes(4), 2);
-  std::vector<int> data = {5, 6, 7};
-  auto out = parallelize(ctx, data, 2).take(50);
-  EXPECT_EQ(out, data);
-}
-
-TEST(TakeAction, TakeZeroRecordsNothing) {
-  Context ctx(cfgNodes(4), 2);
-  auto out = parallelize(ctx, std::vector<int>{1, 2, 3}, 2).take(0);
-  EXPECT_TRUE(out.empty());
-  EXPECT_EQ(ctx.metrics().stages().size(), 0u);
-}
-
-TEST(TakeAction, MetersVisitedWorkIntoSimTime) {
-  Context ctx(cfgNodes(4), 2);
-  std::vector<int> data(1000);
-  std::iota(data.begin(), data.end(), 0);
-  auto mapped = parallelize(ctx, data, 10).map([](int x) { return x * 2; });
-  EXPECT_EQ(mapped.take(5), (std::vector<int>{0, 2, 4, 6, 8}));
-  const auto stages = ctx.metrics().stages();
-  ASSERT_EQ(stages.size(), 1u);
-  // One partition holds 100 source records; only that partition's work
-  // (source read + map) may be metered — not the other 900 records'.
-  EXPECT_EQ(stages[0].tasks.size(), 1u);
-  EXPECT_GE(stages[0].work.recordsProcessed, 100u);
-  EXPECT_LT(stages[0].work.recordsProcessed, 500u);
-}
-
-TEST(TakeAction, WorksThroughShuffleDependency) {
-  // Shuffle deps materialize fully (as in Spark), then take truncates the
-  // post-shuffle scan.
-  Context ctx(cfgNodes(4), 2);
-  std::vector<KV> data;
-  for (std::uint32_t i = 0; i < 60; ++i) data.push_back({i % 6, 1.0});
-  auto reduced = parallelize(ctx, data, 4).reduceByKey(
-      [](double a, double b) { return a + b; });
-  auto head = reduced.take(2);
-  ASSERT_EQ(head.size(), 2u);
-  for (const auto& kv : head) EXPECT_DOUBLE_EQ(kv.second, 10.0);
 }
 
 }  // namespace

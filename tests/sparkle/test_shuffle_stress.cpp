@@ -11,9 +11,12 @@
 #include <vector>
 
 #include "sparkle/sparkle.hpp"
+#include "support/shuffle_all.hpp"
 
 namespace cstf::sparkle {
 namespace {
+
+using testsupport::shuffleAll;
 
 using KV = std::pair<std::uint32_t, double>;
 
@@ -24,11 +27,10 @@ std::vector<KV> makeData(std::uint32_t n) {
   return v;
 }
 
-ClusterConfig stressCfg(bool fastPath) {
+ClusterConfig stressCfg() {
   ClusterConfig cfg;
   cfg.numNodes = 7;  // awkward node count: remote/local split is irregular
   cfg.coresPerNode = 4;
-  cfg.enableShuffleFastPath = fastPath;
   return cfg;
 }
 
@@ -53,50 +55,33 @@ void checkStageInvariants(Context& ctx, std::uint64_t expectedRecords) {
 }
 
 // Wide fan-in/fan-out with 8 pool threads: 37 map tasks each feeding 61
-// reduce tasks, repeated, on both paths.
+// reduce tasks, repeated.
 TEST(ShuffleStress, ManyThreadsAwkwardPartitionCounts) {
-  for (const bool fast : {true, false}) {
-    Context ctx(stressCfg(fast), 8);
-    const std::uint32_t n = 20000;
-    auto source = parallelize(ctx, makeData(n), 37);
-    for (int round = 0; round < 4; ++round) {
-      source.partitionBy(ctx.hashPartitioner(61)).materialize();
-    }
-    checkStageInvariants(ctx, n);
-    const auto t = ctx.metrics().totals();
-    EXPECT_EQ(t.shuffleRecords, std::uint64_t{n} * 4);
+  Context ctx(stressCfg(), 8);
+  const std::uint32_t n = 20000;
+  auto source = parallelize(ctx, makeData(n), 37);
+  for (int round = 0; round < 4; ++round) {
+    shuffleAll(source, ctx.hashPartitioner(61)).materialize();
   }
+  checkStageInvariants(ctx, n);
+  const auto t = ctx.metrics().totals();
+  EXPECT_EQ(t.shuffleRecords, std::uint64_t{n} * 4);
 }
 
 // Repeated concurrent shuffles through one shared BufferPool: exercises the
 // acquire/release paths from many tasks at once.
 TEST(ShuffleStress, RepeatedShufflesThroughSharedPool) {
-  Context ctx(stressCfg(/*fastPath=*/true), 8);
+  Context ctx(stressCfg(), 8);
   const std::uint32_t n = 8000;
   auto source = parallelize(ctx, makeData(n), 16);
   for (int round = 0; round < 8; ++round) {
-    auto rdd = source.partitionBy(ctx.hashPartitioner(16));
+    auto rdd = shuffleAll(source, ctx.hashPartitioner(16));
     rdd.materialize();
     EXPECT_EQ(rdd.count(), n);
   }
   checkStageInvariants(ctx, n);
   const auto ps = ctx.bufferPool().stats();
   EXPECT_GT(ps.hits, 0u);
-}
-
-// Totals must agree across paths even under maximum thread contention.
-TEST(ShuffleStress, PathsAgreeUnderContention) {
-  MetricsTotals totals[2];
-  for (const bool fast : {false, true}) {
-    Context ctx(stressCfg(fast), 8);
-    auto out = parallelize(ctx, makeData(30000), 29)
-                   .partitionBy(ctx.hashPartitioner(53));
-    out.materialize();
-    totals[fast ? 1 : 0] = ctx.metrics().totals();
-  }
-  EXPECT_EQ(totals[0].shuffleRecords, totals[1].shuffleRecords);
-  EXPECT_EQ(totals[0].shuffleBytesRemote, totals[1].shuffleBytesRemote);
-  EXPECT_EQ(totals[0].shuffleBytesLocal, totals[1].shuffleBytesLocal);
 }
 
 }  // namespace

@@ -5,9 +5,12 @@
 #include <atomic>
 
 #include "sparkle/sparkle.hpp"
+#include "support/shuffle_all.hpp"
 
 namespace cstf::sparkle {
 namespace {
+
+using testsupport::shuffleAll;
 
 Context makeCtx() {
   ClusterConfig cfg;
@@ -47,7 +50,7 @@ TEST(Snapshot, KeepsPartitioningMetadata) {
   auto ctx = makeCtx();
   std::vector<std::pair<std::uint32_t, int>> data{{1, 1}, {2, 2}, {3, 3}};
   auto part = ctx.hashPartitioner(4);
-  auto rdd = parallelize(ctx, data, 2).partitionBy(part);
+  auto rdd = shuffleAll(parallelize(ctx, data, 2), part);
   rdd.materialize();
   auto snap = rdd.snapshot();
   EXPECT_EQ(snap.partitioning(), part);
@@ -78,36 +81,6 @@ TEST(Snapshot, SnapshotOfSnapshotIsStable) {
   auto s1 = rdd.snapshot();
   auto s2 = s1.snapshot();
   EXPECT_EQ(s2.collect(), (std::vector<int>{7, 8, 9}));
-}
-
-TEST(Checkpoint, PreservesDataAndCutsLineage) {
-  auto ctx = makeCtx();
-  auto counter = std::make_shared<std::atomic<int>>(0);
-  auto rdd = generate(ctx, 40,
-                      [counter](std::size_t i) {
-                        counter->fetch_add(1);
-                        return static_cast<int>(i * 3);
-                      },
-                      4);
-  auto cp = rdd.checkpoint();
-  const int afterCheckpoint = counter->load();
-  auto out = cp.collect();
-  ASSERT_EQ(out.size(), 40u);
-  EXPECT_EQ(out[7], 21);
-  EXPECT_EQ(counter->load(), afterCheckpoint) << "checkpoint reads, not recomputes";
-}
-
-TEST(Checkpoint, MetersTheStorageWrite) {
-  auto ctx = makeCtx();
-  auto rdd = parallelize(ctx, std::vector<double>(1000, 1.5), 4);
-  rdd.materialize();
-  const double before = ctx.metrics().simTimeSec();
-  rdd.checkpoint();
-  const double after = ctx.metrics().simTimeSec();
-  EXPECT_GT(after, before) << "the HDFS write must cost simulated time";
-  // The checkpoint stage carries disk bytes equal to the serialized size.
-  const auto stages = ctx.metrics().stages();
-  EXPECT_EQ(stages.back().label, "checkpoint");
 }
 
 }  // namespace

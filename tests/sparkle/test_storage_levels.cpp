@@ -5,9 +5,12 @@
 #include <atomic>
 
 #include "sparkle/sparkle.hpp"
+#include "support/shuffle_all.hpp"
 
 namespace cstf::sparkle {
 namespace {
+
+using testsupport::shuffleAll;
 
 Context makeCtx() {
   ClusterConfig cfg;
@@ -108,14 +111,14 @@ TEST(StorageLevels, StorageLevelAccessorsReflectChoice) {
   rdd.cache();
   EXPECT_EQ(rdd.storageLevel(), StorageLevel::kRaw);
   rdd.unpersist();
-  rdd.persist(StorageLevel::kSerialized);
+  rdd.cache(StorageLevel::kSerialized);
   EXPECT_EQ(rdd.storageLevel(), StorageLevel::kSerialized);
 }
 
 TEST(StorageLevels, SerializedCachedShuffleOutputStillOneShuffle) {
   auto ctx = makeCtx();
-  auto rdd = parallelize(ctx, makeData(200), 4)
-                 .partitionBy(ctx.hashPartitioner(4));
+  auto rdd = shuffleAll(parallelize(ctx, makeData(200), 4),
+                        ctx.hashPartitioner(4));
   rdd.cache(StorageLevel::kSerialized);
   rdd.count();
   rdd.count();

@@ -2,6 +2,7 @@
 // straggler log.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -9,9 +10,12 @@
 #include "common/log.hpp"
 #include "common/metrics_registry.hpp"
 #include "sparkle/sparkle.hpp"
+#include "support/shuffle_all.hpp"
 
 namespace cstf::sparkle {
 namespace {
+
+using testsupport::shuffleAll;
 
 using KV = std::pair<std::uint32_t, double>;
 
@@ -30,7 +34,7 @@ std::vector<KV> uniformData(std::uint32_t n) {
   return v;
 }
 
-/// Every record carries the same key: after partitionBy, one partition
+/// Every record carries the same key: after a shuffle, one partition
 /// holds everything — the canonical skew scenario.
 std::vector<KV> constantKeyData(std::uint32_t n) {
   std::vector<KV> v;
@@ -68,8 +72,7 @@ TEST(TaskRecords, ResultStageRecordsOneTaskPerPartition) {
 
 TEST(TaskRecords, MapTaskShuffleBytesSumToStageTotals) {
   Context ctx(cfgNodes(4), 2);
-  parallelize(ctx, uniformData(500), 8)
-      .partitionBy(ctx.hashPartitioner(8))
+  shuffleAll(parallelize(ctx, uniformData(500), 8), ctx.hashPartitioner(8))
       .materialize();
 
   const auto stages = ctx.metrics().stages();
@@ -87,11 +90,10 @@ TEST(TaskRecords, MapTaskShuffleBytesSumToStageTotals) {
 
 TEST(TaskRecords, SkewedPartitioningShowsUpInSkewStats) {
   Context ctx(cfgNodes(4), 2);
-  // All 800 records hash to one of 8 partitions; the downstream stage has
-  // one heavy task and seven idle ones.
-  parallelize(ctx, constantKeyData(800), 8)
-      .partitionBy(ctx.hashPartitioner(8))
-      .mapValues([](const double& v) { return v * 2.0; })
+  // All 800 records hash to one of 8 partitions; the downstream stage (the
+  // reduce-side merge) has one heavy task and seven idle ones.
+  shuffleAll(parallelize(ctx, constantKeyData(800), 8),
+             ctx.hashPartitioner(8))
       .count();
 
   const auto stages = ctx.metrics().stages();
@@ -176,6 +178,38 @@ TEST(TaskRecords, RetriesAreCountedPerStageAndInTotals) {
   std::uint64_t perStage = 0;
   for (const auto& s : ctx.metrics().stages()) perStage += s.taskRetries;
   EXPECT_EQ(perStage, global);
+}
+
+TEST(MetricsCsv, HasHeaderAndRows) {
+  Context ctx(cfgNodes(4), 2);
+  {
+    ScopedStage scope(ctx.metrics(), "MTTKRP-1");
+    shuffleAll(parallelize(ctx, uniformData(2), 2), ctx.hashPartitioner(2))
+        .materialize();
+  }
+  const std::string csv = ctx.metrics().toCsv();
+  std::istringstream in(csv);
+  std::string header;
+  std::getline(in, header);
+  EXPECT_NE(header.find("stage_id"), std::string::npos);
+  EXPECT_NE(header.find("shuffle_bytes_remote"), std::string::npos);
+
+  std::size_t rows = 0;
+  std::size_t scoped = 0;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    ++rows;
+    if (line.find("MTTKRP-1") != std::string::npos) ++scoped;
+  }
+  EXPECT_EQ(rows, ctx.metrics().stages().size());
+  EXPECT_GE(scoped, 1u);
+  // Column count is stable: 26 commas per row (14 base columns + retries +
+  // 6 task-skew columns + 3 reduce-record-skew columns + 3 node-loss
+  // recovery columns).
+  EXPECT_EQ(std::count(header.begin(), header.end(), ','), 26);
+  EXPECT_NE(header.find("recomputed_map_tasks"), std::string::npos);
+  EXPECT_NE(header.find("reduce_imbalance"), std::string::npos);
 }
 
 TEST(MetricsCsv, EscapesScopesAndIncludesRetries) {
