@@ -5,7 +5,9 @@
 // (#partitions x mode dimension) records out of nnz — worth the most on
 // short modes (few distinct output rows per partition). The engine makes
 // it a knob (MttkrpOptions::mapSideCombine); this bench measures its
-// effect on shuffle volume and modeled time.
+// effect on shuffle volume and modeled time. Only the join-chain paths
+// (COO, QCOO, BIGtensor) read the knob; the broadcast-local path never
+// combines, since its kernels emit each index once per partition.
 #include <cstdio>
 
 #include "bench_util.hpp"

@@ -41,8 +41,8 @@ int main() {
                     .map([](const std::uint32_t& id) {
                       return std::pair<std::uint32_t, std::uint32_t>(id, 1);
                     })
-                    .reduceByKey([](const std::uint32_t& a,
-                                    const std::uint32_t& b) { return a + b; });
+                    .reduceByKey([](std::uint32_t& a,
+                                    const std::uint32_t& b) { a += b; });
 
   std::printf("word counts (via one shuffle):\n");
   auto result = counts.collect();
@@ -95,8 +95,8 @@ int main() {
                                 std::uint32_t(i % 50000), double(i));
                           },
                           64)
-                     .reduceByKey([](const double& a, const double& b) {
-                       return a + b;
+                     .reduceByKey([](double& a, const double& b) {
+                       a += b;
                      });
       rdd.materialize();
       secs[k++] = c.metrics().simTimeSec();

@@ -222,21 +222,36 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
         }
         // ALS step: solve the normal equations against the Hadamard
         // product of the other modes' gram matrices, normalize, and
-        // refresh this mode's gram.
+        // refresh this mode's gram. Each piece runs under an `la` span, so
+        // a trace accounts for the driver's share of the mode update.
         sparkle::ScopedStage scope(ctx.metrics(), "Other");
         la::Matrix v(opts.rank, opts.rank, 1.0);
-        for (ModeId d = 0; d < order; ++d) {
-          if (d != n) v = la::hadamard(v, grams[d]);
+        {
+          TraceSpan span(ctx.trace(), "gram-hadamard", "la");
+          for (ModeId d = 0; d < order; ++d) {
+            if (d != n) v = la::hadamard(v, grams[d]);
+          }
         }
-        la::Matrix updated = la::matmul(m, la::pinvSym(v));
-        result.lambda = la::normalizeColumns(updated);
+        la::Matrix updated;
+        {
+          TraceSpan span(ctx.trace(), "solve", "la");
+          updated = la::matmul(m, la::pinvSym(v));
+        }
+        {
+          TraceSpan span(ctx.trace(), "normalize", "la");
+          result.lambda = la::normalizeColumns(updated);
+        }
         result.factors[n] = std::move(updated);
-        if (opts.distributedGrams) {
-          grams[n] = distributedGram(
-              factorToRdd(ctx, result.factors[n], opts.mttkrp.numPartitions),
-              opts.rank);
-        } else {
-          grams[n] = la::gram(result.factors[n]);
+        {
+          TraceSpan span(ctx.trace(), "gram", "la");
+          if (opts.distributedGrams) {
+            grams[n] = distributedGram(
+                factorToRdd(ctx, result.factors[n],
+                            opts.mttkrp.numPartitions),
+                opts.rank);
+          } else {
+            grams[n] = la::gram(result.factors[n]);
+          }
         }
         if (n + 1 == order) lastMttkrp = std::move(m);
       }
@@ -255,11 +270,20 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
       const double inner =
           innerProductFromMttkrp(lastMttkrp, result.factors[order - 1],
                                  result.lambda);
+      // The gram cache holds la::gram of every current factor, so the
+      // model norm reuses it. Distributed grams sum in another order;
+      // that path recomputes them to keep its fits unchanged.
       const double modelSq =
-          tensor::modelNormSq(result.factors, result.lambda);
-      const double residSq = std::max(0.0, xNormSq - 2.0 * inner + modelSq);
-      stats.fit =
-          xNormSq > 0.0 ? 1.0 - std::sqrt(residSq) / std::sqrt(xNormSq) : 0.0;
+          opts.distributedGrams
+              ? tensor::modelNormSq(result.factors, result.lambda)
+              : tensor::modelNormSqFromGrams(grams, result.lambda);
+      // An all-zero tensor has fit 0 by convention. A NaN anywhere (a NaN
+      // tensor value, an overflowed model) keeps the fit NaN, which never
+      // passes the convergence test; round-off below zero is clamped.
+      const double residSq = std::max(xNormSq - 2.0 * inner + modelSq, 0.0);
+      stats.fit = xNormSq == 0.0
+                      ? 0.0
+                      : 1.0 - std::sqrt(residSq) / std::sqrt(xNormSq);
       stats.fitDelta = stats.fit - prevFit;
       CSTF_LOG_DEBUG("cp-als[%s] iter %d fit=%.6f (delta %.2e) sim=%.3fs",
                      result.report.plan.c_str(), iter, stats.fit,

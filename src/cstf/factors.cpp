@@ -1,5 +1,7 @@
 #include "cstf/factors.hpp"
 
+#include <algorithm>
+
 namespace cstf::cstf_core {
 
 FactorRdd factorToRdd(sparkle::Context& ctx, const la::Matrix& m,
@@ -12,15 +14,18 @@ FactorRdd factorToRdd(sparkle::Context& ctx, const la::Matrix& m,
   return sparkle::parallelize(ctx, std::move(rows), numPartitions);
 }
 
-la::Matrix rowsToMatrix(const std::vector<std::pair<Index, la::Row>>& rows,
-                        std::size_t numRows, std::size_t rank) {
+la::Matrix collectRows(const FactorRdd& rows, std::size_t numRows,
+                       std::size_t rank, const std::string& label) {
   la::Matrix m(numRows, rank);
-  for (const auto& [idx, row] : rows) {
-    CSTF_CHECK(idx < numRows, "row index out of range in MTTKRP output");
-    CSTF_CHECK(row.size() == rank, "row rank mismatch in MTTKRP output");
-    double* dst = m.row(idx);
-    for (std::size_t r = 0; r < rank; ++r) dst[r] = row[r];
-  }
+  rows.foreachPartition(
+      label, [&](std::size_t, const std::vector<std::pair<Index, la::Row>>&
+                                  part) {
+        for (const auto& [idx, row] : part) {
+          CSTF_CHECK(idx < numRows, "row index out of range in MTTKRP output");
+          CSTF_CHECK(row.size() == rank, "row rank mismatch in MTTKRP output");
+          std::copy(row.begin(), row.end(), m.row(idx));
+        }
+      });
   return m;
 }
 

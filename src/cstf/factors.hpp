@@ -7,6 +7,7 @@
 // shuffle the real system pays.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "la/matrix.hpp"
@@ -22,10 +23,13 @@ using FactorRdd = sparkle::Rdd<std::pair<Index, la::Row>>;
 FactorRdd factorToRdd(sparkle::Context& ctx, const la::Matrix& m,
                       std::size_t numPartitions = 0);
 
-/// Assemble MTTKRP output rows into a dense (rows x rank) matrix; indices
-/// absent from `rows` stay zero (empty tensor slices).
-la::Matrix rowsToMatrix(const std::vector<std::pair<Index, la::Row>>& rows,
-                        std::size_t numRows, std::size_t rank);
+/// Run `rows` as one result stage (`label`) and write each row straight
+/// into its row of a dense (numRows x rank) matrix; indices absent from
+/// `rows` stay zero (empty tensor slices). Keys must be unique across the
+/// whole RDD, as they are after reduceByKey: each task then writes only
+/// its own matrix rows, and a retried task rewrites the same values.
+la::Matrix collectRows(const FactorRdd& rows, std::size_t numRows,
+                       std::size_t rank, const std::string& label);
 
 /// Check one MTTKRP call's shape (order >= 2, mode in range, one factor
 /// per mode) and return the rank the non-target factors carry.

@@ -11,6 +11,9 @@
 // row-at-a-time COO kernel this saves (order-2) of the (order-1) Hadamard
 // multiplies on every nonzero that shares a fiber, plus all hash-map
 // traffic — the layout's sorted slices emit directly in index order.
+// Accumulators are plain contiguous doubles, each fiber's outer factor
+// rows are fetched once before the rank loops, and each slice accumulates
+// straight into the row it emits.
 #include "cstf/kernels/local_kernel.hpp"
 
 namespace cstf::cstf_core {
@@ -52,41 +55,67 @@ class CsfLocalKernel final : public LocalMttkrpKernel {
 
     std::vector<std::pair<Index, la::Row>> out;
     out.reserve(v.numSlices());
-    std::vector<double> fiberAcc(rank);
-    la::Row slice(rank);
+    // R-wide scratch, reused by every fiber: the fiber accumulator, the
+    // fiber's outer-row pointers and (order >= 5) their running product.
+    std::vector<double> acc(rank);
+    std::vector<double> w(rank);
+    std::vector<const double*> outer(numOuter);
     for (std::size_t s = 0; s < v.numSlices(); ++s) {
-      for (std::size_t r = 0; r < rank; ++r) slice[r] = 0.0;
+      // The slice accumulates straight into its output row, which starts
+      // at 0.0.
+      out.emplace_back(v.sliceIdx[s], la::Row(rank));
+      double* slice = out.back().second.data();
       for (std::uint32_t f = v.slicePtr[s]; f < v.slicePtr[s + 1]; ++f) {
-        for (std::size_t r = 0; r < rank; ++r) fiberAcc[r] = 0.0;
-        for (std::uint32_t e = v.fiberPtr[f]; e < v.fiberPtr[f + 1]; ++e) {
+        // Every fiber holds at least one entry; the first one seeds the
+        // accumulator as 0.0 + val * row[r], the same sum a zeroed
+        // accumulator would form.
+        std::uint32_t e = v.fiberPtr[f];
+        const std::uint32_t end = v.fiberPtr[f + 1];
+        {
           const double val = v.vals[e];
           const double* row = inner.row(v.innerIdx[e]);
-          for (std::size_t r = 0; r < rank; ++r) {
-            fiberAcc[r] += val * row[r];
-          }
+          for (std::size_t r = 0; r < rank; ++r) acc[r] = 0.0 + val * row[r];
         }
-        if (numOuter == 0) {
-          for (std::size_t r = 0; r < rank; ++r) slice[r] += fiberAcc[r];
-        } else {
-          const double* w0 =
-              factors[v.fixedModes[0]].row(v.fiberOuter[f * numOuter]);
-          if (numOuter == 1) {
+        for (++e; e < end; ++e) {
+          const double val = v.vals[e];
+          const double* row = inner.row(v.innerIdx[e]);
+          for (std::size_t r = 0; r < rank; ++r) acc[r] += val * row[r];
+        }
+        // Outer rows are loaded once per fiber, before the rank loops; the
+        // weight is w0[r] * w1[r] * ... in ascending-mode order.
+        const Index* outerIdx = v.fiberOuter.data() + f * numOuter;
+        for (std::size_t o = 0; o < numOuter; ++o) {
+          outer[o] = factors[v.fixedModes[o]].row(outerIdx[o]);
+        }
+        switch (numOuter) {
+          case 0:
+            for (std::size_t r = 0; r < rank; ++r) slice[r] += acc[r];
+            break;
+          case 1: {
+            const double* w0 = outer[0];
+            for (std::size_t r = 0; r < rank; ++r) slice[r] += w0[r] * acc[r];
+            break;
+          }
+          case 2: {
+            const double* w0 = outer[0];
+            const double* w1 = outer[1];
             for (std::size_t r = 0; r < rank; ++r) {
-              slice[r] += w0[r] * fiberAcc[r];
+              slice[r] += (w0[r] * w1[r]) * acc[r];
             }
-          } else {
-            for (std::size_t r = 0; r < rank; ++r) {
-              double w = w0[r];
-              for (std::size_t o = 1; o < numOuter; ++o) {
-                w *= factors[v.fixedModes[o]].row(
-                    v.fiberOuter[f * numOuter + o])[r];
-              }
-              slice[r] += w * fiberAcc[r];
+            break;
+          }
+          default: {
+            const double* w0 = outer[0];
+            for (std::size_t r = 0; r < rank; ++r) w[r] = w0[r];
+            for (std::size_t o = 1; o < numOuter; ++o) {
+              const double* wo = outer[o];
+              for (std::size_t r = 0; r < rank; ++r) w[r] *= wo[r];
             }
+            for (std::size_t r = 0; r < rank; ++r) slice[r] += w[r] * acc[r];
+            break;
           }
         }
       }
-      out.emplace_back(v.sliceIdx[s], slice);
     }
 
     stats.entriesProcessed += v.numEntries();

@@ -45,11 +45,13 @@ class LocalMttkrpKernel {
   virtual sparkle::LocalKernel kind() const = 0;
   const char* name() const { return sparkle::localKernelName(kind()); }
 
-  /// Partition-local MTTKRP for `mode`: returns index-sorted,
-  /// locally-combined (idx[mode], row) partials. `layout` is the
-  /// partition's cache-time CSF layout when one exists; a kernel that
-  /// needs it builds a transient one when it is null (standalone use —
-  /// the driver always passes the cached layout). `factors` holds one
+  /// Partition-local MTTKRP for `mode`: returns locally-combined
+  /// (idx[mode], row) partials with unique, strictly increasing indices
+  /// (mttkrpLocal asserts this per task and skips its map-side combiner
+  /// because of it). `layout` is the partition's cache-time CSF layout
+  /// when one exists; a kernel that needs it builds a transient one when
+  /// it is null (standalone use — the driver always passes the cached
+  /// layout). `factors` holds one
   /// matrix per mode; factors[mode] may be empty (it is never read).
   virtual std::vector<std::pair<Index, la::Row>> compute(
       const std::vector<tensor::Nonzero>& nonzeros,

@@ -79,13 +79,12 @@ la::Matrix mttkrpBigtensor(sparkle::Context& ctx,
                     la::rowHadamard(kv.second.first, kv.second.second));
               },
               2.0 * r);
-  auto reduced = combined.reduceByKey(
-      [](const la::Row& x, const la::Row& y) { return la::rowAdd(x, y); },
-      ctx.hashPartitioner(opts.numPartitions), opts.mapSideCombine, r,
-      "bigtensor-reduceByKey");
+  auto reduced = combined.reduceByKey(la::rowAddInPlace,
+                                      ctx.hashPartitioner(opts.numPartitions),
+                                      opts.mapSideCombine, r,
+                                      "bigtensor-reduceByKey");
 
-  return rowsToMatrix(reduced.collect("bigtensor-mttkrp-result"),
-                      dims[mode], rank);
+  return collectRows(reduced, dims[mode], rank, "bigtensor-mttkrp-result");
 }
 
 }  // namespace cstf::cstf_core

@@ -64,13 +64,11 @@ la::Matrix mttkrpCoo(sparkle::Context& ctx,
       r);
 
   // STAGE 3: sum rows with equal output index.
-  auto reduced = rows.reduceByKey(
-      [](const la::Row& a, const la::Row& b) { return la::rowAdd(a, b); },
-      ctx.hashPartitioner(opts.numPartitions), opts.mapSideCombine, r,
-      "coo-reduceByKey");
+  auto reduced = rows.reduceByKey(la::rowAddInPlace,
+                                  ctx.hashPartitioner(opts.numPartitions),
+                                  opts.mapSideCombine, r, "coo-reduceByKey");
 
-  return rowsToMatrix(reduced.collect("coo-mttkrp-result"), dims[mode],
-                      rank);
+  return collectRows(reduced, dims[mode], rank, "coo-mttkrp-result");
 }
 
 }  // namespace cstf::cstf_core

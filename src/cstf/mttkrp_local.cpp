@@ -1,5 +1,6 @@
 #include "cstf/mttkrp_local.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <memory>
@@ -13,6 +14,45 @@ namespace cstf::cstf_core {
 
 namespace {
 
+/// The factor matrices one mode update broadcasts, as a view of the
+/// driver's factors: the kernel reads them in place instead of from a
+/// copy. Valid for the duration of the mode update — mttkrpLocal returns
+/// only after every task that reads the view has committed, and the driver
+/// does not touch its factors meanwhile. Metered as N matrix headers plus
+/// the N-1 matrices the kernel reads (the target mode ships empty), exactly
+/// the bytes a real cluster would ship.
+struct FactorPack {
+  const std::vector<la::Matrix>* factors = nullptr;
+  ModeId skip = 0;
+};
+
+}  // namespace
+
+}  // namespace cstf::cstf_core
+
+namespace cstf {
+
+/// A broadcast only meters its value's size; nothing decodes a pack.
+template <>
+struct Serde<cstf_core::FactorPack> {
+  static std::size_t byteSize(const cstf_core::FactorPack& p) {
+    std::size_t n = sizeof(std::uint32_t);
+    for (ModeId m = 0; m < p.factors->size(); ++m) {
+      n += 2 * sizeof(std::uint32_t);
+      if (m == p.skip) continue;
+      const la::Matrix& f = (*p.factors)[m];
+      n += f.rows() * f.cols() * sizeof(double);
+    }
+    return n;
+  }
+};
+
+}  // namespace cstf
+
+namespace cstf::cstf_core {
+
+namespace {
+
 using Clock = std::chrono::steady_clock;
 
 std::uint64_t nanosSince(Clock::time_point t0) {
@@ -20,44 +60,6 @@ std::uint64_t nanosSince(Clock::time_point t0) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
           .count());
 }
-
-/// The factor matrices as one broadcastable (serde-capable) value;
-/// la::Matrix itself has no serde. The driver empties the target mode's
-/// matrix before broadcasting (the kernel never reads it), so the metered
-/// broadcast volume is exactly the bytes a real cluster would ship.
-struct FactorPack {
-  std::vector<la::Matrix> factors;
-
-  void serialize(Writer& w) const {
-    w.writeRaw(static_cast<std::uint32_t>(factors.size()));
-    for (const la::Matrix& m : factors) {
-      w.writeRaw(static_cast<std::uint32_t>(m.rows()));
-      w.writeRaw(static_cast<std::uint32_t>(m.cols()));
-      w.writeBytes(m.data(), m.rows() * m.cols() * sizeof(double));
-    }
-  }
-  static FactorPack deserialize(Reader& r) {
-    FactorPack p;
-    const auto n = r.readRaw<std::uint32_t>();
-    p.factors.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const auto rows = r.readRaw<std::uint32_t>();
-      const auto cols = r.readRaw<std::uint32_t>();
-      la::Matrix m(rows, cols);
-      r.readBytes(m.data(), static_cast<std::size_t>(rows) * cols *
-                                sizeof(double));
-      p.factors.push_back(std::move(m));
-    }
-    return p;
-  }
-  std::size_t serializedSize() const {
-    std::size_t n = sizeof(std::uint32_t);
-    for (const la::Matrix& m : factors) {
-      n += 2 * sizeof(std::uint32_t) + m.rows() * m.cols() * sizeof(double);
-    }
-    return n;
-  }
-};
 
 /// Kernel work of one stage, kept in per-partition slots. A task body
 /// writes only its own partition's slot, so a retried or recomputed attempt
@@ -163,12 +165,8 @@ la::Matrix mttkrpLocal(sparkle::Context& ctx,
     ensureCsfLayouts(ctx, X, order, telemetry);
   }
 
-  FactorPack pack;
-  pack.factors = factors;
-  // The kernel never reads the target mode; ship N-1 matrices, as a real
-  // cluster would.
-  pack.factors[mode] = la::Matrix();
-  auto bc = sparkle::broadcast(ctx, std::move(pack), "mttkrp-factors");
+  auto bc = sparkle::broadcast(ctx, FactorPack{&factors, mode},
+                               "mttkrp-factors");
 
   auto tally = std::make_shared<KernelTally>(X.numPartitions());
   const std::uint64_t dsId = X.datasetId();
@@ -186,20 +184,29 @@ la::Matrix mttkrpLocal(sparkle::Context& ctx,
         LocalKernelStats stats;
         const auto t0 = Clock::now();
         auto rows =
-            kernelp->compute(part, layout, bc.value().factors, mode, stats);
+            kernelp->compute(part, layout, *bc.value().factors, mode, stats);
         tally->commit(p, {nanosSince(t0), stats.flops, part.size()});
+        CSTF_ASSERT(std::adjacent_find(rows.begin(), rows.end(),
+                                       [](const auto& a, const auto& b) {
+                                         return a.first >= b.first;
+                                       }) == rows.end(),
+                    "local kernel output must have strictly increasing "
+                    "indices");
         tc.flops += stats.flops;
         tc.recordsEmitted += stats.outputRows;
         return rows;
       },
       /*preservesPartitioning=*/false);
 
+  // No map-side combiner: the kernel contract (asserted above) makes every
+  // index unique within a partition, so a combiner would merge nothing.
+  // opts.mapSideCombine is for the join-chain paths.
   auto reduced = partials.reduceByKey(
-      [](const la::Row& a, const la::Row& b) { return la::rowAdd(a, b); },
-      ctx.hashPartitioner(opts.numPartitions), opts.mapSideCombine,
-      static_cast<double>(rank), "local-reduceByKey");
-  la::Matrix result = rowsToMatrix(reduced.collect("local-mttkrp-result"),
-                                   dims[mode], rank);
+      la::rowAddInPlace, ctx.hashPartitioner(opts.numPartitions),
+      /*mapSideCombine=*/false, static_cast<double>(rank),
+      "local-reduceByKey");
+  la::Matrix result =
+      collectRows(reduced, dims[mode], rank, "local-mttkrp-result");
 
   const KernelTally::Work work = tally->sum();
   const double kernelSec = static_cast<double>(work.wallNanos) * 1e-9;

@@ -86,13 +86,13 @@ la::Matrix QcooEngine::mttkrpNext(const std::vector<la::Matrix>& factors) {
         return out;
       },
       r * static_cast<double>(order_ - 1));
-  auto reduced = contrib.reduceByKey(
-      [](const la::Row& a, const la::Row& b) { return la::rowAdd(a, b); },
-      ctx_.hashPartitioner(opts_.numPartitions), opts_.mapSideCombine, r,
-      "qcoo-reduceByKey");
+  auto reduced = contrib.reduceByKey(la::rowAddInPlace,
+                                     ctx_.hashPartitioner(opts_.numPartitions),
+                                     opts_.mapSideCombine, r,
+                                     "qcoo-reduceByKey");
 
   la::Matrix result =
-      rowsToMatrix(reduced.collect("qcoo-mttkrp-result"), dims_[n], rank_);
+      collectRows(reduced, dims_[n], rank_, "qcoo-mttkrp-result");
 
   // Retire the previous queue RDD (paper: unpersist the old RDD) and
   // detach the new one from its lineage so past iterations' shuffle blocks

@@ -39,7 +39,10 @@ inline Backend backendFromName(const std::string& s) {
 struct MttkrpOptions {
   /// Partitions for shuffles (0 = the context's default parallelism).
   std::size_t numPartitions = 0;
-  /// Spark-style map-side combining in the final reduceByKey.
+  /// Spark-style map-side combining in the final reduceByKey. Only the
+  /// join-chain paths (COO, QCOO, BIGtensor) read it: the broadcast-local
+  /// path never combines, because its kernels already emit one row per
+  /// index per partition.
   bool mapSideCombine = true;
 };
 

@@ -75,10 +75,14 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
 Matrix gram(const Matrix& a) {
   const std::size_t r = a.cols();
   Matrix g(r, r);
+  // Upper triangle, each g(p, q) summed in row order; the inner loop runs
+  // over contiguous q in both the row and g.
   for (std::size_t i = 0; i < a.rows(); ++i) {
     const double* row = a.row(i);
     for (std::size_t p = 0; p < r; ++p) {
-      for (std::size_t q = p; q < r; ++q) g(p, q) += row[p] * row[q];
+      const double rp = row[p];
+      double* gp = g.row(p);
+      for (std::size_t q = p; q < r; ++q) gp[q] += rp * row[q];
     }
   }
   for (std::size_t p = 0; p < r; ++p) {

@@ -37,12 +37,6 @@ inline void rowAddInPlace(Row& a, const Row& b) {
   for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
 }
 
-inline Row rowAdd(const Row& a, const Row& b) {
-  Row c = a;
-  rowAddInPlace(c, b);
-  return c;
-}
-
 inline void rowScaleInPlace(Row& a, double s) {
   for (std::size_t i = 0; i < a.size(); ++i) a[i] *= s;
 }

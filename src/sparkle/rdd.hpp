@@ -7,9 +7,9 @@
 //    lineage; `mapValues` preserves partitioning, `map` does not;
 //  * `join`/`reduceByKey` shuffle only the sides that are not already
 //    partitioned by the target partitioner;
-//  * actions (`collect`, `count`, `reduce`, `materialize`) execute a job:
-//    materialize all shuffle dependencies, then run one result task per
-//    partition;
+//  * actions (`collect`, `foreachPartition`, `count`, `reduce`,
+//    `materialize`) execute a job: materialize all shuffle dependencies,
+//    then run one result task per partition;
 //  * `cache`/`unpersist` memoize partitions, `snapshot` detaches lineage,
 //    and `parallelize`, `generate` and `broadcast` bring in-process data
 //    into the engine.
@@ -185,7 +185,8 @@ class Rdd {
 
   /// reduceByKey. When the input is already partitioned by `part` this is a
   /// narrow local merge (Spark's behaviour); otherwise one shuffle, with
-  /// optional map-side combining.
+  /// optional map-side combining. `f(acc, x)` merges `x` into `acc` in
+  /// place, so a merge allocates nothing; values meet in arrival order.
   template <typename F, typename TT = T,
             typename = std::enable_if_t<detail::PairTraits<TT>::isPair>,
             typename K = typename detail::PairTraits<TT>::Key,
@@ -193,11 +194,13 @@ class Rdd {
   Rdd<T> reduceByKey(F f, std::shared_ptr<Partitioner> part = nullptr,
                      bool mapSideCombine = true, double flopsPerMerge = 0.0,
                      const std::string& label = "reduceByKey") const {
+    static_assert(std::is_void_v<std::invoke_result_t<F&, V&, const V&>>,
+                  "reduceByKey merges in place: f(V& acc, const V& x)");
     if (!part) {
       part = ds_->outputPartitioning() ? ds_->outputPartitioning()
                                        : ctx_->hashPartitioner();
     }
-    std::function<V(const V&, const V&)> func = f;
+    std::function<void(V&, const V&)> func = f;
     std::shared_ptr<Dataset<T>> input = ds_;
     if (!samePartitioning(input->outputPartitioning(), part)) {
       const std::uint64_t opId = ctx_->metrics().nextShuffleOpId();
@@ -226,6 +229,19 @@ class Rdd {
                  std::make_move_iterator(v.end()));
     }
     return out;
+  }
+
+  /// Run `fn(p, records)` once per partition as one result stage, handing
+  /// each partition to the driver-side sink where it lies instead of
+  /// copying it out (collectRows writes reduced rows straight into a
+  /// matrix). The sink is unmetered, so the stage records exactly what
+  /// collect() would. Sinks run concurrently on distinct partitions and
+  /// rerun with a retried task, so `fn` must write only state its
+  /// partition owns and be idempotent.
+  template <typename F>
+  void foreachPartition(const std::string& label, F fn) const {
+    runResultStage(label,
+                   [&](std::size_t p, Block<T> block) { fn(p, *block); });
   }
 
   std::size_t count(const std::string& label = "count") const {

@@ -35,7 +35,8 @@ template <typename K, typename V>
 class ShuffledDataset final : public Dataset<std::pair<K, V>> {
  public:
   using Rec = std::pair<K, V>;
-  using Combiner = std::function<V(const V&, const V&)>;
+  /// Merges `x` into `acc` in place: f(acc, x).
+  using Combiner = std::function<void(V&, const V&)>;
   static_assert(FixedWidthSerde<Rec>::value,
                 "shuffled records must have a FixedWidthSerde codec");
 
@@ -155,7 +156,7 @@ class ShuffledDataset final : public Dataset<std::pair<K, V>> {
         for (const Rec& rec : *in) {
           auto [it, fresh] = combined.try_emplace(rec.first, rec.second);
           if (!fresh) {
-            it->second = combiner_(it->second, rec.second);
+            combiner_(it->second, rec.second);
             ++merges;
           }
           ++tc.counters.recordsProcessed;
@@ -449,7 +450,8 @@ template <typename K, typename V>
 class ReduceByKeyMergeDataset final : public Dataset<std::pair<K, V>> {
  public:
   using Rec = std::pair<K, V>;
-  using Func = std::function<V(const V&, const V&)>;
+  /// Merges `x` into `acc` in place: f(acc, x).
+  using Func = std::function<void(V&, const V&)>;
 
   ReduceByKeyMergeDataset(Context* ctx, std::shared_ptr<Dataset<Rec>> parent,
                           Func f, double flopsPerMerge)
@@ -471,7 +473,7 @@ class ReduceByKeyMergeDataset final : public Dataset<std::pair<K, V>> {
     for (const Rec& rec : *in) {
       auto [it, fresh] = merged.try_emplace(rec.first, rec.second);
       if (!fresh) {
-        it->second = f_(it->second, rec.second);
+        f_(it->second, rec.second);
         ++merges;
       }
     }

@@ -89,9 +89,17 @@ double innerProductWithModel(const CooTensor& t,
 
 double modelNormSq(const std::vector<la::Matrix>& factors,
                    const std::vector<double>& lambda) {
+  std::vector<la::Matrix> grams;
+  grams.reserve(factors.size());
+  for (const la::Matrix& f : factors) grams.push_back(la::gram(f));
+  return modelNormSqFromGrams(grams, lambda);
+}
+
+double modelNormSqFromGrams(const std::vector<la::Matrix>& grams,
+                            const std::vector<double>& lambda) {
   const std::size_t rank = lambda.size();
   la::Matrix h(rank, rank, 1.0);
-  for (const la::Matrix& f : factors) h = la::hadamard(h, la::gram(f));
+  for (const la::Matrix& g : grams) h = la::hadamard(h, g);
   double acc = 0.0;
   for (std::size_t p = 0; p < rank; ++p) {
     for (std::size_t q = 0; q < rank; ++q) {

@@ -35,6 +35,12 @@ double innerProductWithModel(const CooTensor& t,
 double modelNormSq(const std::vector<la::Matrix>& factors,
                    const std::vector<double>& lambda);
 
+/// modelNormSq from precomputed grams (grams[m] = A_m^T A_m, in mode
+/// order): the same formula, bit-identical when each gram is la::gram of
+/// its factor. CP-ALS passes its gram cache instead of recomputing N grams.
+double modelNormSqFromGrams(const std::vector<la::Matrix>& grams,
+                            const std::vector<double>& lambda);
+
 /// CP fit = 1 - ||X - model||_F / ||X||_F (computed without densifying).
 double cpFit(const CooTensor& t, const std::vector<la::Matrix>& factors,
              const std::vector<double>& lambda);

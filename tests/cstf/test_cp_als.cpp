@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <ios>
 #include <string>
+#include <vector>
 
 #include "sparkle/sparkle.hpp"
 #include "tensor/generator.hpp"
@@ -173,6 +178,68 @@ TEST(CpAls, RejectsBadOptions) {
   EXPECT_THROW(cpAls(ctx, t, o), Error);
 }
 
+/// A double's bit pattern, for exact comparison against captured literals.
+std::uint64_t bitsOf(double x) {
+  std::uint64_t b;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+std::string hexList(const std::vector<std::uint64_t>& v) {
+  std::string s;
+  char buf[32];
+  for (const std::uint64_t x : v) {
+    std::snprintf(buf, sizeof buf, "0x%016llxull, ",
+                  static_cast<unsigned long long>(x));
+    s += buf;
+  }
+  return s;
+}
+
+TEST(CpAls, FitFromGramCacheMatchesModelNormSqBits) {
+  // The fit's model norm reuses CP-ALS's gram cache instead of recomputing
+  // every gram through tensor::modelNormSq(factors, lambda). On every plan
+  // resolvePlan accepts, each iteration's fit must keep the exact bits it
+  // had when the fit called modelNormSq; the literals were captured then.
+  struct PlanCase {
+    const char* plan;
+    Backend backend;
+    sparkle::LocalKernel kernel;
+    std::vector<std::uint64_t> fits;
+  };
+  const std::vector<PlanCase> cases = {
+      {"join-chain CSTF-COO", Backend::kCoo, sparkle::LocalKernel::kCoo,
+       {0x3fd04e45090fbc8eull, 0x3fd168c130ec874cull, 0x3fd19ff66a4e8a3cull}},
+      {"join-chain CSTF-QCOO", Backend::kQcoo, sparkle::LocalKernel::kCoo,
+       {0x3fd04e45090fbc8eull, 0x3fd168c130ec874cull, 0x3fd19ff66a4e8a3cull}},
+      {"join-chain BIGtensor", Backend::kBigtensor,
+       sparkle::LocalKernel::kCoo,
+       {0x3fd04e45090fbc8eull, 0x3fd168c130ec8746ull, 0x3fd19ff66a4e8a3cull}},
+      {"broadcast-local, csf kernel", Backend::kCoo,
+       sparkle::LocalKernel::kCsf,
+       {0x3fd04e45090fbc92ull, 0x3fd168c130ec874cull, 0x3fd19ff66a4e8a40ull}},
+      {"sequential reference", Backend::kReference,
+       sparkle::LocalKernel::kCoo,
+       {0x3fd04e45090fbc8eull, 0x3fd168c130ec874cull, 0x3fd19ff66a4e8a3cull}},
+  };
+  const auto t = tensor::generateZipf({14, 11, 9}, 400, 1.1, 72);
+  for (const PlanCase& c : cases) {
+    sparkle::ClusterConfig cfg = testCluster();
+    cfg.localKernel = c.kernel;
+    sparkle::Context ctx(cfg, 2);
+    auto o = baseOpts(c.backend, 3);
+    o.rank = 3;
+    o.tolerance = 0.0;
+    std::vector<std::uint64_t> fits;
+    o.onIteration = [&](const CpAlsIterationStats& it) {
+      fits.push_back(bitsOf(it.fit));
+    };
+    const CpAlsResult res = cpAls(ctx, t, o);
+    EXPECT_EQ(res.report.plan, c.plan);
+    EXPECT_EQ(fits, c.fits) << c.plan << ": " << hexList(fits);
+  }
+}
+
 TEST(FitDelta, FirstIterationDeltaIsUndefined) {
   auto t = tensor::generateZipf({40, 35, 30}, 800, 0.8, 3);
   sparkle::Context ctx(testCluster(), 2);
@@ -202,6 +269,36 @@ TEST(FitDelta, ConvergenceCheckUnaffectedByUndefinedFirstDelta) {
   auto res = cpAls(ctx, t, o);
   EXPECT_EQ(res.iterations.size(), 2u);
   EXPECT_TRUE(res.converged);
+}
+
+TEST(FitNumerics, NanFitNeverConverges) {
+  // Two ways a fit turns NaN: a NaN tensor value (the norm of X is NaN),
+  // and values near 1e200 whose squares overflow (inf / inf). Either way
+  // the fit must stay NaN, never a stand-in 0 or 1 that "converges", and
+  // NaN never passes the convergence test: the run goes to maxIterations,
+  // finalFit is NaN, and nothing throws.
+  const auto t = tensor::generateRandom({{8, 7, 6}, 120, {}, 41});
+  std::vector<tensor::Nonzero> withNan = t.nonzeros();
+  withNan[17].val = std::nan("");
+  std::vector<tensor::Nonzero> overflow = t.nonzeros();
+  for (tensor::Nonzero& nz : overflow) nz.val *= 1e200;
+  for (const auto& nz : {withNan, overflow}) {
+    const tensor::CooTensor x(t.dims(), nz);
+    for (const Backend b : {Backend::kReference, Backend::kCoo}) {
+      sparkle::Context ctx(testCluster(), 2);
+      auto o = baseOpts(b, 4);
+      o.tolerance = 1e9;
+      CpAlsResult res;
+      ASSERT_NO_THROW(res = cpAls(ctx, x, o)) << backendName(b);
+      EXPECT_EQ(res.iterations.size(), 4u) << backendName(b);
+      EXPECT_FALSE(res.converged) << backendName(b);
+      for (const CpAlsIterationStats& it : res.iterations) {
+        EXPECT_TRUE(std::isnan(it.fit))
+            << backendName(b) << " iteration " << it.iteration;
+      }
+      EXPECT_TRUE(std::isnan(res.finalFit)) << backendName(b);
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <ios>
+#include <vector>
+
 #include "cstf/cp_als.hpp"
 #include "cstf/factors.hpp"
 #include "tensor/generator.hpp"
@@ -78,6 +83,38 @@ TEST(DistributedGram, CpAlsOptionProducesIdenticalResults) {
   EXPECT_NEAR(dist.finalFit, driver.finalFit, 1e-12);
   for (ModeId m = 0; m < 3; ++m) {
     EXPECT_LT(dist.factors[m].maxAbsDiff(driver.factors[m]), 1e-12);
+  }
+}
+
+TEST(DistributedGram, CpAlsFitsKeepTheirBits) {
+  // Distributed grams sum in partition order, so their fit keeps computing
+  // the model norm through tensor::modelNormSq(factors, lambda) rather
+  // than from the gram cache. Its per-iteration fits must keep the exact
+  // bits captured before the cache was reused for the fit.
+  auto t = tensor::generateRandom({{12, 10, 8}, 250, {}, 8});
+  CpAlsOptions o;
+  o.rank = 3;
+  o.maxIterations = 3;
+  o.tolerance = 0.0;
+  o.backend = Backend::kCoo;
+  o.seed = 5;
+  o.distributedGrams = true;
+  std::vector<std::uint64_t> fits;
+  o.onIteration = [&](const CpAlsIterationStats& it) {
+    std::uint64_t b;
+    std::memcpy(&b, &it.fit, sizeof b);
+    fits.push_back(b);
+  };
+  sparkle::ClusterConfig cfg;
+  cfg.numNodes = 4;
+  sparkle::Context ctx(cfg, 2);
+  cpAls(ctx, t, o);
+  const std::vector<std::uint64_t> want = {
+      0x3fc3033039feace0ull, 0x3fc456cf94986c98ull, 0x3fc51fb939cf9cf8ull};
+  ASSERT_EQ(fits.size(), want.size());
+  for (std::size_t i = 0; i < fits.size(); ++i) {
+    EXPECT_EQ(fits[i], want[i]) << "iteration " << i + 1 << ": 0x"
+                                << std::hex << fits[i];
   }
 }
 

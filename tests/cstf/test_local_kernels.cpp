@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "cstf/cstf.hpp"
+#include "support/kernel_rows.hpp"
 #include "tensor/csf.hpp"
 #include "tensor/generator.hpp"
 #include "tensor/reference_ops.hpp"
@@ -21,10 +22,7 @@ sparkle::ClusterConfig testCluster(
   return cfg;
 }
 
-la::Matrix rowsToDense(const std::vector<std::pair<Index, la::Row>>& rows,
-                       std::size_t numRows, std::size_t rank) {
-  return rowsToMatrix(rows, numRows, rank);
-}
+using testsupport::rowsToDense;
 
 la::Matrix runKernel(sparkle::LocalKernel kind, const tensor::CooTensor& t,
                      const std::vector<la::Matrix>& fs, ModeId mode,

@@ -44,6 +44,23 @@ TEST(Normalize, ZeroColumnLeftAlone) {
   EXPECT_DOUBLE_EQ(m(0, 1), 1.0);
 }
 
+TEST(Normalize, AllZeroColumnGetsZeroLambdaAndNoNaN) {
+  Pcg32 rng(61);
+  Matrix m = Matrix::random(50, 3, rng);
+  for (std::size_t i = 0; i < m.rows(); ++i) m(i, 1) = 0.0;
+  const auto lambda = normalizeColumns(m);
+  ASSERT_EQ(lambda.size(), 3u);
+  EXPECT_EQ(lambda[1], 0.0);
+  EXPECT_GT(lambda[0], 0.0);
+  EXPECT_GT(lambda[2], 0.0);
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    EXPECT_EQ(m(i, 1), 0.0) << "row " << i;
+    for (std::size_t j = 0; j < m.cols(); ++j) {
+      EXPECT_FALSE(std::isnan(m(i, j))) << i << "," << j;
+    }
+  }
+}
+
 TEST(NormalizeMax, UsesMaxAbsAndClampsAtOne) {
   Matrix m(2, 2);
   m(0, 0) = -4.0;

@@ -116,6 +116,24 @@ TEST(PinvSym, HandlesRankDeficiency) {
   EXPECT_LT(matmul(matmul(p, a), p).maxAbsDiff(p), 1e-9);
 }
 
+TEST(PinvSym, RankDeficientGramIsFiniteAndReproducesA) {
+  // The CP-ALS case: a 6 x 6 gram of a factor whose columns 3-5 repeat
+  // columns 0-2, so the matrix has rank 3 and three zero eigenvalues.
+  Pcg32 rng(52);
+  Matrix b = Matrix::random(40, 6, rng);
+  for (std::size_t i = 0; i < b.rows(); ++i) {
+    for (std::size_t j = 3; j < 6; ++j) b(i, j) = b(i, j - 3);
+  }
+  const Matrix a = gram(b);
+  const Matrix p = pinvSym(a);
+  for (std::size_t i = 0; i < p.rows(); ++i) {
+    for (std::size_t j = 0; j < p.cols(); ++j) {
+      EXPECT_TRUE(std::isfinite(p(i, j))) << i << "," << j;
+    }
+  }
+  EXPECT_LT(matmul(matmul(a, p), a).maxAbsDiff(a), 1e-9 * a.frobeniusNorm());
+}
+
 TEST(PinvSym, ZeroMatrixGivesZero) {
   Matrix p = pinvSym(Matrix(3, 3));
   EXPECT_LT(p.maxAbsDiff(Matrix(3, 3)), 1e-15);

@@ -119,7 +119,7 @@ TEST_P(EngineInvariants, ReduceByKeyResultIndependentOfPartitioning) {
   auto ctx = makeContext();
   auto out = parallelize(ctx, makeData(), GetParam().inputPartitions)
                  .reduceByKey(
-                     [](const double& a, const double& b) { return a + b; },
+                     [](double& a, const double& b) { a += b; },
                      ctx.hashPartitioner(GetParam().shufflePartitions))
                  .collect();
   std::map<std::uint32_t, double> got(out.begin(), out.end());

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "cstf/cstf.hpp"
+#include "support/kernel_rows.hpp"
 #include "tensor/csf.hpp"
 #include "tensor/generator.hpp"
 #include "tensor/reference_ops.hpp"
@@ -50,7 +51,7 @@ la::Matrix runLocalKernel(sparkle::LocalKernel kind,
                           Index dim, std::size_t rank) {
   LocalKernelStats stats;
   auto rows = localKernelFor(kind).compute(nz, nullptr, fs, mode, stats);
-  return rowsToMatrix(rows, dim, rank);
+  return testsupport::rowsToDense(rows, dim, rank);
 }
 
 // On any single partition the COO kernel is bit-identical to the
@@ -148,8 +149,8 @@ TEST(KernelDuplicates, DuplicateNonzerosAccumulate) {
                        .compute(t.nonzeros(), nullptr, fs, mode, stats);
     auto csfRows = localKernelFor(sparkle::LocalKernel::kCsf)
                        .compute(t.nonzeros(), &layout, fs, mode, stats);
-    la::Matrix coo = rowsToMatrix(cooRows, t.dim(mode), 3);
-    la::Matrix csf = rowsToMatrix(csfRows, t.dim(mode), 3);
+    la::Matrix coo = testsupport::rowsToDense(cooRows, t.dim(mode), 3);
+    la::Matrix csf = testsupport::rowsToDense(csfRows, t.dim(mode), 3);
     EXPECT_EQ(coo.maxAbsDiff(ref), 0.0) << "mode " << int(mode);
     EXPECT_LT(csf.maxAbsDiff(ref), 1e-13) << "mode " << int(mode);
   }

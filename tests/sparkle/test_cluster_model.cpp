@@ -29,7 +29,7 @@ double simTimeForNodes(int nodes, ExecutionMode mode = ExecutionMode::kSpark,
   auto rdd = parallelize(ctx, makeData(n), 64)
                  .mapValues([](const double& v) { return v * 2; }, 10.0)
                  .reduceByKey(
-                     [](const double& a, const double& b) { return a + b; });
+                     [](double& a, const double& b) { a += b; });
   rdd.materialize();
   return ctx.metrics().simTimeSec();
 }

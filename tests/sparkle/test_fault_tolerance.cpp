@@ -32,7 +32,7 @@ std::vector<KV> makeData(std::uint32_t n) {
 TEST(FaultTolerance, NoFailuresMeansNoRetries) {
   Context ctx(faultyCluster(0.0), 2);
   parallelize(ctx, makeData(500), 8)
-      .reduceByKey([](const double& a, const double& b) { return a + b; })
+      .reduceByKey([](double& a, const double& b) { a += b; })
       .collect();
   EXPECT_EQ(ctx.metrics().taskRetries(), 0u);
 }
@@ -44,7 +44,7 @@ TEST(FaultTolerance, ResultsSurviveInjectedFailures) {
     auto out = parallelize(ctx, makeData(1000), 8)
                    .mapValues([](const double& v) { return v * 2.0; })
                    .reduceByKey(
-                       [](const double& a, const double& b) { return a + b; })
+                       [](double& a, const double& b) { a += b; })
                    .collect();
     clean.insert(out.begin(), out.end());
   }
@@ -52,7 +52,7 @@ TEST(FaultTolerance, ResultsSurviveInjectedFailures) {
   auto out = parallelize(ctx, makeData(1000), 8)
                  .mapValues([](const double& v) { return v * 2.0; })
                  .reduceByKey(
-                     [](const double& a, const double& b) { return a + b; })
+                     [](double& a, const double& b) { a += b; })
                  .collect();
   std::map<std::uint32_t, double> faulty(out.begin(), out.end());
   EXPECT_EQ(faulty, clean);
@@ -63,7 +63,7 @@ TEST(FaultTolerance, RetriesAreDeterministic) {
   auto run = [] {
     Context ctx(faultyCluster(0.25), 2);
     parallelize(ctx, makeData(800), 8)
-        .reduceByKey([](const double& a, const double& b) { return a + b; })
+        .reduceByKey([](double& a, const double& b) { a += b; })
         .collect();
     return ctx.metrics().taskRetries();
   };

@@ -50,7 +50,7 @@ std::vector<KV> makeData(std::uint32_t n) {
 std::map<std::uint32_t, double> sumByKey(Context& ctx, std::uint32_t n) {
   auto out = parallelize(ctx, makeData(n), 8)
                  .reduceByKey(
-                     [](const double& a, const double& b) { return a + b; })
+                     [](double& a, const double& b) { a += b; })
                  .collect();
   return {out.begin(), out.end()};
 }
@@ -111,7 +111,7 @@ TEST(NodeLoss, EvictedCacheBlocksRecomputeFromLineage) {
   // are evicted, and the 2 lost map tasks recompute them from the
   // generator (25 records each).
   auto out = rdd.reduceByKey(
-                    [](const double& a, const double& b) { return a + b; })
+                    [](double& a, const double& b) { a += b; })
                  .collect();
   EXPECT_EQ(out.size(), 37u);
   EXPECT_EQ(ctx.metrics().evictedCacheBlocks(), 2u);
@@ -127,7 +127,7 @@ TEST(NodeLoss, CertainLossExhaustsAttemptsAndAborts) {
   Context ctx(cfg, 2);
   auto rdd = parallelize(ctx, makeData(100), 8)
                  .reduceByKey(
-                     [](const double& a, const double& b) { return a + b; });
+                     [](double& a, const double& b) { a += b; });
   EXPECT_THROW(rdd.collect(), JobAbortedError);
 }
 
@@ -137,7 +137,7 @@ TEST(NodeLoss, SingleAttemptBudgetAbortsOnScheduledLoss) {
   Context ctx(cfg, 2);
   auto rdd = parallelize(ctx, makeData(100), 8)
                  .reduceByKey(
-                     [](const double& a, const double& b) { return a + b; });
+                     [](double& a, const double& b) { a += b; });
   try {
     rdd.collect();
     FAIL() << "expected JobAbortedError";
@@ -152,7 +152,7 @@ TEST(NodeLoss, RecoveryDelayIsChargedToClusterTime) {
     cfg.faults.stageRetryDelaySec = delaySec;
     Context ctx(cfg, 2);
     parallelize(ctx, makeData(1000), 8)
-        .reduceByKey([](const double& a, const double& b) { return a + b; })
+        .reduceByKey([](double& a, const double& b) { a += b; })
         .collect();
     return ctx.metrics().simTimeSec();
   };

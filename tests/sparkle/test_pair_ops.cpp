@@ -35,8 +35,8 @@ TEST(PairOps, ReduceByKeyAggregates) {
     for (int r = 0; r < 5; ++r) data.push_back({k, 1.0});
   }
   auto out = parallelize(ctx, data, 4)
-                 .reduceByKey([](const double& a, const double& b) {
-                   return a + b;
+                 .reduceByKey([](double& a, const double& b) {
+                   a += b;
                  })
                  .collect();
   ASSERT_EQ(out.size(), 10u);
@@ -49,7 +49,7 @@ TEST(PairOps, ReduceByKeyWithoutCombineMatches) {
   for (std::uint32_t k = 0; k < 7; ++k) {
     for (int r = 0; r <= int(k); ++r) data.push_back({k, double(r)});
   }
-  auto sum = [](const double& a, const double& b) { return a + b; };
+  auto sum = [](double& a, const double& b) { a += b; };
   auto combined = parallelize(ctx, data, 4)
                       .reduceByKey(sum, nullptr, /*mapSideCombine=*/true)
                       .collect();
@@ -67,7 +67,7 @@ TEST(PairOps, MapSideCombineShufflesFewerRecords) {
   for (std::uint32_t k = 0; k < 4; ++k) {
     for (int r = 0; r < 100; ++r) data.push_back({k, 1.0});
   }
-  auto sum = [](const double& a, const double& b) { return a + b; };
+  auto sum = [](double& a, const double& b) { a += b; };
 
   parallelize(ctx, data, 4).reduceByKey(sum, nullptr, true).materialize();
   const auto withCombine = ctx.metrics().totals();
@@ -133,7 +133,7 @@ TEST(PairOps, JoinCountsOneShuffleOpTwoStages) {
 
 TEST(PairOps, JoinSkipsShuffleForCoPartitionedSide) {
   auto ctx = makeCtx();
-  auto sum = [](const double& a, const double& b) { return a + b; };
+  auto sum = [](double& a, const double& b) { a += b; };
   std::vector<KV> left{{1, 1.0}, {2, 2.0}, {3, 3.0}};
   std::vector<KV> right{{1, 9.0}, {3, 9.0}};
   auto part = ctx.hashPartitioner(8);
@@ -169,7 +169,7 @@ TEST(PairOps, ReduceByKeyAfterPartitionByIsNarrow) {
   ctx.metrics().reset();
 
   auto out = pre.reduceByKey(
-                    [](const double& a, const double& b) { return a + b; },
+                    [](double& a, const double& b) { a += b; },
                     part)
                  .collect();
   ASSERT_EQ(out.size(), 8u);
@@ -183,7 +183,7 @@ TEST(PairOps, MapValuesPreservesPartitioningMapDoesNot) {
   std::vector<KV> data{{1, 1.0}, {2, 2.0}};
   auto part = ctx.hashPartitioner(4);
   auto rdd = parallelize(ctx, data, 2).reduceByKey(
-      [](const double& a, const double& b) { return a + b; }, part);
+      [](double& a, const double& b) { a += b; }, part);
   auto mv = rdd.mapValues([](const double& v) { return v + 1.0; });
   EXPECT_EQ(mv.partitioning(), part);
   auto plain = rdd.map([](const KV& kv) { return kv; });

@@ -44,7 +44,7 @@ TEST(Pipelines, ThreeChainedShufflesProduceCorrectResult) {
             return std::pair<std::uint32_t, double>(
                 kv.first, kv.second.first * kv.second.second);
           })
-          .reduceByKey([](const double& a, const double& b) { return a + b; })
+          .reduceByKey([](double& a, const double& b) { a += b; })
           .collect();
 
   // Expected: for each residue r, sum over i with i%10==r of 6i.
@@ -65,15 +65,15 @@ TEST(Pipelines, DiamondLineageComputesSharedParentOnce) {
 
   auto shared = parallelize(ctx, data, 8)
                     .reduceByKey(
-                        [](const double& a, const double& b) { return a + b; },
+                        [](double& a, const double& b) { a += b; },
                         ctx.hashPartitioner(8));
   shared.cache();
   auto left = shared.mapValues([](const double& v) { return v * 2; })
                   .reduceByKey(
-                      [](const double& a, const double& b) { return a + b; });
+                      [](double& a, const double& b) { a += b; });
   auto right = shared.mapValues([](const double& v) { return v * 3; })
                    .reduceByKey(
-                       [](const double& a, const double& b) { return a + b; });
+                       [](double& a, const double& b) { a += b; });
 
   const auto leftOut = left.collect();
   const auto rightOut = right.collect();
@@ -103,8 +103,8 @@ TEST(Pipelines, WordCountComposition) {
             return out;
           })
           .reduceByKey(
-              [](const std::uint32_t& x, const std::uint32_t& y) {
-                return x + y;
+              [](std::uint32_t& x, const std::uint32_t& y) {
+                x += y;
               })
           .collect();
   std::map<std::uint32_t, std::uint32_t> m(counts.begin(), counts.end());
@@ -120,7 +120,7 @@ TEST(Pipelines, JoinAfterReduceByKeyReusesPartitioning) {
   auto part = ctx.hashPartitioner(8);
   auto reduced = parallelize(ctx, data, 4)
                      .reduceByKey(
-                         [](const double& a, const double& b) { return a + b; },
+                         [](double& a, const double& b) { a += b; },
                          part);
   reduced.materialize();
   const auto opsBefore = ctx.metrics().totals().shuffleOps;

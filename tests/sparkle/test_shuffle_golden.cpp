@@ -34,7 +34,7 @@ ClusterConfig clusterCfg() {
 template <typename K, typename V>
 Rdd<std::pair<K, V>> shuffle(
     Context& ctx, const Rdd<std::pair<K, V>>& in, std::size_t parts,
-    std::function<V(const V&, const V&)> combiner = nullptr) {
+    typename ShuffledDataset<K, V>::Combiner combiner = nullptr) {
   auto ds = std::make_shared<ShuffledDataset<K, V>>(
       &ctx, in.dataset(), ctx.hashPartitioner(parts), "golden",
       ctx.metrics().nextShuffleOpId(), std::move(combiner));
@@ -178,7 +178,7 @@ TEST(ShuffleGolden, MapSideCombiner) {
   Context ctx(clusterCfg(), 2);
   auto out = shuffle<std::uint32_t, double>(
                  ctx, parallelize(ctx, data, 8), 8,
-                 [](const double& a, const double& b) { return a + b; })
+                 [](double& a, const double& b) { a += b; })
                  .collect();
   std::map<std::uint32_t, double> perKey;
   for (const auto& [k, v] : out) perKey[k] += v;

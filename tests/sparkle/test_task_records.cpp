@@ -168,7 +168,7 @@ TEST(TaskRecords, ComputeTaskSkewEdgeCases) {
 TEST(TaskRecords, RetriesAreCountedPerStageAndInTotals) {
   Context ctx(cfgNodes(4, /*failureRate=*/0.3), 2);
   parallelize(ctx, uniformData(1000), 8)
-      .reduceByKey([](const double& a, const double& b) { return a + b; })
+      .reduceByKey([](double& a, const double& b) { a += b; })
       .collect();
 
   const std::uint64_t global = ctx.metrics().taskRetries();

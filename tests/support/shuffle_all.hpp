@@ -15,7 +15,7 @@ template <typename K, typename V>
 sparkle::Rdd<std::pair<K, V>> shuffleAll(
     const sparkle::Rdd<std::pair<K, V>>& rdd,
     std::shared_ptr<sparkle::Partitioner> part) {
-  return rdd.reduceByKey([](const V& a, const V& b) { return a + b; },
+  return rdd.reduceByKey([](V& a, const V& b) { a += b; },
                          std::move(part), /*mapSideCombine=*/false);
 }
 

@@ -98,6 +98,17 @@ TEST(ModelOps, ModelNormSqMatchesDense) {
   EXPECT_NEAR(modelNormSq(fs, lambda), normSq, 1e-8);
 }
 
+TEST(ModelOps, ModelNormSqFromGramsIsTheSameFormula) {
+  const std::vector<Index> dims{9, 7, 8, 5};
+  CooTensor t = generateRandom({dims, 60, {}, 21});
+  auto fs = randomFactorsFor(t, 5, 8);
+  const std::vector<double> lambda{2.0, 0.25, 1.5, 3.0, 0.5};
+  std::vector<la::Matrix> grams;
+  for (const la::Matrix& f : fs) grams.push_back(la::gram(f));
+  // Bit-identical, not merely close: CP-ALS's fit relies on it.
+  EXPECT_EQ(modelNormSqFromGrams(grams, lambda), modelNormSq(fs, lambda));
+}
+
 TEST(ModelOps, PerfectModelHasFitOne) {
   // Build the tensor FROM a CP model over all cells of a tiny grid: fit = 1.
   const std::vector<Index> dims{3, 3, 3};
