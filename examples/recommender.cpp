@@ -2,7 +2,7 @@
 // the classic CP-decomposition application the paper's introduction
 // motivates (tensors representing multi-dimensional behavioural data) —
 // carried all the way through the serving layer: train with CP-ALS,
-// export a CSTFMDL1 model file, load it back, and answer top-k queries
+// export the model (a CSTFCKP1 file), load it back, and answer top-k queries
 // through serve::Engine the way an online recommender would.
 //
 // We plant a ground truth: three taste communities, each preferring a

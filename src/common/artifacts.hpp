@@ -1,18 +1,26 @@
 // Shared artifact writing: atomic file replacement + consistent logging.
 //
-// Every observability output (traces, run reports, metrics CSVs, live
-// metrics expositions) funnels through here so external scrapers never see
-// a half-written file and every "written to" message looks the same,
-// whether it came from the CLI, a bench binary, or the heartbeat sampler.
+// Every file written for others to read (traces, reports, metrics, tensors,
+// checkpoints, models, delta batches) funnels through the one atomic
+// replace here, so readers never see a half-written file and every
+// "written to" message looks the same, from the CLI, a bench or the
+// heartbeat sampler.
 #pragma once
 
+#include <functional>
+#include <iosfwd>
 #include <string>
 
 namespace cstf {
 
-/// Atomically replace `path` with `content`: write to a sibling temp file
-/// and rename over the destination. Returns false on any failure (callers
-/// report); a failed write never leaves a partial file at `path`.
+/// Atomically replace `path` with what `write` streams into the sibling
+/// temp file `path + ".tmp"`, renamed over `path` once complete. Throws
+/// cstf::Error on failure, leaving no file at `path`; the parent
+/// directory must exist.
+void writeFileAtomic(const std::string& path,
+                     const std::function<void(std::ostream&)>& write);
+
+/// The same for a whole string; returns false on failure (callers report).
 bool writeFileAtomic(const std::string& path, const std::string& content);
 
 /// writeFileAtomic + one consistent log line to stderr:

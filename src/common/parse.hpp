@@ -50,6 +50,19 @@ inline std::optional<std::uint64_t> parseUint64(std::string_view s) {
   return parse_detail::fromChars<std::uint64_t>(s);
 }
 
+/// The N of a file name "<prefix>N<suffix>" (e.g. "ckpt-000012.bin");
+/// nullopt for any other name, including one whose N overflows uint64.
+inline std::optional<std::uint64_t> parseNumberedName(
+    std::string_view name, std::string_view prefix, std::string_view suffix) {
+  if (name.size() < prefix.size() + suffix.size() ||
+      !name.starts_with(prefix) || !name.ends_with(suffix)) {
+    return std::nullopt;
+  }
+  name.remove_prefix(prefix.size());
+  name.remove_suffix(suffix.size());
+  return parseUint64(name);
+}
+
 /// Whole-string finite double, nullopt on junk/overflow/inf/nan.
 inline std::optional<double> parseDouble(std::string_view s) {
   const std::optional<double> v = parse_detail::fromChars<double>(s);

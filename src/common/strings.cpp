@@ -61,13 +61,4 @@ std::string csvField(const std::string& s) {
   return out;
 }
 
-bool writeTextFile(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const std::size_t written =
-      content.empty() ? 0 : std::fwrite(content.data(), 1, content.size(), f);
-  const bool ok = std::fclose(f) == 0 && written == content.size();
-  return ok;
-}
-
 }  // namespace cstf

@@ -24,8 +24,4 @@ std::string humanSeconds(double sec);
 /// doubled.
 std::string csvField(const std::string& s);
 
-/// Write `content` to `path`, replacing any existing file. Returns false
-/// (and logs nothing) on failure — callers report the error.
-bool writeTextFile(const std::string& path, const std::string& content);
-
 }  // namespace cstf

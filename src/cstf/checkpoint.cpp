@@ -1,16 +1,16 @@
 #include "cstf/checkpoint.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <istream>
-#include <ostream>
+#include <limits>
 #include <utility>
 #include <vector>
 
+#include "common/artifacts.hpp"
+#include "common/binio.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "common/parse.hpp"
 #include "common/strings.hpp"
 
 namespace cstf::cstf_core {
@@ -19,127 +19,76 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr char kCkptMagic[8] = {'C', 'S', 'T', 'F', 'C', 'K', 'P', '1'};
-constexpr char kMatMagic[8] = {'C', 'S', 'T', 'F', 'M', 'A', 'T', '1'};
-constexpr std::uint32_t kCkptVersion = 1;
-
-template <typename T>
-void putRaw(std::ostream& out, T v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T getRaw(std::istream& in) {
-  T v{};
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!in) throw Error("truncated checkpoint stream");
-  return v;
-}
-
-void expectMagic(std::istream& in, const char (&magic)[8],
-                 const char* what) {
-  char got[8];
-  in.read(got, sizeof(got));
-  if (!in || std::memcmp(got, magic, sizeof(got)) != 0) {
-    throw Error(std::string("not a CSTF ") + what + " (bad magic)");
-  }
-}
-
-/// Parse "ckpt-NNNNNN.bin"; -1 for anything else.
-int checkpointIterationOf(const std::string& name) {
-  constexpr char kPrefix[] = "ckpt-";
-  constexpr char kSuffix[] = ".bin";
-  if (name.size() <= sizeof(kPrefix) - 1 + sizeof(kSuffix) - 1) return -1;
-  if (name.rfind(kPrefix, 0) != 0) return -1;
-  if (name.compare(name.size() - 4, 4, kSuffix) != 0) return -1;
-  int iter = 0;
-  for (std::size_t i = sizeof(kPrefix) - 1; i < name.size() - 4; ++i) {
-    if (name[i] < '0' || name[i] > '9') return -1;
-    iter = iter * 10 + (name[i] - '0');
-  }
-  return iter;
-}
+constexpr std::string_view kCkptMagic = "CSTFCKP1";
+constexpr std::uint32_t kCkptVersion = 2;
 
 }  // namespace
 
-void writeMatrixBinary(std::ostream& out, const la::Matrix& m) {
-  out.write(kMatMagic, sizeof(kMatMagic));
-  putRaw<std::uint64_t>(out, m.rows());
-  putRaw<std::uint64_t>(out, m.cols());
-  out.write(reinterpret_cast<const char*>(m.data()),
-            static_cast<std::streamsize>(m.rows() * m.cols() *
-                                         sizeof(double)));
-  if (!out) throw Error("failed writing binary matrix");
-}
-
-la::Matrix readMatrixBinary(std::istream& in) {
-  expectMagic(in, kMatMagic, "binary matrix");
-  const auto rows = getRaw<std::uint64_t>(in);
-  const auto cols = getRaw<std::uint64_t>(in);
-  la::Matrix m(static_cast<std::size_t>(rows),
-               static_cast<std::size_t>(cols));
-  in.read(reinterpret_cast<char*>(m.data()),
-          static_cast<std::streamsize>(rows * cols * sizeof(double)));
-  if (!in) throw Error("truncated checkpoint stream");
-  return m;
-}
-
-void writeCheckpoint(std::ostream& out, const CpAlsCheckpoint& c) {
-  CSTF_CHECK(c.factors.size() == c.dims.size(),
-             "checkpoint needs one factor per mode");
-  out.write(kCkptMagic, sizeof(kCkptMagic));
-  putRaw<std::uint32_t>(out, kCkptVersion);
-  putRaw<std::uint64_t>(out, c.seed);
-  putRaw<std::int32_t>(out, c.iteration);
-  putRaw<std::uint64_t>(out, c.rank);
-  putRaw<std::uint8_t>(out, static_cast<std::uint8_t>(c.dims.size()));
-  for (const Index d : c.dims) putRaw<std::uint32_t>(out, d);
-  putRaw<double>(out, c.prevFit);
-  putRaw<std::uint64_t>(out, c.lambda.size());
-  for (const double l : c.lambda) putRaw<double>(out, l);
-  for (const la::Matrix& f : c.factors) writeMatrixBinary(out, f);
-  if (!out) throw Error("failed writing checkpoint");
+void writeCheckpoint(std::ostream& out, const CheckpointView& c) {
+  CSTF_CHECK(!c.factors.empty() && c.factors.size() <= kMaxOrder,
+             "a checkpoint needs one factor per mode");
+  const std::size_t rank = c.lambda.size();
+  std::vector<Index> dims;
+  for (const la::Matrix& f : c.factors) {
+    CSTF_CHECK(f.cols() == rank,
+               "checkpoint factors need one column per lambda weight");
+    dims.push_back(Index(f.rows()));
+  }
+  BinWriter w(out);
+  w.magic(kCkptMagic, kCkptVersion);
+  w.put<std::uint64_t>(c.seed);
+  w.put<std::int32_t>(c.iteration);
+  w.put<std::uint64_t>(rank);
+  w.dims(dims);
+  w.put<double>(c.prevFit);
+  w.put<std::uint64_t>(rank);
+  w.bytes(c.lambda.data(), rank * sizeof(double));
+  w.put<std::uint64_t>(c.plan.size());
+  w.bytes(c.plan.data(), c.plan.size());
+  for (const la::Matrix& f : c.factors) {
+    w.bytes(f.data(), f.rows() * f.cols() * sizeof(double));
+  }
 }
 
 CpAlsCheckpoint readCheckpoint(std::istream& in) {
-  expectMagic(in, kCkptMagic, "checkpoint");
-  const auto version = getRaw<std::uint32_t>(in);
-  CSTF_CHECK(version == kCkptVersion, "unsupported checkpoint version");
+  BinReader r(in, "CSTFCKP1 checkpoint");
+  r.expectMagic(kCkptMagic, kCkptVersion);
   CpAlsCheckpoint c;
-  c.seed = getRaw<std::uint64_t>(in);
-  c.iteration = getRaw<std::int32_t>(in);
-  c.rank = static_cast<std::size_t>(getRaw<std::uint64_t>(in));
-  const auto order = getRaw<std::uint8_t>(in);
-  c.dims.resize(order);
-  for (auto& d : c.dims) d = getRaw<std::uint32_t>(in);
-  c.prevFit = getRaw<double>(in);
-  const auto nLambda = getRaw<std::uint64_t>(in);
-  c.lambda.resize(static_cast<std::size_t>(nLambda));
-  for (auto& l : c.lambda) l = getRaw<double>(in);
-  c.factors.reserve(order);
-  for (std::uint8_t m = 0; m < order; ++m) {
-    c.factors.push_back(readMatrixBinary(in));
-    CSTF_CHECK(c.factors.back().rows() == c.dims[m] &&
-                   c.factors.back().cols() == c.rank,
-               "checkpoint factor shape does not match its header");
+  c.seed = r.get<std::uint64_t>("seed");
+  c.iteration = r.get<std::int32_t>("iteration");
+  // Resume continues at iteration + 1.
+  if (c.iteration < 0 || c.iteration == std::numeric_limits<int>::max()) {
+    r.fail("iteration", "out of range");
   }
+  const auto rank = r.get<std::uint64_t>("rank");
+  c.dims = r.dims();
+  c.prevFit = r.get<double>("prevFit");
+  if (r.count(sizeof(double), "lambda count") != rank) {
+    r.fail("lambda count", "does not match rank " + std::to_string(rank));
+  }
+  c.rank = static_cast<std::size_t>(rank);
+  c.lambda.resize(c.rank);
+  r.bytes(c.lambda.data(), c.rank * sizeof(double), "lambda");
+  c.plan.resize(r.count(1, "plan length"));
+  r.bytes(c.plan.data(), c.plan.size(), "plan");
+  c.factors.reserve(c.dims.size());
+  for (const Index d : c.dims) {
+    // rank * 8 cannot wrap: rank lambdas already fit in the file.
+    r.need(d, c.rank * sizeof(double), "factor");
+    la::Matrix& f = c.factors.emplace_back(d, c.rank);
+    r.bytes(f.data(), f.rows() * f.cols() * sizeof(double), "factor");
+  }
+  r.finish();
   return c;
 }
 
-std::string saveCheckpoint(const std::string& dir,
-                           const CpAlsCheckpoint& c) {
+std::string saveCheckpoint(const std::string& dir, const CheckpointView& c) {
   CSTF_CHECK(!dir.empty(), "checkpoint directory must not be empty");
   fs::create_directories(dir);
-  const fs::path final =
-      fs::path(dir) / strprintf("ckpt-%06d.bin", c.iteration);
-  const fs::path tmp = fs::path(dir) / strprintf("ckpt-%06d.tmp", c.iteration);
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw Error("cannot write checkpoint: " + tmp.string());
-    writeCheckpoint(out, c);
-  }
-  fs::rename(tmp, final);
-  return final.string();
+  const std::string path =
+      (fs::path(dir) / strprintf("ckpt-%06d.bin", c.iteration)).string();
+  writeFileAtomic(path, [&](std::ostream& out) { writeCheckpoint(out, c); });
+  return path;
 }
 
 std::optional<CpAlsCheckpoint> loadLatestCheckpoint(const std::string& dir) {
@@ -147,8 +96,13 @@ std::optional<CpAlsCheckpoint> loadLatestCheckpoint(const std::string& dir) {
   if (dir.empty() || !fs::is_directory(dir, ec)) return std::nullopt;
   std::vector<std::pair<int, fs::path>> candidates;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    const int iter = checkpointIterationOf(entry.path().filename().string());
-    if (iter >= 0) candidates.emplace_back(iter, entry.path());
+    // A number past int range cannot name an iteration; such a file is
+    // not a checkpoint of this format.
+    const std::optional<std::uint64_t> iter = parseNumberedName(
+        entry.path().filename().string(), "ckpt-", ".bin");
+    if (iter && *iter <= std::uint64_t(std::numeric_limits<int>::max())) {
+      candidates.emplace_back(int(*iter), entry.path());
+    }
   }
   if (candidates.empty()) return std::nullopt;
   // Newest first; a checkpoint that was truncated by a crashed writer or a
@@ -159,18 +113,15 @@ std::optional<CpAlsCheckpoint> loadLatestCheckpoint(const std::string& dir) {
   std::string newestError;
   for (const auto& [iter, path] : candidates) {
     try {
-      std::ifstream in(path, std::ios::binary);
-      if (!in) throw Error("cannot read checkpoint: " + path.string());
-      CpAlsCheckpoint ck = readCheckpoint(in);
+      CpAlsCheckpoint ck = readFile(path.string(), readCheckpoint);
       if (!newestError.empty()) {
         CSTF_LOG_WARN("falling back to checkpoint %s (iteration %d)",
                       path.string().c_str(), iter);
       }
       return ck;
     } catch (const Error& e) {
-      const std::string msg = path.string() + ": " + e.what();
-      CSTF_LOG_WARN("skipping unreadable checkpoint %s", msg.c_str());
-      if (newestError.empty()) newestError = msg;
+      CSTF_LOG_WARN("skipping unreadable checkpoint %s", e.what());
+      if (newestError.empty()) newestError = e.what();
     }
   }
   throw Error(strprintf("no readable checkpoint in '%s' (%zu file(s) "

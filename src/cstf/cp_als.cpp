@@ -76,6 +76,12 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
                      ck->dims == dims,
                  "checkpoint metadata (seed/rank/dims) does not match this "
                  "run's configuration");
+      // An exported model records no plan, so it never resumes.
+      CSTF_CHECK(ck->plan == result.report.plan,
+                 "checkpoint plan '" + ck->plan + "'" +
+                     (ck->plan.empty() ? " (an exported model)" : "") +
+                     " does not match this run's plan '" +
+                     result.report.plan + "'");
       result.factors = std::move(ck->factors);
       result.lambda = std::move(ck->lambda);
       restoredPrevFit = ck->prevFit;
@@ -317,17 +323,16 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
 
     if (!opts.checkpointDir.empty() && opts.checkpointEvery > 0 &&
         iter % opts.checkpointEvery == 0) {
-      CpAlsCheckpoint ck;
-      ck.seed = opts.seed;
-      ck.iteration = iter;
-      // The fit the next iteration compares against, so a resume restores
-      // exactly that comparison state.
-      ck.prevFit = stats.fit;
-      ck.rank = opts.rank;
-      ck.dims = dims;
-      ck.lambda = result.lambda;
-      ck.factors = result.factors;
-      const std::string path = saveCheckpoint(opts.checkpointDir, ck);
+      const std::string path = saveCheckpoint(
+          opts.checkpointDir,
+          {.seed = opts.seed,
+           .iteration = iter,
+           // The fit the next iteration compares against, so a resume
+           // restores exactly that comparison state.
+           .prevFit = stats.fit,
+           .plan = result.report.plan,
+           .lambda = result.lambda,
+           .factors = result.factors});
       CSTF_LOG_DEBUG("cp-als checkpoint written: %s", path.c_str());
       if (ctx.trace().enabled()) {
         ctx.trace().recordInstant("checkpoint", "cp-als",

@@ -1,108 +1,19 @@
 #include "serve/model.hpp"
 
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <istream>
 #include <ostream>
 
+#include "common/artifacts.hpp"
+#include "common/binio.hpp"
 #include "common/error.hpp"
 
 namespace cstf::serve {
 
-namespace {
-
 namespace fs = std::filesystem;
 
-constexpr char kModelMagic[8] = {'C', 'S', 'T', 'F', 'M', 'D', 'L', '1'};
-constexpr char kCkptMagic[8] = {'C', 'S', 'T', 'F', 'C', 'K', 'P', '1'};
-constexpr std::uint32_t kModelVersion = 1;
+namespace {
 
-template <typename T>
-void putRaw(std::ostream& out, T v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T getRaw(std::istream& in) {
-  T v{};
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!in) throw Error("truncated model stream");
-  return v;
-}
-
-}  // namespace
-
-void writeModel(std::ostream& out, const CpModel& m) {
-  CSTF_CHECK(m.factors.size() == m.dims.size(),
-             "model needs one factor per mode");
-  CSTF_CHECK(m.lambda.size() == m.rank,
-             "model lambda must have one weight per rank component");
-  out.write(kModelMagic, sizeof(kModelMagic));
-  putRaw<std::uint32_t>(out, kModelVersion);
-  putRaw<std::uint64_t>(out, m.rank);
-  putRaw<std::uint8_t>(out, static_cast<std::uint8_t>(m.dims.size()));
-  for (const Index d : m.dims) putRaw<std::uint32_t>(out, d);
-  putRaw<double>(out, m.finalFit);
-  putRaw<std::uint64_t>(out, m.lambda.size());
-  for (const double l : m.lambda) putRaw<double>(out, l);
-  for (const la::Matrix& f : m.factors) cstf_core::writeMatrixBinary(out, f);
-  if (!out) throw Error("failed writing model");
-}
-
-CpModel readModel(std::istream& in) {
-  char got[8];
-  in.read(got, sizeof(got));
-  if (!in || std::memcmp(got, kModelMagic, sizeof(got)) != 0) {
-    throw Error("not a CSTF model (bad magic)");
-  }
-  const auto version = getRaw<std::uint32_t>(in);
-  CSTF_CHECK(version == kModelVersion, "unsupported model version");
-  CpModel m;
-  m.rank = static_cast<std::size_t>(getRaw<std::uint64_t>(in));
-  const auto order = getRaw<std::uint8_t>(in);
-  CSTF_CHECK(order >= 1 && order <= kMaxOrder, "model order out of range");
-  m.dims.resize(order);
-  for (auto& d : m.dims) d = getRaw<std::uint32_t>(in);
-  m.finalFit = getRaw<double>(in);
-  const auto nLambda = getRaw<std::uint64_t>(in);
-  CSTF_CHECK(nLambda == m.rank, "model lambda count does not match rank");
-  m.lambda.resize(static_cast<std::size_t>(nLambda));
-  for (auto& l : m.lambda) l = getRaw<double>(in);
-  m.factors.reserve(order);
-  for (std::uint8_t mode = 0; mode < order; ++mode) {
-    m.factors.push_back(cstf_core::readMatrixBinary(in));
-    CSTF_CHECK(m.factors.back().rows() == m.dims[mode] &&
-                   m.factors.back().cols() == m.rank,
-               "model factor shape does not match its header");
-  }
-  return m;
-}
-
-std::string saveModel(const std::string& path, const CpModel& m) {
-  CSTF_CHECK(!path.empty(), "model path must not be empty");
-  const fs::path final(path);
-  if (final.has_parent_path()) fs::create_directories(final.parent_path());
-  const fs::path tmp = final.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw Error("cannot write model: " + tmp.string());
-    writeModel(out, m);
-  }
-  fs::rename(tmp, final);
-  return final.string();
-}
-
-CpModel loadModel(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot read model: " + path);
-  try {
-    return readModel(in);
-  } catch (const Error& e) {
-    throw Error(path + ": " + e.what());
-  }
-}
-
+/// A checkpoint is a complete model state; prevFit becomes finalFit.
 CpModel modelFromCheckpoint(cstf_core::CpAlsCheckpoint ck) {
   CpModel m;
   m.rank = ck.rank;
@@ -113,7 +24,21 @@ CpModel modelFromCheckpoint(cstf_core::CpAlsCheckpoint ck) {
   return m;
 }
 
-CpModel loadModelAuto(const std::string& path) {
+}  // namespace
+
+std::string saveModel(const std::string& path, const CpModel& m) {
+  CSTF_CHECK(!path.empty(), "model path must not be empty");
+  const fs::path final(path);
+  if (final.has_parent_path()) fs::create_directories(final.parent_path());
+  writeFileAtomic(path, [&](std::ostream& out) {
+    // Seed 0, iteration 0, an empty plan: an export, not a resume point.
+    cstf_core::writeCheckpoint(out,
+                               {0, 0, m.finalFit, {}, m.lambda, m.factors});
+  });
+  return path;
+}
+
+CpModel loadModel(const std::string& path) {
   std::error_code ec;
   if (fs::is_directory(path, ec)) {
     auto ck = cstf_core::loadLatestCheckpoint(path);
@@ -121,23 +46,7 @@ CpModel loadModelAuto(const std::string& path) {
                "no checkpoint to serve in directory '" + path + "'");
     return modelFromCheckpoint(std::move(*ck));
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot read model: " + path);
-  char magic[8] = {};
-  in.read(magic, sizeof(magic));
-  if (!in) throw Error(path + ": not a CSTF model or checkpoint (too short)");
-  in.seekg(0);
-  try {
-    if (std::memcmp(magic, kModelMagic, sizeof(magic)) == 0) {
-      return readModel(in);
-    }
-    if (std::memcmp(magic, kCkptMagic, sizeof(magic)) == 0) {
-      return modelFromCheckpoint(cstf_core::readCheckpoint(in));
-    }
-  } catch (const Error& e) {
-    throw Error(path + ": " + e.what());
-  }
-  throw Error(path + ": not a CSTF model or checkpoint file");
+  return modelFromCheckpoint(readFile(path, cstf_core::readCheckpoint));
 }
 
 }  // namespace cstf::serve

@@ -1,25 +1,15 @@
-// Versioned on-disk CP model — the artifact the serving layer loads.
+// The CP model the serving layer loads, and its export.
 //
 // A checkpoint (cstf/checkpoint.hpp) captures mid-run ALS state for
 // restart; a model is the *converged product*: rank, dims, column weights
 // lambda, and the unit-normalized factor matrices, plus the final fit as
-// provenance. The serve engine folds lambda into the mode-0 factor and
-// precomputes per-row norms at load, so the file stores the factors raw
-// and stays a faithful export of CpAlsResult.
-//
-// File format (little-endian host encoding, same framing discipline as
-// checkpoints; matrices reuse the CSTFMAT1 serde from checkpoint.cpp):
-//   "CSTFMDL1"  magic
-//   u32  version (1)
-//   u64  rank
-//   u8   order
-//   u32  dims[order]
-//   f64  finalFit       — NaN-safe (raw IEEE bits; NaN when fit unknown)
-//   u64  |lambda|, f64 lambda[...]   — NaN-safe
-//   order x matrix      — "CSTFMAT1", u64 rows, u64 cols, f64 data[r*c]
+// provenance. Both are one file format, CSTFCKP1: an exported model is a
+// checkpoint with seed 0, iteration 0, prevFit = finalFit and an empty
+// plan, so it never resumes. The serve engine folds lambda into the mode-0
+// factor and precomputes per-row norms at load, so the file stores the
+// factors raw and stays a faithful export of CpAlsResult.
 #pragma once
 
-#include <iosfwd>
 #include <limits>
 #include <string>
 #include <vector>
@@ -41,23 +31,16 @@ struct CpModel {
   double finalFit = std::numeric_limits<double>::quiet_NaN();
 };
 
-void writeModel(std::ostream& out, const CpModel& m);
-CpModel readModel(std::istream& in);
-
-/// Persist `m` at `path` (creating parent directories if needed), writing
-/// to a temporary name and renaming so a crash mid-write never leaves a
-/// truncated model behind. Returns the final path.
+/// Export `m` as a CSTFCKP1 file at `path` (creating parent directories
+/// if needed), written to a temporary name and renamed so a crash
+/// mid-write never leaves a truncated model behind. Returns the final
+/// path.
 std::string saveModel(const std::string& path, const CpModel& m);
+
+/// Serve from whatever the operator has on hand: a CSTFCKP1 file (an
+/// exported model or a training checkpoint), or a checkpoint *directory*
+/// (the latest checkpoint wins, skipping unreadable ones). Throws
+/// cstf::Error when `path` is none of these.
 CpModel loadModel(const std::string& path);
-
-/// A checkpoint is a complete model state; adopt it for serving (prevFit
-/// becomes finalFit).
-CpModel modelFromCheckpoint(cstf_core::CpAlsCheckpoint ck);
-
-/// Serve from whatever the operator has on hand: a CSTFMDL1 model file, a
-/// CSTFCKP1 checkpoint file, or a checkpoint *directory* (the latest
-/// checkpoint wins, skipping unreadable ones). Throws cstf::Error when
-/// `path` is none of these.
-CpModel loadModelAuto(const std::string& path);
 
 }  // namespace cstf::serve

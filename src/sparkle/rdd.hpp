@@ -194,13 +194,11 @@ class Rdd {
   Rdd<T> reduceByKey(F f, std::shared_ptr<Partitioner> part = nullptr,
                      bool mapSideCombine = true, double flopsPerMerge = 0.0,
                      const std::string& label = "reduceByKey") const {
-    static_assert(std::is_void_v<std::invoke_result_t<F&, V&, const V&>>,
-                  "reduceByKey merges in place: f(V& acc, const V& x)");
     if (!part) {
       part = ds_->outputPartitioning() ? ds_->outputPartitioning()
                                        : ctx_->hashPartitioner();
     }
-    std::function<void(V&, const V&)> func = f;
+    InPlaceMerge<V> func = std::move(f);
     std::shared_ptr<Dataset<T>> input = ds_;
     if (!samePartitioning(input->outputPartitioning(), part)) {
       const std::uint64_t opId = ctx_->metrics().nextShuffleOpId();

@@ -22,6 +22,7 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -31,12 +32,22 @@
 
 namespace cstf::sparkle {
 
+/// Merges `x` into `acc` in place: f(acc, x). Only a void-result callable
+/// converts; a plain std::function would take a value-returning merge and
+/// silently drop its result.
+template <typename V>
+struct InPlaceMerge : std::function<void(V&, const V&)> {
+  InPlaceMerge(std::nullptr_t = nullptr) {}
+  template <typename F>
+    requires std::is_void_v<std::invoke_result_t<F&, V&, const V&>>
+  InPlaceMerge(F f) : std::function<void(V&, const V&)>(std::move(f)) {}
+};
+
 template <typename K, typename V>
 class ShuffledDataset final : public Dataset<std::pair<K, V>> {
  public:
   using Rec = std::pair<K, V>;
-  /// Merges `x` into `acc` in place: f(acc, x).
-  using Combiner = std::function<void(V&, const V&)>;
+  using Combiner = InPlaceMerge<V>;
   static_assert(FixedWidthSerde<Rec>::value,
                 "shuffled records must have a FixedWidthSerde codec");
 
@@ -450,8 +461,7 @@ template <typename K, typename V>
 class ReduceByKeyMergeDataset final : public Dataset<std::pair<K, V>> {
  public:
   using Rec = std::pair<K, V>;
-  /// Merges `x` into `acc` in place: f(acc, x).
-  using Func = std::function<void(V&, const V&)>;
+  using Func = InPlaceMerge<V>;
 
   ReduceByKeyMergeDataset(Context* ctx, std::shared_ptr<Dataset<Rec>> parent,
                           Func f, double flopsPerMerge)

@@ -2,18 +2,18 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <istream>
 #include <optional>
 #include <ostream>
-#include <sstream>
 #include <utility>
 
 #include "common/artifacts.hpp"
+#include "common/binio.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "common/parse.hpp"
 #include "common/strings.hpp"
 
 namespace cstf::stream {
@@ -22,38 +22,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr char kDeltaMagic[8] = {'C', 'S', 'T', 'F', 'D', 'L', 'T', '1'};
+constexpr std::string_view kDeltaMagic = "CSTFDLT1";
 constexpr std::uint32_t kDeltaVersion = 1;
-
-template <typename T>
-void putRaw(std::ostream& out, T v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T getRaw(std::istream& in) {
-  T v{};
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!in) throw Error("truncated delta stream");
-  return v;
-}
-
-/// Parse "delta-NNNNNNNN.bin"; nullopt for anything else.
-std::optional<std::uint64_t> deltaSeqOf(const std::string& name) {
-  constexpr char kPrefix[] = "delta-";
-  constexpr char kSuffix[] = ".bin";
-  if (name.size() <= sizeof(kPrefix) - 1 + sizeof(kSuffix) - 1) {
-    return std::nullopt;
-  }
-  if (name.rfind(kPrefix, 0) != 0) return std::nullopt;
-  if (name.compare(name.size() - 4, 4, kSuffix) != 0) return std::nullopt;
-  std::uint64_t seq = 0;
-  for (std::size_t i = sizeof(kPrefix) - 1; i < name.size() - 4; ++i) {
-    if (name[i] < '0' || name[i] > '9') return std::nullopt;
-    seq = seq * 10 + static_cast<std::uint64_t>(name[i] - '0');
-  }
-  return seq;
-}
 
 std::string deltaFileName(std::uint64_t seq) {
   return strprintf("delta-%08llu.bin", static_cast<unsigned long long>(seq));
@@ -66,7 +36,9 @@ std::vector<std::pair<std::uint64_t, fs::path>> listDeltaFiles(
   if (!fs::exists(dir)) return files;
   for (const auto& entry : fs::directory_iterator(dir)) {
     if (!entry.is_regular_file()) continue;
-    const auto seq = deltaSeqOf(entry.path().filename().string());
+    // A name whose number overflows uint64 is not a delta batch.
+    const auto seq = parseNumberedName(entry.path().filename().string(),
+                                       "delta-", ".bin");
     if (seq.has_value()) files.emplace_back(*seq, entry.path());
   }
   std::sort(files.begin(), files.end());
@@ -84,49 +56,40 @@ std::uint64_t nowUnixMicros() {
 
 void writeDelta(std::ostream& out, const tensor::Delta& d) {
   d.validate();
-  out.write(kDeltaMagic, sizeof(kDeltaMagic));
-  putRaw<std::uint32_t>(out, kDeltaVersion);
-  putRaw<std::uint64_t>(out, d.seq);
-  putRaw<std::uint64_t>(out, d.createdUnixMicros);
-  putRaw<std::uint8_t>(out, static_cast<std::uint8_t>(d.dims.size()));
-  for (const Index dim : d.dims) putRaw<std::uint32_t>(out, dim);
-  putRaw<std::uint64_t>(out, d.entries.size());
+  BinWriter w(out);
+  w.magic(kDeltaMagic, kDeltaVersion);
+  w.put<std::uint64_t>(d.seq);
+  w.put<std::uint64_t>(d.createdUnixMicros);
+  w.dims(d.dims);
+  w.put<std::uint64_t>(d.entries.size());
   for (const tensor::Nonzero& nz : d.entries) {
-    putRaw<std::uint8_t>(out, nz.order);
-    for (ModeId m = 0; m < nz.order; ++m) putRaw<std::uint32_t>(out, nz.idx[m]);
-    putRaw<double>(out, nz.val);
+    w.put<std::uint8_t>(nz.order);
+    for (ModeId m = 0; m < nz.order; ++m) w.put<std::uint32_t>(nz.idx[m]);
+    w.put<double>(nz.val);
   }
-  if (!out) throw Error("failed writing delta batch");
 }
 
 tensor::Delta readDelta(std::istream& in) {
-  char got[8];
-  in.read(got, sizeof(got));
-  if (!in || std::memcmp(got, kDeltaMagic, sizeof(got)) != 0) {
-    throw Error("not a CSTF delta batch (bad magic)");
-  }
-  const auto version = getRaw<std::uint32_t>(in);
-  CSTF_CHECK(version == kDeltaVersion, "unsupported delta version");
+  BinReader r(in, "CSTFDLT1 delta batch");
+  r.expectMagic(kDeltaMagic, kDeltaVersion);
   tensor::Delta d;
-  d.seq = getRaw<std::uint64_t>(in);
-  d.createdUnixMicros = getRaw<std::uint64_t>(in);
-  const auto order = getRaw<std::uint8_t>(in);
-  CSTF_CHECK(order > 0 && order <= kMaxOrder, "corrupt delta header");
-  d.dims.resize(order);
-  for (auto& dim : d.dims) dim = getRaw<std::uint32_t>(in);
-  const auto nEntries = getRaw<std::uint64_t>(in);
-  d.entries.reserve(static_cast<std::size_t>(nEntries));
-  for (std::uint64_t i = 0; i < nEntries; ++i) {
-    tensor::Nonzero nz;
-    nz.order = getRaw<std::uint8_t>(in);
-    CSTF_CHECK(nz.order == order, "corrupt delta entry");
-    for (ModeId m = 0; m < nz.order; ++m) {
-      nz.idx[m] = getRaw<std::uint32_t>(in);
+  d.seq = r.get<std::uint64_t>("seq");
+  d.createdUnixMicros = r.get<std::uint64_t>("createdUnixMicros");
+  d.dims = r.dims();
+  const auto order = static_cast<ModeId>(d.dims.size());
+  const std::uint64_t nEntries =
+      r.count(1 + order * sizeof(std::uint32_t) + sizeof(double),
+              "entry count");
+  d.entries.resize(nEntries);
+  for (tensor::Nonzero& nz : d.entries) {
+    nz.order = r.get<std::uint8_t>("entry order");
+    if (nz.order != order) r.fail("entry order", "differs from the batch's");
+    for (ModeId m = 0; m < order; ++m) {
+      nz.idx[m] = r.index(d.dims[m], "entry index");
     }
-    nz.val = getRaw<double>(in);
-    d.entries.push_back(nz);
+    nz.val = r.get<double>("entry value");
   }
-  d.validate();
+  r.finish();
   return d;
 }
 
@@ -153,12 +116,10 @@ std::string DeltaLog::append(const tensor::Delta& d) {
   if (stamped.createdUnixMicros == 0) {
     stamped.createdUnixMicros = nowUnixMicros();
   }
-  std::ostringstream buf;
-  writeDelta(buf, stamped);
   const std::string path =
       (fs::path(dir_) / deltaFileName(stamped.seq)).string();
-  CSTF_CHECK(writeFileAtomic(path, buf.str()),
-             "cannot write delta batch to " + path);
+  writeFileAtomic(path,
+                  [&](std::ostream& out) { writeDelta(out, stamped); });
   return path;
 }
 

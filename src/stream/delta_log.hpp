@@ -1,10 +1,10 @@
 // Durable append-only log of tensor delta batches.
 //
 // One CSTFDLT1 file per batch, named delta-<seq>.bin inside a log
-// directory. Appends go through the shared atomic-write path (temp file +
-// rename), so a reader polling the directory never observes a half-written
-// batch: a file either has its final name and is complete, or does not
-// exist yet. The only way a corrupt file appears is external truncation
+// directory. Appends stream through the shared atomic-write path
+// (writeFileAtomic: temp file + rename), so a reader polling the
+// directory never observes a half-written batch: a file either has its
+// final name and is complete, or does not exist yet. The only way a corrupt file appears is external truncation
 // (a torn copy, a partial rsync) — readers skip such a *tail* with a
 // warning (the data simply has not fully arrived, same policy as
 // loadLatestCheckpoint) but refuse a corrupt file in the *middle* of the
@@ -13,8 +13,9 @@
 // or at the newest on-disk seq are rejected, as are files whose header seq
 // disagrees with their name.
 //
-// File format (little-endian host encoding, same framing discipline as
-// CSTFCKP1 / CSTFMDL1):
+// File format (common/binio.hpp framing, host little-endian; the reader
+// refuses an entry count that cannot fit the file, an entry whose order
+// differs from the batch's, and an index outside its mode):
 //   "CSTFDLT1"  magic
 //   u32  version (1)
 //   u64  seq

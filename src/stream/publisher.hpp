@@ -1,9 +1,9 @@
 // Publishing side of the streaming loop: online model -> live serving.
 //
 // A publish is three steps, in crash-safe order: snapshot the updater's
-// model, persist it through the versioned CSTFMDL1 export (atomic temp +
-// rename — an operator restart always finds either the old or the new
-// model, never a torn one), then hot-swap a fresh Engine into the live
+// model, persist it through serve::saveModel (a CSTFCKP1 export streamed
+// into a temp file and renamed — an operator restart always finds either
+// the old or the new model, never a torn one), then hot-swap a fresh Engine into the live
 // Batcher via the version-guarded reload(), tagged with the newest delta
 // seq the snapshot contains. In-flight queries keep their old engine
 // snapshot and every admitted future resolves — zero dropped queries

@@ -1,13 +1,13 @@
 #include "tensor/io.hpp"
 
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <istream>
 #include <limits>
 #include <optional>
 #include <ostream>
 
+#include "common/artifacts.hpp"
+#include "common/binio.hpp"
 #include "common/parse.hpp"
 #include "common/strings.hpp"
 
@@ -116,16 +116,11 @@ CooTensor readTns(std::istream& in, ModeId expectedOrder) {
 }
 
 CooTensor readTnsFile(const std::string& path, ModeId expectedOrder) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot open tensor file: " + path);
-  try {
-    CooTensor t = readTns(in, expectedOrder);
-    t.setName(path);
-    return t;
-  } catch (const Error& e) {
-    // Parse errors carry only line context; add which file it was.
-    throw Error(path + ": " + e.what());
-  }
+  // Parse errors carry only line context; readFile adds the file.
+  CooTensor t = readFile(
+      path, [&](std::istream& in) { return readTns(in, expectedOrder); });
+  t.setName(path);
+  return t;
 }
 
 void writeTns(std::ostream& out, const CooTensor& t) {
@@ -143,82 +138,49 @@ void writeTns(std::ostream& out, const CooTensor& t) {
 }
 
 void writeTnsFile(const std::string& path, const CooTensor& t) {
-  std::ofstream out(path);
-  if (!out) throw Error("cannot open for writing: " + path);
-  writeTns(out, t);
+  writeFileAtomic(path, [&](std::ostream& out) { writeTns(out, t); });
 }
 
 namespace {
-constexpr char kBinaryMagic[8] = {'C', 'S', 'T', 'F', 'B', 'I', 'N', '1'};
-
-template <typename T>
-void putRaw(std::ostream& out, T v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T getRaw(std::istream& in) {
-  T v{};
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!in) throw Error("truncated binary tensor stream");
-  return v;
-}
+constexpr std::string_view kBinaryMagic = "CSTFBIN1";
 }  // namespace
 
 void writeBinary(std::ostream& out, const CooTensor& t) {
-  out.write(kBinaryMagic, sizeof(kBinaryMagic));
-  putRaw<std::uint8_t>(out, t.order());
-  for (Index d : t.dims()) putRaw<std::uint32_t>(out, d);
-  putRaw<std::uint64_t>(out, t.nnz());
+  BinWriter w(out);
+  w.magic(kBinaryMagic);
+  w.dims(t.dims());
+  w.put<std::uint64_t>(t.nnz());
   for (const Nonzero& nz : t.nonzeros()) {
-    for (ModeId m = 0; m < t.order(); ++m) putRaw<std::uint32_t>(out, nz.idx[m]);
-    putRaw<double>(out, nz.val);
+    for (ModeId m = 0; m < t.order(); ++m) w.put<std::uint32_t>(nz.idx[m]);
+    w.put<double>(nz.val);
   }
-  if (!out) throw Error("failed writing binary tensor");
 }
 
 void writeBinaryFile(const std::string& path, const CooTensor& t) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw Error("cannot open for writing: " + path);
-  writeBinary(out, t);
+  writeFileAtomic(path, [&](std::ostream& out) { writeBinary(out, t); });
 }
 
 CooTensor readBinary(std::istream& in) {
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kBinaryMagic, sizeof(magic)) != 0) {
-    throw Error("not a CSTF binary tensor (bad magic)");
-  }
-  const auto order = getRaw<std::uint8_t>(in);
-  CSTF_CHECK(order >= 1 && order <= kMaxOrder,
-             "binary tensor has unsupported order");
-  std::vector<Index> dims(order);
-  for (ModeId m = 0; m < order; ++m) dims[m] = getRaw<std::uint32_t>(in);
-  const auto nnz = getRaw<std::uint64_t>(in);
-  std::vector<Nonzero> nzs;
-  nzs.reserve(nnz);
-  for (std::uint64_t i = 0; i < nnz; ++i) {
-    Nonzero nz;
+  BinReader r(in, "CSTFBIN1 tensor");
+  r.expectMagic(kBinaryMagic);
+  std::vector<Index> dims = r.dims();
+  const auto order = static_cast<ModeId>(dims.size());
+  const std::uint64_t nnz =
+      r.count(order * sizeof(std::uint32_t) + sizeof(double), "nnz");
+  std::vector<Nonzero> nzs(nnz);
+  for (Nonzero& nz : nzs) {
     nz.order = order;
-    for (ModeId m = 0; m < order; ++m) nz.idx[m] = getRaw<std::uint32_t>(in);
-    nz.val = getRaw<double>(in);
-    nzs.push_back(nz);
+    for (ModeId m = 0; m < order; ++m) nz.idx[m] = r.index(dims[m], "index");
+    nz.val = r.get<double>("value");
   }
-  CooTensor t(std::move(dims), std::move(nzs));
-  t.validate();
-  return t;
+  r.finish();
+  return CooTensor(std::move(dims), std::move(nzs));
 }
 
 CooTensor readBinaryFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot open tensor file: " + path);
-  try {
-    CooTensor t = readBinary(in);
-    t.setName(path);
-    return t;
-  } catch (const Error& e) {
-    throw Error(path + ": " + e.what());
-  }
+  CooTensor t = readFile(path, readBinary);
+  t.setName(path);
+  return t;
 }
 
 namespace {

@@ -24,10 +24,11 @@ CooTensor readTnsFile(const std::string& path, ModeId expectedOrder = 0);
 void writeTns(std::ostream& out, const CooTensor& t);
 void writeTnsFile(const std::string& path, const CooTensor& t);
 
-/// Binary format (".bns"): little-endian, magic "CSTFBIN1", then order,
-/// dims, nnz, and packed (indices..., value) records. Loads an order of
-/// magnitude faster than text for large tensors and round-trips values
-/// exactly.
+/// Binary format (".bns", common/binio.hpp framing): magic "CSTFBIN1", u8
+/// order, u32 dims[order], u64 nnz, and packed (u32 indices..., f64 value)
+/// records. Loads an order of magnitude faster than text for large tensors
+/// and round-trips values exactly; the reader refuses any index outside
+/// its mode, like readTns does.
 void writeBinary(std::ostream& out, const CooTensor& t);
 void writeBinaryFile(const std::string& path, const CooTensor& t);
 CooTensor readBinary(std::istream& in);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 
 namespace cstf {
 namespace {
@@ -27,6 +28,22 @@ TEST(Parse, Uint64RejectsSigns) {
   EXPECT_FALSE(parseUint64("+1"));
   EXPECT_FALSE(parseUint64("18446744073709551616"));  // overflow
   EXPECT_FALSE(parseUint64("0x10"));
+}
+
+TEST(Parse, NumberedNameTakesWholeUint64sOnly) {
+  EXPECT_EQ(parseNumberedName("ckpt-000012.bin", "ckpt-", ".bin"), 12u);
+  EXPECT_EQ(parseNumberedName("delta-18446744073709551615.bin", "delta-",
+                              ".bin"),
+            UINT64_MAX);
+  // One past uint64 is not a smaller number.
+  EXPECT_EQ(parseNumberedName("delta-18446744073709551616.bin", "delta-",
+                              ".bin"),
+            std::nullopt);
+  EXPECT_EQ(parseNumberedName("ckpt-.bin", "ckpt-", ".bin"), std::nullopt);
+  EXPECT_EQ(parseNumberedName("ckpt-12.tmp", "ckpt-", ".bin"), std::nullopt);
+  EXPECT_EQ(parseNumberedName("ckpt-+12.bin", "ckpt-", ".bin"), std::nullopt);
+  EXPECT_EQ(parseNumberedName("ckpt-1a.bin", "ckpt-", ".bin"), std::nullopt);
+  EXPECT_EQ(parseNumberedName("delta-1.bin", "ckpt-", ".bin"), std::nullopt);
 }
 
 TEST(Parse, DoubleRequiresFiniteWholeTokens) {

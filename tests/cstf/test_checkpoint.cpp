@@ -1,6 +1,7 @@
-// Checkpoint/restart: binary factor-matrix serde round-trips exactly
-// (including non-finite values), the latest checkpoint in a directory
-// wins, and a resumed CP-ALS run reproduces the uninterrupted trajectory.
+// Checkpoint/restart: CSTFCKP1 round-trips exactly (including non-finite
+// values) and refuses malformed files by field and offset, the latest
+// checkpoint in a directory wins, and a resumed CP-ALS run reproduces the
+// uninterrupted trajectory — only under the plan that wrote it.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -37,20 +38,42 @@ la::Matrix patterned(std::size_t rows, std::size_t cols) {
   return m;
 }
 
-TEST(Checkpoint, MatrixBinaryRoundTripsExactly) {
-  la::Matrix m = patterned(7, 3);
+std::string bytesOf(const CpAlsCheckpoint& c) {
+  std::stringstream ss;
+  writeCheckpoint(ss, CheckpointView::of(c));
+  return ss.str();
+}
+
+CpAlsCheckpoint readBytes(const std::string& bytes) {
+  std::istringstream in(bytes);
+  return readCheckpoint(in);
+}
+
+CpAlsCheckpoint sample() {
+  CpAlsCheckpoint c;
+  c.seed = 0xdeadbeef;
+  c.iteration = 42;
+  c.prevFit = 0.5;
+  c.plan = "join-chain CSTF-COO";
+  c.rank = 3;
+  c.dims = {5, 4, 6};
+  c.lambda = {1.5, 0.25, -2.0};
+  c.factors = {patterned(5, 3), patterned(4, 3), patterned(6, 3)};
+  return c;
+}
+
+TEST(Checkpoint, FactorPayloadRoundTripsBitExactly) {
+  CpAlsCheckpoint c = sample();
+  la::Matrix& m = c.factors[1];
   m(0, 0) = std::numeric_limits<double>::quiet_NaN();
   m(1, 1) = std::numeric_limits<double>::infinity();
   m(2, 2) = -0.0;
-  std::stringstream ss;
-  writeMatrixBinary(ss, m);
-  const la::Matrix back = readMatrixBinary(ss);
-  ASSERT_EQ(back.rows(), m.rows());
-  ASSERT_EQ(back.cols(), m.cols());
+  const CpAlsCheckpoint back = readBytes(bytesOf(c));
+  ASSERT_EQ(back.factors.size(), 3u);
   for (std::size_t i = 0; i < m.rows(); ++i) {
     for (std::size_t j = 0; j < m.cols(); ++j) {
       // Bit-level comparison so NaN and -0.0 survive too.
-      const double got = back(i, j);
+      const double got = back.factors[1](i, j);
       const double want = m(i, j);
       EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
           << "(" << i << "," << j << ")";
@@ -58,34 +81,53 @@ TEST(Checkpoint, MatrixBinaryRoundTripsExactly) {
   }
 }
 
-TEST(Checkpoint, MatrixSerdeRejectsGarbage) {
-  std::stringstream ss;
-  ss << "definitely not a matrix";
-  EXPECT_THROW(readMatrixBinary(ss), Error);
-  std::stringstream truncated;
-  writeMatrixBinary(truncated, patterned(4, 4));
-  std::string bytes = truncated.str();
-  bytes.resize(bytes.size() / 2);
-  std::stringstream half(bytes);
-  EXPECT_THROW(readMatrixBinary(half), Error);
+/// The error `bytes` is refused with; "" when it reads.
+std::string refusal(const std::string& bytes) {
+  try {
+    readBytes(bytes);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Checkpoint, RejectsGarbageAndTruncation) {
+  EXPECT_NE(refusal("definitely not a checkpoint").find("magic"),
+            std::string::npos);
+  const std::string bytes = bytesOf(sample());
+  for (const std::size_t cut :
+       {std::size_t(0), std::size_t(10), bytes.size() / 2,
+        bytes.size() - 1}) {
+    EXPECT_NE(refusal(bytes.substr(0, cut)), "") << "cut at " << cut;
+  }
+  // A byte past the last factor is refused too.
+  EXPECT_NE(refusal(bytes + '\0').find("extra bytes"), std::string::npos);
+  // Version 1 (CSTFMAT1-framed factors) is no longer read.
+  std::string v1 = bytes;
+  v1[8] = 1;
+  EXPECT_NE(refusal(v1).find("version at byte 8"), std::string::npos);
+  // An inflated count is refused by name and offset, before allocating:
+  // lambda count follows magic, version, seed, iteration, rank, order,
+  // 3 dims and prevFit (8 + 4 + 8 + 4 + 8 + 1 + 12 + 8 = 53 bytes).
+  std::string inflated = bytes;
+  const std::uint64_t huge = std::uint64_t(1) << 61;
+  std::memcpy(&inflated[53], &huge, sizeof(huge));
+  const std::string err = refusal(inflated);
+  EXPECT_NE(err.find("CSTFCKP1 checkpoint: lambda count at byte 53"),
+            std::string::npos)
+      << err;
 }
 
 TEST(Checkpoint, CheckpointRoundTripsIncludingNaN) {
-  CpAlsCheckpoint c;
-  c.seed = 0xdeadbeef;
-  c.iteration = 42;
+  CpAlsCheckpoint c = sample();
   c.prevFit = std::numeric_limits<double>::quiet_NaN();
-  c.rank = 3;
-  c.dims = {5, 4, 6};
-  c.lambda = {1.5, std::numeric_limits<double>::quiet_NaN(), -2.0};
-  c.factors = {patterned(5, 3), patterned(4, 3), patterned(6, 3)};
+  c.lambda[1] = std::numeric_limits<double>::quiet_NaN();
 
-  std::stringstream ss;
-  writeCheckpoint(ss, c);
-  const CpAlsCheckpoint back = readCheckpoint(ss);
+  const CpAlsCheckpoint back = readBytes(bytesOf(c));
   EXPECT_EQ(back.seed, c.seed);
   EXPECT_EQ(back.iteration, c.iteration);
   EXPECT_TRUE(std::isnan(back.prevFit));
+  EXPECT_EQ(back.plan, c.plan);
   EXPECT_EQ(back.rank, c.rank);
   EXPECT_EQ(back.dims, c.dims);
   ASSERT_EQ(back.lambda.size(), 3u);
@@ -107,11 +149,28 @@ TEST(Checkpoint, LatestCheckpointInDirectoryWins) {
   c.factors = {patterned(3, 2), patterned(3, 2)};
   for (int iter : {1, 2, 10}) {
     c.iteration = iter;
-    saveCheckpoint(dir, c);
+    saveCheckpoint(dir, CheckpointView::of(c));
   }
   const auto latest = loadLatestCheckpoint(dir);
   ASSERT_TRUE(latest.has_value());
   EXPECT_EQ(latest->iteration, 10);
+}
+
+TEST(Checkpoint, IgnoresFileNamesPastTheIterationRange) {
+  const std::string dir = freshDir("bigname");
+  CpAlsCheckpoint c = sample();
+  c.iteration = 3;
+  saveCheckpoint(dir, CheckpointView::of(c));
+  // A number no iteration can reach must not wrap into a small one and
+  // win the newest-first order; such a file is not a checkpoint.
+  c.iteration = 9;
+  {
+    std::ofstream out(dir + "/ckpt-99999999999.bin", std::ios::binary);
+    out << bytesOf(c);
+  }
+  const auto latest = loadLatestCheckpoint(dir);
+  ASSERT_TRUE(latest.has_value());
+  EXPECT_EQ(latest->iteration, 3);
 }
 
 TEST(Checkpoint, MissingOrEmptyDirectoryMeansFreshStart) {
@@ -130,7 +189,7 @@ TEST(Checkpoint, FallsBackToNewestReadableCheckpoint) {
   c.factors = {patterned(3, 2), patterned(3, 2)};
   for (int iter : {2, 5}) {
     c.iteration = iter;
-    saveCheckpoint(dir, c);
+    saveCheckpoint(dir, CheckpointView::of(c));
   }
   // The newest checkpoint is truncated (a crashed writer, a flaky disk):
   // resume must fall back to iteration 5, not fail the whole job.
@@ -245,28 +304,59 @@ INSTANTIATE_TEST_SUITE_P(Backends, ResumeMatchesUninterrupted,
                                       : std::string("Qcoo");
                          });
 
+/// The error cpAls(o) refuses to resume with; "" when it runs.
+std::string resumeRefusal(const tensor::CooTensor& t, CpAlsOptions o,
+                          sparkle::ClusterConfig cfg = {}) {
+  sparkle::Context ctx(cfg, 2);
+  o.maxIterations = 2;
+  o.resume = true;
+  try {
+    cpAls(ctx, t, o);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(Checkpoint, ResumeRejectsMismatchedMetadata) {
   auto t = tensor::generateRandom({{10, 12, 8}, 250, {}, 77});
   const std::string dir = freshDir("mismatch");
-  {
-    sparkle::Context ctx(sparkle::ClusterConfig{}, 2);
-    CpAlsOptions o;
-    o.rank = 2;
-    o.seed = 13;
-    o.maxIterations = 1;
-    o.backend = Backend::kCoo;
-    o.checkpointDir = dir;
-    cpAls(ctx, t, o);
-  }
-  sparkle::Context ctx(sparkle::ClusterConfig{}, 2);
   CpAlsOptions o;
   o.rank = 2;
-  o.seed = 14;  // different init seed: resuming would silently diverge
-  o.maxIterations = 2;
+  o.seed = 13;
   o.backend = Backend::kCoo;
   o.checkpointDir = dir;
-  o.resume = true;
-  EXPECT_THROW(cpAls(ctx, t, o), Error);
+  {
+    sparkle::Context ctx(sparkle::ClusterConfig{}, 2);
+    CpAlsOptions first = o;
+    first.maxIterations = 1;
+    cpAls(ctx, t, first);
+  }
+  // A different init seed: resuming would silently diverge.
+  CpAlsOptions otherSeed = o;
+  otherSeed.seed = 14;
+  EXPECT_NE(resumeRefusal(t, otherSeed), "");
+
+  // The join-chain checkpoint under broadcast-local: refused, naming both
+  // plans.
+  sparkle::ClusterConfig csf;
+  csf.localKernel = sparkle::LocalKernel::kCsf;
+  const std::string err = resumeRefusal(t, o, csf);
+  EXPECT_NE(err.find("'join-chain CSTF-COO'"), std::string::npos) << err;
+  EXPECT_NE(err.find("'broadcast-local, csf kernel'"), std::string::npos)
+      << err;
+  // The same run's plan resumes.
+  EXPECT_EQ(resumeRefusal(t, o), "");
+
+  // An exported model records no plan, so it never resumes.
+  const std::string modelDir = freshDir("mismatch-model");
+  CpAlsCheckpoint model = *loadLatestCheckpoint(dir);
+  model.plan.clear();
+  saveCheckpoint(modelDir, CheckpointView::of(model));
+  CpAlsOptions fromModel = o;
+  fromModel.checkpointDir = modelDir;
+  EXPECT_NE(resumeRefusal(t, fromModel).find("an exported model"),
+            std::string::npos);
 }
 
 }  // namespace

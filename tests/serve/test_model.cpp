@@ -1,15 +1,16 @@
-// CSTFMDL1 model files: exact round-trips (NaN-safe fields included),
-// corruption rejection, atomic saves, and loadModelAuto's dispatch across
-// model files, checkpoint files, and checkpoint directories.
+// Model export and load: a model is a CSTFCKP1 checkpoint. Exact
+// round-trips (NaN-safe fields included), corruption rejection, atomic
+// saves, and loadModel across exported models, checkpoint files, and
+// checkpoint directories.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 
+#include "common/binio.hpp"
 #include "cstf/checkpoint.hpp"
 #include "serve/model.hpp"
 
@@ -45,11 +46,14 @@ CpModel sampleModel() {
   return m;
 }
 
+/// Save `m` and load it back through the one model format (CSTFCKP1).
+CpModel roundTrip(const CpModel& m, const std::string& name) {
+  return loadModel(saveModel(freshDir(name) + "/m.cstf", m));
+}
+
 TEST(Model, RoundTripsExactly) {
   const CpModel m = sampleModel();
-  std::stringstream ss;
-  writeModel(ss, m);
-  const CpModel back = readModel(ss);
+  const CpModel back = roundTrip(m, "roundtrip");
   EXPECT_EQ(back.rank, m.rank);
   EXPECT_EQ(back.dims, m.dims);
   EXPECT_EQ(back.lambda, m.lambda);
@@ -64,44 +68,61 @@ TEST(Model, NaNFieldsSurviveTheRoundTrip) {
   CpModel m = sampleModel();
   m.finalFit = std::numeric_limits<double>::quiet_NaN();
   m.lambda[1] = std::numeric_limits<double>::quiet_NaN();
-  std::stringstream ss;
-  writeModel(ss, m);
-  const CpModel back = readModel(ss);
+  const CpModel back = roundTrip(m, "nan");
   EXPECT_TRUE(std::isnan(back.finalFit));
   EXPECT_EQ(back.lambda[0], 1.5);
   EXPECT_TRUE(std::isnan(back.lambda[1]));
   EXPECT_EQ(back.lambda[2], 2.0);
 }
 
-TEST(Model, RejectsGarbageAndTruncation) {
-  std::stringstream junk;
-  junk << "this is not a model";
-  EXPECT_THROW(readModel(junk), Error);
+TEST(Model, ExportIsACheckpointThatNeverResumes) {
+  const std::string path = saveModel(freshDir("export") + "/m.cstf",
+                                     sampleModel());
+  const cstf_core::CpAlsCheckpoint ck =
+      readFile(path, cstf_core::readCheckpoint);
+  EXPECT_EQ(ck.seed, 0u);
+  EXPECT_EQ(ck.iteration, 0);
+  EXPECT_EQ(ck.prevFit, 0.875);
+  EXPECT_EQ(ck.plan, "");
+}
 
-  std::stringstream full;
-  writeModel(full, sampleModel());
-  const std::string bytes = full.str();
+TEST(Model, RejectsGarbageAndTruncation) {
+  const std::string dir = freshDir("garbage");
+  const std::string junk = dir + "/junk.cstf";
+  std::ofstream(junk, std::ios::binary) << "this is not a model";
+  EXPECT_THROW(loadModel(junk), Error);
+
+  const std::string path = saveModel(dir + "/m.cstf", sampleModel());
+  const auto size = fs::file_size(path);
   // Truncating anywhere — inside the header, the lambda block, or a
   // factor — must throw, never return a partial model.
-  for (const std::size_t cut :
-       {std::size_t(4), std::size_t(20), bytes.size() / 2,
-        bytes.size() - 1}) {
-    std::stringstream cutStream(bytes.substr(0, cut));
-    EXPECT_THROW(readModel(cutStream), Error) << "cut at " << cut;
+  for (const std::uintmax_t cut :
+       {std::uintmax_t(4), std::uintmax_t(20), size / 2, size - 1}) {
+    const std::string cutPath = dir + "/cut.cstf";
+    fs::copy_file(path, cutPath, fs::copy_options::overwrite_existing);
+    fs::resize_file(cutPath, cut);
+    EXPECT_THROW(loadModel(cutPath), Error) << "cut at " << cut;
   }
 }
 
 TEST(Model, RejectsAnotherFormatsMagic) {
-  std::stringstream ss;
-  ss << "CSTFCKP1 rest of a checkpoint";
-  EXPECT_THROW(readModel(ss), Error);
+  // The retired CSTFMDL1 model format, too: not a checkpoint.
+  const std::string path = freshDir("magic") + "/old.cstf";
+  std::ofstream(path, std::ios::binary) << "CSTFMDL1 rest of a model";
+  try {
+    loadModel(path);
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("not a CSTFCKP1 checkpoint"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Model, WriteValidatesShape) {
   CpModel m = sampleModel();
   m.lambda.pop_back();
-  std::stringstream ss;
-  EXPECT_THROW(writeModel(ss, m), Error);
+  EXPECT_THROW(saveModel(freshDir("shape") + "/m.cstf", m), Error);
 }
 
 TEST(Model, SaveIsAtomicAndCreatesParents) {
@@ -118,7 +139,7 @@ TEST(Model, SaveIsAtomicAndCreatesParents) {
 TEST(Model, LoadReportsThePathOnFailure) {
   const std::string dir = freshDir("badload");
   const std::string path = dir + "/broken.cstf";
-  std::ofstream(path, std::ios::binary) << "CSTFMDL1 then junk";
+  std::ofstream(path, std::ios::binary) << "CSTFCKP1 then junk";
   try {
     loadModel(path);
     FAIL() << "expected Error";
@@ -141,7 +162,8 @@ cstf_core::CpAlsCheckpoint sampleCheckpoint() {
 }
 
 TEST(Model, FromCheckpointAdoptsPrevFit) {
-  const CpModel m = modelFromCheckpoint(sampleCheckpoint());
+  const CpModel m = loadModel(cstf_core::saveCheckpoint(
+      freshDir("adopt"), cstf_core::CheckpointView::of(sampleCheckpoint())));
   EXPECT_EQ(m.rank, 3u);
   EXPECT_EQ(m.dims, (std::vector<Index>{5, 4, 6}));
   EXPECT_EQ(m.lambda, (std::vector<double>{1.0, 2.0, 3.0}));
@@ -149,30 +171,33 @@ TEST(Model, FromCheckpointAdoptsPrevFit) {
   EXPECT_EQ(m.factors.size(), 3u);
 }
 
-TEST(Model, LoadAutoDispatchesOnContent) {
-  const std::string dir = freshDir("auto");
+TEST(Model, LoadTakesACheckpointFileOrDirectory) {
+  const std::string dir = freshDir("load");
 
-  // A CSTFMDL1 model file.
+  // An exported model.
   const std::string modelPath = saveModel(dir + "/m.cstf", sampleModel());
-  EXPECT_EQ(loadModelAuto(modelPath).finalFit, 0.875);
+  EXPECT_EQ(loadModel(modelPath).finalFit, 0.875);
 
-  // A CSTFCKP1 checkpoint file.
-  const std::string ckptPath =
-      cstf_core::saveCheckpoint(dir + "/ckpts", sampleCheckpoint());
-  EXPECT_EQ(loadModelAuto(ckptPath).finalFit, 0.5);
+  // A training checkpoint file.
+  const std::string ckptPath = cstf_core::saveCheckpoint(
+      dir + "/ckpts", cstf_core::CheckpointView::of(sampleCheckpoint()));
+  EXPECT_EQ(loadModel(ckptPath).finalFit, 0.5);
 
   // A checkpoint directory: the newest checkpoint wins.
   cstf_core::CpAlsCheckpoint newer = sampleCheckpoint();
   newer.iteration = 9;
   newer.prevFit = 0.75;
-  cstf_core::saveCheckpoint(dir + "/ckpts", newer);
-  EXPECT_EQ(loadModelAuto(dir + "/ckpts").finalFit, 0.75);
+  cstf_core::saveCheckpoint(dir + "/ckpts",
+                            cstf_core::CheckpointView::of(newer));
+  EXPECT_EQ(loadModel(dir + "/ckpts").finalFit, 0.75);
 
   // Junk is refused with a clear error.
   const std::string junkPath = dir + "/junk.bin";
   std::ofstream(junkPath, std::ios::binary) << "neither of those";
-  EXPECT_THROW(loadModelAuto(junkPath), Error);
-  EXPECT_THROW(loadModelAuto(dir + "/does-not-exist"), Error);
+  EXPECT_THROW(loadModel(junkPath), Error);
+  EXPECT_THROW(loadModel(dir + "/does-not-exist"), Error);
+  fs::create_directories(dir + "/empty");
+  EXPECT_THROW(loadModel(dir + "/empty"), Error);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -40,6 +41,21 @@ Rdd<std::pair<K, V>> shuffle(
       ctx.metrics().nextShuffleOpId(), std::move(combiner));
   return Rdd<std::pair<K, V>>(&ctx, std::move(ds));
 }
+
+// The combiner type refuses a value-returning merge at compile time: a
+// std::function<void(V&, const V&)> would take it and silently drop every
+// merged result.
+using U64Combiner = ShuffledDataset<std::uint64_t, std::uint64_t>::Combiner;
+static_assert(std::is_convertible_v<
+              decltype([](std::uint64_t& acc, const std::uint64_t& x) {
+                acc += x;
+              }),
+              U64Combiner>);
+static_assert(!std::is_convertible_v<
+              decltype([](const std::uint64_t& a, const std::uint64_t& b) {
+                return a + b;
+              }),
+              U64Combiner>);
 
 struct Golden {
   std::uint64_t records;

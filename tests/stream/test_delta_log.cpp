@@ -149,6 +149,17 @@ TEST(DeltaLog, RejectsHeaderNameSeqMismatch) {
   EXPECT_THROW(log.readAfter(0), Error);
 }
 
+TEST(DeltaLog, IgnoresFileNameSeqBeyondUint64) {
+  const std::string dir = freshDir("bigname");
+  DeltaLog log(dir);
+  const std::string first = log.append(sampleDelta(1));
+  // 2^64 + 1 must not wrap to seq 1 and replay batch 1 twice.
+  fs::copy_file(first, fs::path(dir) / "delta-18446744073709551617.bin");
+  const DeltaReadResult r = log.readAfter(0);
+  EXPECT_EQ(r.deltas.size(), 1u);
+  EXPECT_EQ(log.newestSeq(), 1u);
+}
+
 TEST(DeltaApply, UpsertReplacesAppendsAndDeletes) {
   tensor::CooTensor t({4, 4, 4},
                       {tensor::makeNonzero3(0, 0, 0, 1.0),

@@ -88,7 +88,7 @@ TEST(ModelPublisher, PublishPersistsSwapsAndTags) {
   EXPECT_EQ(reg.counter("serve_model_reloads_total").value(), 1u);
   EXPECT_EQ(reg.gauge("serve_model_seq").value(), 3.0);
 
-  // The persisted snapshot is a loadable CSTFMDL1 model.
+  // The persisted snapshot is a loadable model export.
   const serve::CpModel persisted = serve::loadModel(modelPath);
   EXPECT_EQ(persisted.rank, 2u);
   EXPECT_EQ(persisted.dims, dims);

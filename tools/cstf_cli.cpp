@@ -37,13 +37,14 @@
 //   --task-failure-rate R per-task-attempt failure probability (chaos)
 //   --fault-seed S       seed for the deterministic fault plan
 //   --max-stage-attempts N stage attempts before the job aborts (default 4)
-//   --model-out P   export the trained factors as a CSTFMDL1 model file
+//   --model-out P   export the trained model as a CSTFCKP1 file (an export
+//                   for query / serve-bench / stream, not a resume point)
 //
 // A job that exhausts its stage attempts exits with status 3; rerun with
 // --resume <checkpoint-dir> to continue from the last persisted state.
 //
-// query options (model may be a CSTFMDL1 file, a checkpoint file, or a
-// checkpoint directory):
+// query options (model may be an exported model or a checkpoint file, both
+// CSTFCKP1, or a checkpoint directory):
 //   --model P       model to serve (required)
 //   --indices SPEC  comma-separated index per mode; mark at most one mode
 //                   free with "_" (also "?", "*", or "-1") for top-k
@@ -111,7 +112,7 @@
 //   --als-sweeps N / --sgd-epochs N  per-batch solver effort
 //   --fit-probe-every K  exact-fit probe cadence in batches (0 = only the
 //                   final probe)
-//   --model-out P   export the updated model (CSTFMDL1)
+//   --model-out P   export the updated model (CSTFCKP1)
 //   --report-out P  write a cstf-stream-report-v1 JSON document
 #include <algorithm>
 #include <atomic>
@@ -721,8 +722,8 @@ int cmdFactor(const Args& a, const std::string& spec) {
     serve::CpModel model;
     model.rank = a.rank;
     model.dims = t.dims();
-    model.lambda = result.lambda;
-    model.factors = result.factors;
+    model.lambda = std::move(result.lambda);
+    model.factors = std::move(result.factors);
     model.finalFit = result.finalFit;
     std::printf("model written to %s\n",
                 serve::saveModel(a.modelOut, model).c_str());
@@ -774,7 +775,7 @@ int cmdQuery(const Args& a) {
     std::fprintf(stderr, "query needs --model and --indices\n");
     return 2;
   }
-  const serve::Engine engine(serve::loadModelAuto(a.model));
+  const serve::Engine engine(serve::loadModel(a.model));
   int freeMode = -1;
   const std::vector<Index> idx =
       parseIndices(a.indicesSpec, engine.order(), freeMode);
@@ -804,7 +805,7 @@ int cmdStream(const Args& a) {
     std::fprintf(stderr, "stream needs --model and --deltas\n");
     return 2;
   }
-  serve::CpModel model = serve::loadModelAuto(a.model);
+  serve::CpModel model = serve::loadModel(a.model);
   const std::vector<Index> dims = model.dims;
   stream::OnlineUpdater updater(std::move(model), loadBase(a, dims),
                                 onlineOptions(a));
@@ -872,7 +873,7 @@ int cmdServeBench(const Args& a) {
     std::fprintf(stderr, "serve-bench needs --model\n");
     return 2;
   }
-  serve::CpModel model = serve::loadModelAuto(a.model);
+  serve::CpModel model = serve::loadModel(a.model);
   const ModeId order = static_cast<ModeId>(model.dims.size());
   const std::vector<Index> dims = model.dims;
   CSTF_CHECK(a.mode >= 0 && a.mode < order,
