@@ -5,10 +5,11 @@
 // u32 version. The reader takes the input size once and never trusts a
 // length field: a count whose payload cannot fit in the bytes that remain
 // is refused before any allocation, as are bytes left after the last
-// field. Every refusal is a cstf::Error "<format>: <field> at byte
-// <offset of the field>: <reason>".
+// field and a tensor value that is not finite. Every refusal is a
+// cstf::Error "<format>: <field> at byte <offset of the field>: <reason>".
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <istream>
@@ -92,6 +93,13 @@ class BinReader {
     std::vector<Index> dims(order);
     for (Index& d : dims) d = get<std::uint32_t>("dims");
     return dims;
+  }
+
+  /// An f64 tensor value, refused unless finite (NaN and +/-Inf are).
+  double finite(const char* field) {
+    const auto v = get<double>(field);
+    if (!std::isfinite(v)) fail(field, strprintf("%g is not finite", v));
+    return v;
   }
 
   /// A u32 index, refused unless below `dim`.

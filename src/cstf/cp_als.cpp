@@ -97,21 +97,10 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
     }
   }
 
-  // Gram cache: recomputed per factor only when that factor updates. On
-  // resume with engine-side grams, rebuild every gram the way the
-  // interrupted run last computed it (distributedGram), so the resumed
-  // trajectory stays bit-identical to the uninterrupted one.
+  // Gram cache: recomputed per factor only when that factor updates.
   std::vector<la::Matrix> grams;
   grams.reserve(order);
-  if (opts.distributedGrams && startIter > 1) {
-    sparkle::ScopedStage scope(ctx.metrics(), "Other");
-    for (const la::Matrix& f : result.factors) {
-      grams.push_back(distributedGram(
-          factorToRdd(ctx, f, opts.mttkrp.numPartitions), opts.rank));
-    }
-  } else {
-    for (const la::Matrix& f : result.factors) grams.push_back(la::gram(f));
-  }
+  for (const la::Matrix& f : result.factors) grams.push_back(la::gram(f));
 
   // Distribute and cache the tensor (cache() is a no-op in Hadoop mode, so
   // the BIGtensor baseline honestly re-reads its input per job).
@@ -250,14 +239,7 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
         result.factors[n] = std::move(updated);
         {
           TraceSpan span(ctx.trace(), "gram", "la");
-          if (opts.distributedGrams) {
-            grams[n] = distributedGram(
-                factorToRdd(ctx, result.factors[n],
-                            opts.mttkrp.numPartitions),
-                opts.rank);
-          } else {
-            grams[n] = la::gram(result.factors[n]);
-          }
+          grams[n] = la::gram(result.factors[n]);
         }
         if (n + 1 == order) lastMttkrp = std::move(m);
       }
@@ -277,12 +259,8 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
           innerProductFromMttkrp(lastMttkrp, result.factors[order - 1],
                                  result.lambda);
       // The gram cache holds la::gram of every current factor, so the
-      // model norm reuses it. Distributed grams sum in another order;
-      // that path recomputes them to keep its fits unchanged.
-      const double modelSq =
-          opts.distributedGrams
-              ? tensor::modelNormSq(result.factors, result.lambda)
-              : tensor::modelNormSqFromGrams(grams, result.lambda);
+      // model norm reuses it.
+      const double modelSq = tensor::modelNormSqFromGrams(grams, result.lambda);
       // An all-zero tensor has fit 0 by convention. A NaN anywhere (a NaN
       // tensor value, an overflowed model) keeps the fit NaN, which never
       // passes the convergence test; round-off below zero is clamped.

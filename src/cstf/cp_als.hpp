@@ -48,12 +48,6 @@ struct CpAlsOptions {
   /// "keeping the tensor in memory can improve the performance
   /// significantly" claim.
   sparkle::StorageLevel tensorStorage = sparkle::StorageLevel::kRaw;
-  /// Compute each updated factor's gram matrix on the engine
-  /// (distributedGram: per-partition partials + driver reduce, Spark's
-  /// computeGramianMatrix) instead of on the driver. Results are
-  /// identical; the engine path meters the work the paper's §4.2
-  /// once-per-iteration gram policy refers to.
-  bool distributedGrams = false;
   /// When non-empty, persist the full ALS state (factors + lambda +
   /// iteration + seed, see cstf/checkpoint.hpp) into this directory every
   /// `checkpointEvery` iterations, so an interrupted job can resume.

@@ -54,37 +54,4 @@ sparkle::Rdd<tensor::Nonzero> tensorToRdd(sparkle::Context& ctx,
   return sparkle::parallelize(ctx, t.nonzeros(), numPartitions);
 }
 
-la::Matrix distributedGram(const FactorRdd& factor, std::size_t rank) {
-  // Per-partition partial grams, flattened row-major for the reduce.
-  auto partials = factor.mapPartitions(
-      [rank](const std::vector<std::pair<Index, la::Row>>& part) {
-        std::vector<double> g(rank * rank, 0.0);
-        for (const auto& [idx, row] : part) {
-          CSTF_CHECK(row.size() == rank, "factor row rank mismatch");
-          for (std::size_t p = 0; p < rank; ++p) {
-            for (std::size_t q = p; q < rank; ++q) {
-              g[p * rank + q] += row[p] * row[q];
-            }
-          }
-        }
-        return std::vector<std::vector<double>>{std::move(g)};
-      });
-  const std::vector<double> summed = partials.reduce(
-      [](const std::vector<double>& a, const std::vector<double>& b) {
-        std::vector<double> c(a.size());
-        for (std::size_t i = 0; i < a.size(); ++i) c[i] = a[i] + b[i];
-        return c;
-      },
-      "distributedGram");
-
-  la::Matrix g(rank, rank);
-  for (std::size_t p = 0; p < rank; ++p) {
-    for (std::size_t q = p; q < rank; ++q) {
-      g(p, q) = summed[p * rank + q];
-      g(q, p) = g(p, q);
-    }
-  }
-  return g;
-}
-
 }  // namespace cstf::cstf_core

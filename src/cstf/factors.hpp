@@ -46,10 +46,4 @@ sparkle::Rdd<tensor::Nonzero> tensorToRdd(sparkle::Context& ctx,
                                           const tensor::CooTensor& t,
                                           std::size_t numPartitions = 0);
 
-/// Distributed gram matrix A^T A of an (index, row) factor RDD: each
-/// partition accumulates its local R x R contribution, the driver sums
-/// them (Spark's computeGramianMatrix). The paper computes each factor's
-/// gram exactly once per CP-ALS iteration this way (§4.2).
-la::Matrix distributedGram(const FactorRdd& factor, std::size_t rank);
-
 }  // namespace cstf::cstf_core

@@ -32,10 +32,12 @@ struct FactorPack {
 
 namespace cstf {
 
-/// A broadcast only meters its value's size; nothing decodes a pack.
+/// A broadcast only meters its value's width; nothing encodes a pack.
 template <>
-struct Serde<cstf_core::FactorPack> {
-  static std::size_t byteSize(const cstf_core::FactorPack& p) {
+struct FixedWidthSerde<cstf_core::FactorPack> {
+  static constexpr bool value = true;
+  static constexpr std::size_t kStaticWidth = 0;
+  static std::size_t width(const cstf_core::FactorPack& p) {
     std::size_t n = sizeof(std::uint32_t);
     for (ModeId m = 0; m < p.factors->size(); ++m) {
       n += 2 * sizeof(std::uint32_t);

@@ -21,20 +21,6 @@ struct Carry {
   tensor::Nonzero nz;
   la::Row partial;
 
-  void serialize(Writer& w) const {
-    nz.serialize(w);
-    Serde<la::Row>::write(w, partial);
-  }
-  static Carry deserialize(Reader& r) {
-    Carry c;
-    c.nz = tensor::Nonzero::deserialize(r);
-    c.partial = Serde<la::Row>::read(r);
-    return c;
-  }
-  std::size_t serializedSize() const {
-    return nz.serializedSize() + Serde<la::Row>::byteSize(partial);
-  }
-
   friend bool operator==(const Carry& a, const Carry& b) {
     return a.nz == b.nz && a.partial == b.partial;
   }
@@ -77,34 +63,6 @@ struct QRecord {
     if (rows_.empty()) rank_ = 0;
   }
 
-  void serialize(Writer& w) const {
-    nz.serialize(w);
-    const std::size_t n = queueSize();
-    w.writeRaw(static_cast<std::uint32_t>(n));
-    for (std::size_t i = 0; i < n; ++i) {
-      w.writeRaw(rank_);
-      w.writeBytes(row(i), rank_ * sizeof(double));
-    }
-  }
-  static QRecord deserialize(Reader& r) {
-    QRecord q;
-    q.nz = tensor::Nonzero::deserialize(r);
-    const auto n = r.readRaw<std::uint32_t>();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const auto len = r.readRaw<std::uint32_t>();
-      if (std::size_t{len} * sizeof(double) > r.remaining()) {
-        throw Error("truncated QRecord: row of R=" + std::to_string(len) +
-                    " overruns the stream");
-      }
-      r.readBytes(q.appendRow(len), len * sizeof(double));
-    }
-    return q;
-  }
-  std::size_t serializedSize() const {
-    return nz.serializedSize() + sizeof(std::uint32_t) +
-           queueSize() * (sizeof(std::uint32_t) + rank_ * sizeof(double));
-  }
-
   friend bool operator==(const QRecord& a, const QRecord& b) {
     return a.nz == b.nz && a.rank_ == b.rank_ && a.rows_ == b.rows_;
   }
@@ -139,8 +97,8 @@ static_assert(sizeof(std::pair<Index, QRecord>) <= 160,
 
 namespace cstf {
 
-/// Shuffle codec for the in-flight COO record: Nonzero + Row, both
-/// flat-encodable. Width follows the record's order and rank.
+/// Codec for the in-flight COO record: Nonzero + Row, both flat-encodable.
+/// Width follows the record's order and rank.
 template <>
 struct FixedWidthSerde<cstf_core::Carry> {
   static constexpr bool value = true;
@@ -160,14 +118,16 @@ struct FixedWidthSerde<cstf_core::Carry> {
   }
 };
 
-/// Shuffle codec for the QCOO record: the same bytes as
-/// QRecord::serialize, written from and read into the flat row buffer.
+/// Codec for the QCOO record (wire format on QRecord), written from and
+/// read into the flat row buffer.
 template <>
 struct FixedWidthSerde<cstf_core::QRecord> {
   static constexpr bool value = true;
   static constexpr std::size_t kStaticWidth = 0;
   static std::size_t width(const cstf_core::QRecord& v) {
-    return v.serializedSize();
+    return FixedWidthSerde<tensor::Nonzero>::width(v.nz) +
+           sizeof(std::uint32_t) +
+           v.queueSize() * (sizeof(std::uint32_t) + v.rank_ * sizeof(double));
   }
   static std::uint8_t* encode(std::uint8_t* dst, const cstf_core::QRecord& v) {
     dst = FixedWidthSerde<tensor::Nonzero>::encode(dst, v.nz);

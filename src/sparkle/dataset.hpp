@@ -164,6 +164,11 @@ enum class StorageLevel { kNone, kRaw, kSerialized };
 
 template <typename T>
 class Dataset : public DatasetBase {
+  // Sources, caches and shuffles all meter (and the serialized cache
+  // encodes) records through the one record codec.
+  static_assert(FixedWidthSerde<T>::value,
+                "dataset records need a FixedWidthSerde codec");
+
  public:
   using element_type = T;
   using DatasetBase::DatasetBase;
@@ -195,25 +200,14 @@ class Dataset : public DatasetBase {
         }
         if (bytes) {
           // Every hit decodes the whole partition (Spark MEMORY_ONLY_SER).
-          // Fixed-width element types bulk-decode without a Reader; the
-          // byte stream is identical either way.
           std::vector<T> recs;
-          if constexpr (FixedWidthSerde<T>::value) {
-            fixedWidthDecodeStream(bytes->data(), bytes->size(), recs);
-          } else {
-            Reader r(bytes->data(), bytes->size());
-            while (!r.exhausted()) recs.push_back(serdeRead<T>(r));
-          }
+          fixedWidthDecodeStream(bytes->data(), bytes->size(), recs);
           tc.counters.cacheBytesDeserialized += bytes->size();
           return makeBlock(std::move(recs));
         }
         Block<T> block = computePartition(p, tc);
         auto buf = std::make_shared<std::vector<std::uint8_t>>();
-        if constexpr (FixedWidthSerde<T>::value) {
-          fixedWidthEncodeAppend(*buf, *block);
-        } else {
-          for (const T& rec : *block) serdeWrite(*buf, rec);
-        }
+        fixedWidthEncodeAppend(*buf, *block);
         std::lock_guard<std::mutex> lock(cacheMutex_);
         if (serCache_.size() != numPartitions_) {
           serCache_.resize(numPartitions_);
@@ -303,7 +297,7 @@ class Dataset : public DatasetBase {
     for (const auto& b : rawCache_) {
       if (!b) continue;
       std::size_t sz = 0;
-      for (const T& rec : *b) sz += serdeSize(rec);
+      for (const T& rec : *b) sz += FixedWidthSerde<T>::width(rec);
       raw += static_cast<double>(sz);
     }
     total += static_cast<std::uint64_t>(
@@ -344,7 +338,7 @@ class ParallelizeDataset final : public Dataset<T> {
       std::vector<T> part(std::make_move_iterator(data.begin() + begin),
                           std::make_move_iterator(data.begin() + end));
       std::size_t sz = 0;
-      for (const T& rec : part) sz += serdeSize(rec);
+      for (const T& rec : part) sz += FixedWidthSerde<T>::width(rec);
       bytes_.push_back(sz);
       blocks_.push_back(makeBlock(std::move(part)));
       begin = end;
@@ -392,7 +386,7 @@ class GeneratorDataset final : public Dataset<T> {
       std::lock_guard<std::mutex> lock(mutex_);
       if (!bytesKnown_[p]) {
         std::size_t s = 0;
-        for (const T& rec : out) s += serdeSize(rec);
+        for (const T& rec : out) s += FixedWidthSerde<T>::width(rec);
         bytes_[p] = s;
         bytesKnown_[p] = true;
       }

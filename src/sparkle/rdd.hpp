@@ -416,7 +416,7 @@ class Broadcast {
 template <typename T>
 Broadcast<T> broadcast(Context& ctx, T value,
                        const std::string& label = "broadcast") {
-  const std::uint64_t bytes = serdeSize(value);
+  const std::uint64_t bytes = FixedWidthSerde<T>::width(value);
   const ClusterConfig& cfg = ctx.config();
   StageMetrics m;
   m.kind = StageKind::kBroadcast;

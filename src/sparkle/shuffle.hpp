@@ -48,8 +48,6 @@ class ShuffledDataset final : public Dataset<std::pair<K, V>> {
  public:
   using Rec = std::pair<K, V>;
   using Combiner = InPlaceMerge<V>;
-  static_assert(FixedWidthSerde<Rec>::value,
-                "shuffled records must have a FixedWidthSerde codec");
 
   /// `combiner`, when set, merges values with equal keys *within each map
   /// task before serialization* (Spark map-side combine); the reduce side

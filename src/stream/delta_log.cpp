@@ -52,14 +52,14 @@ std::uint64_t nowUnixMicros() {
           .count());
 }
 
-}  // namespace
-
-void writeDelta(std::ostream& out, const tensor::Delta& d) {
+/// `d` as CSTFDLT1, stamped `createdUnixMicros` in place of its own.
+void writeStamped(std::ostream& out, const tensor::Delta& d,
+                  std::uint64_t createdUnixMicros) {
   d.validate();
   BinWriter w(out);
   w.magic(kDeltaMagic, kDeltaVersion);
   w.put<std::uint64_t>(d.seq);
-  w.put<std::uint64_t>(d.createdUnixMicros);
+  w.put<std::uint64_t>(createdUnixMicros);
   w.dims(d.dims);
   w.put<std::uint64_t>(d.entries.size());
   for (const tensor::Nonzero& nz : d.entries) {
@@ -67,6 +67,12 @@ void writeDelta(std::ostream& out, const tensor::Delta& d) {
     for (ModeId m = 0; m < nz.order; ++m) w.put<std::uint32_t>(nz.idx[m]);
     w.put<double>(nz.val);
   }
+}
+
+}  // namespace
+
+void writeDelta(std::ostream& out, const tensor::Delta& d) {
+  writeStamped(out, d, d.createdUnixMicros);
 }
 
 tensor::Delta readDelta(std::istream& in) {
@@ -87,7 +93,7 @@ tensor::Delta readDelta(std::istream& in) {
     for (ModeId m = 0; m < order; ++m) {
       nz.idx[m] = r.index(d.dims[m], "entry index");
     }
-    nz.val = r.get<double>("entry value");
+    nz.val = r.finite("entry value");
   }
   r.finish();
   return d;
@@ -112,14 +118,11 @@ std::string DeltaLog::append(const tensor::Delta& d) {
                        dir_.c_str(),
                        static_cast<unsigned long long>(d.seq),
                        static_cast<unsigned long long>(newest)));
-  tensor::Delta stamped = d;
-  if (stamped.createdUnixMicros == 0) {
-    stamped.createdUnixMicros = nowUnixMicros();
-  }
-  const std::string path =
-      (fs::path(dir_) / deltaFileName(stamped.seq)).string();
+  const std::uint64_t stamp =
+      d.createdUnixMicros != 0 ? d.createdUnixMicros : nowUnixMicros();
+  const std::string path = (fs::path(dir_) / deltaFileName(d.seq)).string();
   writeFileAtomic(path,
-                  [&](std::ostream& out) { writeDelta(out, stamped); });
+                  [&](std::ostream& out) { writeStamped(out, d, stamp); });
   return path;
 }
 

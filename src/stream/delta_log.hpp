@@ -15,7 +15,8 @@
 //
 // File format (common/binio.hpp framing, host little-endian; the reader
 // refuses an entry count that cannot fit the file, an entry whose order
-// differs from the batch's, and an index outside its mode):
+// differs from the batch's, an index outside its mode and a value that is
+// not finite):
 //   "CSTFDLT1"  magic
 //   u32  version (1)
 //   u64  seq
@@ -23,7 +24,7 @@
 //   u8   order
 //   u32  dims[order]
 //   u64  nEntries
-//   nEntries x (u8 order, u32 idx[order], f64 val)   — Nonzero serde
+//   nEntries x (u8 order, u32 idx[order], f64 val)   — the Nonzero codec
 #pragma once
 
 #include <cstdint>

@@ -15,7 +15,7 @@
 namespace cstf::tensor {
 
 /// One nonzero entry. Order is carried per record so that a shuffled record
-/// is self-describing; serde encodes only the first `order` indices.
+/// is self-describing; the codec encodes only the first `order` indices.
 struct Nonzero {
   ModeId order = 0;
   std::array<Index, kMaxOrder> idx{};
@@ -32,24 +32,6 @@ struct Nonzero {
       if (a.idx[m] != b.idx[m]) return false;
     }
     return true;
-  }
-
-  // --- serde (detected by cstf::Serde via member functions) ---
-  void serialize(Writer& w) const {
-    w.writeRaw(order);
-    for (ModeId m = 0; m < order; ++m) w.writeRaw(idx[m]);
-    w.writeRaw(val);
-  }
-  static Nonzero deserialize(Reader& r) {
-    Nonzero nz;
-    nz.order = r.readRaw<ModeId>();
-    CSTF_ASSERT(nz.order <= kMaxOrder, "corrupt Nonzero record");
-    for (ModeId m = 0; m < nz.order; ++m) nz.idx[m] = r.readRaw<Index>();
-    nz.val = r.readRaw<Value>();
-    return nz;
-  }
-  std::size_t serializedSize() const {
-    return sizeof(ModeId) + order * sizeof(Index) + sizeof(Value);
   }
 };
 
@@ -106,15 +88,16 @@ class CooTensor {
 
 namespace cstf {
 
-/// Shuffle codec: a Nonzero's encoding is flat (order, indices, value), so
-/// it can be encoded by pointer stores. Width varies with `order` per
-/// value; the shuffle sums widths per destination to size its buckets.
+/// Record codec: a Nonzero's encoding is flat (u8 order, `order` u32
+/// indices, f64 value), so it can be encoded by pointer stores. Width varies
+/// with `order` per value; the shuffle sums widths per destination to size
+/// its buckets.
 template <>
 struct FixedWidthSerde<tensor::Nonzero> {
   static constexpr bool value = true;
   static constexpr std::size_t kStaticWidth = 0;
   static std::size_t width(const tensor::Nonzero& v) {
-    return v.serializedSize();
+    return sizeof(ModeId) + v.order * sizeof(Index) + sizeof(Value);
   }
   static std::uint8_t* encode(std::uint8_t* dst, const tensor::Nonzero& v) {
     std::memcpy(dst, &v.order, sizeof(ModeId));

@@ -1,5 +1,6 @@
 #include "tensor/delta.hpp"
 
+#include <cmath>
 #include <unordered_map>
 
 #include "common/rng.hpp"
@@ -47,6 +48,9 @@ void Delta::validate() const {
                            static_cast<unsigned long long>(seq), nz.idx[m],
                            int(m) + 1, dims[m]));
     }
+    CSTF_CHECK(std::isfinite(nz.val),
+               strprintf("delta seq %llu: value %g is not finite",
+                         static_cast<unsigned long long>(seq), nz.val));
   }
 }
 

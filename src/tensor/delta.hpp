@@ -31,7 +31,8 @@ struct Delta {
 
   ModeId order() const { return static_cast<ModeId>(dims.size()); }
 
-  /// Throws cstf::Error on order/dim mismatches or out-of-range indices.
+  /// Throws cstf::Error on order/dim mismatches, out-of-range indices or
+  /// a value that is not finite.
   void validate() const;
 };
 

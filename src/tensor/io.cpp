@@ -1,5 +1,6 @@
 #include "tensor/io.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <istream>
 #include <limits>
@@ -108,6 +109,10 @@ CooTensor readTns(std::istream& in, ModeId expectedOrder) {
       throw Error(strprintf("line %zu: bad value '%s'", lineNo,
                             fields[order].c_str()));
     }
+    if (!std::isfinite(nz.val)) {
+      throw Error(strprintf("line %zu: value '%s' is not finite", lineNo,
+                            fields[order].c_str()));
+    }
     nzs.push_back(nz);
   }
 
@@ -171,7 +176,7 @@ CooTensor readBinary(std::istream& in) {
   for (Nonzero& nz : nzs) {
     nz.order = order;
     for (ModeId m = 0; m < order; ++m) nz.idx[m] = r.index(dims[m], "index");
-    nz.val = r.get<double>("value");
+    nz.val = r.finite("value");
   }
   r.finish();
   return CooTensor(std::move(dims), std::move(nzs));

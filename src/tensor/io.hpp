@@ -14,7 +14,8 @@
 namespace cstf::tensor {
 
 /// Parse a .tns stream. `expectedOrder` = 0 infers order from the first
-/// data line. Throws cstf::Error on malformed input.
+/// data line. Throws cstf::Error on malformed input, naming the line; a
+/// value that is not finite (nan, inf, an overflow) is malformed.
 CooTensor readTns(std::istream& in, ModeId expectedOrder = 0);
 
 /// Load from a file path (throws cstf::Error if the file cannot be opened).
@@ -28,7 +29,7 @@ void writeTnsFile(const std::string& path, const CooTensor& t);
 /// order, u32 dims[order], u64 nnz, and packed (u32 indices..., f64 value)
 /// records. Loads an order of magnitude faster than text for large tensors
 /// and round-trips values exactly; the reader refuses any index outside
-/// its mode, like readTns does.
+/// its mode and any value that is not finite, like readTns does.
 void writeBinary(std::ostream& out, const CooTensor& t);
 void writeBinaryFile(const std::string& path, const CooTensor& t);
 CooTensor readBinary(std::istream& in);

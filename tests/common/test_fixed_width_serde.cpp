@@ -1,11 +1,13 @@
 // FixedWidthSerde contract tests: for every specialization the flat
-// encoding must be byte-for-byte the stream Serde<T>::write produces,
-// width() must equal serdeSize(), and decode must round-trip. The shuffle
-// codec's byte metering rests on exactly these properties.
+// encoding must be byte-for-byte the little-endian layout the wire format
+// spells out (built independently by testsupport::LeBytes), width() must
+// equal the encoded size, and decode must round-trip. Every byte meter in
+// the engine rests on exactly these properties.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -14,63 +16,59 @@
 #include "common/small_vector.hpp"
 #include "cstf/records.hpp"
 #include "la/row.hpp"
+#include "support/le_bytes.hpp"
 #include "tensor/coo_tensor.hpp"
 
 namespace cstf {
 namespace {
 
+using testsupport::LeBytes;
+
 template <typename T>
-void expectFastMatchesSlow(const T& v) {
+void expectEncodes(const T& v, const LeBytes& want) {
   ASSERT_TRUE(FixedWidthSerde<T>::value);
-  // Width agrees with the serde size rules.
-  EXPECT_EQ(FixedWidthSerde<T>::width(v), serdeSize(v));
+  EXPECT_EQ(FixedWidthSerde<T>::width(v), want.bytes.size());
 
-  // Fast encoding is byte-identical to the Writer encoding.
-  std::vector<std::uint8_t> slow;
-  serdeWrite(slow, v);
-  std::vector<std::uint8_t> fast(FixedWidthSerde<T>::width(v), 0);
-  std::uint8_t* end = FixedWidthSerde<T>::encode(fast.data(), v);
-  ASSERT_EQ(end, fast.data() + fast.size());
-  EXPECT_EQ(fast, slow);
+  std::vector<std::uint8_t> got(FixedWidthSerde<T>::width(v), 0);
+  std::uint8_t* end = FixedWidthSerde<T>::encode(got.data(), v);
+  ASSERT_EQ(end, got.data() + got.size());
+  EXPECT_EQ(got, want.bytes);
 
-  // Fast decode round-trips from the fast bytes...
   T back{};
-  const std::uint8_t* rend = FixedWidthSerde<T>::decode(fast.data(), back);
-  ASSERT_EQ(rend, fast.data() + fast.size());
+  const std::uint8_t* rend =
+      FixedWidthSerde<T>::decode(want.bytes.data(), back);
+  ASSERT_EQ(rend, want.bytes.data() + want.bytes.size());
   EXPECT_EQ(back, v);
+}
 
-  // ...and the slow Reader decodes the fast bytes too (interchangeable).
-  Reader r(fast.data(), fast.size());
-  EXPECT_EQ(serdeRead<T>(r), v);
-  EXPECT_TRUE(r.exhausted());
+/// Scalars encode as themselves.
+template <typename T>
+void expectScalar(T v) {
+  expectEncodes(v, LeBytes().put(v));
 }
 
 TEST(FixedWidthSerde, Arithmetic) {
-  expectFastMatchesSlow<std::uint8_t>(42);
-  expectFastMatchesSlow<std::uint32_t>(0xdeadbeef);
-  expectFastMatchesSlow<std::int64_t>(-123456789012345);
-  expectFastMatchesSlow<double>(3.14159);
-  expectFastMatchesSlow<float>(-2.5f);
-  expectFastMatchesSlow<bool>(true);
+  expectScalar<std::uint8_t>(42);
+  expectScalar<std::uint32_t>(0xdeadbeef);
+  expectScalar<std::int64_t>(-123456789012345);
+  expectScalar<double>(3.14159);
+  expectScalar<float>(-2.5f);
+  expectScalar<bool>(true);
+  // The builder is an independent oracle: 0xdeadbeef is ef be ad de.
+  EXPECT_EQ(LeBytes().put(std::uint32_t{0xdeadbeef}).bytes,
+            (std::vector<std::uint8_t>{0xef, 0xbe, 0xad, 0xde}));
   EXPECT_EQ(FixedWidthSerde<double>::kStaticWidth, sizeof(double));
 }
 
 enum class Color : std::uint16_t { kRed = 1, kBlue = 7 };
 
 TEST(FixedWidthSerde, Enum) {
-  ASSERT_TRUE(FixedWidthSerde<Color>::value);
-  std::vector<std::uint8_t> slow;
-  serdeWrite(slow, Color::kBlue);
-  std::vector<std::uint8_t> fast(sizeof(Color), 0);
-  FixedWidthSerde<Color>::encode(fast.data(), Color::kBlue);
-  EXPECT_EQ(fast, slow);
-  Color back{};
-  FixedWidthSerde<Color>::decode(fast.data(), back);
-  EXPECT_EQ(back, Color::kBlue);
+  expectEncodes(Color::kBlue, LeBytes().put(std::uint16_t{7}));
 }
 
 TEST(FixedWidthSerde, Pair) {
-  expectFastMatchesSlow(std::pair<std::uint32_t, double>{7, 2.5});
+  expectEncodes(std::pair<std::uint32_t, double>{7, 2.5},
+                LeBytes().put(std::uint32_t{7}).put(2.5));
   // Packed serde width, not padded struct width.
   using P = std::pair<std::uint32_t, double>;
   EXPECT_EQ(FixedWidthSerde<P>::kStaticWidth, 12u);
@@ -78,23 +76,29 @@ TEST(FixedWidthSerde, Pair) {
 }
 
 TEST(FixedWidthSerde, Tuple) {
-  expectFastMatchesSlow(
-      std::tuple<std::uint8_t, std::uint32_t, double>{3, 99, -1.25});
+  expectEncodes(
+      std::tuple<std::uint8_t, std::uint32_t, double>{3, 99, -1.25},
+      LeBytes().put(std::uint8_t{3}).put(std::uint32_t{99}).put(-1.25));
   using T3 = std::tuple<std::uint8_t, std::uint32_t, double>;
   EXPECT_EQ(FixedWidthSerde<T3>::kStaticWidth, 13u);
 }
 
 TEST(FixedWidthSerde, Array) {
-  expectFastMatchesSlow(std::array<std::uint32_t, 4>{1, 2, 3, 4});
+  const std::array<std::uint32_t, 4> a{1, 2, 3, 4};
+  LeBytes want;
+  for (const std::uint32_t x : a) want.put(x);  // no length prefix
+  expectEncodes(a, want);
   EXPECT_EQ((FixedWidthSerde<std::array<std::uint32_t, 4>>::kStaticWidth),
             16u);
 }
 
 TEST(FixedWidthSerde, SmallVecInlineAndHeap) {
-  expectFastMatchesSlow(SmallVec<double, 4>{});            // empty
-  expectFastMatchesSlow(SmallVec<double, 4>{1.0, 2.0});    // inline
-  expectFastMatchesSlow(
-      SmallVec<double, 4>{1, 2, 3, 4, 5, 6});              // spilled to heap
+  for (const SmallVec<double, 4>& v :
+       {SmallVec<double, 4>{},                      // empty
+        SmallVec<double, 4>{1.0, 2.0},              // inline
+        SmallVec<double, 4>{1, 2, 3, 4, 5, 6}}) {  // spilled to heap
+    expectEncodes(v, LeBytes().seq(v));
+  }
   // Value-dependent width: no static width.
   EXPECT_EQ((FixedWidthSerde<SmallVec<double, 4>>::kStaticWidth), 0u);
 }
@@ -104,12 +108,17 @@ TEST(FixedWidthSerde, NestedSmallVec) {
   nested.push_back(SmallVec<double, 4>{1.0, 2.0});
   nested.push_back(SmallVec<double, 4>{});
   nested.push_back(SmallVec<double, 4>{3.0});
-  expectFastMatchesSlow(nested);
+  LeBytes want;
+  want.put(std::uint32_t{3});
+  for (const auto& inner : nested) want.seq(inner);
+  expectEncodes(nested, want);
 }
 
 TEST(FixedWidthSerde, Nonzero) {
-  expectFastMatchesSlow(tensor::makeNonzero3(5, 6, 7, 1.5));
-  expectFastMatchesSlow(tensor::makeNonzero4(1, 2, 3, 4, -0.5));
+  for (const tensor::Nonzero& nz : {tensor::makeNonzero3(5, 6, 7, 1.5),
+                                    tensor::makeNonzero4(1, 2, 3, 4, -0.5)}) {
+    expectEncodes(nz, LeBytes().nonzero(nz));
+  }
   // Width depends on the order carried by the record.
   EXPECT_NE(
       FixedWidthSerde<tensor::Nonzero>::width(tensor::makeNonzero3(0, 0, 0, 1)),
@@ -121,11 +130,11 @@ TEST(FixedWidthSerde, CarryRecord) {
   cstf_core::Carry c;
   c.nz = tensor::makeNonzero3(10, 20, 30, 2.5);
   c.partial = la::Row{0.5, -0.25};
-  expectFastMatchesSlow(c);
+  expectEncodes(c, LeBytes().carry(c));
 
   cstf_core::Carry empty;
   empty.nz = tensor::makeNonzero4(1, 2, 3, 4, 1.0);
-  expectFastMatchesSlow(empty);  // pre-first-join: no partial yet
+  expectEncodes(empty, LeBytes().carry(empty));  // pre-first-join
 }
 
 TEST(FixedWidthSerde, QRecordWithQueue) {
@@ -133,11 +142,11 @@ TEST(FixedWidthSerde, QRecordWithQueue) {
   q.nz = tensor::makeNonzero3(3, 2, 1, -1.0);
   q.enqueue(la::Row{1.0, 2.0});
   q.enqueue(la::Row{3.0, 4.0});
-  expectFastMatchesSlow(q);
+  expectEncodes(q, LeBytes().qrecord(q));
 
   cstf_core::QRecord fresh;
   fresh.nz = tensor::makeNonzero3(0, 0, 0, 1.0);
-  expectFastMatchesSlow(fresh);  // empty queue before seeding
+  expectEncodes(fresh, LeBytes().qrecord(fresh));  // empty queue
 }
 
 TEST(FixedWidthSerde, ShuffledRecordShapes) {
@@ -145,19 +154,22 @@ TEST(FixedWidthSerde, ShuffledRecordShapes) {
   cstf_core::Carry c;
   c.nz = tensor::makeNonzero3(1, 2, 3, 4.0);
   c.partial = la::Row{9.0, 8.0};
-  expectFastMatchesSlow(std::pair<Index, cstf_core::Carry>{17, c});
-  expectFastMatchesSlow(std::pair<Index, la::Row>{4, la::Row{1.0, 2.0}});
+  expectEncodes(std::pair<Index, cstf_core::Carry>{17, c},
+                LeBytes().put(Index{17}).carry(c));
+  const la::Row row{1.0, 2.0};
+  expectEncodes(std::pair<Index, la::Row>{4, row},
+                LeBytes().put(Index{4}).seq(row));
 }
 
 TEST(FixedWidthSerde, BatchEncodeDecodeMatchesPerRecord) {
   std::vector<std::pair<std::uint32_t, double>> recs;
   for (std::uint32_t i = 0; i < 100; ++i) recs.push_back({i, i * 0.5});
 
-  std::vector<std::uint8_t> slow;
-  for (const auto& r : recs) serdeWrite(slow, r);
+  LeBytes want;
+  for (const auto& [k, v] : recs) want.put(k).put(v);
   std::vector<std::uint8_t> fast;
   fixedWidthEncodeAppend(fast, recs);
-  EXPECT_EQ(fast, slow);
+  EXPECT_EQ(fast, want.bytes);
 
   std::vector<std::pair<std::uint32_t, double>> back;
   fixedWidthDecodeStream(fast.data(), fast.size(), back);
@@ -166,17 +178,17 @@ TEST(FixedWidthSerde, BatchEncodeDecodeMatchesPerRecord) {
 
 TEST(FixedWidthSerde, BatchHandlesVariableWidthRecords) {
   // Mixed-order nonzeros: per-value widths differ, but the batch helpers
-  // still produce the exact serde stream.
+  // still produce the exact byte stream.
   std::vector<tensor::Nonzero> recs = {
       tensor::makeNonzero3(1, 2, 3, 1.0),
       tensor::makeNonzero4(4, 5, 6, 7, 2.0),
       tensor::makeNonzero3(8, 9, 10, 3.0),
   };
-  std::vector<std::uint8_t> slow;
-  for (const auto& r : recs) serdeWrite(slow, r);
+  LeBytes want;
+  for (const auto& r : recs) want.nonzero(r);
   std::vector<std::uint8_t> fast;
   fixedWidthEncodeAppend(fast, recs);
-  EXPECT_EQ(fast, slow);
+  EXPECT_EQ(fast, want.bytes);
 
   std::vector<tensor::Nonzero> back;
   fixedWidthDecodeStream(fast.data(), fast.size(), back);
@@ -185,8 +197,23 @@ TEST(FixedWidthSerde, BatchHandlesVariableWidthRecords) {
 
 TEST(FixedWidthSerde, IneligibleTypesReportFalse) {
   EXPECT_FALSE(FixedWidthSerde<std::string>::value);
-  EXPECT_FALSE((FixedWidthSerde<std::vector<double>>::value));
+  EXPECT_FALSE((FixedWidthSerde<std::vector<std::string>>::value));
   EXPECT_FALSE((FixedWidthSerde<std::pair<std::string, double>>::value));
+}
+
+TEST(FixedWidthSerde, VectorIsTheSequenceCodec) {
+  // A std::vector encodes exactly like a SmallVec of the same elements.
+  const std::vector<double> v{1.0, -2.0, 0.5};
+  expectEncodes(v, LeBytes().seq(v));
+  expectEncodes(std::vector<double>{}, LeBytes().put(std::uint32_t{0}));
+  const std::vector<std::pair<std::uint32_t, double>> pairs{{1, 1.5},
+                                                            {2, 2.5}};
+  expectEncodes(pairs, LeBytes()
+                           .put(std::uint32_t{2})
+                           .put(std::uint32_t{1})
+                           .put(1.5)
+                           .put(std::uint32_t{2})
+                           .put(2.5));
 }
 
 }  // namespace

@@ -131,10 +131,11 @@ TEST(QcooEngine, QRecordSerdeRoundTrip) {
   rec.enqueue(la::Row{1.0, 2.0});
   rec.enqueue(la::Row{3.0, 4.0});
   std::vector<std::uint8_t> buf;
-  serdeWrite(buf, rec);
-  EXPECT_EQ(buf.size(), serdeSize(rec));
-  Reader r(buf.data(), buf.size());
-  EXPECT_EQ(serdeRead<QRecord>(r), rec);
+  fixedWidthEncodeAppend(buf, std::vector<QRecord>{rec});
+  EXPECT_EQ(buf.size(), 21u + 4u + 2 * (4u + 16u));
+  std::vector<QRecord> back;
+  fixedWidthDecodeStream(buf.data(), buf.size(), back);
+  EXPECT_EQ(back, std::vector<QRecord>{rec});
 }
 
 TEST(QcooEngine, CarrySerdeRoundTrip) {
@@ -142,9 +143,11 @@ TEST(QcooEngine, CarrySerdeRoundTrip) {
   c.nz = tensor::makeNonzero4(9, 8, 7, 6, -2.5);
   c.partial = la::Row{0.5, 0.25, 0.125};
   std::vector<std::uint8_t> buf;
-  serdeWrite(buf, c);
-  Reader r(buf.data(), buf.size());
-  EXPECT_EQ(serdeRead<Carry>(r), c);
+  fixedWidthEncodeAppend(buf, std::vector<Carry>{c});
+  EXPECT_EQ(buf.size(), 25u + 4u + 3 * 8u);
+  std::vector<Carry> back;
+  fixedWidthDecodeStream(buf.data(), buf.size(), back);
+  EXPECT_EQ(back, std::vector<Carry>{c});
 }
 
 }  // namespace

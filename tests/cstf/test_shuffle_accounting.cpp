@@ -131,5 +131,55 @@ TEST(ShuffleAccounting, RemoteBytesScaleWithNnz) {
   EXPECT_LT(ratio, 5.0);
 }
 
+TEST(ByteMeters, SourceBroadcastAndCacheBytesArePinned) {
+  // The meters besides the shuffle's, pinned by literals: source reads,
+  // broadcast volume and serialized-cache reads of a 3-iteration CP-ALS
+  // over a serialized tensor cache, on a join-chain and a broadcast plan.
+  // 400 order-3 nonzeros encode in 400 x 21 = 8400 bytes.
+  const auto t = tensor::generateZipf({14, 11, 9}, 400, 1.1, 72);
+  struct PlanCase {
+    const char* plan;
+    sparkle::LocalKernel kernel;
+    std::uint64_t sourceBytes;
+    std::uint64_t broadcastBytes;
+    std::uint64_t cacheBytesDeserialized;
+  };
+  const std::vector<PlanCase> cases = {
+      {"join-chain CSTF-COO", sparkle::LocalKernel::kCoo, 13296, 0, 67200},
+      {"broadcast-local, csf kernel", sparkle::LocalKernel::kCsf, 8400,
+       24612, 75600},
+  };
+  // Exact meters: a surprise node death would recompute partitions.
+  sparkle::ClusterConfig cfg = cluster8();
+  cfg.faults.allowEnvChaos = false;
+  for (const PlanCase& c : cases) {
+    cfg.localKernel = c.kernel;
+    sparkle::Context ctx(cfg, 2);
+    CpAlsOptions o;
+    o.rank = 2;
+    o.maxIterations = 3;
+    o.tolerance = 0.0;
+    o.tensorStorage = sparkle::StorageLevel::kSerialized;
+    EXPECT_EQ(cpAls(ctx, t, o).report.plan, c.plan);
+    const auto totals = ctx.metrics().totals();
+    EXPECT_EQ(totals.sourceBytesRead, c.sourceBytes) << c.plan;
+    EXPECT_EQ(totals.broadcastBytes, c.broadcastBytes) << c.plan;
+    EXPECT_EQ(totals.cacheBytesDeserialized, c.cacheBytesDeserialized)
+        << c.plan;
+  }
+
+  // The cached tensor's footprint: exact bytes when serialized, the same
+  // bytes times the raw expansion factor when raw.
+  sparkle::Context ctx(cfg, 2);
+  for (const auto& [level, bytes] :
+       {std::pair{sparkle::StorageLevel::kRaw, std::uint64_t{21000}},
+        std::pair{sparkle::StorageLevel::kSerialized, std::uint64_t{8400}}}) {
+    auto rdd = tensorToRdd(ctx, t);
+    rdd.cache(level);
+    rdd.materialize();
+    EXPECT_EQ(rdd.cachedMemoryBytes(), bytes);
+  }
+}
+
 }  // namespace
 }  // namespace cstf::cstf_core

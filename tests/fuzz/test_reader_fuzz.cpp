@@ -4,8 +4,9 @@
 //
 // Each case starts from a small valid file, mutates it — truncation at
 // every byte, every single-bit flip, counts inflated to 2^32 and 2^62,
-// dims inflated to 2^32 - 1 (their u32 maximum), NaN and +/-Inf values,
-// out-of-range indices, and seeded random byte overwrites — and reads it.
+// dims inflated to 2^32 - 1 (their u32 maximum), NaN and +/-Inf values
+// (refused as tensor values, accepted as checkpoint state), out-of-range
+// indices, and seeded random byte overwrites — and reads it.
 // The read must end in a cstf::Error or in an accept this file lists per
 // field (`Allow`); anything else (another exception type, a crash, a
 // sanitizer report) fails. A binary accept must also re-serialize to
@@ -42,9 +43,10 @@ struct Field {
   Kind kind = Kind::kOther;
   /// Outcome allowed for a single-bit flip inside the field.
   Allow flip = Allow::kRefuse;
-  /// kIndex: the dim of its mode; kDim: the outcome of inflating it.
+  /// kIndex: the dim of its mode.
   std::uint32_t dim = 0;
-  Allow inflate = Allow::kRefuse;
+  /// kDim: the outcome of inflating it; kValue: of a NaN or +/-Inf.
+  Allow extreme = Allow::kRefuse;
 };
 
 /// A valid file, built field by field so every byte's meaning is known.
@@ -74,7 +76,14 @@ class Layout {
   }
   void dim(std::uint32_t d, Allow inflate, Allow flip) {
     add(d, Kind::kDim, flip);
-    fields.back().inflate = inflate;
+    fields.back().extreme = inflate;
+  }
+  /// An f64 whose NaN and +/-Inf end in `nonfinite`. A bit flip can make
+  /// one (a refused value flips either way).
+  void value(double v, Allow nonfinite) {
+    add(v, Kind::kValue,
+        nonfinite == Allow::kAccept ? Allow::kAccept : Allow::kEither);
+    fields.back().extreme = nonfinite;
   }
 
   std::string bytes;
@@ -152,7 +161,7 @@ Tally fuzzBinary(const Layout& seed, const Reader& read) {
         break;
       case Kind::kDim:
         check(read, with(b, f, std::numeric_limits<std::uint32_t>::max()),
-              f.inflate, "dim 2^32-1" + at, tally);
+              f.extreme, "dim 2^32-1" + at, tally);
         break;
       case Kind::kIndex:
         check(read, with(b, f, f.dim), Allow::kRefuse, "index = dim" + at,
@@ -164,7 +173,7 @@ Tally fuzzBinary(const Layout& seed, const Reader& read) {
         for (const double v : {std::numeric_limits<double>::quiet_NaN(),
                                std::numeric_limits<double>::infinity(),
                                -std::numeric_limits<double>::infinity()}) {
-          check(read, with(b, f, v), Allow::kAccept,
+          check(read, with(b, f, v), f.extreme,
                 "value " + std::to_string(v) + at, tally);
         }
         break;
@@ -213,16 +222,17 @@ TEST(ReaderFuzz, Checkpoint) {
   l.add<std::uint8_t>(3, Kind::kOther, Allow::kEither);
   // Dims size the factor payload, so any change is refused.
   for (const std::uint32_t d : dims) l.dim(d, Allow::kRefuse, Allow::kRefuse);
-  l.add<double>(0.75, Kind::kValue, Allow::kAccept);  // prevFit
+  // Checkpoint state is NaN-safe: every value reads, finite or not.
+  l.value(0.75, Allow::kAccept);  // prevFit
   l.add<std::uint64_t>(rank, Kind::kCount, Allow::kRefuse);
-  l.add<double>(1.5, Kind::kValue, Allow::kAccept);
-  l.add<double>(-0.5, Kind::kValue, Allow::kAccept);
+  l.value(1.5, Allow::kAccept);
+  l.value(-0.5, Allow::kAccept);
   l.add<std::uint64_t>(plan.size(), Kind::kCount, Allow::kRefuse);
   l.text(plan, Allow::kAccept);  // free text: any byte reads
   for (const std::uint32_t d : dims) {
     const la::Matrix f = patterned(d, rank);
     for (std::size_t i = 0; i < d * rank; ++i) {
-      l.add<double>(f.data()[i], Kind::kValue, Allow::kAccept);
+      l.value(f.data()[i], Allow::kAccept);
     }
   }
   const Tally t = fuzzBinary(l, [](const std::string& bytes) {
@@ -254,7 +264,7 @@ TEST(ReaderFuzz, DeltaBatch) {
   for (std::size_t e = 0; e < idx.size(); ++e) {
     l.add<std::uint8_t>(3, Kind::kOther, Allow::kRefuse);  // entry order
     for (std::size_t m = 0; m < 3; ++m) l.index(idx[e][m], dims[m]);
-    l.add<double>(0.5 + double(e), Kind::kValue, Allow::kAccept);
+    l.value(0.5 + double(e), Allow::kRefuse);
   }
   const Tally t = fuzzBinary(l, [](const std::string& bytes) {
     std::istringstream in(bytes);
@@ -278,7 +288,7 @@ TEST(ReaderFuzz, BinaryTensor) {
   l.add<std::uint64_t>(idx.size(), Kind::kCount, Allow::kRefuse);  // nnz
   for (std::size_t e = 0; e < idx.size(); ++e) {
     for (std::size_t m = 0; m < dims.size(); ++m) l.index(idx[e][m], dims[m]);
-    l.add<double>(-1.25 * double(e + 1), Kind::kValue, Allow::kAccept);
+    l.value(-1.25 * double(e + 1), Allow::kRefuse);
   }
   const Tally t = fuzzBinary(l, [](const std::string& bytes) {
     std::istringstream in(bytes);
@@ -334,9 +344,9 @@ TEST(ReaderFuzz, TnsText) {
         "index past its dim", tally);
   check(readTnsChecked, replaced("4 5 1", "0 5 1"), Allow::kRefuse,
         "index 0 (1-based)", tally);
-  // NaN and +/-Inf values pass through strtod: documented accepts.
-  for (const std::string v : {"nan", "inf", "-inf"}) {
-    check(readTnsChecked, replaced("1.5", v), Allow::kAccept, "value " + v,
+  // NaN, +/-Inf and an overflow to Inf are refused.
+  for (const std::string v : {"nan", "inf", "-inf", "1e999"}) {
+    check(readTnsChecked, replaced("1.5", v), Allow::kRefuse, "value " + v,
           tally);
   }
 

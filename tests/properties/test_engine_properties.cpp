@@ -109,10 +109,9 @@ TEST_P(EngineInvariants, ByteAccountingDecomposesExactly) {
   const auto t = ctx.metrics().totals();
   EXPECT_EQ(t.shuffleBytesRemote, remote);
   EXPECT_EQ(t.shuffleBytesLocal, local);
-  std::uint64_t payload = 0;
-  for (const auto& kv : makeData()) payload += serdeSize(kv);
+  // Each record is a u32 key and an f64 value: 12 bytes.
   EXPECT_EQ(remote + local,
-            payload + records * ctx.config().recordEnvelopeBytes);
+            records * (12 + ctx.config().recordEnvelopeBytes));
 }
 
 TEST_P(EngineInvariants, ReduceByKeyResultIndependentOfPartitioning) {

@@ -1,7 +1,8 @@
-// Serde round-trip property sweeps over randomly generated structures:
-// any sequence of supported values written into one buffer must read back
-// identically, and byteSize must predict encoded length exactly (the byte
-// metrics of every experiment depend on it).
+// Record-codec round-trip property sweeps over randomly generated
+// structures: any sequence of supported values encoded into one buffer
+// must be exactly the little-endian layout testsupport::LeBytes spells out
+// and must decode back identically, so width() predicts encoded length
+// exactly (the byte metrics of every experiment depend on it).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -10,10 +11,13 @@
 #include "common/serde.hpp"
 #include "cstf/records.hpp"
 #include "la/row.hpp"
+#include "support/le_bytes.hpp"
 #include "tensor/coo_tensor.hpp"
 
 namespace cstf {
 namespace {
+
+using testsupport::LeBytes;
 
 la::Row randomRow(Pcg32& rng, std::size_t rank) {
   la::Row r;
@@ -29,6 +33,17 @@ tensor::Nonzero randomNonzero(Pcg32& rng, ModeId order) {
   return nz;
 }
 
+/// Encode `in` as one stream, compare it with `want`, decode it back.
+template <typename T>
+void expectStream(const std::vector<T>& in, const LeBytes& want) {
+  std::vector<std::uint8_t> buf;
+  fixedWidthEncodeAppend(buf, in);
+  ASSERT_EQ(buf, want.bytes);
+  std::vector<T> back;
+  fixedWidthDecodeStream(buf.data(), buf.size(), back);
+  ASSERT_EQ(back, in);
+}
+
 struct SerdeCase {
   std::uint64_t seed;
   std::size_t records;
@@ -42,19 +57,12 @@ TEST_P(SerdeRoundTrip, NonzeroStream) {
   const auto& c = GetParam();
   Pcg32 rng(c.seed);
   std::vector<tensor::Nonzero> in;
-  std::vector<std::uint8_t> buf;
-  std::size_t predicted = 0;
+  LeBytes want;
   for (std::size_t i = 0; i < c.records; ++i) {
     in.push_back(randomNonzero(rng, c.order));
-    predicted += serdeSize(in.back());
-    serdeWrite(buf, in.back());
+    want.nonzero(in.back());
   }
-  ASSERT_EQ(buf.size(), predicted);
-  Reader r(buf.data(), buf.size());
-  for (const auto& expected : in) {
-    ASSERT_EQ(serdeRead<tensor::Nonzero>(r), expected);
-  }
-  EXPECT_TRUE(r.exhausted());
+  expectStream(in, want);
 }
 
 TEST_P(SerdeRoundTrip, KeyedCarryStream) {
@@ -62,27 +70,21 @@ TEST_P(SerdeRoundTrip, KeyedCarryStream) {
   Pcg32 rng(c.seed + 1);
   using Rec = std::pair<Index, cstf_core::Carry>;
   std::vector<Rec> in;
-  std::vector<std::uint8_t> buf;
+  LeBytes want;
   for (std::size_t i = 0; i < c.records; ++i) {
     cstf_core::Carry carry{randomNonzero(rng, c.order),
                            randomRow(rng, c.rank)};
     in.push_back({rng.nextU32(), std::move(carry)});
-    serdeWrite(buf, in.back());
-    ASSERT_EQ(buf.size() >= serdeSize(in.back()), true);
+    want.put(in.back().first).carry(in.back().second);
   }
-  Reader r(buf.data(), buf.size());
-  for (const auto& expected : in) {
-    ASSERT_EQ(serdeRead<Rec>(r), expected);
-  }
-  EXPECT_TRUE(r.exhausted());
+  expectStream(in, want);
 }
 
 TEST_P(SerdeRoundTrip, QRecordStream) {
   const auto& c = GetParam();
   Pcg32 rng(c.seed + 2);
   std::vector<cstf_core::QRecord> in;
-  std::vector<std::uint8_t> buf;
-  std::size_t predicted = 0;
+  LeBytes want;
   for (std::size_t i = 0; i < c.records; ++i) {
     cstf_core::QRecord rec;
     rec.nz = randomNonzero(rng, c.order);
@@ -90,39 +92,48 @@ TEST_P(SerdeRoundTrip, QRecordStream) {
     for (std::size_t q = 0; q < qlen; ++q) {
       rec.enqueue(randomRow(rng, c.rank));
     }
-    predicted += serdeSize(rec);
-    serdeWrite(buf, rec);
+    want.qrecord(rec);
     in.push_back(std::move(rec));
   }
-  ASSERT_EQ(buf.size(), predicted);
-  Reader r(buf.data(), buf.size());
-  for (const auto& expected : in) {
-    ASSERT_EQ(serdeRead<cstf_core::QRecord>(r), expected);
-  }
-  EXPECT_TRUE(r.exhausted());
+  expectStream(in, want);
 }
 
 TEST_P(SerdeRoundTrip, MixedHeterogeneousStream) {
   const auto& c = GetParam();
   Pcg32 rng(c.seed + 3);
-  std::vector<std::uint8_t> buf;
-  // Interleave different record types; the reader must stay in sync.
+  // Interleave different record types, one of variable length, in one
+  // buffer; decoding with a moving cursor must stay in sync.
+  using Tagged = std::pair<std::uint64_t, std::vector<std::uint8_t>>;
   std::vector<double> doubles;
-  std::vector<std::pair<std::uint64_t, std::string>> strings;
+  std::vector<Tagged> tagged;
+  LeBytes want;
+  std::size_t total = 0;
   for (std::size_t i = 0; i < c.records; ++i) {
     doubles.push_back(rng.nextGaussian());
-    serdeWrite(buf, doubles.back());
-    strings.push_back({rng.nextU64(),
-                       std::string(rng.nextBounded(20), 'x')});
-    serdeWrite(buf, strings.back());
+    tagged.push_back({rng.nextU64(),
+                      std::vector<std::uint8_t>(rng.nextBounded(20), 'x')});
+    want.put(doubles.back()).put(tagged.back().first).seq(tagged.back().second);
+    total += FixedWidthSerde<double>::width(doubles.back()) +
+             FixedWidthSerde<Tagged>::width(tagged.back());
   }
-  Reader r(buf.data(), buf.size());
+  std::vector<std::uint8_t> buf(total);
+  std::uint8_t* dst = buf.data();
   for (std::size_t i = 0; i < c.records; ++i) {
-    EXPECT_EQ(serdeRead<double>(r), doubles[i]);
-    EXPECT_EQ((serdeRead<std::pair<std::uint64_t, std::string>>(r)),
-              strings[i]);
+    dst = FixedWidthSerde<double>::encode(dst, doubles[i]);
+    dst = FixedWidthSerde<Tagged>::encode(dst, tagged[i]);
   }
-  EXPECT_TRUE(r.exhausted());
+  ASSERT_EQ(dst, buf.data() + buf.size());
+  ASSERT_EQ(buf, want.bytes);
+  const std::uint8_t* src = buf.data();
+  for (std::size_t i = 0; i < c.records; ++i) {
+    double d = 0.0;
+    Tagged t;
+    src = FixedWidthSerde<double>::decode(src, d);
+    src = FixedWidthSerde<Tagged>::decode(src, t);
+    EXPECT_EQ(d, doubles[i]);
+    EXPECT_EQ(t, tagged[i]);
+  }
+  EXPECT_EQ(src, buf.data() + buf.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(

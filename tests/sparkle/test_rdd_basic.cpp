@@ -62,9 +62,9 @@ TEST(RddBasic, MapTransformsEveryElement) {
 TEST(RddBasic, MapChangesType) {
   Context ctx(smallCluster(), 2);
   auto out = parallelize(ctx, iota(5), 2)
-                 .map([](const int& x) { return std::to_string(x); })
+                 .map([](const int& x) { return x * 0.5; })
                  .collect();
-  EXPECT_EQ(out[3], "3");
+  EXPECT_EQ(out[3], 1.5);
 }
 
 TEST(RddBasic, MapPartitionsSeesWholePartition) {

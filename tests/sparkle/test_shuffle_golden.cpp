@@ -82,7 +82,7 @@ void expectGolden(Context& ctx, const std::vector<Golden>& want) {
   }
 }
 
-/// A multiset of records, compared through their serde bytes so shapes
+/// A multiset of records, compared through their encoded bytes so shapes
 /// without operator< compare too.
 template <typename T>
 std::vector<std::vector<std::uint8_t>> encodedMultiset(
@@ -90,8 +90,8 @@ std::vector<std::vector<std::uint8_t>> encodedMultiset(
   std::vector<std::vector<std::uint8_t>> out;
   out.reserve(recs.size());
   for (const T& rec : recs) {
-    out.emplace_back();
-    serdeWrite(out.back(), rec);
+    out.emplace_back(FixedWidthSerde<T>::width(rec));
+    FixedWidthSerde<T>::encode(out.back().data(), rec);
   }
   std::sort(out.begin(), out.end());
   return out;

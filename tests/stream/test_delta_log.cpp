@@ -80,6 +80,17 @@ TEST(DeltaSerde, RejectsOutOfRangeIndices) {
   EXPECT_THROW(writeDelta(ss, d), Error);
 }
 
+TEST(DeltaSerde, WriterRefusesNonFiniteValues) {
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    tensor::Delta d = sampleDelta(1);
+    d.entries[1].val = v;
+    std::stringstream ss;
+    EXPECT_THROW(writeDelta(ss, d), Error);
+    EXPECT_THROW(DeltaLog(freshDir("nonfinite")).append(d), Error);
+  }
+}
+
 TEST(DeltaLog, AppendsAndReplaysInOrder) {
   DeltaLog log(freshDir("replay"));
   tensor::Delta unstamped = sampleDelta(1);
@@ -95,8 +106,9 @@ TEST(DeltaLog, AppendsAndReplaysInOrder) {
   EXPECT_EQ(all.deltas[0].seq, 1u);
   EXPECT_EQ(all.deltas[1].seq, 2u);
   EXPECT_EQ(all.deltas[2].seq, 5u);
-  // The writer stamps missing creation times.
+  // The writer stamps missing creation times and keeps given ones.
   EXPECT_GT(all.deltas[0].createdUnixMicros, 0u);
+  EXPECT_EQ(all.deltas[1].createdUnixMicros, 1700000000000002ULL);
 
   const DeltaReadResult tail = log.readAfter(2);
   ASSERT_EQ(tail.deltas.size(), 1u);

@@ -24,15 +24,17 @@ TEST(Nonzero, MakeFromVector) {
 }
 
 TEST(Nonzero, SerdeRoundTripEncodesOnlyUsedIndices) {
+  using Codec = FixedWidthSerde<Nonzero>;
   Nonzero nz3 = makeNonzero3(10, 20, 30, 1.25);
-  EXPECT_EQ(serdeSize(nz3), 1u + 3 * 4u + 8u);
-  std::vector<std::uint8_t> buf;
-  serdeWrite(buf, nz3);
-  Reader r(buf.data(), buf.size());
-  EXPECT_EQ(serdeRead<Nonzero>(r), nz3);
+  EXPECT_EQ(Codec::width(nz3), 1u + 3 * 4u + 8u);
+  std::vector<std::uint8_t> buf(Codec::width(nz3));
+  Codec::encode(buf.data(), nz3);
+  Nonzero back;
+  EXPECT_EQ(Codec::decode(buf.data(), back), buf.data() + buf.size());
+  EXPECT_EQ(back, nz3);
 
   Nonzero nz4 = makeNonzero4(1, 2, 3, 4, 0.5);
-  EXPECT_EQ(serdeSize(nz4), 1u + 4 * 4u + 8u);
+  EXPECT_EQ(Codec::width(nz4), 1u + 4 * 4u + 8u);
 }
 
 TEST(CooTensor, BasicAccessors) {
