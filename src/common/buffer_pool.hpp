@@ -74,12 +74,6 @@ class BufferPool {
     return stats_;
   }
 
-  /// Capacity bytes currently parked.
-  std::size_t pooledBytes() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return pooledBytes_;
-  }
-
   /// Drop all parked buffers (stats are kept).
   void clear() {
     std::lock_guard<std::mutex> lock(mutex_);

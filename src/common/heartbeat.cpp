@@ -10,6 +10,13 @@
 
 namespace cstf {
 
+namespace {
+
+/// Snapshots the in-memory ring keeps.
+constexpr std::size_t kRingCapacity = 256;
+
+}  // namespace
+
 Heartbeat::Heartbeat(metrics::Registry& registry, HeartbeatOptions opts)
     : registry_(registry), opts_(std::move(opts)) {}
 
@@ -45,7 +52,7 @@ void Heartbeat::sampleLocked() {
     writeFileAtomic(opts_.promPath, snap.toPrometheusText());
   }
   ring_.push_back(std::move(snap));
-  while (ring_.size() > std::max<std::size_t>(1, opts_.ringCapacity)) {
+  while (ring_.size() > kRingCapacity) {
     ring_.pop_front();
   }
   ++samples_;

@@ -1,8 +1,8 @@
 // Background heartbeat: samples a metrics::Registry on a fixed cadence.
 //
 // Each sample takes one registry snapshot and fans it out to
-//   1. a bounded in-memory ring (the last `ringCapacity` snapshots, for
-//      in-process consumers like tests and the serve report),
+//   1. a bounded in-memory ring (the last 256 snapshots, for in-process
+//      consumers),
 //   2. an append-only ndjson stream of cstf-metrics-v1 lines (one JSON
 //      object per snapshot — `tools/metrics_tail.py` pretty-prints it,
 //      `tools/validate_metrics.py` gates it in CI), and
@@ -38,7 +38,6 @@ struct HeartbeatOptions {
   /// this as `<ndjsonPath>.prom`.
   std::string promPath;
   int intervalMs = 100;
-  std::size_t ringCapacity = 256;
 };
 
 class Heartbeat {

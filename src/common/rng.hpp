@@ -122,8 +122,6 @@ class ZipfSampler {
     return static_cast<std::uint32_t>(lo);
   }
 
-  std::size_t domainSize() const { return cdf_.size(); }
-
  private:
   std::vector<double> cdf_;
 };

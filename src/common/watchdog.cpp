@@ -8,6 +8,17 @@ namespace cstf {
 
 namespace {
 
+/// Flag a task once it exceeds this multiple of the stage's rolling median.
+constexpr double kThresholdFactor = 4.0;
+/// Completed tasks a stage needs before any judgement (medians over tiny
+/// samples flag noise).
+constexpr std::uint64_t kMinSamples = 8;
+/// Only the most recent completions per stage feed the median, so a stage
+/// whose task times drift re-baselines.
+constexpr std::size_t kWindowTasks = 64;
+/// Tasks faster than this are never flagged.
+constexpr double kMinTaskSec = 1e-2;
+
 std::uint64_t taskKey(std::uint64_t stageId, std::uint32_t partition) {
   return (stageId << 32) | partition;
 }
@@ -18,8 +29,8 @@ std::uint64_t taskKey(std::uint64_t stageId, std::uint32_t partition) {
 // StragglerWatchdog
 // ---------------------------------------------------------------------------
 
-StragglerWatchdog::StragglerWatchdog(StragglerOptions opts)
-    : opts_(opts), epoch_(std::chrono::steady_clock::now()) {}
+StragglerWatchdog::StragglerWatchdog()
+    : epoch_(std::chrono::steady_clock::now()) {}
 
 void StragglerWatchdog::setCallback(
     std::function<void(const StragglerEvent&)> fn) {
@@ -43,10 +54,10 @@ double StragglerWatchdog::medianLocked(const StageState& s) const {
 
 bool StragglerWatchdog::judgeLocked(const StageState& s, double taskSec,
                                     StragglerEvent& ev) const {
-  if (s.completed < opts_.minSamples) return false;
+  if (s.completed < kMinSamples) return false;
   const double median = medianLocked(s);
-  if (median <= 0.0 || taskSec < opts_.minTaskSec) return false;
-  if (taskSec <= opts_.thresholdFactor * median) return false;
+  if (median <= 0.0 || taskSec < kMinTaskSec) return false;
+  if (taskSec <= kThresholdFactor * median) return false;
   ev.taskSec = taskSec;
   ev.medianSec = median;
   ev.ratio = taskSec / median;
@@ -86,7 +97,7 @@ void StragglerWatchdog::taskFinished(std::uint64_t stageId,
         cb = callback_;
       }
     }
-    if (stage.window.size() < std::max<std::size_t>(1, opts_.windowTasks)) {
+    if (stage.window.size() < kWindowTasks) {
       stage.window.push_back(taskSec);
     } else {
       stage.window[stage.next] = taskSec;
@@ -161,10 +172,8 @@ double StragglerWatchdog::rollingMedianSec(std::uint64_t stageId) const {
 
 SloWatchdog::SloWatchdog(SloOptions opts)
     : opts_(opts),
-      epochMs_(std::max(1e-3, opts.windowMs /
-                                  double(std::max<std::size_t>(1, opts.epochs)))),
       epoch_(std::chrono::steady_clock::now()),
-      window_(std::max<std::size_t>(1, opts.epochs)) {}
+      window_(kEpochs) {}
 
 void SloWatchdog::setCallback(std::function<void(const SloEvent&)> fn) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -180,15 +189,15 @@ double SloWatchdog::nowMsMonotonic() const {
 void SloWatchdog::rotateToLocked(double nowMs) {
   if (nowMs <= lastRotateMs_) return;
   const double elapsed = nowMs - lastRotateMs_;
-  if (elapsed >= opts_.windowMs) {
+  if (elapsed >= kWindowMs) {
     // The whole window aged out; skip the epoch-by-epoch churn.
     window_.reset();
     lastRotateMs_ = nowMs;
     return;
   }
-  while (nowMs - lastRotateMs_ >= epochMs_) {
+  while (nowMs - lastRotateMs_ >= kEpochMs) {
     window_.rotate();
-    lastRotateMs_ += epochMs_;
+    lastRotateMs_ += kEpochMs;
   }
 }
 

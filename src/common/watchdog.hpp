@@ -43,31 +43,19 @@ struct StragglerEvent {
   bool stillRunning = false;
 };
 
-struct StragglerOptions {
-  /// Flag a task once it exceeds this multiple of the stage's rolling
-  /// median completed-task wall time.
-  double thresholdFactor = 4.0;
-  /// Completed tasks a stage needs before any judgement (medians over tiny
-  /// samples flag noise).
-  std::size_t minSamples = 8;
-  /// Rolling window: only the most recent completions per stage feed the
-  /// median, so a stage whose task times drift re-baselines.
-  std::size_t windowTasks = 64;
-  /// Ignore tasks faster than this outright (micro-task stages produce
-  /// meaningless multiples of a ~0 median: a 2 ms task is "11x" a 0.2 ms
-  /// median on every busy stage, which is scheduling noise, not a problem).
-  double minTaskSec = 1e-2;
-};
-
 /// Tracks per-stage task start/finish times and flags partitions whose task
-/// exceeds thresholdFactor x the stage's rolling median. checkNow() judges
-/// still-running tasks (call it from the heartbeat); taskFinished() judges
-/// the completing task, so post-hoc stragglers are caught even when no
-/// heartbeat landed mid-flight. Each (stage, partition) flags at most once.
-/// Thread-safe; per-task granularity, never per-record.
+/// exceeds 4x the median of the stage's last 64 completed tasks, once the
+/// stage has completed 8. Tasks under 10 ms are never flagged: micro-task
+/// stages produce meaningless multiples of a ~0 median (a 2 ms task is
+/// "11x" a 0.2 ms median on every busy stage, which is scheduling noise).
+/// checkNow() judges still-running tasks (call it from the heartbeat);
+/// taskFinished() judges the completing task, so post-hoc stragglers are
+/// caught even when no heartbeat landed mid-flight. Each (stage,
+/// partition) flags at most once. Thread-safe; per-task granularity, never
+/// per-record.
 class StragglerWatchdog {
  public:
-  explicit StragglerWatchdog(StragglerOptions opts = {});
+  StragglerWatchdog();
 
   /// Invoked (under no internal lock ordering guarantees beyond "after the
   /// flag is counted") for every flagged task. Set once, before tasks run.
@@ -112,7 +100,6 @@ class StragglerWatchdog {
   bool judgeLocked(const StageState& s, double taskSec,
                    StragglerEvent& ev) const;
 
-  const StragglerOptions opts_;
   std::function<void(const StragglerEvent&)> callback_;
   const std::chrono::steady_clock::time_point epoch_;
 
@@ -139,16 +126,13 @@ struct SloEvent {
 struct SloOptions {
   /// Latency target (same unit as record()); <= 0 disables the watchdog.
   double p99Target = 0.0;
-  /// Sliding-window span in milliseconds of "now" time.
-  double windowMs = 200.0;
-  /// Epochs the window is divided into (granularity of expiry).
-  std::size_t epochs = 8;
 };
 
-/// Tracks latencies in a WindowedHistogram whose epochs rotate with wall
-/// time, and records breach/recovery transitions of the windowed p99
-/// against the target. An empty window reads as p99 = 0 (no traffic means
-/// no breach), so a drained system always recovers.
+/// Tracks latencies in a 200 ms sliding window of "now" time, split into 8
+/// epochs that expire one at a time, and records breach/recovery
+/// transitions of the windowed p99 against the target. An empty window
+/// reads as p99 = 0 (no traffic means no breach), so a drained system
+/// always recovers.
 class SloWatchdog {
  public:
   explicit SloWatchdog(SloOptions opts = {});
@@ -173,14 +157,17 @@ class SloWatchdog {
   std::uint64_t recoveries() const;
   /// Windowed p99 as of `nowMs` (rotates first).
   double windowP99(double nowMs);
-  double windowMs() const { return opts_.windowMs; }
+  static constexpr double windowMs() { return kWindowMs; }
 
  private:
   double nowMsMonotonic() const;
   void rotateToLocked(double nowMs);
 
+  static constexpr double kWindowMs = 200.0;
+  static constexpr std::size_t kEpochs = 8;
+  static constexpr double kEpochMs = kWindowMs / kEpochs;
+
   const SloOptions opts_;
-  const double epochMs_;
   std::function<void(const SloEvent&)> callback_;
   const std::chrono::steady_clock::time_point epoch_;
 

@@ -74,13 +74,6 @@ struct CpAlsResult {
   RunReport report;
   double finalFit = 0.0;
   bool converged = false;
-
-  double avgIterationSimTimeSec() const {
-    if (iterations.empty()) return 0.0;
-    double s = 0.0;
-    for (const auto& it : iterations) s += it.simTimeSec;
-    return s / static_cast<double>(iterations.size());
-  }
 };
 
 /// Factor `X` with the configured backend. Stage metrics accumulate in

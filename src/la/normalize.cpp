@@ -20,22 +20,4 @@ std::vector<double> normalizeColumns(Matrix& m) {
   return norms;
 }
 
-std::vector<double> normalizeColumnsMax(Matrix& m) {
-  std::vector<double> norms(m.cols(), 0.0);
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    const double* row = m.row(i);
-    for (std::size_t j = 0; j < m.cols(); ++j) {
-      norms[j] = std::max(norms[j], std::abs(row[j]));
-    }
-  }
-  // CP convention: max-norm weights are clamped to >= 1 so lambda absorbs
-  // only growth, never inflates small factors.
-  for (double& n : norms) n = std::max(n, 1.0);
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    double* row = m.row(i);
-    for (std::size_t j = 0; j < m.cols(); ++j) row[j] /= norms[j];
-  }
-  return norms;
-}
-
 }  // namespace cstf::la

@@ -12,8 +12,4 @@ namespace cstf::la {
 /// untouched and report norm 0 — callers treat that as a degenerate factor.
 std::vector<double> normalizeColumns(Matrix& m);
 
-/// Normalize with the max-norm instead (SPLATT's convention for iterations
-/// after the first, which keeps lambda stable); provided for comparison.
-std::vector<double> normalizeColumnsMax(Matrix& m);
-
 }  // namespace cstf::la

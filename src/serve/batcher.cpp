@@ -13,6 +13,9 @@ namespace cstf::serve {
 
 namespace {
 
+/// Independently locked result-cache shards.
+constexpr std::size_t kCacheShards = 8;
+
 void histogramJson(JsonWriter& w, const Histogram& h) {
   w.beginObject();
   w.kv("count", static_cast<std::uint64_t>(h.count()));
@@ -129,9 +132,9 @@ std::string serveReportJson(const ServeStats& s, const ShardedStats* sharding,
 Batcher::Batcher(std::shared_ptr<const TopKProvider> engine,
                  BatcherOptions opts, TraceRecorder& trace)
     : opts_(std::move(opts)),
-      slo_(SloOptions{opts_.sloP99Micros, opts_.sloWindowMs, 8}),
+      slo_(SloOptions{opts_.sloP99Micros}),
       trace_(trace),
-      cache_(opts_.cacheCapacity, opts_.cacheShards),
+      cache_(opts_.cacheCapacity, kCacheShards),
       start_(std::chrono::steady_clock::now()),
       engine_(std::move(engine)) {
   CSTF_CHECK(engine_ != nullptr, "batcher needs an engine");

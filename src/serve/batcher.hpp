@@ -94,14 +94,12 @@ struct BatcherOptions {
   /// admission is shed with DeadlineExceededError instead of being
   /// computed; 0 disables. submit() can override per request.
   std::uint64_t deadlineMicros = 0;
-  /// Total result-cache entries; 0 disables caching.
+  /// Total result-cache entries, split over 8 independently locked
+  /// shards; 0 disables caching.
   std::size_t cacheCapacity = 4096;
-  std::size_t cacheShards = 8;
-  /// Serving SLO: sliding-window p99 latency target in microseconds;
-  /// <= 0 disables the SLO watchdog.
+  /// Serving SLO: p99 latency target in microseconds over a 200 ms sliding
+  /// window; <= 0 disables the SLO watchdog.
   double sloP99Micros = 0.0;
-  /// Sliding window the SLO p99 is computed over, in milliseconds.
-  double sloWindowMs = 200.0;
   /// Live instrument sink (`serve_*` series); nullptr disables live
   /// metrics. Defaults to the process-global registry.
   metrics::Registry* liveMetrics = &metrics::globalRegistry();

@@ -28,26 +28,6 @@ double Engine::predict(const std::vector<Index>& indices) const {
   return cellValue(rows, order(), rank_);
 }
 
-std::vector<double> Engine::predictBatch(
-    const std::vector<std::vector<Index>>& queries) const {
-  std::vector<double> out(queries.size());
-  constexpr std::size_t kBlock = 64;
-  auto runBlock = [&](std::size_t b) {
-    const std::size_t begin = b * kBlock;
-    const std::size_t end = std::min(queries.size(), begin + kBlock);
-    for (std::size_t q = begin; q < end; ++q) {
-      out[q] = Engine::predict(queries[q]);
-    }
-  };
-  const std::size_t nBlocks = (queries.size() + kBlock - 1) / kBlock;
-  if (nBlocks >= 2 && pool_.threadCount() > 1) {
-    pool_.parallelFor(nBlocks, runBlock);
-  } else {
-    for (std::size_t b = 0; b < nBlocks; ++b) runBlock(b);
-  }
-  return out;
-}
-
 TopKResult Engine::topK(ModeId mode, const std::vector<Index>& fixed,
                         std::size_t k, const TopKOptions& opts) const {
   validateTopKQuery(dims_, mode, fixed, k);

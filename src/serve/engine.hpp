@@ -67,12 +67,6 @@ class Engine : public TopKProvider {
   /// Reconstruct one cell; `indices` holds one index per mode.
   double predict(const std::vector<Index>& indices) const override;
 
-  /// Reconstruct a batch of cells; processed in blocks (parallel across
-  /// the pool for large batches) with results in input order, identical to
-  /// per-query predict().
-  std::vector<double> predictBatch(
-      const std::vector<std::vector<Index>>& queries) const;
-
   /// Top-k completion along `mode`: `fixed` holds one index per mode (the
   /// entry at `mode` is ignored); returns the k rows of that mode with the
   /// highest reconstructed values.

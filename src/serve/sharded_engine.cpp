@@ -11,11 +11,22 @@
 
 namespace cstf::serve {
 
+namespace {
+
+/// A shard whose hinted load reaches this multiple of the mean shard load
+/// gets one extra replica.
+constexpr double kHotShardFactor = 2.0;
+/// Wall-clock backoff before retrying a sub-query on another replica;
+/// doubles per retry (capped at 8x).
+constexpr std::uint64_t kBackoffMicros = 50;
+/// Full passes over a shard's replica chain before shedding.
+constexpr int kMaxFailoverRounds = 2;
+
+}  // namespace
+
 ShardedEngine::ShardedEngine(CpModel model, ShardedEngineOptions opts)
     : rank_(model.rank),
       dims_(model.dims),
-      backoffMicros_(opts.backoffMicros),
-      maxFailoverRounds_(std::max(1, opts.maxFailoverRounds)),
       faults_(std::move(opts.faults)),
       pool_(opts.threads),
       failovers_(opts.liveMetrics, "serve_failover_total"),
@@ -27,12 +38,11 @@ ShardedEngine::ShardedEngine(CpModel model, ShardedEngineOptions opts)
   // Shard s owns global rows {s, s+S, s+2S, ...} of every mode, built by
   // the same code as Engine's rows, so shard scores are bit-identical.
   shards_ = buildShardScans(std::move(model), numShards_);
-  numNodes_ = opts.numNodes == 0 ? numShards_ : opts.numNodes;
   const std::size_t baseReplicas =
-      std::min(std::max<std::size_t>(1, opts.numReplicas), numNodes_);
+      std::min(std::max<std::size_t>(1, opts.numReplicas), numNodes());
 
   // Hot-shard promotion: fold each mode's hinted heavy-row weights onto the
-  // shard that owns the row; shards loaded past hotShardFactor x the mean
+  // shard that owns the row; shards loaded past kHotShardFactor x the mean
   // get one extra replica (capped by the node count).
   std::vector<std::uint64_t> load(numShards_, 0);
   std::uint64_t totalLoad = 0;
@@ -46,19 +56,19 @@ ShardedEngine::ShardedEngine(CpModel model, ShardedEngineOptions opts)
     }
   }
   replicas_.assign(numShards_, baseReplicas);
-  if (opts.hotShardFactor > 0.0 && totalLoad > 0) {
+  if (totalLoad > 0) {
     const double mean =
         static_cast<double>(totalLoad) / static_cast<double>(numShards_);
     for (std::size_t s = 0; s < numShards_; ++s) {
-      if (static_cast<double>(load[s]) >= opts.hotShardFactor * mean) {
-        replicas_[s] = std::min(numNodes_, baseReplicas + 1);
+      if (static_cast<double>(load[s]) >= kHotShardFactor * mean) {
+        replicas_[s] = std::min(numNodes(), baseReplicas + 1);
         if (replicas_[s] > baseReplicas) ++hotShards_;
       }
     }
   }
 
-  nodeDead_ = std::make_unique<std::atomic<bool>[]>(numNodes_);
-  for (std::size_t n = 0; n < numNodes_; ++n) {
+  nodeDead_ = std::make_unique<std::atomic<bool>[]>(numNodes());
+  for (std::size_t n = 0; n < numNodes(); ++n) {
     nodeDead_[n].store(false, std::memory_order_relaxed);
   }
 
@@ -74,13 +84,13 @@ ShardedEngine::ShardedEngine(CpModel model, ShardedEngineOptions opts)
 }
 
 bool ShardedEngine::nodeAlive(int node) const {
-  CSTF_CHECK(node >= 0 && static_cast<std::size_t>(node) < numNodes_,
+  CSTF_CHECK(node >= 0 && static_cast<std::size_t>(node) < numNodes(),
              "node id out of range");
   return !nodeDead_[node].load(std::memory_order_relaxed);
 }
 
 void ShardedEngine::killNode(int node) const {
-  CSTF_CHECK(node >= 0 && static_cast<std::size_t>(node) < numNodes_,
+  CSTF_CHECK(node >= 0 && static_cast<std::size_t>(node) < numNodes(),
              "node id out of range");
   if (nodeDead_[node].exchange(true, std::memory_order_relaxed)) return;
   nodesKilled_.fetch_add(1, std::memory_order_relaxed);
@@ -91,7 +101,7 @@ void ShardedEngine::killNode(int node) const {
       if (nodeOfCopy(s, c) == node) ++copiesLost;
     }
   }
-  for (std::size_t n = 0; n < numNodes_; ++n) {
+  for (std::size_t n = 0; n < numNodes(); ++n) {
     if (nodeDead_[n].load(std::memory_order_relaxed)) ++deadNodes;
   }
   shardLost_.add(copiesLost);
@@ -99,11 +109,11 @@ void ShardedEngine::killNode(int node) const {
 }
 
 void ShardedEngine::reviveNode(int node) const {
-  CSTF_CHECK(node >= 0 && static_cast<std::size_t>(node) < numNodes_,
+  CSTF_CHECK(node >= 0 && static_cast<std::size_t>(node) < numNodes(),
              "node id out of range");
   nodeDead_[node].store(false, std::memory_order_relaxed);
   std::size_t deadNodes = 0;
-  for (std::size_t n = 0; n < numNodes_; ++n) {
+  for (std::size_t n = 0; n < numNodes(); ++n) {
     if (nodeDead_[n].load(std::memory_order_relaxed)) ++deadNodes;
   }
   nodesDeadGauge_.set(static_cast<double>(deadNodes));
@@ -112,7 +122,7 @@ void ShardedEngine::reviveNode(int node) const {
 void ShardedEngine::noteBatchBoundary(std::uint64_t batchesDispatched) const {
   if (faults_.schedule.empty()) return;
   const int victim = faults_.scheduledLossFor(batchesDispatched,
-                                              static_cast<int>(numNodes_));
+                                              static_cast<int>(numNodes()));
   if (victim >= 0) killNode(victim);
 }
 
@@ -148,7 +158,7 @@ ScanResult ShardedEngine::shardTopK(std::size_t s, ModeId mode,
   TopKStats spent;  // aborted attempts' work stays counted — it happened
   bool deviated = false;
   int attempt = 0;
-  for (int round = 0; round < maxFailoverRounds_; ++round) {
+  for (int round = 0; round < kMaxFailoverRounds; ++round) {
     for (std::size_t c = 0; c < replicas_[s]; ++c) {
       const int node = nodeOfCopy(s, c);
       if (nodeDead_[node].load(std::memory_order_relaxed)) {
@@ -157,10 +167,10 @@ ScanResult ShardedEngine::shardTopK(std::size_t s, ModeId mode,
       }
       if (deviated) {
         failovers_.add();
-        if (backoffMicros_ > 0 && attempt > 0) {
+        if (attempt > 0) {
           const std::uint64_t shift = std::min(attempt - 1, 3);
           std::this_thread::sleep_for(
-              std::chrono::microseconds(backoffMicros_ << shift));
+              std::chrono::microseconds(kBackoffMicros << shift));
         }
       }
       ++attempt;
@@ -208,11 +218,11 @@ TopKResult ShardedEngine::topK(ModeId mode, const std::vector<Index>& fixed,
 ShardedStats ShardedEngine::stats() const {
   ShardedStats st;
   st.shards = numShards_;
-  st.nodes = numNodes_;
+  st.nodes = numNodes();
   st.totalReplicas =
       std::accumulate(replicas_.begin(), replicas_.end(), std::size_t{0});
   st.hotShards = hotShards_;
-  for (std::size_t n = 0; n < numNodes_; ++n) {
+  for (std::size_t n = 0; n < numNodes(); ++n) {
     if (nodeDead_[n].load(std::memory_order_relaxed)) ++st.deadNodes;
   }
   for (const metrics::OwnedCounter& q : shardQueries_) {

@@ -3,9 +3,9 @@
 // that stays bit-identical to the single-process Engine.
 //
 // Layout: row i of every mode belongs to shard i mod S (local position
-// i div S), and copy c of shard s lives on node (s + c) mod N — chained
-// declustering, so no two shards share a full replica set and one node
-// death costs at most one copy of any shard. Hot shards — those owning a
+// i div S), and copy c of shard s lives on node (s + c) mod S — one node
+// per shard, chained declustering, so no two shards share a full replica
+// set and one node death costs at most one copy of any shard. Hot shards — those owning a
 // disproportionate share of the hinted heavy rows (LoadHints) — get one
 // extra replica, because skewed request streams hammer the shards that
 // own the hot rows just as skewed tensors hammer the partitions that own
@@ -53,25 +53,17 @@ using LoadHints = std::vector<std::vector<std::pair<Index, std::uint64_t>>>;
 struct ShardedEngineOptions {
   /// Row-wise shards (row i of every mode lives on shard i mod numShards).
   std::size_t numShards = 1;
-  /// Base copies per shard; 1 = unreplicated. Capped at numNodes.
+  /// Base copies per shard; 1 = unreplicated. Capped at the node count,
+  /// which is the shard count (one node per shard).
   std::size_t numReplicas = 1;
-  /// Nodes in the serving fabric; 0 places one shard per node.
-  std::size_t numNodes = 0;
-  /// A shard whose hinted load reaches hotShardFactor times the mean shard
-  /// load gets one extra replica; <= 0 disables promotion.
-  double hotShardFactor = 2.0;
-  /// Heavy-row weights; empty = no promotion.
+  /// Heavy-row weights; a shard whose hinted load reaches twice the mean
+  /// shard load gets one extra replica. Empty = no promotion.
   LoadHints loadHints;
   /// Deterministic node loss applied at batch boundaries: stage =
   /// dispatched batch index (the serving-tier reuse of the shuffle
   /// engine's FaultPlan). Only scheduled events fire here; rate-driven
   /// loss stays a shuffle-engine behaviour.
   sparkle::FaultPlan faults;
-  /// Base wall-clock backoff before retrying a sub-query on another
-  /// replica; doubles per retry (capped at 8x).
-  std::uint64_t backoffMicros = 50;
-  /// Full passes over a shard's replica chain before shedding.
-  int maxFailoverRounds = 2;
   /// Scatter pool width; 0 sizes to the hardware.
   std::size_t threads = 0;
   /// Instrument sink; nullptr disables live metrics.
@@ -104,13 +96,14 @@ class ShardedEngine : public TopKProvider {
   const std::vector<Index>& dims() const override { return dims_; }
 
   std::size_t numShards() const { return numShards_; }
-  std::size_t numNodes() const { return numNodes_; }
+  /// One serving node per shard.
+  std::size_t numNodes() const { return numShards_; }
   std::size_t replicasOf(std::size_t shard) const {
     return replicas_[shard];
   }
-  /// Chained declustering placement: copy c of shard s -> node (s+c) mod N.
+  /// Chained declustering placement: copy c of shard s -> node (s+c) mod S.
   int nodeOfCopy(std::size_t shard, std::size_t copy) const {
-    return static_cast<int>((shard + copy) % numNodes_);
+    return static_cast<int>((shard + copy) % numNodes());
   }
   bool nodeAlive(int node) const;
 
@@ -141,11 +134,8 @@ class ShardedEngine : public TopKProvider {
   std::size_t rank_ = 0;
   std::vector<Index> dims_;
   std::size_t numShards_ = 1;
-  std::size_t numNodes_ = 1;
   std::vector<std::size_t> replicas_;
   std::size_t hotShards_ = 0;
-  std::uint64_t backoffMicros_ = 0;
-  int maxFailoverRounds_ = 1;
   sparkle::FaultPlan faults_;
   /// shards_[s][m]: shard s's rows of mode m.
   std::vector<std::vector<ShardScan>> shards_;

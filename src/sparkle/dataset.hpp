@@ -1,9 +1,9 @@
 // Dataset DAG nodes: the lazy, lineage-tracked backbone of the engine.
 //
 // Mirrors Spark's RDD execution model:
-//  * narrow transformations (map/mapValues/mapPartitions) pipeline — a task
-//    computing partition p of a mapped dataset recursively computes
-//    partition p of its parent inside the same task;
+//  * narrow transformations (map/mapValues/mapPartitionsWithCounters)
+//    pipeline — a task computing partition p of a mapped dataset
+//    recursively computes partition p of its parent inside the same task;
 //  * `cache()` memoizes computed partitions, truncating lineage exactly the
 //    way Spark's persist() does — without it, every downstream stage
 //    recomputes the chain from the source (and re-meters the source read);
@@ -265,24 +265,6 @@ class Dataset : public DatasetBase {
     return level_.load(std::memory_order_acquire);
   }
 
-  bool fullyCached() const {
-    const StorageLevel level = level_.load(std::memory_order_acquire);
-    if (level == StorageLevel::kNone) return false;
-    std::lock_guard<std::mutex> lock(cacheMutex_);
-    if (level == StorageLevel::kRaw) {
-      if (rawCache_.size() != numPartitions_) return false;
-      for (const auto& b : rawCache_) {
-        if (!b) return false;
-      }
-    } else {
-      if (serCache_.size() != numPartitions_) return false;
-      for (const auto& b : serCache_) {
-        if (!b) return false;
-      }
-    }
-    return true;
-  }
-
   /// Estimated executor memory held by this dataset's cache. Serialized
   /// caches report their exact byte footprint; raw caches report the
   /// serialized size scaled by the configured live-object expansion — the
@@ -467,42 +449,11 @@ class MapDataset final : public Dataset<Out> {
   double flopsPerRecord_;
 };
 
-/// mapPartitions: f(const std::vector<In>&) -> std::vector<Out>. Used for
-/// per-partition aggregation (e.g. local gram accumulation).
-template <typename In, typename Out, typename F>
-class MapPartitionsDataset final : public Dataset<Out> {
- public:
-  MapPartitionsDataset(Context* ctx, std::shared_ptr<Dataset<In>> parent, F f,
-                       bool preservesPartitioning)
-      : Dataset<Out>(ctx, parent->numPartitions()),
-        parent_(std::move(parent)),
-        f_(std::move(f)) {
-    if (preservesPartitioning) {
-      this->setOutputPartitioning(parent_->outputPartitioning());
-    }
-  }
-
-  void ensureReady() override { parent_->ensureReady(); }
-
- protected:
-  Block<Out> computePartition(std::size_t p, TaskContext& tc) override {
-    Block<In> in = parent_->partition(p, tc);
-    std::vector<Out> out = f_(*in);
-    tc.counters.recordsProcessed += in->size();
-    return makeBlock(std::move(out));
-  }
-
- private:
-  std::shared_ptr<Dataset<In>> parent_;
-  F f_;
-};
-
 /// mapPartitionsWithCounters: f(partitionIndex, const std::vector<In>&,
-/// TaskCounters&) -> std::vector<Out>. Like mapPartitions, but the body
-/// also sees its partition index and charges work (flops, emitted records)
-/// directly to the task's counters — for partition-local kernels whose
-/// cost is not a simple function of input size. recordsProcessed is still
-/// metered here.
+/// TaskCounters&) -> std::vector<Out>. The body sees its partition index
+/// and charges work (flops, emitted records) directly to the task's
+/// counters — for partition-local kernels whose cost is not a simple
+/// function of input size. recordsProcessed is still metered here.
 template <typename In, typename Out, typename F>
 class MapPartitionsWithCountersDataset final : public Dataset<Out> {
  public:

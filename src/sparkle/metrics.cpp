@@ -306,18 +306,6 @@ TaskSkewStats MetricsRegistry::skewForScope(
   return computeTaskSkew(pooled);
 }
 
-RecordSkewStats MetricsRegistry::reduceSkewForScope(
-    const std::string& scopePrefix) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::uint64_t> pooled;
-  for (const auto& s : stages_) {
-    if (s.scope.rfind(scopePrefix, 0) != 0) continue;
-    pooled.insert(pooled.end(), s.reduceRecordsByPartition.begin(),
-                  s.reduceRecordsByPartition.end());
-  }
-  return computeRecordSkew(pooled);
-}
-
 std::size_t MetricsRegistry::stageCount() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stages_.size();

@@ -2,14 +2,14 @@
 //
 // Only the operators CSTF-COO, CSTF-QCOO, BIGtensor and the broadcast
 // local path run, with Spark's semantics:
-//  * transformations (`map`, `mapWithFlops`, `mapValues`, `mapPartitions`,
+//  * transformations (`map`, `mapWithFlops`, `mapValues`,
 //    `mapPartitionsWithCounters`) are lazy and return new Rdds sharing
 //    lineage; `mapValues` preserves partitioning, `map` does not;
 //  * `join`/`reduceByKey` shuffle only the sides that are not already
 //    partitioned by the target partitioner;
-//  * actions (`collect`, `foreachPartition`, `count`, `reduce`,
-//    `materialize`) execute a job: materialize all shuffle dependencies,
-//    then run one result task per partition;
+//  * actions (`collect`, `foreachPartition`, `count`, `materialize`)
+//    execute a job: materialize all shuffle dependencies, then run one
+//    result task per partition;
 //  * `cache`/`unpersist` memoize partitions, `snapshot` detaches lineage,
 //    and `parallelize`, `generate` and `broadcast` bring in-process data
 //    into the engine.
@@ -23,7 +23,6 @@
 #include <functional>
 #include <memory>
 #include <numeric>
-#include <optional>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -101,16 +100,6 @@ class Rdd {
     auto ds = std::make_shared<MapDataset<T, Out, F>>(
         ctx_, ds_, std::move(f), flopsPerRecord,
         /*preservesPartitioning=*/false);
-    return Rdd<Out>(ctx_, std::move(ds));
-  }
-
-  /// f: const std::vector<T>& -> std::vector<Out>
-  template <typename F,
-            typename C = std::invoke_result_t<F, const std::vector<T>&>,
-            typename Out = typename C::value_type>
-  Rdd<Out> mapPartitions(F f, bool preservesPartitioning = false) const {
-    auto ds = std::make_shared<MapPartitionsDataset<T, Out, F>>(
-        ctx_, ds_, std::move(f), preservesPartitioning);
     return Rdd<Out>(ctx_, std::move(ds));
   }
 
@@ -248,34 +237,6 @@ class Rdd {
       counts[p] = block->size();
     });
     return std::accumulate(counts.begin(), counts.end(), std::size_t{0});
-  }
-
-  /// Commutative/associative reduction to the driver. Throws on empty Rdd.
-  template <typename F>
-  T reduce(F f, const std::string& label = "reduce") const {
-    std::vector<std::optional<T>> partials(numPartitions());
-    runResultStage(label, [&](std::size_t p, Block<T> block) {
-      std::optional<T> acc;
-      for (const T& x : *block) {
-        if (acc) {
-          acc = f(*acc, x);
-        } else {
-          acc = x;
-        }
-      }
-      partials[p] = std::move(acc);
-    });
-    std::optional<T> result;
-    for (auto& part : partials) {
-      if (!part) continue;
-      if (result) {
-        result = f(*result, *part);
-      } else {
-        result = std::move(part);
-      }
-    }
-    CSTF_CHECK(result.has_value(), "reduce on an empty Rdd");
-    return *result;
   }
 
   /// Force materialization of the whole lineage without moving data to the

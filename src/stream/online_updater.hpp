@@ -17,6 +17,7 @@
 // A stochastic-gradient fallback (`OnlineSolver::kSgd`, after the CPTF
 // mini-batch exemplar) updates rows by per-entry gradient steps with a
 // 1/sqrt(t) learning-rate schedule — cheaper per entry, noisier per batch.
+// It lost to ALS on every input measured (DESIGN §16).
 //
 // Both paths drift from the exactly refit model over time, so the updater
 // runs a periodic *exact-fit probe*: every `fitProbeEvery` batches it
@@ -84,9 +85,11 @@ struct OnlineUpdateStats {
 class OnlineUpdater {
  public:
   /// `model` is the exported warm start; `base` the tensor it was trained
-  /// on (pass an empty tensor to update from delta entries alone — the SGD
-  /// path is then the better fit, since ALS re-solves rows against only
-  /// the entries it has seen). Not thread-safe; one owner thread applies.
+  /// on. An empty base updates from the delta entries alone: ALS then
+  /// re-solves each touched row against that row's delta entries only,
+  /// and the fit is judged against those entries. ALS beats SGD with and
+  /// without the base, and with it by far (DESIGN §16), so pass the base.
+  /// Not thread-safe; one owner thread applies.
   OnlineUpdater(serve::CpModel model, tensor::CooTensor base,
                 OnlineUpdaterOptions opts = {});
 

@@ -117,20 +117,4 @@ void CooTensor::validate() const {
   }
 }
 
-CooTensor CooTensor::collapseLastMode() const {
-  CSTF_CHECK(order() >= 2, "cannot collapse a tensor below order 1");
-  std::vector<Index> dims(dims_.begin(), dims_.end() - 1);
-  std::vector<Nonzero> nzs;
-  nzs.reserve(nonzeros_.size());
-  for (const Nonzero& nz : nonzeros_) {
-    Nonzero m = nz;
-    m.order = static_cast<ModeId>(nz.order - 1);
-    m.idx[m.order] = 0;
-    nzs.push_back(m);
-  }
-  CooTensor t(std::move(dims), std::move(nzs), name_ + "-collapsed");
-  t.coalesce();
-  return t;
-}
-
 }  // namespace cstf::tensor

@@ -74,10 +74,6 @@ class CooTensor {
   /// its mode dimension.
   void validate() const;
 
-  /// Drop the last mode by summing entries that collapse together (e.g.
-  /// delicious4d -> delicious3d in the paper's datasets).
-  CooTensor collapseLastMode() const;
-
  private:
   std::vector<Index> dims_;
   std::vector<Nonzero> nonzeros_;

@@ -8,16 +8,6 @@
 
 namespace cstf::tensor {
 
-double TensorStats::maxImbalance() const {
-  double worst = 0.0;
-  for (const ModeStats& m : modes) {
-    if (m.meanSliceNnz > 0.0) {
-      worst = std::max(worst, m.maxSliceNnz / m.meanSliceNnz);
-    }
-  }
-  return worst;
-}
-
 TensorStats analyzeTensor(const CooTensor& t) {
   TensorStats s;
   s.nnz = t.nnz();

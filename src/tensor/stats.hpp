@@ -36,10 +36,6 @@ struct TensorStats {
   double maxValue = 0.0;
   double meanValue = 0.0;
   std::vector<ModeStats> modes;  // one per mode
-
-  /// Ratio of the hottest single-index slice to the mean across modes —
-  /// an upper bound on join-task imbalance under hash partitioning.
-  double maxImbalance() const;
 };
 
 TensorStats analyzeTensor(const CooTensor& t);

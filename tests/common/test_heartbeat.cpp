@@ -63,7 +63,7 @@ TEST(Heartbeat, StartStopYieldsAtLeastTwoSnapshots) {
 TEST(Heartbeat, PeriodicSamplingProgresses) {
   metrics::Registry reg;
   std::atomic<int> checks{0};
-  Heartbeat hb(reg, HeartbeatOptions{"", "", /*intervalMs=*/1, 16});
+  Heartbeat hb(reg, HeartbeatOptions{"", "", /*intervalMs=*/1});
   hb.addCheck([&checks] { checks.fetch_add(1); });
   hb.start();
   // Wait until the sampler demonstrably ticked a few times on its own.
@@ -80,11 +80,12 @@ TEST(Heartbeat, RingIsBoundedAndOrdered) {
   metrics::Registry reg;
   HeartbeatOptions o;
   o.intervalMs = 10000;
-  o.ringCapacity = 4;
   Heartbeat hb(reg, o);
-  for (int i = 0; i < 10; ++i) hb.flushNow();
+  // The ring keeps the last 256 snapshots.
+  for (int i = 0; i < 260; ++i) hb.flushNow();
   const auto ring = hb.ring();
-  ASSERT_EQ(ring.size(), 4u);
+  ASSERT_EQ(ring.size(), 256u);
+  EXPECT_EQ(ring.back().seq - ring.front().seq, 255u);
   for (std::size_t i = 1; i < ring.size(); ++i) {
     EXPECT_GT(ring[i].seq, ring[i - 1].seq);
   }

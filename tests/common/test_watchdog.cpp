@@ -8,15 +8,6 @@
 namespace cstf {
 namespace {
 
-StragglerOptions fastStragglerOpts() {
-  StragglerOptions o;
-  o.thresholdFactor = 4.0;
-  o.minSamples = 4;
-  o.windowTasks = 16;
-  o.minTaskSec = 1e-6;
-  return o;
-}
-
 // Complete `n` tasks of duration `sec` each on stage `stage`.
 void completeTasks(StragglerWatchdog& w, std::uint64_t stage, int n,
                    double sec, double& clock, std::uint32_t firstPartition) {
@@ -29,7 +20,7 @@ void completeTasks(StragglerWatchdog& w, std::uint64_t stage, int n,
 }
 
 TEST(StragglerWatchdog, FlagsSlowTaskAtCompletion) {
-  StragglerWatchdog w(fastStragglerOpts());
+  StragglerWatchdog w;
   std::vector<StragglerEvent> events;
   w.setCallback([&](const StragglerEvent& e) { events.push_back(e); });
 
@@ -52,11 +43,10 @@ TEST(StragglerWatchdog, FlagsSlowTaskAtCompletion) {
 }
 
 TEST(StragglerWatchdog, MinSamplesGateSuppressesEarlyFlags) {
-  StragglerOptions o = fastStragglerOpts();
-  o.minSamples = 8;
-  StragglerWatchdog w(o);
+  StragglerWatchdog w;
   double clock = 0.0;
-  // Only 3 completions — below the gate, so even a huge outlier passes.
+  // Only 3 completions — below the 8-sample gate, so even a huge outlier
+  // passes.
   completeTasks(w, 1, 3, 1.0, clock, 0);
   w.taskStarted(1, 50, clock);
   clock += 100.0;
@@ -65,7 +55,7 @@ TEST(StragglerWatchdog, MinSamplesGateSuppressesEarlyFlags) {
 }
 
 TEST(StragglerWatchdog, CheckNowFlagsRunningTaskOnce) {
-  StragglerWatchdog w(fastStragglerOpts());
+  StragglerWatchdog w;
   std::vector<StragglerEvent> events;
   w.setCallback([&](const StragglerEvent& e) { events.push_back(e); });
 
@@ -90,19 +80,17 @@ TEST(StragglerWatchdog, CheckNowFlagsRunningTaskOnce) {
 }
 
 TEST(StragglerWatchdog, MicroTasksAreIgnored) {
-  StragglerOptions o = fastStragglerOpts();
-  o.minTaskSec = 0.5;  // everything below half a second is noise
-  StragglerWatchdog w(o);
+  StragglerWatchdog w;
   double clock = 0.0;
-  completeTasks(w, 1, 8, 0.001, clock, 0);
+  completeTasks(w, 1, 8, 1e-5, clock, 0);
   w.taskStarted(1, 42, clock);
-  clock += 0.1;  // 100x the median, but under minTaskSec
+  clock += 1e-3;  // 100x the median, but under the 10 ms floor
   w.taskFinished(1, 42, clock);
   EXPECT_EQ(w.flagged(), 0u);
 }
 
 TEST(StragglerWatchdog, DefaultFloorIgnoresMillisecondTasks) {
-  StragglerWatchdog w;  // default options, as every engine run uses
+  StragglerWatchdog w;
   double clock = 0.0;
   completeTasks(w, 1, 8, 0.001, clock, 0);
   w.taskStarted(1, 40, clock);
@@ -120,15 +108,14 @@ TEST(StragglerWatchdog, DefaultFloorIgnoresMillisecondTasks) {
 }
 
 TEST(StragglerWatchdog, RollingWindowRebaselines) {
-  StragglerOptions o = fastStragglerOpts();
-  o.windowTasks = 8;
-  StragglerWatchdog w(o);
+  StragglerWatchdog w;
   double clock = 0.0;
   completeTasks(w, 1, 8, 1.0, clock, 0);
   EXPECT_NEAR(w.rollingMedianSec(1), 1.0, 1e-12);
-  // 8 more completions at 10s push every 1s sample out of the window. The
-  // earliest of these legitimately flag against the old 1s baseline.
-  completeTasks(w, 1, 8, 10.0, clock, 100);
+  // 64 completions at 10s fill the 64-task window and push every 1s sample
+  // out of it. The earliest of these legitimately flag against the old 1s
+  // baseline.
+  completeTasks(w, 1, 64, 10.0, clock, 100);
   EXPECT_NEAR(w.rollingMedianSec(1), 10.0, 1e-12);
   const std::uint64_t transitional = w.flagged();
   // 10s is now normal: no new flag once the window has re-baselined.
@@ -139,7 +126,7 @@ TEST(StragglerWatchdog, RollingWindowRebaselines) {
 }
 
 TEST(StragglerWatchdog, StagesAreIndependent) {
-  StragglerWatchdog w(fastStragglerOpts());
+  StragglerWatchdog w;
   double clock = 0.0;
   completeTasks(w, 1, 8, 1.0, clock, 0);
   // Stage 2 has no baseline; a 10s task there must not flag.
@@ -150,16 +137,8 @@ TEST(StragglerWatchdog, StagesAreIndependent) {
   EXPECT_EQ(w.rollingMedianSec(2), 10.0);
 }
 
-SloOptions sloOpts(double target) {
-  SloOptions o;
-  o.p99Target = target;
-  o.windowMs = 100.0;
-  o.epochs = 4;
-  return o;
-}
-
 TEST(SloWatchdog, DisabledWhenTargetNonPositive) {
-  SloWatchdog w(sloOpts(0.0));
+  SloWatchdog w(SloOptions{0.0});
   EXPECT_FALSE(w.enabled());
   w.record(1e9, 0.0);
   EXPECT_FALSE(w.checkNow(1.0));
@@ -167,7 +146,7 @@ TEST(SloWatchdog, DisabledWhenTargetNonPositive) {
 }
 
 TEST(SloWatchdog, BreachAndRecoveryTransitions) {
-  SloWatchdog w(sloOpts(1000.0));
+  SloWatchdog w(SloOptions{1000.0});
   std::vector<SloEvent> events;
   w.setCallback([&](const SloEvent& e) { events.push_back(e); });
 
@@ -197,7 +176,7 @@ TEST(SloWatchdog, BreachAndRecoveryTransitions) {
 }
 
 TEST(SloWatchdog, RecoversWhenTrafficGetsFastAgain) {
-  SloWatchdog w(sloOpts(1000.0));
+  SloWatchdog w(SloOptions{1000.0});
   for (int i = 0; i < 50; ++i) w.record(5000.0, 0.0);
   EXPECT_TRUE(w.checkNow(1.0));
   // Old slow samples expire; fresh fast traffic keeps the window non-empty
@@ -210,7 +189,7 @@ TEST(SloWatchdog, RecoversWhenTrafficGetsFastAgain) {
 }
 
 TEST(SloWatchdog, WindowP99TracksRecentLatencies) {
-  SloWatchdog w(sloOpts(1000.0));
+  SloWatchdog w(SloOptions{1000.0});
   for (int i = 0; i < 100; ++i) w.record(200.0, 0.0);
   const double p99 = w.windowP99(1.0);
   EXPECT_NEAR(p99, 200.0, 0.05 * 200.0);
@@ -219,7 +198,7 @@ TEST(SloWatchdog, WindowP99TracksRecentLatencies) {
 }
 
 TEST(SloWatchdog, NoTrafficNeverBreaches) {
-  SloWatchdog w(sloOpts(1.0));  // absurdly tight target
+  SloWatchdog w(SloOptions{1.0});  // absurdly tight target
   EXPECT_FALSE(w.checkNow(1.0));
   EXPECT_FALSE(w.checkNow(500.0));
   EXPECT_EQ(w.breaches(), 0u);

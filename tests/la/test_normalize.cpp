@@ -61,17 +61,5 @@ TEST(Normalize, AllZeroColumnGetsZeroLambdaAndNoNaN) {
   }
 }
 
-TEST(NormalizeMax, UsesMaxAbsAndClampsAtOne) {
-  Matrix m(2, 2);
-  m(0, 0) = -4.0;
-  m(1, 0) = 2.0;
-  m(0, 1) = 0.25;  // max-norm below 1 -> clamp to 1, column unchanged
-  const auto norms = normalizeColumnsMax(m);
-  EXPECT_DOUBLE_EQ(norms[0], 4.0);
-  EXPECT_DOUBLE_EQ(m(0, 0), -1.0);
-  EXPECT_DOUBLE_EQ(norms[1], 1.0);
-  EXPECT_DOUBLE_EQ(m(0, 1), 0.25);
-}
-
 }  // namespace
 }  // namespace cstf::la

@@ -76,8 +76,8 @@ TEST_P(EngineInvariants, ShuffleGroupsKeysCompletely) {
       shuffleAll(parallelize(ctx, makeData(), GetParam().inputPartitions),
                  ctx.hashPartitioner(GetParam().shufflePartitions));
   // Each key appears in exactly one partition.
-  auto keysPerPartition = rdd.mapPartitions(
-      [](const std::vector<KV>& part) {
+  auto keysPerPartition = rdd.mapPartitionsWithCounters(
+      [](std::size_t, const std::vector<KV>& part, TaskCounters&) {
         std::vector<std::uint32_t> keys;
         for (const auto& [k, v] : part) keys.push_back(k);
         std::sort(keys.begin(), keys.end());

@@ -375,7 +375,6 @@ TEST(Batcher, ShardLossMidStreamNeverLosesOrCorruptsAQuery) {
     ShardedEngineOptions so;
     so.numShards = 3;
     so.numReplicas = 2;
-    so.backoffMicros = 0;
     so.threads = 2;
     so.liveMetrics = nullptr;
     if (overload) so.faults.schedule = {{1, 1}};
@@ -466,7 +465,6 @@ TEST(Batcher, UnreplicatedShardLossIsCountedShedNotFailure) {
   ShardedEngineOptions so;
   so.numShards = 3;
   so.numReplicas = 1;
-  so.backoffMicros = 0;
   so.threads = 1;
   so.liveMetrics = nullptr;
   auto sharded = std::make_shared<const ShardedEngine>(CpModel(model), so);
@@ -540,12 +538,12 @@ TEST(Batcher, StatsAgreeExactlyWithTheLiveSeries) {
   opts.queueLimit = 16;
   opts.cacheCapacity = 16;
   opts.sloP99Micros = 1.0;  // unattainable: breaches under load
-  opts.sloWindowMs = 20.0;
   opts.liveMetrics = &reg;
   Batcher b(makeEngine(40), opts);
   driveFourClients(b);
   // Drain the SLO window so the recovery transition fires too.
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  std::this_thread::sleep_for(std::chrono::milliseconds(
+      static_cast<int>(SloWatchdog::windowMs()) + 50));
   b.checkSlo();
 
   const ServeStats s = b.stats();

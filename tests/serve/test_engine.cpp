@@ -108,21 +108,6 @@ TEST(Engine, PredictBitIdenticalOnOrder4) {
   }
 }
 
-TEST(Engine, PredictBatchMatchesPointQueries) {
-  const CpModel model = randomModel({40, 30, 20}, 4, 5);
-  const Engine engine(model, 4);
-  Pcg32 rng(99);
-  std::vector<std::vector<Index>> queries(500);
-  for (auto& q : queries) {
-    q = {rng.nextBounded(40), rng.nextBounded(30), rng.nextBounded(20)};
-  }
-  const std::vector<double> batch = engine.predictBatch(queries);
-  ASSERT_EQ(batch.size(), queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(batch[i], engine.predict(queries[i])) << "query " << i;
-  }
-}
-
 TEST(Engine, TopKMatchesBruteForceOnEveryMode) {
   const CpModel model = randomModel({60, 45, 30}, 5, 31);
   const Engine engine(model, 2);

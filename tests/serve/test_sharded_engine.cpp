@@ -40,7 +40,6 @@ ShardedEngineOptions shardOpts(std::size_t shards, std::size_t replicas) {
   ShardedEngineOptions o;
   o.numShards = shards;
   o.numReplicas = replicas;
-  o.backoffMicros = 0;
   o.threads = 2;
   o.liveMetrics = nullptr;
   return o;
@@ -162,9 +161,8 @@ TEST(ShardedEngine, UnreplicatedShardLossShedsWithTypedError) {
 TEST(ShardedEngine, CensusHotRowsPromoteTheirShardToAnExtraReplica) {
   const CpModel model = randomModel({40, 16, 16}, 2, 13);
   ShardedEngineOptions o = shardOpts(4, 1);
-  o.hotShardFactor = 2.0;
-  // Mode-0 heavy hitters all land on shard 0 (rows = 0 mod 4); the other
-  // shards see only background weight.
+  // Mode-0 heavy hitters all land on shard 0 (rows = 0 mod 4), past twice
+  // the mean shard load; the other shards see only background weight.
   o.loadHints.resize(3);
   o.loadHints[0] = {{0, 1000}, {4, 800}, {8, 600}};
   o.loadHints[1] = {{1, 50}, {2, 40}, {3, 30}};

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 
 #include "sparkle/sparkle.hpp"
 
@@ -89,13 +90,16 @@ TEST(Pipelines, DiamondLineageComputesSharedParentOnce) {
 }
 
 TEST(Pipelines, WordCountComposition) {
-  // Lines of word ids: mapPartitions splits them into (word, 1) pairs.
+  // Lines of word ids: mapPartitionsWithCounters splits them into
+  // (word, 1) pairs.
   auto ctx = makeCtx();
   using Line = std::vector<std::uint32_t>;
   std::vector<Line> lines{{0, 1, 0}, {1, 2}, {0}};
   auto counts =
       parallelize(ctx, lines, 2)
-          .mapPartitions([](const std::vector<Line>& part) {
+          .mapPartitionsWithCounters([](std::size_t,
+                                        const std::vector<Line>& part,
+                                        TaskCounters&) {
             std::vector<std::pair<std::uint32_t, std::uint32_t>> out;
             for (const Line& l : part) {
               for (std::uint32_t w : l) out.emplace_back(w, 1);
@@ -140,9 +144,9 @@ TEST(Pipelines, DeepNarrowChainStaysSingleStage) {
   for (int hop = 0; hop < 20; ++hop) {
     cur = cur.map([](const int& x) { return x + 1; });
   }
-  EXPECT_EQ(cur.reduce([](const int& a, const int& b) {
-    return std::max(a, b);
-  }),
+  const std::vector<int> out = cur.collect();
+  EXPECT_EQ(std::accumulate(out.begin(), out.end(), 0,
+                            [](int a, int b) { return std::max(a, b); }),
             999 + 20);
   EXPECT_EQ(ctx.metrics().totals().shuffleOps, 0u);
   EXPECT_EQ(ctx.metrics().totals().stages, 1u);  // one result stage

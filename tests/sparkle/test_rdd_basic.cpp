@@ -70,28 +70,14 @@ TEST(RddBasic, MapChangesType) {
 TEST(RddBasic, MapPartitionsSeesWholePartition) {
   Context ctx(smallCluster(), 2);
   auto out = parallelize(ctx, iota(100), 4)
-                 .mapPartitions([](const std::vector<int>& part) {
-                   return std::vector<std::size_t>{part.size()};
-                 })
+                 .mapPartitionsWithCounters(
+                     [](std::size_t, const std::vector<int>& part,
+                        TaskCounters&) {
+                       return std::vector<std::size_t>{part.size()};
+                     })
                  .collect();
   EXPECT_EQ(out.size(), 4u);
   EXPECT_EQ(std::accumulate(out.begin(), out.end(), std::size_t{0}), 100u);
-}
-
-TEST(RddBasic, ReduceSums) {
-  Context ctx(smallCluster(), 2);
-  const int total = parallelize(ctx, iota(101), 8).reduce([](const int& a,
-                                                             const int& b) {
-    return a + b;
-  });
-  EXPECT_EQ(total, 5050);
-}
-
-TEST(RddBasic, ReduceOnEmptyThrows) {
-  Context ctx(smallCluster(), 2);
-  auto rdd = parallelize(ctx, std::vector<int>{}, 4);
-  EXPECT_THROW(rdd.reduce([](const int& a, const int& b) { return a + b; }),
-               Error);
 }
 
 TEST(RddBasic, GenerateProducesOnDemand) {

@@ -90,18 +90,6 @@ TEST(CooTensor, ValidateRejectsWrongOrder) {
   EXPECT_THROW(t.validate(), Error);
 }
 
-TEST(CooTensor, CollapseLastModeSums) {
-  // Two entries that differ only in the last mode merge.
-  CooTensor t({2, 2, 2, 3},
-              {makeNonzero4(1, 0, 1, 0, 1.0), makeNonzero4(1, 0, 1, 2, 4.0),
-               makeNonzero4(0, 0, 0, 1, 2.0)});
-  CooTensor c = t.collapseLastMode();
-  EXPECT_EQ(c.order(), 3);
-  ASSERT_EQ(c.nnz(), 2u);
-  c.validate();
-  EXPECT_EQ(c.nonzeros()[1], makeNonzero3(1, 0, 1, 5.0));
-}
-
 TEST(CooTensor, RejectsZeroOrder) {
   EXPECT_THROW(CooTensor({}, {}), Error);
 }

@@ -72,6 +72,30 @@ TEST(ReferenceMttkrp, ShapeMismatchThrows) {
   EXPECT_THROW(referenceMttkrp(t, fs, 0), Error);
 }
 
+TEST(ReferenceMttkrp, ModeSymmetricUnderPermutation) {
+  // MTTKRP along mode 0 of the mode-permuted tensor (with permuted
+  // factors) must equal MTTKRP along perm[0] of the original — the
+  // invariant that justifies testing distributed backends mainly on low
+  // modes.
+  CooTensor t = generateRandom({{6, 7, 8}, 120, {}, 3});
+  Pcg32 rng(4);
+  std::vector<la::Matrix> fs;
+  for (ModeId m = 0; m < 3; ++m) {
+    fs.push_back(la::Matrix::random(t.dim(m), 2, rng));
+  }
+  // New mode m holds what old mode perm[m] held; perm = {2, 0, 1}.
+  std::vector<Nonzero> nzs;
+  for (const Nonzero& nz : t.nonzeros()) {
+    nzs.push_back(makeNonzero3(nz.idx[2], nz.idx[0], nz.idx[1], nz.val));
+  }
+  const CooTensor p({t.dim(2), t.dim(0), t.dim(1)}, std::move(nzs));
+  const std::vector<la::Matrix> pfs{fs[2], fs[0], fs[1]};
+
+  la::Matrix viaPermuted = referenceMttkrp(p, pfs, 0);
+  la::Matrix direct = referenceMttkrp(t, fs, 2);
+  EXPECT_LT(viaPermuted.maxAbsDiff(direct), 1e-12);
+}
+
 TEST(ModelOps, InnerProductMatchesDense) {
   CooTensor t = generateRandom({{4, 3, 5}, 30, {}, 19});
   auto fs = randomFactorsFor(t, 2, 6);

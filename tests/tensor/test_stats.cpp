@@ -69,12 +69,14 @@ TEST(TensorStats, PaperAnalogsHaveRealisticHeadMass) {
   }
 }
 
-TEST(TensorStats, MaxImbalanceReflectsHotSlice) {
+TEST(TensorStats, HotSliceShowsInModeStats) {
   CooTensor skewed({10, 10, 10},
                    {makeNonzero3(0, 0, 0, 1.0), makeNonzero3(0, 1, 1, 1.0),
                     makeNonzero3(0, 2, 2, 1.0), makeNonzero3(1, 3, 3, 1.0)});
   const TensorStats s = analyzeTensor(skewed);
-  EXPECT_DOUBLE_EQ(s.maxImbalance(), 3.0 / 2.0);
+  // Mode 0: slice 0 holds 3 of the 4 nonzeros over 2 used indices.
+  EXPECT_EQ(s.modes[0].maxSliceNnz, 3u);
+  EXPECT_DOUBLE_EQ(s.modes[0].meanSliceNnz, 2.0);
 }
 
 TEST(TensorStats, EmptyTensor) {
@@ -85,7 +87,6 @@ TEST(TensorStats, EmptyTensor) {
     EXPECT_EQ(m.usedIndices, 0u);
     EXPECT_EQ(m.maxSliceNnz, 0u);
   }
-  EXPECT_DOUBLE_EQ(s.maxImbalance(), 0.0);
 }
 
 TEST(TensorStats, FormatContainsKeyFigures) {

@@ -72,7 +72,8 @@
 //   --replicas R    copies per shard, placed by chained declustering;
 //                   hot shards (heavy rows of the request Zipf law) get
 //                   one extra
-//   --kill-node N   fault injection: kill serving node N...
+//   --kill-node N   fault injection: kill serving node N (one node per
+//                   shard, so N < S)...
 //   --kill-after B  ...after dispatched batch B (default 1); replicated
 //                   shards fail over, unreplicated ones shed
 //   --cache-capacity C    result-cache entries, 0 disables (default 4096)
@@ -89,8 +90,8 @@
 //                   "freshness" object and the live registry the
 //                   cstf_staleness_sec gauge
 //   --base T        tensor the followed model was trained on (recommended
-//                   with --follow + als: row re-solves then see the full
-//                   slice history, not just the delta entries)
+//                   with either solver: updates then see the full slice
+//                   history, not just the delta entries; DESIGN.md §16)
 //   --online-solver als|sgd  row-subset warm-start ALS (default) or the
 //                   SGD fallback for the follower / stream replay
 //   --publish-every N  publish after every N applied batches (default 1)
@@ -884,6 +885,10 @@ int cmdServeBench(const Args& a) {
   CSTF_CHECK(a.shards > 0 || a.replicas == 1,
              "--replicas needs --shards");
   CSTF_CHECK(a.shards > 0 || a.killNode < 0, "--kill-node needs --shards");
+  CSTF_CHECK(a.killNode < 0 || static_cast<std::size_t>(a.killNode) < a.shards,
+             "--kill-node " + std::to_string(a.killNode) +
+                 " is out of range: --shards " + std::to_string(a.shards) +
+                 " serves on nodes 0.." + std::to_string(a.shards - 1));
   CSTF_CHECK(a.follow.empty() || a.shards == 0,
              "--follow hot-swaps the single-process engine; drop --shards");
 
@@ -1017,6 +1022,9 @@ int cmdServeBench(const Args& a) {
   // (--arrival-rate): clients pace submissions on the wall clock no matter
   // how the server is doing, which is what actually drives a server into
   // admission control and deadline shedding.
+  // Requests answered with a result; ServeStats::completed also counts
+  // those a batch answered with a ShedError.
+  std::atomic<std::uint64_t> answered{0};
   std::vector<std::thread> workers;
   workers.reserve(a.clients);
   for (std::size_t c = 0; c < a.clients; ++c) {
@@ -1028,6 +1036,7 @@ int cmdServeBench(const Args& a) {
         for (std::size_t i = 0; i < n; ++i) {
           try {
             batcher.submit(universe[zipf.sample(crng)]).get();
+            answered.fetch_add(1);
           } catch (const ShedError&) {
             // Counted by the batcher; the closed loop just moves on.
           }
@@ -1053,6 +1062,7 @@ int cmdServeBench(const Args& a) {
       for (auto& f : inflight) {
         try {
           f.get();
+          answered.fetch_add(1);
         } catch (const ShedError&) {
           // Deadline or shard-unavailable shed; counted by the batcher.
         }
@@ -1097,7 +1107,7 @@ int cmdServeBench(const Args& a) {
   std::fprintf(stderr,
                "served %llu of %llu (shed %llu, failed %llu, failovers "
                "%llu)\n",
-               static_cast<unsigned long long>(stats.completed),
+               static_cast<unsigned long long>(answered.load()),
                static_cast<unsigned long long>(stats.submitted),
                static_cast<unsigned long long>(stats.shedTotal()),
                static_cast<unsigned long long>(stats.failed),
