@@ -10,13 +10,6 @@
 
 namespace cstf {
 
-namespace {
-
-/// Snapshots the in-memory ring keeps.
-constexpr std::size_t kRingCapacity = 256;
-
-}  // namespace
-
 Heartbeat::Heartbeat(metrics::Registry& registry, HeartbeatOptions opts)
     : registry_(registry), opts_(std::move(opts)) {}
 
@@ -40,7 +33,7 @@ void Heartbeat::openSinkLocked() {
 
 void Heartbeat::sampleLocked() {
   for (const auto& fn : checks_) fn();
-  metrics::Snapshot snap = registry_.snapshot();
+  const metrics::Snapshot snap = registry_.snapshot();
   openSinkLocked();
   if (ndjson_.is_open() && ndjson_.good()) {
     ndjson_ << snap.toJsonLine() << '\n';
@@ -50,10 +43,6 @@ void Heartbeat::sampleLocked() {
     // Atomic rewrite: an external scraper racing this write reads either
     // the previous complete exposition or this one, never a torn file.
     writeFileAtomic(opts_.promPath, snap.toPrometheusText());
-  }
-  ring_.push_back(std::move(snap));
-  while (ring_.size() > kRingCapacity) {
-    ring_.pop_front();
   }
   ++samples_;
 }
@@ -101,11 +90,6 @@ void Heartbeat::loop() {
     flushNow();
     lock.lock();
   }
-}
-
-std::vector<metrics::Snapshot> Heartbeat::ring() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return {ring_.begin(), ring_.end()};
 }
 
 std::uint64_t Heartbeat::samples() const {

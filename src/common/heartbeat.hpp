@@ -1,12 +1,10 @@
 // Background heartbeat: samples a metrics::Registry on a fixed cadence.
 //
-// Each sample takes one registry snapshot and fans it out to
-//   1. a bounded in-memory ring (the last 256 snapshots, for in-process
-//      consumers),
-//   2. an append-only ndjson stream of cstf-metrics-v1 lines (one JSON
+// Each sample takes one registry snapshot and writes it to
+//   1. an append-only ndjson stream of cstf-metrics-v1 lines (one JSON
 //      object per snapshot — `tools/metrics_tail.py` pretty-prints it,
 //      `tools/validate_metrics.py` gates it in CI), and
-//   3. a Prometheus-style text exposition file rewritten atomically
+//   2. a Prometheus-style text exposition file rewritten atomically
 //      (tmp+rename) every sample, so an external scraper always reads a
 //      complete document.
 //
@@ -19,7 +17,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <fstream>
 #include <functional>
 #include <mutex>
@@ -32,7 +29,7 @@
 namespace cstf {
 
 struct HeartbeatOptions {
-  /// ndjson destination; empty keeps snapshots in the ring only.
+  /// ndjson destination; empty disables.
   std::string ndjsonPath;
   /// Prometheus exposition destination; empty disables. The CLI derives
   /// this as `<ndjsonPath>.prom`.
@@ -64,8 +61,6 @@ class Heartbeat {
   /// respect to sampling: register before start().
   void addCheck(std::function<void()> fn);
 
-  /// Copy of the snapshot ring, oldest first.
-  std::vector<metrics::Snapshot> ring() const;
   std::uint64_t samples() const;
 
  private:
@@ -77,8 +72,7 @@ class Heartbeat {
   const HeartbeatOptions opts_;
   std::vector<std::function<void()>> checks_;
 
-  mutable std::mutex mutex_;  // ring + sink + sample serialization
-  std::deque<metrics::Snapshot> ring_;
+  mutable std::mutex mutex_;  // sink + sample serialization
   std::ofstream ndjson_;
   bool sinkOpened_ = false;
   std::uint64_t samples_ = 0;

@@ -13,9 +13,6 @@ namespace cstf::serve {
 
 namespace {
 
-/// Independently locked result-cache shards.
-constexpr std::size_t kCacheShards = 8;
-
 void histogramJson(JsonWriter& w, const Histogram& h) {
   w.beginObject();
   w.kv("count", static_cast<std::uint64_t>(h.count()));
@@ -107,7 +104,6 @@ std::string serveReportJson(const ServeStats& s, const ShardedStats* sharding,
     w.kv("shards", static_cast<std::uint64_t>(sharding->shards));
     w.kv("nodes", static_cast<std::uint64_t>(sharding->nodes));
     w.kv("replicas", static_cast<std::uint64_t>(sharding->totalReplicas));
-    w.kv("hotShards", static_cast<std::uint64_t>(sharding->hotShards));
     w.kv("deadNodes", static_cast<std::uint64_t>(sharding->deadNodes));
     w.kv("shardQueries", sharding->shardQueries);
     w.kv("failovers", sharding->failovers);
@@ -134,7 +130,7 @@ Batcher::Batcher(std::shared_ptr<const TopKProvider> engine,
     : opts_(std::move(opts)),
       slo_(SloOptions{opts_.sloP99Micros}),
       trace_(trace),
-      cache_(opts_.cacheCapacity, kCacheShards),
+      cache_(opts_.cacheCapacity),
       start_(std::chrono::steady_clock::now()),
       engine_(std::move(engine)) {
   CSTF_CHECK(engine_ != nullptr, "batcher needs an engine");
@@ -174,16 +170,9 @@ Batcher::~Batcher() {
 }
 
 std::future<Batcher::ResultPtr> Batcher::submit(TopKRequest req) {
-  return submit(std::move(req), 0);
-}
-
-std::future<Batcher::ResultPtr> Batcher::submit(TopKRequest req,
-                                                std::uint64_t deadlineMicros) {
   Pending p;
   p.req = std::move(req);
   p.enqueued = std::chrono::steady_clock::now();
-  p.deadlineMicros =
-      deadlineMicros > 0 ? deadlineMicros : opts_.deadlineMicros;
   std::future<ResultPtr> fut = p.promise.get_future();
   bool shedFull = false;
   bool shedDead = false;
@@ -298,7 +287,8 @@ void Batcher::shedExpired(std::vector<Pending>& expired) {
     failPromise(p.promise,
                 std::make_exception_ptr(DeadlineExceededError(strprintf(
                     "deadline %lluus exceeded after %.0fus in queue: %s",
-                    static_cast<unsigned long long>(p.deadlineMicros), waited,
+                    static_cast<unsigned long long>(opts_.deadlineMicros),
+                    waited,
                     describeRequest(p.req).c_str()))));
   }
 }
@@ -330,8 +320,9 @@ void Batcher::dispatchLoop() {
     while (!queue_.empty() && batch.size() < opts_.maxBatch) {
       Pending p = std::move(queue_.front());
       queue_.pop_front();
-      if (p.deadlineMicros > 0 &&
-          now >= p.enqueued + std::chrono::microseconds(p.deadlineMicros)) {
+      if (opts_.deadlineMicros > 0 &&
+          now >= p.enqueued +
+                     std::chrono::microseconds(opts_.deadlineMicros)) {
         expired.push_back(std::move(p));
       } else {
         batch.push_back(std::move(p));
@@ -410,7 +401,6 @@ void Batcher::processBatch(std::vector<Pending>& batch,
     groups[batch[i].req].push_back(i);
   }
 
-  const bool cacheOn = cache_.capacity() > 0 && opts_.cacheCapacity > 0;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   struct Answer {
@@ -423,7 +413,7 @@ void Batcher::processBatch(std::vector<Pending>& batch,
   for (auto& [req, members] : groups) {
     Answer ans;
     ans.members = &members;
-    ans.result = cacheOn ? cache_.get(req) : nullptr;
+    ans.result = cache_.get(req);
     if (ans.result) {
       ++hits;
     } else {
@@ -434,7 +424,7 @@ void Batcher::processBatch(std::vector<Pending>& batch,
       } catch (...) {
         ans.error = std::current_exception();
       }
-      if (ans.result && cacheOn) {
+      if (ans.result && cache_.capacity() > 0) {
         // Drop the insert if a reload happened since this batch snapshot;
         // a result from the old engine must not survive into the new
         // cache generation.

@@ -5,8 +5,8 @@
 // requests are pending (a "full" flush) or the oldest pending request has
 // waited maxDelayMicros (a "deadline" flush, the latency SLO bound) — then
 // answers each distinct request once per batch: duplicate in-flight
-// requests share one computation, repeats across batches hit the sharded
-// LRU result cache. reload() swaps the engine for a retrained model and
+// requests share one computation, repeats across batches hit the LRU
+// result cache. reload() swaps the engine for a retrained model and
 // invalidates the cache atomically with respect to in-flight batches (a
 // batch computed against the old engine can never poison the new cache).
 //
@@ -14,7 +14,7 @@
 // load shedding keep overload from turning into unbounded latency.
 // queueLimit bounds the pending queue — a submit against a full queue is
 // refused with a typed ShedError before it queues. deadlineMicros gives
-// every request a per-request deadline; a request still queued when it
+// every request the same deadline; a request still queued when it
 // expires is shed at dequeue with a DeadlineExceededError naming it, so
 // the batch computes only answers someone will still read. The same
 // deadline bounds the waiter if the dispatcher thread itself dies
@@ -90,12 +90,11 @@ struct BatcherOptions {
   /// Admission control: pending requests allowed in the queue before
   /// submit() sheds with ShedError; 0 = unbounded (no admission control).
   std::size_t queueLimit = 0;
-  /// Per-request deadline: a request still queued this long after
-  /// admission is shed with DeadlineExceededError instead of being
-  /// computed; 0 disables. submit() can override per request.
+  /// Request deadline: a request still queued this long after admission
+  /// is shed with DeadlineExceededError instead of being computed; 0
+  /// disables.
   std::uint64_t deadlineMicros = 0;
-  /// Total result-cache entries, split over 8 independently locked
-  /// shards; 0 disables caching.
+  /// Result-cache entries (exact LRU capacity); 0 disables caching.
   std::size_t cacheCapacity = 4096;
   /// Serving SLO: p99 latency target in microseconds over a 200 ms sliding
   /// window; <= 0 disables the SLO watchdog.
@@ -116,7 +115,7 @@ struct ServeStats {
   std::uint64_t completed = 0;
   /// Refused at the door: admission queue at queueLimit.
   std::uint64_t shedQueueFull = 0;
-  /// Dropped at dequeue: per-request deadline expired while queued.
+  /// Dropped at dequeue: the request's deadline expired while queued.
   std::uint64_t shedDeadline = 0;
   /// Answered with ShedError: a required shard had no replica alive.
   std::uint64_t shedUnavailable = 0;
@@ -202,8 +201,6 @@ class Batcher {
   /// whose deadline expires while queued resolves with
   /// DeadlineExceededError naming it.
   std::future<ResultPtr> submit(TopKRequest req);
-  /// Same, with a per-request deadline override (0 = the option default).
-  std::future<ResultPtr> submit(TopKRequest req, std::uint64_t deadlineMicros);
 
   /// Swap in a retrained model and invalidate the cache. Requests already
   /// admitted may still be answered by the previous engine; results they
@@ -230,8 +227,6 @@ class Batcher {
     TopKRequest req;
     std::promise<ResultPtr> promise;
     std::chrono::steady_clock::time_point enqueued;
-    /// Effective per-request deadline in micros since `enqueued`; 0 = none.
-    std::uint64_t deadlineMicros = 0;
   };
 
   void dispatchLoop();
@@ -290,7 +285,7 @@ class Batcher {
 
   SloWatchdog slo_;
   TraceRecorder& trace_;
-  ShardedLruCache<TopKRequest, TopKResult, TopKRequestHash> cache_;
+  LruCache<TopKRequest, TopKResult, TopKRequestHash> cache_;
   const std::chrono::steady_clock::time_point start_;
 
   mutable std::mutex mutex_;  // queue + engine + version + stop/dead flags

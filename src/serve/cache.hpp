@@ -1,118 +1,73 @@
-// Sharded LRU result cache for the serving layer.
+// LRU result cache for the serving layer.
 //
-// Keyed lookups land on one of S shards (chosen by the key's mixed hash),
-// each an independently locked LRU map, so concurrent readers only contend
-// when they hash to the same shard. Values are shared_ptr<const V>: a hit
-// hands out a reference to the cached result with no copy, and eviction
-// never invalidates a result a caller is still holding.
+// One recency list plus an index map under one mutex, holding exactly
+// `capacity` entries; capacity 0 turns the cache off (every get misses,
+// every put is dropped). Values are shared_ptr<const V>: a hit hands out a
+// reference to the cached result with no copy, and eviction never
+// invalidates a result a caller is still holding.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 
 namespace cstf::serve {
 
 template <typename K, typename V, typename Hash = std::hash<K>>
-class ShardedLruCache {
+class LruCache {
  public:
   using ValuePtr = std::shared_ptr<const V>;
 
-  /// `capacity` total entries, split evenly across `shards` (each shard
-  /// keeps at least one).
-  explicit ShardedLruCache(std::size_t capacity, std::size_t shards = 8)
-      : perShard_(std::max<std::size_t>(
-            1, capacity / std::max<std::size_t>(1, shards))),
-        shards_(std::max<std::size_t>(1, shards)) {}
+  explicit LruCache(std::size_t capacity) : capacity_(capacity) {}
 
   /// nullptr on miss; a hit refreshes the entry's recency.
   ValuePtr get(const K& key) {
-    Shard& s = shardFor(key);
-    std::lock_guard<std::mutex> lock(s.mutex);
-    const auto it = s.map.find(key);
-    if (it == s.map.end()) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return nullptr;
-    }
-    s.lru.splice(s.lru.begin(), s.lru, it->second);
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    if (capacity_ == 0) return nullptr;
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = map_.find(key);
+    if (it == map_.end()) return nullptr;
+    lru_.splice(lru_.begin(), lru_, it->second);
     return it->second->second;
   }
 
-  /// Insert or refresh; evicts the shard's least-recently-used entry when
-  /// the shard is full.
+  /// Insert or refresh; evicts the least-recently-used entry when full.
   void put(const K& key, ValuePtr value) {
     CSTF_ASSERT(value != nullptr, "cache values must be non-null");
-    Shard& s = shardFor(key);
-    std::lock_guard<std::mutex> lock(s.mutex);
-    const auto it = s.map.find(key);
-    if (it != s.map.end()) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = map_.find(key);
+    if (it != map_.end()) {
       it->second->second = std::move(value);
-      s.lru.splice(s.lru.begin(), s.lru, it->second);
+      lru_.splice(lru_.begin(), lru_, it->second);
       return;
     }
-    s.lru.emplace_front(key, std::move(value));
-    s.map.emplace(key, s.lru.begin());
-    if (s.lru.size() > perShard_) {
-      s.map.erase(s.lru.back().first);
-      s.lru.pop_back();
+    lru_.emplace_front(key, std::move(value));
+    map_.emplace(key, lru_.begin());
+    if (lru_.size() > capacity_) {
+      map_.erase(lru_.back().first);
+      lru_.pop_back();
     }
   }
 
   void clear() {
-    for (Shard& s : shards_) {
-      std::lock_guard<std::mutex> lock(s.mutex);
-      s.lru.clear();
-      s.map.clear();
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    lru_.clear();
+    map_.clear();
   }
 
-  std::size_t size() const {
-    std::size_t n = 0;
-    for (const Shard& s : shards_) {
-      std::lock_guard<std::mutex> lock(s.mutex);
-      n += s.lru.size();
-    }
-    return n;
-  }
-
-  std::size_t shardCount() const { return shards_.size(); }
-  std::size_t capacity() const { return perShard_ * shards_.size(); }
-  std::uint64_t hits() const {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
+  std::size_t capacity() const { return capacity_; }
 
  private:
-  struct Shard {
-    mutable std::mutex mutex;
-    std::list<std::pair<K, ValuePtr>> lru;  // front = most recent
-    std::unordered_map<K, typename std::list<std::pair<K, ValuePtr>>::iterator,
-                       Hash>
-        map;
-  };
+  using Entry = std::pair<K, ValuePtr>;
 
-  Shard& shardFor(const K& key) {
-    // mix64 spreads weak user hashes (std::hash<int> is the identity in
-    // libstdc++) before picking a shard.
-    return shards_[mix64(Hash{}(key)) % shards_.size()];
-  }
-
-  std::size_t perShard_;
-  std::vector<Shard> shards_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
+  const std::size_t capacity_;
+  std::mutex mutex_;
+  std::list<Entry> lru_;  // front = most recent
+  std::unordered_map<K, typename std::list<Entry>::iterator, Hash> map_;
 };
 
 }  // namespace cstf::serve

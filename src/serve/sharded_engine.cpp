@@ -1,28 +1,12 @@
 #include "serve/sharded_engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
-#include <numeric>
-#include <thread>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
 
 namespace cstf::serve {
-
-namespace {
-
-/// A shard whose hinted load reaches this multiple of the mean shard load
-/// gets one extra replica.
-constexpr double kHotShardFactor = 2.0;
-/// Wall-clock backoff before retrying a sub-query on another replica;
-/// doubles per retry (capped at 8x).
-constexpr std::uint64_t kBackoffMicros = 50;
-/// Full passes over a shard's replica chain before shedding.
-constexpr int kMaxFailoverRounds = 2;
-
-}  // namespace
 
 ShardedEngine::ShardedEngine(CpModel model, ShardedEngineOptions opts)
     : rank_(model.rank),
@@ -38,48 +22,20 @@ ShardedEngine::ShardedEngine(CpModel model, ShardedEngineOptions opts)
   // Shard s owns global rows {s, s+S, s+2S, ...} of every mode, built by
   // the same code as Engine's rows, so shard scores are bit-identical.
   shards_ = buildShardScans(std::move(model), numShards_);
-  const std::size_t baseReplicas =
+  replicas_ =
       std::min(std::max<std::size_t>(1, opts.numReplicas), numNodes());
-
-  // Hot-shard promotion: fold each mode's hinted heavy-row weights onto the
-  // shard that owns the row; shards loaded past kHotShardFactor x the mean
-  // get one extra replica (capped by the node count).
-  std::vector<std::uint64_t> load(numShards_, 0);
-  std::uint64_t totalLoad = 0;
-  for (ModeId m = 0;
-       m < order() && static_cast<std::size_t>(m) < opts.loadHints.size();
-       ++m) {
-    for (const auto& [row, weight] : opts.loadHints[m]) {
-      if (row >= dims_[m]) continue;
-      load[row % numShards_] += weight;
-      totalLoad += weight;
-    }
-  }
-  replicas_.assign(numShards_, baseReplicas);
-  if (totalLoad > 0) {
-    const double mean =
-        static_cast<double>(totalLoad) / static_cast<double>(numShards_);
-    for (std::size_t s = 0; s < numShards_; ++s) {
-      if (static_cast<double>(load[s]) >= kHotShardFactor * mean) {
-        replicas_[s] = std::min(numNodes(), baseReplicas + 1);
-        if (replicas_[s] > baseReplicas) ++hotShards_;
-      }
-    }
-  }
 
   nodeDead_ = std::make_unique<std::atomic<bool>[]>(numNodes());
   for (std::size_t n = 0; n < numNodes(); ++n) {
     nodeDead_[n].store(false, std::memory_order_relaxed);
   }
 
-  std::size_t totalReplicas = 0;
   for (std::size_t s = 0; s < numShards_; ++s) {
-    totalReplicas += replicas_[s];
     shardQueries_.emplace_back(opts.liveMetrics, "serve_shard_queries_total",
                                metrics::Labels{{"shard", std::to_string(s)}});
   }
   shardsGauge_.set(static_cast<double>(numShards_));
-  replicasGauge_.set(static_cast<double>(totalReplicas));
+  replicasGauge_.set(static_cast<double>(numShards_ * replicas_));
   nodesDeadGauge_.set(0.0);
 }
 
@@ -94,17 +50,13 @@ void ShardedEngine::killNode(int node) const {
              "node id out of range");
   if (nodeDead_[node].exchange(true, std::memory_order_relaxed)) return;
   nodesKilled_.fetch_add(1, std::memory_order_relaxed);
-  std::size_t copiesLost = 0;
+  // Chained declustering puts copy c of shard (node - c) mod S on the node,
+  // one copy for each c < replicas_.
+  shardLost_.add(replicas_);
   std::size_t deadNodes = 0;
-  for (std::size_t s = 0; s < numShards_; ++s) {
-    for (std::size_t c = 0; c < replicas_[s]; ++c) {
-      if (nodeOfCopy(s, c) == node) ++copiesLost;
-    }
-  }
   for (std::size_t n = 0; n < numNodes(); ++n) {
     if (nodeDead_[n].load(std::memory_order_relaxed)) ++deadNodes;
   }
-  shardLost_.add(copiesLost);
   nodesDeadGauge_.set(static_cast<double>(deadNodes));
 }
 
@@ -130,7 +82,7 @@ const double* ShardedEngine::fetchRow(ModeId mode, Index i) const {
   const std::size_t s = i % numShards_;
   // Copies share the row data; what a dead node takes down is its copies'
   // availability, so a fetch just needs one alive replica.
-  for (std::size_t c = 0; c < replicas_[s]; ++c) {
+  for (std::size_t c = 0; c < replicas_; ++c) {
     if (!nodeDead_[nodeOfCopy(s, c)].load(std::memory_order_relaxed)) {
       return shards_[s][mode].row(i / numShards_);
     }
@@ -138,7 +90,7 @@ const double* ShardedEngine::fetchRow(ModeId mode, Index i) const {
   shedUnavailable_.fetch_add(1, std::memory_order_relaxed);
   throw ShedError(strprintf(
       "shard %zu unavailable: all %zu replicas down (mode %d row %llu)", s,
-      replicas_[s], int(mode) + 1,
+      replicas_, int(mode) + 1,
       static_cast<unsigned long long>(i)));
 }
 
@@ -157,39 +109,28 @@ ScanResult ShardedEngine::shardTopK(std::size_t s, ModeId mode,
   if (scan.rows() == 0) return {};
   TopKStats spent;  // aborted attempts' work stays counted — it happened
   bool deviated = false;
-  int attempt = 0;
-  for (int round = 0; round < kMaxFailoverRounds; ++round) {
-    for (std::size_t c = 0; c < replicas_[s]; ++c) {
-      const int node = nodeOfCopy(s, c);
-      if (nodeDead_[node].load(std::memory_order_relaxed)) {
-        deviated = true;
-        continue;
-      }
-      if (deviated) {
-        failovers_.add();
-        if (attempt > 0) {
-          const std::uint64_t shift = std::min(attempt - 1, 3);
-          std::this_thread::sleep_for(
-              std::chrono::microseconds(kBackoffMicros << shift));
-        }
-      }
-      ++attempt;
-      // A mid-scan death of the serving node aborts the scan; the caller
-      // retries on the next replica.
-      ScanResult out = scan.scan(0, scan.rows(), q, kk, prune, sharedFloor,
-                                 &nodeDead_[node]);
-      spent += out.stats;
-      if (!out.aborted) {
-        shardQueries_[s].add();
-        out.stats = spent;
-        return out;
-      }
+  for (std::size_t c = 0; c < replicas_; ++c) {
+    const int node = nodeOfCopy(s, c);
+    if (nodeDead_[node].load(std::memory_order_relaxed)) {
       deviated = true;
+      continue;
     }
+    if (deviated) failovers_.add();
+    // A mid-scan death of the serving node aborts the scan; the loop moves
+    // on to the next replica.
+    ScanResult out = scan.scan(0, scan.rows(), q, kk, prune, sharedFloor,
+                               &nodeDead_[node]);
+    spent += out.stats;
+    if (!out.aborted) {
+      shardQueries_[s].add();
+      out.stats = spent;
+      return out;
+    }
+    deviated = true;
   }
   shedUnavailable_.fetch_add(1, std::memory_order_relaxed);
   throw ShedError(strprintf("shard %zu unavailable: all %zu replicas down",
-                            s, replicas_[s]));
+                            s, replicas_));
 }
 
 TopKResult ShardedEngine::topK(ModeId mode, const std::vector<Index>& fixed,
@@ -219,9 +160,7 @@ ShardedStats ShardedEngine::stats() const {
   ShardedStats st;
   st.shards = numShards_;
   st.nodes = numNodes();
-  st.totalReplicas =
-      std::accumulate(replicas_.begin(), replicas_.end(), std::size_t{0});
-  st.hotShards = hotShards_;
+  st.totalReplicas = numShards_ * replicas_;
   for (std::size_t n = 0; n < numNodes(); ++n) {
     if (nodeDead_[n].load(std::memory_order_relaxed)) ++st.deadNodes;
   }

@@ -5,11 +5,8 @@
 // Layout: row i of every mode belongs to shard i mod S (local position
 // i div S), and copy c of shard s lives on node (s + c) mod S — one node
 // per shard, chained declustering, so no two shards share a full replica
-// set and one node death costs at most one copy of any shard. Hot shards — those owning a
-// disproportionate share of the hinted heavy rows (LoadHints) — get one
-// extra replica, because skewed request streams hammer the shards that
-// own the hot rows just as skewed tensors hammer the partitions that own
-// the hot keys.
+// set and one node death costs at most one copy of any shard. Every shard
+// has the same number of copies, min(numReplicas, numShards).
 //
 // Each shard holds one ShardScan per mode (serve/shard_scan.hpp), so a
 // top-k query scatters one sub-query per shard — the same pruned scan the
@@ -21,11 +18,11 @@
 // Failure model: killNode() (or a sparkle::FaultPlan applied at batch
 // boundaries via noteBatchBoundary) marks a node dead. Sub-queries poll
 // the serving node's liveness as they scan; a mid-scan death aborts the
-// sub-query, which retries on the next alive replica after a bounded
-// backoff — the data is immutable, so a retried scan returns exactly what
-// the aborted one would have. Only when every replica of a shard is down
-// does the query shed with a typed ShedError; it is counted, never lost,
-// never wrong.
+// sub-query, which retries on the next alive replica in the chain — the
+// data is immutable, so a retried scan returns exactly what the aborted
+// one would have. When one pass over the chain finds no replica that
+// finishes, the query sheds with a typed ShedError; it is counted, never
+// lost, never wrong.
 #pragma once
 
 #include <atomic>
@@ -33,7 +30,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/metrics_registry.hpp"
@@ -46,19 +42,12 @@
 
 namespace cstf::serve {
 
-/// Per-mode (row, estimated request weight) heavy hitters driving
-/// hot-shard replication; outer index is the mode.
-using LoadHints = std::vector<std::vector<std::pair<Index, std::uint64_t>>>;
-
 struct ShardedEngineOptions {
   /// Row-wise shards (row i of every mode lives on shard i mod numShards).
   std::size_t numShards = 1;
-  /// Base copies per shard; 1 = unreplicated. Capped at the node count,
-  /// which is the shard count (one node per shard).
+  /// Copies per shard; 1 = unreplicated. Capped at the node count, which
+  /// is the shard count (one node per shard).
   std::size_t numReplicas = 1;
-  /// Heavy-row weights; a shard whose hinted load reaches twice the mean
-  /// shard load gets one extra replica. Empty = no promotion.
-  LoadHints loadHints;
   /// Deterministic node loss applied at batch boundaries: stage =
   /// dispatched batch index (the serving-tier reuse of the shuffle
   /// engine's FaultPlan). Only scheduled events fire here; rate-driven
@@ -75,8 +64,6 @@ struct ShardedStats {
   std::size_t shards = 0;
   std::size_t nodes = 0;
   std::size_t totalReplicas = 0;
-  /// Shards promoted to an extra replica by the load hints.
-  std::size_t hotShards = 0;
   std::size_t deadNodes = 0;
   /// Per-shard sub-queries that completed (including after failover).
   std::uint64_t shardQueries = 0;
@@ -98,9 +85,6 @@ class ShardedEngine : public TopKProvider {
   std::size_t numShards() const { return numShards_; }
   /// One serving node per shard.
   std::size_t numNodes() const { return numShards_; }
-  std::size_t replicasOf(std::size_t shard) const {
-    return replicas_[shard];
-  }
   /// Chained declustering placement: copy c of shard s -> node (s+c) mod S.
   int nodeOfCopy(std::size_t shard, std::size_t copy) const {
     return static_cast<int>((shard + copy) % numNodes());
@@ -134,8 +118,8 @@ class ShardedEngine : public TopKProvider {
   std::size_t rank_ = 0;
   std::vector<Index> dims_;
   std::size_t numShards_ = 1;
-  std::vector<std::size_t> replicas_;
-  std::size_t hotShards_ = 0;
+  /// Copies of every shard.
+  std::size_t replicas_ = 1;
   sparkle::FaultPlan faults_;
   /// shards_[s][m]: shard s's rows of mode m.
   std::vector<std::vector<ShardScan>> shards_;

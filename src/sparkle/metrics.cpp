@@ -101,16 +101,6 @@ void MetricsRegistry::popScope() {
   scopeStack_.pop_back();
 }
 
-std::string MetricsRegistry::currentScope() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::string s;
-  for (const auto& part : scopeStack_) {
-    if (!s.empty()) s += '/';
-    s += part;
-  }
-  return s;
-}
-
 std::uint64_t MetricsRegistry::nextStageId() {
   std::lock_guard<std::mutex> lock(mutex_);
   return nextStageId_++;
@@ -287,25 +277,6 @@ MetricsTotals MetricsRegistry::totalsForScope(
   return totalsLocked(&scopePrefix);
 }
 
-TaskSkewStats MetricsRegistry::skewForStage(std::uint64_t stageId) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& s : stages_) {
-    if (s.stageId == stageId) return computeTaskSkew(s.tasks);
-  }
-  return {};
-}
-
-TaskSkewStats MetricsRegistry::skewForScope(
-    const std::string& scopePrefix) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<TaskRecord> pooled;
-  for (const auto& s : stages_) {
-    if (s.scope.rfind(scopePrefix, 0) != 0) continue;
-    pooled.insert(pooled.end(), s.tasks.begin(), s.tasks.end());
-  }
-  return computeTaskSkew(pooled);
-}
-
 std::size_t MetricsRegistry::stageCount() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stages_.size();
@@ -327,17 +298,6 @@ double MetricsRegistry::simTimeSec() const {
   double t = 0.0;
   for (const auto& s : stages_) t += s.simTimeSec;
   return t;
-}
-
-std::uint64_t MetricsRegistry::taskRetriesForScope(
-    const std::string& scopePrefix) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::uint64_t total = 0;
-  for (const auto& s : stages_) {
-    if (s.scope.rfind(scopePrefix, 0) != 0) continue;
-    total += s.taskRetries;
-  }
-  return total;
 }
 
 void MetricsRegistry::reset() {

@@ -1,4 +1,4 @@
-// Heartbeat sampler: snapshot ring, ndjson stream, Prometheus exposition.
+// Heartbeat sampler: ndjson stream, Prometheus exposition, check callbacks.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -74,21 +74,6 @@ TEST(Heartbeat, PeriodicSamplingProgresses) {
   EXPECT_GE(hb.samples(), 5u);
   // Checks run before every sample, including first and final.
   EXPECT_GE(checks.load(), 5);
-}
-
-TEST(Heartbeat, RingIsBoundedAndOrdered) {
-  metrics::Registry reg;
-  HeartbeatOptions o;
-  o.intervalMs = 10000;
-  Heartbeat hb(reg, o);
-  // The ring keeps the last 256 snapshots.
-  for (int i = 0; i < 260; ++i) hb.flushNow();
-  const auto ring = hb.ring();
-  ASSERT_EQ(ring.size(), 256u);
-  EXPECT_EQ(ring.back().seq - ring.front().seq, 255u);
-  for (std::size_t i = 1; i < ring.size(); ++i) {
-    EXPECT_GT(ring[i].seq, ring[i - 1].seq);
-  }
 }
 
 TEST(Heartbeat, PromFileIsCompleteExposition) {

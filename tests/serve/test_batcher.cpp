@@ -101,9 +101,10 @@ void expectSeriesEqual(metrics::Registry& reg,
   }
 }
 
-/// Four clients drive `b` through every accounting path: cache hits and
-/// misses, coalesced duplicates, invalid requests, per-request deadline
-/// sheds, admission-queue sheds and a reload.
+/// Four clients drive `b` through the accounting paths: cache hits and
+/// misses, coalesced duplicates, invalid requests, admission-queue sheds
+/// and a reload. (ExpiredRequestsAreShedAtDequeueWithTypedError covers the
+/// deadline shed and its series.)
 void driveFourClients(Batcher& b) {
   std::vector<std::thread> clients;
   for (int t = 0; t < 4; ++t) {
@@ -113,8 +114,7 @@ void driveFourClients(Batcher& b) {
         std::vector<std::future<Batcher::ResultPtr>> burst;
         for (int i = 0; i < 8; ++i) {
           const Index j = (i == 7) ? 1000 : rng.nextBounded(8);
-          const std::uint64_t deadline = (i == 3) ? 1 : 0;
-          burst.push_back(b.submit(req(j, rng.nextBounded(4)), deadline));
+          burst.push_back(b.submit(req(j, rng.nextBounded(4))));
         }
         for (auto& f : burst) {
           try {
@@ -292,6 +292,8 @@ TEST(Batcher, ExpiredRequestsAreShedAtDequeueWithTypedError) {
   opts.maxBatch = 100;
   opts.maxDelayMicros = 20'000;  // flush happens well past the deadline
   opts.deadlineMicros = 500;
+  metrics::Registry reg;
+  opts.liveMetrics = &reg;
   Batcher b(makeEngine(21), opts);
   auto f1 = b.submit(req(1, 1));
   auto f2 = b.submit(req(2, 2));
@@ -306,21 +308,7 @@ TEST(Batcher, ExpiredRequestsAreShedAtDequeueWithTypedError) {
   const ServeStats s = b.stats();
   EXPECT_EQ(s.shedDeadline, 2u);
   EXPECT_EQ(s.completed, 0u);
-}
-
-TEST(Batcher, PerSubmitDeadlineOverridesTheDefault) {
-  BatcherOptions opts;
-  opts.maxBatch = 100;
-  opts.maxDelayMicros = 20'000;
-  opts.deadlineMicros = 0;  // no default deadline
-  Batcher b(makeEngine(22), opts);
-  auto doomed = b.submit(req(1, 1), 500);  // explicit tight deadline
-  auto fine = b.submit(req(2, 2));
-  EXPECT_THROW(doomed.get(), DeadlineExceededError);
-  ASSERT_NE(fine.get(), nullptr);
-  const ServeStats s = b.stats();
-  EXPECT_EQ(s.shedDeadline, 1u);
-  EXPECT_EQ(s.completed, 1u);
+  expectSeriesEqual(reg, seriesOf(s));
 }
 
 TEST(Batcher, DispatcherDeathFailsEveryWaiterWithATypedError) {

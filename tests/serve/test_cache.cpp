@@ -1,4 +1,4 @@
-// Sharded LRU cache: recency-ordered eviction, shard math, counters, and
+// LRU cache: recency-ordered eviction, exact capacity, the off switch, and
 // values outliving eviction.
 #include <gtest/gtest.h>
 
@@ -12,25 +12,31 @@
 namespace cstf::serve {
 namespace {
 
-using IntCache = ShardedLruCache<int, int>;
+using IntCache = LruCache<int, int>;
 
 std::shared_ptr<const int> val(int v) {
   return std::make_shared<const int>(v);
 }
 
+/// Keys in [0, n) the cache currently holds.
+template <typename Cache>
+std::size_t resident(Cache& c, int n) {
+  std::size_t held = 0;
+  for (int k = 0; k < n; ++k) held += c.get(k) != nullptr;
+  return held;
+}
+
 TEST(Cache, MissThenHit) {
-  IntCache c(8, 1);
+  IntCache c(8);
   EXPECT_EQ(c.get(1), nullptr);
   c.put(1, val(10));
   const auto got = c.get(1);
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(*got, 10);
-  EXPECT_EQ(c.hits(), 1u);
-  EXPECT_EQ(c.misses(), 1u);
 }
 
 TEST(Cache, EvictsLeastRecentlyUsed) {
-  IntCache c(2, 1);  // one shard, two entries
+  IntCache c(2);
   c.put(1, val(10));
   c.put(2, val(20));
   ASSERT_NE(c.get(1), nullptr);  // refresh 1; 2 is now the LRU entry
@@ -38,11 +44,10 @@ TEST(Cache, EvictsLeastRecentlyUsed) {
   EXPECT_NE(c.get(1), nullptr);
   EXPECT_EQ(c.get(2), nullptr);
   EXPECT_NE(c.get(3), nullptr);
-  EXPECT_EQ(c.size(), 2u);
 }
 
 TEST(Cache, PutRefreshesExistingKeys) {
-  IntCache c(2, 1);
+  IntCache c(2);
   c.put(1, val(10));
   c.put(2, val(20));
   c.put(1, val(11));  // refresh, not insert: nothing evicted
@@ -50,11 +55,10 @@ TEST(Cache, PutRefreshesExistingKeys) {
   const auto got = c.get(1);
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(*got, 11);
-  EXPECT_EQ(c.size(), 2u);
 }
 
 TEST(Cache, ValuesSurviveEviction) {
-  IntCache c(1, 1);
+  IntCache c(1);
   c.put(1, val(10));
   const auto held = c.get(1);
   c.put(2, val(20));  // evicts key 1
@@ -63,26 +67,32 @@ TEST(Cache, ValuesSurviveEviction) {
   EXPECT_EQ(*held, 10);
 }
 
-TEST(Cache, CapacitySplitsAcrossShardsWithAFloorOfOne) {
-  EXPECT_EQ(IntCache(16, 4).capacity(), 16u);
-  EXPECT_EQ(IntCache(16, 4).shardCount(), 4u);
-  // Tiny capacity with many shards: every shard still holds one entry.
-  EXPECT_EQ(IntCache(2, 8).capacity(), 8u);
-  // Zero shards is coerced to one.
-  EXPECT_EQ(IntCache(4, 0).shardCount(), 1u);
+TEST(Cache, HoldsExactlyItsCapacity) {
+  IntCache c(3);
+  EXPECT_EQ(c.capacity(), 3u);
+  for (int k = 0; k < 16; ++k) c.put(k, val(k));
+  EXPECT_EQ(resident(c, 16), 3u);
+  // The three most recent puts are the ones kept.
+  EXPECT_NE(c.get(13), nullptr);
+  EXPECT_NE(c.get(14), nullptr);
+  EXPECT_NE(c.get(15), nullptr);
+
+  // Capacity 0 is off: nothing is kept.
+  IntCache off(0);
+  off.put(1, val(10));
+  EXPECT_EQ(off.get(1), nullptr);
 }
 
 TEST(Cache, ClearEmptiesEveryShard) {
-  IntCache c(64, 8);
+  IntCache c(64);
   for (int i = 0; i < 32; ++i) c.put(i, val(i));
-  EXPECT_GT(c.size(), 0u);
+  EXPECT_EQ(resident(c, 32), 32u);
   c.clear();
-  EXPECT_EQ(c.size(), 0u);
-  EXPECT_EQ(c.get(5), nullptr);
+  EXPECT_EQ(resident(c, 32), 0u);
 }
 
 TEST(Cache, ConcurrentReadersAndWritersStaySane) {
-  ShardedLruCache<int, std::string> c(256, 8);
+  LruCache<int, std::string> c(64);
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t) {
     workers.emplace_back([&c, t] {
@@ -98,8 +108,7 @@ TEST(Cache, ConcurrentReadersAndWritersStaySane) {
     });
   }
   for (auto& w : workers) w.join();
-  EXPECT_LE(c.size(), c.capacity());
-  EXPECT_EQ(c.hits() + c.misses(), 4u * 2000u);
+  EXPECT_LE(resident(c, 100), c.capacity());
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // ShardedEngine: scatter/gather top-k bit-identity against the single
 // Engine across shard counts and replication levels, chained-declustering
-// placement, census-driven hot-shard replication, replica failover after
-// node loss, typed shedding when a shard has no replica left, and
-// FaultPlan-driven deterministic kills at batch boundaries. Query and model
-// validation for both providers lives in test_engine.cpp.
+// placement, replica failover after node loss, typed shedding when a shard
+// has no replica left, and FaultPlan-driven deterministic kills at batch
+// boundaries. Query and model validation for both providers lives in
+// test_engine.cpp.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -116,6 +116,10 @@ TEST(ShardedEngine, ChainedDeclusteringPlacesCopiesOnDistinctNodes) {
   ShardedEngineOptions o = shardOpts(4, 2);
   const ShardedEngine e(CpModel(model), o);
   EXPECT_EQ(e.numNodes(), 4u);
+  // Every shard has exactly min(numReplicas, numShards) copies.
+  EXPECT_EQ(e.stats().totalReplicas, 8u);
+  const ShardedEngine capped(CpModel(model), shardOpts(2, 5));
+  EXPECT_EQ(capped.stats().totalReplicas, 4u);
   for (std::size_t s = 0; s < 4; ++s) {
     EXPECT_EQ(e.nodeOfCopy(s, 0), int(s));
     EXPECT_EQ(e.nodeOfCopy(s, 1), int((s + 1) % 4));
@@ -156,29 +160,6 @@ TEST(ShardedEngine, UnreplicatedShardLossShedsWithTypedError) {
   const Engine single(CpModel(model), 1);
   EXPECT_EQ(sharded.topK(0, fixed, 5).entries,
             single.topK(0, fixed, 5).entries);
-}
-
-TEST(ShardedEngine, CensusHotRowsPromoteTheirShardToAnExtraReplica) {
-  const CpModel model = randomModel({40, 16, 16}, 2, 13);
-  ShardedEngineOptions o = shardOpts(4, 1);
-  // Mode-0 heavy hitters all land on shard 0 (rows = 0 mod 4), past twice
-  // the mean shard load; the other shards see only background weight.
-  o.loadHints.resize(3);
-  o.loadHints[0] = {{0, 1000}, {4, 800}, {8, 600}};
-  o.loadHints[1] = {{1, 50}, {2, 40}, {3, 30}};
-  const ShardedEngine e(CpModel(model), o);
-  EXPECT_EQ(e.replicasOf(0), 2u);
-  EXPECT_EQ(e.replicasOf(1), 1u);
-  EXPECT_EQ(e.replicasOf(2), 1u);
-  EXPECT_EQ(e.replicasOf(3), 1u);
-  const ShardedStats st = e.stats();
-  EXPECT_EQ(st.hotShards, 1u);
-  EXPECT_EQ(st.totalReplicas, 5u);
-  // The promoted shard now survives its primary's death.
-  e.killNode(0);
-  const Engine single(CpModel(model), 1);
-  std::vector<Index> fixed = {0, 1, 1};
-  EXPECT_EQ(e.topK(1, fixed, 5).entries, single.topK(1, fixed, 5).entries);
 }
 
 TEST(ShardedEngine, FaultPlanKillsDeterministicallyAtBatchBoundaries) {

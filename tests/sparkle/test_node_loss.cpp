@@ -220,8 +220,8 @@ TEST(NodeLoss, TaskRetriesAreAttributedToScopes) {
   }
   const std::uint64_t total = ctx.metrics().taskRetries();
   EXPECT_GT(total, 0u);
-  EXPECT_EQ(ctx.metrics().taskRetriesForScope("phase-a"), total);
-  EXPECT_EQ(ctx.metrics().taskRetriesForScope("phase-b"), 0u);
+  EXPECT_EQ(ctx.metrics().totalsForScope("phase-a").taskRetries, total);
+  EXPECT_EQ(ctx.metrics().totalsForScope("phase-b").taskRetries, 0u);
 }
 
 TEST(NodeLoss, NodeLossInjectionIsAPureFunction) {

@@ -88,9 +88,13 @@ TEST(ShuffleMetrics, NestedScopesJoinWithSlash) {
   {
     ScopedStage outer(ctx.metrics(), "iter-1");
     ScopedStage inner(ctx.metrics(), "MTTKRP-2");
-    EXPECT_EQ(ctx.metrics().currentScope(), "iter-1/MTTKRP-2");
+    parallelize(ctx, makeData(10), 2).count();
   }
-  EXPECT_EQ(ctx.metrics().currentScope(), "");
+  parallelize(ctx, makeData(10), 2).count();
+  const auto stages = ctx.metrics().stages();
+  ASSERT_EQ(stages.size(), 2u);
+  EXPECT_EQ(stages[0].scope, "iter-1/MTTKRP-2");
+  EXPECT_EQ(stages[1].scope, "");
 }
 
 TEST(ShuffleMetrics, LazinessNoStagesBeforeAction) {

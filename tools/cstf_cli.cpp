@@ -65,13 +65,12 @@
 //   --max-delay-micros U  batcher deadline (default 200)
 //   --queue-limit Q admission control: pending requests allowed before
 //                   submits shed with ShedError; 0 = unbounded (default)
-//   --deadline-us T per-request deadline; requests still queued after T
+//   --deadline-us T request deadline; requests still queued after T
 //                   microseconds shed with DeadlineExceededError (default 0)
 //   --shards S      serve through a ShardedEngine with S row-wise shards
 //                   (0 = single-process engine, the default)
-//   --replicas R    copies per shard, placed by chained declustering;
-//                   hot shards (heavy rows of the request Zipf law) get
-//                   one extra
+//   --replicas R    copies of every shard (capped at S), placed by
+//                   chained declustering
 //   --kill-node N   fault injection: kill serving node N (one node per
 //                   shard, so N < S)...
 //   --kill-after B  ...after dispatched batch B (default 1); replicated
@@ -917,9 +916,7 @@ int cmdServeBench(const Args& a) {
   const ZipfSampler zipf(static_cast<std::uint32_t>(a.distinct), a.zipf);
 
   // With --shards the model serves through a ShardedEngine; otherwise the
-  // single-process Engine. The Zipf law over the request universe gives
-  // the load hints: each tuple's fixed rows carry its expected hit weight,
-  // so the shards owning the hot rows earn an extra replica.
+  // single-process Engine.
   std::shared_ptr<const serve::TopKProvider> provider;
   std::shared_ptr<const serve::ShardedEngine> sharded;
   if (a.shards > 0) {
@@ -928,15 +925,6 @@ int cmdServeBench(const Args& a) {
     so.numReplicas = a.replicas;
     if (a.killNode >= 0) {
       so.faults.schedule.push_back({a.killAfter, a.killNode});
-    }
-    so.loadHints.resize(order);
-    for (std::size_t u = 0; u < universe.size(); ++u) {
-      const auto weight = static_cast<std::uint64_t>(
-          1e9 / std::pow(static_cast<double>(u + 1), a.zipf));
-      if (weight == 0) continue;
-      for (ModeId m = 0; m < order; ++m) {
-        if (m != mode) so.loadHints[m].push_back({universe[u].fixed[m], weight});
-      }
     }
     sharded =
         std::make_shared<const serve::ShardedEngine>(std::move(model), so);
