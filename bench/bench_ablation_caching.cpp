@@ -33,9 +33,7 @@ Row run(sparkle::StorageLevel level, const tensor::CooTensor& t) {
   o.backend = Backend::kCoo;
   o.computeFit = false;
   o.tensorStorage = level;
-  bench::RunArtifacts artifacts(ctx);
   auto res = cstf_core::cpAls(ctx, t, o);
-  artifacts.write(&res.report);
 
   Row row;
   double steady = 0.0;

@@ -34,9 +34,7 @@ Row run(bool combine, const tensor::CooTensor& t) {
   o.backend = Backend::kCoo;
   o.computeFit = false;
   o.mttkrp.mapSideCombine = combine;
-  bench::RunArtifacts artifacts(ctx);
   auto res = cstf_core::cpAls(ctx, t, o);
-  artifacts.write(&res.report);
   // Only the reduceByKey stages are affected by combining; the join
   // shuffles would dilute the comparison.
   Row row;

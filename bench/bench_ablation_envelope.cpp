@@ -32,9 +32,7 @@ std::uint64_t iterationShuffleBytes(Backend b, const tensor::CooTensor& t,
     o.maxIterations = iters;
     o.backend = b;
     o.computeFit = false;
-    bench::RunArtifacts artifacts(ctx);
-    auto res = cstf_core::cpAls(ctx, t, o);
-    artifacts.write(&res.report);
+    cstf_core::cpAls(ctx, t, o);
     const auto m = ctx.metrics().totals();
     return m.shuffleBytesRemote + m.shuffleBytesLocal;
   };

@@ -31,9 +31,7 @@ int main(int argc, char** argv) {
     o.maxIterations = 2;
     o.backend = cstf_core::Backend::kCoo;
     o.computeFit = false;
-    bench::RunArtifacts artifacts(ctx);
     auto res = cstf_core::cpAls(ctx, t, o);
-    artifacts.write(&res.report);
     const double perIter = res.iterations.back().simTimeSec;
     std::printf("%-12zu %8.2f %14.3f\n", parts,
                 double(parts) / ctx.config().totalCores(), perIter);

@@ -31,9 +31,7 @@ Point run(Backend b, const tensor::CooTensor& t, std::size_t rank,
   o.maxIterations = iters;
   o.backend = b;
   o.computeFit = false;
-  bench::RunArtifacts artifacts(ctx);
   auto res = cstf_core::cpAls(ctx, t, o);
-  artifacts.write(&res.report);
   Point p;
   double steady = 0.0;
   for (std::size_t i = 1; i < res.iterations.size(); ++i) {

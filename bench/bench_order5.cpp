@@ -25,9 +25,7 @@ sparkle::MetricsTotals totalsAfter(Backend b, const tensor::CooTensor& t,
   o.maxIterations = iters;
   o.backend = b;
   o.computeFit = false;
-  bench::RunArtifacts artifacts(ctx);
-  auto res = cstf_core::cpAls(ctx, t, o);
-  artifacts.write(&res.report);
+  cstf_core::cpAls(ctx, t, o);
   return ctx.metrics().totals();
 }
 

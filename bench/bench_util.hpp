@@ -7,22 +7,14 @@
 //   CSTF_BENCH_ITERS — CP-ALS iterations measured per configuration
 //                      (default 3; the paper averages 20)
 //
-// Observability artifacts: every bench accepts
-//   --trace-out P / --report-out P / --metrics-csv P / --metrics-out P
-//   [--metrics-interval-ms N]
-// (env fallback CSTF_TRACE_OUT / CSTF_REPORT_OUT / CSTF_METRICS_CSV /
-// CSTF_METRICS_OUT). A bench runs CP-ALS many times, so each run writes to
-// the requested path with a "-runN" tag inserted before the extension;
-// --metrics-out additionally writes a Prometheus exposition next to each
-// ndjson stream (<path>.prom).
+// Per-run telemetry (trace, run report, live metrics) comes from
+// `cstf factor` (tools/README.md), not from these binaries.
 #pragma once
 
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "common/heartbeat.hpp"
-#include "common/trace.hpp"
 #include "cstf/cstf.hpp"
 #include "sparkle/sparkle.hpp"
 #include "tensor/coo_tensor.hpp"
@@ -32,41 +24,9 @@ namespace cstf::bench {
 double benchScale();
 int benchIterations();
 
-/// Parse the shared bench flags (--trace-out/--report-out/--metrics-csv);
-/// call first thing from main. Unknown arguments are rejected with a
-/// message and exit(2). Without argv the env fallbacks still apply.
+/// Refuse any command-line argument (message and exit(2)); call first thing
+/// from main.
 void initBenchArgs(int argc, char** argv);
-
-/// Per-run artifact sink for one CP-ALS execution. Construct right after
-/// the run's Context (installs a private TraceRecorder when a trace was
-/// requested), call write() after the run. runCpAls does this internally;
-/// benches that call cpAls directly wrap the call themselves:
-///
-///   RunArtifacts artifacts(ctx);
-///   auto res = cstf_core::cpAls(ctx, t, o);
-///   artifacts.write(&res.report);
-class RunArtifacts {
- public:
-  explicit RunArtifacts(sparkle::Context& ctx);
-  ~RunArtifacts();
-
-  /// Write the requested artifacts, tagging filenames with this run's
-  /// index. Pass null when no report is available (skips --report-out).
-  /// Also stops this run's metrics heartbeat (--metrics-out), flushing a
-  /// final snapshot.
-  void write(const cstf_core::RunReport* report);
-
- private:
-  sparkle::Context* ctx_;
-  TraceRecorder trace_;
-  /// Live-metrics heartbeat for this run (--metrics-out, "-runN"-tagged).
-  std::unique_ptr<Heartbeat> heartbeat_;
-  int run_ = 0;
-  std::string traceOut_;
-  std::string reportOut_;
-  std::string metricsCsv_;
-  std::string metricsOut_;
-};
 
 /// The paper's evaluation cluster (Comet: 24 cores/node), in Spark or
 /// Hadoop mode, with `nodes` workers.
@@ -85,8 +45,6 @@ struct RunResult {
   sparkle::MetricsTotals totals;
   /// Per-scope totals captured at the end ("MTTKRP-1".., "Other").
   std::vector<std::pair<std::string, sparkle::MetricsTotals>> scopes;
-  /// Full structured telemetry for the run (see cstf/run_report.hpp).
-  cstf_core::RunReport report;
 };
 
 /// Run CP-ALS with the given backend on a fresh context and collect the

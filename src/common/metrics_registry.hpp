@@ -1,12 +1,12 @@
 // Live metrics registry: typed, labeled instruments for in-flight telemetry.
 //
-// Unlike sparkle::MetricsRegistry (the post-hoc per-stage record the run
+// Unlike sparkle::StageLog (the post-hoc per-stage record the run
 // report is built from), this registry is the *always-on* instrument panel:
 // counters, gauges, and histograms that hot paths update lock-free and a
 // background heartbeat (common/heartbeat) samples every few milliseconds
 // into cstf-metrics-v1 ndjson snapshots and a Prometheus-style exposition
-// file. Watchdogs (common/watchdog) read the same instruments to flag
-// stragglers and SLO breaches while the run is still going.
+// file. The serving SLO watchdog (common/watchdog) counts its breaches and
+// recoveries here while the run is still going.
 //
 // A component counts each fact once, through an Owned<T> instrument: one
 // add()/set()/record() lands in the component's own instrument (what its
@@ -17,7 +17,7 @@
 //  - Instrument lookup (counter()/gauge()/histogram()) takes a mutex and is
 //    meant for setup paths; callers on hot paths resolve once and keep the
 //    reference (instruments are never destroyed while the registry lives).
-//  - Recording (Counter::add, Gauge::set, AtomicHistogram::record) is
+//  - Recording (Counter::add, Gauge::set/add, AtomicHistogram::record) is
 //    lock-free: sharded or plain atomic cells, relaxed ordering. Counters
 //    are monotone per shard, so sums observed by successive snapshots never
 //    go backwards.
@@ -81,10 +81,12 @@ class Counter {
   std::array<Cell, kShards> cells_;
 };
 
-/// Last-write-wins instantaneous value.
+/// Instantaneous value: last write wins, or an exact running level when
+/// only add() moves it.
 class Gauge {
  public:
   void set(double v) { v_.store(v, std::memory_order_relaxed); }
+  void add(double d) { v_.fetch_add(d, std::memory_order_relaxed); }
   double value() const { return v_.load(std::memory_order_relaxed); }
 
  private:

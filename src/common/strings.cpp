@@ -50,15 +50,4 @@ std::string humanSeconds(double sec) {
   return strprintf("%.1f us", sec * 1e6);
 }
 
-std::string csvField(const std::string& s) {
-  if (s.find_first_of(",\"\n\r") == std::string::npos) return s;
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 }  // namespace cstf

@@ -19,9 +19,4 @@ std::string humanBytes(double bytes);
 /// Human-readable duration from seconds, e.g. "1.25 s" / "310 ms".
 std::string humanSeconds(double sec);
 
-/// RFC-4180 CSV field: returned verbatim unless it contains a comma, quote,
-/// or newline, in which case it is double-quoted with internal quotes
-/// doubled.
-std::string csvField(const std::string& s);
-
 }  // namespace cstf

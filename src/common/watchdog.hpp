@@ -1,117 +1,24 @@
-// Live watchdogs over the metrics registry: straggler and SLO detection.
+// Live SLO watchdog over serving latencies.
 //
-// Both watchdogs observe a stream of measurements as they happen and raise
-// structured events through a callback *while the run is in flight* — the
-// hooks the pipelined scheduler (straggler-driven work stealing) and the
-// serving load-shedder (SLO breach admission control) on the ROADMAP will
-// trigger on. The callback typically logs a warning, records a trace
-// instant, and bumps a registry counter; the watchdogs themselves stay
-// dependency-free so tests can drive them with synthetic clocks.
+// It observes latencies as they happen and raises breach/recovery events
+// through a callback *while the run is in flight*. The callback typically
+// logs a warning, records a trace instant, and bumps a registry counter;
+// the watchdog itself stays dependency-free so tests can drive it with a
+// synthetic clock.
 //
-// Time is explicit: every mutating call takes "now" in the caller's unit
-// (seconds for tasks, microseconds/milliseconds for latencies), with
-// real-clock convenience overloads layered on top. Determinism in tests,
-// steady_clock in production.
+// Time is explicit: every mutating call takes "now" in milliseconds on the
+// caller's monotonic clock, with real-clock convenience overloads layered
+// on top. Determinism in tests, steady_clock in production.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <unordered_map>
-#include <vector>
 
 #include "common/histogram.hpp"
 
 namespace cstf {
-
-// ---------------------------------------------------------------------------
-// Straggler watchdog
-// ---------------------------------------------------------------------------
-
-struct StragglerEvent {
-  std::uint64_t stageId = 0;
-  std::uint32_t partition = 0;
-  /// How long the flagged task has been running (or ran) in seconds.
-  double taskSec = 0.0;
-  /// The stage's rolling median completed-task time it was judged against.
-  double medianSec = 0.0;
-  /// taskSec / medianSec.
-  double ratio = 0.0;
-  /// True when the task was still running when flagged; false when it was
-  /// flagged at completion.
-  bool stillRunning = false;
-};
-
-/// Tracks per-stage task start/finish times and flags partitions whose task
-/// exceeds 4x the median of the stage's last 64 completed tasks, once the
-/// stage has completed 8. Tasks under 10 ms are never flagged: micro-task
-/// stages produce meaningless multiples of a ~0 median (a 2 ms task is
-/// "11x" a 0.2 ms median on every busy stage, which is scheduling noise).
-/// checkNow() judges still-running tasks (call it from the heartbeat);
-/// taskFinished() judges the completing task, so post-hoc stragglers are
-/// caught even when no heartbeat landed mid-flight. Each (stage,
-/// partition) flags at most once. Thread-safe; per-task granularity, never
-/// per-record.
-class StragglerWatchdog {
- public:
-  StragglerWatchdog();
-
-  /// Invoked (under no internal lock ordering guarantees beyond "after the
-  /// flag is counted") for every flagged task. Set once, before tasks run.
-  void setCallback(std::function<void(const StragglerEvent&)> fn);
-
-  void taskStarted(std::uint64_t stageId, std::uint32_t partition,
-                   double nowSec);
-  void taskFinished(std::uint64_t stageId, std::uint32_t partition,
-                    double nowSec);
-  /// Judge every still-running task; returns how many were flagged by this
-  /// call.
-  std::size_t checkNow(double nowSec);
-
-  /// Real-clock overloads (seconds since this watchdog's construction).
-  void taskStarted(std::uint64_t stageId, std::uint32_t partition);
-  void taskFinished(std::uint64_t stageId, std::uint32_t partition);
-  std::size_t checkNow();
-
-  std::uint64_t flagged() const;
-  std::size_t running() const;
-  /// Rolling median of stage `stageId` (0 when unknown / no completions).
-  double rollingMedianSec(std::uint64_t stageId) const;
-
- private:
-  struct StageState {
-    /// Ring of recent completed-task durations.
-    std::vector<double> window;
-    std::size_t next = 0;
-    std::uint64_t completed = 0;
-  };
-  struct RunningTask {
-    std::uint64_t stageId = 0;
-    std::uint32_t partition = 0;
-    double startSec = 0.0;
-    bool flagged = false;
-  };
-
-  double nowSecondsMonotonic() const;
-  double medianLocked(const StageState& s) const;
-  /// Returns true (and fires the callback outside no lock — see .cpp) when
-  /// the task qualifies as a straggler.
-  bool judgeLocked(const StageState& s, double taskSec,
-                   StragglerEvent& ev) const;
-
-  std::function<void(const StragglerEvent&)> callback_;
-  const std::chrono::steady_clock::time_point epoch_;
-
-  mutable std::mutex mutex_;
-  std::unordered_map<std::uint64_t, StageState> stages_;
-  std::unordered_map<std::uint64_t, RunningTask> runningTasks_;  // keyed by (stage<<32)|partition
-  std::uint64_t flagged_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// SLO watchdog
-// ---------------------------------------------------------------------------
 
 struct SloEvent {
   /// True on entering breach, false on recovering.

@@ -145,7 +145,7 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
                        "cp-als");
     la::Matrix lastMttkrp;
 
-    // Per-mode telemetry: registry-totals deltas between mode boundaries,
+    // Per-mode telemetry: stage-log-totals deltas between mode boundaries,
     // so the entries decompose the engine work of the iteration exactly.
     IterationTelemetry iterTel;
     iterTel.iteration = iter;

@@ -43,19 +43,24 @@ void writeRecordSkew(JsonWriter& w, const sparkle::RecordSkewStats& r) {
 
 }  // namespace
 
-void finalizeRunReport(const sparkle::MetricsRegistry& metrics,
+void finalizeRunReport(const sparkle::StageLog& metrics,
                        RunReport& report) {
   report.totals = metrics.totals();
   report.stages.clear();
   for (const sparkle::StageMetrics& s : metrics.stages()) {
     StageSummary out;
     out.stageId = s.stageId;
+    out.shuffleOpId = s.shuffleOpId;
     out.scope = s.scope;
     out.label = s.label;
     out.kind = sparkle::stageKindName(s.kind);
+    out.recordsProcessed = s.work.recordsProcessed;
+    out.flops = s.work.flops;
+    out.sourceBytesRead = s.work.sourceBytesRead;
     out.shuffleRecords = s.shuffleRecords;
     out.shuffleBytesRemote = s.shuffleBytesRemote;
     out.shuffleBytesLocal = s.shuffleBytesLocal;
+    out.broadcastBytes = s.broadcastBytes;
     out.taskRetries = s.taskRetries;
     out.lostNodes = s.lostNodes;
     out.recomputedMapTasks = s.recomputedMapTasks;
@@ -157,12 +162,17 @@ std::string RunReport::toJson() const {
   for (const StageSummary& s : stages) {
     w.beginObject();
     w.kv("stageId", std::uint64_t{s.stageId});
+    w.kv("shuffleOpId", std::uint64_t{s.shuffleOpId});
     w.kv("scope", s.scope);
     w.kv("label", s.label);
     w.kv("kind", s.kind);
+    w.kv("recordsProcessed", std::uint64_t{s.recordsProcessed});
+    w.kv("flops", std::uint64_t{s.flops});
+    w.kv("sourceBytesRead", std::uint64_t{s.sourceBytesRead});
     w.kv("shuffleRecords", std::uint64_t{s.shuffleRecords});
     w.kv("shuffleBytesRemote", std::uint64_t{s.shuffleBytesRemote});
     w.kv("shuffleBytesLocal", std::uint64_t{s.shuffleBytesLocal});
+    w.kv("broadcastBytes", std::uint64_t{s.broadcastBytes});
     w.kv("taskRetries", std::uint64_t{s.taskRetries});
     w.kv("lostNodes", std::uint64_t{s.lostNodes});
     w.kv("recomputedMapTasks", std::uint64_t{s.recomputedMapTasks});

@@ -3,9 +3,9 @@
 // The machine-readable counterpart of the paper's §6 evaluation tables:
 // per-(iteration, mode) telemetry (fit trajectory, λ norms, sim/wall time,
 // shuffle volume, cache traffic), per-stage summaries with task-skew
-// statistics, and run-level totals that match MetricsRegistry::totals()
-// exactly. Serializes to JSON (see tools/README.md for the schema); every
-// bench/figure binary and the CLI can dump one via --report-out.
+// statistics, and run-level totals that match StageLog::totals()
+// exactly. Serializes to JSON (see tools/README.md for the schema); the
+// CLI's `factor` writes one via --report-out.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +18,7 @@
 namespace cstf::cstf_core {
 
 /// Telemetry for one mode update (MTTKRP_n + solve/normalize) of one
-/// iteration, measured as the delta of the registry totals across the
+/// iteration, measured as the delta of the stage-log totals across the
 /// update — so summing mode entries reproduces the in-loop engine work
 /// exactly.
 struct ModeTelemetry {
@@ -53,15 +53,23 @@ struct IterationTelemetry {
   std::vector<ModeTelemetry> modes;
 };
 
-/// One registry stage, flattened for the report (shuffle volumes + skew).
+/// One stage-log entry, flattened for the report (work counters, shuffle
+/// volumes + skew). Every counter here sums over `stages` to the same
+/// field of `totals`.
 struct StageSummary {
   std::uint64_t stageId = 0;
+  /// Shared by the stages of one shuffle operation (0 = not a shuffle).
+  std::uint64_t shuffleOpId = 0;
   std::string scope;
   std::string label;
   std::string kind;
+  std::uint64_t recordsProcessed = 0;
+  std::uint64_t flops = 0;
+  std::uint64_t sourceBytesRead = 0;
   std::uint64_t shuffleRecords = 0;
   std::uint64_t shuffleBytesRemote = 0;
   std::uint64_t shuffleBytesLocal = 0;
+  std::uint64_t broadcastBytes = 0;
   std::uint64_t taskRetries = 0;
   std::uint64_t lostNodes = 0;
   std::uint64_t recomputedMapTasks = 0;
@@ -118,9 +126,9 @@ struct RunReport {
   /// `iterations` list then begins at resumedFromIteration + 1.
   int resumedFromIteration = 0;
   std::vector<IterationTelemetry> iterations;
-  /// Every stage the registry recorded during the run, in execution order.
+  /// Every stage the log recorded during the run, in execution order.
   std::vector<StageSummary> stages;
-  /// Registry totals at the end of the run; per-stage sums in `stages`
+  /// Stage-log totals at the end of the run; per-stage sums in `stages`
   /// match these exactly.
   sparkle::MetricsTotals totals;
   /// Retry/recovery rollup of the same stage snapshot.
@@ -129,11 +137,11 @@ struct RunReport {
   std::string toJson() const;
 };
 
-/// Populate `stages` and `totals` from the registry's current contents
+/// Populate `stages` and `totals` from the stage log's current contents
 /// (both from the same snapshot, so their sums always agree). Callers
-/// wanting the report restricted to one run should reset the registry
+/// wanting the report restricted to one run should reset the log
 /// before that run.
-void finalizeRunReport(const sparkle::MetricsRegistry& metrics,
+void finalizeRunReport(const sparkle::StageLog& metrics,
                        RunReport& report);
 
 }  // namespace cstf::cstf_core

@@ -11,12 +11,9 @@
 #include <utility>
 
 #include "common/buffer_pool.hpp"
-#include "common/log.hpp"
 #include "common/metrics_registry.hpp"
-#include "common/strings.hpp"
 #include "common/thread_pool.hpp"
 #include "common/trace.hpp"
-#include "common/watchdog.hpp"
 #include "sparkle/cluster.hpp"
 #include "sparkle/metrics.hpp"
 #include "sparkle/partitioner.hpp"
@@ -42,47 +39,14 @@ class Context {
                                               config.numNodes))) {
     config_.validate();
     applyChaosFromEnv(config_);
-    straggler_.setCallback([this](const StragglerEvent& ev) {
-      if (stragglerEvents_.fetch_add(1, std::memory_order_relaxed) <
-          kStragglerWarnings) {
-        CSTF_LOG_WARN(
-            "straggler: stage %llu partition %u %s %.3fs vs stage median "
-            "%.3fs (%.1fx)",
-            static_cast<unsigned long long>(ev.stageId), ev.partition,
-            ev.stillRunning ? "running for" : "took", ev.taskSec,
-            ev.medianSec, ev.ratio);
-      }
-      if (trace_->enabled()) {
-        trace_->recordInstant(
-            "straggler", "watchdog",
-            {{"stage", std::to_string(ev.stageId)},
-             {"partition", std::to_string(ev.partition)},
-             {"taskSec", strprintf("%.6f", ev.taskSec)},
-             {"medianSec", strprintf("%.6f", ev.medianSec)},
-             {"ratio", strprintf("%.2f", ev.ratio)},
-             {"stillRunning", ev.stillRunning ? "true" : "false"}});
-      }
-      liveStragglers_.add();
-    });
-  }
-
-  ~Context() {
-    const std::uint64_t events = stragglerEvents_.load();
-    if (events > kStragglerWarnings) {
-      CSTF_LOG_WARN("straggler: %llu more flagged tasks not logged (%llu "
-                    "in total)",
-                    static_cast<unsigned long long>(events -
-                                                    kStragglerWarnings),
-                    static_cast<unsigned long long>(events));
-    }
   }
 
   Context(const Context&) = delete;
   Context& operator=(const Context&) = delete;
 
   const ClusterConfig& config() const { return config_; }
-  MetricsRegistry& metrics() { return metrics_; }
-  const MetricsRegistry& metrics() const { return metrics_; }
+  StageLog& metrics() { return metrics_; }
+  const StageLog& metrics() const { return metrics_; }
   cstf::ThreadPool& pool() { return pool_; }
   /// Recycles shuffle map-output buckets (and scratch) across stages, so
   /// steady-state iterations allocate almost nothing on the shuffle path.
@@ -162,37 +126,25 @@ class Context {
     return n;
   }
 
-  /// Straggler watchdog fed by every task this context runs. Every flag
-  /// records a trace instant and bumps `sparkle_straggler_tasks_total`; the
-  /// first kStragglerWarnings also log a warning, and the destructor logs
-  /// one summary line for the rest.
-  /// The heartbeat's check callback should call straggler().checkNow() to
-  /// catch tasks still running.
-  StragglerWatchdog& straggler() { return straggler_; }
-
-  /// Per-task live hooks for stage executors: count the task, mark it with
-  /// the straggler watchdog, and keep the in-flight gauge fresh.
-  void noteTaskStarted(std::uint64_t stageId, std::uint32_t partition) {
+  /// Per-task live hooks (runTaskWithRetries calls both): count the task
+  /// and keep the in-flight gauge, tasks running across every context in
+  /// the process, exact.
+  void noteTaskStarted() {
     liveTasksStarted_.add();
-    straggler_.taskStarted(stageId, partition);
-    liveTasksInflight_.set(static_cast<double>(straggler_.running()));
+    liveTasksInflight_.add(1.0);
   }
-  void noteTaskFinished(std::uint64_t stageId, std::uint32_t partition) {
-    straggler_.taskFinished(stageId, partition);
+  void noteTaskFinished() {
+    liveTasksInflight_.add(-1.0);
     liveTasksFinished_.add();
-    liveTasksInflight_.set(static_cast<double>(straggler_.running()));
   }
 
  private:
-  static constexpr std::uint64_t kStragglerWarnings = 3;
-
   ClusterConfig config_;
-  MetricsRegistry metrics_;
+  StageLog metrics_;
   cstf::ThreadPool pool_;
   cstf::BufferPool bufferPool_;
   std::size_t defaultParallelism_;
   TraceRecorder* trace_ = &globalTrace();
-  StragglerWatchdog straggler_;
   // Live task series in metrics::globalRegistry().
   metrics::Counter& liveTasksStarted_ =
       metrics::globalRegistry().counter("sparkle_tasks_started_total");
@@ -200,9 +152,6 @@ class Context {
       metrics::globalRegistry().counter("sparkle_tasks_finished_total");
   metrics::Gauge& liveTasksInflight_ =
       metrics::globalRegistry().gauge("sparkle_tasks_inflight");
-  metrics::Counter& liveStragglers_ =
-      metrics::globalRegistry().counter("sparkle_straggler_tasks_total");
-  std::atomic<std::uint64_t> stragglerEvents_{0};
   std::atomic<std::uint64_t> nextDatasetId_{1};
   mutable std::mutex datasetsMutex_;
   std::unordered_set<DatasetBase*> datasets_;

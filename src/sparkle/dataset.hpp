@@ -79,6 +79,12 @@ template <typename Body>
 void runTaskWithRetries(Context* ctx, std::uint64_t stageId,
                         std::size_t partition, const std::string& opLabel,
                         TaskContext& out, Body&& body) {
+  // The live task series see every task end, also one that throws.
+  ctx->noteTaskStarted();
+  struct Finish {
+    Context* ctx;
+    ~Finish() { ctx->noteTaskFinished(); }
+  } finish{ctx};
   const ClusterConfig& cfg = ctx->config();
   for (int attempt = 0; attempt < kMaxTaskAttempts; ++attempt) {
     TaskContext tc;

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <set>
 
-#include "common/strings.hpp"
+#include "common/error.hpp"
 
 namespace cstf::sparkle {
 
@@ -90,34 +90,34 @@ RecordSkewStats computeRecordSkew(const std::vector<std::uint64_t>& records) {
   return s;
 }
 
-void MetricsRegistry::pushScope(const std::string& name) {
+void StageLog::pushScope(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   scopeStack_.push_back(name);
 }
 
-void MetricsRegistry::popScope() {
+void StageLog::popScope() {
   std::lock_guard<std::mutex> lock(mutex_);
   CSTF_ASSERT(!scopeStack_.empty(), "popScope on empty scope stack");
   scopeStack_.pop_back();
 }
 
-std::uint64_t MetricsRegistry::nextStageId() {
+std::uint64_t StageLog::nextStageId() {
   std::lock_guard<std::mutex> lock(mutex_);
   return nextStageId_++;
 }
 
-std::uint64_t MetricsRegistry::nextShuffleOpId() {
+std::uint64_t StageLog::nextShuffleOpId() {
   std::lock_guard<std::mutex> lock(mutex_);
   return nextShuffleOpId_++;
 }
 
-void MetricsRegistry::noteTaskRetry(std::uint64_t stageId) {
+void StageLog::noteTaskRetry(std::uint64_t stageId) {
   taskRetries_.add();
   std::lock_guard<std::mutex> lock(mutex_);
   ++retriesByStage_[stageId];
 }
 
-double MetricsRegistry::computeSecondsOf(const TaskCounters& c) const {
+double StageLog::computeSecondsOf(const TaskCounters& c) const {
   const auto& cfg = *config_;
   return static_cast<double>(c.recordsProcessed) / cfg.recordsPerSecPerCore +
          static_cast<double>(c.flops) / cfg.flopsPerSecPerCore +
@@ -127,7 +127,7 @@ double MetricsRegistry::computeSecondsOf(const TaskCounters& c) const {
              cfg.cacheDeserializeBytesPerSecPerCore;
 }
 
-double MetricsRegistry::record(StageMetrics m, const StageCost& cost) {
+double StageLog::record(StageMetrics m, const StageCost& cost) {
   const auto& cfg = *config_;
 
   // Compute phase: the stage finishes when the slowest node finishes, and
@@ -194,50 +194,12 @@ double MetricsRegistry::record(StageMetrics m, const StageCost& cost) {
   return stages_.back().simTimeSec;
 }
 
-std::vector<StageMetrics> MetricsRegistry::stages() const {
+std::vector<StageMetrics> StageLog::stages() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stages_;
 }
 
-std::string MetricsRegistry::toCsv() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::string out =
-      "stage_id,shuffle_op_id,kind,scope,label,records_processed,flops,"
-      "source_bytes,shuffle_records,shuffle_bytes_remote,"
-      "shuffle_bytes_local,broadcast_bytes,task_retries,sim_time_sec,"
-      "wall_time_sec,tasks,task_p50_sec,task_p95_sec,task_max_sec,"
-      "task_imbalance,heaviest_partition,reduce_partitions,"
-      "reduce_records_max,reduce_imbalance,lost_nodes,"
-      "recomputed_map_tasks,evicted_cache_blocks\n";
-  for (const auto& s : stages_) {
-    const TaskSkewStats skew = computeTaskSkew(s.tasks);
-    const RecordSkewStats rskew = computeRecordSkew(s.reduceRecordsByPartition);
-    out += strprintf(
-        "%llu,%llu,%s,%s,%s,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%.9g,"
-        "%.9g,%llu,%.9g,%.9g,%.9g,%.9g,%u,%llu,%.9g,%.9g,%llu,%llu,%llu\n",
-        static_cast<unsigned long long>(s.stageId),
-        static_cast<unsigned long long>(s.shuffleOpId), stageKindName(s.kind),
-        csvField(s.scope).c_str(), csvField(s.label).c_str(),
-        static_cast<unsigned long long>(s.work.recordsProcessed),
-        static_cast<unsigned long long>(s.work.flops),
-        static_cast<unsigned long long>(s.work.sourceBytesRead),
-        static_cast<unsigned long long>(s.shuffleRecords),
-        static_cast<unsigned long long>(s.shuffleBytesRemote),
-        static_cast<unsigned long long>(s.shuffleBytesLocal),
-        static_cast<unsigned long long>(s.broadcastBytes),
-        static_cast<unsigned long long>(s.taskRetries), s.simTimeSec,
-        s.wallTimeSec, static_cast<unsigned long long>(skew.tasks),
-        skew.p50Sec, skew.p95Sec, skew.maxSec, skew.imbalance,
-        skew.heaviestPartition,
-        static_cast<unsigned long long>(rskew.partitions), rskew.maxRecords,
-        rskew.imbalance, static_cast<unsigned long long>(s.lostNodes),
-        static_cast<unsigned long long>(s.recomputedMapTasks),
-        static_cast<unsigned long long>(s.evictedCacheBlocks));
-  }
-  return out;
-}
-
-MetricsTotals MetricsRegistry::totalsLocked(
+MetricsTotals StageLog::totalsLocked(
     const std::string* scopePrefix) const {
   MetricsTotals t;
   std::set<std::uint64_t> ops;
@@ -266,23 +228,23 @@ MetricsTotals MetricsRegistry::totalsLocked(
   return t;
 }
 
-MetricsTotals MetricsRegistry::totals() const {
+MetricsTotals StageLog::totals() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return totalsLocked(nullptr);
 }
 
-MetricsTotals MetricsRegistry::totalsForScope(
+MetricsTotals StageLog::totalsForScope(
     const std::string& scopePrefix) const {
   std::lock_guard<std::mutex> lock(mutex_);
   return totalsLocked(&scopePrefix);
 }
 
-std::size_t MetricsRegistry::stageCount() const {
+std::size_t StageLog::stageCount() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stages_.size();
 }
 
-RecordSkewStats MetricsRegistry::reduceSkewForStagesFrom(
+RecordSkewStats StageLog::reduceSkewForStagesFrom(
     std::size_t index) const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::uint64_t> pooled;
@@ -293,14 +255,14 @@ RecordSkewStats MetricsRegistry::reduceSkewForStagesFrom(
   return computeRecordSkew(pooled);
 }
 
-double MetricsRegistry::simTimeSec() const {
+double StageLog::simTimeSec() const {
   std::lock_guard<std::mutex> lock(mutex_);
   double t = 0.0;
   for (const auto& s : stages_) t += s.simTimeSec;
   return t;
 }
 
-void MetricsRegistry::reset() {
+void StageLog::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   stages_.clear();
   retriesByStage_.clear();

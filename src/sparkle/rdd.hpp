@@ -282,7 +282,6 @@ class Rdd {
       TraceRecorder& rec = ctx_->trace();
       const double traceTs = rec.enabled() ? rec.nowMicros() : 0.0;
       const auto tt0 = std::chrono::steady_clock::now();
-      ctx_->noteTaskStarted(stageId, static_cast<std::uint32_t>(p));
       TaskContext taskResult;
       runTaskWithRetries(ctx_, stageId, p, label, taskResult,
                          [&](TaskContext& tc) {
@@ -296,7 +295,6 @@ class Rdd {
       task.wallTimeSec = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - tt0)
                              .count();
-      ctx_->noteTaskFinished(stageId, static_cast<std::uint32_t>(p));
       if (rec.enabled()) {
         rec.recordComplete(
             "task:" + label + " p" + std::to_string(p), "task", traceTs,

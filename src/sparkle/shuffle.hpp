@@ -10,8 +10,8 @@
 //   3. "fetches" buckets into destination partitions, classifying bytes as
 //      remote or local by the round-robin node placement of source and
 //      destination partitions,
-//   4. records one StageMetrics entry (with per-node costs) in the metrics
-//      registry, which runs the cluster time model.
+//   4. records one StageMetrics entry (with per-node costs) in the stage
+//      log, which runs the cluster time model.
 //
 // Join is then a *narrow* dataset over two co-partitioned shuffles — again
 // mirroring Spark, where the two shuffle stages feed a result stage that
@@ -147,7 +147,6 @@ class ShuffledDataset final : public Dataset<std::pair<K, V>> {
       TraceRecorder& rec = ctx->trace();
       const double traceTs = rec.enabled() ? rec.nowMicros() : 0.0;
       const auto tt0 = std::chrono::steady_clock::now();
-      ctx->noteTaskStarted(stageId, static_cast<std::uint32_t>(p));
       TaskContext taskResult;
       runTaskWithRetries(ctx, stageId, p, label_, taskResult,
                          [&](TaskContext& tc) {
@@ -201,7 +200,6 @@ class ShuffledDataset final : public Dataset<std::pair<K, V>> {
       task.wallTimeSec = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - tt0)
                              .count();
-      ctx->noteTaskFinished(stageId, static_cast<std::uint32_t>(p));
       if (rec.enabled()) {
         rec.recordComplete(
             "task:" + label_ + " p" + std::to_string(p), "task", traceTs,

@@ -1,6 +1,7 @@
 #include "tensor/reference_ops.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "la/row.hpp"
 #include "tensor/matricize.hpp"
@@ -116,6 +117,8 @@ double cpFit(const CooTensor& t, const std::vector<la::Matrix>& factors,
                          2.0 * innerProductWithModel(t, factors, lambda) +
                          modelNormSq(factors, lambda);
   if (xNormSq <= 0.0) return 0.0;
+  // A non-finite model has no fit (std::max(0.0, NaN) would read as 1.0).
+  if (!std::isfinite(residSq)) return std::numeric_limits<double>::quiet_NaN();
   return 1.0 - std::sqrt(std::max(0.0, residSq)) / std::sqrt(xNormSq);
 }
 

@@ -41,7 +41,8 @@ double modelNormSq(const std::vector<la::Matrix>& factors,
 double modelNormSqFromGrams(const std::vector<la::Matrix>& grams,
                             const std::vector<double>& lambda);
 
-/// CP fit = 1 - ||X - model||_F / ||X||_F (computed without densifying).
+/// CP fit = 1 - ||X - model||_F / ||X||_F (computed without densifying);
+/// NaN when the model is not finite.
 double cpFit(const CooTensor& t, const std::vector<la::Matrix>& factors,
              const std::vector<double>& lambda);
 

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <vector>
 
 #include "cstf/cp_als.hpp"
 #include "sparkle/sparkle.hpp"
@@ -71,34 +73,87 @@ INSTANTIATE_TEST_SUITE_P(Backends, RunReportShape,
                          ::testing::Values(Backend::kCoo, Backend::kQcoo));
 
 TEST(RunReport, StageSumsMatchRegistryTotalsExactly) {
-  sparkle::Context ctx(testCluster(), 2);
-  auto t = tensor::generateRandom({{12, 14, 10}, 300, {}, 70});
-  auto res = cpAls(ctx, t, reportOpts(Backend::kCoo, 2));
-  const RunReport& r = res.report;
+  // The join chain (coo kernel) and broadcast-local (csf kernel), so the
+  // broadcast bytes are summed over stages that have some.
+  for (const sparkle::LocalKernel kernel :
+       {sparkle::LocalKernel::kCoo, sparkle::LocalKernel::kCsf}) {
+    SCOPED_TRACE(sparkle::localKernelName(kernel));
+    sparkle::ClusterConfig cfg = testCluster();
+    cfg.localKernel = kernel;
+    sparkle::Context ctx(cfg, 2);
+    auto t = tensor::generateRandom({{12, 14, 10}, 300, {}, 70});
+    auto res = cpAls(ctx, t, reportOpts(Backend::kCoo, 2));
+    const RunReport& r = res.report;
 
-  const sparkle::MetricsTotals live = ctx.metrics().totals();
-  EXPECT_EQ(r.totals.shuffleBytesRemote, live.shuffleBytesRemote);
-  EXPECT_EQ(r.totals.shuffleBytesLocal, live.shuffleBytesLocal);
-  EXPECT_EQ(r.totals.shuffleRecords, live.shuffleRecords);
-  EXPECT_EQ(r.totals.flops, live.flops);
-  EXPECT_EQ(r.stages.size(), live.stages);
+    const sparkle::MetricsTotals live = ctx.metrics().totals();
+    EXPECT_EQ(r.totals.shuffleBytesRemote, live.shuffleBytesRemote);
+    EXPECT_EQ(r.totals.shuffleBytesLocal, live.shuffleBytesLocal);
+    EXPECT_EQ(r.totals.shuffleRecords, live.shuffleRecords);
+    EXPECT_EQ(r.totals.flops, live.flops);
+    EXPECT_EQ(r.stages.size(), live.stages);
 
-  // The acceptance bar: per-stage shuffle-byte sums equal the totals, with
-  // no drift between the two views.
-  std::uint64_t remote = 0;
-  std::uint64_t local = 0;
-  std::uint64_t records = 0;
-  double sim = 0.0;
-  for (const StageSummary& s : r.stages) {
-    remote += s.shuffleBytesRemote;
-    local += s.shuffleBytesLocal;
-    records += s.shuffleRecords;
-    sim += s.simTimeSec;
+    // The acceptance bar: every per-stage counter sums to its total, with no
+    // drift between the two views.
+    std::uint64_t remote = 0;
+    std::uint64_t local = 0;
+    std::uint64_t records = 0;
+    std::uint64_t processed = 0;
+    std::uint64_t flops = 0;
+    std::uint64_t source = 0;
+    std::uint64_t broadcast = 0;
+    std::set<std::uint64_t> shuffleOps;
+    double sim = 0.0;
+    for (const StageSummary& s : r.stages) {
+      remote += s.shuffleBytesRemote;
+      local += s.shuffleBytesLocal;
+      records += s.shuffleRecords;
+      processed += s.recordsProcessed;
+      flops += s.flops;
+      source += s.sourceBytesRead;
+      broadcast += s.broadcastBytes;
+      if (s.shuffleOpId != 0) shuffleOps.insert(s.shuffleOpId);
+      sim += s.simTimeSec;
+    }
+    EXPECT_EQ(remote, r.totals.shuffleBytesRemote);
+    EXPECT_EQ(local, r.totals.shuffleBytesLocal);
+    EXPECT_EQ(records, r.totals.shuffleRecords);
+    EXPECT_EQ(processed, r.totals.recordsProcessed);
+    EXPECT_GT(processed, 0u);
+    EXPECT_EQ(flops, r.totals.flops);
+    EXPECT_GT(flops, 0u);
+    EXPECT_EQ(source, r.totals.sourceBytesRead);
+    EXPECT_EQ(broadcast, r.totals.broadcastBytes);
+    if (kernel == sparkle::LocalKernel::kCsf) {
+      EXPECT_GT(broadcast, 0u);
+    }
+    EXPECT_EQ(shuffleOps.size(), r.totals.shuffleOps);
+    EXPECT_NEAR(sim, r.totals.simTimeSec, 1e-9 + 1e-9 * sim);
   }
-  EXPECT_EQ(remote, r.totals.shuffleBytesRemote);
-  EXPECT_EQ(local, r.totals.shuffleBytesLocal);
-  EXPECT_EQ(records, r.totals.shuffleRecords);
-  EXPECT_NEAR(sim, r.totals.simTimeSec, 1e-9 + 1e-9 * sim);
+}
+
+TEST(RunReport, ScopeWithCommaAndQuotesSurvivesTheJson) {
+  sparkle::Context ctx(testCluster(), 2);
+  const std::string scope = "we,ird \"scope\"";
+  {
+    sparkle::ScopedStage tag(ctx.metrics(), scope);
+    sparkle::parallelize(ctx, std::vector<int>(50, 1), 2).count();
+  }
+  RunReport r;
+  finalizeRunReport(ctx.metrics(), r);
+  ASSERT_FALSE(r.stages.empty());
+  for (const StageSummary& s : r.stages) EXPECT_EQ(s.scope, scope);
+  const std::string json = r.toJson();
+  EXPECT_TRUE(testsupport::isValidJson(json)) << json;
+  EXPECT_NE(json.find(R"("shuffleOpId":0,"scope":"we,ird \"scope\"")"),
+            std::string::npos)
+      << json;
+  // The stage's work counters travel with it.
+  const StageSummary& st = r.stages[0];
+  EXPECT_GT(st.recordsProcessed, 0u);
+  EXPECT_NE(json.find("\"kind\":\"" + st.kind + "\",\"recordsProcessed\":" +
+                      std::to_string(st.recordsProcessed) + ","),
+            std::string::npos)
+      << json;
 }
 
 TEST(RunReport, StagesCarrySkewAndScopes) {

@@ -1,13 +1,9 @@
-// Per-partition task records, skew statistics, the metrics CSV, and the
-// straggler log.
+// Per-partition task records, skew statistics, and the live task series.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/log.hpp"
 #include "common/metrics_registry.hpp"
 #include "sparkle/sparkle.hpp"
 #include "support/shuffle_all.hpp"
@@ -181,82 +177,28 @@ TEST(TaskRecords, RetriesAreCountedPerStageAndInTotals) {
   EXPECT_EQ(perStage, global);
 }
 
-TEST(MetricsCsv, HasHeaderAndRows) {
-  Context ctx(cfgNodes(4), 2);
-  {
-    ScopedStage scope(ctx.metrics(), "MTTKRP-1");
-    shuffleAll(parallelize(ctx, uniformData(2), 2), ctx.hashPartitioner(2))
-        .materialize();
-  }
-  const std::string csv = ctx.metrics().toCsv();
-  std::istringstream in(csv);
-  std::string header;
-  std::getline(in, header);
-  EXPECT_NE(header.find("stage_id"), std::string::npos);
-  EXPECT_NE(header.find("shuffle_bytes_remote"), std::string::npos);
+TEST(TaskRecords, InflightGaugeReadsZeroAfterAStage) {
+  metrics::Registry& live = metrics::globalRegistry();
+  const metrics::Counter& started =
+      live.counter("sparkle_tasks_started_total");
+  const metrics::Counter& finished =
+      live.counter("sparkle_tasks_finished_total");
+  const std::uint64_t startedBefore = started.value();
+  const std::uint64_t finishedBefore = finished.value();
+  Context ctx(cfgNodes(4), 4);
+  parallelize(ctx, uniformData(1000), 8)
+      .reduceByKey([](double& a, const double& b) { a += b; })
+      .collect();
+  EXPECT_GE(started.value() - startedBefore, 8u);
+  EXPECT_EQ(finished.value() - finishedBefore,
+            started.value() - startedBefore);
+  EXPECT_EQ(live.gauge("sparkle_tasks_inflight").value(), 0.0);
 
-  std::size_t rows = 0;
-  std::size_t scoped = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    ++rows;
-    if (line.find("MTTKRP-1") != std::string::npos) ++scoped;
-  }
-  EXPECT_EQ(rows, ctx.metrics().stages().size());
-  EXPECT_GE(scoped, 1u);
-  // Column count is stable: 26 commas per row (14 base columns + retries +
-  // 6 task-skew columns + 3 reduce-record-skew columns + 3 node-loss
-  // recovery columns).
-  EXPECT_EQ(std::count(header.begin(), header.end(), ','), 26);
-  EXPECT_NE(header.find("recomputed_map_tasks"), std::string::npos);
-  EXPECT_NE(header.find("reduce_imbalance"), std::string::npos);
-}
-
-TEST(MetricsCsv, EscapesScopesAndIncludesRetries) {
-  Context ctx(cfgNodes(2), 2);
-  {
-    ScopedStage scope(ctx.metrics(), "we,ird \"scope\"");
-    parallelize(ctx, uniformData(50), 2).count();
-  }
-  const std::string csv = ctx.metrics().toCsv();
-  EXPECT_NE(csv.find("task_retries"), std::string::npos);
-  EXPECT_NE(csv.find("task_imbalance"), std::string::npos);
-  // RFC-4180: the field is quoted and inner quotes doubled.
-  EXPECT_NE(csv.find("\"we,ird \"\"scope\"\"\""), std::string::npos) << csv;
-}
-
-TEST(StragglerLog, WarnsForTheFirstThreeThenSummarizesOnce) {
-  const LogLevel savedLevel = logLevel();
-  setLogLevel(LogLevel::kWarn);
-  const metrics::Counter& flaggedTotal =
-      metrics::globalRegistry().counter("sparkle_straggler_tasks_total");
-  const std::uint64_t before = flaggedTotal.value();
-  ::testing::internal::CaptureStderr();
-  {
-    Context ctx(cfgNodes(4), 2);
-    StragglerWatchdog& w = ctx.straggler();
-    // Thirty 0.1 s tasks fix stage 1's median; ten 1 s tasks then flag.
-    for (std::uint32_t p = 0; p < 40; ++p) {
-      w.taskStarted(1, p, 0.0);
-      w.taskFinished(1, p, p < 30 ? 0.1 : 1.0);
-    }
-    EXPECT_EQ(w.flagged(), 10u);
-  }
-  const std::string err = ::testing::internal::GetCapturedStderr();
-  setLogLevel(savedLevel);
-
-  std::istringstream lines(err);
-  int warnings = 0;
-  for (std::string line; std::getline(lines, line);) {
-    if (line.find("[WARN]") != std::string::npos &&
-        line.find("straggler") != std::string::npos) {
-      ++warnings;
-    }
-  }
-  EXPECT_EQ(warnings, 4) << err;  // three events plus one summary
-  EXPECT_NE(err.find("7 more flagged tasks"), std::string::npos) << err;
-  EXPECT_EQ(flaggedTotal.value() - before, 10u);
+  // A task that fails for good is no longer in flight either.
+  Context failing(cfgNodes(2, /*failureRate=*/1.0), 2);
+  EXPECT_THROW(parallelize(failing, uniformData(100), 4).count(),
+               TaskFailedError);
+  EXPECT_EQ(live.gauge("sparkle_tasks_inflight").value(), 0.0);
 }
 
 }  // namespace

@@ -187,8 +187,7 @@ TEST(OnlineUpdater, SgdImprovesWarmModelOnNewData) {
 // The solver comparison behind DESIGN §16, on planted structure (the
 // analogs' fits are ~1e-4, too small to rank solvers): with the base
 // tensor, row-subset ALS improves the warm model and beats SGD. SGD runs at
-// rate 0.01 here; at its default 0.1 it leaves non-finite factors on this
-// input, which is no comparison at all.
+// rate 0.01 here, half its default, and its factors must stay finite.
 TEST(OnlineUpdater, AlsWithBaseBeatsSgdOnPlantedTensor) {
   const std::vector<Index> dims = {30, 25, 20};
   for (const std::uint64_t seed : {1, 2, 3}) {

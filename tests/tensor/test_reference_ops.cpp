@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/rng.hpp"
 #include "tensor/generator.hpp"
@@ -160,6 +161,14 @@ TEST(ModelOps, ZeroModelFitFormula) {
   std::vector<double> lambda{1.0};
   // Residual equals ||X||, so fit = 0.
   EXPECT_NEAR(cpFit(t, fs, lambda), 0.0, 1e-12);
+}
+
+TEST(ModelOps, NonFiniteModelHasNaNFit) {
+  CooTensor t({2, 2, 2}, {makeNonzero3(0, 0, 0, 3.0)});
+  std::vector<la::Matrix> fs{la::Matrix(2, 1, 1.0), la::Matrix(2, 1, 1.0),
+                             la::Matrix(2, 1, 1.0)};
+  fs[1](1, 0) = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(cpFit(t, fs, {1.0})));
 }
 
 TEST(ModelOps, DenseReconstructionRejectsHugeTensors) {

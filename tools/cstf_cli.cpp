@@ -26,7 +26,6 @@
 //   --output P      write factors to P.mode<k>.txt and lambda to P.lambda.txt
 //   --trace-out P   write a Chrome-trace JSON (load in Perfetto / about:tracing)
 //   --report-out P  write the structured run report as JSON
-//   --metrics-csv P write per-stage engine metrics as CSV
 //   --metrics-out P stream live cstf-metrics-v1 heartbeat snapshots to P
 //                   (ndjson) and a Prometheus exposition to P.prom
 //   --metrics-interval-ms N  heartbeat sampling period (default 100)
@@ -166,7 +165,7 @@ int usage() {
                "                   [--local-kernel coo|csf]\n"
                "                   [--nodes N] [--seed S] [--scale X]\n"
                "                   [--output PREFIX] [--trace-out P]\n"
-               "                   [--report-out P] [--metrics-csv P]\n"
+               "                   [--report-out P]\n"
                "                   [--checkpoint-dir D] [--checkpoint-every K]\n"
                "                   [--resume D] [--node-loss-rate R]\n"
                "                   [--task-failure-rate R] [--fault-seed S]\n"
@@ -225,7 +224,6 @@ struct Args {
   std::string output;
   std::string traceOut;
   std::string reportOut;
-  std::string metricsCsv;
   std::string checkpointDir;
   int checkpointEvery = 1;
   bool resume = false;
@@ -287,12 +285,11 @@ bool parseArgs(int argc, char** argv, Args& a) {
   const std::pair<const char*, std::string*> stringFlags[] = {
       {"--backend", &a.backend},          {"--local-kernel", &a.localKernel},
       {"--output", &a.output},            {"--trace-out", &a.traceOut},
-      {"--report-out", &a.reportOut},     {"--metrics-csv", &a.metricsCsv},
-      {"--model-out", &a.modelOut},       {"--model", &a.model},
-      {"--indices", &a.indicesSpec},      {"--metrics-out", &a.metricsOut},
-      {"--delta-dir", &a.deltaDir},       {"--deltas", &a.deltas},
-      {"--follow", &a.follow},            {"--base", &a.base},
-      {"--checkpoint-dir", &a.checkpointDir}};
+      {"--report-out", &a.reportOut},     {"--model-out", &a.modelOut},
+      {"--model", &a.model},              {"--indices", &a.indicesSpec},
+      {"--metrics-out", &a.metricsOut},   {"--delta-dir", &a.deltaDir},
+      {"--deltas", &a.deltas},            {"--follow", &a.follow},
+      {"--base", &a.base},                {"--checkpoint-dir", &a.checkpointDir}};
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&](const char* name) -> const char* {
@@ -632,8 +629,8 @@ int cmdFactor(const Args& a, const std::string& spec) {
 
   // One call writes every requested artifact through the same atomic
   // writer — the success path and the abort path below must not diverge.
-  auto writeRunArtifacts = [&](const cstf_core::RunReport* report,
-                               bool strict) {
+  auto flushArtifacts = [&](const cstf_core::RunReport& report,
+                            bool strict) {
     auto put = [&](const std::string& path, const std::string& content,
                    const char* what) {
       if (path.empty()) return;
@@ -644,19 +641,13 @@ int cmdFactor(const Args& a, const std::string& spec) {
     if (!a.traceOut.empty()) {
       put(a.traceOut, ctx.trace().toChromeJson(), "trace");
     }
-    if (report != nullptr && !a.reportOut.empty()) {
-      put(a.reportOut, report->toJson(), "run report");
-    }
-    if (!a.metricsCsv.empty()) {
-      put(a.metricsCsv, ctx.metrics().toCsv(), "stage metrics");
+    if (!a.reportOut.empty()) {
+      put(a.reportOut, report.toJson(), "run report");
     }
   };
 
   std::unique_ptr<Heartbeat> heartbeat = makeHeartbeat(a);
-  if (heartbeat) {
-    heartbeat->addCheck([&ctx] { ctx.straggler().checkNow(); });
-    heartbeat->start();
-  }
+  if (heartbeat) heartbeat->start();
 
   std::printf("\nCP-ALS: rank %zu, plan %s, %d simulated nodes\n", a.rank,
               plan.describe().c_str(), a.nodes);
@@ -665,9 +656,9 @@ int cmdFactor(const Args& a, const std::string& spec) {
     result = cstf_core::cpAls(ctx, t, opts);
   } catch (const JobAbortedError&) {
     // Flush telemetry before propagating: an aborted run still leaves its
-    // trace, a partial run report (everything the registry saw up to the
-    // abort), the stage CSV, and a final live-metrics snapshot — exactly
-    // the artifacts a post-mortem needs.
+    // trace, a partial run report (everything the stage log saw up to the
+    // abort) and a final live-metrics snapshot — exactly the artifacts a
+    // post-mortem needs.
     cstf_core::RunReport report;
     plan.fillReport(report);
     report.rank = a.rank;
@@ -675,7 +666,7 @@ int cmdFactor(const Args& a, const std::string& spec) {
     report.nnz = t.nnz();
     report.nodes = a.nodes;
     cstf_core::finalizeRunReport(ctx.metrics(), report);
-    writeRunArtifacts(&report, /*strict=*/false);
+    flushArtifacts(report, /*strict=*/false);
     if (heartbeat) heartbeat->stop();
     throw;
   }
@@ -706,7 +697,7 @@ int cmdFactor(const Args& a, const std::string& spec) {
               double(m.flops), humanSeconds(m.simTimeSec).c_str());
 
   if (heartbeat) heartbeat->stop();  // final snapshot before artifacts
-  writeRunArtifacts(&result.report, /*strict=*/true);
+  flushArtifacts(result.report, /*strict=*/true);
 
   if (!a.output.empty()) {
     for (std::size_t k = 0; k < result.factors.size(); ++k) {

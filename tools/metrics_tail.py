@@ -28,7 +28,6 @@ DEFAULT_GAUGES = [
 ]
 DEFAULT_COUNTERS = [
     "sparkle_tasks_finished_total",
-    "sparkle_straggler_tasks_total",
     "serve_requests_completed_total",
     "serve_slo_breaches_total",
 ]
