@@ -100,7 +100,9 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
   // Gram cache: recomputed per factor only when that factor updates.
   std::vector<la::Matrix> grams;
   grams.reserve(order);
-  for (const la::Matrix& f : result.factors) grams.push_back(la::gram(f));
+  for (const la::Matrix& f : result.factors) {
+    grams.push_back(la::gram(f, &ctx.pool()));
+  }
 
   // Distribute and cache the tensor (cache() is a no-op in Hadoop mode, so
   // the BIGtensor baseline honestly re-reads its input per job).
@@ -218,7 +220,9 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
         // ALS step: solve the normal equations against the Hadamard
         // product of the other modes' gram matrices, normalize, and
         // refresh this mode's gram. Each piece runs under an `la` span, so
-        // a trace accounts for the driver's share of the mode update.
+        // a trace accounts for the driver's share of the mode update; the
+        // R-wide pieces split across the engine's pool (bit-identical to
+        // one thread, la/matrix.hpp).
         sparkle::ScopedStage scope(ctx.metrics(), "Other");
         la::Matrix v(opts.rank, opts.rank, 1.0);
         {
@@ -230,16 +234,16 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
         la::Matrix updated;
         {
           TraceSpan span(ctx.trace(), "solve", "la");
-          updated = la::matmul(m, la::pinvSym(v));
+          updated = la::matmul(m, la::pinvSym(v), &ctx.pool());
         }
         {
           TraceSpan span(ctx.trace(), "normalize", "la");
-          result.lambda = la::normalizeColumns(updated);
+          result.lambda = la::normalizeColumns(updated, &ctx.pool());
         }
         result.factors[n] = std::move(updated);
         {
           TraceSpan span(ctx.trace(), "gram", "la");
-          grams[n] = la::gram(result.factors[n]);
+          grams[n] = la::gram(result.factors[n], &ctx.pool());
         }
         if (n + 1 == order) lastMttkrp = std::move(m);
       }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "la/pooled.hpp"
+
 namespace cstf::la {
 
 Matrix Matrix::identity(std::size_t n) {
@@ -57,34 +59,67 @@ Matrix& Matrix::operator*=(double s) {
   return *this;
 }
 
-Matrix matmul(const Matrix& a, const Matrix& b) {
+std::size_t pooledTasks(const ThreadPool* pool, std::size_t work,
+                        std::size_t parts) {
+  if (pool == nullptr || work < kPooledMinWork) return 1;
+  // parallelFor runs on the caller plus threadCount() - 1 helpers, so one
+  // task per pool thread keeps every running thread on one block.
+  return std::max<std::size_t>(1, std::min(pool->threadCount(), parts));
+}
+
+Matrix matmul(const Matrix& a, const Matrix& b, ThreadPool* pool) {
   CSTF_CHECK(a.cols() == b.rows(), "matmul: inner dimension mismatch");
   Matrix c(a.rows(), b.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const double aik = a(i, k);
-      if (aik == 0.0) continue;
-      const double* brow = b.row(k);
-      double* crow = c.row(i);
-      for (std::size_t j = 0; j < b.cols(); ++j) crow[j] += aik * brow[j];
+  const std::size_t n = a.rows();
+  const std::size_t tasks = pooledTasks(pool, n * a.cols() * b.cols(), n);
+  runTasks(pool, tasks, [&](std::size_t t) {
+    const std::size_t end = n * (t + 1) / tasks;
+    for (std::size_t i = n * t / tasks; i < end; ++i) {
+      for (std::size_t k = 0; k < a.cols(); ++k) {
+        const double aik = a(i, k);
+        if (aik == 0.0) continue;
+        const double* brow = b.row(k);
+        double* crow = c.row(i);
+        for (std::size_t j = 0; j < b.cols(); ++j) crow[j] += aik * brow[j];
+      }
     }
-  }
+  });
   return c;
 }
 
-Matrix gram(const Matrix& a) {
+Matrix gram(const Matrix& a, ThreadPool* pool) {
   const std::size_t r = a.cols();
   Matrix g(r, r);
-  // Upper triangle, each g(p, q) summed in row order; the inner loop runs
-  // over contiguous q in both the row and g.
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double* row = a.row(i);
-    for (std::size_t p = 0; p < r; ++p) {
-      const double rp = row[p];
-      double* gp = g.row(p);
-      for (std::size_t q = p; q < r; ++q) gp[q] += rp * row[q];
+  // Row p of the upper triangle holds r - p entries; pairing row p with
+  // row r-1-p gives every pair r + 1 of them, and dealing the pairs
+  // round-robin balances the tasks.
+  const std::size_t pairs = (r + 1) / 2;
+  const std::size_t tasks =
+      pooledTasks(pool, a.rows() * r * (r + 1) / 2, pairs);
+  runTasks(pool, tasks, [&](std::size_t t) {
+    std::vector<std::size_t> mine;
+    for (std::size_t k = t; k < pairs; k += tasks) {
+      mine.push_back(k);
+      if (r - 1 - k != k) mine.push_back(r - 1 - k);
     }
-  }
+    // Each g(p, q), q >= p, is summed in row order, as in one task; sums
+    // start in a task-local buffer so tasks share no cache line of g.
+    std::vector<double> acc(mine.size() * r, 0.0);
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      const double* row = a.row(i);
+      for (std::size_t m = 0; m < mine.size(); ++m) {
+        const std::size_t p = mine[m];
+        const double rp = row[p];
+        double* gp = acc.data() + m * r;
+        for (std::size_t q = p; q < r; ++q) gp[q] += rp * row[q];
+      }
+    }
+    for (std::size_t m = 0; m < mine.size(); ++m) {
+      const std::size_t p = mine[m];
+      std::copy(acc.begin() + m * r + p, acc.begin() + (m + 1) * r,
+                g.row(p) + p);
+    }
+  });
   for (std::size_t p = 0; p < r; ++p) {
     for (std::size_t q = 0; q < p; ++q) g(p, q) = g(q, p);
   }

@@ -8,6 +8,10 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
+namespace cstf {
+class ThreadPool;
+}
+
 namespace cstf::la {
 
 class Matrix {
@@ -70,10 +74,27 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// C = A * B.
-Matrix matmul(const Matrix& a, const Matrix& b);
-/// C = A^T * A (the gram matrix; exploits symmetry).
-Matrix gram(const Matrix& a);
+// The driver's R-wide steps (matmul, gram, normalizeColumns) take an
+// optional pool. Each splits its output elements among tasks and computes
+// every element with the serial loop's operations in the serial order, so
+// the result is bit-identical with and without a pool; with no pool, or
+// below kPooledMinWork multiply-adds, the same loop runs as one task.
+
+/// Work (multiply-adds) below which a pooled call runs as one task, so
+/// small calls (rank-2 runs, small dims) never pay a pool dispatch.
+inline constexpr std::size_t kPooledMinWork = std::size_t{1} << 16;
+
+/// Tasks a call of `work` multiply-adds whose output splits into at most
+/// `parts` pieces runs as: 1 with no pool or below kPooledMinWork, else one
+/// per pool thread (the caller runs one of them), capped at `parts`.
+std::size_t pooledTasks(const ThreadPool* pool, std::size_t work,
+                        std::size_t parts);
+
+/// C = A * B; rows of C split into contiguous blocks across tasks.
+Matrix matmul(const Matrix& a, const Matrix& b, ThreadPool* pool = nullptr);
+/// C = A^T * A (the gram matrix; exploits symmetry). Tasks own rows of the
+/// upper triangle of C, and each sums its entries over all rows of A.
+Matrix gram(const Matrix& a, ThreadPool* pool = nullptr);
 /// Element-wise (Hadamard) product.
 Matrix hadamard(const Matrix& a, const Matrix& b);
 /// Khatri-Rao product (column-wise Kronecker): (I x R) (.) (J x R) -> (IJ x R).

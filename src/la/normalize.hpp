@@ -10,6 +10,8 @@ namespace cstf::la {
 /// Normalize each column of `m` to unit 2-norm in place and return the
 /// norms (the lambda weights of Algorithm 1). Zero columns are left
 /// untouched and report norm 0 — callers treat that as a degenerate factor.
-std::vector<double> normalizeColumns(Matrix& m);
+/// With a pool, column groups sum their norms over all rows in row order,
+/// then row blocks divide: the same bits as one task.
+std::vector<double> normalizeColumns(Matrix& m, ThreadPool* pool = nullptr);
 
 }  // namespace cstf::la

@@ -12,6 +12,10 @@
 //      destination partitions,
 //   4. records one StageMetrics entry (with per-node costs) in the stage
 //      log, which runs the cluster time model.
+// Fetched buckets stay encoded: the task that reads a destination partition
+// decodes it (Spark's ShuffledRDD.compute), so its records are allocated
+// and freed on that task's thread, and the buckets return to the
+// BufferPool when the dataset is destroyed.
 //
 // Join is then a *narrow* dataset over two co-partitioned shuffles — again
 // mirroring Spark, where the two shuffle stages feed a result stage that
@@ -66,6 +70,14 @@ class ShuffledDataset final : public Dataset<std::pair<K, V>> {
     this->setOutputPartitioning(partitioner_);
   }
 
+  ~ShuffledDataset() override {
+    for (auto& buckets : fetched_) {
+      for (auto& bucket : buckets) {
+        this->context()->bufferPool().release(std::move(bucket));
+      }
+    }
+  }
+
   void ensureReady() override {
     std::call_once(once_, [this] {
       parent_->ensureReady();
@@ -74,16 +86,22 @@ class ShuffledDataset final : public Dataset<std::pair<K, V>> {
   }
 
  protected:
-  Block<Rec> computePartition(std::size_t p, TaskContext&) override {
+  /// Decodes destination q's fetched buckets in map-partition order; every
+  /// read (a second action, a retried task) decodes afresh.
+  Block<Rec> computePartition(std::size_t q, TaskContext&) override {
     ensureReady();
-    return blocks_[p];
+    std::vector<Rec> recs;
+    recs.reserve(fetchedRecords_[q]);
+    for (const auto& bucket : fetched_[q]) {
+      fixedWidthDecodeStream(bucket.data(), bucket.size(), recs);
+    }
+    return makeBlock(std::move(recs));
   }
 
  private:
   struct MapOutput {
     // One serialized bucket per destination partition. Buckets hold exact
-    // serde bytes and return to the context's BufferPool once the reduce
-    // side has consumed them.
+    // serde bytes; the fetch hands them to the destination partition.
     std::vector<std::vector<std::uint8_t>> buckets;
     std::vector<std::uint32_t> bucketRecords;
     TaskCounters counters;
@@ -153,7 +171,12 @@ class ShuffledDataset final : public Dataset<std::pair<K, V>> {
       Block<Rec> in = parent_->partition(p, tc);
 
       MapOutput& out = mapOut[p];
-      out.buckets.assign(pOut, {});  // reset fully: the task may be a retry
+      // Reset fully: the task may be a retry, whose failed attempt's
+      // buckets go back to the pool.
+      for (auto& bucket : out.buckets) {
+        ctx->bufferPool().release(std::move(bucket));
+      }
+      out.buckets.assign(pOut, {});
       out.bucketRecords.assign(pOut, 0);
       out.lost = false;
 
@@ -287,24 +310,17 @@ class ShuffledDataset final : public Dataset<std::pair<K, V>> {
     }
 
     // ---- reduce-side fetch ----
-    // Each task writes only its own slot of the per-partition aggregate
-    // arrays; the single-threaded fold below replaces the old global
-    // aggMutex that serialized every task's updates.
-    blocks_.resize(pOut);
-    std::vector<std::uint64_t> remoteByDst(pOut, 0);
-    std::vector<std::uint64_t> localByDst(pOut, 0);
-    std::vector<std::uint64_t> recordsByDst(pOut, 0);
-
-    ctx->pool().parallelFor(pOut, [&](std::size_t q) {
+    // Meter every (source, destination) block, then move the non-empty
+    // buckets, still encoded, to their destination in map-partition order;
+    // computePartition decodes them.
+    fetched_.resize(pOut);
+    fetchedRecords_.assign(pOut, 0);
+    std::vector<std::uint64_t> nodeRemoteIn(cfg.numNodes, 0);
+    std::uint64_t totalRemote = 0;
+    std::uint64_t totalLocal = 0;
+    std::uint64_t totalRecords = 0;
+    for (std::size_t q = 0; q < pOut; ++q) {
       const int dstNode = cfg.nodeOfPartition(q);
-      std::uint64_t remote = 0;
-      std::uint64_t local = 0;
-      std::uint64_t nrec = 0;
-      for (std::size_t p = 0; p < pIn; ++p) {
-        nrec += mapOut[p].bucketRecords[q];
-      }
-      std::vector<Rec> recs;
-      recs.reserve(nrec);
       for (std::size_t p = 0; p < pIn; ++p) {
         auto& bucket = mapOut[p].buckets[q];
         const std::uint64_t records = mapOut[p].bucketRecords[q];
@@ -315,32 +331,17 @@ class ShuffledDataset final : public Dataset<std::pair<K, V>> {
             bucket.size() + records * cfg.recordEnvelopeBytes +
             (records > 0 ? cfg.shuffleBlockOverheadBytes : 0);
         if (cfg.nodeOfPartition(p) == dstNode) {
-          local += bytes;
+          totalLocal += bytes;
         } else {
-          remote += bytes;
+          totalRemote += bytes;
+          nodeRemoteIn[dstNode] += bytes;
         }
-        fixedWidthDecodeStream(bucket.data(), bucket.size(), recs);
-        // The bucket is consumed exactly once (by this task): recycle it.
-        ctx->bufferPool().release(std::move(bucket));
+        fetchedRecords_[q] += records;
+        if (!bucket.empty()) fetched_[q].push_back(std::move(bucket));
       }
-      blocks_[q] = makeBlock(std::move(recs));
-      remoteByDst[q] = remote;
-      localByDst[q] = local;
-      recordsByDst[q] = nrec;
-    });
-
-    std::vector<std::uint64_t> nodeRemoteIn(cfg.numNodes, 0);
-    std::uint64_t totalRemote = 0;
-    std::uint64_t totalLocal = 0;
-    std::uint64_t totalRecords = 0;
-    std::uint64_t totalBytes = 0;
-    for (std::size_t q = 0; q < pOut; ++q) {
-      nodeRemoteIn[cfg.nodeOfPartition(q)] += remoteByDst[q];
-      totalRemote += remoteByDst[q];
-      totalLocal += localByDst[q];
-      totalRecords += recordsByDst[q];
+      totalRecords += fetchedRecords_[q];
     }
-    totalBytes = totalRemote + totalLocal;
+    const std::uint64_t totalBytes = totalRemote + totalLocal;
 
     // ---- metrics ----
     StageMetrics m;
@@ -356,7 +357,7 @@ class ShuffledDataset final : public Dataset<std::pair<K, V>> {
     m.evictedCacheBlocks = evictedCacheBlocks;
     // Per-destination record counts: the reduce-task record-skew profile
     // (hot keys show up here as one overloaded destination partition).
-    m.reduceRecordsByPartition = recordsByDst;
+    m.reduceRecordsByPartition = fetchedRecords_;
 
     StageCost cost;
     cost.nodeComputeSec.assign(cfg.numNodes, 0.0);
@@ -397,7 +398,10 @@ class ShuffledDataset final : public Dataset<std::pair<K, V>> {
   Combiner combiner_;
   double combinerFlopsPerMerge_ = 0.0;
   std::once_flag once_;
-  std::vector<Block<Rec>> blocks_;
+  // fetched_[q]: destination q's non-empty buckets in map-partition order,
+  // holding fetchedRecords_[q] records in all.
+  std::vector<std::vector<std::vector<std::uint8_t>>> fetched_;
+  std::vector<std::uint64_t> fetchedRecords_;
 };
 
 /// Inner join of two datasets co-partitioned by the same partitioner.

@@ -238,11 +238,17 @@ std::uint64_t OnlineUpdater::applySgd(const tensor::Delta& d) {
           }
           step[r] = prod;
         }
+        // Normalized step (NLMS): dividing by 1 + |step|^2 bounds how far
+        // one entry moves its row's prediction to lr * |err|, whatever
+        // the scale of the data.
+        double stepSq = 0.0;
+        for (std::size_t r = 0; r < rank_; ++r) stepSq += step[r] * step[r];
+        const double rowLr = lr / (1.0 + stepSq);
         rememberRow(k, nz.idx[k]);
         double* row = factors_[k].row(nz.idx[k]);
         for (std::size_t r = 0; r < rank_; ++r) {
-          row[r] -= lr * (opts_.sgdRegularization * row[r] +
-                          err * step[r]);
+          row[r] -= rowLr * (opts_.sgdRegularization * row[r] +
+                             err * step[r]);
         }
         ++rows;
       }

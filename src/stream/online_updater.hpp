@@ -15,8 +15,9 @@
 // instead of O(nnz) — the ≥5x-vs-retrain bar bench_claims gates.
 //
 // A stochastic-gradient fallback (`OnlineSolver::kSgd`, after the CPTF
-// mini-batch exemplar) updates rows by per-entry gradient steps with a
-// 1/sqrt(t) learning-rate schedule — cheaper per entry, noisier per batch.
+// mini-batch exemplar) updates rows by normalized per-entry gradient steps
+// with a 1/sqrt(t) learning-rate schedule — cheaper per entry, noisier per
+// batch.
 // It lost to ALS on every input measured (DESIGN §16).
 //
 // Both paths drift from the exactly refit model over time, so the updater
@@ -55,10 +56,12 @@ struct OnlineUpdaterOptions {
   /// interact through the Gram corrections, so >1 sweep tightens them).
   int alsSweeps = 2;
   /// SGD: epochs over the batch entries and the 1/sqrt(t) schedule knobs.
-  /// 0.02 is the largest rate that keeps the factors finite on the planted
-  /// inputs of DESIGN §16 (0.022 already diverges on one of them).
+  /// Each step is normalized by 1 + |gradient row|^2, so one entry moves a
+  /// mode's prediction by at most rate * |residual| at any data scale; at
+  /// 0.3 an order-3 entry's three mode steps stay under its residual
+  /// (DESIGN §16 sweeps the rate).
   int sgdEpochs = 3;
-  double sgdLearnRate = 0.02;
+  double sgdLearnRate = 0.3;
   double sgdRegularization = 1e-3;
   /// Shuffle seed for SGD entry order (deterministic).
   std::uint64_t seed = 0x5eed;
