@@ -157,6 +157,30 @@ struct FixedWidthSerde<std::array<T, N>,
   }
 };
 
+/// Store `n` trivially copyable elements as raw little-endian bytes, one
+/// fixed-size copy per element. Records carry short runs (an order's
+/// indices, a rank-R row): a fixed-size copy compiles to one store, where a
+/// runtime-length memcpy is a library call with a size dispatch.
+template <typename T>
+std::uint8_t* storeElements(std::uint8_t* dst, const T* src, std::size_t n) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  for (std::size_t i = 0; i < n; ++i, dst += sizeof(T)) {
+    std::memcpy(dst, src + i, sizeof(T));
+  }
+  return dst;
+}
+
+/// The inverse of storeElements: read `n` elements into `dst`.
+template <typename T>
+const std::uint8_t* loadElements(const std::uint8_t* src, T* dst,
+                                 std::size_t n) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  for (std::size_t i = 0; i < n; ++i, src += sizeof(T)) {
+    std::memcpy(dst + i, src, sizeof(T));
+  }
+  return src;
+}
+
 namespace serde_detail {
 template <typename T>
 struct IsSequence : std::false_type {};
@@ -169,8 +193,8 @@ struct IsSequence<std::vector<T, A>> : std::true_type {};
 /// A sequence (SmallVec or std::vector) encodes its length as a u32, then
 /// its elements, so width is value-dependent but still flat. Elements whose
 /// encoding equals their memory layout (arithmetic types: no padding,
-/// little-endian host) move as one memcpy of the whole run — the payload of
-/// a factor Row is a single 8R-byte copy.
+/// little-endian host) move as raw elements (storeElements / loadElements):
+/// the payload of a factor Row is R fixed-size 8-byte copies.
 template <typename Seq>
 struct FixedWidthSerde<
     Seq, std::enable_if_t<serde_detail::IsSequence<Seq>::value &&
@@ -195,10 +219,7 @@ struct FixedWidthSerde<
     std::memcpy(dst, &n, sizeof(n));
     dst += sizeof(n);
     if constexpr (kRawElements) {
-      // An empty std::vector's data() may be null, which memcpy must not
-      // be handed even for zero bytes.
-      if (n != 0) std::memcpy(dst, v.data(), v.size() * sizeof(T));
-      return dst + v.size() * sizeof(T);
+      return storeElements(dst, v.data(), n);
     } else {
       for (const T& x : v) dst = FixedWidthSerde<T>::encode(dst, x);
       return dst;
@@ -210,8 +231,7 @@ struct FixedWidthSerde<
     src += sizeof(n);
     if constexpr (kRawElements) {
       out.resize(n);
-      if (n != 0) std::memcpy(out.data(), src, std::size_t{n} * sizeof(T));
-      return src + std::size_t{n} * sizeof(T);
+      return loadElements(src, out.data(), n);
     } else {
       out.clear();
       out.reserve(n);
@@ -240,7 +260,9 @@ void fixedWidthEncodeAppend(std::vector<std::uint8_t>& buf,
   CSTF_ASSERT(dst == buf.data() + buf.size(), "fixed-width encode drift");
 }
 
-/// Decode a whole serde stream of T records into `out` (appending).
+/// Decode a whole serde stream of T records into `out` (appending). Each
+/// record decodes in place into a fresh element at the back; a decode that
+/// throws leaves that partial element behind.
 template <typename T>
 void fixedWidthDecodeStream(const std::uint8_t* data, std::size_t size,
                             std::vector<T>& out) {
@@ -251,10 +273,8 @@ void fixedWidthDecodeStream(const std::uint8_t* data, std::size_t size,
   const std::uint8_t* src = data;
   const std::uint8_t* end = data + size;
   while (src < end) {
-    T rec;
-    src = FixedWidthSerde<T>::decode(src, rec);
+    src = FixedWidthSerde<T>::decode(src, out.emplace_back());
     CSTF_ASSERT(src <= end, "fixed-width decode overran buffer");
-    out.push_back(std::move(rec));
   }
 }
 

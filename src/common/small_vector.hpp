@@ -44,18 +44,14 @@ class SmallVec {
     for (const T& v : init) push_back(v);
   }
 
-  SmallVec(const SmallVec& other) {
-    reserve(other.size_);
-    for (std::size_t i = 0; i < other.size_; ++i) push_back(other[i]);
-  }
+  SmallVec(const SmallVec& other) { copyFrom(other); }
 
   SmallVec(SmallVec&& other) noexcept { moveFrom(std::move(other)); }
 
   SmallVec& operator=(const SmallVec& other) {
     if (this != &other) {
       clear();
-      reserve(other.size_);
-      for (std::size_t i = 0; i < other.size_; ++i) push_back(other[i]);
+      copyFrom(other);
     }
     return *this;
   }
@@ -181,6 +177,28 @@ class SmallVec {
     }
   }
 
+  // Trivially copyable elements relocate as raw bytes. An inline buffer
+  // moves as one fixed-size block whatever its size, so the copy compiles
+  // to a few stores instead of a length-dependent loop or library call.
+  static constexpr bool kRawCopy = std::is_trivially_copyable_v<T>;
+
+  /// Copy `other`'s elements into this vector, which must be empty.
+  void copyFrom(const SmallVec& other) {
+    if constexpr (kRawCopy) {
+      if (other.size_ <= capacity()) {
+        if (!heap_) {
+          std::memcpy(inline_, other.data(), sizeof(inline_));
+        } else if (other.size_ != 0) {
+          std::memcpy(heap_, other.data(), other.size_ * sizeof(T));
+        }
+        size_ = other.size_;
+        return;
+      }
+    }
+    reserve(other.size_);
+    for (std::size_t i = 0; i < other.size_; ++i) push_back(other[i]);
+  }
+
   void moveFrom(SmallVec&& other) {
     if (other.heap_) {
       heap_ = other.heap_;
@@ -188,6 +206,12 @@ class SmallVec {
       size_ = other.size_;
       other.heap_ = nullptr;
       other.heapCap_ = 0;
+      other.size_ = 0;
+    } else if constexpr (kRawCopy) {
+      std::memcpy(inline_, other.inline_, sizeof(inline_));
+      heap_ = nullptr;
+      heapCap_ = 0;
+      size_ = other.size_;
       other.size_ = 0;
     } else {
       heap_ = nullptr;

@@ -36,10 +36,10 @@ QcooEngine::QcooEngine(sparkle::Context& ctx,
         m + 2 < order_ ? m + 1 : order_ - 1);
     q = joined.map(
         [nextKey](const std::pair<Index, std::pair<QRecord, la::Row>>& kv) {
-          QRecord rec = kv.second.first;
-          rec.enqueue(kv.second.second);
-          return std::pair<Index, QRecord>(rec.nz.idx[nextKey],
-                                           std::move(rec));
+          std::pair<Index, QRecord> out(0, kv.second.first);
+          out.second.enqueue(kv.second.second);
+          out.first = out.second.nz.idx[nextKey];
+          return out;
         });
   }
   q.cache();
@@ -60,12 +60,14 @@ la::Matrix QcooEngine::mttkrpNext(const std::vector<la::Matrix>& factors) {
   // STAGE 2: enqueue the joined row, dequeue the stalest (the row of the
   // mode being updated now), and re-key to mode n — which is both this
   // MTTKRP's reduce key and the next MTTKRP's join key.
+  // The output pair is built once from the joined record, then its rows
+  // shift in place.
   auto advanced = joined.map(
       [n](const std::pair<Index, std::pair<QRecord, la::Row>>& kv) {
-        QRecord rec = kv.second.first;
-        rec.enqueue(kv.second.second);
-        rec.dequeue();
-        return std::pair<Index, QRecord>(rec.nz.idx[n], std::move(rec));
+        std::pair<Index, QRecord> out(0, kv.second.first);
+        out.second.advance(kv.second.second);
+        out.first = out.second.nz.idx[n];
+        return out;
       });
   advanced.cache();  // feeds both the reduce below and the next join
 

@@ -63,6 +63,19 @@ struct QRecord {
     if (rows_.empty()) rank_ = 0;
   }
 
+  /// enqueue(r) then dequeue() in one pass over the buffer: the queued rows
+  /// shift down by one row in place and `r` lands last, so the buffer never
+  /// grows. Throws the same cstf::Error as enqueue on a length mismatch,
+  /// leaving the record unchanged.
+  void advance(const la::Row& r) {
+    checkRowLength(static_cast<std::uint32_t>(r.size()));
+    if (rank_ == 0) return;  // r would be queued and dequeued at once
+    double* p = rows_.data();
+    const std::size_t keep = rows_.size() - rank_;
+    std::copy(p + rank_, p + rows_.size(), p);
+    std::copy(r.begin(), r.end(), p + keep);
+  }
+
   friend bool operator==(const QRecord& a, const QRecord& b) {
     return a.nz == b.nz && a.rank_ == b.rank_ && a.rows_ == b.rows_;
   }
@@ -70,16 +83,21 @@ struct QRecord {
  private:
   friend struct cstf::FixedWidthSerde<QRecord>;
 
-  /// Grow the buffer by one row of length `len` and return where it goes.
   /// Every queued row shares one length; a row of another length (or of
   /// none) throws cstf::Error naming both.
-  double* appendRow(std::uint32_t len) {
+  void checkRowLength(std::uint32_t len) const {
     if (len == 0 || (rank_ != 0 && len != rank_)) {
       throw Error("QRecord queue row length mismatch: expected R" +
                   (rank_ == 0 ? std::string(">0")
                               : "=" + std::to_string(rank_)) +
                   ", got R=" + std::to_string(len));
     }
+  }
+
+  /// Grow the buffer by one row of length `len` (checked as above) and
+  /// return where it goes.
+  double* appendRow(std::uint32_t len) {
+    checkRowLength(len);
     rank_ = len;
     const std::size_t at = rows_.size();
     rows_.resize(at + len);
@@ -134,11 +152,10 @@ struct FixedWidthSerde<cstf_core::QRecord> {
     const auto n = static_cast<std::uint32_t>(v.queueSize());
     std::memcpy(dst, &n, sizeof(n));
     dst += sizeof(n);
-    const std::size_t rowBytes = v.rank_ * sizeof(double);
-    for (std::uint32_t i = 0; i < n; ++i) {
+    const double* row = v.rows_.data();
+    for (std::uint32_t i = 0; i < n; ++i, row += v.rank_) {
       std::memcpy(dst, &v.rank_, sizeof(v.rank_));
-      std::memcpy(dst + sizeof(v.rank_), v.row(i), rowBytes);
-      dst += sizeof(v.rank_) + rowBytes;
+      dst = storeElements(dst + sizeof(v.rank_), row, v.rank_);
     }
     return dst;
   }
@@ -153,9 +170,7 @@ struct FixedWidthSerde<cstf_core::QRecord> {
     for (std::uint32_t i = 0; i < n; ++i) {
       std::uint32_t len;
       std::memcpy(&len, src, sizeof(len));
-      src += sizeof(len);
-      std::memcpy(out.appendRow(len), src, len * sizeof(double));
-      src += len * sizeof(double);
+      src = loadElements(src + sizeof(len), out.appendRow(len), len);
     }
     return src;
   }

@@ -37,8 +37,8 @@ struct KeyHash<std::pair<A, B>> {
   }
 };
 
-/// Adaptor so engine-internal std::unordered_map containers (join builds,
-/// combiners) hash through KeyHash — std::hash has no std::pair support.
+/// Adaptor so a std::unordered_map (the coo kernel's row accumulator)
+/// hashes through KeyHash — std::hash has no std::pair support.
 template <typename K>
 struct StdKeyHash {
   std::size_t operator()(const K& k) const {

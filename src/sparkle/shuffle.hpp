@@ -22,12 +22,14 @@
 // performs the per-partition hash join.
 #pragma once
 
+#include <bit>
 #include <chrono>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -45,6 +47,70 @@ struct InPlaceMerge : std::function<void(V&, const V&)> {
   template <typename F>
     requires std::is_void_v<std::invoke_result_t<F&, V&, const V&>>
   InPlaceMerge(F f) : std::function<void(V&, const V&)>(std::move(f)) {}
+};
+
+/// Open-addressing index from keys to dense slots 0, 1, 2, ... in order of
+/// first insertion: the one hash table behind the map-side combine, the
+/// join build and the reduce-side merge. Callers keep each slot's payload
+/// in their own dense array, so the first value of a key seeds its slot,
+/// every later value merges into it in arrival order, and the merged
+/// records leave in first-arrival order. Keys hash through KeyHash; a probe
+/// starts at the hash's top bits, because its low bits pick the partition
+/// (hash modulo partition count) and so repeat across one partition's keys.
+template <typename K>
+class KeySlots {
+ public:
+  static constexpr std::uint32_t kNone =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// Room for up to `maxKeys` keys (callers pass their record count) at a
+  /// load of at most one half, so a probe run stays short.
+  explicit KeySlots(std::size_t maxKeys) {
+    std::size_t cap = 16;
+    while (cap < 2 * maxKeys) cap *= 2;
+    table_.resize(cap);
+    mask_ = cap - 1;
+    shift_ = 64 - std::countr_zero(cap);
+  }
+
+  /// The slot of `k`; a new key takes the next slot number. The flag says
+  /// whether `k` was new.
+  std::pair<std::uint32_t, bool> insert(const K& k) {
+    for (std::size_t i = home(k);; i = (i + 1) & mask_) {
+      Entry& e = table_[i];
+      if (e.slot == kNone) {
+        CSTF_ASSERT(2 * (std::size_t{size_} + 1) <= table_.size(),
+                    "more keys than the KeySlots was sized for");
+        e.key = k;
+        e.slot = size_;
+        return {size_++, true};
+      }
+      if (e.key == k) return {e.slot, false};
+    }
+  }
+
+  /// The slot of `k`, or kNone.
+  std::uint32_t find(const K& k) const {
+    for (std::size_t i = home(k);; i = (i + 1) & mask_) {
+      const Entry& e = table_[i];
+      if (e.slot == kNone || e.key == k) return e.slot;
+    }
+  }
+
+ private:
+  struct Entry {
+    K key{};
+    std::uint32_t slot = kNone;
+  };
+
+  std::size_t home(const K& k) const {
+    return static_cast<std::size_t>(KeyHash<K>{}(k) >> shift_);
+  }
+
+  std::vector<Entry> table_;
+  std::size_t mask_ = 0;
+  int shift_ = 64;
+  std::uint32_t size_ = 0;
 };
 
 template <typename K, typename V>
@@ -181,24 +247,24 @@ class ShuffledDataset final : public Dataset<std::pair<K, V>> {
       out.lost = false;
 
       if (combiner_) {
-        std::unordered_map<K, V, StdKeyHash<K>> combined;
+        KeySlots<K> slots(in->size());
+        std::vector<Rec> combined;
         combined.reserve(in->size());
         std::uint64_t merges = 0;
         for (const Rec& rec : *in) {
-          auto [it, fresh] = combined.try_emplace(rec.first, rec.second);
-          if (!fresh) {
-            combiner_(it->second, rec.second);
+          const auto [slot, fresh] = slots.insert(rec.first);
+          if (fresh) {
+            combined.push_back(rec);
+          } else {
+            combiner_(combined[slot].second, rec.second);
             ++merges;
           }
           ++tc.counters.recordsProcessed;
         }
         tc.counters.flops +=
             static_cast<std::uint64_t>(combinerFlopsPerMerge_ * merges);
-        std::vector<Rec> shipped;
-        shipped.reserve(combined.size());
-        for (auto& kv : combined) shipped.emplace_back(std::move(kv));
-        encodeBuckets(shipped, pOut, out);
-        tc.counters.recordsEmitted += shipped.size();
+        encodeBuckets(combined, pOut, out);
+        tc.counters.recordsEmitted += combined.size();
       } else {
         encodeBuckets(*in, pOut, out);
         tc.counters.recordsProcessed += in->size();
@@ -407,6 +473,8 @@ class ShuffledDataset final : public Dataset<std::pair<K, V>> {
 /// Inner join of two datasets co-partitioned by the same partitioner.
 /// Narrow: partition p of the result reads partition p of both parents and
 /// hash-joins them (build on the right/smaller side, probe with the left).
+/// A left record meets its key's right records in right-side arrival order,
+/// and each output record is built in place from one copy of each value.
 template <typename K, typename V, typename W>
 class JoinDataset final
     : public Dataset<std::pair<K, std::pair<V, W>>> {
@@ -435,16 +503,28 @@ class JoinDataset final
     Block<std::pair<K, V>> lhs = left_->partition(p, tc);
     Block<std::pair<K, W>> rhs = right_->partition(p, tc);
 
-    std::unordered_map<K, std::vector<W>, StdKeyHash<K>> built;
-    built.reserve(rhs->size());
-    for (const auto& [k, w] : *rhs) built[k].push_back(w);
+    // Each key's right records chain head[slot] -> next[i] -> ... -> kNone.
+    // Building back to front makes every chain run in arrival order.
+    constexpr std::uint32_t kNone = KeySlots<K>::kNone;
+    KeySlots<K> slots(rhs->size());
+    std::vector<std::uint32_t> head;
+    std::vector<std::uint32_t> next(rhs->size());
+    for (std::size_t i = rhs->size(); i-- > 0;) {
+      const auto [slot, fresh] = slots.insert((*rhs)[i].first);
+      if (fresh) head.push_back(kNone);
+      next[i] = head[slot];
+      head[slot] = static_cast<std::uint32_t>(i);
+    }
 
     std::vector<Out> out;
     out.reserve(lhs->size());
     for (const auto& [k, v] : *lhs) {
-      auto it = built.find(k);
-      if (it == built.end()) continue;
-      for (const W& w : it->second) out.emplace_back(k, std::pair<V, W>(v, w));
+      const std::uint32_t slot = slots.find(k);
+      if (slot == kNone) continue;
+      for (std::uint32_t i = head[slot]; i != kNone; i = next[i]) {
+        out.emplace_back(std::piecewise_construct, std::forward_as_tuple(k),
+                         std::forward_as_tuple(v, (*rhs)[i].second));
+      }
     }
     tc.counters.recordsProcessed += lhs->size() + rhs->size();
     tc.counters.recordsEmitted += out.size();
@@ -456,7 +536,9 @@ class JoinDataset final
   std::shared_ptr<Dataset<std::pair<K, W>>> right_;
 };
 
-/// Final merge after a combined shuffle (reduce side of reduceByKey).
+/// Final merge after a combined shuffle (reduce side of reduceByKey). A
+/// key's values merge in the order the partition holds them: map-partition
+/// order, then record order within each fetched bucket.
 template <typename K, typename V>
 class ReduceByKeyMergeDataset final : public Dataset<std::pair<K, V>> {
  public:
@@ -477,19 +559,19 @@ class ReduceByKeyMergeDataset final : public Dataset<std::pair<K, V>> {
  protected:
   Block<Rec> computePartition(std::size_t p, TaskContext& tc) override {
     Block<Rec> in = parent_->partition(p, tc);
-    std::unordered_map<K, V, StdKeyHash<K>> merged;
-    merged.reserve(in->size());
+    KeySlots<K> slots(in->size());
+    std::vector<Rec> out;
+    out.reserve(in->size());
     std::uint64_t merges = 0;
     for (const Rec& rec : *in) {
-      auto [it, fresh] = merged.try_emplace(rec.first, rec.second);
-      if (!fresh) {
-        f_(it->second, rec.second);
+      const auto [slot, fresh] = slots.insert(rec.first);
+      if (fresh) {
+        out.push_back(rec);
+      } else {
+        f_(out[slot].second, rec.second);
         ++merges;
       }
     }
-    std::vector<Rec> out;
-    out.reserve(merged.size());
-    for (auto& kv : merged) out.push_back(std::move(kv));
     tc.counters.recordsProcessed += in->size();
     tc.counters.recordsEmitted += out.size();
     tc.counters.flops += static_cast<std::uint64_t>(flopsPerMerge_ * merges);

@@ -85,9 +85,9 @@ class CooTensor {
 namespace cstf {
 
 /// Record codec: a Nonzero's encoding is flat (u8 order, `order` u32
-/// indices, f64 value), so it can be encoded by pointer stores. Width varies
-/// with `order` per value; the shuffle sums widths per destination to size
-/// its buckets.
+/// indices, f64 value), so it is written one fixed-size element at a time.
+/// Width varies with `order` per value; the shuffle sums widths per
+/// destination to size its buckets.
 template <>
 struct FixedWidthSerde<tensor::Nonzero> {
   static constexpr bool value = true;
@@ -97,9 +97,7 @@ struct FixedWidthSerde<tensor::Nonzero> {
   }
   static std::uint8_t* encode(std::uint8_t* dst, const tensor::Nonzero& v) {
     std::memcpy(dst, &v.order, sizeof(ModeId));
-    dst += sizeof(ModeId);
-    std::memcpy(dst, v.idx.data(), v.order * sizeof(Index));
-    dst += v.order * sizeof(Index);
+    dst = storeElements(dst + sizeof(ModeId), v.idx.data(), v.order);
     std::memcpy(dst, &v.val, sizeof(Value));
     return dst + sizeof(Value);
   }
@@ -108,8 +106,7 @@ struct FixedWidthSerde<tensor::Nonzero> {
     std::memcpy(&out.order, src, sizeof(ModeId));
     src += sizeof(ModeId);
     CSTF_ASSERT(out.order <= kMaxOrder, "corrupt Nonzero record");
-    std::memcpy(out.idx.data(), src, out.order * sizeof(Index));
-    src += out.order * sizeof(Index);
+    src = loadElements(src, out.idx.data(), out.order);
     std::memcpy(&out.val, src, sizeof(Value));
     return src + sizeof(Value);
   }

@@ -47,6 +47,24 @@ void expectScalar(T v) {
   expectEncodes(v, LeBytes().put(v));
 }
 
+// The grid cases below cover every length the per-element codec loops
+// take: each Nonzero order, QRecord queues from inline to spilled buffers,
+// and Row ranks from empty past the inline capacity.
+
+/// A distinct, non-round value per (a, b): every byte of it matters.
+double gridValue(std::size_t a, std::size_t b) {
+  return (static_cast<double>(a) + 1.0) * 0.3125 -
+         static_cast<double>(b) / 7.0;
+}
+
+tensor::Nonzero gridNonzero(std::size_t order) {
+  std::vector<Index> idx;
+  for (std::size_t m = 0; m < order; ++m) {
+    idx.push_back(static_cast<Index>(0x01020304u * (m + 1) + order));
+  }
+  return tensor::makeNonzero(idx, gridValue(order, 99));
+}
+
 TEST(FixedWidthSerde, Arithmetic) {
   expectScalar<std::uint8_t>(42);
   expectScalar<std::uint32_t>(0xdeadbeef);
@@ -99,6 +117,15 @@ TEST(FixedWidthSerde, SmallVecInlineAndHeap) {
         SmallVec<double, 4>{1, 2, 3, 4, 5, 6}}) {  // spilled to heap
     expectEncodes(v, LeBytes().seq(v));
   }
+  // A factor Row at every rank class: empty, inline, full, spilled.
+  for (const std::size_t rank : {0, 1, 4, 5, 16}) {
+    SCOPED_TRACE("R " + std::to_string(rank));
+    la::Row row;
+    for (std::size_t k = 0; k < rank; ++k) row.push_back(gridValue(rank, k));
+    expectEncodes(row, LeBytes().seq(row));
+    expectEncodes(std::pair<Index, la::Row>{static_cast<Index>(rank), row},
+                  LeBytes().put(static_cast<Index>(rank)).seq(row));
+  }
   // Value-dependent width: no static width.
   EXPECT_EQ((FixedWidthSerde<SmallVec<double, 4>>::kStaticWidth), 0u);
 }
@@ -117,6 +144,11 @@ TEST(FixedWidthSerde, NestedSmallVec) {
 TEST(FixedWidthSerde, Nonzero) {
   for (const tensor::Nonzero& nz : {tensor::makeNonzero3(5, 6, 7, 1.5),
                                     tensor::makeNonzero4(1, 2, 3, 4, -0.5)}) {
+    expectEncodes(nz, LeBytes().nonzero(nz));
+  }
+  for (std::size_t order = 1; order <= kMaxOrder; ++order) {
+    SCOPED_TRACE("order " + std::to_string(order));
+    const tensor::Nonzero nz = gridNonzero(order);
     expectEncodes(nz, LeBytes().nonzero(nz));
   }
   // Width depends on the order carried by the record.
@@ -147,6 +179,30 @@ TEST(FixedWidthSerde, QRecordWithQueue) {
   cstf_core::QRecord fresh;
   fresh.nz = tensor::makeNonzero3(0, 0, 0, 1.0);
   expectEncodes(fresh, LeBytes().qrecord(fresh));  // empty queue
+
+  // The N-1 queued rows of an order-N QCOO record, R doubles each; eight
+  // doubles fit inline.
+  std::size_t inlineCases = 0;
+  std::size_t spilledCases = 0;
+  for (std::size_t order = 2; order <= kMaxOrder; ++order) {
+    for (const std::size_t rank : {1, 2, 4, 5, 16}) {
+      SCOPED_TRACE("order " + std::to_string(order) + ", R " +
+                   std::to_string(rank));
+      cstf_core::QRecord grid;
+      grid.nz = gridNonzero(order);
+      for (std::size_t i = 0; i + 1 < order; ++i) {
+        la::Row row;
+        for (std::size_t k = 0; k < rank; ++k) {
+          row.push_back(gridValue(i, k));
+        }
+        grid.enqueue(row);
+      }
+      ((order - 1) * rank > 8 ? spilledCases : inlineCases) += 1;
+      expectEncodes(grid, LeBytes().qrecord(grid));
+    }
+  }
+  EXPECT_GT(inlineCases, 0u);
+  EXPECT_GT(spilledCases, 0u);
 }
 
 TEST(FixedWidthSerde, ShuffledRecordShapes) {
@@ -193,6 +249,33 @@ TEST(FixedWidthSerde, BatchHandlesVariableWidthRecords) {
   std::vector<tensor::Nonzero> back;
   fixedWidthDecodeStream(fast.data(), fast.size(), back);
   EXPECT_EQ(back, recs);
+}
+
+TEST(FixedWidthSerde, DecodeStreamAppendsAfterExistingRecords) {
+  using Rec = std::pair<Index, cstf_core::QRecord>;
+  std::vector<Rec> recs;
+  for (std::size_t order = 2; order <= 5; ++order) {
+    Rec r{static_cast<Index>(order), {}};
+    r.second.nz = gridNonzero(order);
+    for (std::size_t i = 0; i + 1 < order; ++i) {
+      r.second.enqueue(la::Row{gridValue(i, 0), gridValue(i, 1)});
+    }
+    recs.push_back(r);
+  }
+  LeBytes want;
+  for (const Rec& r : recs) want.put(r.first).qrecord(r.second);
+  std::vector<std::uint8_t> bytes;
+  fixedWidthEncodeAppend(bytes, recs);
+  ASSERT_EQ(bytes, want.bytes);
+
+  std::vector<Rec> out(2);
+  out[0].first = 7;
+  out[1] = recs.back();
+  const std::vector<Rec> before = out;
+  fixedWidthDecodeStream(want.bytes.data(), want.bytes.size(), out);
+  ASSERT_EQ(out.size(), before.size() + recs.size());
+  EXPECT_EQ(std::vector<Rec>(out.begin(), out.begin() + 2), before);
+  EXPECT_EQ(std::vector<Rec>(out.begin() + 2, out.end()), recs);
 }
 
 TEST(FixedWidthSerde, IneligibleTypesReportFalse) {

@@ -5,6 +5,8 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace cstf {
@@ -172,6 +174,107 @@ TEST(SmallVec, IterationMatchesAccumulate) {
   SmallVec<int, 4> v;
   for (int i = 1; i <= 10; ++i) v.push_back(i);
   EXPECT_EQ(std::accumulate(v.begin(), v.end(), 0), 55);
+}
+
+// Copy, move and assignment across inline and heap storage, for an element
+// type that relocates as raw bytes (double) and one that does not
+// (std::string). Every case checks the target's contents element by element
+// and that the source of a copy is untouched.
+template <typename T>
+class SmallVecTransfer : public ::testing::Test {
+ protected:
+  using Vec = SmallVec<T, 4>;
+
+  static T value(int i) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      return "element-" + std::to_string(i) + "-long-enough-to-allocate";
+    } else {
+      return static_cast<T>(i) + 0.25;
+    }
+  }
+
+  /// `n` elements: inline up to 4, on the heap beyond.
+  static Vec make(int n, int base = 0) {
+    Vec v;
+    for (int i = 0; i < n; ++i) v.push_back(value(base + i));
+    return v;
+  }
+
+  /// Spilled to the heap, then shrunk back to `n` elements.
+  static Vec shrunk(int n) {
+    Vec v = make(9, 50);
+    while (v.size() > static_cast<std::size_t>(n)) v.pop_back();
+    return v;
+  }
+
+  static void expectHolds(const Vec& v, int n, int base = 0) {
+    ASSERT_EQ(v.size(), static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) EXPECT_EQ(v[i], value(base + i)) << i;
+  }
+};
+
+using TransferTypes = ::testing::Types<double, std::string>;
+TYPED_TEST_SUITE(SmallVecTransfer, TransferTypes);
+
+TYPED_TEST(SmallVecTransfer, CopyConstructs) {
+  for (const int n : {0, 1, 4, 5, 9}) {
+    const auto src = TestFixture::make(n);
+    const auto copy = src;
+    TestFixture::expectHolds(copy, n);
+    TestFixture::expectHolds(src, n);
+    EXPECT_EQ(copy.onHeap(), n > 4);
+  }
+  const auto src = TestFixture::shrunk(3);  // heap-backed, fits inline
+  const auto copy = src;
+  TestFixture::expectHolds(copy, 3, 50);
+}
+
+TYPED_TEST(SmallVecTransfer, MoveConstructs) {
+  for (const int n : {0, 1, 4, 5, 9}) {
+    auto src = TestFixture::make(n);
+    const auto moved = std::move(src);
+    TestFixture::expectHolds(moved, n);
+    EXPECT_TRUE(src.empty());  // NOLINT(bugprone-use-after-move)
+  }
+}
+
+TYPED_TEST(SmallVecTransfer, CopyAssignsAcrossStorage) {
+  // {target size, source size}: inline <- inline, inline <- heap,
+  // heap <- inline, heap <- smaller heap, heap <- larger heap.
+  for (const auto& [to, from] : std::vector<std::pair<int, int>>{
+           {2, 3}, {3, 7}, {7, 2}, {9, 6}, {6, 12}, {0, 0}, {5, 0}}) {
+    auto target = TestFixture::make(to, 100);
+    const auto src = TestFixture::make(from);
+    target = src;
+    TestFixture::expectHolds(target, from);
+    TestFixture::expectHolds(src, from);
+  }
+  auto target = TestFixture::make(2, 100);
+  target = TestFixture::shrunk(4);
+  TestFixture::expectHolds(target, 4, 50);
+}
+
+TYPED_TEST(SmallVecTransfer, MoveAssignsAcrossStorage) {
+  for (const auto& [to, from] : std::vector<std::pair<int, int>>{
+           {2, 3}, {3, 7}, {7, 2}, {9, 6}, {6, 12}, {0, 0}, {5, 0}}) {
+    auto target = TestFixture::make(to, 100);
+    auto src = TestFixture::make(from);
+    target = std::move(src);
+    TestFixture::expectHolds(target, from);
+    EXPECT_TRUE(src.empty());  // NOLINT(bugprone-use-after-move)
+  }
+}
+
+TYPED_TEST(SmallVecTransfer, SelfAssignKeepsContents) {
+  for (const int n : {0, 3, 4, 7}) {
+    auto v = TestFixture::make(n);
+    const auto& alias = v;
+    v = alias;
+    TestFixture::expectHolds(v, n);
+    auto& movable = v;
+    v = std::move(movable);
+    TestFixture::expectHolds(v, n);
+  }
 }
 
 TEST(SmallVec, ClearKeepsCapacity) {

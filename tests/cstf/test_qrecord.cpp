@@ -141,6 +141,50 @@ TEST(QRecord, EnqueueRefusesMixedRowLengths) {
                        "expected R>0", "got R=0");
 }
 
+TEST(QRecord, AdvanceEqualsEnqueueThenDequeue) {
+  // Orders 2-5 queue 1-4 rows; at R up to 5 the larger queues spill the
+  // inline buffer. Each record advances twice, and a fresh record once.
+  for (std::size_t order = 2; order <= 5; ++order) {
+    for (std::uint32_t rank = 1; rank <= 5; ++rank) {
+      SCOPED_TRACE("order " + std::to_string(order) + ", R " +
+                   std::to_string(rank));
+      auto row = [rank](double base) {
+        la::Row r;
+        for (std::uint32_t k = 0; k < rank; ++k) r.push_back(base + 0.5 * k);
+        return r;
+      };
+      QRecord q;
+      q.nz = tensor::makeNonzero(std::vector<Index>(order, 3), 1.25);
+      QRecord fresh = q;
+      QRecord freshWant = q;
+      fresh.advance(row(-1.0));
+      freshWant.enqueue(row(-1.0));
+      freshWant.dequeue();
+      EXPECT_EQ(fresh, freshWant);
+
+      for (std::size_t i = 0; i + 1 < order; ++i) q.enqueue(row(10.0 * i));
+      QRecord want = q;
+      for (const double base : {100.0, 200.0}) {
+        q.advance(row(base));
+        want.enqueue(row(base));
+        want.dequeue();
+        EXPECT_EQ(q, want);
+      }
+      EXPECT_EQ(q.queueSize(), order - 1);
+      EXPECT_EQ(q.row(order - 2)[0], 200.0);
+    }
+  }
+}
+
+TEST(QRecord, AdvanceRefusesMixedRowLengths) {
+  QRecord q = order3Record();
+  expectLengthMismatch([&] { q.advance(la::Row{1.0, 2.0, 3.0}); },
+                       "expected R=2", "got R=3");
+  EXPECT_EQ(q, order3Record());  // the refused row left no trace
+  expectLengthMismatch([&] { emptyRecord().advance(la::Row{}); },
+                       "expected R>0", "got R=0");
+}
+
 TEST(QRecord, DeserializeRefusesMixedRowLengths) {
   std::vector<std::uint8_t> bytes = kOrder3Bytes;
   bytes[kOrder3SecondRowLen] = 0x03;               // second row claims R=3

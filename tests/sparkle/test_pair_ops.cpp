@@ -81,6 +81,62 @@ TEST(PairOps, MapSideCombineShufflesFewerRecords) {
   EXPECT_LE(withCombine.shuffleRecords, 16u);
 }
 
+TEST(PairOps, ReduceByKeyMergesInMapPartitionThenRecordOrder) {
+  // An order-sensitive merge (append) shows the order in which a key's
+  // values meet: map-partition order, then record order within each map
+  // partition, with or without map-side combine. Every floating-point sum
+  // of a reduceByKey is bit-identical across builds only because of this.
+  using Tags = std::vector<std::uint32_t>;
+  constexpr std::uint32_t kRecords = 240;
+  constexpr std::uint32_t kKeys = 13;
+  std::vector<std::pair<std::uint32_t, Tags>> data;
+  for (std::uint32_t i = 0; i < kRecords; ++i) {
+    data.push_back({(i * 7) % kKeys, Tags{i}});
+  }
+  auto append = [](Tags& acc, const Tags& x) {
+    acc.insert(acc.end(), x.begin(), x.end());
+  };
+  for (const bool combine : {true, false}) {
+    SCOPED_TRACE(combine ? "map-side combine" : "no map-side combine");
+    auto ctx = makeCtx();
+    // parallelize cuts the input into contiguous blocks, so input order is
+    // (map partition, record) order.
+    auto out = parallelize(ctx, data, 5)
+                   .reduceByKey(append, ctx.hashPartitioner(3), combine)
+                   .collect();
+    ASSERT_EQ(out.size(), kKeys);
+    for (const auto& [k, tags] : out) {
+      Tags want;
+      for (std::uint32_t i = 0; i < kRecords; ++i) {
+        if ((i * 7) % kKeys == k) want.push_back(i);
+      }
+      EXPECT_EQ(tags, want) << "key " << k;
+    }
+  }
+}
+
+TEST(PairOps, JoinEmitsDuplicateRightKeysInArrivalOrder) {
+  auto ctx = makeCtx();
+  std::vector<KV> left;
+  for (std::uint32_t k = 0; k < 6; ++k) left.push_back({k, double(k)});
+  std::vector<std::pair<std::uint32_t, int>> right;
+  for (int i = 0; i < 60; ++i) right.push_back({std::uint32_t(i % 6), i});
+  auto out = parallelize(ctx, left, 2)
+                 .join(parallelize(ctx, right, 4), ctx.hashPartitioner(3))
+                 .collect();
+  ASSERT_EQ(out.size(), right.size());
+  // One left record per key, so a key's outputs are that record's matches
+  // in emission order; right-side arrival order is input order.
+  std::map<std::uint32_t, std::vector<int>> seen;
+  for (const auto& [k, vw] : out) seen[k].push_back(vw.second);
+  ASSERT_EQ(seen.size(), left.size());
+  for (const auto& [k, ws] : seen) {
+    std::vector<int> want;
+    for (int i = static_cast<int>(k); i < 60; i += 6) want.push_back(i);
+    EXPECT_EQ(ws, want) << "key " << k;
+  }
+}
+
 TEST(PairOps, JoinMatchesKeys) {
   auto ctx = makeCtx();
   std::vector<KV> left{{1, 10.0}, {2, 20.0}, {3, 30.0}};
