@@ -32,21 +32,20 @@ la::Matrix mttkrpCoo(sparkle::Context& ctx,
   // into the carried partial product and re-key by the next join mode.
   for (std::size_t s = 0; s + 1 < fixed.size(); ++s) {
     auto factorRdd = factorToRdd(ctx, factors[fixed[s]], opts.numPartitions);
-    auto joined = keyed.join(factorRdd, nullptr, "coo-join");
     const ModeId nextKey = fixed[s + 1];
-    keyed = joined.mapWithFlops(
-        [nextKey](const std::pair<Index, std::pair<Carry, la::Row>>& kv) {
-          Carry c = kv.second.first;
-          const la::Row& row = kv.second.second;
+    keyed = keyed.joinUpdate(
+        factorRdd,
+        [nextKey](std::pair<Index, Carry>& kv, const la::Row& row) {
+          Carry& c = kv.second;
           if (c.partial.empty()) {
             // First join: scale by the tensor value (paper: X(i,j,k)C(k,:)).
             c.partial = la::rowScale(row, c.nz.val);
           } else {
             la::rowHadamardInPlace(c.partial, row);
           }
-          return std::pair<Index, Carry>(c.nz.idx[nextKey], std::move(c));
+          kv.first = c.nz.idx[nextKey];
         },
-        r);
+        r, nullptr, "coo-join");
   }
 
   // Last join: finish the Hadamard product and emit (mode index, row).

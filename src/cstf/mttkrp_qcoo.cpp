@@ -2,6 +2,27 @@
 
 namespace cstf::cstf_core {
 
+namespace {
+
+/// Calls emit(k, x) for each k < R, x being the tensor value times the
+/// k-th entries of the queued rows, multiplied in queue order: element k
+/// of the record's contribution (the Hadamard product of its rows, scaled
+/// by the value) to its output row.
+template <typename Emit>
+void collapse(const QRecord& rec, Emit emit) {
+  CSTF_ASSERT(rec.queueSize() != 0, "QCOO queue must not be empty");
+  const std::uint32_t len = rec.rank();
+  const std::size_t depth = rec.queueSize();
+  const double* rows = rec.row(0);  // the queued rows sit back to back
+  for (std::uint32_t k = 0; k < len; ++k) {
+    double x = rows[k] * rec.nz.val;
+    for (std::size_t i = 1; i < depth; ++i) x *= rows[i * len + k];
+    emit(k, x);
+  }
+}
+
+}  // namespace
+
 QcooEngine::QcooEngine(sparkle::Context& ctx,
                        const sparkle::Rdd<tensor::Nonzero>& X,
                        const std::vector<Index>& dims,
@@ -31,16 +52,15 @@ QcooEngine::QcooEngine(sparkle::Context& ctx,
   for (ModeId m = 0; m + 1 < order_; ++m) {
     auto factorRdd =
         factorToRdd(ctx_, initialFactors[m], opts_.numPartitions);
-    auto joined = q.join(factorRdd, nullptr, "qcoo-init-join");
     const ModeId nextKey = static_cast<ModeId>(
         m + 2 < order_ ? m + 1 : order_ - 1);
-    q = joined.map(
-        [nextKey](const std::pair<Index, std::pair<QRecord, la::Row>>& kv) {
-          std::pair<Index, QRecord> out(0, kv.second.first);
-          out.second.enqueue(kv.second.second);
-          out.first = out.second.nz.idx[nextKey];
-          return out;
-        });
+    q = q.joinUpdate(
+        factorRdd,
+        [nextKey](std::pair<Index, QRecord>& kv, const la::Row& row) {
+          kv.second.enqueue(row);
+          kv.first = kv.second.nz.idx[nextKey];
+        },
+        0.0, nullptr, "qcoo-init-join");
   }
   q.cache();
   q_ = std::move(q);
@@ -52,46 +72,39 @@ la::Matrix QcooEngine::mttkrpNext(const std::vector<la::Matrix>& factors) {
   CSTF_CHECK(factors.size() == order_, "need one factor per mode");
   CSTF_CHECK(factors[jm].cols() == rank_, "rank changed mid-run");
 
-  // STAGE 1: single join with the freshest factor (mode n-1, updated by
-  // the previous MTTKRP — or mode N-1's initial value on the first call).
+  // STAGES 1-2: single join with the freshest factor (mode n-1, updated
+  // by the previous MTTKRP — or mode N-1's initial value on the first
+  // call), in the same task as the queue update: enqueue the joined row,
+  // dequeue the stalest (the row of the mode being updated now), and
+  // re-key to mode n — which is both this MTTKRP's reduce key and the next
+  // MTTKRP's join key. Each record is updated where the join reads it.
   auto factorRdd = factorToRdd(ctx_, factors[jm], opts_.numPartitions);
-  auto joined = q_->join(factorRdd, nullptr, "qcoo-join");
-
-  // STAGE 2: enqueue the joined row, dequeue the stalest (the row of the
-  // mode being updated now), and re-key to mode n — which is both this
-  // MTTKRP's reduce key and the next MTTKRP's join key.
-  // The output pair is built once from the joined record, then its rows
-  // shift in place.
-  auto advanced = joined.map(
-      [n](const std::pair<Index, std::pair<QRecord, la::Row>>& kv) {
-        std::pair<Index, QRecord> out(0, kv.second.first);
-        out.second.advance(kv.second.second);
-        out.first = out.second.nz.idx[n];
-        return out;
-      });
+  auto advanced = q_->joinUpdate(
+      factorRdd,
+      [n](std::pair<Index, QRecord>& kv, const la::Row& row) {
+        kv.second.advance(row);
+        kv.first = kv.second.nz.idx[n];
+      },
+      0.0, nullptr, "qcoo-join");
   advanced.cache();  // feeds both the reduce below and the next join
 
   // STAGE 3: collapse each queue to the Hadamard product scaled by the
-  // tensor value, then sum per output row.
+  // tensor value and sum per output row. A key's first record in a map
+  // task seeds its row; every later one is collapsed straight into it.
   const double r = static_cast<double>(rank_);
-  auto contrib = advanced.mapValues(
+  auto reduced = advanced.combineByKey(
       [](const QRecord& rec) {
-        CSTF_ASSERT(rec.queueSize() != 0, "QCOO queue must not be empty");
-        const std::uint32_t len = rec.rank();
-        const double* q0 = rec.row(0);
-        la::Row out(len);
-        for (std::uint32_t k = 0; k < len; ++k) out[k] = q0[k] * rec.nz.val;
-        for (std::size_t i = 1; i < rec.queueSize(); ++i) {
-          const double* qi = rec.row(i);
-          for (std::uint32_t k = 0; k < len; ++k) out[k] *= qi[k];
-        }
+        la::Row out(rec.rank());
+        collapse(rec, [&](std::uint32_t k, double x) { out[k] = x; });
         return out;
       },
-      r * static_cast<double>(order_ - 1));
-  auto reduced = contrib.reduceByKey(la::rowAddInPlace,
-                                     ctx_.hashPartitioner(opts_.numPartitions),
-                                     opts_.mapSideCombine, r,
-                                     "qcoo-reduceByKey");
+      [](la::Row& acc, const QRecord& rec) {
+        CSTF_ASSERT(acc.size() == rec.rank(), "row rank mismatch");
+        collapse(rec, [&](std::uint32_t k, double x) { acc[k] += x; });
+      },
+      la::rowAddInPlace, ctx_.hashPartitioner(opts_.numPartitions),
+      opts_.mapSideCombine, r * static_cast<double>(order_ - 1), r,
+      "qcoo-reduceByKey");
 
   la::Matrix result =
       collectRows(reduced, dims_[n], rank_, "qcoo-mttkrp-result");

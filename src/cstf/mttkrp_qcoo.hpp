@@ -7,11 +7,14 @@
 // the one about to be recomputed — is dequeued) plus one reduceByKey.
 // Between MTTKRPs the record is re-keyed, in the same map, to the mode the
 // *following* MTTKRP joins on, which is how consecutive MTTKRPs reuse each
-// other's data placement (Figure 1).
+// other's data placement (Figure 1). Here that map runs inside the join
+// (Rdd::joinUpdate): each record is advanced and re-keyed where the join
+// decoded it, and the reduce collapses each queue inside its map-side
+// combine (Rdd::combineByKey).
 //
-// The RDD produced by the re-keying map is cached, and the previous one
-// unpersisted, exactly as §4.2 prescribes — it feeds both this MTTKRP's
-// reduce and the next MTTKRP's join.
+// The RDD the join produces is cached, and the previous one unpersisted,
+// exactly as §4.2 prescribes — it feeds both this MTTKRP's reduce and the
+// next MTTKRP's join.
 #pragma once
 
 #include <optional>

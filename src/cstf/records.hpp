@@ -29,10 +29,13 @@ struct Carry {
 /// CSTF-QCOO record ("Xq" of Table 3): a nonzero plus the queue of the
 /// N-1 factor rows needed by the *next* MTTKRP. The queued rows sit back to
 /// back in one flat buffer, stalest row (the next to be dequeued) first, and
-/// share one length R (0 while the queue is empty). Every QCOO stage copies
-/// whole records, so the record stays small (see the static_assert below);
-/// eight inline doubles hold orders <= 5 at R = 2 and order 3 at R <= 4
-/// without a heap allocation.
+/// share one length R (0 while the queue is empty). A QCOO mode update
+/// writes each record once, where the join's left decode puts it: the join
+/// advances it there, and the map-side combine collapses it straight into
+/// its key's row. The decode, the combine and the next join's encode still
+/// read or write the whole record, so it stays small (see the static_assert
+/// below); eight inline doubles hold orders <= 5 at R = 2 and order 3 at
+/// R <= 4 without a heap allocation.
 ///
 /// Wire format: the nonzero, a u32 row count, then per row a u32 R followed
 /// by R doubles (tests/cstf/test_qrecord.cpp pins the bytes).

@@ -225,6 +225,18 @@ class Dataset : public DatasetBase {
     return computePartition(p, tc);
   }
 
+  /// The contents of partition `p` as records the caller owns and may edit
+  /// in place. An uncached dataset hands over computeOwnedPartition's
+  /// vector; a cached one is copied, because its block is shared with
+  /// every later reader.
+  std::vector<T> ownedPartition(std::size_t p, TaskContext& tc) {
+    CSTF_ASSERT(p < numPartitions_, "partition index out of range");
+    if (level_.load(std::memory_order_acquire) == StorageLevel::kNone) {
+      return computeOwnedPartition(p, tc);
+    }
+    return *partition(p, tc);
+  }
+
   /// Memoize partitions from now on (no-op under Hadoop mode, decided by
   /// the caller via Context::cachingEnabled()).
   void enableCache(StorageLevel level = StorageLevel::kRaw) {
@@ -295,6 +307,14 @@ class Dataset : public DatasetBase {
 
  protected:
   virtual Block<T> computePartition(std::size_t p, TaskContext& tc) = 0;
+
+  /// A copy of computePartition's block. A dataset whose every read builds
+  /// a new vector that nothing else holds (the shuffle's decode) returns
+  /// that vector instead.
+  virtual std::vector<T> computeOwnedPartition(std::size_t p,
+                                               TaskContext& tc) {
+    return *computePartition(p, tc);
+  }
 
  private:
   std::atomic<StorageLevel> level_{StorageLevel::kNone};

@@ -5,8 +5,8 @@
 //  * transformations (`map`, `mapWithFlops`, `mapValues`,
 //    `mapPartitionsWithCounters`) are lazy and return new Rdds sharing
 //    lineage; `mapValues` preserves partitioning, `map` does not;
-//  * `join`/`reduceByKey` shuffle only the sides that are not already
-//    partitioned by the target partitioner;
+//  * `join`/`joinUpdate`/`combineByKey`/`reduceByKey` shuffle only the
+//    sides that are not already partitioned by the target partitioner;
 //  * actions (`collect`, `foreachPartition`, `count`, `materialize`)
 //    execute a job: materialize all shuffle dependencies, then run one
 //    result task per partition;
@@ -146,36 +146,39 @@ class Rdd {
       const Rdd<std::pair<K, W>>& other,
       std::shared_ptr<Partitioner> part = nullptr,
       const std::string& label = "join") const {
-    if (!part) {
-      if (ds_->outputPartitioning()) {
-        part = ds_->outputPartitioning();
-      } else if (other.dataset()->outputPartitioning()) {
-        part = other.dataset()->outputPartitioning();
-      } else {
-        part = ctx_->hashPartitioner();
-      }
-    }
-    const std::uint64_t opId = ctx_->metrics().nextShuffleOpId();
-
-    std::shared_ptr<Dataset<std::pair<K, V>>> lhs = ds_;
-    if (!samePartitioning(lhs->outputPartitioning(), part)) {
-      lhs = std::make_shared<ShuffledDataset<K, V>>(ctx_, lhs, part,
-                                                    label + ":left", opId);
-    }
-    std::shared_ptr<Dataset<std::pair<K, W>>> rhs = other.dataset();
-    if (!samePartitioning(rhs->outputPartitioning(), part)) {
-      rhs = std::make_shared<ShuffledDataset<K, W>>(ctx_, rhs, part,
-                                                    label + ":right", opId);
-    }
+    auto [lhs, rhs] = coPartition<K, V>(other, part, label);
     auto ds = std::make_shared<JoinDataset<K, V, W>>(ctx_, std::move(lhs),
                                                      std::move(rhs), part);
     return Rdd<std::pair<K, std::pair<V, W>>>(ctx_, std::move(ds));
+  }
+
+  /// join(other, part, label) followed by a map that applies `f(rec, w)`
+  /// to a copy of each left record rec, for each right value w of its key
+  /// in right-side arrival order; `f` may rewrite both the value and the
+  /// key. Emits the same records in the same order, charges the same
+  /// counters (`flopsPerRecord` per output, as mapWithFlops does), but
+  /// builds no joined pair: a left side this join shuffles is updated
+  /// where its decode lies, a cached or already partitioned one is copied
+  /// first. Like map, the result is not partitioned.
+  template <typename W, typename F, typename TT = T,
+            typename = std::enable_if_t<detail::PairTraits<TT>::isPair>,
+            typename K = typename detail::PairTraits<TT>::Key,
+            typename V = typename detail::PairTraits<TT>::Value>
+  Rdd<T> joinUpdate(const Rdd<std::pair<K, W>>& other, F f,
+                    double flopsPerRecord = 0.0,
+                    std::shared_ptr<Partitioner> part = nullptr,
+                    const std::string& label = "join") const {
+    auto [lhs, rhs] = coPartition<K, V>(other, part, label);
+    auto ds = std::make_shared<JoinUpdateDataset<K, V, W, F>>(
+        ctx_, std::move(lhs), std::move(rhs), std::move(f), flopsPerRecord);
+    return Rdd<T>(ctx_, std::move(ds));
   }
 
   /// reduceByKey. When the input is already partitioned by `part` this is a
   /// narrow local merge (Spark's behaviour); otherwise one shuffle, with
   /// optional map-side combining. `f(acc, x)` merges `x` into `acc` in
   /// place, so a merge allocates nothing; values meet in arrival order.
+  /// The identity case of combineByKey: each value is its own combiner.
   template <typename F, typename TT = T,
             typename = std::enable_if_t<detail::PairTraits<TT>::isPair>,
             typename K = typename detail::PairTraits<TT>::Key,
@@ -183,21 +186,66 @@ class Rdd {
   Rdd<T> reduceByKey(F f, std::shared_ptr<Partitioner> part = nullptr,
                      bool mapSideCombine = true, double flopsPerMerge = 0.0,
                      const std::string& label = "reduceByKey") const {
+    InPlaceMerge<V> func = std::move(f);
+    return combineByKey(std::function<V(const V&)>(), func, func,
+                        std::move(part), mapSideCombine, 0.0, flopsPerMerge,
+                        label);
+  }
+
+  /// combineByKey (Spark's, with in-place merges). Per key, `create(v)`
+  /// turns a map task's first value into a combiner C, `mergeValue(c, v)`
+  /// folds each later value of that task into it, and
+  /// `mergeCombiners(c, c2)` merges the tasks' combiners on the reduce side
+  /// in map-partition order. Without map-side combine every value ships
+  /// as create(v). When mergeValue(c, v) does what
+  /// mergeCombiners(c, create(v)) does, the result equals
+  /// mapValues(create, createFlops).reduceByKey(mergeCombiners, part,
+  /// mapSideCombine, flopsPerMerge, label) record for record, and so do
+  /// the stages and their counters; only the C built for every merged
+  /// value is never made. An empty std::function `create` makes each value
+  /// its own combiner (C = V): that is reduceByKey. On an input already
+  /// partitioned by `part` this is the narrow mapValues(create) + merge.
+  template <typename Create, typename MergeValue, typename MergeCombiners,
+            typename TT = T,
+            typename = std::enable_if_t<detail::PairTraits<TT>::isPair>,
+            typename K = typename detail::PairTraits<TT>::Key,
+            typename V = typename detail::PairTraits<TT>::Value,
+            typename C = std::invoke_result_t<Create&, const V&>>
+  Rdd<std::pair<K, C>> combineByKey(
+      Create create, MergeValue mergeValue, MergeCombiners mergeCombiners,
+      std::shared_ptr<Partitioner> part = nullptr, bool mapSideCombine = true,
+      double createFlops = 0.0, double flopsPerMerge = 0.0,
+      const std::string& label = "combineByKey") const {
+    using Out = std::pair<K, C>;
+    std::function<C(const V&)> createFn = std::move(create);
     if (!part) {
       part = ds_->outputPartitioning() ? ds_->outputPartitioning()
                                        : ctx_->hashPartitioner();
     }
-    InPlaceMerge<V> func = std::move(f);
-    std::shared_ptr<Dataset<T>> input = ds_;
-    if (!samePartitioning(input->outputPartitioning(), part)) {
+    std::shared_ptr<Dataset<Out>> input;
+    if (!samePartitioning(ds_->outputPartitioning(), part)) {
       const std::uint64_t opId = ctx_->metrics().nextShuffleOpId();
-      input = std::make_shared<ShuffledDataset<K, V>>(
-          ctx_, input, part, label, opId, mapSideCombine ? func : nullptr,
-          mapSideCombine ? flopsPerMerge : 0.0);
+      input = std::make_shared<ShuffledDataset<K, V, C>>(
+          ctx_, ds_, part, label, opId,
+          mapSideCombine ? InPlaceMerge<C, V>(std::move(mergeValue))
+                         : nullptr,
+          mapSideCombine ? flopsPerMerge : 0.0, std::move(createFn),
+          createFlops);
+    } else if (createFn) {
+      auto g = [h = std::move(createFn)](const T& kv) {
+        return Out(kv.first, h(kv.second));
+      };
+      input = std::make_shared<MapDataset<T, Out, decltype(g)>>(
+          ctx_, ds_, std::move(g), createFlops,
+          /*preservesPartitioning=*/true);
+    } else {
+      if constexpr (std::is_same_v<C, V>) input = ds_;
     }
-    auto ds = std::make_shared<ReduceByKeyMergeDataset<K, V>>(
-        ctx_, std::move(input), func, flopsPerMerge);
-    return Rdd<T>(ctx_, std::move(ds));
+    CSTF_CHECK(input != nullptr, "combineByKey needs a create step");
+    auto ds = std::make_shared<ReduceByKeyMergeDataset<K, C>>(
+        ctx_, std::move(input), InPlaceMerge<C>(std::move(mergeCombiners)),
+        flopsPerMerge);
+    return Rdd<Out>(ctx_, std::move(ds));
   }
 
   // ---- actions --------------------------------------------------------------
@@ -266,6 +314,40 @@ class Rdd {
   }
 
  private:
+  /// The two sides of a join on `part` (when null: this side's
+  /// partitioner, else the other side's, else the default hash
+  /// partitioner), each shuffled unless already partitioned by it. Both
+  /// shuffle stages share one logical shuffle-op id.
+  template <typename K, typename V, typename W>
+  std::pair<std::shared_ptr<Dataset<std::pair<K, V>>>,
+            std::shared_ptr<Dataset<std::pair<K, W>>>>
+  coPartition(const Rdd<std::pair<K, W>>& other,
+              std::shared_ptr<Partitioner>& part,
+              const std::string& label) const {
+    if (!part) {
+      if (ds_->outputPartitioning()) {
+        part = ds_->outputPartitioning();
+      } else if (other.dataset()->outputPartitioning()) {
+        part = other.dataset()->outputPartitioning();
+      } else {
+        part = ctx_->hashPartitioner();
+      }
+    }
+    const std::uint64_t opId = ctx_->metrics().nextShuffleOpId();
+
+    std::shared_ptr<Dataset<std::pair<K, V>>> lhs = ds_;
+    if (!samePartitioning(lhs->outputPartitioning(), part)) {
+      lhs = std::make_shared<ShuffledDataset<K, V>>(ctx_, lhs, part,
+                                                    label + ":left", opId);
+    }
+    std::shared_ptr<Dataset<std::pair<K, W>>> rhs = other.dataset();
+    if (!samePartitioning(rhs->outputPartitioning(), part)) {
+      rhs = std::make_shared<ShuffledDataset<K, W>>(ctx_, rhs, part,
+                                                    label + ":right", opId);
+    }
+    return {std::move(lhs), std::move(rhs)};
+  }
+
   /// Execute one task per partition (materializing shuffle deps first) and
   /// record a result-stage metrics entry.
   void runResultStage(

@@ -2,8 +2,9 @@
 //
 // A ShuffledDataset cuts the DAG into stages exactly where Spark does. On
 // materialization it
-//   1. runs one map task per parent partition (optionally applying a
-//      map-side combiner, as Spark's reduceByKey does),
+//   1. runs one map task per parent partition (optionally turning each
+//      value into a combiner and merging equal keys map-side, as Spark's
+//      combineByKey and reduceByKey do),
 //   2. encodes every record through its FixedWidthSerde codec into
 //      exact-size per-destination buckets — so the byte metrics reflect
 //      true serde sizes plus the configured per-record envelope,
@@ -19,7 +20,9 @@
 //
 // Join is then a *narrow* dataset over two co-partitioned shuffles — again
 // mirroring Spark, where the two shuffle stages feed a result stage that
-// performs the per-partition hash join.
+// performs the per-partition hash join. A join that only updates its left
+// records (JoinUpdateDataset) edits the left shuffle's fresh decode where
+// it lies, the way Spark pipelines a map inside the join's task.
 #pragma once
 
 #include <bit>
@@ -41,12 +44,12 @@ namespace cstf::sparkle {
 /// Merges `x` into `acc` in place: f(acc, x). Only a void-result callable
 /// converts; a plain std::function would take a value-returning merge and
 /// silently drop its result.
-template <typename V>
-struct InPlaceMerge : std::function<void(V&, const V&)> {
+template <typename Acc, typename X = Acc>
+struct InPlaceMerge : std::function<void(Acc&, const X&)> {
   InPlaceMerge(std::nullptr_t = nullptr) {}
   template <typename F>
-    requires std::is_void_v<std::invoke_result_t<F&, V&, const V&>>
-  InPlaceMerge(F f) : std::function<void(V&, const V&)>(std::move(f)) {}
+    requires std::is_void_v<std::invoke_result_t<F&, Acc&, const X&>>
+  InPlaceMerge(F f) : std::function<void(Acc&, const X&)>(std::move(f)) {}
 };
 
 /// Open-addressing index from keys to dense slots 0, 1, 2, ... in order of
@@ -113,26 +116,41 @@ class KeySlots {
   std::uint32_t size_ = 0;
 };
 
-template <typename K, typename V>
-class ShuffledDataset final : public Dataset<std::pair<K, V>> {
+/// Shuffles a parent of (K, V) records into (K, C) records, C = V unless a
+/// combineByKey turns values into combiners.
+template <typename K, typename V, typename C = V>
+class ShuffledDataset final : public Dataset<std::pair<K, C>> {
  public:
-  using Rec = std::pair<K, V>;
-  using Combiner = InPlaceMerge<V>;
+  using In = std::pair<K, V>;
+  using Rec = std::pair<K, C>;
+  using Combiner = InPlaceMerge<C, V>;
+  using CreateCombiner = std::function<C(const V&)>;
 
   /// `combiner`, when set, merges values with equal keys *within each map
   /// task before serialization* (Spark map-side combine); the reduce side
-  /// still needs its own merge across map tasks.
-  ShuffledDataset(Context* ctx, std::shared_ptr<Dataset<Rec>> parent,
+  /// still needs its own merge across map tasks. `create`, when set, turns
+  /// a value into a combiner: a key's first value in a map task (the
+  /// combiner merges the rest into it), or every value without a
+  /// combiner. Unset, the value is its own combiner (C = V). Each map task
+  /// charges `create` as a mapValues hop would: one processed record and
+  /// `createFlopsPerRecord` flops per input value.
+  ShuffledDataset(Context* ctx, std::shared_ptr<Dataset<In>> parent,
                   std::shared_ptr<Partitioner> partitioner, std::string label,
                   std::uint64_t shuffleOpId, Combiner combiner = nullptr,
-                  double combinerFlopsPerMerge = 0.0)
+                  double combinerFlopsPerMerge = 0.0,
+                  CreateCombiner create = nullptr,
+                  double createFlopsPerRecord = 0.0)
       : Dataset<Rec>(ctx, partitioner->numPartitions()),
         parent_(std::move(parent)),
         partitioner_(std::move(partitioner)),
         label_(std::move(label)),
         shuffleOpId_(shuffleOpId),
         combiner_(std::move(combiner)),
-        combinerFlopsPerMerge_(combinerFlopsPerMerge) {
+        combinerFlopsPerMerge_(combinerFlopsPerMerge),
+        create_(std::move(create)),
+        createFlopsPerRecord_(createFlopsPerRecord) {
+    CSTF_CHECK((std::is_same_v<C, V>) || create_,
+               "a shuffle that changes the value type needs a create step");
     this->setOutputPartitioning(partitioner_);
   }
 
@@ -152,16 +170,22 @@ class ShuffledDataset final : public Dataset<std::pair<K, V>> {
   }
 
  protected:
+  Block<Rec> computePartition(std::size_t q, TaskContext& tc) override {
+    return makeBlock(computeOwnedPartition(q, tc));
+  }
+
   /// Decodes destination q's fetched buckets in map-partition order; every
-  /// read (a second action, a retried task) decodes afresh.
-  Block<Rec> computePartition(std::size_t q, TaskContext&) override {
+  /// read (a second action, a retried task) decodes afresh, so the caller
+  /// owns what it gets.
+  std::vector<Rec> computeOwnedPartition(std::size_t q,
+                                         TaskContext&) override {
     ensureReady();
     std::vector<Rec> recs;
     recs.reserve(fetchedRecords_[q]);
     for (const auto& bucket : fetched_[q]) {
       fixedWidthDecodeStream(bucket.data(), bucket.size(), recs);
     }
-    return makeBlock(std::move(recs));
+    return recs;
   }
 
  private:
@@ -234,7 +258,8 @@ class ShuffledDataset final : public Dataset<std::pair<K, V>> {
       TaskContext taskResult;
       runTaskWithRetries(ctx, stageId, p, label_, taskResult,
                          [&](TaskContext& tc) {
-      Block<Rec> in = parent_->partition(p, tc);
+      Block<In> in = parent_->partition(p, tc);
+      const std::size_t n = in->size();
 
       MapOutput& out = mapOut[p];
       // Reset fully: the task may be a retry, whose failed attempt's
@@ -246,30 +271,47 @@ class ShuffledDataset final : public Dataset<std::pair<K, V>> {
       out.bucketRecords.assign(pOut, 0);
       out.lost = false;
 
+      if constexpr (std::is_same_v<C, V>) {
+        if (!create_ && !combiner_) {
+          // Nothing to convert or merge: encode the parent block as is.
+          encodeBuckets(*in, pOut, out);
+          tc.counters.recordsProcessed += n;
+          tc.counters.recordsEmitted += n;
+          out.counters = tc.counters;
+          return;
+        }
+      }
+      if (create_) {
+        tc.counters.recordsProcessed += n;
+        tc.counters.flops +=
+            static_cast<std::uint64_t>(createFlopsPerRecord_ * n);
+      }
+      std::vector<Rec> combined;
+      combined.reserve(n);
+      std::uint64_t merges = 0;
       if (combiner_) {
-        KeySlots<K> slots(in->size());
-        std::vector<Rec> combined;
-        combined.reserve(in->size());
-        std::uint64_t merges = 0;
-        for (const Rec& rec : *in) {
+        KeySlots<K> slots(n);
+        for (const In& rec : *in) {
           const auto [slot, fresh] = slots.insert(rec.first);
-          if (fresh) {
-            combined.push_back(rec);
-          } else {
+          if (!fresh) {
             combiner_(combined[slot].second, rec.second);
             ++merges;
+          } else if (create_) {
+            combined.emplace_back(rec.first, create_(rec.second));
+          } else if constexpr (std::is_same_v<C, V>) {
+            combined.push_back(rec);
           }
-          ++tc.counters.recordsProcessed;
         }
-        tc.counters.flops +=
-            static_cast<std::uint64_t>(combinerFlopsPerMerge_ * merges);
-        encodeBuckets(combined, pOut, out);
-        tc.counters.recordsEmitted += combined.size();
       } else {
-        encodeBuckets(*in, pOut, out);
-        tc.counters.recordsProcessed += in->size();
-        tc.counters.recordsEmitted += in->size();
+        for (const In& rec : *in) {
+          combined.emplace_back(rec.first, create_(rec.second));
+        }
       }
+      tc.counters.recordsProcessed += n;
+      tc.counters.flops +=
+          static_cast<std::uint64_t>(combinerFlopsPerMerge_ * merges);
+      encodeBuckets(combined, pOut, out);
+      tc.counters.recordsEmitted += combined.size();
       out.counters = tc.counters;
       });
       // Per-task shuffle output: the same formula the fetch side meters per
@@ -457,17 +499,59 @@ class ShuffledDataset final : public Dataset<std::pair<K, V>> {
     ctx->metrics().record(std::move(m), cost);
   }
 
-  std::shared_ptr<Dataset<Rec>> parent_;
+  std::shared_ptr<Dataset<In>> parent_;
   std::shared_ptr<Partitioner> partitioner_;
   std::string label_;
   std::uint64_t shuffleOpId_;
   Combiner combiner_;
   double combinerFlopsPerMerge_ = 0.0;
+  CreateCombiner create_;
+  double createFlopsPerRecord_ = 0.0;
   std::once_flag once_;
   // fetched_[q]: destination q's non-empty buckets in map-partition order,
   // holding fetchedRecords_[q] records in all.
   std::vector<std::vector<std::vector<std::uint8_t>>> fetched_;
   std::vector<std::uint64_t> fetchedRecords_;
+};
+
+/// The build side of a hash join: each key's right records chain
+/// head[slot] -> next[i] -> ... -> kNone. Building back to front makes
+/// every chain run in arrival order.
+template <typename K>
+class JoinBuild {
+ public:
+  static constexpr std::uint32_t kNone = KeySlots<K>::kNone;
+
+  template <typename W>
+  explicit JoinBuild(const std::vector<std::pair<K, W>>& rhs)
+      : slots_(rhs.size()), next_(rhs.size()) {
+    for (std::size_t i = rhs.size(); i-- > 0;) {
+      const auto [slot, fresh] = slots_.insert(rhs[i].first);
+      if (fresh) {
+        head_.push_back(kNone);
+      } else {
+        uniqueKeys_ = false;
+      }
+      next_[i] = head_[slot];
+      head_[slot] = static_cast<std::uint32_t>(i);
+    }
+  }
+
+  /// Index of k's first right record, or kNone.
+  std::uint32_t first(const K& k) const {
+    const std::uint32_t slot = slots_.find(k);
+    return slot == kNone ? kNone : head_[slot];
+  }
+  /// Index of the right record after i with the same key, or kNone.
+  std::uint32_t next(std::uint32_t i) const { return next_[i]; }
+  /// Whether every right key occurs once.
+  bool uniqueKeys() const { return uniqueKeys_; }
+
+ private:
+  KeySlots<K> slots_;
+  std::vector<std::uint32_t> head_;
+  std::vector<std::uint32_t> next_;
+  bool uniqueKeys_ = true;
 };
 
 /// Inner join of two datasets co-partitioned by the same partitioner.
@@ -503,25 +587,12 @@ class JoinDataset final
     Block<std::pair<K, V>> lhs = left_->partition(p, tc);
     Block<std::pair<K, W>> rhs = right_->partition(p, tc);
 
-    // Each key's right records chain head[slot] -> next[i] -> ... -> kNone.
-    // Building back to front makes every chain run in arrival order.
-    constexpr std::uint32_t kNone = KeySlots<K>::kNone;
-    KeySlots<K> slots(rhs->size());
-    std::vector<std::uint32_t> head;
-    std::vector<std::uint32_t> next(rhs->size());
-    for (std::size_t i = rhs->size(); i-- > 0;) {
-      const auto [slot, fresh] = slots.insert((*rhs)[i].first);
-      if (fresh) head.push_back(kNone);
-      next[i] = head[slot];
-      head[slot] = static_cast<std::uint32_t>(i);
-    }
-
+    const JoinBuild<K> build(*rhs);
     std::vector<Out> out;
     out.reserve(lhs->size());
     for (const auto& [k, v] : *lhs) {
-      const std::uint32_t slot = slots.find(k);
-      if (slot == kNone) continue;
-      for (std::uint32_t i = head[slot]; i != kNone; i = next[i]) {
+      for (std::uint32_t i = build.first(k); i != build.kNone;
+           i = build.next(i)) {
         out.emplace_back(std::piecewise_construct, std::forward_as_tuple(k),
                          std::forward_as_tuple(v, (*rhs)[i].second));
       }
@@ -534,6 +605,82 @@ class JoinDataset final
  private:
   std::shared_ptr<Dataset<std::pair<K, V>>> left_;
   std::shared_ptr<Dataset<std::pair<K, W>>> right_;
+};
+
+/// Inner join that updates each left record in place: f(rec, w) for every
+/// right value w of rec's key, which may also re-key rec. It emits what
+/// JoinDataset followed by a map applying f to a copy of the left record
+/// emits — a left record meets its key's right values in right-side
+/// arrival order, one output each, and is dropped when there are none —
+/// and charges the same counters (left + right + emitted records
+/// processed, `flopsPerRecord` per emitted record), without building the
+/// joined pair. The left partition comes from ownedPartition: the fresh
+/// decode of a shuffle is edited where it lies, and a cached or
+/// pre-partitioned left side is copied first.
+template <typename K, typename V, typename W, typename F>
+class JoinUpdateDataset final : public Dataset<std::pair<K, V>> {
+ public:
+  using Rec = std::pair<K, V>;
+
+  JoinUpdateDataset(Context* ctx, std::shared_ptr<Dataset<Rec>> left,
+                    std::shared_ptr<Dataset<std::pair<K, W>>> right, F f,
+                    double flopsPerRecord)
+      : Dataset<Rec>(ctx, left->numPartitions()),
+        left_(std::move(left)),
+        right_(std::move(right)),
+        f_(std::move(f)),
+        flopsPerRecord_(flopsPerRecord) {
+    CSTF_CHECK(right_->numPartitions() == left_->numPartitions(),
+               "join inputs must be co-partitioned");
+  }
+
+  void ensureReady() override {
+    left_->ensureReady();
+    right_->ensureReady();
+  }
+
+ protected:
+  Block<Rec> computePartition(std::size_t p, TaskContext& tc) override {
+    std::vector<Rec> lhs = left_->ownedPartition(p, tc);
+    Block<std::pair<K, W>> rhs = right_->partition(p, tc);
+
+    const JoinBuild<K> build(*rhs);
+    const std::size_t leftRecords = lhs.size();
+    if (build.uniqueKeys()) {
+      // At most one output per left record: compact the matches forward.
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < lhs.size(); ++i) {
+        const std::uint32_t r = build.first(lhs[i].first);
+        if (r == build.kNone) continue;
+        if (kept != i) lhs[kept] = std::move(lhs[i]);
+        f_(lhs[kept], (*rhs)[r].second);
+        ++kept;
+      }
+      lhs.erase(lhs.begin() + static_cast<std::ptrdiff_t>(kept), lhs.end());
+    } else {
+      std::vector<Rec> out;
+      out.reserve(lhs.size());
+      for (const Rec& rec : lhs) {
+        for (std::uint32_t r = build.first(rec.first); r != build.kNone;
+             r = build.next(r)) {
+          out.push_back(rec);
+          f_(out.back(), (*rhs)[r].second);
+        }
+      }
+      lhs = std::move(out);
+    }
+    tc.counters.recordsProcessed += leftRecords + rhs->size() + lhs.size();
+    tc.counters.recordsEmitted += lhs.size();
+    tc.counters.flops +=
+        static_cast<std::uint64_t>(flopsPerRecord_ * lhs.size());
+    return makeBlock(std::move(lhs));
+  }
+
+ private:
+  std::shared_ptr<Dataset<Rec>> left_;
+  std::shared_ptr<Dataset<std::pair<K, W>>> right_;
+  F f_;
+  double flopsPerRecord_;
 };
 
 /// Final merge after a combined shuffle (reduce side of reduceByKey). A
