@@ -111,15 +111,6 @@ class SmallVec {
     --size_;
   }
 
-  /// Remove the first element, shifting the rest down.
-  void pop_front() {
-    CSTF_ASSERT(size_ > 0, "pop_front on empty SmallVec");
-    T* p = data();
-    for (std::size_t i = 0; i + 1 < size_; ++i) p[i] = std::move(p[i + 1]);
-    p[size_ - 1].~T();
-    --size_;
-  }
-
   void clear() {
     T* p = data();
     for (std::size_t i = 0; i < size_; ++i) p[i].~T();

@@ -7,7 +7,7 @@
 // (target-mode index, rank-R row) pairs, sorted by index. Sorting makes
 // the output deterministic regardless of the kernel's internal
 // accumulation structure, which keeps fault-injected reruns byte-identical
-// (task bodies must be idempotent; see runTaskWithRetries).
+// (task bodies must be idempotent; see sparkle::runTask).
 //
 //   * kCoo — row-at-a-time over the raw COO records, arithmetically
 //     identical to tensor::referenceMttkrp (per-row accumulation in

@@ -39,16 +39,14 @@ la::Matrix mttkrpBigtensor(sparkle::Context& ctx,
         nz.idx[b], {cellKeyOf(nz), nz.val});
   });
   auto factorB = factorToRdd(ctx, factors[b], opts.numPartitions);
-  auto stage1 = keyedB.join(factorB, nullptr, "bigtensor-join-1")
-                    .mapWithFlops(
-                        [](const std::pair<Index,
-                                           std::pair<std::pair<CellKey, Value>,
-                                                     la::Row>>& kv) {
-                          const auto& [cell, val] = kv.second.first;
-                          return std::pair<CellKey, la::Row>(
-                              cell, la::rowScale(kv.second.second, val));
-                        },
-                        r);
+  auto stage1 = keyedB.join(
+      factorB,
+      [](const std::pair<Index, std::pair<CellKey, Value>>& kv,
+         const la::Row& row) {
+        const auto& [cell, val] = kv.second;
+        return std::pair<CellKey, la::Row>(cell, la::rowScale(row, val));
+      },
+      r, nullptr, "bigtensor-join-1");
 
   // STAGE 2: bin(X(1)) — the sparsity-pattern pass (values dropped, an
   // extra full scan of the tensor) — joined with factor `a` on the
@@ -57,28 +55,24 @@ la::Matrix mttkrpBigtensor(sparkle::Context& ctx,
     return std::pair<Index, CellKey>(nz.idx[a], cellKeyOf(nz));
   });
   auto factorA = factorToRdd(ctx, factors[a], opts.numPartitions);
-  auto stage2 = keyedA.join(factorA, nullptr, "bigtensor-join-2")
-                    .mapWithFlops(
-                        [](const std::pair<Index,
-                                           std::pair<CellKey, la::Row>>& kv) {
-                          // bin() * B(j,:) — one vector op per record.
-                          return std::pair<CellKey, la::Row>(
-                              kv.second.first, kv.second.second);
-                        },
-                        r);
+  auto stage2 = keyedA.join(
+      factorA,
+      [](const std::pair<Index, CellKey>& kv, const la::Row& row) {
+        // bin() * B(j,:) — one vector op per record.
+        return std::pair<CellKey, la::Row>(kv.second, row);
+      },
+      r, nullptr, "bigtensor-join-2");
 
   // STAGE 3: join the two nnz-sized intermediates on (i, j0) — both sides
   // shuffle, "double the number of tensor nonzeros" — Hadamard-combine,
   // then row-sum per i.
-  auto combined =
-      stage1.join(stage2, nullptr, "bigtensor-join-3")
-          .mapWithFlops(
-              [](const std::pair<CellKey, std::pair<la::Row, la::Row>>& kv) {
-                return std::pair<Index, la::Row>(
-                    kv.first.first,
-                    la::rowHadamard(kv.second.first, kv.second.second));
-              },
-              2.0 * r);
+  auto combined = stage1.join(
+      stage2,
+      [](const std::pair<CellKey, la::Row>& kv, const la::Row& row) {
+        return std::pair<Index, la::Row>(kv.first.first,
+                                         la::rowHadamard(kv.second, row));
+      },
+      2.0 * r, nullptr, "bigtensor-join-3");
   auto reduced = combined.reduceByKey(la::rowAddInPlace,
                                       ctx.hashPartitioner(opts.numPartitions),
                                       opts.mapSideCombine, r,

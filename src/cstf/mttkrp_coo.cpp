@@ -33,7 +33,7 @@ la::Matrix mttkrpCoo(sparkle::Context& ctx,
   for (std::size_t s = 0; s + 1 < fixed.size(); ++s) {
     auto factorRdd = factorToRdd(ctx, factors[fixed[s]], opts.numPartitions);
     const ModeId nextKey = fixed[s + 1];
-    keyed = keyed.joinUpdate(
+    keyed = keyed.join(
         factorRdd,
         [nextKey](std::pair<Index, Carry>& kv, const la::Row& row) {
           Carry& c = kv.second;
@@ -51,16 +51,15 @@ la::Matrix mttkrpCoo(sparkle::Context& ctx,
   // Last join: finish the Hadamard product and emit (mode index, row).
   auto lastFactor =
       factorToRdd(ctx, factors[fixed.back()], opts.numPartitions);
-  auto lastJoined = keyed.join(lastFactor, nullptr, "coo-join");
-  auto rows = lastJoined.mapWithFlops(
-      [mode](const std::pair<Index, std::pair<Carry, la::Row>>& kv) {
-        const Carry& c = kv.second.first;
-        const la::Row& row = kv.second.second;
+  auto rows = keyed.join(
+      lastFactor,
+      [mode](const std::pair<Index, Carry>& kv, const la::Row& row) {
+        const Carry& c = kv.second;
         la::Row out = c.partial.empty() ? la::rowScale(row, c.nz.val)
                                         : la::rowHadamard(c.partial, row);
         return std::pair<Index, la::Row>(c.nz.idx[mode], std::move(out));
       },
-      r);
+      r, nullptr, "coo-join");
 
   // STAGE 3: sum rows with equal output index.
   auto reduced = rows.reduceByKey(la::rowAddInPlace,

@@ -66,8 +66,8 @@ std::uint64_t nanosSince(Clock::time_point t0) {
 /// Kernel work of one stage, kept in per-partition slots. A task body
 /// writes only its own partition's slot, so a retried or recomputed attempt
 /// replaces the discarded one instead of adding to it (the contract of
-/// sparkle::runTaskWithRetries); the caller sums the slots once the stage
-/// has committed.
+/// sparkle::runTask); the caller sums the slots once the stage has
+/// committed.
 class KernelTally {
  public:
   struct Work {

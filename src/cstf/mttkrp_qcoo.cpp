@@ -54,7 +54,7 @@ QcooEngine::QcooEngine(sparkle::Context& ctx,
         factorToRdd(ctx_, initialFactors[m], opts_.numPartitions);
     const ModeId nextKey = static_cast<ModeId>(
         m + 2 < order_ ? m + 1 : order_ - 1);
-    q = q.joinUpdate(
+    q = q.join(
         factorRdd,
         [nextKey](std::pair<Index, QRecord>& kv, const la::Row& row) {
           kv.second.enqueue(row);
@@ -79,7 +79,7 @@ la::Matrix QcooEngine::mttkrpNext(const std::vector<la::Matrix>& factors) {
   // re-key to mode n — which is both this MTTKRP's reduce key and the next
   // MTTKRP's join key. Each record is updated where the join reads it.
   auto factorRdd = factorToRdd(ctx_, factors[jm], opts_.numPartitions);
-  auto advanced = q_->joinUpdate(
+  auto advanced = q_->join(
       factorRdd,
       [n](std::pair<Index, QRecord>& kv, const la::Row& row) {
         kv.second.advance(row);

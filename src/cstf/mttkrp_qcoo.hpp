@@ -8,9 +8,9 @@
 // Between MTTKRPs the record is re-keyed, in the same map, to the mode the
 // *following* MTTKRP joins on, which is how consecutive MTTKRPs reuse each
 // other's data placement (Figure 1). Here that map runs inside the join
-// (Rdd::joinUpdate): each record is advanced and re-keyed where the join
-// decoded it, and the reduce collapses each queue inside its map-side
-// combine (Rdd::combineByKey).
+// (Rdd::join with an in-place update): each record is advanced and
+// re-keyed where the join decoded it, and the reduce collapses each queue
+// inside its map-side combine (Rdd::combineByKey).
 //
 // The RDD the join produces is cached, and the previous one unpersisted,
 // exactly as §4.2 prescribes — it feeds both this MTTKRP's reduce and the

@@ -126,7 +126,7 @@ class Context {
     return n;
   }
 
-  /// Per-task live hooks (runTaskWithRetries calls both): count the task
+  /// Per-task live hooks (runTask calls both): count the task
   /// and keep the in-flight gauge, tasks running across every context in
   /// the process, exact.
   void noteTaskStarted() {

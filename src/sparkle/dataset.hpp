@@ -12,9 +12,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -62,11 +64,12 @@ inline int injectNodeLoss(const ClusterConfig& cfg, std::uint64_t stageId,
   return fp.rateDrivenLoss(stageId, attempt, cfg.numNodes);
 }
 
-/// Run one task body with Spark-style fault tolerance: a failed attempt
-/// (the injected "executor lost after the work" case) is discarded —
-/// including its counters — and the body reruns, recomputing any uncached
-/// lineage. Bodies must therefore be idempotent in their side effects
-/// (every engine task writes to a per-partition slot, so last-write-wins).
+/// Runs partition `partition`'s task of stage `stageId` with Spark-style
+/// fault tolerance and returns its TaskRecord. A failed attempt (the
+/// injected "executor lost after the work" case) is discarded — including
+/// its counters — and the body reruns, recomputing any uncached lineage.
+/// Bodies must therefore be idempotent in their side effects (every engine
+/// task writes to a per-partition slot, so last-write-wins).
 ///
 /// For injection rates below 1 the final attempt is exempt from injection,
 /// so a fault-injected run always completes (deterministic injection would
@@ -75,34 +78,70 @@ inline int injectNodeLoss(const ClusterConfig& cfg, std::uint64_t stageId,
 /// after kMaxTaskAttempts attempts, as Spark does. `opLabel` names the
 /// operation (e.g. the shuffle label) so the abort message identifies
 /// which op on which node died, not just numeric coordinates.
+///
+/// The record holds the task's placement, the counters of the attempt
+/// that succeeded, the host wall seconds of all attempts and, for a map
+/// task, what `body` returns: the shuffle bytes it wrote (a result task's
+/// body returns nothing). The task is traced as `task:<opLabel> p<N>`.
 template <typename Body>
-void runTaskWithRetries(Context* ctx, std::uint64_t stageId,
-                        std::size_t partition, const std::string& opLabel,
-                        TaskContext& out, Body&& body) {
-  // The live task series see every task end, also one that throws.
-  ctx->noteTaskStarted();
-  struct Finish {
-    Context* ctx;
-    ~Finish() { ctx->noteTaskFinished(); }
-  } finish{ctx};
+TaskRecord runTask(Context* ctx, std::uint64_t stageId, std::size_t partition,
+                   const std::string& opLabel, Body&& body) {
+  constexpr bool kMapTask =
+      !std::is_void_v<std::invoke_result_t<Body&, TaskContext&>>;
+  TraceRecorder& rec = ctx->trace();
+  const double traceTs = rec.enabled() ? rec.nowMicros() : 0.0;
+  const auto t0 = std::chrono::steady_clock::now();
   const ClusterConfig& cfg = ctx->config();
-  for (int attempt = 0; attempt < kMaxTaskAttempts; ++attempt) {
-    TaskContext tc;
-    tc.partitionId = partition;
-    body(tc);
-    const bool lastAttempt = attempt + 1 >= kMaxTaskAttempts;
-    const bool mayFail = !lastAttempt || cfg.taskFailureRate >= 1.0;
-    if (!mayFail || !injectTaskFailure(cfg, stageId, partition, attempt)) {
-      out = tc;
-      return;
+  TaskRecord task;
+  task.partition = static_cast<std::uint32_t>(partition);
+  task.node = static_cast<std::uint32_t>(cfg.nodeOfPartition(partition));
+  {
+    // The live task series see every task end, also one that throws.
+    ctx->noteTaskStarted();
+    struct Finish {
+      Context* ctx;
+      ~Finish() { ctx->noteTaskFinished(); }
+    } finish{ctx};
+    for (int attempt = 0;; ++attempt) {
+      TaskContext tc;
+      tc.partitionId = partition;
+      if constexpr (kMapTask) {
+        task.shuffleBytesOut = body(tc);
+      } else {
+        body(tc);
+      }
+      const bool lastAttempt = attempt + 1 >= kMaxTaskAttempts;
+      const bool mayFail = !lastAttempt || cfg.taskFailureRate >= 1.0;
+      if (!mayFail || !injectTaskFailure(cfg, stageId, partition, attempt)) {
+        task.work = tc.counters;
+        break;
+      }
+      ctx->metrics().noteTaskRetry(stageId);
+      if (lastAttempt) {
+        throw TaskFailedError(
+            "task '" + opLabel + "' permanently failed after " +
+            std::to_string(kMaxTaskAttempts) + " attempts (stage " +
+            std::to_string(stageId) + ", partition " +
+            std::to_string(partition) + ", node " +
+            std::to_string(cfg.nodeOfPartition(partition)) + ")");
+      }
     }
-    ctx->metrics().noteTaskRetry(stageId);
   }
-  throw TaskFailedError(
-      "task '" + opLabel + "' permanently failed after " +
-      std::to_string(kMaxTaskAttempts) + " attempts (stage " +
-      std::to_string(stageId) + ", partition " + std::to_string(partition) +
-      ", node " + std::to_string(cfg.nodeOfPartition(partition)) + ")");
+  task.wallTimeSec =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  if (rec.enabled()) {
+    std::vector<std::pair<std::string, std::string>> args{
+        {"records", std::to_string(task.work.recordsProcessed)}};
+    if constexpr (kMapTask) {
+      args.emplace_back("shuffleBytesOut",
+                        std::to_string(task.shuffleBytesOut));
+    }
+    rec.recordComplete("task:" + opLabel + " p" + std::to_string(partition),
+                       "task", traceTs, rec.nowMicros() - traceTs,
+                       std::move(args));
+  }
+  return task;
 }
 
 /// Immutable computed partition contents, shareable between consumers.

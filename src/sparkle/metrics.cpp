@@ -127,43 +127,53 @@ double StageLog::computeSecondsOf(const TaskCounters& c) const {
              cfg.cacheDeserializeBytesPerSecPerCore;
 }
 
-double StageLog::record(StageMetrics m, const StageCost& cost) {
+void StageLog::record(StageMetrics m) {
   const auto& cfg = *config_;
 
-  // Compute phase: the stage finishes when the slowest node finishes, and
-  // never faster than its longest single task.
-  double compute = cost.maxTaskSec;
-  for (const double nodeSec : cost.nodeComputeSec) {
-    compute = std::max(compute, nodeSec);
+  // Compute phase: each node runs its tasks on its cores; the stage
+  // finishes when the slowest node finishes, and never faster than its
+  // longest single task.
+  double compute = 0.0;
+  std::vector<double> nodeSec(cfg.numNodes, 0.0);
+  for (TaskRecord& task : m.tasks) {
+    task.simTimeSec = computeSecondsOf(task.work);
+    m.work += task.work;
+    compute = std::max(compute, task.simTimeSec);
+    nodeSec[task.node] += task.simTimeSec;
+  }
+  for (const double sec : nodeSec) {
+    compute = std::max(compute, sec / cfg.coresPerNode);
   }
 
-  // Network phase: each node pulls its remote shuffle input over its own
-  // link; the slowest node gates the stage.
+  // Network phase: each node pulls its remote input over its own link;
+  // the slowest node gates the stage.
   double network = 0.0;
-  for (const std::uint64_t bytes : cost.nodeShuffleBytesInRemote) {
+  for (const std::uint64_t bytes : m.nodeBytesInRemote) {
     network = std::max(network, static_cast<double>(bytes) /
                                     cfg.networkBytesPerSecPerNode);
   }
 
-  // Disk phase (Hadoop intermediate materialization), spread over all
-  // nodes' disks.
   double disk = 0.0;
-  if (cost.diskBytes > 0) {
-    disk = static_cast<double>(cost.diskBytes) /
-           (cfg.diskBytesPerSecPerNode * cfg.numNodes);
-  }
-
   double overhead =
       cfg.stageOverheadSec + cfg.stageOverheadPerNodeSec * cfg.numNodes;
-  if (cfg.mode == ExecutionMode::kHadoop) {
-    overhead += cfg.jobOverheadSec * cost.jobsStarted;
+  if (cfg.mode == ExecutionMode::kHadoop && m.kind != StageKind::kBroadcast) {
+    // Every shuffle or result stage is a MapReduce job. A shuffle's map
+    // outputs spill to local disk, reducers read them back, and the job's
+    // output is committed to HDFS (approximated by the same volume): three
+    // passes spread over all nodes' disks.
+    overhead += cfg.jobOverheadSec;
+    if (m.kind == StageKind::kShuffle) {
+      const std::uint64_t diskBytes =
+          3 * (m.shuffleBytesRemote + m.shuffleBytesLocal);
+      disk = static_cast<double>(diskBytes) /
+             (cfg.diskBytesPerSecPerNode * cfg.numNodes);
+    }
   }
   // Node-loss recovery rounds stall the whole stage: failure detection
   // plus resubmission latency, charged once per recovery round.
-  overhead += cost.recoveryDelaySec;
+  overhead += m.recoveryDelaySec;
 
   m.simTimeSec = compute + network + disk + overhead;
-  m.nodeBytesInRemote = cost.nodeShuffleBytesInRemote;
 
   // Derive the live series from the finalized stage, so heartbeat
   // snapshots show progress mid-run, not only at report time.
@@ -191,7 +201,6 @@ double StageLog::record(StageMetrics m, const StageCost& cost) {
   stages_.push_back(std::move(m));
   liveSimTimeSec_ += stages_.back().simTimeSec;
   live.gauge("sparkle_sim_time_sec").set(liveSimTimeSec_);
-  return stages_.back().simTimeSec;
 }
 
 std::vector<StageMetrics> StageLog::stages() const {

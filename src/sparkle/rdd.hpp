@@ -2,11 +2,12 @@
 //
 // Only the operators CSTF-COO, CSTF-QCOO, BIGtensor and the broadcast
 // local path run, with Spark's semantics:
-//  * transformations (`map`, `mapWithFlops`, `mapValues`,
-//    `mapPartitionsWithCounters`) are lazy and return new Rdds sharing
-//    lineage; `mapValues` preserves partitioning, `map` does not;
-//  * `join`/`joinUpdate`/`combineByKey`/`reduceByKey` shuffle only the
-//    sides that are not already partitioned by the target partitioner;
+//  * transformations (`map`, `mapValues`, `mapPartitionsWithCounters`) are
+//    lazy and return new Rdds sharing lineage; `mapValues` preserves
+//    partitioning, `map` does not;
+//  * `join`/`combineByKey`/`reduceByKey` shuffle only the sides that are
+//    not already partitioned by the target partitioner; `join` runs the
+//    map that follows it in its own task;
 //  * actions (`collect`, `foreachPartition`, `count`, `materialize`)
 //    execute a job: materialize all shuffle dependencies, then run one
 //    result task per partition;
@@ -14,8 +15,9 @@
 //    and `parallelize`, `generate` and `broadcast` bring in-process data
 //    into the engine.
 //
-// Per-record flop hints (`mapWithFlops`, reduceByKey's flopsPerMerge) feed
-// the deterministic cluster time model; they do not change results.
+// Per-record flop hints (`map`, `mapValues`, `join`, reduceByKey's
+// flopsPerMerge) feed the deterministic cluster time model; they do not
+// change results.
 #pragma once
 
 #include <algorithm>
@@ -89,14 +91,9 @@ class Rdd {
 
   // ---- narrow transformations ---------------------------------------------
 
+  /// `flopsPerRecord` attributes flops to each record for the time model.
   template <typename F, typename Out = std::invoke_result_t<F, const T&>>
-  Rdd<Out> map(F f) const {
-    return mapWithFlops(std::move(f), 0.0);
-  }
-
-  /// map with a per-record flop attribution for the time model.
-  template <typename F, typename Out = std::invoke_result_t<F, const T&>>
-  Rdd<Out> mapWithFlops(F f, double flopsPerRecord) const {
+  Rdd<Out> map(F f, double flopsPerRecord = 0.0) const {
     auto ds = std::make_shared<MapDataset<T, Out, F>>(
         ctx_, ds_, std::move(f), flopsPerRecord,
         /*preservesPartitioning=*/false);
@@ -136,42 +133,48 @@ class Rdd {
     return Rdd<std::pair<K, V2>>(ctx_, std::move(ds));
   }
 
-  /// Inner join. Shuffles only sides not already partitioned by `part`
-  /// (both shuffle stages share one logical shuffle-op id).
-  template <typename W, typename TT = T,
-            typename = std::enable_if_t<detail::PairTraits<TT>::isPair>,
-            typename K = typename detail::PairTraits<TT>::Key,
-            typename V = typename detail::PairTraits<TT>::Value>
-  Rdd<std::pair<K, std::pair<V, W>>> join(
-      const Rdd<std::pair<K, W>>& other,
-      std::shared_ptr<Partitioner> part = nullptr,
-      const std::string& label = "join") const {
-    auto [lhs, rhs] = coPartition<K, V>(other, part, label);
-    auto ds = std::make_shared<JoinDataset<K, V, W>>(ctx_, std::move(lhs),
-                                                     std::move(rhs), part);
-    return Rdd<std::pair<K, std::pair<V, W>>>(ctx_, std::move(ds));
-  }
-
-  /// join(other, part, label) followed by a map that applies `f(rec, w)`
-  /// to a copy of each left record rec, for each right value w of its key
-  /// in right-side arrival order; `f` may rewrite both the value and the
-  /// key. Emits the same records in the same order, charges the same
-  /// counters (`flopsPerRecord` per output, as mapWithFlops does), but
-  /// builds no joined pair: a left side this join shuffles is updated
-  /// where its decode lies, a cached or already partitioned one is copied
-  /// first. Like map, the result is not partitioned.
+  /// Inner join on `part` (when null: this side's partitioner, else the
+  /// other side's, else the default hash partitioner), shuffling only the
+  /// sides not already partitioned by it; both shuffle stages share one
+  /// logical shuffle-op id. Calls f(rec, w) for each left record rec and
+  /// each right value w of its key, in left order and then right-side
+  /// arrival order. An f that returns void updates rec in place (it may
+  /// rewrite both key and value) and the join emits the updated records;
+  /// any other f's results are emitted. `flopsPerRecord` is charged per
+  /// emitted record, as map charges it. Like map's, the result is not
+  /// partitioned. See HashJoinDataset.
   template <typename W, typename F, typename TT = T,
             typename = std::enable_if_t<detail::PairTraits<TT>::isPair>,
             typename K = typename detail::PairTraits<TT>::Key,
-            typename V = typename detail::PairTraits<TT>::Value>
-  Rdd<T> joinUpdate(const Rdd<std::pair<K, W>>& other, F f,
-                    double flopsPerRecord = 0.0,
-                    std::shared_ptr<Partitioner> part = nullptr,
-                    const std::string& label = "join") const {
-    auto [lhs, rhs] = coPartition<K, V>(other, part, label);
-    auto ds = std::make_shared<JoinUpdateDataset<K, V, W, F>>(
+            typename V = typename detail::PairTraits<TT>::Value,
+            typename Out = JoinOutput<K, V, W, F>>
+  Rdd<Out> join(const Rdd<std::pair<K, W>>& other, F f,
+                double flopsPerRecord = 0.0,
+                std::shared_ptr<Partitioner> part = nullptr,
+                const std::string& label = "join") const {
+    if (!part) {
+      if (ds_->outputPartitioning()) {
+        part = ds_->outputPartitioning();
+      } else if (other.dataset()->outputPartitioning()) {
+        part = other.dataset()->outputPartitioning();
+      } else {
+        part = ctx_->hashPartitioner();
+      }
+    }
+    const std::uint64_t opId = ctx_->metrics().nextShuffleOpId();
+    std::shared_ptr<Dataset<std::pair<K, V>>> lhs = ds_;
+    if (!samePartitioning(lhs->outputPartitioning(), part)) {
+      lhs = std::make_shared<ShuffledDataset<K, V>>(ctx_, lhs, part,
+                                                    label + ":left", opId);
+    }
+    std::shared_ptr<Dataset<std::pair<K, W>>> rhs = other.dataset();
+    if (!samePartitioning(rhs->outputPartitioning(), part)) {
+      rhs = std::make_shared<ShuffledDataset<K, W>>(ctx_, rhs, part,
+                                                    label + ":right", opId);
+    }
+    auto ds = std::make_shared<HashJoinDataset<K, V, W, F>>(
         ctx_, std::move(lhs), std::move(rhs), std::move(f), flopsPerRecord);
-    return Rdd<T>(ctx_, std::move(ds));
+    return Rdd<Out>(ctx_, std::move(ds));
   }
 
   /// reduceByKey. When the input is already partitioned by `part` this is a
@@ -314,40 +317,6 @@ class Rdd {
   }
 
  private:
-  /// The two sides of a join on `part` (when null: this side's
-  /// partitioner, else the other side's, else the default hash
-  /// partitioner), each shuffled unless already partitioned by it. Both
-  /// shuffle stages share one logical shuffle-op id.
-  template <typename K, typename V, typename W>
-  std::pair<std::shared_ptr<Dataset<std::pair<K, V>>>,
-            std::shared_ptr<Dataset<std::pair<K, W>>>>
-  coPartition(const Rdd<std::pair<K, W>>& other,
-              std::shared_ptr<Partitioner>& part,
-              const std::string& label) const {
-    if (!part) {
-      if (ds_->outputPartitioning()) {
-        part = ds_->outputPartitioning();
-      } else if (other.dataset()->outputPartitioning()) {
-        part = other.dataset()->outputPartitioning();
-      } else {
-        part = ctx_->hashPartitioner();
-      }
-    }
-    const std::uint64_t opId = ctx_->metrics().nextShuffleOpId();
-
-    std::shared_ptr<Dataset<std::pair<K, V>>> lhs = ds_;
-    if (!samePartitioning(lhs->outputPartitioning(), part)) {
-      lhs = std::make_shared<ShuffledDataset<K, V>>(ctx_, lhs, part,
-                                                    label + ":left", opId);
-    }
-    std::shared_ptr<Dataset<std::pair<K, W>>> rhs = other.dataset();
-    if (!samePartitioning(rhs->outputPartitioning(), part)) {
-      rhs = std::make_shared<ShuffledDataset<K, W>>(ctx_, rhs, part,
-                                                    label + ":right", opId);
-    }
-    return {std::move(lhs), std::move(rhs)};
-  }
-
   /// Execute one task per partition (materializing shuffle deps first) and
   /// record a result-stage metrics entry.
   void runResultStage(
@@ -357,58 +326,28 @@ class Rdd {
     TraceSpan stageSpan(ctx_->trace(), "result:" + label, "stage");
     ds_->ensureReady();
     const std::size_t nParts = numPartitions();
-    const std::uint64_t stageId = ctx_->metrics().nextStageId();
-    const ClusterConfig& cfg = ctx_->config();
-    std::vector<TaskRecord> tasks(nParts);
-    ctx_->pool().parallelFor(nParts, [&](std::size_t p) {
-      TraceRecorder& rec = ctx_->trace();
-      const double traceTs = rec.enabled() ? rec.nowMicros() : 0.0;
-      const auto tt0 = std::chrono::steady_clock::now();
-      TaskContext taskResult;
-      runTaskWithRetries(ctx_, stageId, p, label, taskResult,
-                         [&](TaskContext& tc) {
-        Block<T> block = ds_->partition(p, tc);
-        sink(p, std::move(block));
-      });
-      TaskRecord& task = tasks[p];
-      task.partition = static_cast<std::uint32_t>(p);
-      task.node = static_cast<std::uint32_t>(cfg.nodeOfPartition(p));
-      task.work = taskResult.counters;
-      task.wallTimeSec = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - tt0)
-                             .count();
-      if (rec.enabled()) {
-        rec.recordComplete(
-            "task:" + label + " p" + std::to_string(p), "task", traceTs,
-            rec.nowMicros() - traceTs,
-            {{"records", std::to_string(task.work.recordsProcessed)}});
-      }
-    });
-
     StageMetrics m;
-    m.stageId = stageId;
+    m.stageId = ctx_->metrics().nextStageId();
     m.kind = StageKind::kResult;
     m.label = label;
-    StageCost cost;
-    cost.nodeComputeSec.assign(cfg.numNodes, 0.0);
-    for (std::size_t p = 0; p < nParts; ++p) {
-      m.work += tasks[p].work;
-      const double sec = ctx_->metrics().computeSecondsOf(tasks[p].work);
-      tasks[p].simTimeSec = sec;
-      cost.maxTaskSec = std::max(cost.maxTaskSec, sec);
-      cost.nodeComputeSec[cfg.nodeOfPartition(p)] += sec;
-    }
-    for (auto& sec : cost.nodeComputeSec) sec /= cfg.coresPerNode;
-    if (cfg.mode == ExecutionMode::kHadoop) cost.jobsStarted = 1;
+    m.tasks.resize(nParts);
+    ctx_->pool().parallelFor(nParts, [&](std::size_t p) {
+      m.tasks[p] = runTask(ctx_, m.stageId, p, label, [&](TaskContext& tc) {
+        sink(p, ds_->partition(p, tc));
+      });
+    });
     m.wallTimeSec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
     if (stageSpan.active()) {
+      std::uint64_t records = 0;
+      for (const TaskRecord& task : m.tasks) {
+        records += task.work.recordsProcessed;
+      }
       stageSpan.arg("tasks", std::uint64_t{nParts});
-      stageSpan.arg("records", m.work.recordsProcessed);
+      stageSpan.arg("records", records);
     }
-    m.tasks = std::move(tasks);
-    ctx_->metrics().record(std::move(m), cost);
+    ctx_->metrics().record(std::move(m));
   }
 
   Context* ctx_;
@@ -463,15 +402,12 @@ Broadcast<T> broadcast(Context& ctx, T value,
   m.kind = StageKind::kBroadcast;
   m.label = label;
   m.broadcastBytes = bytes * (cfg.numNodes > 0 ? cfg.numNodes - 1 : 0);
-  StageCost cost;
   // Each of the numNodes - 1 receivers pulls one copy over its own link;
   // the source node (node 0, where the driver-side value lives) pays no
   // inbound cost — matching broadcastBytes above.
-  cost.nodeShuffleBytesInRemote.assign(cfg.numNodes, bytes);
-  if (!cost.nodeShuffleBytesInRemote.empty()) {
-    cost.nodeShuffleBytesInRemote[0] = 0;
-  }
-  ctx.metrics().record(std::move(m), cost);
+  m.nodeBytesInRemote.assign(cfg.numNodes, bytes);
+  if (!m.nodeBytesInRemote.empty()) m.nodeBytesInRemote[0] = 0;
+  ctx.metrics().record(std::move(m));
   return Broadcast<T>(std::make_shared<const T>(std::move(value)));
 }
 

@@ -11,18 +11,20 @@
 //   3. "fetches" buckets into destination partitions, classifying bytes as
 //      remote or local by the round-robin node placement of source and
 //      destination partitions,
-//   4. records one StageMetrics entry (with per-node costs) in the stage
-//      log, which runs the cluster time model.
+//   4. records one StageMetrics entry (its tasks and per-node remote
+//      bytes) in the stage log, which runs the cluster time model.
 // Fetched buckets stay encoded: the task that reads a destination partition
 // decodes it (Spark's ShuffledRDD.compute), so its records are allocated
 // and freed on that task's thread, and the buckets return to the
 // BufferPool when the dataset is destroyed.
 //
-// Join is then a *narrow* dataset over two co-partitioned shuffles — again
-// mirroring Spark, where the two shuffle stages feed a result stage that
-// performs the per-partition hash join. A join that only updates its left
-// records (JoinUpdateDataset) edits the left shuffle's fresh decode where
-// it lies, the way Spark pipelines a map inside the join's task.
+// The join (HashJoinDataset) is then a *narrow* dataset over two
+// co-partitioned shuffles — again mirroring Spark, where the two shuffle
+// stages feed a result stage that performs the per-partition hash join.
+// Every join is followed by a map, which runs inside the join's task: the
+// join either updates its left records where the left shuffle's fresh
+// decode lies, or emits what the map returns, and never builds a joined
+// pair.
 #pragma once
 
 #include <bit>
@@ -116,6 +118,30 @@ class KeySlots {
   std::uint32_t size_ = 0;
 };
 
+/// The keyed fold behind the map-side combine and the reduce-side merge:
+/// appends to the empty `out` one record per key of `in`, in first-arrival
+/// order. A key's first value v becomes (key, seed(v)); each later one
+/// merges into it, merge(acc, v), in arrival order. Returns the number of
+/// merges.
+template <typename K, typename In, typename Out, typename Seed,
+          typename Merge>
+std::uint64_t foldByKey(const std::vector<In>& in, std::vector<Out>& out,
+                        const Seed& seed, const Merge& merge) {
+  CSTF_ASSERT(out.empty(), "foldByKey appends to an empty vector");
+  KeySlots<K> slots(in.size());
+  std::uint64_t merges = 0;
+  for (const In& rec : in) {
+    const auto [slot, fresh] = slots.insert(rec.first);
+    if (fresh) {
+      out.emplace_back(rec.first, seed(rec.second));
+    } else {
+      merge(out[slot].second, rec.second);
+      ++merges;
+    }
+  }
+  return merges;
+}
+
 /// Shuffles a parent of (K, V) records into (K, C) records, C = V unless a
 /// combineByKey turns values into combiners.
 template <typename K, typename V, typename C = V>
@@ -194,10 +220,18 @@ class ShuffledDataset final : public Dataset<std::pair<K, C>> {
     // serde bytes; the fetch hands them to the destination partition.
     std::vector<std::vector<std::uint8_t>> buckets;
     std::vector<std::uint32_t> bucketRecords;
-    TaskCounters counters;
     // Set when the node holding this map task's output died; the fetch
     // refuses to proceed until the task has been re-run.
     bool lost = false;
+
+    /// Metered bytes of the block for destination q: its serde bytes,
+    /// never how the transfer was physically performed, plus the
+    /// per-record envelope and, when non-empty, the block framing.
+    std::uint64_t blockBytes(std::size_t q, const ClusterConfig& cfg) const {
+      const std::uint64_t records = bucketRecords[q];
+      return buckets[q].size() + records * cfg.recordEnvelopeBytes +
+             (records > 0 ? cfg.shuffleBlockOverheadBytes : 0);
+    }
   };
 
   /// Bucket `recs` by destination in two passes: pass 1 hashes each key
@@ -239,105 +273,82 @@ class ShuffledDataset final : public Dataset<std::pair<K, C>> {
     ctx->bufferPool().release(std::move(dstScratch));
   }
 
+  /// One attempt of map task p: read the parent partition, convert and
+  /// combine its values, and encode them into `out`'s buckets.
+  void runMap(std::size_t p, std::size_t pOut, MapOutput& out,
+              TaskContext& tc) {
+    Block<In> in = parent_->partition(p, tc);
+    const std::size_t n = in->size();
+    // Reset fully: the task may be a retry, whose failed attempt's
+    // buckets go back to the pool.
+    for (auto& bucket : out.buckets) {
+      this->context()->bufferPool().release(std::move(bucket));
+    }
+    out.buckets.assign(pOut, {});
+    out.bucketRecords.assign(pOut, 0);
+    out.lost = false;
+
+    if constexpr (std::is_same_v<C, V>) {
+      if (!create_ && !combiner_) {
+        // Nothing to convert or merge: encode the parent block as is.
+        encodeBuckets(*in, pOut, out);
+        tc.counters.recordsProcessed += n;
+        tc.counters.recordsEmitted += n;
+        return;
+      }
+    }
+    if (create_) {
+      tc.counters.recordsProcessed += n;
+      tc.counters.flops +=
+          static_cast<std::uint64_t>(createFlopsPerRecord_ * n);
+    }
+    std::vector<Rec> combined;
+    combined.reserve(n);
+    std::uint64_t merges = 0;
+    if (!combiner_) {
+      for (const In& rec : *in) {
+        combined.emplace_back(rec.first, create_(rec.second));
+      }
+    } else if (create_) {
+      merges = foldByKey<K>(*in, combined, create_, combiner_);
+    } else if constexpr (std::is_same_v<C, V>) {
+      merges = foldByKey<K>(*in, combined, std::identity{}, combiner_);
+    }
+    tc.counters.recordsProcessed += n;
+    tc.counters.flops +=
+        static_cast<std::uint64_t>(combinerFlopsPerMerge_ * merges);
+    encodeBuckets(combined, pOut, out);
+    tc.counters.recordsEmitted += combined.size();
+  }
+
   void materialize() {
     const auto t0 = std::chrono::steady_clock::now();
     Context* ctx = this->context();
     const ClusterConfig& cfg = ctx->config();
     const std::size_t pIn = parent_->numPartitions();
     const std::size_t pOut = partitioner_->numPartitions();
-    const std::uint64_t stageId = ctx->metrics().nextStageId();
+    StageMetrics m;
+    m.stageId = ctx->metrics().nextStageId();
+    m.kind = StageKind::kShuffle;
+    m.shuffleOpId = shuffleOpId_;
+    m.label = label_;
     TraceSpan stageSpan(ctx->trace(), "shuffle:" + label_, "stage");
 
     // ---- map side ----
+    // A map task's shuffle output is metered with the formula the fetch
+    // meters per (source, destination) block, so task bytes sum exactly to
+    // the stage's remote+local total.
     std::vector<MapOutput> mapOut(pIn);
-    std::vector<TaskRecord> tasks(pIn);
+    m.tasks.resize(pIn);
     auto runMapTask = [&](std::size_t p) {
-      TraceRecorder& rec = ctx->trace();
-      const double traceTs = rec.enabled() ? rec.nowMicros() : 0.0;
-      const auto tt0 = std::chrono::steady_clock::now();
-      TaskContext taskResult;
-      runTaskWithRetries(ctx, stageId, p, label_, taskResult,
-                         [&](TaskContext& tc) {
-      Block<In> in = parent_->partition(p, tc);
-      const std::size_t n = in->size();
-
-      MapOutput& out = mapOut[p];
-      // Reset fully: the task may be a retry, whose failed attempt's
-      // buckets go back to the pool.
-      for (auto& bucket : out.buckets) {
-        ctx->bufferPool().release(std::move(bucket));
-      }
-      out.buckets.assign(pOut, {});
-      out.bucketRecords.assign(pOut, 0);
-      out.lost = false;
-
-      if constexpr (std::is_same_v<C, V>) {
-        if (!create_ && !combiner_) {
-          // Nothing to convert or merge: encode the parent block as is.
-          encodeBuckets(*in, pOut, out);
-          tc.counters.recordsProcessed += n;
-          tc.counters.recordsEmitted += n;
-          out.counters = tc.counters;
-          return;
+      m.tasks[p] = runTask(ctx, m.stageId, p, label_, [&](TaskContext& tc) {
+        runMap(p, pOut, mapOut[p], tc);
+        std::uint64_t bytesOut = 0;
+        for (std::size_t q = 0; q < pOut; ++q) {
+          bytesOut += mapOut[p].blockBytes(q, cfg);
         }
-      }
-      if (create_) {
-        tc.counters.recordsProcessed += n;
-        tc.counters.flops +=
-            static_cast<std::uint64_t>(createFlopsPerRecord_ * n);
-      }
-      std::vector<Rec> combined;
-      combined.reserve(n);
-      std::uint64_t merges = 0;
-      if (combiner_) {
-        KeySlots<K> slots(n);
-        for (const In& rec : *in) {
-          const auto [slot, fresh] = slots.insert(rec.first);
-          if (!fresh) {
-            combiner_(combined[slot].second, rec.second);
-            ++merges;
-          } else if (create_) {
-            combined.emplace_back(rec.first, create_(rec.second));
-          } else if constexpr (std::is_same_v<C, V>) {
-            combined.push_back(rec);
-          }
-        }
-      } else {
-        for (const In& rec : *in) {
-          combined.emplace_back(rec.first, create_(rec.second));
-        }
-      }
-      tc.counters.recordsProcessed += n;
-      tc.counters.flops +=
-          static_cast<std::uint64_t>(combinerFlopsPerMerge_ * merges);
-      encodeBuckets(combined, pOut, out);
-      tc.counters.recordsEmitted += combined.size();
-      out.counters = tc.counters;
+        return bytesOut;
       });
-      // Per-task shuffle output: the same formula the fetch side meters per
-      // (source, destination) block, so task bytes sum exactly to the
-      // stage's remote+local total.
-      TaskRecord& task = tasks[p];
-      task.partition = static_cast<std::uint32_t>(p);
-      task.node = static_cast<std::uint32_t>(cfg.nodeOfPartition(p));
-      task.work = taskResult.counters;
-      task.shuffleBytesOut = 0;  // the task may be a recovery re-run
-      for (std::size_t q = 0; q < pOut; ++q) {
-        const std::uint64_t records = mapOut[p].bucketRecords[q];
-        task.shuffleBytesOut +=
-            mapOut[p].buckets[q].size() + records * cfg.recordEnvelopeBytes +
-            (records > 0 ? cfg.shuffleBlockOverheadBytes : 0);
-      }
-      task.wallTimeSec = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - tt0)
-                             .count();
-      if (rec.enabled()) {
-        rec.recordComplete(
-            "task:" + label_ + " p" + std::to_string(p), "task", traceTs,
-            rec.nowMicros() - traceTs,
-            {{"records", std::to_string(task.work.recordsProcessed)},
-             {"shuffleBytesOut", std::to_string(task.shuffleBytesOut)}});
-      }
     };
     ctx->pool().parallelFor(pIn, runMapTask);
 
@@ -347,23 +358,20 @@ class ShuffledDataset final : public Dataset<std::pair<K, C>> {
     // below would hit FetchFailedError, so recovery re-runs exactly the
     // missing map tasks — recomputing evicted cache blocks from lineage —
     // until the outputs are whole or the attempt budget runs out.
-    std::uint64_t lostNodes = 0;
-    std::uint64_t recomputedMapTasks = 0;
-    std::uint64_t evictedCacheBlocks = 0;
-    double recoveryDelaySec = 0.0;
     if (cfg.faults.enabled()) {
       const int maxAttempts = std::max(1, cfg.faults.maxStageAttempts);
       for (int attempt = 0;; ++attempt) {
         const bool lastAttempt = attempt + 1 >= maxAttempts;
-        // Mirrors runTaskWithRetries: sub-1 rates skip the final attempt
-        // so jobs complete; a rate >= 1 is a hard fault and may not.
+        // Mirrors runTask: sub-1 rates skip the final attempt so jobs
+        // complete; a rate >= 1 is a hard fault and may not.
         const bool allowRate = !lastAttempt || cfg.faults.nodeLossRate >= 1.0;
-        const int deadNode = injectNodeLoss(cfg, stageId, attempt, allowRate);
+        const int deadNode =
+            injectNodeLoss(cfg, m.stageId, attempt, allowRate);
         if (deadNode >= 0) {
-          ++lostNodes;
+          ++m.lostNodes;
           ctx->metrics().noteNodeLoss();
           const std::size_t evicted = ctx->evictCachedBlocksOnNode(deadNode);
-          evictedCacheBlocks += evicted;
+          m.evictedCacheBlocks += evicted;
           if (evicted > 0) ctx->metrics().noteEvictedCacheBlocks(evicted);
           for (std::size_t p = 0; p < pIn; ++p) {
             if (cfg.nodeOfPartition(p) != deadNode) continue;
@@ -379,7 +387,7 @@ class ShuffledDataset final : public Dataset<std::pair<K, C>> {
             rec.recordInstant(
                 "node-loss:" + label_, "fault",
                 {{"node", std::to_string(deadNode)},
-                 {"stage", std::to_string(stageId)},
+                 {"stage", std::to_string(m.stageId)},
                  {"evictedCacheBlocks", std::to_string(evicted)}});
           }
         }
@@ -395,14 +403,14 @@ class ShuffledDataset final : public Dataset<std::pair<K, C>> {
             "fetch failed: %zu map output(s) of shuffle '%s' (stage %llu) "
             "lost with node %d",
             missing.size(), label_.c_str(),
-            static_cast<unsigned long long>(stageId), deadNode));
+            static_cast<unsigned long long>(m.stageId), deadNode));
         if (lastAttempt) {
           throw JobAbortedError(strprintf(
               "job aborted after %d stage attempt(s): %s", maxAttempts,
               fetchFailed.what()));
         }
-        recoveryDelaySec += cfg.faults.stageRetryDelaySec;
-        recomputedMapTasks += missing.size();
+        m.recoveryDelaySec += cfg.faults.stageRetryDelaySec;
+        m.recomputedMapTasks += missing.size();
         ctx->metrics().noteRecomputedMapTasks(missing.size());
         ctx->pool().parallelFor(
             missing.size(), [&](std::size_t i) { runMapTask(missing[i]); });
@@ -410,7 +418,7 @@ class ShuffledDataset final : public Dataset<std::pair<K, C>> {
         if (rec.enabled()) {
           rec.recordInstant(
               "stage-recovery:" + label_, "fault",
-              {{"stage", std::to_string(stageId)},
+              {{"stage", std::to_string(m.stageId)},
                {"attempt", std::to_string(attempt + 1)},
                {"recomputedMapTasks", std::to_string(missing.size())}});
         }
@@ -423,69 +431,26 @@ class ShuffledDataset final : public Dataset<std::pair<K, C>> {
     // computePartition decodes them.
     fetched_.resize(pOut);
     fetchedRecords_.assign(pOut, 0);
-    std::vector<std::uint64_t> nodeRemoteIn(cfg.numNodes, 0);
-    std::uint64_t totalRemote = 0;
-    std::uint64_t totalLocal = 0;
-    std::uint64_t totalRecords = 0;
+    m.nodeBytesInRemote.assign(cfg.numNodes, 0);
     for (std::size_t q = 0; q < pOut; ++q) {
       const int dstNode = cfg.nodeOfPartition(q);
       for (std::size_t p = 0; p < pIn; ++p) {
-        auto& bucket = mapOut[p].buckets[q];
-        const std::uint64_t records = mapOut[p].bucketRecords[q];
-        // Metered bytes come from the serde size rules (bucket bytes are
-        // exact serde bytes), never from how the transfer was physically
-        // performed.
-        const std::uint64_t bytes =
-            bucket.size() + records * cfg.recordEnvelopeBytes +
-            (records > 0 ? cfg.shuffleBlockOverheadBytes : 0);
+        const std::uint64_t bytes = mapOut[p].blockBytes(q, cfg);
         if (cfg.nodeOfPartition(p) == dstNode) {
-          totalLocal += bytes;
+          m.shuffleBytesLocal += bytes;
         } else {
-          totalRemote += bytes;
-          nodeRemoteIn[dstNode] += bytes;
+          m.shuffleBytesRemote += bytes;
+          m.nodeBytesInRemote[dstNode] += bytes;
         }
-        fetchedRecords_[q] += records;
+        fetchedRecords_[q] += mapOut[p].bucketRecords[q];
+        auto& bucket = mapOut[p].buckets[q];
         if (!bucket.empty()) fetched_[q].push_back(std::move(bucket));
       }
-      totalRecords += fetchedRecords_[q];
+      m.shuffleRecords += fetchedRecords_[q];
     }
-    const std::uint64_t totalBytes = totalRemote + totalLocal;
-
-    // ---- metrics ----
-    StageMetrics m;
-    m.stageId = stageId;
-    m.kind = StageKind::kShuffle;
-    m.shuffleOpId = shuffleOpId_;
-    m.label = label_;
-    m.shuffleRecords = totalRecords;
-    m.shuffleBytesRemote = totalRemote;
-    m.shuffleBytesLocal = totalLocal;
-    m.lostNodes = lostNodes;
-    m.recomputedMapTasks = recomputedMapTasks;
-    m.evictedCacheBlocks = evictedCacheBlocks;
     // Per-destination record counts: the reduce-task record-skew profile
     // (hot keys show up here as one overloaded destination partition).
     m.reduceRecordsByPartition = fetchedRecords_;
-
-    StageCost cost;
-    cost.nodeComputeSec.assign(cfg.numNodes, 0.0);
-    for (std::size_t p = 0; p < pIn; ++p) {
-      m.work += mapOut[p].counters;
-      const double sec = ctx->metrics().computeSecondsOf(mapOut[p].counters);
-      tasks[p].simTimeSec = sec;
-      cost.maxTaskSec = std::max(cost.maxTaskSec, sec);
-      cost.nodeComputeSec[cfg.nodeOfPartition(p)] += sec;
-    }
-    for (auto& sec : cost.nodeComputeSec) sec /= cfg.coresPerNode;
-    cost.nodeShuffleBytesInRemote.assign(nodeRemoteIn.begin(),
-                                         nodeRemoteIn.end());
-    cost.recoveryDelaySec = recoveryDelaySec;
-    if (cfg.mode == ExecutionMode::kHadoop) {
-      // Map outputs spill to local disk; reducers read them back; the job's
-      // output is then committed to HDFS (approximated by the same volume).
-      cost.diskBytes = 3 * totalBytes;
-      cost.jobsStarted = 1;
-    }
     m.wallTimeSec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -495,8 +460,7 @@ class ShuffledDataset final : public Dataset<std::pair<K, C>> {
       stageSpan.arg("shuffleBytesRemote", m.shuffleBytesRemote);
       stageSpan.arg("shuffleBytesLocal", m.shuffleBytesLocal);
     }
-    m.tasks = std::move(tasks);
-    ctx->metrics().record(std::move(m), cost);
+    ctx->metrics().record(std::move(m));
   }
 
   std::shared_ptr<Dataset<In>> parent_;
@@ -554,78 +518,39 @@ class JoinBuild {
   bool uniqueKeys_ = true;
 };
 
-/// Inner join of two datasets co-partitioned by the same partitioner.
-/// Narrow: partition p of the result reads partition p of both parents and
-/// hash-joins them (build on the right/smaller side, probe with the left).
-/// A left record meets its key's right records in right-side arrival order,
-/// and each output record is built in place from one copy of each value.
-template <typename K, typename V, typename W>
-class JoinDataset final
-    : public Dataset<std::pair<K, std::pair<V, W>>> {
- public:
-  using Out = std::pair<K, std::pair<V, W>>;
+/// What a join calling f(rec, w) on its left records rec emits: the left
+/// records themselves when f updates rec in place (returns void), else
+/// what f returns.
+template <typename K, typename V, typename W, typename F,
+          typename R = std::invoke_result_t<F&, std::pair<K, V>&, const W&>>
+using JoinOutput = std::conditional_t<std::is_void_v<R>, std::pair<K, V>, R>;
 
-  JoinDataset(Context* ctx, std::shared_ptr<Dataset<std::pair<K, V>>> left,
-              std::shared_ptr<Dataset<std::pair<K, W>>> right,
-              std::shared_ptr<Partitioner> partitioner)
-      : Dataset<Out>(ctx, partitioner->numPartitions()),
-        left_(std::move(left)),
-        right_(std::move(right)) {
-    CSTF_CHECK(left_->numPartitions() == partitioner->numPartitions() &&
-                   right_->numPartitions() == partitioner->numPartitions(),
-               "join inputs must be co-partitioned");
-    this->setOutputPartitioning(std::move(partitioner));
-  }
-
-  void ensureReady() override {
-    left_->ensureReady();
-    right_->ensureReady();
-  }
-
- protected:
-  Block<Out> computePartition(std::size_t p, TaskContext& tc) override {
-    Block<std::pair<K, V>> lhs = left_->partition(p, tc);
-    Block<std::pair<K, W>> rhs = right_->partition(p, tc);
-
-    const JoinBuild<K> build(*rhs);
-    std::vector<Out> out;
-    out.reserve(lhs->size());
-    for (const auto& [k, v] : *lhs) {
-      for (std::uint32_t i = build.first(k); i != build.kNone;
-           i = build.next(i)) {
-        out.emplace_back(std::piecewise_construct, std::forward_as_tuple(k),
-                         std::forward_as_tuple(v, (*rhs)[i].second));
-      }
-    }
-    tc.counters.recordsProcessed += lhs->size() + rhs->size();
-    tc.counters.recordsEmitted += out.size();
-    return makeBlock(std::move(out));
-  }
-
- private:
-  std::shared_ptr<Dataset<std::pair<K, V>>> left_;
-  std::shared_ptr<Dataset<std::pair<K, W>>> right_;
-};
-
-/// Inner join that updates each left record in place: f(rec, w) for every
-/// right value w of rec's key, which may also re-key rec. It emits what
-/// JoinDataset followed by a map applying f to a copy of the left record
-/// emits — a left record meets its key's right values in right-side
-/// arrival order, one output each, and is dropped when there are none —
-/// and charges the same counters (left + right + emitted records
-/// processed, `flopsPerRecord` per emitted record), without building the
-/// joined pair. The left partition comes from ownedPartition: the fresh
-/// decode of a shuffle is edited where it lies, and a cached or
-/// pre-partitioned left side is copied first.
+/// Inner hash join of two co-partitioned datasets. Narrow: partition p of
+/// the result reads partition p of both sides, builds on the right and
+/// probes with the left. It calls f(rec, w) once for each left record rec
+/// and each right value w of rec's key, in left order and then right-side
+/// arrival order; a left record without a match is dropped.
+///  * If f returns void it updates rec in place (and may re-key it), and
+///    the join emits the updated records. The left partition comes from
+///    ownedPartition: the fresh decode of a shuffle is edited where it
+///    lies, a cached or pre-partitioned left side is copied first, and
+///    each further match of a duplicate right key edits its own copy.
+///  * Otherwise the join emits what f returns.
+/// Either way a task charges left + right + emitted records processed,
+/// the emitted records, and `flopsPerRecord` flops per emitted record.
+/// Like a map's, the output is not partitioned.
 template <typename K, typename V, typename W, typename F>
-class JoinUpdateDataset final : public Dataset<std::pair<K, V>> {
+class HashJoinDataset final : public Dataset<JoinOutput<K, V, W, F>> {
  public:
   using Rec = std::pair<K, V>;
+  using Out = JoinOutput<K, V, W, F>;
+  static constexpr bool kInPlace =
+      std::is_void_v<std::invoke_result_t<F&, Rec&, const W&>>;
 
-  JoinUpdateDataset(Context* ctx, std::shared_ptr<Dataset<Rec>> left,
-                    std::shared_ptr<Dataset<std::pair<K, W>>> right, F f,
-                    double flopsPerRecord)
-      : Dataset<Rec>(ctx, left->numPartitions()),
+  HashJoinDataset(Context* ctx, std::shared_ptr<Dataset<Rec>> left,
+                  std::shared_ptr<Dataset<std::pair<K, W>>> right, F f,
+                  double flopsPerRecord)
+      : Dataset<Out>(ctx, left->numPartitions()),
         left_(std::move(left)),
         right_(std::move(right)),
         f_(std::move(f)),
@@ -640,40 +565,55 @@ class JoinUpdateDataset final : public Dataset<std::pair<K, V>> {
   }
 
  protected:
-  Block<Rec> computePartition(std::size_t p, TaskContext& tc) override {
-    std::vector<Rec> lhs = left_->ownedPartition(p, tc);
-    Block<std::pair<K, W>> rhs = right_->partition(p, tc);
-
-    const JoinBuild<K> build(*rhs);
-    const std::size_t leftRecords = lhs.size();
-    if (build.uniqueKeys()) {
-      // At most one output per left record: compact the matches forward.
-      std::size_t kept = 0;
-      for (std::size_t i = 0; i < lhs.size(); ++i) {
-        const std::uint32_t r = build.first(lhs[i].first);
-        if (r == build.kNone) continue;
-        if (kept != i) lhs[kept] = std::move(lhs[i]);
-        f_(lhs[kept], (*rhs)[r].second);
-        ++kept;
-      }
-      lhs.erase(lhs.begin() + static_cast<std::ptrdiff_t>(kept), lhs.end());
+  Block<Out> computePartition(std::size_t p, TaskContext& tc) override {
+    std::vector<Rec> owned;
+    Block<Rec> shared;
+    if constexpr (kInPlace) {
+      owned = left_->ownedPartition(p, tc);
     } else {
-      std::vector<Rec> out;
+      shared = left_->partition(p, tc);
+    }
+    const std::vector<Rec>& lhs = kInPlace ? owned : *shared;
+    Block<std::pair<K, W>> rhs = right_->partition(p, tc);
+    const JoinBuild<K> build(*rhs);
+    const std::size_t inputRecords = lhs.size() + rhs->size();
+
+    std::vector<Out> out;
+    if constexpr (kInPlace) {
+      if (build.uniqueKeys()) {
+        // At most one output per left record: compact the matches forward.
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < owned.size(); ++i) {
+          const std::uint32_t r = build.first(owned[i].first);
+          if (r == build.kNone) continue;
+          if (kept != i) owned[kept] = std::move(owned[i]);
+          f_(owned[kept], (*rhs)[r].second);
+          ++kept;
+        }
+        owned.erase(owned.begin() + static_cast<std::ptrdiff_t>(kept),
+                    owned.end());
+        out = std::move(owned);
+      }
+    }
+    if (!kInPlace || !build.uniqueKeys()) {
       out.reserve(lhs.size());
       for (const Rec& rec : lhs) {
         for (std::uint32_t r = build.first(rec.first); r != build.kNone;
              r = build.next(r)) {
-          out.push_back(rec);
-          f_(out.back(), (*rhs)[r].second);
+          if constexpr (kInPlace) {
+            out.push_back(rec);
+            f_(out.back(), (*rhs)[r].second);
+          } else {
+            out.push_back(f_(rec, (*rhs)[r].second));
+          }
         }
       }
-      lhs = std::move(out);
     }
-    tc.counters.recordsProcessed += leftRecords + rhs->size() + lhs.size();
-    tc.counters.recordsEmitted += lhs.size();
+    tc.counters.recordsProcessed += inputRecords + out.size();
+    tc.counters.recordsEmitted += out.size();
     tc.counters.flops +=
-        static_cast<std::uint64_t>(flopsPerRecord_ * lhs.size());
-    return makeBlock(std::move(lhs));
+        static_cast<std::uint64_t>(flopsPerRecord_ * out.size());
+    return makeBlock(std::move(out));
   }
 
  private:
@@ -706,19 +646,9 @@ class ReduceByKeyMergeDataset final : public Dataset<std::pair<K, V>> {
  protected:
   Block<Rec> computePartition(std::size_t p, TaskContext& tc) override {
     Block<Rec> in = parent_->partition(p, tc);
-    KeySlots<K> slots(in->size());
     std::vector<Rec> out;
     out.reserve(in->size());
-    std::uint64_t merges = 0;
-    for (const Rec& rec : *in) {
-      const auto [slot, fresh] = slots.insert(rec.first);
-      if (fresh) {
-        out.push_back(rec);
-      } else {
-        f_(out[slot].second, rec.second);
-        ++merges;
-      }
-    }
+    const std::uint64_t merges = foldByKey<K>(*in, out, std::identity{}, f_);
     tc.counters.recordsProcessed += in->size();
     tc.counters.recordsEmitted += out.size();
     tc.counters.flops += static_cast<std::uint64_t>(flopsPerMerge_ * merges);

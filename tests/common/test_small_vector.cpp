@@ -91,24 +91,6 @@ TEST(SmallVec, PopBack) {
   EXPECT_EQ(v.back(), 2);
 }
 
-TEST(SmallVec, PopFrontShiftsElements) {
-  SmallVec<int, 4> v{1, 2, 3};
-  v.pop_front();
-  EXPECT_EQ(v.size(), 2u);
-  EXPECT_EQ(v[0], 2);
-  EXPECT_EQ(v[1], 3);
-}
-
-TEST(SmallVec, QueueDiscipline) {
-  // The QCOO usage pattern: push_back fresh, pop_front stale.
-  SmallVec<int, 4> q{10, 20, 30};
-  q.push_back(40);
-  q.pop_front();
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q[0], 20);
-  EXPECT_EQ(q[2], 40);
-}
-
 TEST(SmallVec, ResizeGrowsWithFill) {
   SmallVec<int, 2> v;
   v.resize(5, 7);

@@ -8,11 +8,13 @@
 #include <map>
 
 #include "sparkle/sparkle.hpp"
+#include "support/join_pairs.hpp"
 #include "support/shuffle_all.hpp"
 
 namespace cstf::sparkle {
 namespace {
 
+using testsupport::joinPairs;
 using testsupport::shuffleAll;
 
 using KV = std::pair<std::uint32_t, double>;
@@ -57,10 +59,11 @@ TEST_P(EngineInvariants, ShufflePreservesRecordMultiset) {
   const auto data = makeData();
   std::vector<std::pair<std::uint32_t, int>> keys;
   for (std::uint32_t k = 0; k < 97; ++k) keys.push_back({k, 0});
-  auto joined = parallelize(ctx, data, GetParam().inputPartitions)
-                    .join(parallelize(ctx, keys, 3),
-                          ctx.hashPartitioner(GetParam().shufflePartitions))
-                    .collect();
+  auto joined =
+      joinPairs(parallelize(ctx, data, GetParam().inputPartitions),
+                parallelize(ctx, keys, 3),
+                ctx.hashPartitioner(GetParam().shufflePartitions))
+          .collect();
   std::vector<KV> out;
   for (const auto& [k, vw] : joined) out.push_back({k, vw.first});
   ASSERT_EQ(out.size(), data.size());
@@ -132,8 +135,8 @@ TEST_P(EngineInvariants, JoinResultIndependentOfClusterShape) {
   auto ctx = makeContext();
   std::vector<std::pair<std::uint32_t, int>> right;
   for (std::uint32_t k = 0; k < 97; k += 2) right.push_back({k, int(k)});
-  auto out = parallelize(ctx, makeData(), GetParam().inputPartitions)
-                 .join(parallelize(ctx, right, 3),
+  auto out = joinPairs(parallelize(ctx, makeData(), GetParam().inputPartitions),
+                       parallelize(ctx, right, 3),
                        ctx.hashPartitioner(GetParam().shufflePartitions))
                  .collect();
   // Expected size: records with even key.

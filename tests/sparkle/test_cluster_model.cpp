@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <vector>
 
 #include "sparkle/sparkle.hpp"
@@ -97,6 +98,79 @@ TEST(ClusterModel, ValidateRejectsBadConfig) {
   cfg.numNodes = 4;
   cfg.networkBytesPerSecPerNode = 0.0;
   EXPECT_THROW(cfg.validate(), Error);
+}
+
+// The stage time model with every term worked out by hand: throughputs
+// of 2 records, 24 disk bytes, 1 flop and 24 network bytes per second make
+// each term a whole number of seconds.
+ClusterConfig handModel(int numNodes, int coresPerNode, ExecutionMode mode) {
+  ClusterConfig cfg;
+  cfg.numNodes = numNodes;
+  cfg.coresPerNode = coresPerNode;
+  cfg.mode = mode;
+  cfg.recordsPerSecPerCore = 2;
+  cfg.diskBytesPerSecPerNode = 24;
+  cfg.flopsPerSecPerCore = 1;
+  cfg.networkBytesPerSecPerNode = 24;
+  cfg.stageOverheadSec = 0.25;
+  cfg.jobOverheadSec = 0.5;
+  cfg.recordEnvelopeBytes = 0;
+  cfg.faults.allowEnvChaos = false;
+  return cfg;
+}
+
+TEST(ClusterModel, StageTimeMatchesTheFormulaByHand) {
+  // Result stage: six one-record partitions on two nodes of two cores
+  // (node 0 runs p0, p2, p4). A task reads one 24-byte source record
+  // (1 s) and processes 2 records (1 s), plus its flops. The compute phase
+  // is max(longest task, largest node sum / coresPerNode).
+  using Rec = std::array<double, 3>;
+  auto resultStage = [](std::array<std::uint64_t, 6> flops) {
+    Context ctx(handModel(2, 2, ExecutionMode::kSpark), 2);
+    parallelize(ctx, std::vector<Rec>(6), 6)
+        .mapPartitionsWithCounters(
+            [flops](std::size_t p, const std::vector<Rec>& in,
+                    TaskCounters& c) {
+              c.flops += flops[p];
+              return in;
+            })
+        .materialize();
+    const auto stages = ctx.metrics().stages();
+    EXPECT_EQ(stages.size(), 1u);
+    return stages.front();
+  };
+  // One long task of 8 s outlasts node 0's (8 + 2 + 2) / 2 = 6 s.
+  const StageMetrics longTask = resultStage({6, 0, 0, 0, 0, 0});
+  ASSERT_EQ(longTask.tasks.size(), 6u);
+  EXPECT_DOUBLE_EQ(longTask.tasks[0].simTimeSec, 8.0);
+  EXPECT_DOUBLE_EQ(longTask.tasks[1].simTimeSec, 2.0);
+  EXPECT_DOUBLE_EQ(longTask.simTimeSec, 8.0 + 0.25);
+  // Node 0's three 6 s tasks on two cores take 9 s, more than any task.
+  const StageMetrics busyNode = resultStage({4, 0, 4, 0, 4, 0});
+  EXPECT_DOUBLE_EQ(busyNode.simTimeSec, 9.0 + 0.25);
+
+  // Hadoop: one key, so four 12-byte records (u32 key, f64 value) land on
+  // one reduce partition; each of the two map tasks reads 24 source bytes
+  // (1 s) and processes 4 records (2 s). The map task on the reducer's
+  // node ships locally, the other's 24 bytes cross the network (1 s).
+  // Disk: 3 x 48 bytes over two nodes' disks (3 s). Plus one job start.
+  Context ctx(handModel(2, 1, ExecutionMode::kHadoop), 2);
+  const std::vector<KV> sameKey(4, KV{7, 1.0});
+  shuffleAll(parallelize(ctx, sameKey, 2), ctx.hashPartitioner(2))
+      .materialize();
+  // A broadcast pulls 24 bytes onto node 1 (1 s) and starts no job.
+  broadcast(ctx, std::array<double, 3>{1, 2, 3});
+  const auto stages = ctx.metrics().stages();
+  ASSERT_EQ(stages.size(), 3u);
+  EXPECT_EQ(stages[0].kind, StageKind::kShuffle);
+  EXPECT_EQ(stages[0].shuffleBytesRemote + stages[0].shuffleBytesLocal, 48u);
+  EXPECT_DOUBLE_EQ(stages[0].simTimeSec, 3.0 + 1.0 + 3.0 + 0.25 + 0.5);
+  // The result stage merges the four records on one node (2 s): a job
+  // start, no disk.
+  EXPECT_EQ(stages[1].kind, StageKind::kResult);
+  EXPECT_DOUBLE_EQ(stages[1].simTimeSec, 2.0 + 0.25 + 0.5);
+  EXPECT_EQ(stages[2].kind, StageKind::kBroadcast);
+  EXPECT_DOUBLE_EQ(stages[2].simTimeSec, 1.0 + 0.25);
 }
 
 TEST(ClusterModel, WallTimeRecorded) {

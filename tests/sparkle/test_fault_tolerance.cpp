@@ -8,10 +8,13 @@
 
 #include "cstf/cstf.hpp"
 #include "sparkle/sparkle.hpp"
+#include "support/join_pairs.hpp"
 #include "tensor/generator.hpp"
 
 namespace cstf::sparkle {
 namespace {
+
+using testsupport::joinPairs;
 
 using KV = std::pair<std::uint32_t, double>;
 
@@ -101,9 +104,9 @@ TEST(FaultTolerance, JoinSurvivesFailures) {
   Context ctx(faultyCluster(0.3), 2);
   std::vector<std::pair<std::uint32_t, int>> right;
   for (std::uint32_t k = 0; k < 37; ++k) right.push_back({k, int(k * 10)});
-  auto out = parallelize(ctx, makeData(500), 8)
-                 .join(parallelize(ctx, right, 4))
-                 .collect();
+  auto out =
+      joinPairs(parallelize(ctx, makeData(500), 8), parallelize(ctx, right, 4))
+          .collect();
   EXPECT_EQ(out.size(), 500u);
   for (const auto& [k, vw] : out) EXPECT_EQ(vw.second, int(k * 10));
 }

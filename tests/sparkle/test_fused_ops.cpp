@@ -1,9 +1,10 @@
-// joinUpdate and combineByKey each fuse a map into a neighbouring step: the
-// join updates its left records where they lie instead of building joined
-// pairs, and combineByKey turns values into combiners inside the shuffle's
-// map-side combine. Each must emit the same records in the same order,
-// and record the same stages with the same counters, as the unfused
-// operators it stands for — under task faults and node loss too.
+// join and combineByKey each fuse a map into a neighbouring step: the
+// join runs the map that follows it on each match, either updating its
+// left records where they lie or emitting what the map returns, and
+// combineByKey turns values into combiners inside the shuffle's map-side
+// combine. Each must emit the same records in the same order, and record
+// the same stages with the same counters, as the operators it stands for
+// — under task faults and node loss too.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -86,7 +87,52 @@ void expectSameStages(const std::vector<StageMetrics>& a,
   }
 }
 
-// ---- joinUpdate -------------------------------------------------------------
+// ---- join -------------------------------------------------------------------
+
+TEST(Join, EmitsLiteralRecordsAndCounters) {
+  // One partition, so the output order is the left order and then each
+  // key's right values in arrival order.
+  const std::vector<KV> leftRecs{{1, 1.0}, {2, 2.0}, {3, 3.0}, {1, 4.0}};
+  const std::vector<KW> rightRecs{{1, 10}, {1, 20}, {2, 30}};
+  const std::vector<KV> want{
+      {110, 10.0}, {120, 20.0}, {230, 60.0}, {110, 40.0}, {120, 80.0}};
+  for (const bool inPlace : {false, true}) {
+    SCOPED_TRACE(inPlace ? "in place" : "emitting");
+    Context ctx(cluster(), 2);
+    const Rdd<KV> left = parallelize(ctx, leftRecs, 1);
+    const Rdd<KW> right = parallelize(ctx, rightRecs, 1);
+    auto part = ctx.hashPartitioner(1);
+    const Rdd<KV> out =
+        inPlace ? left.join(
+                      right,
+                      [](KV& kv, const int& w) {
+                        kv.first = kv.first * 100 + w;
+                        kv.second *= w;
+                      },
+                      2.0, part, "j")
+                : left.join(
+                      right,
+                      [](const KV& kv, const int& w) {
+                        return KV(kv.first * 100 + w, kv.second * w);
+                      },
+                      2.0, part, "j");
+    EXPECT_EQ(out.collect("out"), want);
+    EXPECT_EQ(out.partitioning(), nullptr);
+    const std::vector<StageMetrics> stages = ctx.metrics().stages();
+    ASSERT_EQ(stages.size(), 3u);
+    EXPECT_EQ(stages[0].label, "j:left");
+    EXPECT_EQ(stages[1].label, "j:right");
+    EXPECT_EQ(stages[0].shuffleOpId, stages[1].shuffleOpId);
+    // The join's task: 4 left + 3 right + 5 emitted records processed,
+    // 5 emitted, 2 flops per emitted record; the decodes charge nothing.
+    const StageMetrics& result = stages[2];
+    EXPECT_EQ(result.kind, StageKind::kResult);
+    EXPECT_EQ(result.work.recordsProcessed, 12u);
+    EXPECT_EQ(result.work.recordsEmitted, 5u);
+    EXPECT_EQ(result.work.flops, 10u);
+    EXPECT_EQ(result.work.sourceBytesRead, 0u);
+  }
+}
 
 /// Not idempotent, so an update applied twice to one record (a retry that
 /// saw a failed attempt's edits, a shared block edited by an earlier
@@ -131,9 +177,10 @@ struct JoinRun {
   std::vector<KV> leftAfter;  // the left side read back after the join
 };
 
-/// One join of leftData() with rightData(copies) through joinUpdate
-/// (`fused`) or through join + mapWithFlops applying `update` to a copy.
-JoinRun runJoin(const ClusterConfig& cfg, Left how, int copies, bool fused) {
+/// One join of leftData() with rightData(copies) that applies `update` in
+/// place (`inPlace`) or to a copy it emits.
+JoinRun runJoin(const ClusterConfig& cfg, Left how, int copies,
+                bool inPlace) {
   Context ctx(cfg, 3);
   auto part = ctx.hashPartitioner(5);
   Rdd<KV> left = parallelize(ctx, leftData(), 4);
@@ -145,16 +192,15 @@ JoinRun runJoin(const ClusterConfig& cfg, Left how, int copies, bool fused) {
   if (how == Left::kCachedPartitioned) left.cache();
   const Rdd<KW> right = parallelize(ctx, rightData(copies), 3);
 
-  Rdd<KV> out =
-      fused ? left.joinUpdate(right, update, kFlops, part, "j")
-            : left.join(right, part, "j").mapWithFlops(
-                  [](const std::pair<std::uint32_t, std::pair<double, int>>&
-                         kv) {
-                    KV rec(kv.first, kv.second.first);
-                    update(rec, kv.second.second);
-                    return rec;
-                  },
-                  kFlops);
+  Rdd<KV> out = inPlace ? left.join(right, update, kFlops, part, "j")
+                        : left.join(
+                              right,
+                              [](const KV& kv, const int& w) {
+                                KV rec = kv;
+                                update(rec, w);
+                                return rec;
+                              },
+                              kFlops, part, "j");
   JoinRun run;
   run.records = out.collect("out");
   run.stages = ctx.metrics().stages();
@@ -163,13 +209,16 @@ JoinRun runJoin(const ClusterConfig& cfg, Left how, int copies, bool fused) {
 }
 
 void expectSameJoin(const ClusterConfig& cfg, Left how, int copies) {
-  const JoinRun fused = runJoin(cfg, how, copies, true);
-  const JoinRun plain = runJoin(cfg, how, copies, false);
-  ASSERT_FALSE(plain.records.empty());
-  EXPECT_EQ(fused.records, plain.records);
-  expectSameStages(fused.stages, plain.stages);
-  EXPECT_EQ(fused.leftAfter, plain.leftAfter);
+  const JoinRun inPlace = runJoin(cfg, how, copies, true);
+  const JoinRun emitted = runJoin(cfg, how, copies, false);
+  ASSERT_FALSE(emitted.records.empty());
+  EXPECT_EQ(inPlace.records, emitted.records);
+  expectSameStages(inPlace.stages, emitted.stages);
+  EXPECT_EQ(inPlace.leftAfter, emitted.leftAfter);
 }
+
+// JoinUpdate.*: the in-place form of join against the emitting form
+// (copy, update, return) on the same inputs.
 
 TEST(JoinUpdate, DropsUnmatchedLeftKeysLikeJoinThenMap) {
   const JoinRun run = runJoin(cluster(), Left::kShuffled, 1, true);
@@ -204,9 +253,9 @@ TEST(JoinUpdate, CachedLeftIsCopiedNotEdited) {
     const std::vector<KV> before = left.collect();
     const Rdd<KW> right = parallelize(ctx, rightData(copies), 3);
     const std::vector<KV> first =
-        left.joinUpdate(right, update, kFlops, part).collect();
+        left.join(right, update, kFlops, part).collect();
     const std::vector<KV> second =
-        left.joinUpdate(right, update, kFlops, part).collect();
+        left.join(right, update, kFlops, part).collect();
     EXPECT_EQ(left.collect(), before);
     EXPECT_EQ(first, second);
     expectSameJoin(cluster(), Left::kCachedPartitioned, copies);
@@ -222,11 +271,11 @@ TEST(JoinUpdate, RetriedTasksReDecodeAndMatchJoinThenMap) {
     for (const int copies : {1, 3}) {
       SCOPED_TRACE(static_cast<int>(how) * 10 + copies);
       const JoinRun clean = runJoin(cluster(), how, copies, true);
-      const JoinRun fused = runJoin(faulty, how, copies, true);
+      const JoinRun inPlace = runJoin(faulty, how, copies, true);
       std::uint64_t retries = 0;
-      for (const StageMetrics& s : fused.stages) retries += s.taskRetries;
+      for (const StageMetrics& s : inPlace.stages) retries += s.taskRetries;
       EXPECT_GT(retries, 0u);
-      EXPECT_EQ(fused.records, clean.records);
+      EXPECT_EQ(inPlace.records, clean.records);
       expectSameJoin(faulty, how, copies);
     }
   }

@@ -5,9 +5,14 @@
 #include <vector>
 
 #include "sparkle/sparkle.hpp"
+#include "support/join_pairs.hpp"
+#include "support/shuffle_all.hpp"
 
 namespace cstf::sparkle {
 namespace {
+
+using testsupport::joinPairs;
+using testsupport::shuffleAll;
 
 using KV = std::pair<std::uint32_t, double>;
 
@@ -121,8 +126,8 @@ TEST(PairOps, JoinEmitsDuplicateRightKeysInArrivalOrder) {
   for (std::uint32_t k = 0; k < 6; ++k) left.push_back({k, double(k)});
   std::vector<std::pair<std::uint32_t, int>> right;
   for (int i = 0; i < 60; ++i) right.push_back({std::uint32_t(i % 6), i});
-  auto out = parallelize(ctx, left, 2)
-                 .join(parallelize(ctx, right, 4), ctx.hashPartitioner(3))
+  auto out = joinPairs(parallelize(ctx, left, 2), parallelize(ctx, right, 4),
+                       ctx.hashPartitioner(3))
                  .collect();
   ASSERT_EQ(out.size(), right.size());
   // One left record per key, so a key's outputs are that record's matches
@@ -142,9 +147,9 @@ TEST(PairOps, JoinMatchesKeys) {
   std::vector<KV> left{{1, 10.0}, {2, 20.0}, {3, 30.0}};
   std::vector<std::pair<std::uint32_t, int>> right{{2, 200}, {3, 300},
                                                    {4, 400}};
-  auto out = parallelize(ctx, left, 2)
-                 .join(parallelize(ctx, right, 3))
-                 .collect();
+  auto out =
+      joinPairs(parallelize(ctx, left, 2), parallelize(ctx, right, 3))
+          .collect();
   ASSERT_EQ(out.size(), 2u);
   std::map<std::uint32_t, std::pair<double, int>> m;
   for (const auto& [k, vw] : out) m[k] = vw;
@@ -157,8 +162,7 @@ TEST(PairOps, JoinIsInner) {
   auto ctx = makeCtx();
   std::vector<KV> left{{1, 1.0}};
   std::vector<KV> right{{2, 2.0}};
-  EXPECT_TRUE(parallelize(ctx, left, 2)
-                  .join(parallelize(ctx, right, 2))
+  EXPECT_TRUE(joinPairs(parallelize(ctx, left, 2), parallelize(ctx, right, 2))
                   .collect()
                   .empty());
 }
@@ -167,9 +171,9 @@ TEST(PairOps, JoinProducesCrossProductPerKey) {
   auto ctx = makeCtx();
   std::vector<KV> left{{5, 1.0}, {5, 2.0}};
   std::vector<std::pair<std::uint32_t, int>> right{{5, 7}, {5, 8}, {5, 9}};
-  auto out = parallelize(ctx, left, 2)
-                 .join(parallelize(ctx, right, 2))
-                 .collect();
+  auto out =
+      joinPairs(parallelize(ctx, left, 2), parallelize(ctx, right, 2))
+          .collect();
   EXPECT_EQ(out.size(), 6u);
 }
 
@@ -177,7 +181,8 @@ TEST(PairOps, JoinCountsOneShuffleOpTwoStages) {
   auto ctx = makeCtx();
   std::vector<KV> left{{1, 1.0}, {2, 2.0}};
   std::vector<KV> right{{1, 3.0}, {2, 4.0}};
-  parallelize(ctx, left, 2).join(parallelize(ctx, right, 2)).materialize();
+  joinPairs(parallelize(ctx, left, 2), parallelize(ctx, right, 2))
+      .materialize();
   const auto t = ctx.metrics().totals();
   EXPECT_EQ(t.shuffleOps, 1u);  // one logical join
   std::size_t shuffleStages = 0;
@@ -197,7 +202,7 @@ TEST(PairOps, JoinSkipsShuffleForCoPartitionedSide) {
   leftPart.materialize();
   ctx.metrics().reset();
 
-  leftPart.join(parallelize(ctx, right, 2), part).materialize();
+  joinPairs(leftPart, parallelize(ctx, right, 2), part).materialize();
   std::size_t shuffleStages = 0;
   for (const auto& s : ctx.metrics().stages()) {
     if (s.kind == StageKind::kShuffle) ++shuffleStages;
@@ -208,19 +213,22 @@ TEST(PairOps, JoinSkipsShuffleForCoPartitionedSide) {
 TEST(PairOps, ReduceByKeyAfterPartitionByIsNarrow) {
   auto ctx = makeCtx();
   std::vector<KV> data;
-  for (std::uint32_t k = 0; k < 8; ++k) {
-    data.push_back({k, 1.0});
-    data.push_back({k, 2.0});
-  }
-  std::vector<std::pair<std::uint32_t, int>> keys;
-  for (std::uint32_t k = 0; k < 8; ++k) keys.push_back({k, 0});
+  for (std::uint32_t k = 0; k < 8; ++k) data.push_back({k, 1.0});
   auto part = ctx.hashPartitioner(4);
-  // The join leaves both values of every key in the partition `part` names.
-  auto pre = parallelize(ctx, data, 4)
-                 .join(parallelize(ctx, keys, 2), part)
-                 .mapValues([](const std::pair<double, int>& vw) {
-                   return vw.first;
-                 });
+  // A partition-preserving step after the shuffle puts a second value of
+  // every key in the partition `part` names.
+  auto pre = shuffleAll(parallelize(ctx, data, 4), part)
+                 .mapPartitionsWithCounters(
+                     [](std::size_t, const std::vector<KV>& in,
+                        TaskCounters&) {
+                       std::vector<KV> out;
+                       for (const auto& [k, v] : in) {
+                         out.push_back({k, v});
+                         out.push_back({k, 2.0 * v});
+                       }
+                       return out;
+                     },
+                     /*preservesPartitioning=*/true);
   pre.materialize();
   ctx.metrics().reset();
 

@@ -8,9 +8,12 @@
 #include <numeric>
 
 #include "sparkle/sparkle.hpp"
+#include "support/join_pairs.hpp"
 
 namespace cstf::sparkle {
 namespace {
+
+using testsupport::joinPairs;
 
 using KV = std::pair<std::uint32_t, double>;
 
@@ -33,18 +36,15 @@ TEST(Pipelines, ThreeChainedShufflesProduceCorrectResult) {
 
   auto out =
       parallelize(ctx, data, 8)
-          .join(parallelize(ctx, tableA, 4))  // (k, (v, 2.0))
-          .map([](const std::pair<std::uint32_t,
-                                  std::pair<double, double>>& kv) {
-            return std::pair<std::uint32_t, double>(
-                kv.first % 10, kv.second.first * kv.second.second);
-          })
-          .join(parallelize(ctx, tableB, 4))  // (k%10, (2v, 3.0))
-          .map([](const std::pair<std::uint32_t,
-                                  std::pair<double, double>>& kv) {
-            return std::pair<std::uint32_t, double>(
-                kv.first, kv.second.first * kv.second.second);
-          })
+          .join(parallelize(ctx, tableA, 4),
+                [](KV& kv, const double& a) {  // (k, v) -> (k%10, 2v)
+                  kv.second *= a;
+                  kv.first %= 10;
+                })
+          .join(parallelize(ctx, tableB, 4),
+                [](const KV& kv, const double& b) {  // -> (k%10, 6v)
+                  return KV(kv.first, kv.second * b);
+                })
           .reduceByKey([](double& a, const double& b) { a += b; })
           .collect();
 
@@ -131,7 +131,7 @@ TEST(Pipelines, JoinAfterReduceByKeyReusesPartitioning) {
 
   std::vector<std::pair<std::uint32_t, int>> side;
   for (std::uint32_t k = 0; k < 10; ++k) side.push_back({k, int(k)});
-  auto joined = reduced.join(parallelize(ctx, side, 2), part);
+  auto joined = joinPairs(reduced, parallelize(ctx, side, 2), part);
   EXPECT_EQ(joined.count(), 10u);
   // Only the side table shuffled; `reduced` was already on `part`.
   EXPECT_EQ(ctx.metrics().totals().shuffleOps, opsBefore + 1);

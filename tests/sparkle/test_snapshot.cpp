@@ -5,11 +5,13 @@
 #include <atomic>
 
 #include "sparkle/sparkle.hpp"
+#include "support/join_pairs.hpp"
 #include "support/shuffle_all.hpp"
 
 namespace cstf::sparkle {
 namespace {
 
+using testsupport::joinPairs;
 using testsupport::shuffleAll;
 
 Context makeCtx() {
@@ -57,7 +59,7 @@ TEST(Snapshot, KeepsPartitioningMetadata) {
 
   // Joining against the snapshot on the same partitioner skips its shuffle.
   ctx.metrics().reset();
-  snap.join(parallelize(ctx, data, 2), part).materialize();
+  joinPairs(snap, parallelize(ctx, data, 2), part).materialize();
   std::size_t shuffleStages = 0;
   for (const auto& s : ctx.metrics().stages()) {
     if (s.kind == StageKind::kShuffle) ++shuffleStages;
