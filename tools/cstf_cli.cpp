@@ -2,133 +2,30 @@
 //
 //   cstf info <tensor>                     structural statistics
 //   cstf generate <analog> <out.{tns,bns}> write a synthetic dataset
-//   cstf factor <tensor> [options]         run CP-ALS
+//   cstf factor <tensor> [flags]           run CP-ALS
 //   cstf query --model M --indices SPEC    point / top-k queries
-//   cstf serve-bench --model M [options]   closed-loop serving benchmark
+//   cstf serve-bench --model M [flags]     serving load test
 //   cstf stream --model M --deltas D       replay a delta log onto a model
 //
-// <tensor> is a FROSTT .tns path, a binary .bns path, or the name of a
-// built-in paper analog
-// (delicious3d-s, nell1-s, synt3d-s, flickr-s, delicious4d-s).
-//
-// factor options:
-//   --rank R        CP rank (default 2)
-//   --iters N       max iterations (default 20)
-//   --tol T         fit-improvement stopping tolerance (default 1e-6)
-//   --backend B     coo | qcoo | bigtensor | reference (default qcoo);
-//                   mixes that change nothing exit 2 (see usage)
-//   --local-kernel K coo | csf per-partition MTTKRP compute kernel
-//                   (default coo; csf uses the cache-time compressed-fiber
-//                   layout and the broadcast + local-kernel formulation)
-//   --nodes N       simulated cluster size (default 8)
-//   --seed S        factor initialization seed (default 7)
-//   --scale X       scale for analog datasets (default 0.2)
-//   --output P      write factors to P.mode<k>.txt and lambda to P.lambda.txt
-//   --trace-out P   write a Chrome-trace JSON (load in Perfetto / about:tracing)
-//   --report-out P  write the structured run report as JSON
-//   --metrics-out P stream live cstf-metrics-v1 heartbeat snapshots to P
-//                   (ndjson) and a Prometheus exposition to P.prom
-//   --metrics-interval-ms N  heartbeat sampling period (default 100)
-//   --checkpoint-dir D   persist ALS state into D (see --checkpoint-every)
-//   --checkpoint-every K write a checkpoint every K iterations (default 1)
-//   --resume D           continue from the latest checkpoint in D
-//   --node-loss-rate R   per-stage-boundary node-loss probability (chaos)
-//   --task-failure-rate R per-task-attempt failure probability (chaos)
-//   --fault-seed S       seed for the deterministic fault plan
-//   --max-stage-attempts N stage attempts before the job aborts (default 4)
-//   --model-out P   export the trained model as a CSTFCKP1 file (an export
-//                   for query / serve-bench / stream, not a resume point)
-//
-// A job that exhausts its stage attempts exits with status 3; rerun with
-// --resume <checkpoint-dir> to continue from the last persisted state.
-//
-// query options (model may be an exported model or a checkpoint file, both
-// CSTFCKP1, or a checkpoint directory):
-//   --model P       model to serve (required)
-//   --indices SPEC  comma-separated index per mode; mark at most one mode
-//                   free with "_" (also "?", "*", or "-1") for top-k
-//   --top-k K       completions to return along the free mode (default 10)
-//   --brute-force   disable norm-bound pruning (same results, full scan)
-//
-// serve-bench options (load generator over the micro-batcher):
-//   --model P, --top-k K, --brute-force as for query
-//   --mode M        free mode queried (default 0)
-//   --clients N     concurrent clients / tenants (default 4)
-//   --requests N    total requests across all clients (default 2000)
-//   --distinct D    distinct request tuples in the workload (default 256)
-//   --zipf S        Zipf exponent for request popularity (default 1.1)
-//   --arrival-rate R open-loop arrival rate in requests/sec across all
-//                   clients; 0 (default) runs the closed loop, where each
-//                   client waits for its previous answer
-//   --max-batch B   batcher flush size (default: number of clients)
-//   --max-delay-micros U  batcher deadline (default 200)
-//   --queue-limit Q admission control: pending requests allowed before
-//                   submits shed with ShedError; 0 = unbounded (default)
-//   --deadline-us T request deadline; requests still queued after T
-//                   microseconds shed with DeadlineExceededError (default 0)
-//   --shards S      serve through a ShardedEngine with S row-wise shards
-//                   (0 = single-process engine, the default)
-//   --replicas R    copies of every shard (capped at S), placed by
-//                   chained declustering
-//   --kill-node N   fault injection: kill serving node N (one node per
-//                   shard, so N < S)...
-//   --kill-after B  ...after dispatched batch B (default 1); replicated
-//                   shards fail over, unreplicated ones shed
-//   --cache-capacity C    result-cache entries, 0 disables (default 4096)
-//   --report-out P  also write the serve report JSON to P
-//   --metrics-out P / --metrics-interval-ms N  as for factor
-//   --slo-p99-us T  SLO watchdog: flag sliding-window p99 latency above
-//                   T microseconds (breach/recovery transitions are logged,
-//                   traced, and counted; 0 disables)
-//   --follow D      follow the delta log in directory D while serving: a
-//                   follower thread polls for new batches, applies them to
-//                   the model with the online updater, and hot-swaps the
-//                   refreshed model into the live batcher (zero dropped
-//                   queries across the swap); the report gains a
-//                   "freshness" object and the live registry the
-//                   cstf_staleness_sec gauge
-//   --base T        tensor the followed model was trained on (recommended
-//                   with either solver: updates then see the full slice
-//                   history, not just the delta entries; DESIGN.md §16)
-//   --online-solver als|sgd  row-subset warm-start ALS (default) or the
-//                   SGD fallback for the follower / stream replay
-//   --publish-every N  publish after every N applied batches (default 1)
-//   --poll-ms M     follower poll interval in milliseconds (default 50)
-//
-// generate options (besides --scale): --delta-batches N with
-// --delta-dir D writes the analog as a streaming split instead: the base
-// tensor goes to <out>, and N disjoint append batches (seq 1..N) land in D
-// as a CSTFDLT1 delta log; --delta-fraction F sets the expected fraction
-// of nonzeros routed to the batches (default 0.25); --delta-interval-ms M
-// paces the appends M milliseconds apart, simulating a live producer (each
-// batch's createdUnixMicros is stamped at append time, so a follower sees
-// a real freshness sawtooth).
-//
-// stream options (offline, deterministic replay of a whole delta log):
-//   --model P       warm-start model (required)
-//   --deltas D      delta-log directory to replay (required)
-//   --base T, --online-solver S as for serve-bench --follow
-//   --als-sweeps N / --sgd-epochs N  per-batch solver effort
-//   --fit-probe-every K  exact-fit probe cadence in batches (0 = only the
-//                   final probe)
-//   --model-out P   export the updated model (CSTFCKP1)
-//   --report-out P  write a cstf-stream-report-v1 JSON document
+// Every flag is one row of kFlags below, which parses it, lists it in the
+// usage (`cstf` with no arguments) and names the commands that read it.
+// tools/README.md documents each flag.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <iterator>
 #include <future>
 #include <limits>
 #include <memory>
 #include <new>
 #include <optional>
+#include <ranges>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "common/artifacts.hpp"
@@ -154,56 +51,8 @@ using namespace cstf;
 
 namespace {
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: cstf info <tensor> [--scale X]\n"
-               "       cstf generate <analog> <out.tns> [--scale X]\n"
-               "                   [--delta-batches N --delta-dir D]\n"
-               "                   [--delta-fraction F] [--delta-interval-ms M]\n"
-               "       cstf factor <tensor> [--rank R] [--iters N] [--tol T]\n"
-               "                   [--backend coo|qcoo|bigtensor|reference]\n"
-               "                   [--local-kernel coo|csf]\n"
-               "                   [--nodes N] [--seed S] [--scale X]\n"
-               "                   [--output PREFIX] [--trace-out P]\n"
-               "                   [--report-out P]\n"
-               "                   [--checkpoint-dir D] [--checkpoint-every K]\n"
-               "                   [--resume D] [--node-loss-rate R]\n"
-               "                   [--task-failure-rate R] [--fault-seed S]\n"
-               "                   [--max-stage-attempts N] [--model-out P]\n"
-               "                   [--metrics-out P] [--metrics-interval-ms N]\n"
-               "         plans: coo|qcoo = join chain;\n"
-               "         coo|qcoo + --local-kernel csf = broadcast-local;\n"
-               "         bigtensor = its join chain; reference = sequential.\n"
-               "         Any other mix is refused (exit 2).\n"
-               "       cstf query --model P --indices i1,_,i3 [--top-k K]\n"
-               "                   [--brute-force]\n"
-               "       cstf serve-bench --model P [--mode M] [--top-k K]\n"
-               "                   [--clients N] [--requests N] [--distinct D]\n"
-               "                   [--zipf S] [--arrival-rate R]\n"
-               "                   [--max-batch B] [--max-delay-micros U]\n"
-               "                   [--queue-limit Q] [--deadline-us T]\n"
-               "                   [--shards S] [--replicas R]\n"
-               "                   [--kill-node N] [--kill-after B]\n"
-               "                   [--cache-capacity C]\n"
-               "                   [--seed S] [--report-out P] [--brute-force]\n"
-               "                   [--metrics-out P] [--metrics-interval-ms N]\n"
-               "                   [--slo-p99-us T]\n"
-               "                   [--follow D] [--base T]\n"
-               "                   [--online-solver als|sgd]\n"
-               "                   [--publish-every N] [--poll-ms M]\n"
-               "                   [--model-out P]\n"
-               "       cstf stream --model P --deltas D [--base T]\n"
-               "                   [--online-solver als|sgd] [--als-sweeps N]\n"
-               "                   [--sgd-epochs N] [--fit-probe-every K]\n"
-               "                   [--model-out P] [--report-out P]\n");
-  return 2;
-}
-
 bool isAnalogName(const std::string& s) {
-  for (const std::string& name : tensor::paperAnalogNames()) {
-    if (name == s) return true;
-  }
-  return false;
+  return std::ranges::count(tensor::paperAnalogNames(), s) > 0;
 }
 
 tensor::CooTensor loadTensor(const std::string& spec, double scale) {
@@ -273,234 +122,144 @@ struct Args {
   int fitProbeEvery = 0;
 };
 
-bool parseArgs(int argc, char** argv, Args& a) {
-  // Numeric values go through common/parse.hpp's strict checked parsing:
-  // a malformed or out-of-range value prints the offending flag and value
-  // and fails the parse (the caller exits non-zero), instead of atoi-style
-  // silently becoming 0.
-  constexpr int kIntMax = std::numeric_limits<int>::max();
-  constexpr std::size_t kSizeMax = std::numeric_limits<std::size_t>::max();
-  constexpr double kDoubleMax = std::numeric_limits<double>::max();
-  // String flags, kept as given; names are validated where they are used.
-  const std::pair<const char*, std::string*> stringFlags[] = {
-      {"--backend", &a.backend},          {"--local-kernel", &a.localKernel},
-      {"--output", &a.output},            {"--trace-out", &a.traceOut},
-      {"--report-out", &a.reportOut},     {"--model-out", &a.modelOut},
-      {"--model", &a.model},              {"--indices", &a.indicesSpec},
-      {"--metrics-out", &a.metricsOut},   {"--delta-dir", &a.deltaDir},
-      {"--deltas", &a.deltas},            {"--follow", &a.follow},
-      {"--base", &a.base},                {"--checkpoint-dir", &a.checkpointDir}};
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* name) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", name);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const auto* str = std::find_if(
-        std::begin(stringFlags), std::end(stringFlags),
-        [&](const auto& f) { return arg == f.first; });
-    if (str != std::end(stringFlags)) {
-      const char* v = next(str->first);
-      if (!v) return false;
-      *str->second = v;
-    } else if (arg == "--rank") {
-      if (!parseFlag("--rank", next("--rank"), a.rank, 1, kSizeMax)) {
-        return false;
-      }
-    } else if (arg == "--iters") {
-      if (!parseFlag("--iters", next("--iters"), a.iters, 1, kIntMax)) {
-        return false;
-      }
-    } else if (arg == "--tol") {
-      if (!parseFlag("--tol", next("--tol"), a.tol, 0.0, kDoubleMax)) {
-        return false;
-      }
-    } else if (arg == "--nodes") {
-      if (!parseFlag("--nodes", next("--nodes"), a.nodes, 1, kIntMax)) {
-        return false;
-      }
-    } else if (arg == "--seed") {
-      if (!parseFlag("--seed", next("--seed"), a.seed)) return false;
-    } else if (arg == "--scale") {
-      if (!parseFlag("--scale", next("--scale"), a.scale, 1e-9, 1e9)) {
-        return false;
-      }
-    } else if (arg == "--checkpoint-every") {
-      if (!parseFlag("--checkpoint-every", next("--checkpoint-every"),
-                     a.checkpointEvery, 0, kIntMax)) {
-        return false;
-      }
-    } else if (arg == "--resume") {
-      const char* v = next("--resume");
-      if (!v) return false;
-      a.checkpointDir = v;
-      a.resume = true;
-    } else if (arg == "--node-loss-rate") {
-      if (!parseFlag("--node-loss-rate", next("--node-loss-rate"),
-                     a.nodeLossRate, 0.0, 1.0)) {
-        return false;
-      }
-    } else if (arg == "--task-failure-rate") {
-      if (!parseFlag("--task-failure-rate", next("--task-failure-rate"),
-                     a.taskFailureRate, 0.0, 1.0)) {
-        return false;
-      }
-    } else if (arg == "--fault-seed") {
-      if (!parseFlag("--fault-seed", next("--fault-seed"), a.faultSeed)) {
-        return false;
-      }
-    } else if (arg == "--max-stage-attempts") {
-      if (!parseFlag("--max-stage-attempts", next("--max-stage-attempts"),
-                     a.maxStageAttempts, 1, kIntMax)) {
-        return false;
-      }
-    } else if (arg == "--top-k") {
-      if (!parseFlag("--top-k", next("--top-k"), a.topK, 1, kSizeMax)) {
-        return false;
-      }
-    } else if (arg == "--brute-force") {
-      a.bruteForce = true;
-    } else if (arg == "--mode") {
-      if (!parseFlag("--mode", next("--mode"), a.mode, 0, kIntMax)) {
-        return false;
-      }
-    } else if (arg == "--clients") {
-      if (!parseFlag("--clients", next("--clients"), a.clients, 1,
-                     kSizeMax)) {
-        return false;
-      }
-    } else if (arg == "--requests") {
-      if (!parseFlag("--requests", next("--requests"), a.requests, 1,
-                     kSizeMax)) {
-        return false;
-      }
-    } else if (arg == "--distinct") {
-      if (!parseFlag("--distinct", next("--distinct"), a.distinct, 1,
-                     kSizeMax)) {
-        return false;
-      }
-    } else if (arg == "--zipf") {
-      if (!parseFlag("--zipf", next("--zipf"), a.zipf, 0.0, kDoubleMax)) {
-        return false;
-      }
-    } else if (arg == "--max-batch") {
-      if (!parseFlag("--max-batch", next("--max-batch"), a.maxBatch, 0,
-                     kSizeMax)) {
-        return false;
-      }
-    } else if (arg == "--max-delay-micros") {
-      if (!parseFlag("--max-delay-micros", next("--max-delay-micros"),
-                     a.maxDelayMicros)) {
-        return false;
-      }
-    } else if (arg == "--cache-capacity") {
-      if (!parseFlag("--cache-capacity", next("--cache-capacity"),
-                     a.cacheCapacity, 0, kSizeMax)) {
-        return false;
-      }
-    } else if (arg == "--shards") {
-      if (!parseFlag("--shards", next("--shards"), a.shards, 0, kSizeMax)) {
-        return false;
-      }
-    } else if (arg == "--replicas") {
-      if (!parseFlag("--replicas", next("--replicas"), a.replicas, 1,
-                     kSizeMax)) {
-        return false;
-      }
-    } else if (arg == "--queue-limit") {
-      if (!parseFlag("--queue-limit", next("--queue-limit"), a.queueLimit, 0,
-                     kSizeMax)) {
-        return false;
-      }
-    } else if (arg == "--deadline-us") {
-      if (!parseFlag("--deadline-us", next("--deadline-us"), a.deadlineUs)) {
-        return false;
-      }
-    } else if (arg == "--arrival-rate") {
-      if (!parseFlag("--arrival-rate", next("--arrival-rate"), a.arrivalRate,
-                     0.0, kDoubleMax)) {
-        return false;
-      }
-    } else if (arg == "--kill-node") {
-      if (!parseFlag("--kill-node", next("--kill-node"), a.killNode, 0,
-                     kIntMax)) {
-        return false;
-      }
-    } else if (arg == "--kill-after") {
-      if (!parseFlag("--kill-after", next("--kill-after"), a.killAfter)) {
-        return false;
-      }
-    } else if (arg == "--metrics-interval-ms") {
-      if (!parseFlag("--metrics-interval-ms", next("--metrics-interval-ms"),
-                     a.metricsIntervalMs, 1, kIntMax)) {
-        return false;
-      }
-    } else if (arg == "--slo-p99-us") {
-      if (!parseFlag("--slo-p99-us", next("--slo-p99-us"), a.sloP99Us, 0.0,
-                     kDoubleMax)) {
-        return false;
-      }
-    } else if (arg == "--delta-batches") {
-      if (!parseFlag("--delta-batches", next("--delta-batches"),
-                     a.deltaBatches, 1, kSizeMax)) {
-        return false;
-      }
-    } else if (arg == "--delta-fraction") {
-      if (!parseFlag("--delta-fraction", next("--delta-fraction"),
-                     a.deltaFraction, 1e-9, 1.0 - 1e-9)) {
-        return false;
-      }
-    } else if (arg == "--delta-interval-ms") {
-      if (!parseFlag("--delta-interval-ms", next("--delta-interval-ms"),
-                     a.deltaIntervalMs, 0, kIntMax)) {
-        return false;
-      }
-    } else if (arg == "--online-solver") {
-      const char* v = next("--online-solver");
-      if (!v) return false;
-      if (std::string(v) != "als" && std::string(v) != "sgd") {
-        std::fprintf(stderr,
-                     "invalid value '%s' for --online-solver (expected als "
-                     "or sgd)\n",
-                     v);
-        return false;
-      }
-      a.onlineSolver = v;
-    } else if (arg == "--publish-every") {
-      if (!parseFlag("--publish-every", next("--publish-every"),
-                     a.publishEvery, 1, kSizeMax)) {
-        return false;
-      }
-    } else if (arg == "--poll-ms") {
-      if (!parseFlag("--poll-ms", next("--poll-ms"), a.pollMs, 1, kIntMax)) {
-        return false;
-      }
-    } else if (arg == "--als-sweeps") {
-      if (!parseFlag("--als-sweeps", next("--als-sweeps"), a.alsSweeps, 1,
-                     kIntMax)) {
-        return false;
-      }
-    } else if (arg == "--sgd-epochs") {
-      if (!parseFlag("--sgd-epochs", next("--sgd-epochs"), a.sgdEpochs, 1,
-                     kIntMax)) {
-        return false;
-      }
-    } else if (arg == "--fit-probe-every") {
-      if (!parseFlag("--fit-probe-every", next("--fit-probe-every"),
-                     a.fitProbeEvery, 0, kIntMax)) {
-        return false;
-      }
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      return false;
-    } else {
-      a.positional.push_back(arg);
-    }
-  }
-  return true;
+// The commands, as bits of a flag's command set.
+enum : unsigned {
+  kInfo = 1u << 0,
+  kGenerate = 1u << 1,
+  kFactor = 1u << 2,
+  kQuery = 1u << 3,
+  kServeBench = 1u << 4,
+  kStream = 1u << 5,
+};
+constexpr unsigned kOnline = kStream | kServeBench;
+
+/// One flag: `field` is the Args member it sets and `cmds` the commands
+/// that read it; any other command refuses it. `meta` names its value in
+/// the usage (null for a switch); a meta listing choices ("als|sgd")
+/// accepts only those. `needs` names the flag without which this one
+/// changes nothing: it binds in the commands that read that flag, and any
+/// flag setting the same field meets it (--resume D sets --checkpoint-dir's).
+/// [lo, hi] bounds a number; integers run to their type's maximum. A
+/// `required` flag must be given to every command that reads it.
+struct Flag {
+  const char* name;
+  const char* meta;
+  std::variant<std::string Args::*, bool Args::*, int Args::*,
+               std::uint64_t Args::*, double Args::*>
+      field;
+  unsigned cmds;
+  const char* needs = nullptr;
+  double lo = 0.0;
+  double hi = std::numeric_limits<double>::max();
+  bool required = false;
+};
+
+constexpr double kMax = std::numeric_limits<double>::max();
+const Flag kFlags[] = {
+    // name, meta, field, commands, needs, lo, hi, required
+    {"--model", "P", &Args::model, kQuery | kOnline, nullptr, 0, kMax, true},
+    {"--indices", "SPEC", &Args::indicesSpec, kQuery, nullptr, 0, kMax, true},
+    {"--deltas", "D", &Args::deltas, kStream, nullptr, 0, kMax, true},
+    {"--scale", "X", &Args::scale, kInfo | kGenerate | kFactor | kOnline,
+     "--base", 1e-9, 1e9},
+    {"--seed", "S", &Args::seed, kGenerate | kFactor | kOnline,
+     "--delta-batches"},
+    {"--delta-batches", "N", &Args::deltaBatches, kGenerate, "--delta-dir", 1},
+    {"--delta-dir", "D", &Args::deltaDir, kGenerate, "--delta-batches"},
+    {"--delta-fraction", "F", &Args::deltaFraction, kGenerate,
+     "--delta-batches", 1e-9, 1.0 - 1e-9},
+    {"--delta-interval-ms", "M", &Args::deltaIntervalMs, kGenerate,
+     "--delta-batches"},
+    {"--rank", "R", &Args::rank, kFactor, nullptr, 1},
+    {"--iters", "N", &Args::iters, kFactor, nullptr, 1},
+    {"--tol", "T", &Args::tol, kFactor},
+    {"--backend", "B", &Args::backend, kFactor},
+    {"--local-kernel", "coo|csf", &Args::localKernel, kFactor},
+    {"--nodes", "N", &Args::nodes, kFactor, nullptr, 1},
+    {"--output", "PREFIX", &Args::output, kFactor},
+    {"--trace-out", "P", &Args::traceOut, kFactor},
+    {"--report-out", "P", &Args::reportOut, kFactor | kOnline},
+    {"--metrics-out", "P", &Args::metricsOut, kFactor | kServeBench},
+    {"--metrics-interval-ms", "N", &Args::metricsIntervalMs,
+     kFactor | kServeBench, "--metrics-out", 1},
+    {"--checkpoint-dir", "D", &Args::checkpointDir, kFactor},
+    {"--checkpoint-every", "K", &Args::checkpointEvery, kFactor,
+     "--checkpoint-dir"},
+    {"--resume", "D", &Args::checkpointDir, kFactor},
+    {"--node-loss-rate", "R", &Args::nodeLossRate, kFactor, nullptr, 0, 1},
+    {"--task-failure-rate", "R", &Args::taskFailureRate, kFactor, nullptr, 0,
+     1},
+    {"--fault-seed", "S", &Args::faultSeed, kFactor},
+    {"--max-stage-attempts", "N", &Args::maxStageAttempts, kFactor, nullptr, 1},
+    {"--top-k", "K", &Args::topK, kQuery | kServeBench, nullptr, 1},
+    {"--brute-force", nullptr, &Args::bruteForce, kQuery},
+    {"--mode", "M", &Args::mode, kServeBench},
+    {"--clients", "N", &Args::clients, kServeBench, nullptr, 1},
+    {"--requests", "N", &Args::requests, kServeBench, nullptr, 1},
+    {"--distinct", "D", &Args::distinct, kServeBench, nullptr, 1},
+    {"--zipf", "S", &Args::zipf, kServeBench},
+    {"--arrival-rate", "R", &Args::arrivalRate, kServeBench},
+    {"--max-batch", "B", &Args::maxBatch, kServeBench},
+    {"--max-delay-micros", "U", &Args::maxDelayMicros, kServeBench},
+    {"--queue-limit", "Q", &Args::queueLimit, kServeBench},
+    {"--deadline-us", "T", &Args::deadlineUs, kServeBench},
+    {"--shards", "S", &Args::shards, kServeBench, nullptr, 1},
+    {"--replicas", "R", &Args::replicas, kServeBench, "--shards", 1},
+    {"--kill-node", "N", &Args::killNode, kServeBench, "--shards"},
+    {"--kill-after", "B", &Args::killAfter, kServeBench, "--kill-node"},
+    {"--cache-capacity", "C", &Args::cacheCapacity, kServeBench},
+    {"--slo-p99-us", "T", &Args::sloP99Us, kServeBench},
+    {"--follow", "D", &Args::follow, kServeBench},
+    {"--base", "T", &Args::base, kOnline, "--follow"},
+    {"--online-solver", "als|sgd", &Args::onlineSolver, kOnline, "--follow"},
+    {"--als-sweeps", "N", &Args::alsSweeps, kOnline, "--follow", 1},
+    {"--sgd-epochs", "N", &Args::sgdEpochs, kOnline, "--follow", 1},
+    {"--fit-probe-every", "K", &Args::fitProbeEvery, kOnline, "--follow"},
+    {"--publish-every", "N", &Args::publishEvery, kServeBench, "--follow", 1},
+    {"--poll-ms", "M", &Args::pollMs, kServeBench, "--follow", 1},
+    {"--model-out", "P", &Args::modelOut, kFactor | kOnline, "--follow"},
+};
+
+const Flag* findFlag(const std::string& name) {
+  const auto* f = std::ranges::find_if(
+      kFlags, [&](const Flag& g) { return name == g.name; });
+  return f == std::end(kFlags) ? nullptr : f;
+}
+
+/// The flag `f` needs in the command `cmd`, or null when it needs none
+/// there.
+const Flag* neededBy(const Flag& f, unsigned cmd) {
+  const Flag* n = f.needs ? findFlag(f.needs) : nullptr;
+  return n && (n->cmds & cmd) ? n : nullptr;
+}
+
+/// Stores `value` (null for a switch) into the field `f` sets; numbers go
+/// through common/parse.hpp's checked parsing, which names the flag and
+/// the value on failure.
+bool setField(const Flag& f, const char* value, Args& a) {
+  return std::visit(
+      [&](auto field) {
+        auto& out = a.*field;
+        using T = std::remove_reference_t<decltype(out)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          out = true;
+          return true;
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          if (std::strchr(f.meta, '|') &&
+              std::ranges::count(splitFields(f.meta, "|"), value) == 0) {
+            std::fprintf(stderr, "invalid value '%s' for %s (expected %s)\n",
+                         value, f.name, f.meta);
+            return false;
+          }
+          out = value;
+          return true;
+        } else if constexpr (std::is_same_v<T, double>) {
+          return parseFlag(f.name, value, out, f.lo, f.hi);
+        } else {
+          return parseFlag(f.name, value, out, static_cast<T>(f.lo));
+        }
+      },
+      f.field);
 }
 
 /// Heartbeat over the global registry streaming to --metrics-out (ndjson)
@@ -516,24 +275,25 @@ std::unique_ptr<Heartbeat> makeHeartbeat(const Args& a) {
 }
 
 void writeMatrix(const std::string& path, const la::Matrix& m) {
-  std::ofstream out(path);
-  if (!out) throw Error("cannot write " + path);
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    for (std::size_t j = 0; j < m.cols(); ++j) {
-      out << strprintf("%.17g%c", m(i, j), j + 1 == m.cols() ? '\n' : ' ');
+  writeFileAtomic(path, [&](std::ostream& out) {
+    for (std::size_t i = 0; i < m.rows(); ++i) {
+      for (std::size_t j = 0; j < m.cols(); ++j) {
+        out << strprintf("%.17g%c", m(i, j), j + 1 == m.cols() ? '\n' : ' ');
+      }
     }
-  }
+  });
 }
 
-int cmdInfo(const Args& a, const std::string& spec) {
-  const tensor::CooTensor t = loadTensor(spec, a.scale);
+int cmdInfo(const Args& a) {
+  const tensor::CooTensor t = loadTensor(a.positional[0], a.scale);
   std::fputs(tensor::formatStats(t, tensor::analyzeTensor(t)).c_str(),
              stdout);
   return 0;
 }
 
-int cmdGenerate(const Args& a, const std::string& analog,
-                const std::string& outPath) {
+int cmdGenerate(const Args& a) {
+  const std::string& analog = a.positional[0];
+  const std::string& outPath = a.positional[1];
   if (!isAnalogName(analog)) {
     std::fprintf(stderr, "unknown analog '%s'; choose one of:", analog.c_str());
     for (const auto& n : tensor::paperAnalogNames()) {
@@ -545,10 +305,6 @@ int cmdGenerate(const Args& a, const std::string& analog,
   const tensor::CooTensor t = tensor::paperAnalog(analog, a.scale);
   if (a.deltaBatches > 0) {
     // Streaming split: base tensor to <out>, the batches into a delta log.
-    if (a.deltaDir.empty()) {
-      std::fprintf(stderr, "--delta-batches needs --delta-dir\n");
-      return 2;
-    }
     const tensor::ZipfStream s =
         tensor::splitIntoStream(t, a.deltaBatches, a.deltaFraction, a.seed);
     tensor::writeTensorFile(outPath, s.base);
@@ -592,7 +348,7 @@ tensor::CooTensor loadBase(const Args& a, const std::vector<Index>& dims) {
   return loadTensor(a.base, a.scale);
 }
 
-int cmdFactor(const Args& a, const std::string& spec) {
+int cmdFactor(const Args& a) {
   sparkle::ClusterConfig cluster;
   cluster.numNodes = a.nodes;
   cluster.taskFailureRate = a.taskFailureRate;
@@ -622,7 +378,7 @@ int cmdFactor(const Args& a, const std::string& spec) {
     cluster.mode = sparkle::ExecutionMode::kHadoop;
   }
 
-  const tensor::CooTensor t = loadTensor(spec, a.scale);
+  const tensor::CooTensor t = loadTensor(a.positional[0], a.scale);
   std::printf("%s", tensor::formatStats(t, tensor::analyzeTensor(t)).c_str());
   sparkle::Context ctx(cluster);
   if (!a.traceOut.empty()) ctx.trace().setEnabled(true);
@@ -633,7 +389,6 @@ int cmdFactor(const Args& a, const std::string& spec) {
                             bool strict) {
     auto put = [&](const std::string& path, const std::string& content,
                    const char* what) {
-      if (path.empty()) return;
       if (!writeArtifact(path, content, what) && strict) {
         throw Error("cannot write " + path);
       }
@@ -676,13 +431,11 @@ int cmdFactor(const Args& a, const std::string& spec) {
   }
   for (const auto& it : result.iterations) {
     // Iteration 1 has no previous fit, so its delta is undefined.
-    if (std::isfinite(it.fitDelta)) {
-      std::printf("  iter %3d  fit %.6f  (+%.2e)  cluster %s\n", it.iteration,
-                  it.fit, it.fitDelta, humanSeconds(it.simTimeSec).c_str());
-    } else {
-      std::printf("  iter %3d  fit %.6f  (  --   )  cluster %s\n",
-                  it.iteration, it.fit, humanSeconds(it.simTimeSec).c_str());
-    }
+    const std::string delta = std::isfinite(it.fitDelta)
+                                  ? strprintf("+%.2e", it.fitDelta)
+                                  : "  --   ";
+    std::printf("  iter %3d  fit %.6f  (%s)  cluster %s\n", it.iteration,
+                it.fit, delta.c_str(), humanSeconds(it.simTimeSec).c_str());
   }
   std::printf("final fit %.6f after %zu iterations%s\n", result.finalFit,
               result.iterations.size(),
@@ -704,8 +457,9 @@ int cmdFactor(const Args& a, const std::string& spec) {
       writeMatrix(strprintf("%s.mode%zu.txt", a.output.c_str(), k + 1),
                   result.factors[k]);
     }
-    std::ofstream lam(a.output + ".lambda.txt");
-    for (double l : result.lambda) lam << strprintf("%.17g\n", l);
+    writeFileAtomic(a.output + ".lambda.txt", [&](std::ostream& out) {
+      for (double l : result.lambda) out << strprintf("%.17g\n", l);
+    });
     std::printf("factors written to %s.mode*.txt\n", a.output.c_str());
   }
 
@@ -731,16 +485,9 @@ bool isFreeMarker(const std::string& tok) {
 std::vector<Index> parseIndices(const std::string& spec, ModeId order,
                                 int& freeMode) {
   std::vector<std::string> toks;
-  std::string cur;
-  for (const char c : spec) {
-    if (c == ',') {
-      toks.push_back(cur);
-      cur.clear();
-    } else {
-      cur += c;
-    }
+  for (const auto tok : std::views::split(spec, ',')) {
+    toks.emplace_back(tok.begin(), tok.end());
   }
-  toks.push_back(cur);
   CSTF_CHECK(toks.size() == order,
              strprintf("--indices has %zu entries but the model has %d modes",
                        toks.size(), int(order)));
@@ -751,21 +498,19 @@ std::vector<Index> parseIndices(const std::string& spec, ModeId order,
       CSTF_CHECK(freeMode < 0, "--indices may mark at most one mode free");
       freeMode = int(m);
     } else {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(toks[m].c_str(), &end, 10);
-      CSTF_CHECK(end && *end == '\0' && !toks[m].empty(),
-                 "bad index '" + toks[m] + "' in --indices");
-      idx[m] = static_cast<Index>(v);
+      const std::optional<std::uint64_t> v = parseUint64(toks[m]);
+      CSTF_CHECK(v && *v <= std::numeric_limits<Index>::max(),
+                 strprintf("bad index '%s' in --indices (expected an integer "
+                           "in [0, %u])",
+                           toks[m].c_str(),
+                           unsigned(std::numeric_limits<Index>::max())));
+      idx[m] = static_cast<Index>(*v);
     }
   }
   return idx;
 }
 
 int cmdQuery(const Args& a) {
-  if (a.model.empty() || a.indicesSpec.empty()) {
-    std::fprintf(stderr, "query needs --model and --indices\n");
-    return 2;
-  }
   const serve::Engine engine(serve::loadModel(a.model));
   int freeMode = -1;
   const std::vector<Index> idx =
@@ -792,10 +537,6 @@ int cmdQuery(const Args& a) {
 /// order, then report the exactly-probed fit. Deterministic — the same log
 /// and flags always produce the same updated model.
 int cmdStream(const Args& a) {
-  if (a.model.empty() || a.deltas.empty()) {
-    std::fprintf(stderr, "stream needs --model and --deltas\n");
-    return 2;
-  }
   serve::CpModel model = serve::loadModel(a.model);
   const std::vector<Index> dims = model.dims;
   stream::OnlineUpdater updater(std::move(model), loadBase(a, dims),
@@ -812,17 +553,14 @@ int cmdStream(const Args& a) {
   for (const tensor::Delta& d : read.deltas) {
     updater.apply(d);
     const stream::OnlineUpdateStats& s = updater.stats();
-    if (std::isfinite(s.lastFitProbe) &&
-        a.fitProbeEvery > 0 &&
+    std::printf("  seq %llu  %zu entries  %s",
+                static_cast<unsigned long long>(d.seq), d.entries.size(),
+                humanSeconds(s.lastBatchSec).c_str());
+    if (std::isfinite(s.lastFitProbe) && a.fitProbeEvery > 0 &&
         s.batchesApplied % std::uint64_t(a.fitProbeEvery) == 0) {
-      std::printf("  seq %llu  %zu entries  %s  fit %.6f\n",
-                  static_cast<unsigned long long>(d.seq), d.entries.size(),
-                  humanSeconds(s.lastBatchSec).c_str(), s.lastFitProbe);
-    } else {
-      std::printf("  seq %llu  %zu entries  %s\n",
-                  static_cast<unsigned long long>(d.seq), d.entries.size(),
-                  humanSeconds(s.lastBatchSec).c_str());
+      std::printf("  fit %.6f", s.lastFitProbe);
     }
+    std::printf("\n");
   }
   const double fit = updater.exactFit();
   const stream::OnlineUpdateStats& s = updater.stats();
@@ -860,21 +598,12 @@ int cmdStream(const Args& a) {
 }
 
 int cmdServeBench(const Args& a) {
-  if (a.model.empty()) {
-    std::fprintf(stderr, "serve-bench needs --model\n");
-    return 2;
-  }
   serve::CpModel model = serve::loadModel(a.model);
   const ModeId order = static_cast<ModeId>(model.dims.size());
   const std::vector<Index> dims = model.dims;
   CSTF_CHECK(a.mode >= 0 && a.mode < order,
              "--mode out of range for this model");
   const ModeId mode = static_cast<ModeId>(a.mode);
-  CSTF_CHECK(a.clients >= 1 && a.requests >= 1 && a.distinct >= 1,
-             "serve-bench needs at least one client, request, and tuple");
-  CSTF_CHECK(a.shards > 0 || a.replicas == 1,
-             "--replicas needs --shards");
-  CSTF_CHECK(a.shards > 0 || a.killNode < 0, "--kill-node needs --shards");
   CSTF_CHECK(a.killNode < 0 || static_cast<std::size_t>(a.killNode) < a.shards,
              "--kill-node " + std::to_string(a.killNode) +
                  " is out of range: --shards " + std::to_string(a.shards) +
@@ -1100,32 +829,116 @@ int cmdServeBench(const Args& a) {
   return 0;
 }
 
+struct Command {
+  const char* name;
+  unsigned bit;
+  const char* operands;  // the positional operands, as the usage names them
+  std::size_t positionals;
+  int (*run)(const Args&);
+};
+
+const Command kCommands[] = {
+    {"info", kInfo, " <tensor>", 1, cmdInfo},
+    {"generate", kGenerate, " <analog> <out.{tns,bns}>", 2, cmdGenerate},
+    {"factor", kFactor, " <tensor>", 1, cmdFactor},
+    {"query", kQuery, "", 0, cmdQuery},
+    {"serve-bench", kServeBench, "", 0, cmdServeBench},
+    {"stream", kStream, "", 0, cmdStream},
+};
+
+/// Prints the synopsis of `only`, or of every command, from kFlags.
+int usage(const Command* only = nullptr) {
+  std::fputs("usage:\n", stderr);
+  for (const Command& c : kCommands) {
+    if (only && only != &c) continue;
+    std::string line = strprintf("  cstf %s%s", c.name, c.operands);
+    for (const Flag& f : kFlags) {
+      if (!(f.cmds & c.bit)) continue;
+      std::string item = f.name;
+      if (f.meta) item += strprintf(" %s", f.meta);
+      if (const Flag* n = neededBy(f, c.bit)) {
+        item += strprintf(" (needs %s)", n->name);
+      }
+      if (!f.required) item = "[" + item + "]";
+      if (line.size() + item.size() >= 79) {
+        std::fprintf(stderr, "%s\n", line.c_str());
+        line = "     ";
+      }
+      line += " " + item;
+    }
+    std::fprintf(stderr, "%s\n", line.c_str());
+  }
+  std::fputs(
+      "A flag its command does not read, or one given without the flag it\n"
+      "needs, exits 2. factor's --backend (coo|qcoo|bigtensor|reference) and\n"
+      "--local-kernel pick one MTTKRP plan; a mix that changes nothing exits\n"
+      "2. See tools/README.md.\n",
+      stderr);
+  return 2;
+}
+
+/// Parses argv[2..] for `cmd` against kFlags. On a flag error it names the
+/// problem on stderr and returns false.
+bool parseArgs(const Command& cmd, int argc, char** argv, Args& a) {
+  std::vector<const Flag*> given;
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.empty() || arg[0] != '-') {
+      a.positional.push_back(arg);
+      continue;
+    }
+    const Flag* f = findFlag(arg);
+    if (!f) {
+      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
+      return false;
+    }
+    if (!(f->cmds & cmd.bit)) {
+      std::fprintf(stderr, "%s does not apply to %s\n", f->name, cmd.name);
+      return false;
+    }
+    if (f->meta && i + 1 >= argc) {
+      std::fprintf(stderr, "missing value for %s\n", f->name);
+      return false;
+    }
+    if (!setField(*f, f->meta ? argv[++i] : nullptr, a)) return false;
+    given.push_back(f);
+  }
+  const auto sets = [&](const Flag& f) {
+    return std::ranges::any_of(
+        given, [&](const Flag* g) { return g->field == f.field; });
+  };
+  for (const Flag& f : kFlags) {
+    if (!(f.cmds & cmd.bit)) continue;
+    if (f.required && !sets(f)) {
+      std::fprintf(stderr, "%s needs %s\n", cmd.name, f.name);
+      return false;
+    }
+    const Flag* n = neededBy(f, cmd.bit);
+    if (n && std::ranges::count(given, &f) && !sets(*n)) {
+      std::fprintf(stderr, "%s needs %s\n", f.name, n->name);
+      return false;
+    }
+  }
+  // --resume D is --checkpoint-dir D that also resumes.
+  a.resume = std::ranges::count(given, findFlag("--resume")) > 0;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 3) return usage();
+  const Command* cmd = nullptr;
+  for (const Command& c : kCommands) {
+    if (argc >= 2 && std::strcmp(argv[1], c.name) == 0) cmd = &c;
+  }
+  if (!cmd) return usage();
   Args a;
-  if (!parseArgs(argc, argv, a)) return usage();
-  const std::string cmd = argv[1];
+  if (!parseArgs(*cmd, argc, argv, a) ||
+      a.positional.size() != cmd->positionals) {
+    return usage(cmd);
+  }
   try {
-    if (cmd == "info" && a.positional.size() == 1) {
-      return cmdInfo(a, a.positional[0]);
-    }
-    if (cmd == "generate" && a.positional.size() == 2) {
-      return cmdGenerate(a, a.positional[0], a.positional[1]);
-    }
-    if (cmd == "factor" && a.positional.size() == 1) {
-      return cmdFactor(a, a.positional[0]);
-    }
-    if (cmd == "query" && a.positional.empty()) {
-      return cmdQuery(a);
-    }
-    if (cmd == "serve-bench" && a.positional.empty()) {
-      return cmdServeBench(a);
-    }
-    if (cmd == "stream" && a.positional.empty()) {
-      return cmdStream(a);
-    }
+    return cmd->run(a);
   } catch (const JobAbortedError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     if (!a.checkpointDir.empty()) {
@@ -1147,5 +960,4 @@ int main(int argc, char** argv) {
                  "error: out of memory (a smaller --scale or input may fit)\n");
     return 1;
   }
-  return usage();
 }
