@@ -2,7 +2,7 @@
 // kernel and serving layers exist for, each with its threshold.
 //
 //   online ALS, per delta batch   >= 5x    a full sequential retrain
-//   csf local kernel              >= 1.5x  the coo local kernel
+//   csf local kernel              >= 1.5x  the sequential reference MTTKRP
 //   batched + 4096-entry cache    >= 5x    unbatched, uncached serving
 //
 // Every claim times its sides in turn, kReps times over, and gates the
@@ -166,41 +166,43 @@ bool onlineVsRetrain() {
                 "online", samples[1], 5.0, "ms", 1e3);
 }
 
-// --- csf vs coo local MTTKRP kernel (cstf/kernels/) ---
+// --- csf local MTTKRP kernel vs the sequential oracle (cstf/kernels/) ---
 
-bool csfVsCooKernel() {
+bool csfVsReference() {
   // Dense enough in fiber space (500^3) that fibers carry several
   // nonzeros: the regime the compressed layout targets.
+  constexpr std::size_t kRank = 8;
   const tensor::CooTensor t =
       tensor::generateZipf({500, 500, 500}, 100000, 1.1, 4242);
-  const auto fs = cstf_core::randomFactors(t.dims(), 8, 7);
+  const auto fs = cstf_core::randomFactors(t.dims(), kRank, 7);
   const tensor::CsfLayout layout =
       tensor::buildCsfLayout(t.nonzeros(), t.order());
   // One side = every mode's MTTKRP over the whole tensor, kSweeps times.
   constexpr int kSweeps = 4;
-  auto side = [&](sparkle::LocalKernel kind) -> Side {
-    return [&t, &fs, &layout, kind] {
-      const auto& kernel = cstf_core::localKernelFor(kind);
-      const tensor::CsfLayout* lp =
-          kind == sparkle::LocalKernel::kCsf ? &layout : nullptr;
+  auto side = [&](const std::function<double(ModeId)>& mttkrp) -> Side {
+    return [&t, mttkrp] {
       return secondsOf([&] {
                for (int s = 0; s < kSweeps; ++s) {
                  for (ModeId mode = 0; mode < t.order(); ++mode) {
-                   cstf_core::LocalKernelStats stats;
-                   g_sink = double(
-                       kernel.compute(t.nonzeros(), lp, fs, mode, stats)
-                           .size());
+                   g_sink = mttkrp(mode);
                  }
                }
              }) /
              kSweeps;
     };
   };
-  const auto samples =
-      alternate({side(sparkle::LocalKernel::kCoo),
-                 side(sparkle::LocalKernel::kCsf)});
-  return report("csf vs coo local kernel (Zipf 500^3)", "coo", samples[0],
-                "csf", samples[1], 1.5, "ms/sweep", 1e3);
+  const auto samples = alternate({
+      side([&](ModeId mode) {
+        return tensor::referenceMttkrp(t, fs, mode)(0, 0);
+      }),
+      side([&](ModeId mode) {
+        cstf_core::LocalKernelStats stats;
+        return double(
+            cstf_core::csfMttkrp(layout, fs, mode, kRank, stats).size());
+      }),
+  });
+  return report("csf kernel vs reference MTTKRP (Zipf 500^3)", "reference",
+                samples[0], "csf", samples[1], 1.5, "ms/sweep", 1e3);
 }
 
 // --- batched + cached vs unbatched, uncached serving (serve/) ---
@@ -317,7 +319,7 @@ int main(int argc, char** argv) {
               kReps);
   bool ok = true;
   ok &= onlineVsRetrain();
-  ok &= csfVsCooKernel();
+  ok &= csfVsReference();
   ok &= batchedVsUnbatched();
   std::printf("%s\n", ok ? "all claims hold" : "a claim fell short");
   return ok ? 0 : 1;

@@ -10,7 +10,6 @@
 #include "cstf/cost_model.hpp"     // IWYU pragma: export
 #include "cstf/cp_als.hpp"         // IWYU pragma: export
 #include "cstf/factors.hpp"        // IWYU pragma: export
-#include "cstf/kernels/local_kernel.hpp" // IWYU pragma: export
 #include "cstf/mttkrp_bigtensor.hpp" // IWYU pragma: export
 #include "cstf/mttkrp_coo.hpp"     // IWYU pragma: export
 #include "cstf/mttkrp_local.hpp"   // IWYU pragma: export

@@ -73,8 +73,6 @@ class KernelTally {
   struct Work {
     std::uint64_t wallNanos = 0;
     std::uint64_t flops = 0;
-    /// Input records the kernel consumed.
-    std::uint64_t records = 0;
     /// Committed tasks (1 per written slot).
     std::uint64_t tasks = 0;
   };
@@ -91,7 +89,6 @@ class KernelTally {
     for (const Work& w : slots_) {
       total.wallNanos += w.wallNanos;
       total.flops += w.flops;
-      total.records += w.records;
       total.tasks += w.tasks;
     }
     return total;
@@ -161,11 +158,7 @@ la::Matrix mttkrpLocal(sparkle::Context& ctx,
   const ModeId order = static_cast<ModeId>(dims.size());
   const std::size_t rank = mttkrpRank(dims, factors, mode);
 
-  const sparkle::LocalKernel kind = ctx.config().localKernel;
-  const LocalMttkrpKernel& kernel = localKernelFor(kind);
-  if (kind == sparkle::LocalKernel::kCsf) {
-    ensureCsfLayouts(ctx, X, order, telemetry);
-  }
+  ensureCsfLayouts(ctx, X, order, telemetry);
 
   auto bc = sparkle::broadcast(ctx, FactorPack{&factors, mode},
                                "mttkrp-factors");
@@ -173,21 +166,16 @@ la::Matrix mttkrpLocal(sparkle::Context& ctx,
   auto tally = std::make_shared<KernelTally>(X.numPartitions());
   const std::uint64_t dsId = X.datasetId();
   sparkle::Context* ctxp = &ctx;
-  const LocalMttkrpKernel* kernelp = &kernel;
   auto partials = X.mapPartitionsWithCounters(
-      [=](std::size_t p, const std::vector<tensor::Nonzero>& part,
+      [=](std::size_t p, const std::vector<tensor::Nonzero>& /*part*/,
           TaskCounters& tc) {
-        std::shared_ptr<const void> hold;
-        const tensor::CsfLayout* layout = nullptr;
-        if (kind == sparkle::LocalKernel::kCsf) {
-          hold = ctxp->getPartitionArtifact(dsId, p);
-          layout = static_cast<const tensor::CsfLayout*>(hold.get());
-        }
+        const auto layout = std::static_pointer_cast<const tensor::CsfLayout>(
+            ctxp->getPartitionArtifact(dsId, p));
         LocalKernelStats stats;
         const auto t0 = Clock::now();
         auto rows =
-            kernelp->compute(part, layout, *bc.value().factors, mode, stats);
-        tally->commit(p, {nanosSince(t0), stats.flops, part.size()});
+            csfMttkrp(*layout, *bc.value().factors, mode, rank, stats);
+        tally->commit(p, {nanosSince(t0), stats.flops});
         CSTF_ASSERT(std::adjacent_find(rows.begin(), rows.end(),
                                        [](const auto& a, const auto& b) {
                                          return a.first >= b.first;
@@ -218,7 +206,7 @@ la::Matrix mttkrpLocal(sparkle::Context& ctx,
     telemetry->kernelFlops += work.flops;
   }
   metrics::Registry& live = metrics::globalRegistry();
-  const metrics::Labels labels = {{"kernel", kernel.name()}};
+  const metrics::Labels labels = {{"kernel", "csf"}};
   live.counter("cstf_local_kernel_invocations_total", labels).add(work.tasks);
   live.counter("cstf_local_kernel_flops_total", labels).add(work.flops);
   live.histogram("cstf_local_kernel_sec", labels).record(kernelSec);

@@ -2,8 +2,8 @@
 // of the paper's join chains (COO §4.1, QCOO §4.2, BIGtensor §4.3), the
 // DFacTo-style broadcast + CSF local kernel, or the sequential oracle.
 // resolvePlan derives it once from CpAlsOptions::backend and
-// sparkle::ClusterConfig::localKernel and is the only code that reads the
-// two together; a combination whose extra flag would change nothing is
+// sparkle::ClusterConfig::localKernel and is the only code that reads
+// localKernel; a combination whose extra flag would change nothing is
 // refused with a cstf::Error naming both flags (DESIGN.md §17).
 #pragma once
 

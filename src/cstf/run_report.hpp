@@ -104,15 +104,15 @@ struct RunReport {
   /// localKernel fields below are stamped from it.
   std::string plan;
   std::string backend;
-  /// Active per-partition compute kernel ("coo", "csf").
+  /// The --local-kernel setting ("coo": a join chain, "csf").
   std::string localKernel;
-  /// Host wall seconds spent inside local-kernel compute() calls, and how
+  /// Host wall seconds spent inside csfMttkrp calls, and how
   /// many partition-kernel invocations they cover (0/0 on the join-chain
   /// path, which has no discrete kernel).
   double localKernelWallSec = 0.0;
   std::uint64_t localKernelInvocations = 0;
   /// One-time CSF layout construction: host wall seconds, partitions
-  /// built, and resident layout bytes (all 0 for the COO kernel).
+  /// built, and resident layout bytes (all 0 on a join chain).
   double layoutBuildWallSec = 0.0;
   std::uint64_t layoutBuildPartitions = 0;
   std::uint64_t layoutBytes = 0;

@@ -167,8 +167,9 @@ struct ClusterConfig {
   /// Correlated node-loss injection (see FaultPlan). Off by default.
   FaultPlan faults;
 
-  /// The per-partition MTTKRP compute kernel (see LocalKernel). kCoo keeps
-  /// the join chains; kCsf selects the broadcast-local path (cstf/plan.hpp).
+  /// The MTTKRP formulation (see LocalKernel). kCoo keeps the join chains;
+  /// kCsf selects the broadcast-local path. Read only by resolvePlan
+  /// (cstf/plan.hpp).
   LocalKernel localKernel = LocalKernel::kCoo;
 
   ExecutionMode mode = ExecutionMode::kSpark;

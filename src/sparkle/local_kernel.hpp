@@ -1,8 +1,9 @@
-// Selector for the per-partition (map-side) compute kernel a task runs.
+// Selector for how a CP-ALS run computes its MTTKRP: through a join chain
+// or through the partition-local CSF kernel.
 //
-// An engine-level enum set on ClusterConfig. The kernels themselves live
-// in cstf/kernels/ — sparkle only names them, so the engine layer stays
-// tensor-agnostic.
+// An engine-level enum set on ClusterConfig; cstf_core::resolvePlan is the
+// only code that reads it. The kernel itself lives in cstf/kernels/ —
+// sparkle only names it, so the engine layer stays tensor-agnostic.
 #pragma once
 
 #include <string>
@@ -11,12 +12,12 @@
 
 namespace cstf::sparkle {
 
-/// How a task computes its partition-local MTTKRP contribution.
-///   kCoo — row-at-a-time over the raw COO records (the historical
-///          behaviour every existing code path had; reference kernel).
-///   kCsf — compressed-sparse-fiber layout built once at cache time and
-///          reused across modes/iterations; the R-wide inner loop
-///          accumulates fiber-contiguous partials (DFacTo/SPLATT style).
+/// Which MTTKRP formulation a run takes (`--local-kernel`).
+///   kCoo — no local kernel: the backend's join chain (COO, QCOO or
+///          BIGtensor) threads every nonzero through the shuffles.
+///   kCsf — broadcast factors + the CSF local kernel over a compressed
+///          layout built once at cache time and reused across
+///          modes/iterations (DFacTo/SPLATT style).
 enum class LocalKernel { kCoo, kCsf };
 
 inline const char* localKernelName(LocalKernel k) {

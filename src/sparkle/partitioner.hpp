@@ -37,15 +37,6 @@ struct KeyHash<std::pair<A, B>> {
   }
 };
 
-/// Adaptor so a std::unordered_map (the coo kernel's row accumulator)
-/// hashes through KeyHash — std::hash has no std::pair support.
-template <typename K>
-struct StdKeyHash {
-  std::size_t operator()(const K& k) const {
-    return static_cast<std::size_t>(KeyHash<K>{}(k));
-  }
-};
-
 class Partitioner {
  public:
   explicit Partitioner(std::size_t numPartitions) : n_(numPartitions) {

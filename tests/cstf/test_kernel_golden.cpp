@@ -5,7 +5,7 @@
 // double's bit pattern in emission order, so any reordered sum, contracted
 // multiply-add or dropped signed zero changes it. The contract tests pin
 // what the broadcast-local path relies on to skip its map-side combiner:
-// both kernels emit strictly increasing indices per partition.
+// the kernel emits strictly increasing indices per partition.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -90,8 +90,7 @@ TEST(KernelGolden, CsfRank16RowsMatchCapturedBits) {
       ASSERT_GT(multi, 0u) << "order " << int(order) << " mode " << int(mode);
 
       LocalKernelStats stats;
-      const auto rows = localKernelFor(sparkle::LocalKernel::kCsf)
-                            .compute(t.nonzeros(), &layout, fs, mode, stats);
+      const auto rows = csfMttkrp(layout, fs, mode, kRank, stats);
       EXPECT_EQ(hashRows(rows), c.hashes[mode])
           << "order " << int(order) << " mode " << int(mode) << ": 0x"
           << std::hex << hashRows(rows);
@@ -139,18 +138,15 @@ TEST(KernelContract, BothKernelsEmitStrictlyIncreasingIndices) {
 
   const std::vector<std::vector<tensor::Nonzero>> partitions = {
       {}, dup, zipf.nonzeros()};
-  for (const auto kind :
-       {sparkle::LocalKernel::kCoo, sparkle::LocalKernel::kCsf}) {
-    const LocalMttkrpKernel& kernel = localKernelFor(kind);
-    for (const auto& part : partitions) {
-      for (ModeId mode = 0; mode < dims.size(); ++mode) {
-        LocalKernelStats stats;
-        const auto rows = kernel.compute(part, nullptr, fs, mode, stats);
-        if (part.empty()) {
-          EXPECT_TRUE(rows.empty());
-        }
-        expectStrictlyIncreasing(rows, kernel.name());
+  for (const auto& part : partitions) {
+    const tensor::CsfLayout layout = tensor::buildCsfLayout(part, 4);
+    for (ModeId mode = 0; mode < dims.size(); ++mode) {
+      LocalKernelStats stats;
+      const auto rows = csfMttkrp(layout, fs, mode, 3, stats);
+      if (part.empty()) {
+        EXPECT_TRUE(rows.empty());
       }
+      expectStrictlyIncreasing(rows, "csf");
     }
   }
 }
@@ -170,24 +166,20 @@ TEST(KernelContract, BroadcastLocalRunsWithEmptyPartitionsAndDuplicates) {
   }
   const tensor::CooTensor t({4, 3, 3}, nz);
   const auto fs = randomFactors(t.dims(), 2, 3);
-  for (const auto kind :
-       {sparkle::LocalKernel::kCoo, sparkle::LocalKernel::kCsf}) {
-    for (const std::size_t parts : {2u, 16u}) {
-      sparkle::ClusterConfig cfg;
-      cfg.numNodes = 4;
-      cfg.coresPerNode = 2;
-      cfg.localKernel = kind;
-      sparkle::Context ctx(cfg, 2);
-      auto X = tensorToRdd(ctx, t, parts);
-      X.cache();
-      MttkrpOptions opts;
-      opts.numPartitions = 16;
-      for (ModeId mode = 0; mode < 3; ++mode) {
-        const la::Matrix got = mttkrpLocal(ctx, X, t.dims(), fs, mode, opts);
-        const la::Matrix want = tensor::referenceMttkrp(t, fs, mode);
-        EXPECT_LT(got.maxAbsDiff(want), 1e-12)
-            << "parts " << parts << " mode " << int(mode);
-      }
+  for (const std::size_t parts : {2u, 16u}) {
+    sparkle::ClusterConfig cfg;
+    cfg.numNodes = 4;
+    cfg.coresPerNode = 2;
+    sparkle::Context ctx(cfg, 2);
+    auto X = tensorToRdd(ctx, t, parts);
+    X.cache();
+    MttkrpOptions opts;
+    opts.numPartitions = 16;
+    for (ModeId mode = 0; mode < 3; ++mode) {
+      const la::Matrix got = mttkrpLocal(ctx, X, t.dims(), fs, mode, opts);
+      const la::Matrix want = tensor::referenceMttkrp(t, fs, mode);
+      EXPECT_LT(got.maxAbsDiff(want), 1e-12)
+          << "parts " << parts << " mode " << int(mode);
     }
   }
 }

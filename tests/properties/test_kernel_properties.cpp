@@ -1,7 +1,6 @@
-// Property sweeps for the local MTTKRP kernels: the CSF kernel must agree
-// with the COO reference kernel (and both with the sequential oracle)
-// across orders 3-5, every mode, empty partitions and duplicate-index
-// nonzeros.
+// Property sweeps for the CSF local kernel: it must agree with the
+// sequential oracle across orders 3-5, every mode, empty partitions and
+// duplicate-index nonzeros.
 #include <gtest/gtest.h>
 
 #include "cstf/cstf.hpp"
@@ -45,59 +44,38 @@ class KernelAgreement : public testing::TestWithParam<KernelCase> {
   }
 };
 
-la::Matrix runLocalKernel(sparkle::LocalKernel kind,
-                          const std::vector<tensor::Nonzero>& nz,
-                          const std::vector<la::Matrix>& fs, ModeId mode,
-                          Index dim, std::size_t rank) {
-  LocalKernelStats stats;
-  auto rows = localKernelFor(kind).compute(nz, nullptr, fs, mode, stats);
-  return testsupport::rowsToDense(rows, dim, rank);
-}
-
-// On any single partition the COO kernel is bit-identical to the
-// sequential oracle (same Hadamard order, same accumulation order), and
-// the CSF kernel agrees to fp-accumulation-reorder tolerance.
+// On any single partition the CSF kernel agrees with the sequential
+// oracle (row-at-a-time over the raw COO records) to
+// fp-accumulation-reorder tolerance.
 TEST_P(KernelAgreement, PartitionKernelsMatchOracleEveryMode) {
   const auto& c = GetParam();
   auto t = makeTensor();
   auto fs = randomFactors(t.dims(), c.rank, c.seed + 1);
   for (ModeId mode = 0; mode < t.order(); ++mode) {
     la::Matrix ref = tensor::referenceMttkrp(t, fs, mode);
-    la::Matrix coo = runLocalKernel(sparkle::LocalKernel::kCoo,
-                                    t.nonzeros(), fs, mode, t.dim(mode),
-                                    c.rank);
-    ASSERT_EQ(coo.maxAbsDiff(ref), 0.0)
-        << "coo kernel diverged from oracle on mode " << int(mode);
-    la::Matrix csf = runLocalKernel(sparkle::LocalKernel::kCsf,
-                                    t.nonzeros(), fs, mode, t.dim(mode),
-                                    c.rank);
-    ASSERT_LT(csf.maxAbsDiff(coo), 1e-12)
-        << "csf kernel diverged from coo kernel on mode " << int(mode);
+    la::Matrix csf = testsupport::csfDense(t, fs, mode);
+    ASSERT_LT(csf.maxAbsDiff(ref), 1e-12)
+        << "csf kernel diverged from oracle on mode " << int(mode);
   }
 }
 
 // The distributed local path (broadcast + partition kernels + one
-// reduceByKey) matches the oracle for both kernels, including partition
-// counts that leave some partitions empty.
+// reduceByKey) matches the oracle, including partition counts that leave
+// some partitions empty.
 TEST_P(KernelAgreement, MttkrpLocalMatchesOracleEveryMode) {
   const auto& c = GetParam();
   auto t = makeTensor();
   auto fs = randomFactors(t.dims(), c.rank, c.seed + 2);
-  for (auto kind :
-       {sparkle::LocalKernel::kCoo, sparkle::LocalKernel::kCsf}) {
-    sparkle::ClusterConfig cfg;
-    cfg.numNodes = 4;
-    cfg.localKernel = kind;
-    sparkle::Context ctx(cfg, 2, c.partitions);
-    auto X = tensorToRdd(ctx, t).cache();
-    MttkrpOptions opts;
-    opts.numPartitions = c.partitions;
-    for (ModeId mode = 0; mode < t.order(); ++mode) {
-      la::Matrix got = mttkrpLocal(ctx, X, t.dims(), fs, mode, opts);
-      ASSERT_LT(got.maxAbsDiff(tensor::referenceMttkrp(t, fs, mode)), 1e-9)
-          << sparkle::localKernelName(kind) << " mode " << int(mode)
-          << " diverged";
-    }
+  sparkle::ClusterConfig cfg;
+  cfg.numNodes = 4;
+  sparkle::Context ctx(cfg, 2, c.partitions);
+  auto X = tensorToRdd(ctx, t).cache();
+  MttkrpOptions opts;
+  opts.numPartitions = c.partitions;
+  for (ModeId mode = 0; mode < t.order(); ++mode) {
+    la::Matrix got = mttkrpLocal(ctx, X, t.dims(), fs, mode, opts);
+    ASSERT_LT(got.maxAbsDiff(tensor::referenceMttkrp(t, fs, mode)), 1e-9)
+        << "mode " << int(mode) << " diverged";
   }
 }
 
@@ -117,7 +95,7 @@ INSTANTIATE_TEST_SUITE_P(
     caseName);
 
 // Duplicate-index nonzeros: the generator coalesces, so build the
-// duplicates explicitly. Both kernels must fold duplicates into the same
+// duplicates explicitly. The kernel must fold duplicates into the same
 // result as the oracle, and the CSF build must merge them into one fiber
 // walk without losing entries.
 TEST(KernelDuplicates, DuplicateNonzerosAccumulate) {
@@ -144,30 +122,21 @@ TEST(KernelDuplicates, DuplicateNonzerosAccumulate) {
 
   for (ModeId mode = 0; mode < 3; ++mode) {
     la::Matrix ref = tensor::referenceMttkrp(t, fs, mode);
-    LocalKernelStats stats;
-    auto cooRows = localKernelFor(sparkle::LocalKernel::kCoo)
-                       .compute(t.nonzeros(), nullptr, fs, mode, stats);
-    auto csfRows = localKernelFor(sparkle::LocalKernel::kCsf)
-                       .compute(t.nonzeros(), &layout, fs, mode, stats);
-    la::Matrix coo = testsupport::rowsToDense(cooRows, t.dim(mode), 3);
-    la::Matrix csf = testsupport::rowsToDense(csfRows, t.dim(mode), 3);
-    EXPECT_EQ(coo.maxAbsDiff(ref), 0.0) << "mode " << int(mode);
+    la::Matrix csf = testsupport::csfDense(t, fs, mode);
     EXPECT_LT(csf.maxAbsDiff(ref), 1e-13) << "mode " << int(mode);
   }
 }
 
-// An entirely empty nonzero list must yield an all-zero MTTKRP result
-// from both kernels (and an empty, well-formed CSF layout).
+// An entirely empty nonzero list must yield no rows and no work from the
+// kernel (and an empty, well-formed CSF layout).
 TEST(KernelDuplicates, EmptyInputYieldsNoRows) {
   std::vector<la::Matrix> fs;
   for (Index d : {4, 5, 6}) fs.push_back(la::Matrix(d, 2));
-  for (auto kind :
-       {sparkle::LocalKernel::kCoo, sparkle::LocalKernel::kCsf}) {
-    LocalKernelStats stats;
-    auto rows = localKernelFor(kind).compute({}, nullptr, fs, 0, stats);
-    EXPECT_TRUE(rows.empty()) << sparkle::localKernelName(kind);
-    EXPECT_EQ(stats.entriesProcessed, 0u);
-  }
+  LocalKernelStats stats;
+  auto rows = csfMttkrp(tensor::buildCsfLayout({}, 3), fs, 0, 2, stats);
+  EXPECT_TRUE(rows.empty());
+  EXPECT_EQ(stats.flops, 0u);
+  EXPECT_EQ(stats.outputRows, 0u);
 }
 
 }  // namespace

@@ -57,10 +57,5 @@ TEST(Partitioner, SamePartitioningIsIdentityBased) {
   EXPECT_FALSE(samePartitioning(a, nullptr));
 }
 
-TEST(Partitioner, StdKeyHashMatchesKeyHash) {
-  EXPECT_EQ(StdKeyHash<std::uint32_t>{}(99),
-            static_cast<std::size_t>(KeyHash<std::uint32_t>{}(99)));
-}
-
 }  // namespace
 }  // namespace cstf::sparkle

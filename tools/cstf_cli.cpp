@@ -608,8 +608,6 @@ int cmdServeBench(const Args& a) {
              "--kill-node " + std::to_string(a.killNode) +
                  " is out of range: --shards " + std::to_string(a.shards) +
                  " serves on nodes 0.." + std::to_string(a.shards - 1));
-  CSTF_CHECK(a.follow.empty() || a.shards == 0,
-             "--follow hot-swaps the single-process engine; drop --shards");
 
   // --follow: the online updater that the follower thread drives. It gets
   // its own copy of the warm model (the serving copy is moved into the
@@ -918,6 +916,11 @@ bool parseArgs(const Command& cmd, int argc, char** argv, Args& a) {
       std::fprintf(stderr, "%s needs %s\n", f.name, n->name);
       return false;
     }
+  }
+  if (!a.follow.empty() && a.shards > 0) {
+    std::fputs("--follow hot-swaps the single-process engine; drop --shards\n",
+               stderr);
+    return false;
   }
   // --resume D is --checkpoint-dir D that also resumes.
   a.resume = std::ranges::count(given, findFlag("--resume")) > 0;
