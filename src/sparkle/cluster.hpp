@@ -165,7 +165,7 @@ struct ClusterConfig {
   double taskFailureRate = 0.0;
 
   /// Correlated node-loss injection (see FaultPlan). Off by default.
-  FaultPlan faults;
+  FaultPlan faults{};
 
   /// The MTTKRP formulation (see LocalKernel). kCoo keeps the join chains;
   /// kCsf selects the broadcast-local path. Read only by resolvePlan

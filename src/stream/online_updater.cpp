@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <unordered_map>
 
 #include "common/error.hpp"
@@ -45,22 +44,6 @@ class OnlineUpdater::CoordMap {
   std::unordered_map<CoordKey, std::uint32_t, CoordKeyHash> map;
 };
 
-const char* onlineSolverName(OnlineSolver s) {
-  switch (s) {
-    case OnlineSolver::kAls:
-      return "als";
-    case OnlineSolver::kSgd:
-      return "sgd";
-  }
-  return "?";
-}
-
-OnlineSolver onlineSolverFromName(const std::string& name) {
-  if (name == "als") return OnlineSolver::kAls;
-  if (name == "sgd") return OnlineSolver::kSgd;
-  throw Error("unknown online solver '" + name + "' (expected als|sgd)");
-}
-
 OnlineUpdater::OnlineUpdater(serve::CpModel model, tensor::CooTensor base,
                              OnlineUpdaterOptions opts)
     : opts_(opts),
@@ -75,8 +58,7 @@ OnlineUpdater::OnlineUpdater(serve::CpModel model, tensor::CooTensor base,
     CSTF_CHECK(factors_[m].rows() == dims_[m] && factors_[m].cols() == rank_,
                "online updater: factor shape mismatch");
   }
-  CSTF_CHECK(opts_.alsSweeps >= 1 && opts_.sgdEpochs >= 1,
-             "online updater: sweeps/epochs must be >= 1");
+  CSTF_CHECK(opts_.alsSweeps >= 1, "online updater: sweeps must be >= 1");
   // Work unnormalized: fold the column weights into mode 0 once so row
   // re-solves need no lambda bookkeeping; snapshotModel() refactors the
   // norms back out.
@@ -131,18 +113,6 @@ void OnlineUpdater::upsertEntries(const tensor::Delta& d,
     std::sort(rows.begin(), rows.end());
     rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
   }
-}
-
-double OnlineUpdater::predict(const tensor::Nonzero& nz) const {
-  double v = 0.0;
-  for (std::size_t r = 0; r < rank_; ++r) {
-    double prod = 1.0;
-    for (ModeId m = 0; m < nz.order; ++m) {
-      prod *= factors_[m](nz.idx[m], r);
-    }
-    v += prod;
-  }
-  return v;
 }
 
 std::uint64_t OnlineUpdater::applyAls(
@@ -200,74 +170,6 @@ std::uint64_t OnlineUpdater::applyAls(
   return rows;
 }
 
-std::uint64_t OnlineUpdater::applySgd(const tensor::Delta& d) {
-  const ModeId order = static_cast<ModeId>(dims_.size());
-  // Rank-one Gram corrections need each row's value *before* the batch;
-  // SGD may step a row many times, so capture it on first touch.
-  std::unordered_map<std::uint64_t, std::vector<double>> oldRows;
-  auto rememberRow = [&](ModeId m, Index i) {
-    const std::uint64_t key = (std::uint64_t(m) << 32) | i;
-    if (oldRows.count(key)) return;
-    const double* row = factors_[m].row(i);
-    oldRows.emplace(key, std::vector<double>(row, row + rank_));
-  };
-
-  std::vector<std::uint32_t> perm(d.entries.size());
-  for (std::size_t i = 0; i < perm.size(); ++i) {
-    perm[i] = static_cast<std::uint32_t>(i);
-  }
-  Pcg32 rng(mix64(opts_.seed ^ d.seq));
-  std::vector<double> step(rank_);
-  std::uint64_t rows = 0;
-  for (int epoch = 0; epoch < opts_.sgdEpochs; ++epoch) {
-    // Fisher-Yates with the deterministic PCG stream.
-    for (std::size_t i = perm.size(); i > 1; --i) {
-      std::swap(perm[i - 1], perm[rng.nextBounded(std::uint32_t(i))]);
-    }
-    for (const std::uint32_t pi : perm) {
-      const tensor::Nonzero& nz = d.entries[pi];
-      const double lr =
-          opts_.sgdLearnRate / std::sqrt(1.0 + double(sgdStep_));
-      ++sgdStep_;
-      const double err = predict(nz) - nz.val;
-      for (ModeId k = 0; k < order; ++k) {
-        for (std::size_t r = 0; r < rank_; ++r) {
-          double prod = 1.0;
-          for (ModeId m = 0; m < order; ++m) {
-            if (m != k) prod *= factors_[m](nz.idx[m], r);
-          }
-          step[r] = prod;
-        }
-        // Normalized step (NLMS): dividing by 1 + |step|^2 bounds how far
-        // one entry moves its row's prediction to lr * |err|, whatever
-        // the scale of the data.
-        double stepSq = 0.0;
-        for (std::size_t r = 0; r < rank_; ++r) stepSq += step[r] * step[r];
-        const double rowLr = lr / (1.0 + stepSq);
-        rememberRow(k, nz.idx[k]);
-        double* row = factors_[k].row(nz.idx[k]);
-        for (std::size_t r = 0; r < rank_; ++r) {
-          row[r] -= rowLr * (opts_.sgdRegularization * row[r] +
-                             err * step[r]);
-        }
-        ++rows;
-      }
-    }
-  }
-  for (const auto& [key, oldRow] : oldRows) {
-    const ModeId m = static_cast<ModeId>(key >> 32);
-    const Index i = static_cast<Index>(key & 0xffffffffu);
-    const double* row = factors_[m].row(i);
-    la::Matrix& g = grams_[m];
-    for (std::size_t r = 0; r < rank_; ++r) {
-      for (std::size_t c = 0; c < rank_; ++c) {
-        g(r, c) += row[r] * row[c] - oldRow[r] * oldRow[c];
-      }
-    }
-  }
-  return rows;
-}
-
 void OnlineUpdater::apply(const tensor::Delta& d) {
   d.validate();
   CSTF_CHECK(d.dims == dims_,
@@ -280,8 +182,7 @@ void OnlineUpdater::apply(const tensor::Delta& d) {
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::vector<Index>> touched(dims_.size());
   upsertEntries(d, touched);
-  rows_.add(opts_.solver == OnlineSolver::kAls ? applyAls(touched)
-                                                : applySgd(d));
+  rows_.add(applyAls(touched));
   state_.newestSeq = d.seq;
   state_.newestCreatedUnixMicros =
       std::max(state_.newestCreatedUnixMicros, d.createdUnixMicros);

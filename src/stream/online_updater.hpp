@@ -12,25 +12,20 @@
 // the accumulated tensor. The Gram matrices are cached across batches and
 // maintained by rank-one corrections as rows change
 // (G_n += a_i' a_i'^T - a_i a_i^T), so a batch costs O(touched slices)
-// instead of O(nnz) — the ≥5x-vs-retrain bar bench_claims gates.
+// instead of O(nnz) — the ≥5x-vs-retrain bar bench_claims gates. This
+// row-subset ALS is the one update path (DESIGN §16 records why the
+// stochastic-gradient alternative was retired).
 //
-// A stochastic-gradient fallback (`OnlineSolver::kSgd`, after the CPTF
-// mini-batch exemplar) updates rows by normalized per-entry gradient steps
-// with a 1/sqrt(t) learning-rate schedule — cheaper per entry, noisier per
-// batch.
-// It lost to ALS on every input measured (DESIGN §16).
-//
-// Both paths drift from the exactly refit model over time, so the updater
-// runs a periodic *exact-fit probe*: every `fitProbeEvery` batches it
-// recomputes the grams from scratch and measures the true CP fit against
-// the accumulated tensor, which both reports the drift and re-anchors the
-// cached Grams.
+// The row solves drift from the exactly refit model over time, so the
+// updater runs a periodic *exact-fit probe*: every `fitProbeEvery` batches
+// it recomputes the grams from scratch and measures the true CP fit
+// against the accumulated tensor, which both reports the drift and
+// re-anchors the cached Grams.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/metrics_registry.hpp"
@@ -41,30 +36,17 @@
 
 namespace cstf::stream {
 
-enum class OnlineSolver {
-  kAls,  ///< Warm-start row-subset ALS (default; tracks full retrain).
-  kSgd,  ///< Per-entry gradient steps (CPTF-style mini-batch fallback).
-};
-
-const char* onlineSolverName(OnlineSolver s);
-/// Parse "als" / "sgd"; throws cstf::Error for anything else.
-OnlineSolver onlineSolverFromName(const std::string& name);
+enum class OnlineSolver { kAls };
 
 struct OnlineUpdaterOptions {
+  /// Nothing reads these two fields. perfbench/harness/serve.cpp sets
+  /// them, and that file changes only with the benchmark; ROADMAP item 1
+  /// deletes them together with those two lines.
   OnlineSolver solver = OnlineSolver::kAls;
-  /// ALS: passes over the touched rows per batch (the rows of one batch
+  std::uint64_t seed = 0x5eed;
+  /// Passes over the touched rows per batch (the rows of one batch
   /// interact through the Gram corrections, so >1 sweep tightens them).
   int alsSweeps = 2;
-  /// SGD: epochs over the batch entries and the 1/sqrt(t) schedule knobs.
-  /// Each step is normalized by 1 + |gradient row|^2, so one entry moves a
-  /// mode's prediction by at most rate * |residual| at any data scale; at
-  /// 0.3 an order-3 entry's three mode steps stay under its residual
-  /// (DESIGN §16 sweeps the rate).
-  int sgdEpochs = 3;
-  double sgdLearnRate = 0.3;
-  double sgdRegularization = 1e-3;
-  /// Shuffle seed for SGD entry order (deterministic).
-  std::uint64_t seed = 0x5eed;
   /// Run the exact-fit probe every this many batches; 0 disables. The
   /// probe also rebuilds the cached Grams exactly, bounding drift.
   int fitProbeEvery = 0;
@@ -75,7 +57,7 @@ struct OnlineUpdaterOptions {
 struct OnlineUpdateStats {
   std::uint64_t batchesApplied = 0;
   std::uint64_t entriesApplied = 0;
-  /// ALS: factor rows re-solved (across sweeps); SGD: rows stepped.
+  /// Factor rows re-solved (across sweeps).
   std::uint64_t rowsRecomputed = 0;
   std::uint64_t newestSeq = 0;
   /// createdUnixMicros of the newest applied delta; 0 when unknown.
@@ -92,8 +74,8 @@ class OnlineUpdater {
   /// `model` is the exported warm start; `base` the tensor it was trained
   /// on. An empty base updates from the delta entries alone: ALS then
   /// re-solves each touched row against that row's delta entries only,
-  /// and the fit is judged against those entries. ALS beats SGD with and
-  /// without the base, and with it by far (DESIGN §16), so pass the base.
+  /// and the fit is judged against those entries. The base lifts the fit
+  /// by far (DESIGN §16), so pass it.
   /// Not thread-safe; one owner thread applies.
   OnlineUpdater(serve::CpModel model, tensor::CooTensor base,
                 OnlineUpdaterOptions opts = {});
@@ -125,11 +107,9 @@ class OnlineUpdater {
   void indexEntry(std::size_t pos);
   void upsertEntries(const tensor::Delta& d,
                      std::vector<std::vector<Index>>& touched);
-  /// Both return the factor rows they re-solved or stepped.
+  /// Returns the factor rows it re-solved.
   std::uint64_t applyAls(const std::vector<std::vector<Index>>& touched);
-  std::uint64_t applySgd(const tensor::Delta& d);
   void rebuildGrams();
-  double predict(const tensor::Nonzero& nz) const;
 
   OnlineUpdaterOptions opts_;
   std::vector<Index> dims_;
@@ -146,7 +126,6 @@ class OnlineUpdater {
   /// Per mode, per row: positions of the nonzeros in that slice.
   std::vector<std::vector<std::vector<std::uint32_t>>> rowIndex_;
 
-  std::uint64_t sgdStep_ = 0;
   /// Everything stats() reports except the three counts below.
   OnlineUpdateStats state_;
   // Counted once each; the `stream_*` series are fed when liveMetrics is set.

@@ -70,8 +70,12 @@ TEST(PooledLa, SplitCallsMatchOneTaskBitForBit) {
     const std::size_t rows = pooledRows(r);
     // The shapes really split: rows and columns over several tasks.
     ASSERT_GT(pooledTasks(&pool, rows * r, rows), 1u);
-    if (r > 1) ASSERT_GT(pooledTasks(&pool, rows * r, r), 1u);
-    if (r > 2) ASSERT_GT(pooledTasks(&pool, rows * r * r, r), 1u);
+    if (r > 1) {
+      ASSERT_GT(pooledTasks(&pool, rows * r, r), 1u);
+    }
+    if (r > 2) {
+      ASSERT_GT(pooledTasks(&pool, rows * r * r, r), 1u);
+    }
     expectPoolBitIdentical(pool, signedRandom(rows, r, 7 + r));
   }
 }

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <map>
 
+#include "common/strings.hpp"
 #include "sparkle/sparkle.hpp"
 #include "support/join_pairs.hpp"
 #include "support/shuffle_all.hpp"
@@ -28,10 +29,8 @@ struct EngineCase {
 
 std::string engineCaseName(const testing::TestParamInfo<EngineCase>& info) {
   const auto& c = info.param;
-  return "n" + std::to_string(c.nodes) + "_pin" +
-         std::to_string(c.inputPartitions) + "_pout" +
-         std::to_string(c.shufflePartitions) + "_r" +
-         std::to_string(c.records);
+  return strprintf("n%d_pin%zu_pout%zu_r%u", c.nodes, c.inputPartitions,
+                   c.shufflePartitions, unsigned(c.records));
 }
 
 class EngineInvariants : public testing::TestWithParam<EngineCase> {

@@ -9,6 +9,7 @@
 
 #include "common/rng.hpp"
 #include "common/serde.hpp"
+#include "common/strings.hpp"
 #include "cstf/records.hpp"
 #include "la/row.hpp"
 #include "support/le_bytes.hpp"
@@ -144,9 +145,9 @@ INSTANTIATE_TEST_SUITE_P(
                     SerdeCase{7, 40, 8, 3}),
     [](const testing::TestParamInfo<SerdeCase>& info) {
       const auto& c = info.param;
-      return "s" + std::to_string(c.seed) + "_n" +
-             std::to_string(c.records) + "_o" + std::to_string(c.order) +
-             "_r" + std::to_string(c.rank);
+      return strprintf("s%llu_n%zu_o%u_r%zu",
+                       static_cast<unsigned long long>(c.seed), c.records,
+                       unsigned(c.order), c.rank);
     });
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -85,13 +86,14 @@ void expectGolden(Context& ctx, const std::vector<Golden>& want) {
 /// A multiset of records, compared through their encoded bytes so shapes
 /// without operator< compare too.
 template <typename T>
-std::vector<std::vector<std::uint8_t>> encodedMultiset(
-    const std::vector<T>& recs) {
-  std::vector<std::vector<std::uint8_t>> out;
+std::vector<std::string> encodedMultiset(const std::vector<T>& recs) {
+  std::vector<std::string> out;
   out.reserve(recs.size());
   for (const T& rec : recs) {
-    out.emplace_back(FixedWidthSerde<T>::width(rec));
-    FixedWidthSerde<T>::encode(out.back().data(), rec);
+    std::string& bytes =
+        out.emplace_back(FixedWidthSerde<T>::width(rec), '\0');
+    FixedWidthSerde<T>::encode(reinterpret_cast<std::uint8_t*>(bytes.data()),
+                               rec);
   }
   std::sort(out.begin(), out.end());
   return out;

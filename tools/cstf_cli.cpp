@@ -114,11 +114,9 @@ struct Args {
   std::string deltas;
   std::string follow;
   std::string base;
-  std::string onlineSolver = "als";
   std::size_t publishEvery = 1;
   int pollMs = 50;
   int alsSweeps = 2;
-  int sgdEpochs = 3;
   int fitProbeEvery = 0;
 };
 
@@ -135,7 +133,7 @@ constexpr unsigned kOnline = kStream | kServeBench;
 
 /// One flag: `field` is the Args member it sets and `cmds` the commands
 /// that read it; any other command refuses it. `meta` names its value in
-/// the usage (null for a switch); a meta listing choices ("als|sgd")
+/// the usage (null for a switch); a meta listing choices ("coo|csf")
 /// accepts only those. `needs` names the flag without which this one
 /// changes nothing: it binds in the commands that read that flag, and any
 /// flag setting the same field meets it (--resume D sets --checkpoint-dir's).
@@ -162,7 +160,7 @@ const Flag kFlags[] = {
     {"--deltas", "D", &Args::deltas, kStream, nullptr, 0, kMax, true},
     {"--scale", "X", &Args::scale, kInfo | kGenerate | kFactor | kOnline,
      "--base", 1e-9, 1e9},
-    {"--seed", "S", &Args::seed, kGenerate | kFactor | kOnline,
+    {"--seed", "S", &Args::seed, kGenerate | kFactor | kServeBench,
      "--delta-batches"},
     {"--delta-batches", "N", &Args::deltaBatches, kGenerate, "--delta-dir", 1},
     {"--delta-dir", "D", &Args::deltaDir, kGenerate, "--delta-batches"},
@@ -211,9 +209,7 @@ const Flag kFlags[] = {
     {"--slo-p99-us", "T", &Args::sloP99Us, kServeBench},
     {"--follow", "D", &Args::follow, kServeBench},
     {"--base", "T", &Args::base, kOnline, "--follow"},
-    {"--online-solver", "als|sgd", &Args::onlineSolver, kOnline, "--follow"},
     {"--als-sweeps", "N", &Args::alsSweeps, kOnline, "--follow", 1},
-    {"--sgd-epochs", "N", &Args::sgdEpochs, kOnline, "--follow", 1},
     {"--fit-probe-every", "K", &Args::fitProbeEvery, kOnline, "--follow"},
     {"--publish-every", "N", &Args::publishEvery, kServeBench, "--follow", 1},
     {"--poll-ms", "M", &Args::pollMs, kServeBench, "--follow", 1},
@@ -329,15 +325,12 @@ int cmdGenerate(const Args& a) {
   return 0;
 }
 
-/// Shared --online-solver/--als-sweeps/... plumbing for `stream` and
+/// Shared --als-sweeps/--fit-probe-every plumbing for `stream` and
 /// `serve-bench --follow`.
 stream::OnlineUpdaterOptions onlineOptions(const Args& a) {
   stream::OnlineUpdaterOptions o;
-  o.solver = stream::onlineSolverFromName(a.onlineSolver);
   o.alsSweeps = a.alsSweeps;
-  o.sgdEpochs = a.sgdEpochs;
   o.fitProbeEvery = a.fitProbeEvery;
-  o.seed = a.seed;
   return o;
 }
 
@@ -548,8 +541,8 @@ int cmdStream(const Args& a) {
     std::fprintf(stderr, "skipped %zu corrupt tail batch(es)\n",
                  read.skippedCorruptTail);
   }
-  std::printf("stream: replaying %zu batches from %s (%s solver)\n",
-              read.deltas.size(), a.deltas.c_str(), a.onlineSolver.c_str());
+  std::printf("stream: replaying %zu batches from %s\n", read.deltas.size(),
+              a.deltas.c_str());
   for (const tensor::Delta& d : read.deltas) {
     updater.apply(d);
     const stream::OnlineUpdateStats& s = updater.stats();
@@ -580,7 +573,7 @@ int cmdStream(const Args& a) {
     JsonWriter w;
     w.beginObject();
     w.kv("schema", "cstf-stream-report-v1");
-    w.kv("solver", a.onlineSolver);
+    w.kv("solver", "als");
     w.kv("batches", s.batchesApplied);
     w.kv("entries", s.entriesApplied);
     w.kv("rowsRecomputed", s.rowsRecomputed);
