@@ -37,10 +37,10 @@ Row run(sparkle::StorageLevel level, const tensor::CooTensor& t) {
 
   Row row;
   double steady = 0.0;
-  for (std::size_t i = 1; i < res.iterations.size(); ++i) {
-    steady += res.iterations[i].simTimeSec;
+  for (std::size_t i = 1; i < res.report.iterations.size(); ++i) {
+    steady += res.report.iterations[i].simTimeSec;
   }
-  row.secPerIter = steady / double(res.iterations.size() - 1);
+  row.secPerIter = steady / double(res.report.iterations.size() - 1);
   for (const auto& s : ctx.metrics().stages()) {
     row.sourceBytes += s.work.sourceBytesRead;
   }

@@ -43,7 +43,7 @@ Row run(bool combine, const tensor::CooTensor& t) {
     row.shuffleRecords += s.shuffleRecords;
     row.shuffleBytes += s.shuffleBytesRemote + s.shuffleBytesLocal;
   }
-  row.simSec = ctx.metrics().simTimeSec();
+  row.simSec = ctx.metrics().totals().simTimeSec;
   return row;
 }
 

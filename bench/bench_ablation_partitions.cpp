@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     o.backend = cstf_core::Backend::kCoo;
     o.computeFit = false;
     auto res = cstf_core::cpAls(ctx, t, o);
-    const double perIter = res.iterations.back().simTimeSec;
+    const double perIter = res.report.iterations.back().simTimeSec;
     std::printf("%-12zu %8.2f %14.3f\n", parts,
                 double(parts) / ctx.config().totalCores(), perIter);
   }

@@ -34,10 +34,10 @@ Point run(Backend b, const tensor::CooTensor& t, std::size_t rank,
   auto res = cstf_core::cpAls(ctx, t, o);
   Point p;
   double steady = 0.0;
-  for (std::size_t i = 1; i < res.iterations.size(); ++i) {
-    steady += res.iterations[i].simTimeSec;
+  for (std::size_t i = 1; i < res.report.iterations.size(); ++i) {
+    steady += res.report.iterations[i].simTimeSec;
   }
-  p.secPerIter = steady / double(res.iterations.size() - 1);
+  p.secPerIter = steady / double(res.report.iterations.size() - 1);
   const auto m = ctx.metrics().totals();
   p.bytes = m.shuffleBytesRemote + m.shuffleBytesLocal;
   return p;

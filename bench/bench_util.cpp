@@ -89,16 +89,16 @@ RunResult runCpAls(cstf_core::Backend backend, const tensor::CooTensor& t,
 
   RunResult out;
   out.totals = ctx.metrics().totals();
-  out.firstIterationSec = res.iterations.front().simTimeSec;
+  out.firstIterationSec = res.report.iterations.front().simTimeSec;
   double steady = 0.0;
   int steadyCount = 0;
-  for (std::size_t i = 1; i < res.iterations.size(); ++i) {
-    steady += res.iterations[i].simTimeSec;
+  for (std::size_t i = 1; i < res.report.iterations.size(); ++i) {
+    steady += res.report.iterations[i].simTimeSec;
     ++steadyCount;
   }
   out.secPerIteration = steadyCount > 0
                             ? steady / steadyCount
-                            : res.iterations.front().simTimeSec;
+                            : res.report.iterations.front().simTimeSec;
   for (ModeId m = 0; m < t.order(); ++m) {
     const std::string scope = strprintf("MTTKRP-%d", int(m) + 1);
     out.scopes.emplace_back(scope, ctx.metrics().totalsForScope(scope));

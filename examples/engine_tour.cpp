@@ -99,7 +99,7 @@ int main() {
                        a += b;
                      });
       rdd.materialize();
-      secs[k++] = c.metrics().simTimeSec();
+      secs[k++] = c.metrics().totals().simTimeSec;
     }
     std::printf("%-8d %14s %16s\n", nodes, humanSeconds(secs[0]).c_str(),
                 humanSeconds(secs[1]).c_str());

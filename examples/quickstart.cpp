@@ -37,9 +37,9 @@ int main() {
 
   std::printf("\nCP-ALS (%s) finished: fit=%.4f after %zu iterations%s\n",
               cstf_core::backendName(opts.backend), result.finalFit,
-              result.iterations.size(),
+              result.report.iterations.size(),
               result.converged ? " (converged)" : "");
-  for (const auto& it : result.iterations) {
+  for (const auto& it : result.report.iterations) {
     std::printf("  iter %2d: fit=%.4f  modeled cluster time=%s\n",
                 it.iteration, it.fit, humanSeconds(it.simTimeSec).c_str());
   }

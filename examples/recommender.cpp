@@ -78,7 +78,7 @@ int main() {
   opts.tolerance = 1e-7;
   auto result = cstf_core::cpAls(ctx, X, opts);
   std::printf("model fit: %.4f (%zu iterations)\n", result.finalFit,
-              result.iterations.size());
+              result.report.iterations.size());
 
   // Export the trained model the way `cstf factor --model-out` does, then
   // serve from the file — the artifact an online recommender would ship.

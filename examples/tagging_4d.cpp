@@ -32,7 +32,7 @@ RunStats run(cstf_core::Backend backend, const tensor::CooTensor& t) {
   opts.seed = 11;
   auto res = cstf_core::cpAls(ctx, t, opts);
   const auto totals = ctx.metrics().totals();
-  return {res.finalFit, ctx.metrics().simTimeSec(),
+  return {res.finalFit, ctx.metrics().totals().simTimeSec,
           totals.shuffleBytesRemote, totals.shuffleOps,
           std::move(res.factors)};
 }

@@ -38,10 +38,10 @@ double innerProductFromMttkrp(const la::Matrix& m, const la::Matrix& a,
   return acc;
 }
 
-}  // namespace
-
-CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
-                  const CpAlsOptions& opts) {
+/// Everything cpAls does but close the report.
+void runCpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
+              const CpAlsOptions& opts, CpAlsResult& result,
+              LocalMttkrpTelemetry& localTel) {
   const ModeId order = X.order();
   CSTF_CHECK(order >= 2, "CP-ALS needs order >= 2");
   CSTF_CHECK(opts.rank >= 1, "rank must be >= 1");
@@ -53,7 +53,6 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
   }
 
   const std::vector<Index>& dims = X.dims();
-  CpAlsResult result;
   result.factors = randomFactors(dims, opts.rank, opts.seed);
   result.lambda.assign(opts.rank, 1.0);
 
@@ -68,7 +67,13 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
   // persists; the tensor RDD and engines below are rebuilt
   // from lineage exactly as a fresh run would build them.
   int startIter = 1;
-  double restoredPrevFit = std::numeric_limits<double>::quiet_NaN();
+  // The fit of the last completed iteration, which the next compares
+  // against: NaN until iteration 1 completes (it has no previous fit, so
+  // its fitDelta is explicitly undefined, serialized as null). A resumed
+  // run starts from the checkpointed fit, so convergence detection
+  // behaves as if the run had never been interrupted.
+  double& prevFit = result.finalFit;
+  prevFit = std::numeric_limits<double>::quiet_NaN();
   if (opts.resume) {
     if (std::optional<CpAlsCheckpoint> ck =
             loadLatestCheckpoint(opts.checkpointDir)) {
@@ -84,7 +89,7 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
                      result.report.plan + "'");
       result.factors = std::move(ck->factors);
       result.lambda = std::move(ck->lambda);
-      restoredPrevFit = ck->prevFit;
+      prevFit = ck->prevFit;
       startIter = ck->iteration + 1;
       result.report.resumedFromIteration = ck->iteration;
       CSTF_LOG_INFO("cp-als[%s] resumed from '%s' after iteration %d",
@@ -114,7 +119,6 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
   // Per-path setup, before iteration 1: broadcast-local builds the CSF
   // layouts every mode update reuses; QCOO seeds its queues.
   const MttkrpOptions& mttkrpOpts = opts.mttkrp;
-  LocalMttkrpTelemetry localTel;
   std::optional<QcooEngine> qcoo;
   if (plan.path == Path::kBroadcastLocal) {
     sparkle::ScopedStage scope(ctx.metrics(), "CsfLayout");
@@ -124,11 +128,6 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
   }
 
   const double xNormSq = X.normSq();
-  // NaN until iteration 1 completes: the first iteration has no previous
-  // fit, so its fitDelta is explicitly undefined (serialized as null). A
-  // resumed run instead starts from the checkpointed fit, so convergence
-  // detection behaves as if the run had never been interrupted.
-  double prevFit = restoredPrevFit;
 
   // Live instrument panel: the heartbeat samples these mid-run, so a tail
   // on the metrics stream shows iteration progress and fit as they happen.
@@ -141,7 +140,7 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
       live.histogram("cstf_iteration_sim_sec");
 
   for (int iter = startIter; iter <= opts.maxIterations; ++iter) {
-    const double simBefore = ctx.metrics().simTimeSec();
+    const sparkle::MetricsTotals iterBase = ctx.metrics().totals();
     const auto wallBefore = std::chrono::steady_clock::now();
     TraceSpan iterSpan(ctx.trace(), strprintf("iteration-%d", iter),
                        "cp-als");
@@ -149,38 +148,22 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
 
     // Per-mode telemetry: stage-log-totals deltas between mode boundaries,
     // so the entries decompose the engine work of the iteration exactly.
-    IterationTelemetry iterTel;
-    iterTel.iteration = iter;
-    sparkle::MetricsTotals modeBase = ctx.metrics().totals();
+    CpAlsIterationStats stats;
+    stats.iteration = iter;
+    sparkle::MetricsTotals modeBase = iterBase;
     std::size_t modeStageBase = ctx.metrics().stageCount();
     auto modeWall = wallBefore;
     auto emitModeTelemetry = [&](ModeId n) {
       const auto now = std::chrono::steady_clock::now();
       const sparkle::MetricsTotals after = ctx.metrics().totals();
-      ModeTelemetry mt;
-      mt.iteration = iter;
-      mt.mode = int(n) + 1;
-      mt.simTimeSec = after.simTimeSec - modeBase.simTimeSec;
-      mt.wallTimeSec =
-          std::chrono::duration<double>(now - modeWall).count();
-      mt.shuffleRecords = after.shuffleRecords - modeBase.shuffleRecords;
-      mt.shuffleBytesRemote =
-          after.shuffleBytesRemote - modeBase.shuffleBytesRemote;
-      mt.shuffleBytesLocal =
-          after.shuffleBytesLocal - modeBase.shuffleBytesLocal;
-      mt.recordsProcessed =
-          after.recordsProcessed - modeBase.recordsProcessed;
-      mt.flops = after.flops - modeBase.flops;
-      mt.sourceBytesRead = after.sourceBytesRead - modeBase.sourceBytesRead;
-      mt.cacheBytesDeserialized =
-          after.cacheBytesDeserialized - modeBase.cacheBytesDeserialized;
-      mt.taskRetries = after.taskRetries - modeBase.taskRetries;
       // Reduce-task record skew of this mode's shuffles: how unevenly the
       // hash partitioner spreads hot tensor-mode keys.
-      mt.reduceSkew = ctx.metrics().reduceSkewForStagesFrom(modeStageBase);
+      ModeTelemetry mt{after - modeBase, iter, int(n) + 1,
+                       ctx.metrics().reduceSkewForStagesFrom(modeStageBase)};
+      mt.wallTimeSec = std::chrono::duration<double>(now - modeWall).count();
       live.histogram("cstf_mode_sim_sec", {{"mode", std::to_string(mt.mode)}})
           .record(mt.simTimeSec);
-      iterTel.modes.push_back(mt);
+      stats.modes.push_back(mt);
       modeBase = after;
       modeStageBase = ctx.metrics().stageCount();
       modeWall = now;
@@ -250,9 +233,7 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
       emitModeTelemetry(n);
     }
 
-    CpAlsIterationStats stats;
-    stats.iteration = iter;
-    stats.simTimeSec = ctx.metrics().simTimeSec() - simBefore;
+    stats.simTimeSec = ctx.metrics().totals().simTimeSec - iterBase.simTimeSec;
     stats.wallTimeSec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wallBefore)
@@ -277,10 +258,6 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
                      result.report.plan.c_str(), iter, stats.fit,
                      stats.fitDelta, stats.simTimeSec);
     }
-    iterTel.fit = stats.fit;
-    iterTel.fitDelta = stats.fitDelta;
-    iterTel.simTimeSec = stats.simTimeSec;
-    iterTel.wallTimeSec = stats.wallTimeSec;
     double l2 = 0.0;
     double lmin = result.lambda.empty() ? 0.0 : result.lambda.front();
     double lmax = lmin;
@@ -289,12 +266,11 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
       lmin = std::min(lmin, l);
       lmax = std::max(lmax, l);
     }
-    iterTel.lambdaL2 = std::sqrt(l2);
-    iterTel.lambdaMin = lmin;
-    iterTel.lambdaMax = lmax;
-    result.report.iterations.push_back(std::move(iterTel));
+    stats.lambdaL2 = std::sqrt(l2);
+    stats.lambdaMin = lmin;
+    stats.lambdaMax = lmax;
+    result.report.iterations.push_back(stats);
 
-    result.iterations.push_back(stats);
     liveIterations.add();
     liveIteration.set(double(iter));
     liveIterSim.record(stats.simTimeSec);
@@ -332,16 +308,34 @@ CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
       break;
     }
   }
+}
 
-  result.finalFit = prevFit;
-  result.report.converged = result.converged;
-  result.report.finalFit = result.finalFit;
-  result.report.localKernelWallSec = localTel.kernelWallSec;
-  result.report.localKernelInvocations = localTel.kernelInvocations;
-  result.report.layoutBuildWallSec = localTel.layoutBuildWallSec;
-  result.report.layoutBuildPartitions = localTel.layoutBuildPartitions;
-  result.report.layoutBytes = localTel.layoutBytes;
-  finalizeRunReport(ctx.metrics(), result.report);
+}  // namespace
+
+CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
+                  const CpAlsOptions& opts) {
+  CpAlsResult result;
+  LocalMttkrpTelemetry localTel;
+  // Closes the report on success and on abort alike.
+  auto finishReport = [&] {
+    RunReport& r = result.report;
+    r.converged = result.converged;
+    r.finalFit = result.finalFit;
+    r.localKernelWallSec = localTel.kernelWallSec;
+    r.localKernelInvocations = localTel.kernelInvocations;
+    r.layoutBuildWallSec = localTel.layoutBuildWallSec;
+    r.layoutBuildPartitions = localTel.layoutBuildPartitions;
+    r.layoutBytes = localTel.layoutBytes;
+    finalizeRunReport(ctx.metrics(), r);
+  };
+  try {
+    runCpAls(ctx, X, opts, result, localTel);
+  } catch (const JobAbortedError& e) {
+    finishReport();
+    throw CpAlsAbortedError(e.what(), std::move(result.report));
+  }
+  finishReport();
+  result.iterations = result.report.iterations;
   return result;
 }
 

@@ -10,8 +10,11 @@
 #pragma once
 
 #include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "cstf/options.hpp"
 #include "cstf/run_report.hpp"
 #include "la/matrix.hpp"
@@ -20,16 +23,6 @@
 #include "tensor/coo_tensor.hpp"
 
 namespace cstf::cstf_core {
-
-struct CpAlsIterationStats {
-  int iteration = 0;
-  double fit = 0.0;
-  double fitDelta = 0.0;
-  /// Simulated cluster seconds spent in this iteration.
-  double simTimeSec = 0.0;
-  /// Host wall seconds (for the curious; not a cluster quantity).
-  double wallTimeSec = 0.0;
-};
 
 struct CpAlsOptions {
   std::size_t rank = 2;
@@ -66,19 +59,34 @@ struct CpAlsOptions {
 struct CpAlsResult {
   std::vector<la::Matrix> factors;  // columns unit-normalized
   std::vector<double> lambda;       // column weights
-  std::vector<CpAlsIterationStats> iterations;
-  /// Structured telemetry: one entry per (iteration, mode), per-stage
-  /// summaries and totals (see run_report.hpp). Always populated; the
-  /// stage list/totals reflect the registry's full contents, so reset the
-  /// registry before cpAls for a single-run report.
+  /// Structured telemetry: one entry per iteration (with its mode
+  /// updates), per-stage summaries and totals (see run_report.hpp).
+  /// Always populated; the stage list/totals reflect the registry's full
+  /// contents, so reset the registry before cpAls for a single-run report.
   RunReport report;
+  /// A copy of report.iterations, kept only because
+  /// perfbench/harness/train.cpp reads it and that file changes only in a
+  /// benchmark PR; ROADMAP item 1 deletes the field with that line.
+  std::vector<CpAlsIterationStats> iterations;
+  /// Fit of the last completed iteration (or of the resumed checkpoint).
   double finalFit = 0.0;
   bool converged = false;
 };
 
+/// cpAls gave up on node-loss recovery: the engine's JobAbortedError plus
+/// the run report closed at the abort (every completed iteration, every
+/// stage the log recorded).
+class CpAlsAbortedError : public JobAbortedError {
+ public:
+  CpAlsAbortedError(const std::string& what, RunReport r)
+      : JobAbortedError(what), report(std::move(r)) {}
+  RunReport report;
+};
+
 /// Factor `X` with the configured backend. Stage metrics accumulate in
 /// `ctx.metrics()` under scopes "MTTKRP-1".."MTTKRP-N" and "Other"; callers
-/// wanting a clean slate should reset the registry first.
+/// wanting a clean slate should reset the registry first. Throws
+/// CpAlsAbortedError when node-loss recovery gives up.
 CpAlsResult cpAls(sparkle::Context& ctx, const tensor::CooTensor& X,
                   const CpAlsOptions& opts);
 

@@ -1,32 +1,15 @@
 #include "cstf/run_report.hpp"
 
-#include <map>
-
 #include "common/json.hpp"
 
 namespace cstf::cstf_core {
 
 namespace {
 
-void writeTotals(JsonWriter& w, const sparkle::MetricsTotals& t) {
-  w.beginObject();
-  w.kv("stages", std::uint64_t{t.stages});
-  w.kv("shuffleOps", std::uint64_t{t.shuffleOps});
-  w.kv("shuffleRecords", std::uint64_t{t.shuffleRecords});
-  w.kv("shuffleBytesRemote", std::uint64_t{t.shuffleBytesRemote});
-  w.kv("shuffleBytesLocal", std::uint64_t{t.shuffleBytesLocal});
-  w.kv("broadcastBytes", std::uint64_t{t.broadcastBytes});
-  w.kv("recordsProcessed", std::uint64_t{t.recordsProcessed});
-  w.kv("flops", std::uint64_t{t.flops});
-  w.kv("sourceBytesRead", std::uint64_t{t.sourceBytesRead});
-  w.kv("cacheBytesDeserialized", std::uint64_t{t.cacheBytesDeserialized});
-  w.kv("taskRetries", std::uint64_t{t.taskRetries});
-  w.kv("lostNodes", std::uint64_t{t.lostNodes});
-  w.kv("recomputedMapTasks", std::uint64_t{t.recomputedMapTasks});
-  w.kv("evictedCacheBlocks", std::uint64_t{t.evictedCacheBlocks});
-  w.kv("simTimeSec", t.simTimeSec);
-  w.kv("wallTimeSec", t.wallTimeSec);
-  w.endObject();
+/// The counter block's fields, in StageCounts::forEachField order.
+void writeCounts(JsonWriter& w, const sparkle::StageCounts& c) {
+  sparkle::StageCounts::forEachField(
+      [&](const char* name, auto field) { w.kv(name, c.*field); });
 }
 
 void writeRecordSkew(JsonWriter& w, const sparkle::RecordSkewStats& r) {
@@ -48,52 +31,10 @@ void finalizeRunReport(const sparkle::StageLog& metrics,
   report.totals = metrics.totals();
   report.stages.clear();
   for (const sparkle::StageMetrics& s : metrics.stages()) {
-    StageSummary out;
-    out.stageId = s.stageId;
-    out.shuffleOpId = s.shuffleOpId;
-    out.scope = s.scope;
-    out.label = s.label;
-    out.kind = sparkle::stageKindName(s.kind);
-    out.recordsProcessed = s.work.recordsProcessed;
-    out.flops = s.work.flops;
-    out.sourceBytesRead = s.work.sourceBytesRead;
-    out.shuffleRecords = s.shuffleRecords;
-    out.shuffleBytesRemote = s.shuffleBytesRemote;
-    out.shuffleBytesLocal = s.shuffleBytesLocal;
-    out.broadcastBytes = s.broadcastBytes;
-    out.taskRetries = s.taskRetries;
-    out.lostNodes = s.lostNodes;
-    out.recomputedMapTasks = s.recomputedMapTasks;
-    out.evictedCacheBlocks = s.evictedCacheBlocks;
-    out.simTimeSec = s.simTimeSec;
-    out.wallTimeSec = s.wallTimeSec;
-    out.skew = sparkle::computeTaskSkew(s.tasks);
-    out.reduceSkew = sparkle::computeRecordSkew(s.reduceRecordsByPartition);
-    report.stages.push_back(std::move(out));
-  }
-
-  // Failure/recovery rollup over the same snapshot, grouped by the scope
-  // each stage was recorded under; scopes that never failed stay out.
-  report.failures = {};
-  std::map<std::string, FailureSummary::ScopeFailures> byScope;
-  for (const StageSummary& s : report.stages) {
-    report.failures.taskRetries += s.taskRetries;
-    report.failures.lostNodes += s.lostNodes;
-    report.failures.recomputedMapTasks += s.recomputedMapTasks;
-    report.failures.evictedCacheBlocks += s.evictedCacheBlocks;
-    if (s.taskRetries == 0 && s.lostNodes == 0 &&
-        s.recomputedMapTasks == 0 && s.evictedCacheBlocks == 0) {
-      continue;
-    }
-    FailureSummary::ScopeFailures& f = byScope[s.scope];
-    f.scope = s.scope;
-    f.taskRetries += s.taskRetries;
-    f.lostNodes += s.lostNodes;
-    f.recomputedMapTasks += s.recomputedMapTasks;
-    f.evictedCacheBlocks += s.evictedCacheBlocks;
-  }
-  for (auto& [scope, f] : byScope) {
-    report.failures.byScope.push_back(std::move(f));
+    report.stages.push_back(
+        {sparkle::countsOf(s), s.stageId, s.shuffleOpId, s.scope, s.label,
+         sparkle::stageKindName(s.kind), sparkle::computeTaskSkew(s.tasks),
+         sparkle::computeRecordSkew(s.reduceRecordsByPartition)});
   }
 }
 
@@ -122,7 +63,7 @@ std::string RunReport::toJson() const {
 
   w.key("iterations");
   w.beginArray();
-  for (const IterationTelemetry& it : iterations) {
+  for (const CpAlsIterationStats& it : iterations) {
     w.beginObject();
     w.kv("iteration", it.iteration);
     w.kv("fit", it.fit);
@@ -137,17 +78,7 @@ std::string RunReport::toJson() const {
     for (const ModeTelemetry& m : it.modes) {
       w.beginObject();
       w.kv("mode", m.mode);
-      w.kv("simTimeSec", m.simTimeSec);
-      w.kv("wallTimeSec", m.wallTimeSec);
-      w.kv("shuffleRecords", std::uint64_t{m.shuffleRecords});
-      w.kv("shuffleBytesRemote", std::uint64_t{m.shuffleBytesRemote});
-      w.kv("shuffleBytesLocal", std::uint64_t{m.shuffleBytesLocal});
-      w.kv("recordsProcessed", std::uint64_t{m.recordsProcessed});
-      w.kv("flops", std::uint64_t{m.flops});
-      w.kv("sourceBytesRead", std::uint64_t{m.sourceBytesRead});
-      w.kv("cacheBytesDeserialized",
-           std::uint64_t{m.cacheBytesDeserialized});
-      w.kv("taskRetries", std::uint64_t{m.taskRetries});
+      writeCounts(w, m);
       w.key("reduceSkew");
       writeRecordSkew(w, m.reduceSkew);
       w.endObject();
@@ -166,19 +97,7 @@ std::string RunReport::toJson() const {
     w.kv("scope", s.scope);
     w.kv("label", s.label);
     w.kv("kind", s.kind);
-    w.kv("recordsProcessed", std::uint64_t{s.recordsProcessed});
-    w.kv("flops", std::uint64_t{s.flops});
-    w.kv("sourceBytesRead", std::uint64_t{s.sourceBytesRead});
-    w.kv("shuffleRecords", std::uint64_t{s.shuffleRecords});
-    w.kv("shuffleBytesRemote", std::uint64_t{s.shuffleBytesRemote});
-    w.kv("shuffleBytesLocal", std::uint64_t{s.shuffleBytesLocal});
-    w.kv("broadcastBytes", std::uint64_t{s.broadcastBytes});
-    w.kv("taskRetries", std::uint64_t{s.taskRetries});
-    w.kv("lostNodes", std::uint64_t{s.lostNodes});
-    w.kv("recomputedMapTasks", std::uint64_t{s.recomputedMapTasks});
-    w.kv("evictedCacheBlocks", std::uint64_t{s.evictedCacheBlocks});
-    w.kv("simTimeSec", s.simTimeSec);
-    w.kv("wallTimeSec", s.wallTimeSec);
+    writeCounts(w, s);
     w.key("skew");
     w.beginObject();
     w.kv("tasks", std::uint64_t{s.skew.tasks});
@@ -195,28 +114,12 @@ std::string RunReport::toJson() const {
   }
   w.endArray();
 
-  w.key("failures");
-  w.beginObject();
-  w.kv("taskRetries", std::uint64_t{failures.taskRetries});
-  w.kv("lostNodes", std::uint64_t{failures.lostNodes});
-  w.kv("recomputedMapTasks", std::uint64_t{failures.recomputedMapTasks});
-  w.kv("evictedCacheBlocks", std::uint64_t{failures.evictedCacheBlocks});
-  w.key("byScope");
-  w.beginArray();
-  for (const FailureSummary::ScopeFailures& f : failures.byScope) {
-    w.beginObject();
-    w.kv("scope", f.scope);
-    w.kv("taskRetries", std::uint64_t{f.taskRetries});
-    w.kv("lostNodes", std::uint64_t{f.lostNodes});
-    w.kv("recomputedMapTasks", std::uint64_t{f.recomputedMapTasks});
-    w.kv("evictedCacheBlocks", std::uint64_t{f.evictedCacheBlocks});
-    w.endObject();
-  }
-  w.endArray();
-  w.endObject();
-
   w.key("totals");
-  writeTotals(w, totals);
+  w.beginObject();
+  w.kv("stages", std::uint64_t{totals.stages});
+  w.kv("shuffleOps", std::uint64_t{totals.shuffleOps});
+  writeCounts(w, totals);
+  w.endObject();
   w.endObject();
   return w.take();
 }

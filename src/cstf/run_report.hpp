@@ -1,11 +1,11 @@
 // Structured run report for a CP-ALS execution.
 //
 // The machine-readable counterpart of the paper's §6 evaluation tables:
-// per-(iteration, mode) telemetry (fit trajectory, λ norms, sim/wall time,
-// shuffle volume, cache traffic), per-stage summaries with task-skew
-// statistics, and run-level totals that match StageLog::totals()
-// exactly. Serializes to JSON (see tools/README.md for the schema); the
-// CLI's `factor` writes one via --report-out.
+// per-iteration fit trajectory and λ norms, per-(iteration, mode) and
+// per-stage rows of the one counter block sparkle::StageCounts (with
+// reduce and task skew), and run-level totals that match
+// StageLog::totals() exactly. Serializes to JSON (see tools/README.md for
+// the schema); the CLI's `factor` writes one via --report-out.
 #pragma once
 
 #include <cstdint>
@@ -17,29 +17,20 @@
 
 namespace cstf::cstf_core {
 
-/// Telemetry for one mode update (MTTKRP_n + solve/normalize) of one
-/// iteration, measured as the delta of the stage-log totals across the
-/// update — so summing mode entries reproduces the in-loop engine work
-/// exactly.
-struct ModeTelemetry {
+/// One mode update (MTTKRP_n + solve/normalize) of one iteration: the
+/// stage-log totals after the update minus those before it, so summing
+/// mode entries reproduces the in-loop engine work exactly. wallTimeSec
+/// is the host wall of the whole update, not the sum of its stages'.
+struct ModeTelemetry : sparkle::StageCounts {
   int iteration = 0;
   int mode = 0;  // 1-based, matching the "MTTKRP-n" metric scopes
-  double simTimeSec = 0.0;
-  double wallTimeSec = 0.0;
-  std::uint64_t shuffleRecords = 0;
-  std::uint64_t shuffleBytesRemote = 0;
-  std::uint64_t shuffleBytesLocal = 0;
-  std::uint64_t recordsProcessed = 0;
-  std::uint64_t flops = 0;
-  std::uint64_t sourceBytesRead = 0;
-  std::uint64_t cacheBytesDeserialized = 0;
-  /// Task attempts retried during this mode update (fault injection).
-  std::uint64_t taskRetries = 0;
   /// Reduce-task record skew pooled over this mode update's shuffles.
   sparkle::RecordSkewStats reduceSkew;
 };
 
-struct IterationTelemetry {
+/// One CP-ALS iteration: what cpAls passes to onIteration and keeps in
+/// RunReport::iterations.
+struct CpAlsIterationStats {
   int iteration = 0;
   double fit = 0.0;
   /// NaN for iteration 1 (no previous fit exists); serialized as null.
@@ -48,55 +39,25 @@ struct IterationTelemetry {
   double lambdaL2 = 0.0;
   double lambdaMin = 0.0;
   double lambdaMax = 0.0;
+  /// Simulated cluster seconds spent in this iteration.
   double simTimeSec = 0.0;
+  /// Host wall seconds (for the curious; not a cluster quantity).
   double wallTimeSec = 0.0;
   std::vector<ModeTelemetry> modes;
 };
 
-/// One stage-log entry, flattened for the report (work counters, shuffle
-/// volumes + skew). Every counter here sums over `stages` to the same
-/// field of `totals`.
-struct StageSummary {
+/// One stage-log entry, flattened for the report: its counts, ids and
+/// skew. Every count sums over `stages` to the same field of `totals`.
+struct StageSummary : sparkle::StageCounts {
   std::uint64_t stageId = 0;
   /// Shared by the stages of one shuffle operation (0 = not a shuffle).
   std::uint64_t shuffleOpId = 0;
   std::string scope;
   std::string label;
   std::string kind;
-  std::uint64_t recordsProcessed = 0;
-  std::uint64_t flops = 0;
-  std::uint64_t sourceBytesRead = 0;
-  std::uint64_t shuffleRecords = 0;
-  std::uint64_t shuffleBytesRemote = 0;
-  std::uint64_t shuffleBytesLocal = 0;
-  std::uint64_t broadcastBytes = 0;
-  std::uint64_t taskRetries = 0;
-  std::uint64_t lostNodes = 0;
-  std::uint64_t recomputedMapTasks = 0;
-  std::uint64_t evictedCacheBlocks = 0;
-  double simTimeSec = 0.0;
-  double wallTimeSec = 0.0;
   sparkle::TaskSkewStats skew;
   /// Reduce-side record distribution (shuffle stages only).
   sparkle::RecordSkewStats reduceSkew;
-};
-
-/// Failure/recovery summary of the run: task retries plus node-loss
-/// recovery work, overall and per metered scope (only scopes where
-/// something actually failed appear).
-struct FailureSummary {
-  struct ScopeFailures {
-    std::string scope;
-    std::uint64_t taskRetries = 0;
-    std::uint64_t lostNodes = 0;
-    std::uint64_t recomputedMapTasks = 0;
-    std::uint64_t evictedCacheBlocks = 0;
-  };
-  std::uint64_t taskRetries = 0;
-  std::uint64_t lostNodes = 0;
-  std::uint64_t recomputedMapTasks = 0;
-  std::uint64_t evictedCacheBlocks = 0;
-  std::vector<ScopeFailures> byScope;
 };
 
 struct RunReport {
@@ -125,14 +86,12 @@ struct RunReport {
   /// Iteration a --resume run restarted after (0 = started fresh); the
   /// `iterations` list then begins at resumedFromIteration + 1.
   int resumedFromIteration = 0;
-  std::vector<IterationTelemetry> iterations;
+  std::vector<CpAlsIterationStats> iterations;
   /// Every stage the log recorded during the run, in execution order.
   std::vector<StageSummary> stages;
   /// Stage-log totals at the end of the run; per-stage sums in `stages`
   /// match these exactly.
   sparkle::MetricsTotals totals;
-  /// Retry/recovery rollup of the same stage snapshot.
-  FailureSummary failures;
 
   std::string toJson() const;
 };

@@ -208,6 +208,23 @@ std::vector<StageMetrics> StageLog::stages() const {
   return stages_;
 }
 
+StageCounts countsOf(const StageMetrics& s) {
+  return {.recordsProcessed = s.work.recordsProcessed,
+          .flops = s.work.flops,
+          .sourceBytesRead = s.work.sourceBytesRead,
+          .cacheBytesDeserialized = s.work.cacheBytesDeserialized,
+          .shuffleRecords = s.shuffleRecords,
+          .shuffleBytesRemote = s.shuffleBytesRemote,
+          .shuffleBytesLocal = s.shuffleBytesLocal,
+          .broadcastBytes = s.broadcastBytes,
+          .taskRetries = s.taskRetries,
+          .lostNodes = s.lostNodes,
+          .recomputedMapTasks = s.recomputedMapTasks,
+          .evictedCacheBlocks = s.evictedCacheBlocks,
+          .simTimeSec = s.simTimeSec,
+          .wallTimeSec = s.wallTimeSec};
+}
+
 MetricsTotals StageLog::totalsLocked(
     const std::string* scopePrefix) const {
   MetricsTotals t;
@@ -218,20 +235,7 @@ MetricsTotals StageLog::totalsLocked(
     }
     ++t.stages;
     if (s.shuffleOpId != 0) ops.insert(s.shuffleOpId);
-    t.shuffleRecords += s.shuffleRecords;
-    t.shuffleBytesRemote += s.shuffleBytesRemote;
-    t.shuffleBytesLocal += s.shuffleBytesLocal;
-    t.broadcastBytes += s.broadcastBytes;
-    t.recordsProcessed += s.work.recordsProcessed;
-    t.flops += s.work.flops;
-    t.sourceBytesRead += s.work.sourceBytesRead;
-    t.cacheBytesDeserialized += s.work.cacheBytesDeserialized;
-    t.taskRetries += s.taskRetries;
-    t.lostNodes += s.lostNodes;
-    t.recomputedMapTasks += s.recomputedMapTasks;
-    t.evictedCacheBlocks += s.evictedCacheBlocks;
-    t.simTimeSec += s.simTimeSec;
-    t.wallTimeSec += s.wallTimeSec;
+    t += countsOf(s);
   }
   t.shuffleOps = ops.size();
   return t;
@@ -262,13 +266,6 @@ RecordSkewStats StageLog::reduceSkewForStagesFrom(
                   stages_[i].reduceRecordsByPartition.end());
   }
   return computeRecordSkew(pooled);
-}
-
-double StageLog::simTimeSec() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  double t = 0.0;
-  for (const auto& s : stages_) t += s.simTimeSec;
-  return t;
 }
 
 void StageLog::reset() {

@@ -115,24 +115,67 @@ struct StageMetrics {
   std::vector<std::uint64_t> nodeBytesInRemote;
 };
 
-/// Aggregate over a set of stages (one scope, or the whole run).
-struct MetricsTotals {
-  std::uint64_t stages = 0;
-  std::uint64_t shuffleOps = 0;
-  std::uint64_t shuffleRecords = 0;
-  std::uint64_t shuffleBytesRemote = 0;
-  std::uint64_t shuffleBytesLocal = 0;
-  std::uint64_t broadcastBytes = 0;
+/// The counters one stage carries, and every report row sums: the run
+/// totals, the report's stage rows and its per-mode rows are this block
+/// plus their own ids. forEachField is the one field list; +=, -= and the
+/// run report's JSON writer all walk it, so a new counter is one member
+/// and one entry there.
+struct StageCounts {
   std::uint64_t recordsProcessed = 0;
   std::uint64_t flops = 0;
   std::uint64_t sourceBytesRead = 0;
   std::uint64_t cacheBytesDeserialized = 0;
+  std::uint64_t shuffleRecords = 0;
+  std::uint64_t shuffleBytesRemote = 0;
+  std::uint64_t shuffleBytesLocal = 0;
+  std::uint64_t broadcastBytes = 0;
   std::uint64_t taskRetries = 0;
   std::uint64_t lostNodes = 0;
   std::uint64_t recomputedMapTasks = 0;
   std::uint64_t evictedCacheBlocks = 0;
   double simTimeSec = 0.0;
   double wallTimeSec = 0.0;
+
+  /// Calls f(name, member pointer) once per field, in report order.
+  template <typename F>
+  static void forEachField(F&& f) {
+    f("recordsProcessed", &StageCounts::recordsProcessed);
+    f("flops", &StageCounts::flops);
+    f("sourceBytesRead", &StageCounts::sourceBytesRead);
+    f("cacheBytesDeserialized", &StageCounts::cacheBytesDeserialized);
+    f("shuffleRecords", &StageCounts::shuffleRecords);
+    f("shuffleBytesRemote", &StageCounts::shuffleBytesRemote);
+    f("shuffleBytesLocal", &StageCounts::shuffleBytesLocal);
+    f("broadcastBytes", &StageCounts::broadcastBytes);
+    f("taskRetries", &StageCounts::taskRetries);
+    f("lostNodes", &StageCounts::lostNodes);
+    f("recomputedMapTasks", &StageCounts::recomputedMapTasks);
+    f("evictedCacheBlocks", &StageCounts::evictedCacheBlocks);
+    f("simTimeSec", &StageCounts::simTimeSec);
+    f("wallTimeSec", &StageCounts::wallTimeSec);
+  }
+
+  StageCounts& operator+=(const StageCounts& o) {
+    forEachField([&](const char*, auto field) { this->*field += o.*field; });
+    return *this;
+  }
+  StageCounts& operator-=(const StageCounts& o) {
+    forEachField([&](const char*, auto field) { this->*field -= o.*field; });
+    return *this;
+  }
+};
+
+inline StageCounts operator-(StageCounts a, const StageCounts& b) {
+  return a -= b;
+}
+
+/// The one place a stage's fields map to its counts.
+StageCounts countsOf(const StageMetrics& s);
+
+/// Aggregate over a set of stages (one scope, or the whole run).
+struct MetricsTotals : StageCounts {
+  std::uint64_t stages = 0;
+  std::uint64_t shuffleOps = 0;
 };
 
 /// The post-hoc log of one context's finalized stages, which run reports,
@@ -192,7 +235,6 @@ class StageLog {
   /// Reduce-side record skew pooled over stages recorded at positions
   /// >= `index` (as returned by stageCount() before the window started).
   RecordSkewStats reduceSkewForStagesFrom(std::size_t index) const;
-  double simTimeSec() const;
 
   void reset();
 

@@ -270,9 +270,9 @@ TEST_P(ResumeMatchesUninterrupted, TrajectoryContinuesWhereItStopped) {
   const CpAlsResult resumed = cpAls(ctx, t, o);
 
   EXPECT_EQ(resumed.report.resumedFromIteration, 2);
-  ASSERT_EQ(resumed.iterations.size(), 3u);
-  for (std::size_t i = 0; i < resumed.iterations.size(); ++i) {
-    EXPECT_EQ(resumed.iterations[i].iteration, int(i) + 3);
+  ASSERT_EQ(resumed.report.iterations.size(), 3u);
+  for (std::size_t i = 0; i < resumed.report.iterations.size(); ++i) {
+    EXPECT_EQ(resumed.report.iterations[i].iteration, int(i) + 3);
   }
   ASSERT_EQ(resumed.factors.size(), full.factors.size());
   if (backend == Backend::kCoo) {
@@ -281,8 +281,9 @@ TEST_P(ResumeMatchesUninterrupted, TrajectoryContinuesWhereItStopped) {
     for (std::size_t m = 0; m < full.factors.size(); ++m) {
       EXPECT_EQ(resumed.factors[m], full.factors[m]) << "mode " << m;
     }
-    for (std::size_t i = 0; i < resumed.iterations.size(); ++i) {
-      EXPECT_EQ(resumed.iterations[i].fit, full.iterations[i + 2].fit);
+    for (std::size_t i = 0; i < resumed.report.iterations.size(); ++i) {
+      EXPECT_EQ(resumed.report.iterations[i].fit,
+                full.report.iterations[i + 2].fit);
     }
     EXPECT_EQ(resumed.finalFit, full.finalFit);
   } else {

@@ -96,8 +96,9 @@ TEST(CpAls, FitIsNonDecreasing) {
   sparkle::Context ctx(testCluster(), 2);
   auto t = tensor::generateRandom({{15, 15, 15}, 500, {}, 73});
   auto res = cpAls(ctx, t, baseOpts(Backend::kCoo, 6));
-  for (std::size_t i = 1; i < res.iterations.size(); ++i) {
-    EXPECT_GE(res.iterations[i].fit, res.iterations[i - 1].fit - 1e-9)
+  const auto& its = res.report.iterations;
+  for (std::size_t i = 1; i < its.size(); ++i) {
+    EXPECT_GE(its[i].fit, its[i - 1].fit - 1e-9)
         << "ALS fit must not decrease (iteration " << i << ")";
   }
 }
@@ -109,7 +110,7 @@ TEST(CpAls, ConvergesAndStopsEarly) {
   o.tolerance = 1e-7;
   auto res = cpAls(ctx, t, o);
   EXPECT_TRUE(res.converged);
-  EXPECT_LT(res.iterations.size(), 100u);
+  EXPECT_LT(res.report.iterations.size(), 100u);
 }
 
 TEST(CpAls, BigtensorRejects4Order) {
@@ -136,8 +137,8 @@ TEST(CpAls, PerIterationStatsPopulated) {
   sparkle::Context ctx(testCluster(), 2);
   auto t = tensor::generateRandom({{10, 10, 10}, 200, {}, 76});
   auto res = cpAls(ctx, t, baseOpts(Backend::kCoo, 3));
-  ASSERT_EQ(res.iterations.size(), 3u);
-  for (const auto& it : res.iterations) {
+  ASSERT_EQ(res.report.iterations.size(), 3u);
+  for (const auto& it : res.report.iterations) {
     EXPECT_GT(it.simTimeSec, 0.0);
     EXPECT_GT(it.wallTimeSec, 0.0);
   }
@@ -245,12 +246,10 @@ TEST(FitDelta, FirstIterationDeltaIsUndefined) {
   auto o = baseOpts(Backend::kCoo, 3);
   o.tolerance = 0.0;
   auto res = cpAls(ctx, t, o);
-  ASSERT_GE(res.iterations.size(), 2u);
-  EXPECT_TRUE(std::isnan(res.iterations[0].fitDelta))
-      << "iteration 1 has no previous fit; its delta must be undefined";
-  EXPECT_TRUE(std::isfinite(res.iterations[1].fitDelta));
   ASSERT_GE(res.report.iterations.size(), 2u);
-  EXPECT_TRUE(std::isnan(res.report.iterations[0].fitDelta));
+  EXPECT_TRUE(std::isnan(res.report.iterations[0].fitDelta))
+      << "iteration 1 has no previous fit; its delta must be undefined";
+  EXPECT_TRUE(std::isfinite(res.report.iterations[1].fitDelta));
 
   // JSON: NaN is not representable and degrades to null, exactly once here.
   const std::string json = res.report.toJson();
@@ -266,7 +265,7 @@ TEST(FitDelta, ConvergenceCheckUnaffectedByUndefinedFirstDelta) {
   auto o = baseOpts(Backend::kCoo, 10);
   o.tolerance = 1e9;
   auto res = cpAls(ctx, t, o);
-  EXPECT_EQ(res.iterations.size(), 2u);
+  EXPECT_EQ(res.report.iterations.size(), 2u);
   EXPECT_TRUE(res.converged);
 }
 
@@ -289,9 +288,9 @@ TEST(FitNumerics, NanFitNeverConverges) {
       o.tolerance = 1e9;
       CpAlsResult res;
       ASSERT_NO_THROW(res = cpAls(ctx, x, o)) << backendName(b);
-      EXPECT_EQ(res.iterations.size(), 4u) << backendName(b);
+      EXPECT_EQ(res.report.iterations.size(), 4u) << backendName(b);
       EXPECT_FALSE(res.converged) << backendName(b);
-      for (const CpAlsIterationStats& it : res.iterations) {
+      for (const CpAlsIterationStats& it : res.report.iterations) {
         EXPECT_TRUE(std::isnan(it.fit))
             << backendName(b) << " iteration " << it.iteration;
       }

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cstf/cp_als.hpp"
@@ -38,7 +40,10 @@ class RunReportShape : public ::testing::TestWithParam<Backend> {};
 TEST_P(RunReportShape, OneEntryPerIterationAndMode) {
   sparkle::Context ctx(testCluster(), 2);
   auto t = tensor::generateRandom({{12, 14, 10}, 300, {}, 70});
-  auto res = cpAls(ctx, t, reportOpts(GetParam(), 2));
+  CpAlsOptions o = reportOpts(GetParam(), 2);
+  std::vector<CpAlsIterationStats> seen;
+  o.onIteration = [&](const CpAlsIterationStats& it) { seen.push_back(it); };
+  auto res = cpAls(ctx, t, o);
 
   const RunReport& r = res.report;
   EXPECT_EQ(r.backend, backendName(GetParam()));
@@ -49,8 +54,9 @@ TEST_P(RunReportShape, OneEntryPerIterationAndMode) {
   EXPECT_EQ(r.finalFit, res.finalFit);
 
   ASSERT_EQ(r.iterations.size(), 2u);
+  ASSERT_EQ(seen.size(), 2u);
   for (std::size_t i = 0; i < r.iterations.size(); ++i) {
-    const IterationTelemetry& it = r.iterations[i];
+    const CpAlsIterationStats& it = r.iterations[i];
     EXPECT_EQ(it.iteration, int(i) + 1);
     ASSERT_EQ(it.modes.size(), std::size_t(t.order()))
         << "one telemetry entry per mode per iteration";
@@ -65,7 +71,10 @@ TEST_P(RunReportShape, OneEntryPerIterationAndMode) {
     EXPECT_NEAR(modeSim, it.simTimeSec, 1e-9 + 1e-9 * it.simTimeSec);
     EXPECT_GT(it.lambdaL2, 0.0);
     EXPECT_LE(it.lambdaMin, it.lambdaMax);
-    EXPECT_EQ(it.fit, res.iterations[i].fit);
+    // onIteration receives the record the report keeps.
+    EXPECT_EQ(it.fit, seen[i].fit);
+    EXPECT_EQ(it.lambdaL2, seen[i].lambdaL2);
+    EXPECT_EQ(it.modes.size(), seen[i].modes.size());
   }
 }
 
@@ -74,60 +83,114 @@ INSTANTIATE_TEST_SUITE_P(Backends, RunReportShape,
 
 TEST(RunReport, StageSumsMatchRegistryTotalsExactly) {
   // The join chain (coo kernel) and broadcast-local (csf kernel), so the
-  // broadcast bytes are summed over stages that have some.
+  // broadcast bytes are summed over stages that have some; task failures
+  // and scheduled node losses make the fault counters non-zero.
   for (const sparkle::LocalKernel kernel :
        {sparkle::LocalKernel::kCoo, sparkle::LocalKernel::kCsf}) {
     SCOPED_TRACE(sparkle::localKernelName(kernel));
     sparkle::ClusterConfig cfg = testCluster();
     cfg.localKernel = kernel;
+    cfg.taskFailureRate = 0.2;
+    cfg.faults.allowEnvChaos = false;
+    for (std::uint64_t s = 2; s <= 40; s += 3) {
+      cfg.faults.schedule.push_back({s, int(s % 4)});
+    }
     sparkle::Context ctx(cfg, 2);
     auto t = tensor::generateRandom({{12, 14, 10}, 300, {}, 70});
     auto res = cpAls(ctx, t, reportOpts(Backend::kCoo, 2));
     const RunReport& r = res.report;
 
     const sparkle::MetricsTotals live = ctx.metrics().totals();
-    EXPECT_EQ(r.totals.shuffleBytesRemote, live.shuffleBytesRemote);
-    EXPECT_EQ(r.totals.shuffleBytesLocal, live.shuffleBytesLocal);
-    EXPECT_EQ(r.totals.shuffleRecords, live.shuffleRecords);
-    EXPECT_EQ(r.totals.flops, live.flops);
     EXPECT_EQ(r.stages.size(), live.stages);
-
-    // The acceptance bar: every per-stage counter sums to its total, with no
-    // drift between the two views.
-    std::uint64_t remote = 0;
-    std::uint64_t local = 0;
-    std::uint64_t records = 0;
-    std::uint64_t processed = 0;
-    std::uint64_t flops = 0;
-    std::uint64_t source = 0;
-    std::uint64_t broadcast = 0;
     std::set<std::uint64_t> shuffleOps;
-    double sim = 0.0;
     for (const StageSummary& s : r.stages) {
-      remote += s.shuffleBytesRemote;
-      local += s.shuffleBytesLocal;
-      records += s.shuffleRecords;
-      processed += s.recordsProcessed;
-      flops += s.flops;
-      source += s.sourceBytesRead;
-      broadcast += s.broadcastBytes;
       if (s.shuffleOpId != 0) shuffleOps.insert(s.shuffleOpId);
-      sim += s.simTimeSec;
-    }
-    EXPECT_EQ(remote, r.totals.shuffleBytesRemote);
-    EXPECT_EQ(local, r.totals.shuffleBytesLocal);
-    EXPECT_EQ(records, r.totals.shuffleRecords);
-    EXPECT_EQ(processed, r.totals.recordsProcessed);
-    EXPECT_GT(processed, 0u);
-    EXPECT_EQ(flops, r.totals.flops);
-    EXPECT_GT(flops, 0u);
-    EXPECT_EQ(source, r.totals.sourceBytesRead);
-    EXPECT_EQ(broadcast, r.totals.broadcastBytes);
-    if (kernel == sparkle::LocalKernel::kCsf) {
-      EXPECT_GT(broadcast, 0u);
     }
     EXPECT_EQ(shuffleOps.size(), r.totals.shuffleOps);
-    EXPECT_NEAR(sim, r.totals.simTimeSec, 1e-9 + 1e-9 * sim);
+
+    // The acceptance bar: every field of the counter block sums over the
+    // stages to its total in the same order, so exactly, doubles included.
+    // Per u64 counter, the mode rows plus the stages outside every mode
+    // update (scopes other than MTTKRP-* and Other) decompose it too.
+    std::size_t walkedBytes = 0;
+    sparkle::StageCounts::forEachField([&](const char* name, auto field) {
+      using T = std::remove_cvref_t<decltype(r.totals.*field)>;
+      walkedBytes += sizeof(T);
+      T stageSum{};
+      T outsideModes{};
+      for (const StageSummary& s : r.stages) {
+        stageSum += s.*field;
+        if (s.scope.rfind("MTTKRP-", 0) != 0 && s.scope != "Other") {
+          outsideModes += s.*field;
+        }
+      }
+      EXPECT_EQ(stageSum, r.totals.*field) << name;
+      EXPECT_EQ(live.*field, r.totals.*field) << name;
+      if constexpr (std::is_same_v<T, std::uint64_t>) {
+        T modeSum{};
+        for (const CpAlsIterationStats& it : r.iterations) {
+          for (const ModeTelemetry& m : it.modes) modeSum += m.*field;
+        }
+        EXPECT_EQ(modeSum + outsideModes, r.totals.*field) << name;
+      }
+    });
+    EXPECT_EQ(walkedBytes, sizeof(sparkle::StageCounts))
+        << "a StageCounts member is missing from forEachField";
+
+    EXPECT_GT(r.totals.recordsProcessed, 0u);
+    EXPECT_GT(r.totals.flops, 0u);
+    EXPECT_GT(r.totals.taskRetries, 0u);
+    if (kernel == sparkle::LocalKernel::kCoo) {
+      // Node losses fire at shuffle fetches, which only the join chain has.
+      EXPECT_GT(r.totals.lostNodes, 0u);
+      EXPECT_GT(r.totals.recomputedMapTasks, 0u);
+      EXPECT_GT(r.totals.evictedCacheBlocks, 0u);
+    } else {
+      EXPECT_GT(r.totals.broadcastBytes, 0u);
+    }
+  }
+}
+
+TEST(RunReport, AbortedRunCarriesItsPartialReport) {
+  // Find a shuffle stage of iteration 2 in a clean run: its stage ids are
+  // those past every stage id of a clean one-iteration run.
+  auto t = tensor::generateRandom({{12, 14, 10}, 300, {}, 70});
+  sparkle::ClusterConfig cfg = testCluster();
+  cfg.faults.allowEnvChaos = false;
+  std::uint64_t lastOfIter1 = 0;
+  {
+    sparkle::Context ctx(cfg, 2);
+    for (const StageSummary& s :
+         cpAls(ctx, t, reportOpts(Backend::kCoo, 1)).report.stages) {
+      lastOfIter1 = std::max(lastOfIter1, s.stageId);
+    }
+  }
+  std::uint64_t target = 0;
+  {
+    sparkle::Context ctx(cfg, 2);
+    for (const StageSummary& s :
+         cpAls(ctx, t, reportOpts(Backend::kCoo, 2)).report.stages) {
+      if (s.stageId > lastOfIter1 && s.kind == "shuffle" && target == 0) {
+        target = s.stageId;
+      }
+    }
+  }
+  ASSERT_NE(target, 0u);
+
+  // One stage attempt: the scheduled loss there aborts the job.
+  cfg.faults.maxStageAttempts = 1;
+  cfg.faults.schedule = {{target, 0}};
+  sparkle::Context ctx(cfg, 2);
+  try {
+    cpAls(ctx, t, reportOpts(Backend::kCoo, 3));
+    FAIL() << "expected CpAlsAbortedError";
+  } catch (const CpAlsAbortedError& e) {
+    EXPECT_EQ(e.report.iterations.size(), 1u);
+    EXPECT_FALSE(e.report.stages.empty());
+    EXPECT_FALSE(e.report.converged);
+    EXPECT_EQ(e.report.finalFit, e.report.iterations.back().fit);
+    EXPECT_EQ(e.report.stages.size(), e.report.totals.stages);
+    EXPECT_TRUE(testsupport::isValidJson(e.report.toJson()));
   }
 }
 

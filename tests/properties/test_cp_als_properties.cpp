@@ -50,9 +50,10 @@ TEST_P(CpAlsInvariants, FitMonotoneAndConsistent) {
   o.seed = c.seed + 7;
   auto res = cpAls(ctx, t, o);
 
-  ASSERT_FALSE(res.iterations.empty());
-  for (std::size_t i = 1; i < res.iterations.size(); ++i) {
-    EXPECT_GE(res.iterations[i].fit, res.iterations[i - 1].fit - 1e-9)
+  const auto& its = res.report.iterations;
+  ASSERT_FALSE(its.empty());
+  for (std::size_t i = 1; i < its.size(); ++i) {
+    EXPECT_GE(its[i].fit, its[i - 1].fit - 1e-9)
         << "fit decreased at iteration " << i;
   }
   EXPECT_NEAR(res.finalFit, tensor::cpFit(t, res.factors, res.lambda), 1e-8);

@@ -37,7 +37,7 @@ Fingerprint runWithThreads(std::size_t threads, Backend backend,
   auto res = cpAls(ctx, t, o);
 
   const auto m = ctx.metrics().totals();
-  return {res.finalFit,        ctx.metrics().simTimeSec(),
+  return {res.finalFit,        ctx.metrics().totals().simTimeSec,
           m.shuffleRecords,    m.shuffleBytesRemote,
           m.shuffleBytesLocal, m.recordsProcessed,
           m.flops};

@@ -32,7 +32,7 @@ double simTimeForNodes(int nodes, ExecutionMode mode = ExecutionMode::kSpark,
                  .reduceByKey(
                      [](double& a, const double& b) { a += b; });
   rdd.materialize();
-  return ctx.metrics().simTimeSec();
+  return ctx.metrics().totals().simTimeSec;
 }
 
 TEST(ClusterModel, MoreNodesRunFaster) {
@@ -67,7 +67,7 @@ TEST(ClusterModel, StageOverheadContributes) {
   cfg.stageOverheadSec = 10.0;
   Context ctx(cfg, 2);
   parallelize(ctx, makeData(10), 2).materialize();
-  EXPECT_GE(ctx.metrics().simTimeSec(), 10.0);
+  EXPECT_GE(ctx.metrics().totals().simTimeSec, 10.0);
 }
 
 TEST(ClusterModel, ComputeSecondsFollowThroughput) {

@@ -154,7 +154,7 @@ TEST(NodeLoss, RecoveryDelayIsChargedToClusterTime) {
     parallelize(ctx, makeData(1000), 8)
         .reduceByKey([](double& a, const double& b) { a += b; })
         .collect();
-    return ctx.metrics().simTimeSec();
+    return ctx.metrics().totals().simTimeSec;
   };
   const double base = runWithDelay(0.0);
   const double delayed = runWithDelay(5.0);

@@ -159,7 +159,7 @@ TEST(ShuffleMetrics, ResetClears) {
   EXPECT_GT(ctx.metrics().stages().size(), 0u);
   ctx.metrics().reset();
   EXPECT_EQ(ctx.metrics().stages().size(), 0u);
-  EXPECT_DOUBLE_EQ(ctx.metrics().simTimeSec(), 0.0);
+  EXPECT_DOUBLE_EQ(ctx.metrics().totals().simTimeSec, 0.0);
 }
 
 TEST(BroadcastMetering, SourceNodePaysNoInboundBytes) {

@@ -402,19 +402,11 @@ int cmdFactor(const Args& a) {
   cstf_core::CpAlsResult result;
   try {
     result = cstf_core::cpAls(ctx, t, opts);
-  } catch (const JobAbortedError&) {
+  } catch (const cstf_core::CpAlsAbortedError& e) {
     // Flush telemetry before propagating: an aborted run still leaves its
-    // trace, a partial run report (everything the stage log saw up to the
-    // abort) and a final live-metrics snapshot — exactly the artifacts a
-    // post-mortem needs.
-    cstf_core::RunReport report;
-    plan.fillReport(report);
-    report.rank = a.rank;
-    report.dims = t.dims();
-    report.nnz = t.nnz();
-    report.nodes = a.nodes;
-    cstf_core::finalizeRunReport(ctx.metrics(), report);
-    flushArtifacts(report, /*strict=*/false);
+    // trace, the partial run report cpAls closed at the abort and a final
+    // live-metrics snapshot — exactly the artifacts a post-mortem needs.
+    flushArtifacts(e.report, /*strict=*/false);
     if (heartbeat) heartbeat->stop();
     throw;
   }
@@ -422,7 +414,7 @@ int cmdFactor(const Args& a) {
     std::printf("resumed from checkpoint after iteration %d\n",
                 result.report.resumedFromIteration);
   }
-  for (const auto& it : result.iterations) {
+  for (const auto& it : result.report.iterations) {
     // Iteration 1 has no previous fit, so its delta is undefined.
     const std::string delta = std::isfinite(it.fitDelta)
                                   ? strprintf("+%.2e", it.fitDelta)
@@ -431,7 +423,7 @@ int cmdFactor(const Args& a) {
                 it.fit, delta.c_str(), humanSeconds(it.simTimeSec).c_str());
   }
   std::printf("final fit %.6f after %zu iterations%s\n", result.finalFit,
-              result.iterations.size(),
+              result.report.iterations.size(),
               result.converged ? " (converged)" : "");
 
   const auto m = ctx.metrics().totals();
